@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the cake-rs workspace.
 #
-#   ./ci.sh                full gate: tier-1, all tests, clippy, audit, verify, bench snapshot
-#   ./ci.sh --fast         tier-1 + clippy only (skip audit + verify + bench snapshot)
+#   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
+#                          bench snapshot
+#   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit + verify + bench
+#                          snapshot)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
 #   ./ci.sh --kernel-smoke one GEMM per available kernel tier (portable/avx2/
@@ -253,6 +255,9 @@ cargo test --workspace -q
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc (deny warnings: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "${1:-}" != "--fast" ]]; then
     run_audit

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use cake_core::executor::worker_rows;
-use cake_core::schedule::{worker_grid, BlockGrid, KFirstSchedule, OuterLoop};
+use cake_core::schedule::{worker_grid, BlockGrid, Schedule};
 use cake_core::workspace::worker_tile_bound;
 use cake_kernels::pack::{
     a_sliver_offset, b_sliver_offset, packed_a_size, packed_b_size, split_range,
@@ -953,11 +953,7 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
                                                 worker_tile_bound(bm.div_ceil(mr), p);
                                             let pa_stride = packed_a_size(max_tiles * mr, kc, mr);
                                             let pb_len = packed_b_size(kc, nc, nr);
-                                            let sched = KFirstSchedule::with_outer(
-                                                grid,
-                                                if m >= n { OuterLoop::MOuter } else { OuterLoop::NOuter },
-                                            );
-                                            for cd in sched {
+                                            for cd in Schedule::k_first(grid, m, n) {
                                                 let ml = bm.min(m - cd.m * bm);
                                                 let kl = kc.min(k - cd.k * kc);
                                                 let nl = nc.min(n - cd.n * nc);

@@ -31,7 +31,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use cake_core::schedule::{BlockCoord, BlockGrid, KFirstSchedule, OuterLoop};
+use cake_core::schedule::{BlockCoord, BlockGrid, Schedule};
 use cake_kernels::pack::split_range;
 use cake_verify::interleave::{explore_programs, ring_decisions, BlockInfo, Step};
 
@@ -300,7 +300,8 @@ pub fn check_with_sources(executor_src: &str, sync_src: &str) -> PhaseReport {
     for (p, grid, max_states) in scenarios {
         let ring = 2;
         let slivers = p.max(2);
-        let coords: Vec<BlockCoord> = KFirstSchedule::with_outer(grid, OuterLoop::NOuter).collect();
+        // The executor's order on the grid, read as a problem of unit blocks.
+        let coords: Vec<BlockCoord> = Schedule::k_first(grid, grid.mb, grid.nb).collect();
         let (info, _, _) = ring_decisions(&coords, ring, false);
         let r = explore_annotations(&anns, &info, p, slivers, ring, max_states);
         for vi in &r.violations {

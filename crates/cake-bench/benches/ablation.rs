@@ -2,8 +2,8 @@
 //!
 //! * `alpha`: CB aspect factor sweep — wall time should be flat on a
 //!   compute-bound machine while the simulator shows the DRAM trade.
-//! * `snake_vs_naive`: Algorithm 2's direction flipping vs plain loops,
-//!   measured as DRAM-traffic accounting over the two schedules.
+//! * `snake_vs_naive`: Algorithm 2's direction flipping vs plain nested
+//!   loops, measured as DRAM-traffic accounting over the two orders.
 //! * `lru_sizing`: blocks sized by the Section 4.3 rule vs blocks that
 //!   ignore it (fill the whole LLC) — real wall time, real caches.
 //! * `reuse_priority`: K-first vs the M-first/N-first generalization.
@@ -13,7 +13,7 @@ use cake_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use cake_core::api::{cake_sgemm, CakeConfig};
-use cake_core::schedule::{BlockGrid, Dim, KFirstSchedule, OuterLoop, SnakeSchedule};
+use cake_core::schedule::{BlockCoord, Dim, Schedule};
 use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake_matrix::{init, Matrix};
 
@@ -42,24 +42,27 @@ fn ablate_alpha(c: &mut Criterion) {
 fn ablate_snake(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_snake_traffic");
     let tp = TrafficParams { m: 2048, k: 2048, n: 2048, bm: 128, bk: 128, bn: 128 };
-    let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
+    let grid = tp.grid();
     group.bench_function("snake", |bch| {
         bch.iter(|| {
             let t = dram_traffic(
-                KFirstSchedule::with_outer(grid, OuterLoop::NOuter),
+                Schedule::k_first(grid, tp.m, tp.n),
                 black_box(tp),
                 CResidency::HoldInLlc,
+                1,
             );
             black_box(t.total())
         })
     });
+    // Same block set, every loop restarting at index 0 (N outer, K inner).
+    let plain = move || {
+        (0..grid.nb).flat_map(move |n| {
+            (0..grid.mb).flat_map(move |m| (0..grid.kb).map(move |k| BlockCoord { m, k, n }))
+        })
+    };
     group.bench_function("no_snake", |bch| {
         bch.iter(|| {
-            let t = dram_traffic(
-                KFirstSchedule::without_snaking(grid, OuterLoop::NOuter),
-                black_box(tp),
-                CResidency::HoldInLlc,
-            );
+            let t = dram_traffic(plain(), black_box(tp), CResidency::HoldInLlc, 1);
             black_box(t.total())
         })
     });
@@ -105,31 +108,22 @@ fn ablate_reuse_priority(c: &mut Criterion) {
     // blocks, and the outer-loop choice from Section 2.2.
     let mut group = c.benchmark_group("ablation_reuse_priority");
     let tp = TrafficParams { m: 1024, k: 4096, n: 1024, bm: 128, bk: 128, bn: 128 };
-    let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
-    let orders: [(&str, [Dim; 3]); 3] = [
+    let grid = tp.grid();
+    // `inner_k` is also the N-outer K-first order; `m_outer` is its mirror.
+    let orders: [(&str, [Dim; 3]); 4] = [
         ("inner_k", [Dim::N, Dim::M, Dim::K]),
         ("inner_n", [Dim::K, Dim::M, Dim::N]),
         ("inner_m", [Dim::K, Dim::N, Dim::M]),
+        ("m_outer", [Dim::M, Dim::N, Dim::K]),
     ];
     for (name, order) in orders {
         group.bench_function(name, |bch| {
             bch.iter(|| {
                 let t = dram_traffic(
-                    SnakeSchedule::new(grid, order),
+                    Schedule::new(grid, order),
                     black_box(tp),
                     CResidency::HoldInLlc,
-                );
-                black_box(t.total())
-            })
-        });
-    }
-    for (name, outer) in [("n_outer", OuterLoop::NOuter), ("m_outer", OuterLoop::MOuter)] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| {
-                let t = dram_traffic(
-                    KFirstSchedule::with_outer(grid, outer),
-                    black_box(tp),
-                    CResidency::HoldInLlc,
+                    1,
                 );
                 black_box(t.total())
             })

@@ -5,7 +5,7 @@ use cake_bench::harness::{BenchmarkId, Criterion, Throughput};
 use cake_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
-use cake_core::schedule::{BlockGrid, KFirstSchedule, OuterLoop};
+use cake_core::schedule::{BlockGrid, Schedule};
 use cake_core::shape::CbBlockShape;
 use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 
@@ -17,7 +17,7 @@ fn bench_schedule_iteration(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("snake", side), &side, |bch, _| {
             bch.iter(|| {
                 let mut acc = 0usize;
-                for coord in KFirstSchedule::with_outer(grid, OuterLoop::NOuter) {
+                for coord in Schedule::k_first(grid, side, side) {
                     acc = acc.wrapping_add(coord.m ^ coord.k ^ coord.n);
                 }
                 black_box(acc)
@@ -30,16 +30,12 @@ fn bench_schedule_iteration(c: &mut Criterion) {
 fn bench_traffic_accounting(c: &mut Criterion) {
     let mut group = c.benchmark_group("traffic_accounting");
     let tp = TrafficParams { m: 4096, k: 4096, n: 4096, bm: 256, bk: 128, bn: 256 };
-    let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
+    let grid = tp.grid();
     group.throughput(Throughput::Elements(grid.len() as u64));
     for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
         group.bench_function(format!("{policy:?}"), |bch| {
             bch.iter(|| {
-                let t = dram_traffic(
-                    KFirstSchedule::new(grid, tp.m, tp.n),
-                    black_box(tp),
-                    policy,
-                );
+                let t = dram_traffic(Schedule::k_first(grid, tp.m, tp.n), black_box(tp), policy, 1);
                 black_box(t.total())
             })
         });

@@ -110,7 +110,7 @@ use cake_bench::scaling::{
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::executor::ExecStats;
 use cake_core::model::CakeModel;
-use cake_core::schedule::{BlockGrid, KFirstSchedule};
+use cake_core::schedule::Schedule;
 use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake_sim::config::CpuConfig;
 use cake_sim::engine::{resolve_cake_shape, simulate_cake, simulate_goto, SimParams};
@@ -396,12 +396,16 @@ fn cmd_traffic() {
         bk: req_usize("--bk"),
         bn: req_usize("--bn"),
     };
+    if tp.bm == 0 || tp.bk == 0 || tp.bn == 0 {
+        eprintln!("--bm, --bk and --bn must be at least 1");
+        std::process::exit(2);
+    }
     let policy = match arg_value("--policy").as_deref() {
         Some("stream") => CResidency::StreamToDram,
         _ => CResidency::HoldInLlc,
     };
-    let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
-    let t = dram_traffic(KFirstSchedule::new(grid, tp.m, tp.n), tp, policy);
+    let grid = tp.grid();
+    let t = dram_traffic(Schedule::k_first(grid, tp.m, tp.n), tp, policy, 1);
     let dtype = arg_value("--dtype").unwrap_or_else(|| "f32".into());
     let bytes = match dtype.as_str() {
         "f32" => t.total_bytes_for::<f32>(),

@@ -192,7 +192,7 @@ impl CakeConfig {
                 CbBlockShape::derive(p, alpha, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
             (alpha, alpha_source, analytic)
         };
-        let shape = clamp_shape_to_problem(analytic, m, k, n, mr, nr);
+        let shape = analytic.clamp_to_problem(m, k, n, mr, nr);
         let (mc_llc, mc_l2) =
             CbBlockShape::mc_bounds(p, alpha.max(1.0), self.l2_bytes, self.llc_bytes, elem_bytes);
         let host_cores = topology::available_cores();
@@ -252,32 +252,6 @@ impl CakeConfig {
         d.kernel = ukr.name();
         d
     }
-}
-
-/// Shrink an analytically derived shape so a small problem still spreads
-/// across all `p` workers and blocks never exceed the matrix extents.
-/// Outer (LLC-level) tile extents pass through untouched — they count
-/// blocks, not elements, and the two-level schedule clamps them itself.
-pub(crate) fn clamp_shape_to_problem(
-    shape: CbBlockShape,
-    m: usize,
-    k: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) -> CbBlockShape {
-    let p = shape.p;
-    // Keep every worker busy: strip height at most ceil(M/p) (rounded up to
-    // mr so edge strips stay kernel-friendly), then balanced so the final
-    // M-block is not ragged.
-    let strip = m.div_ceil(p).div_ceil(mr).max(1) * mr;
-    let mc = CbBlockShape::balance_mc(m, p, shape.mc.min(strip).max(mr), mr);
-    let kc = shape.kc.min(k.max(1));
-    let nc = shape
-        .nc
-        .min(n.div_ceil(nr).max(1) * nr)
-        .max(nr);
-    CbBlockShape::fixed(p, mc, kc, nc).with_outer_tiles(shape.ko_blocks, shape.no_blocks)
 }
 
 /// Generic `C += A * B` with automatic CB-block configuration.

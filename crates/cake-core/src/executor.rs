@@ -90,7 +90,7 @@ use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
 use crate::counters::Tally;
 use crate::panel::{ring_depth, PanelAction, PanelCache};
 use crate::pool::ThreadPool;
-use crate::schedule::{worker_grid, BlockGrid, TwoLevelSchedule};
+use crate::schedule::{worker_grid, Schedule};
 use crate::shape::CbBlockShape;
 use crate::shared::OutPtr;
 use crate::sync::{BarrierMode, SpinBarrier};
@@ -336,10 +336,9 @@ pub fn execute_with_stats_in<T: Dtype>(
     let (mr, nr) = (ukr.mr(), ukr.nr());
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
 
-    let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    // Two-level (LLC-tiled) order when the shape carries outer extents;
-    // with both zero this is bit-exactly the one-level K-first snake.
-    let schedule = TwoLevelSchedule::new(grid, m, n, shape.ko_blocks, shape.no_blocks);
+    // The K-first snake, tiled by the shape's outer extents (if any).
+    let schedule = Schedule::for_shape(m, k, n, shape);
+    let grid = schedule.grid();
     let nblocks = schedule.len();
 
     // B panel ring: two panels are the pipelining floor; a ring as deep as

@@ -8,10 +8,15 @@
 //! * [`model`] — the closed-form resource model (Equations 1–6): local
 //!   memory footprint, minimum external bandwidth, and internal bandwidth
 //!   for both the abstract machine and the CPU instantiation.
-//! * [`schedule`] — the K-first snake block schedule (Section 2.2,
-//!   Algorithm 2) with inter-block surface-sharing annotations.
-//! * [`traffic`] — exact DRAM traffic accounting for an arbitrary block
-//!   schedule, used by tests, the ablation benches, and the simulator.
+//! * [`schedule`] — the one block schedule, [`schedule::Schedule`]: the
+//!   K-first snake of Section 2.2 / Algorithm 2 (or any loop order, for
+//!   ablations), optionally cut into MOMMS-style outer K/N tiles. The
+//!   executor, the simulator, the verifiers and the audit all build it
+//!   through [`schedule::Schedule::k_first`].
+//! * [`traffic`] — the one DRAM traffic walk, [`traffic::walk`]: exact
+//!   element counts for any block order, per block and in total, with B
+//!   served by the paper's adjacency rule or by a replay of the executor's
+//!   panel ring.
 //! * [`pool`] — a persistent worker pool with static core-to-strip
 //!   assignment (CAKE pins one `A` region per core) and optional
 //!   core-affinity pinning.
@@ -52,7 +57,7 @@ pub use api::{cake_dgemm, cake_gemm, cake_sgemm, CakeConfig};
 pub use executor::ExecStats;
 pub use model::CakeModel;
 pub use panel::{ring_depth, PanelAction, PanelCache};
-pub use schedule::{BlockCoord, BlockGrid, Dim, KFirstSchedule, SnakeSchedule};
+pub use schedule::{BlockCoord, BlockGrid, Dim, Schedule};
 pub use shape::CbBlockShape;
 pub use sync::{BarrierMode, SpinBarrier};
 pub use tune::{

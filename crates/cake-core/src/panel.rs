@@ -8,9 +8,9 @@
 //! without communicating.
 //!
 //! The module is public so external verifiers (the `cake-verify` crate)
-//! can replay the *exact* state machine the executor runs: the ring-aware
-//! traffic oracle ([`crate::traffic::dram_traffic_with_panel_ring`]) and
-//! the deterministic interleaving harness both consume it directly rather
+//! can replay the *exact* state machine the executor runs: the traffic
+//! walk ([`crate::traffic::walk`], given `ring_depth(kb)` panels) and the
+//! deterministic interleaving harness both consume it directly rather
 //! than re-deriving an approximation that could drift from the real code.
 
 /// B panels in the executor's ring for a problem with `kb` k-blocks:

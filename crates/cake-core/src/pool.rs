@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 /// L2-resident A strip is only warm if the worker stays on one core.
 /// Without pinning, the OS scheduler is free to migrate workers between
 /// barrier episodes, turning every migration into a full strip refetch.
-/// On Linux, [`pin_current_thread`] binds the calling thread to one core
+/// On Linux, [`affinity::pin_current_thread`] binds the calling thread to one core
 /// via a raw `sched_setaffinity` syscall binding (the build container has
 /// no `libc` crate; `std` already links the platform libc, so a direct
 /// `extern "C"` declaration suffices). Elsewhere it is a no-op returning

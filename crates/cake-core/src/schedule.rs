@@ -1,10 +1,10 @@
-//! K-first block scheduling with surface sharing (paper Section 2.2,
-//! Algorithm 2).
+//! The CB-block schedule (paper Section 2.2, Algorithm 2), with an
+//! optional MOMMS-style outer level.
 //!
 //! The `M x K x N` computation space is partitioned into a grid of
 //! `Mb x Kb x Nb` CB blocks. Blocks are executed sequentially; to minimize
 //! DRAM IO, consecutive blocks must *share an IO surface* (be adjacent in
-//! the grid):
+//! the grid). CAKE's order, [`Schedule::k_first`]:
 //!
 //! * the innermost loop runs along **K** so the partial-C surface — the
 //!   largest and the only one whose spill costs double IO — is reused until
@@ -20,6 +20,19 @@
 //! formulation here (parity of the number of completed inner traversals)
 //! when the grid extents are even, and remains adjacency-correct for odd
 //! extents as well.
+//!
+//! [`Schedule`] is the one schedule type. Its loop order is a parameter
+//! ([`Schedule::new`] takes any permutation, for the reuse-priority
+//! ablation), and so is the outer level ([`Schedule::with_outer_tiles`]):
+//! constant-bandwidth blocking applied once more at the LLC. The K/N face
+//! of the grid is cut into outer tiles of `ko x no` blocks, visited with N
+//! tiles outermost and the K-tile loop snaking on N-tile parity; the inner
+//! snake runs over each tile's blocks, spanning all `mb` block rows. Each
+//! tile's partial K-products complete before the schedule moves on, so the
+//! live partial-C working set is bounded by one tile's C surface. A single
+//! outer tile is exactly the one-level order.
+
+use crate::shape::CbBlockShape;
 
 /// Index of one CB block within the block grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,17 +76,15 @@ impl BlockGrid {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// Which of the outer two loops runs outermost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OuterLoop {
-    /// `for n { for m { for k } } }` — reuses B across M-steps; optimal
-    /// when `N >= M` (B surface at least as large as A).
-    NOuter,
-    /// `for m { for n { for k } } }` — reuses A across N-steps; optimal
-    /// when `M > N`.
-    MOuter,
+    /// Number of blocks along `d`.
+    fn extent(&self, d: Dim) -> usize {
+        match d {
+            Dim::M => self.mb,
+            Dim::K => self.kb,
+            Dim::N => self.nb,
+        }
+    }
 }
 
 /// An IO surface of a block (paper Section 2.1).
@@ -87,59 +98,82 @@ pub enum Surface {
     C,
 }
 
-/// The K-first snake schedule: an iterator over [`BlockCoord`]s in
-/// execution order. `Copy` on purpose: each executor worker grabs a
-/// private copy with a plain assignment, so replaying the schedule
-/// never touches the heap or a shared cache line.
+/// One dimension of the block grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dim {
+    /// Row-block dimension.
+    M,
+    /// Reduction-block dimension.
+    K,
+    /// Column-block dimension.
+    N,
+}
+
+/// The block schedule: an iterator over [`BlockCoord`]s in execution
+/// order.
+///
+/// The innermost loop decides which surface is reused on every step:
+/// inner `K` reuses the partial-C surface (the paper's choice), inner `M`
+/// reuses B, inner `N` reuses A. K-first is optimal exactly when the
+/// C-sharing saving (`2 * bm * bn`, partials spill twice) dominates the
+/// A- or B-sharing saving — which holds for the paper's wide CB blocks
+/// but *reverses* for tall-K blocks (`bk > 2 * max(bm, bn)`), a crossover
+/// the tests pin down.
+///
+/// `Copy` on purpose: each executor worker grabs a private copy with a
+/// plain assignment, so replaying the schedule never touches the heap or
+/// a shared cache line.
 #[derive(Debug, Clone, Copy)]
-pub struct KFirstSchedule {
+pub struct Schedule {
     grid: BlockGrid,
-    outer: OuterLoop,
-    /// `true` => plain nested loops starting at index 0 every time (the
-    /// paper's counter-example with `O(M*N + N)` missed reuses), used for
-    /// the ablation bench.
-    snake: bool,
+    /// Loop order, outermost first.
+    order: [Dim; 3],
+    /// Outer tile extent along K, in blocks (in `[1, max(kb, 1)]`).
+    ko: usize,
+    /// Outer tile extent along N, in blocks (in `[1, max(nb, 1)]`).
+    no: usize,
     pos: usize,
 }
 
-impl KFirstSchedule {
-    /// Snake schedule with the outer loop chosen from the problem shape
-    /// (`N >= M` => N outer), as prescribed in Section 2.2.
-    pub fn new(grid: BlockGrid, m: usize, n: usize) -> Self {
-        let outer = if n >= m { OuterLoop::NOuter } else { OuterLoop::MOuter };
-        Self::with_outer(grid, outer)
+impl Schedule {
+    /// CAKE's K-first snake over `grid` for an `m x _ x n` problem: N
+    /// outermost when `n >= m`, else M (Section 2.2). One outer tile.
+    pub fn k_first(grid: BlockGrid, m: usize, n: usize) -> Self {
+        let order = if n >= m { [Dim::N, Dim::M, Dim::K] } else { [Dim::M, Dim::N, Dim::K] };
+        Self { grid, order, ko: grid.kb.max(1), no: grid.nb.max(1), pos: 0 }
     }
 
-    /// Snake schedule with an explicit outer loop.
-    pub fn with_outer(grid: BlockGrid, outer: OuterLoop) -> Self {
-        Self {
-            grid,
-            outer,
-            snake: true,
-            pos: 0,
-        }
+    /// The schedule the executor runs for `shape` on an `m x k x n`
+    /// problem: [`Schedule::k_first`] over the shape's block grid, tiled
+    /// by the shape's outer extents.
+    pub fn for_shape(m: usize, k: usize, n: usize, shape: &CbBlockShape) -> Self {
+        let grid =
+            BlockGrid::for_problem(m, k, n, shape.m_block(), shape.k_block(), shape.n_block());
+        Self::k_first(grid, m, n).with_outer_tiles(shape.ko_blocks, shape.no_blocks)
     }
 
-    /// Non-snaking variant (always traverses each dimension from index 0).
-    /// Same block set, no direction flipping — loses inter-block A/B reuse
-    /// at loop boundaries. For ablation only.
-    pub fn without_snaking(grid: BlockGrid, outer: OuterLoop) -> Self {
-        Self {
-            grid,
-            outer,
-            snake: false,
-            pos: 0,
-        }
+    /// Snake over `grid` with an arbitrary loop order (outermost first).
+    /// One outer tile.
+    ///
+    /// # Panics
+    /// Panics unless `order` is a permutation of {M, K, N}.
+    pub fn new(grid: BlockGrid, order: [Dim; 3]) -> Self {
+        let [a, b, c] = order;
+        assert!(a != b && b != c && a != c, "loop order must be a permutation, got {order:?}");
+        Self { order, ..Self::k_first(grid, 0, 0) }
+    }
+
+    /// The same order cut into outer tiles of `ko_blocks x no_blocks`
+    /// blocks on the K/N face. `0` in either extent means the whole
+    /// dimension; extents past the grid clamp to it.
+    pub fn with_outer_tiles(self, ko_blocks: usize, no_blocks: usize) -> Self {
+        let cap = |want: usize, ext: usize| (if want == 0 { ext } else { want.min(ext) }).max(1);
+        Self { ko: cap(ko_blocks, self.grid.kb), no: cap(no_blocks, self.grid.nb), ..self }
     }
 
     /// The underlying grid.
     pub fn grid(&self) -> BlockGrid {
         self.grid
-    }
-
-    /// Outer-loop choice.
-    pub fn outer(&self) -> OuterLoop {
-        self.outer
     }
 
     /// Total number of blocks in the schedule.
@@ -152,43 +186,67 @@ impl KFirstSchedule {
         self.grid.is_empty()
     }
 
+    /// Outer tile counts `(k_tiles, n_tiles)`.
+    fn outer_tiles(&self) -> (usize, usize) {
+        (self.grid.kb.div_ceil(self.ko), self.grid.nb.div_ceil(self.no))
+    }
+
     /// Block at linear position `idx` (0-based) in execution order.
+    ///
+    /// Heap-free and panic-free: this sits on the executor's warm path.
+    /// An out-of-range `idx` (never produced by the executor, which guards
+    /// with `bi < len`) clamps to the last grid corner.
     pub fn coord_at(&self, idx: usize) -> BlockCoord {
-        debug_assert!(idx < self.len());
-        let (outer_ext, mid_ext, inner_ext) = match self.outer {
-            OuterLoop::NOuter => (self.grid.nb, self.grid.mb, self.grid.kb),
-            OuterLoop::MOuter => (self.grid.mb, self.grid.nb, self.grid.kb),
-        };
-        debug_assert!(outer_ext * mid_ext * inner_ext == self.len());
-
-        let o = idx / (mid_ext * inner_ext);
-        let rem = idx % (mid_ext * inner_ext);
-        let mid_step = rem / inner_ext;
-        let inner_step = rem % inner_ext;
-
-        let (mid, inner) = if self.snake {
-            // Middle loop snakes on outer parity; inner loop snakes on the
-            // parity of the total number of completed (outer, mid) pairs.
-            let mid = if o.is_multiple_of(2) { mid_step } else { mid_ext - 1 - mid_step };
-            let pair = o * mid_ext + mid_step;
-            let inner = if pair.is_multiple_of(2) {
-                inner_step
-            } else {
-                inner_ext - 1 - inner_step
-            };
-            (mid, inner)
-        } else {
-            (mid_step, inner_step)
-        };
-
-        match self.outer {
-            OuterLoop::NOuter => BlockCoord { m: mid, k: inner, n: o },
-            OuterLoop::MOuter => BlockCoord { m: o, k: inner, n: mid },
+        let g = self.grid;
+        let (kt, nt) = self.outer_tiles();
+        let mut rem = idx;
+        for tn in 0..nt {
+            for step in 0..kt {
+                // Outer-level snake: the K tile loop reverses on every N
+                // tile advance, so consecutive tiles stay adjacent.
+                let tk = if tn.is_multiple_of(2) { step } else { kt - 1 - step };
+                let (k0, n0) = (tk * self.ko, tn * self.no);
+                let (kb, nb) = (self.ko.min(g.kb - k0), self.no.min(g.nb - n0));
+                let tile = BlockGrid { mb: g.mb, kb, nb };
+                if rem < tile.len() {
+                    let c = snake_coord(tile, self.order, rem);
+                    return BlockCoord { m: c.m, k: k0 + c.k, n: n0 + c.n };
+                }
+                rem -= tile.len();
+            }
+        }
+        BlockCoord {
+            m: g.mb.saturating_sub(1),
+            k: g.kb.saturating_sub(1),
+            n: g.nb.saturating_sub(1),
         }
     }
 }
 
-impl Iterator for KFirstSchedule {
+/// Position `idx < grid.len()` of the boustrophedon over `grid` in loop
+/// `order`: the middle loop snakes on the outer index's parity, the inner
+/// loop on the parity of completed (outer, middle) pairs.
+fn snake_coord(grid: BlockGrid, order: [Dim; 3], idx: usize) -> BlockCoord {
+    let [outer_dim, mid_dim, inner_dim] = order;
+    let (me, ie) = (grid.extent(mid_dim), grid.extent(inner_dim));
+    let outer = idx / (me * ie);
+    let mid_step = idx % (me * ie) / ie;
+    let inner_step = idx % ie;
+    let mid = if outer.is_multiple_of(2) { mid_step } else { me - 1 - mid_step };
+    let pair = outer * me + mid_step;
+    let inner = if pair.is_multiple_of(2) { inner_step } else { ie - 1 - inner_step };
+    let mut c = BlockCoord { m: 0, k: 0, n: 0 };
+    for (d, v) in [(outer_dim, outer), (mid_dim, mid), (inner_dim, inner)] {
+        match d {
+            Dim::M => c.m = v,
+            Dim::K => c.k = v,
+            Dim::N => c.n = v,
+        }
+    }
+    c
+}
+
+impl Iterator for Schedule {
     type Item = BlockCoord;
 
     fn next(&mut self) -> Option<BlockCoord> {
@@ -209,150 +267,7 @@ impl Iterator for KFirstSchedule {
     }
 }
 
-impl ExactSizeIterator for KFirstSchedule {}
-
-/// The two-level (MOMMS-style) CB schedule: constant-bandwidth blocking
-/// applied at the LLC level *above* the L2-level block grid.
-///
-/// The K/N face of the block grid is cut into outer tiles of `ko x no`
-/// L2-level blocks. Outer tiles are visited with N outermost and the K
-/// tile loop boustrophedon on N-tile parity (the outer-level snake);
-/// within each tile the ordinary one-level K-first snake runs over the
-/// tile's blocks, spanning all `mb` block rows. Each tile's `ko` partial
-/// K-products complete before the schedule moves on, so the live partial-C
-/// working set at the LLC level is bounded by one tile's C surface — the
-/// same constant-bandwidth argument one cache level up.
-///
-/// With a single outer tile (extents `>= kb`/`nb`, or 0 meaning
-/// "disabled") the schedule degenerates **bit-exactly** to
-/// [`KFirstSchedule::new`]'s order, so every one-level invariant carries
-/// over unchanged.
-///
-/// `Copy` for the same reason as [`KFirstSchedule`]: executor workers
-/// replay a private copy with pure arithmetic — no heap, no sharing.
-#[derive(Debug, Clone, Copy)]
-pub struct TwoLevelSchedule {
-    grid: BlockGrid,
-    outer: OuterLoop,
-    /// Outer tile extent along K, in blocks (clamped to `[1, kb]`).
-    ko: usize,
-    /// Outer tile extent along N, in blocks (clamped to `[1, nb]`).
-    no: usize,
-    pos: usize,
-}
-
-impl TwoLevelSchedule {
-    /// Two-level schedule over `grid` with outer K/N tile extents in
-    /// blocks. `0` in either extent means "whole dimension" (that level of
-    /// tiling disabled); both `0` is exactly the one-level schedule. The
-    /// inner snake's loop orientation follows the problem shape as in
-    /// [`KFirstSchedule::new`].
-    pub fn new(grid: BlockGrid, m: usize, n: usize, ko_blocks: usize, no_blocks: usize) -> Self {
-        let outer = if n >= m { OuterLoop::NOuter } else { OuterLoop::MOuter };
-        let cap = |want: usize, ext: usize| -> usize {
-            let ext = ext.max(1);
-            if want == 0 {
-                ext
-            } else {
-                want.min(ext)
-            }
-        };
-        Self {
-            grid,
-            outer,
-            ko: cap(ko_blocks, grid.kb),
-            no: cap(no_blocks, grid.nb),
-            pos: 0,
-        }
-    }
-
-    /// The degenerate single-tile schedule — identical order to
-    /// [`KFirstSchedule::new`].
-    pub fn one_level(grid: BlockGrid, m: usize, n: usize) -> Self {
-        Self::new(grid, m, n, 0, 0)
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> BlockGrid {
-        self.grid
-    }
-
-    /// Total number of blocks in the schedule.
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// `true` when the schedule contains no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// Outer tile counts `(k_tiles, n_tiles)`.
-    pub fn outer_tiles(&self) -> (usize, usize) {
-        (self.grid.kb.div_ceil(self.ko), self.grid.nb.div_ceil(self.no))
-    }
-
-    /// `true` when more than one outer tile exists (the outer level is
-    /// live rather than degenerate).
-    pub fn is_two_level(&self) -> bool {
-        let (kt, nt) = self.outer_tiles();
-        kt * nt > 1
-    }
-
-    /// Block at linear position `idx` (0-based) in execution order.
-    ///
-    /// Out-of-range `idx` (never produced by the executor, which guards
-    /// with `bi < len`) clamps to the last grid corner rather than
-    /// panicking — this sits on the executor's warm path.
-    pub fn coord_at(&self, idx: usize) -> BlockCoord {
-        let (kt, nt) = self.outer_tiles();
-        let mut rem = idx;
-        for tn in 0..nt {
-            for tk_step in 0..kt {
-                // Outer-level boustrophedon: the K tile loop reverses on
-                // every N tile advance, so consecutive tiles stay adjacent
-                // on the K/N face.
-                let tk = if tn.is_multiple_of(2) { tk_step } else { kt - 1 - tk_step };
-                let k0 = tk * self.ko;
-                let n0 = tn * self.no;
-                let kl = self.ko.min(self.grid.kb - k0);
-                let nl = self.no.min(self.grid.nb - n0);
-                let cnt = self.grid.mb * kl * nl;
-                if rem < cnt {
-                    let sub = BlockGrid { mb: self.grid.mb, kb: kl, nb: nl };
-                    let c = KFirstSchedule::with_outer(sub, self.outer).coord_at(rem);
-                    return BlockCoord { m: c.m, k: k0 + c.k, n: n0 + c.n };
-                }
-                rem -= cnt;
-            }
-        }
-        BlockCoord {
-            m: self.grid.mb.saturating_sub(1),
-            k: self.grid.kb.saturating_sub(1),
-            n: self.grid.nb.saturating_sub(1),
-        }
-    }
-}
-
-impl Iterator for TwoLevelSchedule {
-    type Item = BlockCoord;
-
-    fn next(&mut self) -> Option<BlockCoord> {
-        if self.pos >= self.grid.len() {
-            return None;
-        }
-        let c = self.coord_at(self.pos);
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.grid.len() - self.pos;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for TwoLevelSchedule {}
+impl ExactSizeIterator for Schedule {}
 
 /// The surfaces two consecutively executed blocks share.
 ///
@@ -401,13 +316,192 @@ pub fn worker_grid(p: usize, m_tiles: usize) -> (usize, usize) {
     (pm, p / pm)
 }
 
+
 #[cfg(test)]
-mod worker_grid_tests {
+mod tests {
     use super::*;
+    use crate::traffic::{dram_traffic, CResidency, TrafficParams};
     use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    const ORDERS: [[Dim; 3]; 6] = [
+        [Dim::M, Dim::K, Dim::N],
+        [Dim::M, Dim::N, Dim::K],
+        [Dim::K, Dim::M, Dim::N],
+        [Dim::K, Dim::N, Dim::M],
+        [Dim::N, Dim::M, Dim::K],
+        [Dim::N, Dim::K, Dim::M],
+    ];
+
+    fn grid(mb: usize, kb: usize, nb: usize) -> BlockGrid {
+        BlockGrid { mb, kb, nb }
+    }
+
+    fn manhattan(a: BlockCoord, b: BlockCoord) -> usize {
+        a.m.abs_diff(b.m) + a.k.abs_diff(b.k) + a.n.abs_diff(b.n)
+    }
+
+    /// Panics unless `coords` visits every block of `g` exactly once.
+    fn assert_permutation(coords: &[BlockCoord], g: BlockGrid) {
+        assert_eq!(coords.len(), g.len());
+        let seen: HashSet<_> = coords.iter().copied().collect();
+        assert_eq!(seen.len(), g.len(), "schedule must be a permutation");
+        assert!(coords.iter().all(|c| c.m < g.mb && c.k < g.kb && c.n < g.nb));
+    }
+
+    /// Panics if the schedule re-enters an outer tile it has left.
+    fn assert_tiles_contiguous(coords: &[BlockCoord], ko: usize, no: usize) {
+        let mut seen_tiles: HashSet<(usize, usize)> = HashSet::new();
+        let mut cur = None;
+        for c in coords {
+            let t = (c.k / ko, c.n / no);
+            if cur != Some(t) {
+                assert!(seen_tiles.insert(t), "tile {t:?} re-entered");
+                cur = Some(t);
+            }
+        }
+    }
 
     #[test]
-    fn degenerates_to_m_strips_when_tiles_suffice() {
+    fn k_runs_first_then_m_steps_reverse_k() {
+        // First kb blocks of an N-outer schedule share (m=0, n=0) and
+        // sweep k = 0..kb; the m step keeps n and k at the far end.
+        let sched: Vec<_> = Schedule::k_first(grid(2, 3, 2), 1, 1).collect();
+        for (i, c) in sched.iter().take(3).enumerate() {
+            assert_eq!((c.m, c.k, c.n), (0, i, 0));
+        }
+        assert_eq!((sched[3].m, sched[3].k, sched[3].n), (1, 2, 0), "k must snake back");
+    }
+
+    #[test]
+    fn k_first_orientation_follows_shape_and_ties_go_to_n_outer() {
+        let g = grid(2, 2, 3);
+        let order = |m, n| Schedule::k_first(g, m, n).collect::<Vec<_>>();
+        let n_outer: Vec<_> = Schedule::new(g, [Dim::N, Dim::M, Dim::K]).collect();
+        let m_outer: Vec<_> = Schedule::new(g, [Dim::M, Dim::N, Dim::K]).collect();
+        assert_ne!(n_outer, m_outer);
+        assert_eq!(order(100, 200), n_outer);
+        assert_eq!(order(200, 100), m_outer);
+        assert_eq!(order(100, 100), n_outer);
+    }
+
+    #[test]
+    fn steps_share_the_surface_of_the_dims_they_keep() {
+        // K steps share C, M steps share B, N steps share A: adjacent
+        // blocks share exactly one surface.
+        let sched: Vec<_> = Schedule::k_first(grid(3, 3, 3), 1, 1).collect();
+        for w in sched.windows(2) {
+            let shared = shared_surfaces(w[0], w[1]);
+            let want = if w[0].k != w[1].k {
+                Surface::C
+            } else if w[0].m != w[1].m {
+                Surface::B
+            } else {
+                Surface::A
+            };
+            assert_eq!(shared, vec![want], "{:?} -> {:?}", w[0], w[1]);
+        }
+        // A self-pair shares all three; a one-block schedule has no pairs.
+        let c = BlockCoord { m: 0, k: 0, n: 0 };
+        assert_eq!(shared_surfaces(c, c), vec![Surface::A, Surface::B, Surface::C]);
+    }
+
+    #[test]
+    fn plain_nested_loops_lose_adjacency() {
+        // The non-snaking counter-example: at the first m advance k jumps
+        // from 2 back to 0, so consecutive blocks share no surface.
+        let plain: Vec<_> = (0..2)
+            .flat_map(|m| (0..3).map(move |k| BlockCoord { m, k, n: 0 }))
+            .collect();
+        assert!(shared_surfaces(plain[2], plain[3]).is_empty());
+        let snake: Vec<_> = Schedule::k_first(grid(2, 3, 1), 1, 1).collect();
+        assert_eq!(shared_surfaces(snake[2], snake[3]), vec![Surface::B]);
+    }
+
+    #[test]
+    fn grid_for_problem_uses_ceiling_division() {
+        let g = BlockGrid::for_problem(100, 50, 70, 30, 30, 30);
+        assert_eq!((g.mb, g.kb, g.nb), (4, 2, 3));
+        assert_eq!(g.len(), 24);
+        assert_eq!((g.extent(Dim::M), g.extent(Dim::K), g.extent(Dim::N)), (4, 2, 3));
+    }
+
+    #[test]
+    fn empty_grids_yield_nothing() {
+        let g = BlockGrid::for_problem(0, 10, 10, 4, 4, 4);
+        assert!(g.is_empty());
+        assert_eq!(Schedule::k_first(g, 0, 10).count(), 0);
+        let tiled = Schedule::k_first(grid(0, 4, 4), 0, 16).with_outer_tiles(2, 2);
+        assert!(tiled.is_empty());
+        assert_eq!(tiled.count(), 0);
+    }
+
+    #[test]
+    fn size_hint_is_exact() {
+        let mut s = Schedule::k_first(grid(2, 3, 4), 1, 1).with_outer_tiles(2, 3);
+        assert_eq!(s.size_hint(), (24, Some(24)));
+        s.next();
+        assert_eq!(s.size_hint(), (23, Some(23)));
+        assert_eq!(s.len(), 24, "len counts the whole schedule");
+    }
+
+    #[test]
+    fn degenerate_outer_tiles_equal_the_untiled_order() {
+        for (mb, kb, nb, m, n) in
+            [(3, 4, 5, 10, 20), (2, 3, 2, 30, 10), (1, 1, 1, 4, 4), (4, 1, 6, 7, 7)]
+        {
+            let g = grid(mb, kb, nb);
+            let one: Vec<_> = Schedule::k_first(g, m, n).collect();
+            for (ko, no) in [(0, 0), (kb, nb), (kb + 3, nb + 1), (0, nb)] {
+                let s = Schedule::k_first(g, m, n).with_outer_tiles(ko, no);
+                assert_eq!(s.outer_tiles(), (1, 1));
+                assert_eq!(s.collect::<Vec<_>>(), one, "ko={ko} no={no} must degenerate");
+            }
+        }
+    }
+
+    #[test]
+    fn coord_at_is_total_on_out_of_range_indices() {
+        let s = Schedule::k_first(grid(3, 4, 5), 9, 9).with_outer_tiles(3, 2);
+        assert_eq!(s.coord_at(s.len()), BlockCoord { m: 2, k: 3, n: 4 });
+        assert_eq!(s.coord_at(usize::MAX), BlockCoord { m: 2, k: 3, n: 4 });
+        let empty = Schedule::k_first(grid(0, 2, 2), 0, 1);
+        assert_eq!(empty.coord_at(0), BlockCoord { m: 0, k: 1, n: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn repeated_dims_rejected() {
+        let _ = Schedule::new(grid(1, 1, 1), [Dim::M, Dim::M, Dim::K]);
+    }
+
+    #[test]
+    fn k_first_wins_for_wide_blocks() {
+        // Sharing C (worth 2*bm*bn) beats sharing A or B on cubic blocks.
+        let tp = TrafficParams { m: 128, k: 128, n: 128, bm: 32, bk: 32, bn: 32 };
+        let g = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
+        let total =
+            |order| dram_traffic(Schedule::new(g, order), tp, CResidency::HoldInLlc, 1).total();
+        let k_inner = total([Dim::N, Dim::M, Dim::K]);
+        assert!(k_inner < total([Dim::K, Dim::M, Dim::N]));
+        assert!(k_inner < total([Dim::K, Dim::N, Dim::M]));
+    }
+
+    #[test]
+    fn reuse_priority_crossover_for_tall_k_blocks() {
+        // Tall-K blocks: bk = 64 >> bm = bn = 8. Sharing A per step saves
+        // bm*bk = 512 while sharing C saves only 2*bm*bn = 128: the
+        // N-inner (A-reusing) order must beat the paper's K-first.
+        let tp = TrafficParams { m: 32, k: 256, n: 32, bm: 8, bk: 64, bn: 8 };
+        let g = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
+        let total =
+            |order| dram_traffic(Schedule::new(g, order), tp, CResidency::HoldInLlc, 1).total();
+        let (k_inner, n_inner) = (total([Dim::N, Dim::M, Dim::K]), total([Dim::K, Dim::M, Dim::N]));
+        assert!(n_inner < k_inner, "n_inner {n_inner} vs k_inner {k_inner}");
+    }
+
+    #[test]
+    fn worker_grid_degenerates_to_m_strips_when_tiles_suffice() {
         for p in 1..=8 {
             assert_eq!(worker_grid(p, p), (p, 1));
             assert_eq!(worker_grid(p, p + 3), (p, 1));
@@ -415,7 +509,7 @@ mod worker_grid_tests {
     }
 
     #[test]
-    fn folds_surplus_workers_into_n() {
+    fn worker_grid_folds_surplus_workers_into_n() {
         assert_eq!(worker_grid(4, 2), (2, 2));
         assert_eq!(worker_grid(4, 1), (1, 4));
         assert_eq!(worker_grid(8, 3), (2, 4), "largest divisor of 8 <= 3 is 2");
@@ -427,6 +521,34 @@ mod worker_grid_tests {
 
     proptest! {
         #[test]
+        fn every_order_is_an_adjacent_permutation(
+            mb in 1usize..8, kb in 1usize..8, nb in 1usize..8, perm in 0usize..6,
+        ) {
+            let g = grid(mb, kb, nb);
+            let sched: Vec<_> = Schedule::new(g, ORDERS[perm]).collect();
+            assert_permutation(&sched, g);
+            for w in sched.windows(2) {
+                prop_assert_eq!(manhattan(w[0], w[1]), 1, "{:?}", ORDERS[perm]);
+            }
+        }
+
+        #[test]
+        fn outer_tiles_are_contiguous_permutations(
+            mb in 1usize..6, kb in 1usize..7, nb in 1usize..7,
+            ko in 1usize..8, no in 1usize..8, perm in 0usize..6,
+        ) {
+            let g = grid(mb, kb, nb);
+            let s = Schedule::new(g, ORDERS[perm]).with_outer_tiles(ko, no);
+            let coords: Vec<_> = s.collect();
+            assert_permutation(&coords, g);
+            assert_tiles_contiguous(&coords, ko.min(kb), no.min(nb));
+            // coord_at replays iteration exactly.
+            for (i, c) in coords.iter().enumerate() {
+                prop_assert_eq!(s.coord_at(i), *c);
+            }
+        }
+
+        #[test]
         fn grid_is_exact_and_maximal(p in 1usize..33, m_tiles in 0usize..40) {
             let (pm, pn) = worker_grid(p, m_tiles);
             prop_assert_eq!(pm * pn, p, "grid must use every worker");
@@ -434,471 +556,6 @@ mod worker_grid_tests {
             // Maximality: no larger divisor of p fits under the tile count.
             for d in (pm + 1)..=m_tiles.max(1).min(p) {
                 prop_assert!(!p.is_multiple_of(d), "pm = {} not maximal, {} fits", pm, d);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod two_level_tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    fn grid(mb: usize, kb: usize, nb: usize) -> BlockGrid {
-        BlockGrid { mb, kb, nb }
-    }
-
-    /// The outer tile a coord falls into, for contiguity checks.
-    fn tile_of(s: &TwoLevelSchedule, c: BlockCoord, ko: usize, no: usize) -> (usize, usize) {
-        let _ = s;
-        (c.k / ko, c.n / no)
-    }
-
-    #[test]
-    fn degenerates_exactly_to_one_level_order() {
-        for (mb, kb, nb, m, n) in
-            [(3, 4, 5, 10, 20), (2, 3, 2, 30, 10), (1, 1, 1, 4, 4), (4, 1, 6, 7, 7)]
-        {
-            let g = grid(mb, kb, nb);
-            let one: Vec<_> = KFirstSchedule::new(g, m, n).collect();
-            for (ko, no) in [(0, 0), (kb, nb), (kb + 3, nb + 1), (0, nb)] {
-                let two: Vec<_> = TwoLevelSchedule::new(g, m, n, ko, no).collect();
-                assert_eq!(one, two, "ko={ko} no={no} must degenerate");
-                assert!(!TwoLevelSchedule::new(g, m, n, ko, no).is_two_level());
-            }
-        }
-    }
-
-    #[test]
-    fn visits_every_block_exactly_once() {
-        let g = grid(3, 5, 7);
-        let s = TwoLevelSchedule::new(g, 10, 20, 2, 3);
-        assert!(s.is_two_level());
-        let seen: HashSet<BlockCoord> = s.collect();
-        assert_eq!(seen.len(), g.len());
-        for m in 0..3 {
-            for k in 0..5 {
-                for n in 0..7 {
-                    assert!(seen.contains(&BlockCoord { m, k, n }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn outer_tiles_are_contiguous_runs() {
-        // Once the schedule leaves an outer tile it never returns: the
-        // LLC-level working set is one tile at a time.
-        let g = grid(2, 6, 8);
-        let (ko, no) = (2, 3);
-        let s = TwoLevelSchedule::new(g, 16, 16, ko, no);
-        let mut finished: HashSet<(usize, usize)> = HashSet::new();
-        let mut cur: Option<(usize, usize)> = None;
-        for c in s {
-            let t = tile_of(&s, c, ko, no);
-            if cur != Some(t) {
-                if let Some(prev) = cur {
-                    assert!(finished.insert(prev), "tile {prev:?} revisited");
-                }
-                assert!(!finished.contains(&t), "tile {t:?} re-entered");
-                cur = Some(t);
-            }
-        }
-    }
-
-    #[test]
-    fn coord_at_matches_iteration_and_is_total() {
-        let g = grid(3, 4, 5);
-        let s = TwoLevelSchedule::new(g, 9, 9, 3, 2);
-        for (i, c) in s.enumerate() {
-            assert_eq!(s.coord_at(i), c);
-        }
-        // Out-of-range clamps to the last corner instead of panicking
-        // (warm-path totality).
-        let far = s.coord_at(usize::MAX);
-        assert_eq!(far, BlockCoord { m: 2, k: 3, n: 4 });
-    }
-
-    #[test]
-    fn empty_grid_is_empty() {
-        let s = TwoLevelSchedule::new(grid(0, 4, 4), 0, 16, 2, 2);
-        assert!(s.is_empty());
-        assert_eq!(s.count(), 0);
-    }
-
-    proptest! {
-        #[test]
-        fn permutation_and_tile_contiguity(
-            mb in 1usize..5,
-            kb in 1usize..7,
-            nb in 1usize..7,
-            ko in 1usize..8,
-            no in 1usize..8,
-            m_ge_n in 0usize..2,
-        ) {
-            let g = grid(mb, kb, nb);
-            let (m, n) = if m_ge_n == 1 { (20, 10) } else { (10, 20) };
-            let s = TwoLevelSchedule::new(g, m, n, ko, no);
-            let coords: Vec<_> = s.collect();
-            prop_assert_eq!(coords.len(), g.len());
-            let uniq: HashSet<_> = coords.iter().copied().collect();
-            prop_assert_eq!(uniq.len(), g.len(), "schedule must be a permutation");
-            // Tile contiguity.
-            let (cko, cno) = (ko.min(kb), no.min(nb));
-            let mut seen_tiles: HashSet<(usize, usize)> = HashSet::new();
-            let mut cur = None;
-            for c in &coords {
-                let t = (c.k / cko, c.n / cno);
-                if cur != Some(t) {
-                    prop_assert!(seen_tiles.insert(t), "tile {:?} interleaved", t);
-                    cur = Some(t);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    fn grid(mb: usize, kb: usize, nb: usize) -> BlockGrid {
-        BlockGrid { mb, kb, nb }
-    }
-
-    #[test]
-    fn covers_every_block_exactly_once() {
-        let g = grid(3, 4, 5);
-        let seen: HashSet<BlockCoord> = KFirstSchedule::with_outer(g, OuterLoop::NOuter).collect();
-        assert_eq!(seen.len(), 60);
-        for m in 0..3 {
-            for k in 0..4 {
-                for n in 0..5 {
-                    assert!(seen.contains(&BlockCoord { m, k, n }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn k_runs_first() {
-        // First Kb blocks of an N-outer schedule must share (m=0, n=0) and
-        // sweep k = 0..Kb.
-        let sched: Vec<_> = KFirstSchedule::with_outer(grid(2, 3, 2), OuterLoop::NOuter).collect();
-        for (i, c) in sched.iter().take(3).enumerate() {
-            assert_eq!((c.m, c.n), (0, 0));
-            assert_eq!(c.k, i);
-        }
-        // Next block advances m, keeping n and (snaked) k.
-        assert_eq!(sched[3].m, 1);
-        assert_eq!(sched[3].n, 0);
-        assert_eq!(sched[3].k, 2, "k must stay at the far end (snake)");
-    }
-
-    #[test]
-    fn consecutive_blocks_are_grid_adjacent() {
-        for (mb, kb, nb) in [(1, 1, 1), (2, 2, 2), (3, 4, 5), (5, 1, 3), (1, 7, 2)] {
-            for outer in [OuterLoop::NOuter, OuterLoop::MOuter] {
-                let sched: Vec<_> = KFirstSchedule::with_outer(grid(mb, kb, nb), outer).collect();
-                for w in sched.windows(2) {
-                    let (a, b) = (w[0], w[1]);
-                    let dm = a.m.abs_diff(b.m);
-                    let dk = a.k.abs_diff(b.k);
-                    let dn = a.n.abs_diff(b.n);
-                    assert_eq!(
-                        dm + dk + dn,
-                        1,
-                        "blocks {a:?} -> {b:?} not adjacent (grid {mb}x{kb}x{nb}, {outer:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adjacent_blocks_share_exactly_one_surface() {
-        let sched: Vec<_> = KFirstSchedule::with_outer(grid(3, 3, 3), OuterLoop::NOuter).collect();
-        for w in sched.windows(2) {
-            let shared = shared_surfaces(w[0], w[1]);
-            assert_eq!(shared.len(), 1, "{:?} -> {:?} share {shared:?}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn k_steps_share_c_m_steps_share_b_n_steps_share_a() {
-        let sched: Vec<_> = KFirstSchedule::with_outer(grid(2, 2, 2), OuterLoop::NOuter).collect();
-        for w in sched.windows(2) {
-            let s = shared_surfaces(w[0], w[1])[0];
-            if w[0].k != w[1].k {
-                assert_eq!(s, Surface::C);
-            } else if w[0].m != w[1].m {
-                assert_eq!(s, Surface::B);
-            } else {
-                assert_eq!(s, Surface::A);
-            }
-        }
-    }
-
-    #[test]
-    fn non_snaking_loses_adjacency() {
-        let sched: Vec<_> =
-            KFirstSchedule::without_snaking(grid(2, 3, 2), OuterLoop::NOuter).collect();
-        // At the first m advance (index 2 -> 3), k jumps from 2 back to 0:
-        // not adjacent, no shared surface with the paper's reuse rules.
-        let jump = shared_surfaces(sched[2], sched[3]);
-        assert!(jump.is_empty(), "expected no sharing, got {jump:?}");
-    }
-
-    #[test]
-    fn outer_loop_selection_follows_shape() {
-        let g = grid(2, 2, 2);
-        assert_eq!(KFirstSchedule::new(g, 100, 200).outer(), OuterLoop::NOuter);
-        assert_eq!(KFirstSchedule::new(g, 200, 100).outer(), OuterLoop::MOuter);
-        // Tie goes to N-outer (N >= M).
-        assert_eq!(KFirstSchedule::new(g, 100, 100).outer(), OuterLoop::NOuter);
-    }
-
-    #[test]
-    fn grid_for_problem_uses_ceiling_division() {
-        let g = BlockGrid::for_problem(100, 50, 70, 30, 30, 30);
-        assert_eq!((g.mb, g.kb, g.nb), (4, 2, 3));
-        assert_eq!(g.len(), 24);
-    }
-
-    #[test]
-    fn empty_grid_yields_nothing() {
-        let g = BlockGrid::for_problem(0, 10, 10, 4, 4, 4);
-        assert!(g.is_empty());
-        assert_eq!(KFirstSchedule::new(g, 0, 10).count(), 0);
-    }
-
-    #[test]
-    fn size_hint_is_exact() {
-        let mut s = KFirstSchedule::with_outer(grid(2, 3, 4), OuterLoop::NOuter);
-        assert_eq!(s.size_hint(), (24, Some(24)));
-        s.next();
-        assert_eq!(s.size_hint(), (23, Some(23)));
-        assert_eq!(s.len(), 24);
-    }
-
-    proptest! {
-        #[test]
-        fn snake_adjacency_holds_for_arbitrary_grids(
-            mb in 1usize..8, kb in 1usize..8, nb in 1usize..8,
-            m_outer in any::<bool>(),
-        ) {
-            let outer = if m_outer { OuterLoop::MOuter } else { OuterLoop::NOuter };
-            let sched: Vec<_> = KFirstSchedule::with_outer(grid(mb, kb, nb), outer).collect();
-            prop_assert_eq!(sched.len(), mb * kb * nb);
-            let unique: HashSet<_> = sched.iter().copied().collect();
-            prop_assert_eq!(unique.len(), sched.len());
-            for w in sched.windows(2) {
-                let d = w[0].m.abs_diff(w[1].m) + w[0].k.abs_diff(w[1].k) + w[0].n.abs_diff(w[1].n);
-                prop_assert_eq!(d, 1);
-            }
-        }
-
-        #[test]
-        fn coord_at_matches_iteration(mb in 1usize..6, kb in 1usize..6, nb in 1usize..6) {
-            let s = KFirstSchedule::with_outer(grid(mb, kb, nb), OuterLoop::NOuter);
-            let by_index: Vec<_> = (0..s.len()).map(|i| s.coord_at(i)).collect();
-            let by_iter: Vec<_> = s.collect();
-            prop_assert_eq!(by_index, by_iter);
-        }
-    }
-}
-
-
-/// One dimension of the block grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dim {
-    /// Row-block dimension.
-    M,
-    /// Reduction-block dimension.
-    K,
-    /// Column-block dimension.
-    N,
-}
-
-/// A boustrophedon schedule with an arbitrary loop order — the
-/// generalization of [`KFirstSchedule`] used by the reuse-priority
-/// ablation.
-///
-/// The innermost dimension decides which surface is reused on every step:
-/// inner `K` reuses the partial-C surface (the paper's choice), inner `M`
-/// reuses B, inner `N` reuses A. K-first is optimal exactly when the
-/// C-sharing saving (`2 * bm * bn`, partials spill twice) dominates the
-/// A- or B-sharing saving — which holds for the paper's wide CB blocks
-/// but *reverses* for tall-K blocks (`bk > 2 * max(bm, bn)`), a crossover
-/// the tests pin down.
-#[derive(Debug, Clone)]
-pub struct SnakeSchedule {
-    grid: BlockGrid,
-    /// Loop order, outermost first.
-    order: [Dim; 3],
-    pos: usize,
-}
-
-impl SnakeSchedule {
-    /// Schedule with the given loop order (outermost first).
-    ///
-    /// # Panics
-    /// Panics unless `order` is a permutation of {M, K, N}.
-    pub fn new(grid: BlockGrid, order: [Dim; 3]) -> Self {
-        let mut seen = [false; 3];
-        for d in order {
-            let i = d as usize;
-            assert!(!seen[i], "loop order must be a permutation, got {order:?}");
-            seen[i] = true;
-        }
-        Self { grid, order, pos: 0 }
-    }
-
-    fn ext(&self, d: Dim) -> usize {
-        match d {
-            Dim::M => self.grid.mb,
-            Dim::K => self.grid.kb,
-            Dim::N => self.grid.nb,
-        }
-    }
-
-    /// Total number of blocks.
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// `true` when the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// Block at linear position `idx` in execution order.
-    pub fn coord_at(&self, idx: usize) -> BlockCoord {
-        debug_assert!(idx < self.len());
-        let (oe, me, ie) =
-            // audit: checked constant indices into the [Dim; 3] loop order
-            (self.ext(self.order[0]), self.ext(self.order[1]), self.ext(self.order[2]));
-        debug_assert_eq!(oe * me * ie, self.len());
-        let o = idx / (me * ie);
-        let rem = idx % (me * ie);
-        let mid_step = rem / ie;
-        let inner_step = rem % ie;
-
-        let mid = if o.is_multiple_of(2) { mid_step } else { me - 1 - mid_step };
-        let pair = o * me + mid_step;
-        let inner = if pair.is_multiple_of(2) { inner_step } else { ie - 1 - inner_step };
-
-        let mut c = BlockCoord { m: 0, k: 0, n: 0 };
-        // audit: checked constant indices into the [Dim; 3] loop order
-        for (d, v) in [(self.order[0], o), (self.order[1], mid), (self.order[2], inner)] {
-            match d {
-                Dim::M => c.m = v,
-                Dim::K => c.k = v,
-                Dim::N => c.n = v,
-            }
-        }
-        c
-    }
-}
-
-impl Iterator for SnakeSchedule {
-    type Item = BlockCoord;
-
-    fn next(&mut self) -> Option<BlockCoord> {
-        if self.pos >= self.grid.len() {
-            return None;
-        }
-        let c = self.coord_at(self.pos);
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.grid.len() - self.pos;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for SnakeSchedule {}
-
-#[cfg(test)]
-mod general_tests {
-    use super::*;
-    use crate::traffic::{dram_traffic, CResidency, TrafficParams};
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn kfirst_is_the_nmk_special_case() {
-        let grid = BlockGrid { mb: 3, kb: 4, nb: 2 };
-        let a: Vec<_> = KFirstSchedule::with_outer(grid, OuterLoop::NOuter).collect();
-        let b: Vec<_> = SnakeSchedule::new(grid, [Dim::N, Dim::M, Dim::K]).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn repeated_dims_rejected() {
-        let _ = SnakeSchedule::new(BlockGrid { mb: 1, kb: 1, nb: 1 }, [Dim::M, Dim::M, Dim::K]);
-    }
-
-    #[test]
-    fn kfirst_wins_for_wide_blocks() {
-        // Paper-shaped blocks (bm = bn >> bk is not required; cubic is
-        // enough): sharing C (worth 2*bm*bn) beats sharing A or B.
-        let tp = TrafficParams { m: 128, k: 128, n: 128, bm: 32, bk: 32, bn: 32 };
-        let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
-        let k_inner = dram_traffic(
-            SnakeSchedule::new(grid, [Dim::N, Dim::M, Dim::K]), tp, CResidency::HoldInLlc);
-        let n_inner = dram_traffic(
-            SnakeSchedule::new(grid, [Dim::K, Dim::M, Dim::N]), tp, CResidency::HoldInLlc);
-        let m_inner = dram_traffic(
-            SnakeSchedule::new(grid, [Dim::K, Dim::N, Dim::M]), tp, CResidency::HoldInLlc);
-        assert!(k_inner.total() < n_inner.total());
-        assert!(k_inner.total() < m_inner.total());
-    }
-
-    #[test]
-    fn reuse_priority_crossover_for_tall_k_blocks() {
-        // Tall-K blocks: bk = 64 >> bm = bn = 8. Sharing A per step saves
-        // bm*bk = 512 while sharing C saves only 2*bm*bn = 128: the
-        // N-inner (A-reusing) order must beat the paper's K-first.
-        let tp = TrafficParams { m: 32, k: 256, n: 32, bm: 8, bk: 64, bn: 8 };
-        let grid = BlockGrid::for_problem(tp.m, tp.k, tp.n, tp.bm, tp.bk, tp.bn);
-        let k_inner = dram_traffic(
-            SnakeSchedule::new(grid, [Dim::N, Dim::M, Dim::K]), tp, CResidency::HoldInLlc);
-        let n_inner = dram_traffic(
-            SnakeSchedule::new(grid, [Dim::K, Dim::M, Dim::N]), tp, CResidency::HoldInLlc);
-        assert!(
-            n_inner.total() < k_inner.total(),
-            "A-reusing order should win for tall-K blocks: n_inner {} vs k_inner {}",
-            n_inner.total(),
-            k_inner.total()
-        );
-    }
-
-    proptest! {
-        #[test]
-        fn all_orders_cover_once_and_stay_adjacent(
-            mb in 1usize..6, kb in 1usize..6, nb in 1usize..6,
-            perm in 0usize..6,
-        ) {
-            let orders = [
-                [Dim::M, Dim::K, Dim::N], [Dim::M, Dim::N, Dim::K],
-                [Dim::K, Dim::M, Dim::N], [Dim::K, Dim::N, Dim::M],
-                [Dim::N, Dim::M, Dim::K], [Dim::N, Dim::K, Dim::M],
-            ];
-            let grid = BlockGrid { mb, kb, nb };
-            let sched: Vec<_> = SnakeSchedule::new(grid, orders[perm]).collect();
-            prop_assert_eq!(sched.len(), grid.len());
-            let unique: HashSet<_> = sched.iter().copied().collect();
-            prop_assert_eq!(unique.len(), sched.len());
-            for w in sched.windows(2) {
-                let d = w[0].m.abs_diff(w[1].m) + w[0].k.abs_diff(w[1].k) + w[0].n.abs_diff(w[1].n);
-                prop_assert_eq!(d, 1);
             }
         }
     }

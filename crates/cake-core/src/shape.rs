@@ -162,6 +162,22 @@ impl CbBlockShape {
         self
     }
 
+    /// This shape clamped to an `m x k x n` problem, so small matrices
+    /// still spread across all `p` workers: strip height at most
+    /// `ceil(m / p)` (rounded up to `mr` so edge strips stay
+    /// kernel-friendly) and balanced so the final M-block is not ragged;
+    /// `kc` and `nc` at most the problem's K and N (`nc` rounded to `nr`).
+    /// Outer tile extents pass through: they count blocks, and the
+    /// schedule clamps them itself.
+    pub fn clamp_to_problem(self, m: usize, k: usize, n: usize, mr: usize, nr: usize) -> Self {
+        let p = self.p;
+        let strip = m.div_ceil(p).div_ceil(mr).max(1) * mr;
+        let mc = Self::balance_mc(m, p, self.mc.min(strip).max(mr), mr);
+        let kc = self.kc.min(k.max(1));
+        let nc = self.nc.min(n.div_ceil(nr).max(1) * nr).max(nr);
+        Self::fixed(p, mc, kc, nc).with_outer_tiles(self.ko_blocks, self.no_blocks)
+    }
+
     /// Whether this shape requests the two-level (outer K/N tiled)
     /// schedule.
     #[inline]

@@ -1,19 +1,27 @@
 //! Exact DRAM traffic accounting for block schedules.
 //!
-//! Walks a block schedule and counts external-memory element transfers
-//! under the paper's reuse rules:
+//! [`walk`] steps through a block schedule and counts external-memory
+//! element transfers under the paper's reuse rules:
 //!
 //! * An **A surface** is fetched unless the previous block had the same
 //!   `(m, k)` coordinates (the LLC keeps the previous block's inputs —
 //!   that is what the factor 2 in the Section 4.3 sizing rule buys).
-//! * A **B surface** is fetched unless the previous block had the same
-//!   `(k, n)`.
+//! * A **B surface** is fetched unless a B panel still holds its `(k, n)`.
+//!   With one panel that is the paper's adjacency rule (the previous block
+//!   had the same `(k, n)`); with [`ring_depth`](crate::panel::ring_depth)
+//!   panels the walk replays the executor's LRU [`PanelCache`], so B loads
+//!   equal the executor's measured [`crate::ExecStats::b_elems_loaded`]
+//!   exactly (with the `traffic-counters` feature). The executor's A
+//!   strips are single-buffered per worker and C accumulates in place, so
+//!   A and C accounting does not depend on the panel count.
 //! * The **C surface** policy is configurable:
 //!   - [`CResidency::HoldInLlc`] (CAKE): the partial panel for the current
 //!     `(m, n)` stays in local memory. Leaving an `(m, n)` before its
 //!     reduction completes spills it (write now + read on return); a
-//!     completed panel is written exactly once. The K-first schedule never
-//!     spills.
+//!     completed panel is written exactly once. The one-level K-first
+//!     schedule never spills; outer K tiles spill each panel once per
+//!     departure — the MOMMS trade of a bounded C working set for partial
+//!     round trips.
 //!   - [`CResidency::StreamToDram`] (GOTO-style): every block visit reads
 //!     the partial panel from DRAM (except the first visit) and writes it
 //!     back (paper Section 4.1: partial results of C are streamed to DRAM).
@@ -21,10 +29,8 @@
 //! Edge blocks at the matrix boundary are accounted with their true
 //! (smaller) surface sizes.
 
-use std::collections::HashMap;
-
 use crate::panel::{PanelAction, PanelCache};
-use crate::schedule::BlockCoord;
+use crate::schedule::{BlockCoord, BlockGrid};
 
 /// Problem and block extents needed to size surfaces.
 #[derive(Debug, Clone, Copy)]
@@ -44,17 +50,18 @@ pub struct TrafficParams {
 }
 
 impl TrafficParams {
-    fn m_len(&self, mi: usize) -> usize {
-        self.bm.min(self.m - mi * self.bm)
+    /// The block grid these extents cut the problem into.
+    pub fn grid(&self) -> BlockGrid {
+        BlockGrid::for_problem(self.m, self.k, self.n, self.bm, self.bk, self.bn)
     }
-    fn k_len(&self, ki: usize) -> usize {
-        self.bk.min(self.k - ki * self.bk)
-    }
-    fn n_len(&self, ni: usize) -> usize {
-        self.bn.min(self.n - ni * self.bn)
-    }
-    fn kb(&self) -> usize {
-        if self.k == 0 { 0 } else { self.k.div_ceil(self.bk) }
+
+    /// True `(m, k, n)` extents of block `c`; edge blocks are partial.
+    pub fn extents(&self, c: BlockCoord) -> (usize, usize, usize) {
+        (
+            self.bm.min(self.m - c.m * self.bm),
+            self.bk.min(self.k - c.k * self.bk),
+            self.bn.min(self.n - c.n * self.bn),
+        )
     }
 }
 
@@ -119,294 +126,132 @@ impl Traffic {
     }
 }
 
-/// Walk `schedule` and tally DRAM traffic under the given C policy.
+impl std::ops::AddAssign for Traffic {
+    fn add_assign(&mut self, t: Traffic) {
+        self.a_loads += t.a_loads;
+        self.b_loads += t.b_loads;
+        self.c_final_writes += t.c_final_writes;
+        self.c_partial_writes += t.c_partial_writes;
+        self.c_partial_reads += t.c_partial_reads;
+    }
+}
+
+/// Walk `schedule`, call `on_block` with each block and the elements it
+/// moves, and return the total.
+///
+/// B surfaces are served by a ring of `b_panels` panels: `1` is the
+/// paper's adjacency rule, `ring_depth(kb)` is the executor's ring (see
+/// the module docs). A spill of the panel being left is charged to the
+/// block that leaves it; a trailing spill (truncated schedules only) is in
+/// the total but reported for no block.
+///
+/// # Panics
+/// Panics when `b_panels` is neither 1 nor a valid [`PanelCache`] depth.
+pub fn walk(
+    schedule: impl IntoIterator<Item = BlockCoord>,
+    params: TrafficParams,
+    c_policy: CResidency,
+    b_panels: usize,
+    mut on_block: impl FnMut(BlockCoord, Traffic),
+) -> Traffic {
+    let grid = params.grid();
+    let panel = |c: BlockCoord| c.m * grid.nb + c.n;
+    let c_size = |c: BlockCoord| {
+        let (ml, _, nl) = params.extents(c);
+        (ml * nl) as u64
+    };
+    let hold = c_policy == CResidency::HoldInLlc;
+    // K blocks still to accumulate per (m, n) panel; 0 = untouched or done.
+    let mut remaining = vec![0usize; grid.mb * grid.nb];
+    let mut ring = (b_panels != 1).then(|| PanelCache::new(b_panels));
+    let mut total = Traffic::default();
+    let mut prev: Option<BlockCoord> = None;
+
+    for c in schedule {
+        let (ml, kl, nl) = params.extents(c);
+        let mut t = Traffic::default();
+        if !prev.is_some_and(|p| p.m == c.m && p.k == c.k) {
+            t.a_loads = (ml * kl) as u64;
+        }
+        let fetch_b = match (ring.as_mut(), prev) {
+            (None, p) => !p.is_some_and(|p| p.k == c.k && p.n == c.n),
+            (Some(pc), None) => {
+                pc.seed((c.k, c.n));
+                true
+            }
+            (Some(pc), Some(_)) => matches!(pc.advance((c.k, c.n)), PanelAction::Pack(_)),
+        };
+        if fetch_b {
+            t.b_loads = (kl * nl) as u64;
+        }
+
+        let resident = prev.is_some_and(|p| p.m == c.m && p.n == c.n);
+        if let Some(p) = prev.filter(|p| hold && !resident && remaining[panel(*p)] > 0) {
+            // Leaving an incomplete panel spills it.
+            t.c_partial_writes += c_size(p);
+        }
+        let left = &mut remaining[panel(c)];
+        let first_visit = *left == 0;
+        if first_visit {
+            *left = grid.kb;
+        }
+        // A return visit reads the partial panel back unless it never left.
+        let nothing_to_read = first_visit || (hold && resident);
+        if !nothing_to_read {
+            t.c_partial_reads += c_size(c);
+        }
+        *left -= 1;
+        if *left == 0 {
+            t.c_final_writes += c_size(c);
+        } else if !hold {
+            t.c_partial_writes += c_size(c);
+        }
+
+        total += t;
+        on_block(c, t);
+        prev = Some(c);
+    }
+
+    // A trailing incomplete panel (truncated schedules only) spills too.
+    if let Some(p) = prev.filter(|p| hold && remaining[panel(*p)] > 0) {
+        total.c_partial_writes += c_size(p);
+    }
+    total
+}
+
+/// Total DRAM traffic of `schedule`: [`walk`] without the per-block report.
 pub fn dram_traffic(
     schedule: impl IntoIterator<Item = BlockCoord>,
     params: TrafficParams,
     c_policy: CResidency,
+    b_panels: usize,
 ) -> Traffic {
-    let mut t = Traffic::default();
-    let kb = params.kb();
-    // Remaining K-blocks per (m, n) panel; missing entry = untouched.
-    let mut remaining: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut prev: Option<BlockCoord> = None;
-
-    for c in schedule {
-        let (ml, kl, nl) = (params.m_len(c.m), params.k_len(c.k), params.n_len(c.n));
-        let a_size = (ml * kl) as u64;
-        let b_size = (kl * nl) as u64;
-        let c_size = (ml * nl) as u64;
-
-        let share_a = prev.is_some_and(|p| p.m == c.m && p.k == c.k);
-        let share_b = prev.is_some_and(|p| p.k == c.k && p.n == c.n);
-        if !share_a {
-            t.a_loads += a_size;
-        }
-        if !share_b {
-            t.b_loads += b_size;
-        }
-
-        let key = (c.m, c.n);
-        let entry = remaining.entry(key).or_insert(kb);
-        let first_visit = *entry == kb;
-
-        match c_policy {
-            CResidency::HoldInLlc => {
-                let resident = prev.is_some_and(|p| p.m == c.m && p.n == c.n);
-                if !first_visit && !resident {
-                    // Returning to a previously spilled partial panel.
-                    t.c_partial_reads += c_size;
-                }
-                *entry -= 1;
-                if *entry == 0 {
-                    t.c_final_writes += c_size;
-                    remaining.remove(&key);
-                } else {
-                    // Peek: if the next block leaves this (m, n), we will
-                    // spill. We can't peek an iterator generically, so spill
-                    // accounting is deferred: handled when the *next* block
-                    // arrives (see below).
-                }
-            }
-            CResidency::StreamToDram => {
-                if !first_visit {
-                    t.c_partial_reads += c_size;
-                }
-                *entry -= 1;
-                if *entry == 0 {
-                    t.c_final_writes += c_size;
-                    remaining.remove(&key);
-                } else {
-                    t.c_partial_writes += c_size;
-                }
-            }
-        }
-
-        // Deferred spill for HoldInLlc: when we moved away from `prev`'s
-        // (m, n) while it was still incomplete, that panel was written out.
-        if c_policy == CResidency::HoldInLlc {
-            if let Some(p) = prev {
-                let moved_away = p.m != c.m || p.n != c.n;
-                if moved_away {
-                    if let Some(_rem) = remaining.get(&(p.m, p.n)) {
-                        let spilled = (params.m_len(p.m) * params.n_len(p.n)) as u64;
-                        t.c_partial_writes += spilled;
-                    }
-                }
-            }
-        }
-
-        prev = Some(c);
-    }
-
-    // A trailing incomplete panel (possible only for truncated schedules)
-    // is spilled at the end.
-    if c_policy == CResidency::HoldInLlc {
-        if let Some(p) = prev {
-            if remaining.contains_key(&(p.m, p.n)) {
-                t.c_partial_writes += (params.m_len(p.m) * params.n_len(p.n)) as u64;
-            }
-        }
-    }
-
-    t
+    walk(schedule, params, c_policy, b_panels, |_, _| {})
 }
 
-/// [`dram_traffic`], but with B loads served by the executor's actual
-/// panel ring instead of the adjacent-block share rule alone.
-///
-/// The pipelined executor keeps a ring of `ring_depth` B panels managed as
-/// an LRU cache of `(k, n)` surfaces ([`PanelCache`] — the *same* state
-/// machine replayed here), so at a snake reversal it often re-reads a
-/// surface the adjacency rule would count as a fresh DRAM fetch. B loads
-/// from this function therefore never exceed [`dram_traffic`]'s, and they
-/// equal the executor's measured [`crate::ExecStats::b_elems_loaded`]
-/// exactly (when built with the `traffic-counters` feature). A and C
-/// accounting is identical to [`dram_traffic`]: the executor's A strips
-/// are single-buffered per worker and C accumulates in place.
-///
-/// # Panics
-/// Panics when `ring_depth < 2` — the executor's ring never has fewer
-/// than two panels ([`crate::panel::ring_depth`]), and the LRU eviction
-/// rule needs a victim distinct from the live panel.
-pub fn dram_traffic_with_panel_ring(
-    schedule: impl IntoIterator<Item = BlockCoord>,
-    params: TrafficParams,
-    c_policy: CResidency,
-    ring_depth: usize,
-) -> Traffic {
-    assert!(ring_depth >= 2, "panel ring needs at least 2 panels");
-    let coords: Vec<BlockCoord> = schedule.into_iter().collect();
-    let mut t = dram_traffic(coords.iter().copied(), params, c_policy);
-
-    // Re-derive B loads by replaying the executor's LRU panel ring: a
-    // pack (miss) fetches the surface, Keep/Rotate serve it from the ring.
-    t.b_loads = 0;
-    let mut cache: Option<PanelCache> = None;
-    for c in &coords {
-        let want = (c.k, c.n);
-        let b_size = (params.k_len(c.k) * params.n_len(c.n)) as u64;
-        match cache.as_mut() {
-            None => {
-                let mut pc = PanelCache::new(ring_depth);
-                pc.seed(want);
-                cache = Some(pc);
-                t.b_loads += b_size; // prologue pack of block 0
-            }
-            Some(pc) => {
-                if let PanelAction::Pack(_) = pc.advance(want) {
-                    t.b_loads += b_size;
-                }
-            }
-        }
-    }
-    t
-}
-
-/// DRAM traffic of the **two-level** CB schedule over the same block
-/// geometry: the K/N block grid is cut into outer tiles of
-/// `ko_blocks x no_blocks` L2-level blocks
-/// ([`crate::schedule::TwoLevelSchedule`]) and the resulting block order
-/// replays through the *same* accounting as [`dram_traffic`] — so the
-/// two-level model reconciles u64-exactly with the executor's element
-/// counters by construction (both walk the identical coordinate
-/// sequence under identical share rules).
-///
-/// `0` in either outer extent disables that level; both `0` returns
-/// exactly [`dram_traffic`] over the one-level K-first schedule.
-///
-/// Under [`CResidency::HoldInLlc`], tiling K (`ko_blocks < kb`) spills
-/// each partial-C panel once per outer-tile departure — the MOMMS
-/// trade: bounded LLC-level C working set bought with partial round
-/// trips. Tiling only N never spills (every panel's reduction still
-/// completes within its tile).
-pub fn two_level_traffic(
-    params: TrafficParams,
-    ko_blocks: usize,
-    no_blocks: usize,
-    c_policy: CResidency,
-) -> Traffic {
-    let grid = crate::schedule::BlockGrid::for_problem(
-        params.m, params.k, params.n, params.bm, params.bk, params.bn,
-    );
-    let sched =
-        crate::schedule::TwoLevelSchedule::new(grid, params.m, params.n, ko_blocks, no_blocks);
-    dram_traffic(sched, params, c_policy)
-}
-
-/// [`two_level_traffic`] with B loads served by the executor's panel ring
-/// (see [`dram_traffic_with_panel_ring`]): the exact model for the
-/// pipelined executor's measured counters on a two-level schedule.
-pub fn two_level_traffic_with_panel_ring(
-    params: TrafficParams,
-    ko_blocks: usize,
-    no_blocks: usize,
-    c_policy: CResidency,
-    ring_depth: usize,
-) -> Traffic {
-    let grid = crate::schedule::BlockGrid::for_problem(
-        params.m, params.k, params.n, params.bm, params.bk, params.bn,
-    );
-    let sched =
-        crate::schedule::TwoLevelSchedule::new(grid, params.m, params.n, ko_blocks, no_blocks);
-    dram_traffic_with_panel_ring(sched, params, c_policy, ring_depth)
-}
-
-#[cfg(test)]
-mod two_level_tests {
-    use super::*;
-    use crate::schedule::{BlockGrid, KFirstSchedule};
-
-    fn params(m: usize, k: usize, n: usize, b: usize) -> TrafficParams {
-        TrafficParams { m, k, n, bm: b, bk: b, bn: b }
-    }
-
-    #[test]
-    fn disabled_outer_level_equals_one_level_exactly() {
-        for (m, k, n, b) in [(16, 16, 16, 4), (10, 9, 7, 4), (8, 24, 32, 8)] {
-            let p = params(m, k, n, b);
-            let grid = BlockGrid::for_problem(m, k, n, b, b, b);
-            for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
-                let one = dram_traffic(KFirstSchedule::new(grid, m, n), p, policy);
-                assert_eq!(two_level_traffic(p, 0, 0, policy), one, "{policy:?}");
-                // Oversized tiles are the same degenerate case.
-                assert_eq!(two_level_traffic(p, 99, 99, policy), one, "{policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn k_tiling_pays_exactly_one_spill_round_trip_per_panel_per_extra_tile() {
-        // kb = 4 tiled at ko = 2: every (m, n) panel's reduction is
-        // interrupted once, costing one partial write + one partial read.
-        let p = params(8, 16, 8, 4); // mb = 2, kb = 4, nb = 2
-        let t = two_level_traffic(p, 2, 0, CResidency::HoldInLlc);
-        let panel = (4 * 4) as u64;
-        let panels = 2 * 2;
-        assert_eq!(t.c_partial_writes, panels * panel);
-        assert_eq!(t.c_partial_reads, panels * panel);
-        assert_eq!(t.c_final_writes, (8 * 8) as u64);
-        // The one-level schedule never spills; the two-level C total is
-        // higher by exactly the round trips.
-        let one = two_level_traffic(p, 0, 0, CResidency::HoldInLlc);
-        assert_eq!(one.c_partial_writes + one.c_partial_reads, 0);
-        assert_eq!(t.c_total(), one.c_total() + 2 * panels * panel);
-    }
-
-    #[test]
-    fn n_only_tiling_never_spills_partials() {
-        let p = params(8, 16, 32, 4);
-        let t = two_level_traffic(p, 0, 2, CResidency::HoldInLlc);
-        assert_eq!(t.c_partial_writes, 0);
-        assert_eq!(t.c_partial_reads, 0);
-        assert_eq!(t.c_final_writes, (8 * 32) as u64);
-    }
-
-    #[test]
-    fn panel_ring_variant_never_loads_more_b_than_adjacency() {
-        let p = params(8, 16, 16, 4);
-        let adj = two_level_traffic(p, 2, 2, CResidency::HoldInLlc);
-        let ring = two_level_traffic_with_panel_ring(p, 2, 2, CResidency::HoldInLlc, 4);
-        assert!(ring.b_loads <= adj.b_loads);
-        // A and C accounting are identical between the two.
-        assert_eq!(ring.a_loads, adj.a_loads);
-        assert_eq!(ring.c_total(), adj.c_total());
-    }
-
-    #[test]
-    fn one_level_total_is_the_floor_for_these_grids() {
-        // The K-first boustrophedon is the paper's IO-minimal order; any
-        // outer tiling trades C round trips (K tiles) or input reloads
-        // (tile edges) and can only move more data in total. C finals are
-        // invariant: every output element is written exactly once.
-        let p = params(16, 16, 16, 4);
-        let one = two_level_traffic(p, 0, 0, CResidency::HoldInLlc);
-        for (ko, no) in [(2, 0), (0, 2), (2, 2), (1, 1)] {
-            let t = two_level_traffic(p, ko, no, CResidency::HoldInLlc);
-            assert!(t.total() >= one.total(), "ko={ko} no={no}");
-            assert_eq!(t.c_final_writes, one.c_final_writes);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{shared_surfaces, BlockGrid, KFirstSchedule, OuterLoop, Surface};
+    use crate::panel::ring_depth;
+    use crate::schedule::Schedule;
 
     fn params(m: usize, k: usize, n: usize, b: usize) -> TrafficParams {
         TrafficParams { m, k, n, bm: b, bk: b, bn: b }
     }
 
-    fn kfirst(p: TrafficParams) -> KFirstSchedule {
-        let grid = BlockGrid::for_problem(p.m, p.k, p.n, p.bm, p.bk, p.bn);
-        KFirstSchedule::new(grid, p.m, p.n)
+    fn kfirst(p: TrafficParams) -> Schedule {
+        Schedule::k_first(p.grid(), p.m, p.n)
+    }
+
+    fn tiled(p: TrafficParams, ko: usize, no: usize) -> Schedule {
+        kfirst(p).with_outer_tiles(ko, no)
     }
 
     #[test]
     fn kfirst_schedule_never_spills_partials() {
         let p = params(8, 12, 16, 4);
-        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
+        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
         assert_eq!(t.c_partial_writes, 0);
         assert_eq!(t.c_partial_reads, 0);
         assert_eq!(t.c_final_writes, (8 * 16) as u64);
@@ -416,7 +261,7 @@ mod tests {
     fn c_final_writes_equal_output_size_regardless_of_policy() {
         let p = params(10, 9, 7, 4); // deliberately non-divisible
         for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
-            let t = dram_traffic(kfirst(p), p, policy);
+            let t = dram_traffic(kfirst(p), p, policy, 1);
             assert_eq!(t.c_final_writes, 70, "{policy:?}");
         }
     }
@@ -424,8 +269,8 @@ mod tests {
     #[test]
     fn streaming_pays_partial_round_trips() {
         let p = params(8, 12, 8, 4); // kb = 3
-        let hold = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
-        let stream = dram_traffic(kfirst(p), p, CResidency::StreamToDram);
+        let hold = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
+        let stream = dram_traffic(kfirst(p), p, CResidency::StreamToDram, 1);
         assert!(stream.total() > hold.total());
         // Each (m, n) panel: kb-1 partial writes and kb-1 partial reads.
         let panels = 2 * 2; // (8/4) * (8/4)
@@ -436,22 +281,15 @@ mod tests {
 
     #[test]
     fn snake_reuse_reduces_input_loads() {
+        // Snaking reuses one A or B surface at every loop boundary; plain
+        // nested loops (k restarts at 0 on every m step) fetch strictly
+        // more input data.
         let p = params(16, 16, 16, 4);
-        let grid = BlockGrid::for_problem(16, 16, 16, 4, 4, 4);
-        let snake = dram_traffic(
-            KFirstSchedule::with_outer(grid, OuterLoop::NOuter),
-            p,
-            CResidency::HoldInLlc,
-        );
-        let naive = dram_traffic(
-            KFirstSchedule::without_snaking(grid, OuterLoop::NOuter),
-            p,
-            CResidency::HoldInLlc,
-        );
-        // Snaking reuses one A or B surface at every loop boundary; the
-        // non-snaking order must fetch strictly more input data and spill
-        // partial C panels when it jumps back to k=0... (it does not jump in
-        // (m,n) mid-run for K-inner loops, so only inputs differ here).
+        let snake = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
+        let plain = (0..4).flat_map(|n| {
+            (0..4).flat_map(move |m| (0..4).map(move |k| BlockCoord { m, k, n }))
+        });
+        let naive = dram_traffic(plain, p, CResidency::HoldInLlc, 1);
         assert!(naive.a_loads + naive.b_loads > snake.a_loads + snake.b_loads);
     }
 
@@ -460,22 +298,11 @@ mod tests {
         // One K block, so the schedule is a pure (n, m) sweep: B loaded
         // once per n column, A loaded for every block.
         let p = params(12, 4, 12, 4);
-        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
+        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
         assert_eq!(t.b_loads, (4 * 12) as u64); // 3 n-blocks x (4x4) each
         // A is fetched for every block except the two n-boundary snake
         // transitions, where (m, k) is unchanged: 9 - 2 = 7 fetches.
         assert_eq!(t.a_loads, (7 * 16) as u64);
-    }
-
-    #[test]
-    fn edge_blocks_use_true_sizes() {
-        // 5x5x5 with block 4: edge blocks are 1 wide.
-        let p = params(5, 5, 5, 4);
-        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
-        assert_eq!(t.c_final_writes, 25);
-        // Total A data is at most once per (m,k,n) triple: 4 m-blocks... and
-        // at minimum the full matrix once.
-        assert!(t.a_loads >= 25);
     }
 
     #[test]
@@ -491,7 +318,7 @@ mod tests {
                 }
             }
         }
-        let t = dram_traffic(order, p, CResidency::HoldInLlc);
+        let t = dram_traffic(order, p, CResidency::HoldInLlc, 1);
         // Every panel is left once while incomplete: 4 panels spilled and
         // read back once each.
         assert_eq!(t.c_partial_writes, 4 * 16);
@@ -500,28 +327,58 @@ mod tests {
     }
 
     #[test]
+    fn truncated_schedule_spills_its_trailing_panel() {
+        // Stopping mid-reduction leaves the last panel partial: it is
+        // written out once, in the total but charged to no block.
+        let p = params(4, 8, 4, 4); // kb = 2, one panel
+        let mut reported = Traffic::default();
+        let t = walk(kfirst(p).take(1), p, CResidency::HoldInLlc, 1, |_, b| reported += b);
+        assert_eq!(t.c_partial_writes, 16);
+        assert_eq!(reported.c_partial_writes, 0);
+        assert_eq!(t.c_final_writes, 0);
+    }
+
+    #[test]
     fn empty_schedule_moves_nothing() {
         let p = params(0, 4, 4, 4);
-        let t = dram_traffic(std::iter::empty(), p, CResidency::HoldInLlc);
-        assert_eq!(t.total(), 0);
+        for panels in [1, 2] {
+            let t = dram_traffic(std::iter::empty(), p, CResidency::HoldInLlc, panels);
+            assert_eq!(t.total(), 0);
+        }
     }
 
     #[test]
     fn totals_add_up() {
         let p = params(8, 8, 8, 4);
-        let t = dram_traffic(kfirst(p), p, CResidency::StreamToDram);
-        assert_eq!(
-            t.total(),
-            t.a_loads + t.b_loads + t.c_total()
-        );
+        let t = dram_traffic(kfirst(p), p, CResidency::StreamToDram, 1);
+        assert_eq!(t.total(), t.a_loads + t.b_loads + t.c_total());
         assert_eq!(t.total_bytes(4), t.total() * 4);
+    }
+
+    #[test]
+    fn per_block_reports_sum_to_the_total() {
+        let p = params(10, 24, 13, 4);
+        let kb = p.grid().kb;
+        for (ko, no) in [(0, 0), (2, 2), (1, 3)] {
+            for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
+                for panels in [1, ring_depth(kb)] {
+                    let (mut sum, mut blocks) = (Traffic::default(), 0);
+                    let t = walk(tiled(p, ko, no), p, policy, panels, |_, b| {
+                        sum += b;
+                        blocks += 1;
+                    });
+                    assert_eq!(sum, t, "ko={ko} no={no} {policy:?} panels={panels}");
+                    assert_eq!(blocks, p.grid().len());
+                }
+            }
+        }
     }
 
     #[test]
     fn int8_operand_bytes_are_exactly_one_quarter_of_f32() {
         use std::mem::size_of;
         let p = params(64, 48, 56, 16);
-        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
+        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
         // Same schedule, same element counts: the predicted operand bytes
         // scale exactly with the element size, so int8 is one quarter of
         // f32 — u64-exact, no rounding anywhere.
@@ -545,7 +402,7 @@ mod tests {
         // 5x3x5 with 4x4x4 blocks: grid 2x1x2, kb = 1, N-outer snake
         // (m0,n0) (m1,n0) (m1,n1) (m0,n1). Edge blocks are 1 wide/tall.
         let p = TrafficParams { m: 5, k: 3, n: 5, bm: 4, bk: 4, bn: 4 };
-        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
+        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
         // B: loaded once per n stripe (shared across the m step):
         // 3*4 + 3*1 elements.
         assert_eq!(t.b_loads, 15);
@@ -560,9 +417,9 @@ mod tests {
     fn non_divisible_full_input_coverage_lower_bound() {
         // Whatever the sharing pattern, each input element is fetched at
         // least once and C completes exactly once per element.
-        for (m, k, n, b) in [(10, 9, 7, 4), (7, 7, 7, 3), (13, 5, 11, 8)] {
+        for (m, k, n, b) in [(10, 9, 7, 4), (7, 7, 7, 3), (13, 5, 11, 8), (5, 5, 5, 4)] {
             let p = params(m, k, n, b);
-            let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
+            let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
             assert!(t.a_loads >= (m * k) as u64, "{m}x{k}x{n}/{b}");
             assert!(t.b_loads >= (k * n) as u64, "{m}x{k}x{n}/{b}");
             assert_eq!(t.c_final_writes, (m * n) as u64, "{m}x{k}x{n}/{b}");
@@ -573,10 +430,9 @@ mod tests {
     fn single_block_grid_loads_everything_exactly_once() {
         // mb = kb = nb = 1: one block, no transitions, no reuse to find.
         let p = params(5, 6, 7, 8);
-        let grid = BlockGrid::for_problem(5, 6, 7, 8, 8, 8);
-        assert_eq!((grid.mb, grid.kb, grid.nb), (1, 1, 1));
+        assert_eq!(p.grid().len(), 1);
         for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
-            let t = dram_traffic(kfirst(p), p, policy);
+            let t = dram_traffic(kfirst(p), p, policy, 1);
             assert_eq!(t.a_loads, 30, "{policy:?}");
             assert_eq!(t.b_loads, 42, "{policy:?}");
             assert_eq!(t.c_final_writes, 35, "{policy:?}");
@@ -584,37 +440,65 @@ mod tests {
         }
     }
 
+    // ----- outer (two-level) tiles -----
+
     #[test]
-    fn shared_surfaces_on_single_block_schedule_does_not_panic() {
-        // A 1-block schedule has an empty transition window; iterating
-        // adjacent pairs must be a no-op, and a degenerate self-pair must
-        // not panic either (it reports all three surfaces shared).
-        let sched: Vec<BlockCoord> =
-            KFirstSchedule::new(BlockGrid::for_problem(4, 4, 4, 8, 8, 8), 4, 4).collect();
-        assert_eq!(sched.len(), 1);
-        for w in sched.windows(2) {
-            let _ = shared_surfaces(w[0], w[1]); // never reached
-        }
-        let all = shared_surfaces(sched[0], sched[0]);
-        assert_eq!(all, vec![Surface::A, Surface::B, Surface::C]);
+    fn k_tiling_pays_exactly_one_spill_round_trip_per_panel_per_extra_tile() {
+        // kb = 4 tiled at ko = 2: every (m, n) panel's reduction is
+        // interrupted once, costing one partial write + one partial read.
+        let p = params(8, 16, 8, 4); // mb = 2, kb = 4, nb = 2
+        let t = dram_traffic(tiled(p, 2, 0), p, CResidency::HoldInLlc, 1);
+        let panel = (4 * 4) as u64;
+        let panels = 2 * 2;
+        assert_eq!(t.c_partial_writes, panels * panel);
+        assert_eq!(t.c_partial_reads, panels * panel);
+        assert_eq!(t.c_final_writes, (8 * 8) as u64);
+        // The one-level schedule never spills; the two-level C total is
+        // higher by exactly the round trips.
+        let one = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
+        assert_eq!(one.c_partial_writes + one.c_partial_reads, 0);
+        assert_eq!(t.c_total(), one.c_total() + 2 * panels * panel);
     }
 
-    // ----- ring-aware B accounting (the executor's panel ring) -----
+    #[test]
+    fn n_only_tiling_never_spills_partials() {
+        let p = params(8, 16, 32, 4);
+        let t = dram_traffic(tiled(p, 0, 2), p, CResidency::HoldInLlc, 1);
+        assert_eq!(t.c_partial_writes, 0);
+        assert_eq!(t.c_partial_reads, 0);
+        assert_eq!(t.c_final_writes, (8 * 32) as u64);
+    }
+
+    #[test]
+    fn one_level_total_is_the_floor_for_these_grids() {
+        // The K-first boustrophedon is the paper's IO-minimal order; any
+        // outer tiling trades C round trips (K tiles) or input reloads
+        // (tile edges) and can only move more data in total. C finals are
+        // invariant: every output element is written exactly once.
+        let p = params(16, 16, 16, 4);
+        let one = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
+        for (ko, no) in [(2, 0), (0, 2), (2, 2), (1, 1)] {
+            let t = dram_traffic(tiled(p, ko, no), p, CResidency::HoldInLlc, 1);
+            assert!(t.total() >= one.total(), "ko={ko} no={no}");
+            assert_eq!(t.c_final_writes, one.c_final_writes);
+        }
+    }
+
+    // ----- B panel ring (the executor's replay) -----
 
     #[test]
     fn ring_b_loads_never_exceed_adjacency_b_loads() {
-        for (m, k, n, b) in [(16, 16, 16, 4), (10, 9, 7, 4), (32, 48, 32, 16)] {
+        for (m, k, n, b) in [(16, 16, 16, 4), (10, 9, 7, 4), (32, 48, 32, 16), (8, 16, 16, 4)] {
             let p = params(m, k, n, b);
-            for depth in 2..=4 {
-                let adj = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
-                let ring =
-                    dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, depth);
-                assert!(ring.b_loads <= adj.b_loads, "{m}x{k}x{n}/{b} depth {depth}");
-                // A and C accounting is untouched by the ring.
-                assert_eq!(ring.a_loads, adj.a_loads);
-                assert_eq!(ring.c_final_writes, adj.c_final_writes);
-                assert_eq!(ring.c_partial_writes, adj.c_partial_writes);
-                assert_eq!(ring.c_partial_reads, adj.c_partial_reads);
+            for (ko, no) in [(0, 0), (2, 2)] {
+                let adj = dram_traffic(tiled(p, ko, no), p, CResidency::HoldInLlc, 1);
+                for depth in 2..=crate::workspace::MAX_B_PANELS {
+                    let ring = dram_traffic(tiled(p, ko, no), p, CResidency::HoldInLlc, depth);
+                    let at = format!("{m}x{k}x{n}/{b} tiles {ko}x{no} depth {depth}");
+                    assert!(ring.b_loads <= adj.b_loads, "{at}");
+                    // A and every C field are untouched by the ring.
+                    assert_eq!(Traffic { b_loads: adj.b_loads, ..ring }, adj, "{at}");
+                }
             }
         }
     }
@@ -622,10 +506,9 @@ mod tests {
     #[test]
     fn deep_ring_packs_each_b_surface_exactly_once() {
         // Ring at least as deep as the k-block count: every revisit hits,
-        // so B DRAM traffic collapses to one fetch per element of B per n
-        // stripe sweep = exactly k*n elements.
+        // so B DRAM traffic collapses to exactly k*n elements.
         let p = params(32, 48, 32, 16); // kb = 3 <= depth 3
-        let t = dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, 3);
+        let t = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 3);
         assert_eq!(t.b_loads, (48 * 32) as u64);
     }
 
@@ -635,29 +518,17 @@ mod tests {
         // evicted, so a shallow ring saves less than a kb-deep one but
         // still at least matches plain adjacency sharing.
         let p = params(32, 48, 32, 16);
-        let adj = dram_traffic(kfirst(p), p, CResidency::HoldInLlc);
-        let shallow = dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, 2);
-        let deep = dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, 3);
+        let adj = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 1);
+        let shallow = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 2);
+        let deep = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 3);
         assert!(deep.b_loads < shallow.b_loads);
         assert!(shallow.b_loads <= adj.b_loads);
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 panels")]
-    fn ring_depth_below_two_is_rejected() {
+    #[should_panic(expected = "outside 2..=")]
+    fn zero_panels_are_rejected() {
         let p = params(8, 8, 8, 4);
-        let _ = dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, 1);
-    }
-
-    #[test]
-    fn ring_on_empty_schedule_moves_nothing() {
-        let p = params(0, 4, 4, 4);
-        let t = dram_traffic_with_panel_ring(
-            std::iter::empty(),
-            p,
-            CResidency::HoldInLlc,
-            2,
-        );
-        assert_eq!(t.total(), 0);
+        let _ = dram_traffic(kfirst(p), p, CResidency::HoldInLlc, 0);
     }
 }

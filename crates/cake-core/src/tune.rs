@@ -330,7 +330,7 @@ pub fn candidate_shapes(
     // winner can never be worse than the analytic choice in-simulator.
     let alpha = alpha_fill_llc(p, mc0.max(1), llc_elems);
     let analytic = CbBlockShape::derive(p, alpha, l2_bytes, llc_bytes, elem_bytes, mr, nr);
-    let clamped = crate::api::clamp_shape_to_problem(analytic, m, k, n, mr, nr);
+    let clamped = analytic.clamp_to_problem(m, k, n, mr, nr);
     if clamped.fits_llc_lru(llc_bytes, elem_bytes) {
         out.push(clamped);
     }

@@ -240,19 +240,14 @@ mod tests {
 
     #[test]
     fn goto_traffic_exceeds_cake_traffic() {
-        use cake_core::schedule::{BlockGrid, KFirstSchedule};
+        use cake_core::schedule::Schedule;
         use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 
         let (m, k, n) = (256, 256, 256);
         let goto = goto_dram_traffic(m, k, n, &GotoParams::fixed(4, 32, 32, 128));
 
         let tp = TrafficParams { m, k, n, bm: 128, bk: 32, bn: 128 };
-        let grid = BlockGrid::for_problem(m, k, n, tp.bm, tp.bk, tp.bn);
-        let cake = dram_traffic(
-            KFirstSchedule::new(grid, m, n),
-            tp,
-            CResidency::HoldInLlc,
-        );
+        let cake = dram_traffic(Schedule::k_first(tp.grid(), m, n), tp, CResidency::HoldInLlc, 1);
         assert!(
             goto.total() > cake.total(),
             "goto {} <= cake {}",

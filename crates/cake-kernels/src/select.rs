@@ -149,7 +149,7 @@ pub const REGISTERED_SHAPES: [(&str, usize, usize); 14] = [
 
 /// `(tier, mr, nr)` for every entry of [`REGISTERED_SHAPES`] matching
 /// `dtype`, in registry order (primary kernel first within each tier).
-/// `dtype` is an [`element NAME`](cake_matrix::Element::NAME) —
+/// `dtype` is an [`element NAME`](cake_matrix::Dtype::NAME) —
 /// `"f32"`/`"f64"`/`"int8"`/`"bf16"` (`"i8"` accepted as an alias).
 /// Static metadata, independent of host CPU detection: the autotuner's
 /// candidate generator quantifies over this so a tuned table built on one

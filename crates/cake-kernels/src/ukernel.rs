@@ -149,7 +149,8 @@ pub(crate) unsafe fn generic_ukr<T: Dtype, const MR: usize, const NR: usize>(
 }
 
 /// Scalar reference kernel used to validate all other kernels in tests.
-/// Widens each operand before multiplying, exactly like [`generic_ukr`].
+/// Widens each operand before multiplying, exactly like the portable
+/// `generic_ukr` kernel.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 pub fn reference_ukr<T: Dtype>(
     kc: usize,

@@ -5,12 +5,13 @@
 //! works in two passes:
 //!
 //! 1. **Lowering** ([`lower_cake`] / [`lower_goto`]): walk the *real*
-//!    schedule (the K-first snake over `BlockGrid`, or GOTO's
-//!    `jc/pc/ic` loop nest) and emit one [`StepLoad`] per CB block /
-//!    parallel round, with its exact resource demands: MACs, active
-//!    cores, DRAM read/write bytes (adjacency-shared A/B, one final C
-//!    write per completed panel, write-allocate factor), and internal
-//!    LLC<->core bytes. This pass is pure traffic accounting — both the
+//!    schedule (the executor's [`Schedule`], or GOTO's `jc/pc/ic` loop
+//!    nest) and emit one [`StepLoad`] per CB block / parallel round, with
+//!    its exact resource demands: MACs, active cores, DRAM read/write
+//!    bytes (CAKE's from `cake_core::traffic::walk`: adjacency-shared A/B,
+//!    one final C write per completed panel with the write-allocate
+//!    factor, outer-tile spills), and internal LLC<->core bytes. This
+//!    pass is pure traffic accounting — both the
 //!    event engine and the feature-gated closed-form oracle
 //!    (`crate::closed_form`) consume the same loads, so their DRAM byte
 //!    totals agree u64-exactly by construction.
@@ -30,8 +31,9 @@
 //! invariant — [`check_ordering_invariance`] sweeps seeds and reports any
 //! divergence with the event trace as a witness.
 
-use cake_core::schedule::{BlockGrid, KFirstSchedule};
+use cake_core::schedule::Schedule;
 use cake_core::shape::CbBlockShape;
+use cake_core::traffic::{self, CResidency, TrafficParams};
 use cake_core::tune;
 use cake_goto::params::GotoParams;
 
@@ -138,15 +140,8 @@ pub fn resolve_cake_shape(cpu: &CpuConfig, sp: &SimParams) -> CbBlockShape {
     let alpha = sp.alpha.unwrap_or_else(|| {
         tune::select_alpha(cpu.dram_bw_gbs, probe.mc, macs, sp.elem_bytes, cpu.freq_ghz)
     });
-    let shape = CbBlockShape::derive(sp.p, alpha, cpu.l2_bytes, llc, sp.elem_bytes, cpu.mr, cpu.nr);
-
-    // Clamp to the problem (mirrors `cake_core::api`), balancing mc so the
-    // final M-block is not ragged.
-    let strip = sp.m.div_ceil(sp.p).div_ceil(cpu.mr).max(1) * cpu.mr;
-    let mc = CbBlockShape::balance_mc(sp.m, sp.p, shape.mc.min(strip).max(cpu.mr), cpu.mr);
-    let kc = shape.kc.min(sp.k.max(1));
-    let nc = shape.nc.min(sp.n.div_ceil(cpu.nr).max(1) * cpu.nr).max(cpu.nr);
-    CbBlockShape::fixed(sp.p, mc, kc, nc)
+    CbBlockShape::derive(sp.p, alpha, cpu.l2_bytes, llc, sp.elem_bytes, cpu.mr, cpu.nr)
+        .clamp_to_problem(sp.m, sp.k, sp.n, cpu.mr, cpu.nr)
 }
 
 /// Resolve the GOTO blocking for this CPU.
@@ -166,69 +161,36 @@ pub fn resolve_goto_params(cpu: &CpuConfig, sp: &SimParams) -> GotoParams {
     GotoParams::fixed(sp.p, mc.max(cpu.mr), kc, nc)
 }
 
-/// Lower a CAKE run to per-block [`StepLoad`]s along the K-first snake:
-/// adjacency-shared A/B surfaces, partial C held in the LLC and written to
-/// DRAM once per completed `(m, n)` panel (with the write-allocate
-/// factor), internal traffic per Eq. 3 / Eq. 6.
+/// Lower a CAKE run to per-block [`StepLoad`]s along the executor's
+/// schedule for `shape` (outer tiles included). DRAM bytes come from the
+/// traffic walk with adjacency-shared B: partial C stays in the LLC and a
+/// completed `(m, n)` panel is written once (with the write-allocate
+/// factor); outer K tiles add partial spills and read-backs. Internal
+/// traffic follows Eq. 3 / Eq. 6.
 pub fn lower_cake(cpu: &CpuConfig, sp: &SimParams, shape: &CbBlockShape) -> Vec<StepLoad> {
     let (m, k, n) = (sp.m, sp.k, sp.n);
     if m == 0 || k == 0 || n == 0 {
         return Vec::new();
     }
+    let schedule = Schedule::for_shape(m, k, n, shape);
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
-    let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    let sched = KFirstSchedule::new(grid, m, n);
+    let tp = TrafficParams { m, k, n, bm, bk, bn };
     let eb = sp.elem_bytes as u64;
     let wa = if cpu.write_allocate { 2 } else { 1 };
-    let kb = grid.kb;
 
-    let mut loads = Vec::with_capacity(grid.mb * grid.kb * grid.nb);
-    let mut prev: Option<cake_core::schedule::BlockCoord> = None;
-    let mut k_run = 0usize; // visits to the current (m, n) panel
-    for c in sched {
-        let ml = bm.min(m - c.m * bm);
-        let kl = bk.min(k - c.k * bk);
-        let nl = bn.min(n - c.n * bn);
-
-        let share_a = prev.is_some_and(|p| p.m == c.m && p.k == c.k);
-        let share_b = prev.is_some_and(|p| p.k == c.k && p.n == c.n);
-        let prev_panel = prev.map(|p| (p.m, p.n));
-        prev = Some(c);
-
-        let mut read = 0u64;
-        if !share_a {
-            read += (ml * kl) as u64 * eb;
-        }
-        if !share_b {
-            read += (kl * nl) as u64 * eb;
-        }
-        // Partial C stays in the LLC; written to DRAM once, when the
-        // K-reduction for this (m, n) panel completes. K runs are
-        // contiguous under the K-first schedule, so the panel completes on
-        // its kb-th consecutive visit.
-        if prev_panel == Some((c.m, c.n)) {
-            k_run += 1;
-        } else {
-            k_run = 1;
-        }
-        let write = if k_run == kb {
-            // Completed panel written once; write-allocate parts read the
-            // destination lines first.
-            (ml * nl) as u64 * eb * wa
-        } else {
-            0
-        };
-
+    let mut loads = Vec::with_capacity(schedule.len());
+    traffic::walk(schedule, tp, CResidency::HoldInLlc, 1, |c, t| {
+        let (ml, kl, nl) = tp.extents(c);
         loads.push(StepLoad {
             macs: (ml * kl * nl) as u64,
             active: ml.div_ceil(shape.mc).min(shape.p),
-            ext_read_bytes: read,
-            ext_write_bytes: write,
+            ext_read_bytes: (t.a_loads + t.b_loads + t.c_partial_reads) * eb,
+            ext_write_bytes: (t.c_final_writes * wa + t.c_partial_writes) * eb,
             // Internal traffic: read A + B once, read + write the partial
             // C panel (Eq. 3 / Eq. 6).
             int_bytes: ((ml * kl) + (kl * nl) + 2 * (ml * nl)) as u64 * eb,
         });
-    }
+    });
     loads
 }
 
@@ -660,7 +622,7 @@ mod tests {
     #[test]
     fn traffic_roughly_matches_analytic_model() {
         // Engine DRAM traffic vs cake_core::traffic for the same shape.
-        use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
+        use cake_core::traffic::dram_traffic;
         let cpu = intel();
         let sp = SimParams::square(2304, 4);
         let shape = resolve_cake_shape(&cpu, &sp);
@@ -674,8 +636,8 @@ mod tests {
             bk: shape.k_block(),
             bn: shape.n_block(),
         };
-        let grid = BlockGrid::for_problem(sp.m, sp.k, sp.n, tp.bm, tp.bk, tp.bn);
-        let t = dram_traffic(KFirstSchedule::new(grid, sp.m, sp.n), tp, CResidency::HoldInLlc);
+        let schedule = Schedule::k_first(tp.grid(), sp.m, sp.n);
+        let t = dram_traffic(schedule, tp, CResidency::HoldInLlc, 1);
         let analytic = t.total_bytes(4);
         let ratio = rep.dram_bytes as f64 / analytic as f64;
         assert!(
@@ -692,7 +654,7 @@ mod tests {
         // C write per completed panel, write-allocate factor) is the *same
         // function* as cake_core::traffic — so the byte totals must be
         // u64-equal, ragged edges and all, on both write-allocate settings.
-        use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
+        use cake_core::traffic::dram_traffic;
         for cpu in [intel(), arm()] {
             let wa: u64 = if cpu.write_allocate { 2 } else { 1 };
             for (m, k, n, p, mc, kc, nc) in
@@ -710,8 +672,8 @@ mod tests {
                     bk: shape.k_block(),
                     bn: shape.n_block(),
                 };
-                let grid = BlockGrid::for_problem(m, k, n, tp.bm, tp.bk, tp.bn);
-                let t = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::HoldInLlc);
+                let schedule = Schedule::k_first(tp.grid(), m, n);
+                let t = dram_traffic(schedule, tp, CResidency::HoldInLlc, 1);
                 let analytic = (t.a_loads + t.b_loads + t.c_final_writes * wa)
                     * sp.elem_bytes as u64;
                 assert_eq!(
@@ -721,6 +683,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lowering_follows_the_shapes_outer_tiles() {
+        // A two-level shape lowers along its tiled order: outer K tiles
+        // add partial-C spills and read-backs, byte-exact with the walk.
+        use cake_core::traffic::dram_traffic;
+        let cpu = arm(); // write_allocate = true
+        let (m, k, n, p) = (48, 32, 48, 2);
+        let sp = SimParams::new(m, k, n, p);
+        let shape = cake_core::shape::CbBlockShape::fixed(p, 8, 8, 16).with_outer_tiles(2, 2);
+        let tp = TrafficParams { m, k, n, bm: 16, bk: 8, bn: 16 };
+        let t = dram_traffic(Schedule::for_shape(m, k, n, &shape), tp, CResidency::HoldInLlc, 1);
+        assert!(t.c_partial_writes > 0, "ko = 2 < kb = 4 must spill");
+        let expect = (t.a_loads + t.b_loads + t.c_partial_reads + t.c_partial_writes)
+            * sp.elem_bytes as u64
+            + t.c_final_writes * 2 * sp.elem_bytes as u64;
+        assert_eq!(simulate_cake_with_shape(&cpu, &sp, &shape).dram_bytes, expect);
     }
 
     #[test]

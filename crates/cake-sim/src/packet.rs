@@ -22,7 +22,7 @@
 //! Tiles are unit scalars (`f64`), which makes the computation space an
 //! `M x K x N` grid of MACs exactly as in Figure 2b.
 
-use cake_core::schedule::{BlockGrid, KFirstSchedule};
+use cake_core::schedule::{BlockGrid, Schedule};
 use cake_matrix::Matrix;
 /// Hardware module addresses for packet routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,7 +187,7 @@ pub fn simulate_packets(
 
     let (bm, bk, bn) = cfg.block_dims();
     let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    let sched = KFirstSchedule::new(grid, m, n);
+    let sched = Schedule::k_first(grid, m, n);
     let kb = grid.kb;
 
     let mut c = Matrix::<f64>::zeros(m, n);
@@ -369,8 +369,7 @@ mod tests {
 
         let (bm, bk, bn) = cfg.block_dims();
         let tp = TrafficParams { m, k, n, bm, bk, bn };
-        let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-        let t = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::HoldInLlc);
+        let t = dram_traffic(Schedule::k_first(tp.grid(), m, n), tp, CResidency::HoldInLlc, 1);
         assert_eq!(res.dram_tile_transfers, t.total());
     }
 

@@ -13,7 +13,7 @@
 //! * `B` sliver — `(kc x nr)`.
 //! * `C` tile — `(mr x nr)`, accessed read-modify-write.
 
-use cake_core::schedule::KFirstSchedule;
+use cake_core::schedule::Schedule;
 
 use crate::cache::{Hierarchy, HierStats};
 use crate::config::CpuConfig;
@@ -55,9 +55,8 @@ pub fn run_cake_trace(cpu: &CpuConfig, sp: &SimParams) -> HierStats {
     let eb = sp.elem_bytes as u64;
     let (mr, nr) = (cpu.mr, cpu.nr);
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
-    let grid = cake_core::schedule::BlockGrid::for_problem(m, k, n, bm, bk, bn);
 
-    for c in KFirstSchedule::new(grid, m, n) {
+    for c in Schedule::for_shape(m, k, n, &shape) {
         let (m0, k0, n0) = (c.m * bm, c.k * bk, c.n * bn);
         let ml = bm.min(m - m0);
         let kl = bk.min(k - k0);

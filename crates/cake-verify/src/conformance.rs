@@ -6,12 +6,12 @@
 //! 1. **Executor vs `traffic.rs`, element-exact.** The pipelined executor
 //!    runs with the `traffic-counters` feature and its measured element
 //!    counters are reconciled with [`cake_core::traffic::dram_traffic`]
-//!    (A, final C) and [`cake_core::traffic::dram_traffic_with_panel_ring`]
-//!    (B through the literal panel-ring replay) as `u64` equalities — no
-//!    tolerance. The block *grid* is held fixed (`bm = p·mc` constant by
-//!    shrinking `mc` as `p` grows), so the schedule and therefore every
-//!    counter must be identical across `p`: measured CAKE DRAM traffic is
-//!    `p`-invariant.
+//!    (A and final C under the adjacency rule, B through the literal
+//!    panel-ring replay) as `u64` equalities — no tolerance — on the
+//!    one-level schedule and again with 2x2 outer tiles. The block *grid*
+//!    is held fixed (`bm = p·mc` constant by shrinking `mc` as `p` grows),
+//!    so the schedule and therefore every counter must be identical across
+//!    `p`: measured CAKE DRAM traffic is `p`-invariant.
 //! 2. **`model.rs` closed forms.** Under the paper's scaling (`mc`, `kc`,
 //!    `alpha` fixed; the block grows with `p`), Eq. 4 external bandwidth is
 //!    `p`-invariant while GOTO's grows ~linearly; Eq. 5 local memory is
@@ -28,12 +28,9 @@ use cake_core::executor::execute_with_stats_in;
 use cake_core::model::CakeModel;
 use cake_core::panel::ring_depth;
 use cake_core::pool::ThreadPool;
-use cake_core::schedule::{BlockGrid, KFirstSchedule};
+use cake_core::schedule::Schedule;
 use cake_core::shape::CbBlockShape;
-use cake_core::traffic::{
-    dram_traffic, dram_traffic_with_panel_ring, two_level_traffic,
-    two_level_traffic_with_panel_ring, CResidency, TrafficParams,
-};
+use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake_core::workspace::GemmWorkspace;
 use cake_goto::model::GotoModel;
 use cake_goto::naive::naive_gemm_views;
@@ -65,29 +62,19 @@ fn fail(layer: &str, msg: String) -> String {
     format!("conformance [{layer}]: {msg}")
 }
 
-/// Layer 1: measured executor counters vs the analytic traffic walk,
-/// element-exact, identical across `p` at a fixed block grid.
+/// Layer 1: measured executor counters vs the traffic walk, element-exact,
+/// identical across `p` at a fixed block grid. Runs once on the one-level
+/// schedule and once with 2x2 outer (MOMMS-style) tiles, which permute
+/// the blocks and pay partial-C spill round trips on K-tile changes: the
+/// counters differ between the two, but executor and walk must agree as
+/// `u64` equalities at every `p` in both.
 fn check_measured_traffic(report: &mut ConformanceReport) -> Result<(), String> {
     let (m, k, n) = (48usize, 24usize, 48usize);
     let (bm, bk, bn) = (16usize, 8usize, 16usize);
     let params = TrafficParams { m, k, n, bm, bk, bn };
-    let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    let adj = dram_traffic(KFirstSchedule::new(grid, m, n), params, CResidency::HoldInLlc);
-    let ring = dram_traffic_with_panel_ring(
-        KFirstSchedule::new(grid, m, n),
-        params,
-        CResidency::HoldInLlc,
-        ring_depth(grid.kb),
-    );
-    if ring.b_loads > adj.b_loads {
-        return Err(fail(
-            "measured",
-            format!(
-                "panel ring must never fetch more B than adjacency sharing: {} > {}",
-                ring.b_loads, adj.b_loads
-            ),
-        ));
-    }
+    let kb = params.grid().kb;
+    let schedule = Schedule::k_first(params.grid(), m, n);
+    let one_level = dram_traffic(schedule, params, CResidency::HoldInLlc, 1);
 
     let a = init::random::<f32>(m, k, 11);
     let b = init::random::<f32>(k, n, 12);
@@ -95,161 +82,86 @@ fn check_measured_traffic(report: &mut ConformanceReport) -> Result<(), String> 
     naive_gemm_views(&a.view(), &b.view(), &mut expected.view_mut());
     let ukr = portable_kernel::<f32>();
 
-    let mut measured: Vec<(u64, u64, u64)> = Vec::new();
-    for &p in &CORE_COUNTS {
-        // Same bm = p * mc for every p: identical grid, schedule, traffic.
-        let shape = CbBlockShape::fixed(p, bm / p, bk, bn);
-        let pool = ThreadPool::new(p);
-        let mut ws = GemmWorkspace::new();
-        let mut c = Matrix::<f32>::zeros(m, n);
-        let stats =
-            execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
-
-        let tol = cake_matrix::compare::gemm_tolerance::<f32>(k);
-        if !cake_matrix::approx_eq(&c, &expected, tol) {
-            return Err(fail("measured", format!("p={p}: executor result diverged from naive")));
+    for (ko, no) in [(0usize, 0usize), (2, 2)] {
+        let label = match (ko, no) {
+            (0, 0) => "one-level".to_string(),
+            _ => format!("two-level {ko}x{no}"),
+        };
+        let err = |msg: String| fail("measured", format!("{label}: {msg}"));
+        let tiled = schedule.with_outer_tiles(ko, no);
+        let adj = dram_traffic(tiled, params, CResidency::HoldInLlc, 1);
+        let ring = dram_traffic(tiled, params, CResidency::HoldInLlc, ring_depth(kb));
+        if ring.b_loads > adj.b_loads {
+            return Err(err(format!(
+                "panel ring must never fetch more B than adjacency sharing: {} > {}",
+                ring.b_loads, adj.b_loads
+            )));
         }
-        if stats.a_elems_loaded != adj.a_loads {
-            return Err(fail(
-                "measured",
-                format!(
+        if adj.total() < one_level.total() || adj.c_final_writes != (m * n) as u64 {
+            return Err(err(format!(
+                "outer tiling can only add traffic on this grid and C completes once: \
+                 total {} < one-level {}, or final writes {} != m*n",
+                adj.total(),
+                one_level.total(),
+                adj.c_final_writes
+            )));
+        }
+
+        let mut measured: Vec<(u64, u64, u64)> = Vec::new();
+        for &p in &CORE_COUNTS {
+            // Same bm = p * mc for every p: identical grid, schedule, traffic.
+            let shape = CbBlockShape::fixed(p, bm / p, bk, bn).with_outer_tiles(ko, no);
+            let pool = ThreadPool::new(p);
+            let mut ws = GemmWorkspace::new();
+            let mut c = Matrix::<f32>::zeros(m, n);
+            let stats = execute_with_stats_in(
+                &a.view(),
+                &b.view(),
+                &mut c.view_mut(),
+                &shape,
+                &ukr,
+                &pool,
+                &mut ws,
+            );
+
+            let tol = cake_matrix::compare::gemm_tolerance::<f32>(k);
+            if !cake_matrix::approx_eq(&c, &expected, tol) {
+                return Err(err(format!("p={p}: executor result diverged from naive")));
+            }
+            if stats.a_elems_loaded != adj.a_loads {
+                return Err(err(format!(
                     "p={p}: A elements loaded {} != analytic adjacency {}",
                     stats.a_elems_loaded, adj.a_loads
-                ),
-            ));
-        }
-        if stats.b_elems_loaded != ring.b_loads {
-            return Err(fail(
-                "measured",
-                format!(
+                )));
+            }
+            if stats.b_elems_loaded != ring.b_loads {
+                return Err(err(format!(
                     "p={p}: B elements loaded {} != panel-ring replay {}",
                     stats.b_elems_loaded, ring.b_loads
-                ),
-            ));
-        }
-        let c_expect = (grid.kb * m * n) as u64;
-        if stats.c_elems_updated != c_expect || adj.c_final_writes != (m * n) as u64 {
-            return Err(fail(
-                "measured",
-                format!(
-                    "p={p}: C elements updated {} != kb*m*n = {c_expect} \
-                     (analytic final writes {})",
-                    stats.c_elems_updated, adj.c_final_writes
-                ),
-            ));
-        }
-        measured.push((stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated));
-    }
-    if measured.windows(2).any(|w| w[0] != w[1]) {
-        return Err(fail(
-            "measured",
-            format!("counters changed with p at a fixed block grid: {measured:?}"),
-        ));
-    }
-    let (ea, eb, ec) = measured[0];
-    report.lines.push(format!(
-        "measured == analytic, element-exact, p-invariant over p={CORE_COUNTS:?}: \
-         A {ea}, B {eb} (ring; adjacency bound {}), C-updates {ec}",
-        adj.b_loads
-    ));
-    Ok(())
-}
-
-/// Layer 1b: the same element-exact reconciliation with the **two-level**
-/// (MOMMS-style) outer K/N loop enabled. The outer tiling permutes the
-/// block schedule and pays partial-C spill round trips on K-tile changes,
-/// so the counters differ from the one-level walk — but the executor and
-/// `two_level_traffic`/`two_level_traffic_with_panel_ring` must still
-/// agree as `u64` equalities at every `p`, and stay `p`-invariant on a
-/// fixed grid.
-fn check_two_level_traffic(report: &mut ConformanceReport) -> Result<(), String> {
-    let (m, k, n) = (48usize, 24usize, 48usize);
-    let (bm, bk, bn) = (16usize, 8usize, 16usize);
-    let (ko, no) = (2usize, 2usize);
-    let params = TrafficParams { m, k, n, bm, bk, bn };
-    let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    let adj = two_level_traffic(params, ko, no, CResidency::HoldInLlc);
-    let ring =
-        two_level_traffic_with_panel_ring(params, ko, no, CResidency::HoldInLlc, ring_depth(grid.kb));
-    let one_level = dram_traffic(KFirstSchedule::new(grid, m, n), params, CResidency::HoldInLlc);
-    if adj.total() < one_level.total() {
-        return Err(fail(
-            "two-level",
-            format!(
-                "outer tiling can only add traffic on this grid: {} < {}",
-                adj.total(),
-                one_level.total()
-            ),
-        ));
-    }
-
-    let a = init::random::<f32>(m, k, 21);
-    let b = init::random::<f32>(k, n, 22);
-    let mut expected = Matrix::<f32>::zeros(m, n);
-    naive_gemm_views(&a.view(), &b.view(), &mut expected.view_mut());
-    let ukr = portable_kernel::<f32>();
-
-    let mut measured: Vec<(u64, u64, u64)> = Vec::new();
-    for &p in &CORE_COUNTS {
-        let shape = CbBlockShape::fixed(p, bm / p, bk, bn).with_outer_tiles(ko, no);
-        let pool = ThreadPool::new(p);
-        let mut ws = GemmWorkspace::new();
-        let mut c = Matrix::<f32>::zeros(m, n);
-        let stats =
-            execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
-
-        let tol = cake_matrix::compare::gemm_tolerance::<f32>(k);
-        if !cake_matrix::approx_eq(&c, &expected, tol) {
-            return Err(fail(
-                "two-level",
-                format!("p={p}: two-level executor result diverged from naive"),
-            ));
-        }
-        if stats.a_elems_loaded != adj.a_loads {
-            return Err(fail(
-                "two-level",
-                format!(
-                    "p={p}: A elements loaded {} != two-level analytic {}",
-                    stats.a_elems_loaded, adj.a_loads
-                ),
-            ));
-        }
-        if stats.b_elems_loaded != ring.b_loads {
-            return Err(fail(
-                "two-level",
-                format!(
-                    "p={p}: B elements loaded {} != two-level panel-ring replay {}",
-                    stats.b_elems_loaded, ring.b_loads
-                ),
-            ));
-        }
-        // The outer loop permutes the same block grid, so C still takes
-        // exactly kb accumulation passes over every element.
-        let c_expect = (grid.kb * m * n) as u64;
-        if stats.c_elems_updated != c_expect {
-            return Err(fail(
-                "two-level",
-                format!(
+                )));
+            }
+            // Outer tiles permute the same grid, so C still takes exactly
+            // kb accumulation passes over every element.
+            let c_expect = (kb * m * n) as u64;
+            if stats.c_elems_updated != c_expect {
+                return Err(err(format!(
                     "p={p}: C elements updated {} != kb*m*n = {c_expect}",
                     stats.c_elems_updated
-                ),
-            ));
+                )));
+            }
+            measured.push((stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated));
         }
-        measured.push((stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated));
-    }
-    if measured.windows(2).any(|w| w[0] != w[1]) {
-        return Err(fail(
-            "two-level",
-            format!("two-level counters changed with p at a fixed block grid: {measured:?}"),
+        if measured.windows(2).any(|w| w[0] != w[1]) {
+            return Err(err(format!("counters changed with p at a fixed block grid: {measured:?}")));
+        }
+        let (ea, eb, ec) = measured[0];
+        report.lines.push(format!(
+            "{label}: measured == analytic, element-exact, p-invariant over p={CORE_COUNTS:?}: \
+             A {ea}, B {eb} (ring; adjacency bound {}), C-updates {ec} (one-level total floor {})",
+            adj.b_loads,
+            one_level.total()
         ));
     }
-    let (ea, eb, ec) = measured[0];
-    report.lines.push(format!(
-        "two-level ({ko}x{no} outer tiles) measured == analytic, element-exact, \
-         p-invariant over p={CORE_COUNTS:?}: A {ea}, B {eb}, C-updates {ec} \
-         (one-level total floor {})",
-        one_level.total()
-    ));
     Ok(())
 }
 
@@ -340,8 +252,8 @@ fn check_simulator(report: &mut ConformanceReport) -> Result<(), String> {
     let (m, k, n) = (48usize, 24usize, 48usize);
     let (bm, bk, bn) = (16usize, 8usize, 16usize);
     let params = TrafficParams { m, k, n, bm, bk, bn };
-    let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    let adj = dram_traffic(KFirstSchedule::new(grid, m, n), params, CResidency::HoldInLlc);
+    let schedule = Schedule::k_first(params.grid(), m, n);
+    let adj = dram_traffic(schedule, params, CResidency::HoldInLlc, 1);
     let analytic_bytes = (adj.a_loads + adj.b_loads + adj.c_final_writes * wa) * 4;
     for &p in &CORE_COUNTS {
         let sp = SimParams::new(m, k, n, p);
@@ -400,7 +312,6 @@ fn check_simulator(report: &mut ConformanceReport) -> Result<(), String> {
 pub fn run() -> Result<ConformanceReport, String> {
     let mut report = ConformanceReport::default();
     check_measured_traffic(&mut report)?;
-    check_two_level_traffic(&mut report)?;
     check_closed_forms(&mut report)?;
     check_simulator(&mut report)?;
     Ok(report)

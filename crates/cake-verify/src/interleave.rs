@@ -52,7 +52,7 @@ use std::collections::HashSet;
 
 use cake_core::panel::{PanelAction, PanelCache};
 use cake_kernels::pack::split_range;
-use cake_core::schedule::{BlockCoord, BlockGrid, KFirstSchedule, OuterLoop};
+use cake_core::schedule::{BlockCoord, BlockGrid, Schedule};
 
 /// Protocol mutation injected into the generated programs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,10 +90,8 @@ pub enum BarrierModel {
 pub struct InterleaveSpec {
     /// Worker (virtual thread) count.
     pub p: usize,
-    /// Block grid driven through the K-first snake schedule.
-    pub grid: BlockGrid,
-    /// Outer loop direction of the snake.
-    pub outer: OuterLoop,
+    /// Block order the workers run.
+    pub schedule: Schedule,
     /// B-panel slivers per panel (cooperative pack granularity; worker `w`
     /// owns the contiguous `split_range(slivers, p, w)` run, mirroring the
     /// executor).
@@ -461,7 +459,7 @@ pub fn explore_programs_with(
 /// Explore every interleaving of the spec's worker programs.
 pub fn explore(spec: &InterleaveSpec) -> InterleaveReport {
     assert!(spec.p >= 1 && spec.ring >= 2 && spec.slivers >= 1 && spec.pn >= 1);
-    let coords: Vec<BlockCoord> = KFirstSchedule::with_outer(spec.grid, spec.outer).collect();
+    let coords: Vec<BlockCoord> = spec.schedule.collect();
     let (info, rotate_hits, b_packs) =
         ring_decisions(&coords, spec.ring, spec.mutant == Mutant::EvictLive);
     let progs = build_programs(spec, &info);
@@ -490,11 +488,12 @@ impl SuiteReport {
     }
 }
 
+/// Faithful-protocol spec over the executor's order on `grid`, read as a
+/// problem of unit blocks (`m = mb`, `n = nb`).
 fn base_spec(p: usize, grid: BlockGrid) -> InterleaveSpec {
     InterleaveSpec {
         p,
-        grid,
-        outer: OuterLoop::NOuter,
+        schedule: Schedule::k_first(grid, grid.mb, grid.nb),
         slivers: p.max(2),
         ring: 2,
         pn: 1,
@@ -757,26 +756,38 @@ mod tests {
         use cake_core::workspace::GemmWorkspace;
         use cake_matrix::{init, Matrix};
 
-        // 16x16x8 with block 8x8x8: grid 2x2x1 — same geometry as the
-        // reversal spec. The model's replay and the executor's measured
-        // panel-cache hits must agree.
-        let (m, k, n) = (16usize, 16usize, 8usize);
-        let a = init::random::<f32>(m, k, 1);
-        let b = init::random::<f32>(k, n, 2);
-        let mut c = Matrix::<f32>::zeros(m, n);
+        // 16x16x8 with block 8x8x8: grid 2x2x1, the reversal spec's
+        // geometry. 16x32x8 with 2x1 outer tiles: grid 2x4x1 cut into two
+        // K tiles, each a snake reversal of its own. The model's replay of
+        // the executor's schedule and the executor's measured panel-cache
+        // hits must agree.
         let shape = CbBlockShape::fixed(2, 4, 8, 8);
-        let pool = ThreadPool::new(2);
-        let ukr = cake_kernels::best_kernel::<f32>();
-        let mut ws = GemmWorkspace::new();
-        let stats =
-            execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
+        let cases =
+            [((16usize, 16usize, 8usize), shape), ((16, 32, 8), shape.with_outer_tiles(2, 1))];
+        for ((m, k, n), shape) in cases {
+            let a = init::random::<f32>(m, k, 1);
+            let b = init::random::<f32>(k, n, 2);
+            let mut c = Matrix::<f32>::zeros(m, n);
+            let pool = ThreadPool::new(2);
+            let ukr = cake_kernels::best_kernel::<f32>();
+            let mut ws = GemmWorkspace::new();
+            let stats = execute_with_stats_in(
+                &a.view(),
+                &b.view(),
+                &mut c.view_mut(),
+                &shape,
+                &ukr,
+                &pool,
+                &mut ws,
+            );
 
-        let grid = BlockGrid::for_problem(m, k, n, 8, 8, 8);
-        // The executor picks its outer loop from (m, n): m > n => MOuter.
-        let coords: Vec<BlockCoord> = KFirstSchedule::new(grid, m, n).collect();
-        let (_, rotate_hits, _) = ring_decisions(&coords, 2, false);
-        assert_eq!(rotate_hits, stats.b_panel_hits, "model replay diverged from executor");
-        assert!(rotate_hits >= 1);
+            let schedule = Schedule::for_shape(m, k, n, &shape);
+            let coords: Vec<BlockCoord> = schedule.collect();
+            let ring = cake_core::ring_depth(schedule.grid().kb);
+            let (_, rotate_hits, _) = ring_decisions(&coords, ring, false);
+            assert_eq!(rotate_hits, stats.b_panel_hits, "{shape}: model replay diverged");
+            assert!(rotate_hits >= 1, "{shape}");
+        }
     }
 
     #[test]

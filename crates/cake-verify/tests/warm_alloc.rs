@@ -14,9 +14,15 @@
 //! runs the job on the caller thread with no cross-thread channel traffic
 //! (multi-worker pools heap-allocate one channel node per broadcast, which
 //! is pool bookkeeping, not GEMM warm-path work).
+//!
+//! The counter is per thread: the test harness runs these tests on
+//! parallel threads, and a process-global count would charge one test
+//! with another's allocations. Because the inline pool runs the whole
+//! GEMM on the calling thread, the per-thread count sees every allocation
+//! the call makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
@@ -30,25 +36,39 @@ use cake_matrix::{init, Bf16, Matrix};
 /// under test is "no fresh allocation", not "no traffic".
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised with no
+    /// destructor, so touching it never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` keeps a late allocation during thread teardown from
+    // panicking inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation verbatim to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,7 +99,7 @@ fn steady_state_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
         execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let stats = execute_with_stats_in(
         &a.view(),
         &b.view(),
@@ -89,7 +109,7 @@ fn steady_state_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
         &pool,
         &mut ws,
     );
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    let delta = allocs() - before;
     assert_eq!(stats.allocations, 0, "workspace must be steady after warmup");
     delta
 }
@@ -130,9 +150,9 @@ fn warm_path_performs_zero_allocations_bf16() {
 /// four zero-assertions above would pass vacuously.
 #[test]
 fn counting_allocator_observes_allocations() {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let v: Vec<u64> = Vec::with_capacity(64);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     drop(v);
     assert!(after > before, "Vec::with_capacity(64) must hit the global allocator");
 }

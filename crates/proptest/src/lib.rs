@@ -56,7 +56,7 @@ pub mod sample {
     }
 }
 
-/// The [`Strategy`] trait and the built-in strategies.
+/// The [`Strategy`](strategy::Strategy) trait and the built-in strategies.
 pub mod strategy {
     use crate::test_runner::TestRng;
     use std::marker::PhantomData;

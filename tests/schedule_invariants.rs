@@ -1,6 +1,6 @@
 //! Schedule and traffic invariants across crates (paper Sections 2.2, 4.1).
 
-use cake::core::schedule::{shared_surfaces, BlockGrid, KFirstSchedule, OuterLoop};
+use cake::core::schedule::{shared_surfaces, BlockCoord, BlockGrid, Dim, Schedule};
 use cake::core::shape::CbBlockShape;
 use cake::core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake::goto::model::goto_dram_traffic;
@@ -17,9 +17,10 @@ proptest! {
     fn schedule_covers_once_and_shares_one_surface(
         mb in 1usize..7, kb in 1usize..7, nb in 1usize..7, m_outer in any::<bool>(),
     ) {
-        let outer = if m_outer { OuterLoop::MOuter } else { OuterLoop::NOuter };
+        // M outer when m > n, N outer otherwise.
+        let (m, n) = if m_outer { (2, 1) } else { (1, 1) };
         let grid = BlockGrid { mb, kb, nb };
-        let blocks: Vec<_> = KFirstSchedule::with_outer(grid, outer).collect();
+        let blocks: Vec<_> = Schedule::k_first(grid, m, n).collect();
         prop_assert_eq!(blocks.len(), mb * kb * nb);
         let unique: HashSet<_> = blocks.iter().copied().collect();
         prop_assert_eq!(unique.len(), blocks.len());
@@ -38,8 +39,7 @@ proptest! {
         bn in prop::sample::select(vec![8usize, 16, 32]),
     ) {
         let tp = TrafficParams { m, k, n, bm, bk, bn };
-        let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-        let t = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::HoldInLlc);
+        let t = dram_traffic(Schedule::k_first(tp.grid(), m, n), tp, CResidency::HoldInLlc, 1);
         prop_assert_eq!(t.c_partial_writes, 0);
         prop_assert_eq!(t.c_partial_reads, 0);
         prop_assert_eq!(t.c_final_writes, (m * n) as u64);
@@ -57,8 +57,7 @@ proptest! {
         let mc = 16usize;
         let goto = goto_dram_traffic(m, k, n, &GotoParams::fixed(p, mc, mc, 4 * mc));
         let tp = TrafficParams { m, k, n, bm: p * mc, bk: mc, bn: 4 * mc };
-        let grid = BlockGrid::for_problem(m, k, n, tp.bm, tp.bk, tp.bn);
-        let cake = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::HoldInLlc);
+        let cake = dram_traffic(Schedule::k_first(tp.grid(), m, n), tp, CResidency::HoldInLlc, 1);
         prop_assert!(
             cake.total() <= goto.total(),
             "cake {} > goto {}", cake.total(), goto.total()
@@ -72,9 +71,9 @@ proptest! {
     ) {
         let (bm, bk, bn) = (16usize, 16usize, 16usize);
         let tp = TrafficParams { m, k, n, bm, bk, bn };
-        let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-        let hold = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::HoldInLlc);
-        let stream = dram_traffic(KFirstSchedule::new(grid, m, n), tp, CResidency::StreamToDram);
+        let schedule = Schedule::k_first(tp.grid(), m, n);
+        let hold = dram_traffic(schedule, tp, CResidency::HoldInLlc, 1);
+        let stream = dram_traffic(schedule, tp, CResidency::StreamToDram, 1);
         let kb = k.div_ceil(bk) as u64;
         prop_assert_eq!(
             stream.c_total() - hold.c_total(),
@@ -82,19 +81,21 @@ proptest! {
         );
     }
 
-    /// Snaking (Algorithm 2) never loads more input data than the
-    /// non-snaking variant, and strictly less when a flip boundary exists.
+    /// Snaking (Algorithm 2) never loads more input data than plain nested
+    /// loops, and strictly less when a flip boundary exists.
     #[test]
     fn snaking_dominates_naive_traversal(
         mb in 1usize..6, kb in 2usize..6, nb in 2usize..6,
     ) {
         let (b, m, k, n) = (16usize, mb * 16, kb * 16, nb * 16);
         let tp = TrafficParams { m, k, n, bm: b, bk: b, bn: b };
-        let grid = BlockGrid::for_problem(m, k, n, b, b, b);
-        let snake = dram_traffic(
-            KFirstSchedule::with_outer(grid, OuterLoop::NOuter), tp, CResidency::HoldInLlc);
-        let naive = dram_traffic(
-            KFirstSchedule::without_snaking(grid, OuterLoop::NOuter), tp, CResidency::HoldInLlc);
+        let order = [Dim::N, Dim::M, Dim::K];
+        let snake = dram_traffic(Schedule::new(tp.grid(), order), tp, CResidency::HoldInLlc, 1);
+        // Same block set and loop order, every loop restarting at 0.
+        let plain = (0..nb).flat_map(|n| {
+            (0..mb).flat_map(move |m| (0..kb).map(move |k| BlockCoord { m, k, n }))
+        });
+        let naive = dram_traffic(plain, tp, CResidency::HoldInLlc, 1);
         let s_in = snake.a_loads + snake.b_loads;
         let n_in = naive.a_loads + naive.b_loads;
         prop_assert!(s_in <= n_in);
@@ -125,5 +126,5 @@ fn block_counts_match_grid_dimensions() {
     assert_eq!(grid.mb, 4);
     assert_eq!(grid.kb, 6);
     assert_eq!(grid.nb, 4);
-    assert_eq!(KFirstSchedule::new(grid, 100, 80).count(), 96);
+    assert_eq!(Schedule::k_first(grid, 100, 80).count(), 96);
 }

@@ -7,7 +7,7 @@
 //! GB/s number, so the gates survive retuning of CPU constants.
 
 use cake::core::model::CakeModel;
-use cake::core::schedule::{BlockGrid, KFirstSchedule};
+use cake::core::schedule::Schedule;
 use cake::core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake::goto::model::GotoModel;
 use cake::goto::params::GotoParams;
@@ -180,8 +180,7 @@ fn sweep_traffic_equals_closed_form_tally_on_all_table2_cpus() {
                 bk: shape.k_block(),
                 bn: shape.n_block(),
             };
-            let grid = BlockGrid::for_problem(n, n, n, tp.bm, tp.bk, tp.bn);
-            let t = dram_traffic(KFirstSchedule::new(grid, n, n), tp, CResidency::HoldInLlc);
+            let t = dram_traffic(Schedule::k_first(tp.grid(), n, n), tp, CResidency::HoldInLlc, 1);
             let closed = (t.a_loads + t.b_loads + t.c_final_writes * wa) * 4;
             assert_eq!(
                 rep.dram_bytes, closed,
