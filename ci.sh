@@ -253,6 +253,12 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+# The benchmark of record is an example, which `cargo test --workspace`
+# only builds: run its unit tests (Freivalds check, part minima, self-time
+# arithmetic, quantiles) explicitly, in the release profile it runs in.
+echo "==> benchmark unit tests (examples/bench)"
+cargo test --release --example bench -q
+
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! which is the per-layer MM the paper's intro refers to. [`im2col`]
-//! builds the patch matrix; [`direct_conv`] is the quadruple-loop
-//! reference the tests verify the GEMM path against.
+//! builds the patch matrix ([`im2col_padded`] with a chosen padding
+//! value); [`direct_conv`] is the quadruple-loop reference the tests
+//! verify the GEMM path against.
 
 use cake_matrix::{Element, Matrix};
 
@@ -53,25 +54,59 @@ impl ConvGeom {
     }
 }
 
-/// Build the `(C_in*KH*KW) x (OH*OW)` patch matrix for `input`.
+/// Build the `(C_in*KH*KW) x (OH*OW)` patch matrix for `input`, with
+/// zeros in the padding taps.
 pub fn im2col<T: Element>(input: &Tensor<T>, geom: &ConvGeom) -> Matrix<T> {
-    let (cin, h, w) = (input.channels(), input.height(), input.width());
+    im2col_padded(input, geom, T::ZERO)
+}
+
+/// Build the patch matrix of [`im2col`] with `pad` in the padding taps.
+///
+/// Row `(c, dy, dx)` of the patch matrix is, for each output row `oy`,
+/// one run of `OW` taps along input row `oy*stride + dy - pad` of channel
+/// `c`. Each run is copied in one go from the channel-major input: its
+/// in-bounds middle is a contiguous copy at stride 1 and a strided
+/// gather otherwise, and the taps left and right of it, or the whole run
+/// when the input row falls in the padding, are filled with `pad`. The
+/// quantized path passes the activation zero-point, which is what a zero
+/// quantizes to.
+pub fn im2col_padded<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
+    let (h, w) = (input.height(), input.width());
     let (oh, ow) = geom.out_dims(h, w);
-    let rows = cin * geom.kh * geom.kw;
-    Matrix::from_fn(rows, oh * ow, |r, col| {
-        let c = r / (geom.kh * geom.kw);
-        let dy = (r / geom.kw) % geom.kh;
-        let dx = r % geom.kw;
-        let oy = col / ow;
-        let ox = col % ow;
-        let iy = (oy * geom.stride + dy) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + dx) as isize - geom.pad as isize;
-        if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-            T::ZERO
-        } else {
-            input.get(c, iy as usize, ix as usize)
+    let (kh, kw, s, p) = (geom.kh, geom.kw, geom.stride, geom.pad);
+    let src = input.as_slice();
+    let mut out = Matrix::zeros(input.channels() * kh * kw, oh * ow);
+    for (r, tap) in out.as_mut_slice().chunks_exact_mut(oh * ow).enumerate() {
+        let (c, dy, dx) = (r / (kh * kw), (r / kw) % kh, r % kw);
+        let plane = &src[c * h * w..(c + 1) * h * w];
+        // Output columns whose input column `ox*s + dx - p` lies in
+        // `[0, w)`: from ceil((p - dx) / s) up to ceil((w + p - dx) / s).
+        let x1 = (w + p).saturating_sub(dx).div_ceil(s).min(ow);
+        let x0 = p.saturating_sub(dx).div_ceil(s).min(x1);
+        for (oy, run) in tap.chunks_exact_mut(ow).enumerate() {
+            let Some(iy) = (oy * s + dy).checked_sub(p).filter(|&iy| iy < h) else {
+                run.fill(pad);
+                continue;
+            };
+            let (left, rest) = run.split_at_mut(x0);
+            let (mid, right) = rest.split_at_mut(x1 - x0);
+            left.fill(pad);
+            right.fill(pad);
+            if mid.is_empty() {
+                continue;
+            }
+            // x0 is unclamped here, so x0*s + dx >= p.
+            let row = &plane[iy * w + x0 * s + dx - p..(iy + 1) * w];
+            if s == 1 {
+                mid.copy_from_slice(&row[..mid.len()]);
+            } else {
+                for (d, &v) in mid.iter_mut().zip(row.iter().step_by(s)) {
+                    *d = v;
+                }
+            }
         }
-    })
+    }
+    out
 }
 
 /// Direct (quadruple-loop) convolution reference:
@@ -133,6 +168,25 @@ mod tests {
             &cake_core::api::CakeConfig::with_threads(1),
         );
         Tensor::from_matrix(y, oh, ow)
+    }
+
+    /// The per-element lowering `im2col_padded` replaces: every patch
+    /// entry computed from its own `(row, col)` index.
+    fn im2col_reference<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
+        let (cin, h, w) = (input.channels(), input.height(), input.width());
+        let (oh, ow) = geom.out_dims(h, w);
+        Matrix::from_fn(cin * geom.kh * geom.kw, oh * ow, |r, col| {
+            let c = r / (geom.kh * geom.kw);
+            let dy = (r / geom.kw) % geom.kh;
+            let dx = r % geom.kw;
+            let iy = ((col / ow) * geom.stride + dy) as isize - geom.pad as isize;
+            let ix = ((col % ow) * geom.stride + dx) as isize - geom.pad as isize;
+            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
+                pad
+            } else {
+                input.get(c, iy as usize, ix as usize)
+            }
+        })
     }
 
     #[test]
@@ -205,6 +259,33 @@ mod tests {
     #[should_panic(expected = "larger than padded")]
     fn oversized_kernel_rejected() {
         let _ = ConvGeom::square(9, 1, 0).out_dims(4, 4);
+    }
+
+    proptest! {
+        #[test]
+        fn row_runs_match_per_element_lowering(
+            cin in 1usize..4,
+            h in 1usize..12,
+            w in 1usize..12,
+            kh in 1usize..6,
+            kw in 1usize..6,
+            stride in 1usize..5,
+            pad in 0usize..4,
+            seed in 0u64..500,
+        ) {
+            // Kernels wider than the padded input are rejected by
+            // out_dims, so only lower geometries that fit.
+            let geom = ConvGeom { kh, kw, stride, pad };
+            if h + 2 * pad >= kh && w + 2 * pad >= kw {
+                let input = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed), h, w);
+                let fast = im2col_padded(&input, &geom, -7.5);
+                let slow = im2col_reference(&input, &geom, -7.5);
+                prop_assert_eq!(fast.as_slice(), slow.as_slice());
+                let input8 = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
+                let fast8 = im2col_padded(&input8, &geom, 3);
+                prop_assert_eq!(fast8.as_slice(), im2col_reference(&input8, &geom, 3).as_slice());
+            }
+        }
     }
 
     proptest! {

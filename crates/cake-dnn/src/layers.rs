@@ -106,12 +106,10 @@ impl Layer for Conv2d {
         // audit: cold output accumulator, allocated per layer by contract
         let mut y = Matrix::<f32>::zeros(self.out_ch, oh * ow);
         ctx.gemm(&self.weights, &patches, &mut y);
-        if !self.bias.is_empty() {
-            for co in 0..self.out_ch {
-                let b = self.bias[co];
-                for i in 0..oh * ow {
-                    y.set(co, i, y.get(co, i) + b);
-                }
+        // out_dims guarantees oh, ow >= 1, so the chunks are non-empty.
+        for (row, &b) in y.as_mut_slice().chunks_exact_mut(oh * ow).zip(&self.bias) {
+            for v in row {
+                *v += b;
             }
         }
         // audit: cold output tensor wrap, allocated per layer by contract
@@ -137,11 +135,11 @@ impl Layer for ReLU {
     }
 
     fn forward(&self, _ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.as_matrix_mut().as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+        let mut out = Tensor::zeros(input.channels(), input.height(), input.width());
+        let dst = out.as_matrix_mut().as_mut_slice();
+        for (d, &v) in dst.iter_mut().zip(input.as_slice()) {
+            // NaN and -0.0 pass through unchanged.
+            *d = if v < 0.0 { 0.0 } else { v };
         }
         out
     }
@@ -166,15 +164,23 @@ impl Layer for MaxPool2d {
     fn forward(&self, _ctx: &CakeGemm, input: &Tensor) -> Tensor {
         let (c, h, w) = (input.channels(), input.height(), input.width());
         let (oh, ow) = (h / 2, w / 2);
-        Tensor::from_fn(c, oh, ow, |ch, y, x| {
-            let mut m = f32::NEG_INFINITY;
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    m = m.max(input.get(ch, 2 * y + dy, 2 * x + dx));
+        let mut out = Tensor::zeros(c, oh, ow);
+        if out.is_empty() {
+            return out;
+        }
+        let planes = input.as_slice().chunks_exact(h * w);
+        let out_planes = out.as_matrix_mut().as_mut_slice().chunks_exact_mut(oh * ow);
+        for (plane, out_plane) in planes.zip(out_planes) {
+            for (y, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+                // Row pair 2y, 2y+1, cut to the 2*ow columns a window reads.
+                let top = plane[2 * y * w..][..2 * ow].chunks_exact(2);
+                let bottom = plane[(2 * y + 1) * w..][..2 * ow].chunks_exact(2);
+                for (o, (t, b)) in out_row.iter_mut().zip(top.zip(bottom)) {
+                    *o = f32::NEG_INFINITY.max(t[0]).max(t[1]).max(b[0]).max(b[1]);
                 }
             }
-            m
-        })
+        }
+        out
     }
 
     fn flops(&self, _c: usize, _h: usize, _w: usize) -> u64 {

@@ -6,9 +6,23 @@
 //! itself runs entirely in int8 operands with i32 accumulation through the
 //! same [`CakeGemm`] context — and therefore the same persistent
 //! [`GemmWorkspace`](cake_core::workspace::GemmWorkspace) pools — as the
-//! f32 layers, so warm quantized passes are allocation-free too.
+//! f32 layers, so a warm quantized GEMM is allocation-free. The layer
+//! buffers around it (int8 input, patch matrix, i32 accumulator, f32
+//! output) are allocated per layer on every pass, as in the f32 layers.
 //!
-//! Requantization applies the zero-point correction exactly:
+//! [`QuantConv2d`] runs four steps, each one pass over its data:
+//!
+//! 1. quantize the `C_in x H x W` input tensor once
+//!    ([`quantize_activations`]; the range is taken over the whole
+//!    tensor, which equals the range over the patch matrix whenever every
+//!    input pixel is read by some patch);
+//! 2. lower the int8 tensor to its patch matrix with the zero-point in the
+//!    padding taps ([`im2col_padded`]) — a zero quantizes to exactly the
+//!    zero-point, so this equals quantizing the f32 patch matrix, at 1/4
+//!    of the bytes and 1/(KH*KW) of the quantizer work;
+//! 3. the int8 GEMM into an i32 accumulator;
+//! 4. requantize and add the bias in one row-wise pass, with the row's
+//!    scale and zero-point correction hoisted:
 //!
 //! ```text
 //! y[o][j] = s_w[o] * s_x * (acc[o][j] - z_x * rowsum(wq[o])) + bias[o]
@@ -22,7 +36,7 @@
 use cake_core::api::CakeGemm;
 use cake_matrix::Matrix;
 
-use crate::im2col::{im2col, ConvGeom};
+use crate::im2col::{im2col_padded, ConvGeom};
 use crate::layers::Layer;
 use crate::tensor::Tensor;
 
@@ -72,27 +86,82 @@ pub struct ActQuant {
     pub zero_point: i32,
 }
 
+/// Lanes of the range reduction: independent min/max chains the compiler
+/// keeps in vector registers, instead of one serial dependency chain.
+const LANES: usize = 16;
+
+/// `(min(x, 0), max(x, 0))` with NaN ignored, as a fold of `f32::min` /
+/// `f32::max` from zero gives.
+fn zero_inclusive_range(x: &[f32]) -> (f32, f32) {
+    let (mut lo, mut hi) = ([0.0f32; LANES], [0.0f32; LANES]);
+    let mut chunks = x.chunks_exact(LANES);
+    // A NaN compares false and leaves its lane unchanged.
+    for chunk in &mut chunks {
+        for i in 0..LANES {
+            let v = chunk[i];
+            lo[i] = if v < lo[i] { v } else { lo[i] };
+            hi[i] = if v > hi[i] { v } else { hi[i] };
+        }
+    }
+    for (i, &v) in chunks.remainder().iter().enumerate() {
+        lo[i] = if v < lo[i] { v } else { lo[i] };
+        hi[i] = if v > hi[i] { v } else { hi[i] };
+    }
+    let lo = lo.into_iter().fold(0.0, |a, v| if v < a { v } else { a });
+    let hi = hi.into_iter().fold(0.0, |a, v| if v > a { v } else { a });
+    (lo, hi)
+}
+
+/// `1.5 * 2^23`: adding it to an `f32` of magnitude at most `2^22` rounds
+/// that value to the nearest integer (ties to even), and the integer is
+/// the difference of the sum's bits from this constant's bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `clamp(round(v / scale) + zero_point, -128, 127)`, with `f32::round`'s
+/// ties away from zero and NaN mapped to 0, as the `as i8` cast of the
+/// f32 formula gives. Written with float adds, compares and bit casts
+/// only — no branch, libm call or saturating conversion — so a loop over
+/// it vectorizes.
+#[inline(always)]
+fn quantize(v: f32, scale: f32, zero_point: i32) -> i8 {
+    let t = v / scale;
+    let nan = t.is_nan();
+    // Beyond ±256 the result saturates for every zero-point in
+    // [-128, 127]; inside, the rounding below is exact.
+    let c = if nan { 0.0 } else { t.clamp(-256.0, 256.0) };
+    let biased = c + ROUND_MAGIC;
+    let even = biased - ROUND_MAGIC;
+    // `c - even` is exact; ±0.5 marks a tie that went to the even
+    // neighbour toward zero, which rounding away from zero moves by one.
+    let tie = c - even;
+    let away = i32::from(tie == 0.5 && c > 0.0) - i32::from(tie == -0.5 && c < 0.0);
+    let rounded = (biased.to_bits() as i32 - ROUND_MAGIC.to_bits() as i32) + away;
+    let q = (rounded + zero_point).clamp(-128, 127) as i8;
+    if nan {
+        0
+    } else {
+        q
+    }
+}
+
 /// Quantize an f32 activation matrix to int8 with a per-tensor affine
-/// mapping of `[min(x, 0), max(x, 0)]` onto `[-128, 127]`. Including zero
-/// in the range guarantees zero is exactly representable — padding and
-/// post-ReLU zeros survive quantization bit-exactly.
+/// mapping of `[min(x, 0), max(x, 0)]` onto `[-128, 127]` (NaN entries are
+/// left out of the range and quantize to 0). Including zero in the range
+/// guarantees zero is exactly representable — padding and post-ReLU zeros
+/// survive quantization bit-exactly. The result has the layout of `x`.
 // audit: cold activation quantization staging, allocates the int8 activation buffer
 pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
-    let (mut lo, mut hi) = (0.0f32, 0.0f32);
-    for &v in x.as_slice() {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+    let (lo, hi) = zero_inclusive_range(x.as_slice());
+    let mut q = Matrix::zeros_with_layout(x.rows(), x.cols(), x.layout());
     let range = hi - lo;
     if range == 0.0 {
-        return (Matrix::zeros(x.rows(), x.cols()), ActQuant { scale: 1.0, zero_point: 0 });
+        return (q, ActQuant { scale: 1.0, zero_point: 0 });
     }
     let scale = range / 255.0;
     let zero_point = (-128.0 - lo / scale).round().clamp(-128.0, 127.0) as i32;
-    let q = Matrix::from_fn(x.rows(), x.cols(), |i, j| {
-        let v = (x.get(i, j) / scale).round() + zero_point as f32;
-        v.clamp(-128.0, 127.0) as i8
-    });
+    for (d, &v) in q.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *d = quantize(v, scale, zero_point);
+    }
     (q, ActQuant { scale, zero_point })
 }
 
@@ -111,14 +180,21 @@ fn quant_gemm_requant(
     let mut acc = Matrix::<i32>::zeros(m, n);
     ctx.gemm(&wq.q, xq, &mut acc);
     // audit: cold requantized output matrix, allocated per layer by contract
-    Matrix::from_fn(m, n, |o, j| {
-        let corrected = acc.get(o, j) - aq.zero_point * wq.row_sums[o];
-        let y = wq.scales[o] * aq.scale * corrected as f32;
-        y + bias.get(o).copied().unwrap_or(0.0)
-    })
+    let mut y = Matrix::<f32>::zeros(m, n);
+    let rows = y.as_mut_slice().chunks_exact_mut(n).zip(acc.as_slice().chunks_exact(n));
+    for (o, (y_row, acc_row)) in rows.enumerate() {
+        let scale = wq.scales[o] * aq.scale;
+        let correction = aq.zero_point * wq.row_sums[o];
+        let b = bias.get(o).copied().unwrap_or(0.0);
+        for (y, &a) in y_row.iter_mut().zip(acc_row) {
+            *y = scale * (a - correction) as f32 + b;
+        }
+    }
+    y
 }
 
-/// Int8-quantized 2D convolution: im2col + int8 CAKE GEMM + requantize.
+/// Int8-quantized 2D convolution: quantize the input, lower it with the
+/// zero-point as padding, int8 CAKE GEMM, fused requantize.
 pub struct QuantConv2d {
     name: String,
     weights: QuantizedWeights,
@@ -169,11 +245,15 @@ impl Layer for QuantConv2d {
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
         assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
+        let (h, w) = (input.height(), input.width());
+        let (xq, aq) = quantize_activations(input.as_matrix());
+        // audit: cold quantized input tensor wrap, allocated per layer by contract
+        let xq = Tensor::from_matrix(xq, h, w);
+        // zero_point is clamped to [-128, 127], so the cast is exact.
         // audit: cold im2col patch buffer, allocated per layer by contract
-        let patches = im2col(input, &self.geom);
-        let (xq, aq) = quantize_activations(&patches);
-        let (oh, ow) = self.geom.out_dims(input.height(), input.width());
-        let y = quant_gemm_requant(ctx, &self.weights, &xq, aq, &self.bias);
+        let patches = im2col_padded(&xq, &self.geom, aq.zero_point as i8);
+        let (oh, ow) = self.geom.out_dims(h, w);
+        let y = quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias);
         // audit: cold output tensor wrap, allocated per layer by contract
         Tensor::from_matrix(y, oh, ow)
     }
@@ -287,6 +367,59 @@ mod tests {
             for j in 0..5 {
                 let back = aq.scale * (q.get(i, j) as i32 - aq.zero_point) as f32;
                 assert!((back - x.get(i, j)).abs() <= aq.scale * 0.5 + 1e-5);
+            }
+        }
+    }
+
+    /// The per-element quantizer formula `quantize` replaces.
+    fn quantize_reference(v: f32, scale: f32, zero_point: i32) -> i8 {
+        let v = (v / scale).round() + zero_point as f32;
+        v.clamp(-128.0, 127.0) as i8
+    }
+
+    #[test]
+    fn quantizer_matches_round_formula_bit_for_bit() {
+        // Every 9973rd bit pattern (all classes: NaN, ±inf, ±0,
+        // subnormals, huge), then exact ties k + 0.5 and their neighbours
+        // one ulp either side.
+        let mut values: Vec<f32> =
+            (0..=u32::MAX / 9973).map(|i| f32::from_bits(i * 9973)).collect();
+        for k in -300..300 {
+            let tie = (k as f32 + 0.5) * 0.25;
+            let (up, down) = (tie.to_bits() + 1, tie.to_bits() - 1);
+            values.extend([tie, f32::from_bits(up), f32::from_bits(down)]);
+        }
+        values.extend([0.0, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        for scale in [0.25f32, 7.3e-3, 1.0, 1e-30, 3e30] {
+            for zp in [-128, -3, 0, 1, 127] {
+                for &v in &values {
+                    assert_eq!(
+                        quantize(v, scale, zp),
+                        quantize_reference(v, scale, zp),
+                        "v = {v:e} ({:#x}), scale = {scale:e}, zp = {zp}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_range_matches_serial_min_max_fold() {
+        // Lengths around the lane count, NaN anywhere, ±0 and one-signed
+        // data (the range always includes 0).
+        for len in [0usize, 1, 15, 16, 17, 33, 100] {
+            for shift in [-3.0f32, 0.5, 2.0] {
+                let x: Vec<f32> = (0..len)
+                    .map(|i| match i % 11 {
+                        3 => f32::NAN,
+                        5 => -0.0,
+                        _ => ((i * 37) % 23) as f32 * 0.5 + shift,
+                    })
+                    .collect();
+                let lo = x.iter().fold(0.0f32, |a, &v| a.min(v));
+                let hi = x.iter().fold(0.0f32, |a, &v| a.max(v));
+                assert_eq!(zero_inclusive_range(&x), (lo, hi), "len {len}, shift {shift}");
             }
         }
     }

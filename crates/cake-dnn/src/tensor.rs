@@ -3,7 +3,7 @@
 //! Backed by a `channels x (h*w)` row-major matrix — exactly the layout
 //! im2col and the GEMM layers consume, so no reshapes ever copy data.
 
-use cake_matrix::{Element, Matrix};
+use cake_matrix::{Element, Layout, Matrix};
 
 /// A 3D feature map stored as `channels x (h * w)`.
 pub struct Tensor<T = f32> {
@@ -28,13 +28,19 @@ impl<T: Element> Tensor<T> {
         Self { data, h, w }
     }
 
-    /// Wrap an existing `c x (h*w)` matrix.
+    /// Wrap an existing `c x (h*w)` matrix. A column-major matrix is
+    /// copied to row-major, so the elements are always channel-major
+    /// (see [`Self::as_slice`]).
     ///
     /// # Panics
     /// Panics if `matrix.cols() != h * w`.
     pub fn from_matrix(matrix: Matrix<T>, h: usize, w: usize) -> Self {
         assert_eq!(matrix.cols(), h * w, "matrix cols must equal h*w");
-        Self { data: matrix, h, w }
+        let data = match matrix.layout() {
+            Layout::RowMajor => matrix,
+            Layout::ColMajor => matrix.to_layout(Layout::RowMajor),
+        };
+        Self { data, h, w }
     }
 
     /// Channels.
@@ -72,6 +78,17 @@ impl<T: Element> Tensor<T> {
     pub fn set(&mut self, c: usize, y: usize, x: usize, v: T) {
         assert!(y < self.h && x < self.w, "spatial index out of bounds");
         self.data.set(c, y * self.w + x, v);
+    }
+
+    /// The elements in channel-major order: channel `c` is the
+    /// contiguous row-major `h x w` plane `[c*h*w, (c+1)*h*w)`.
+    ///
+    /// # Panics
+    /// Panics if the backing matrix was replaced through
+    /// [`Self::as_matrix_mut`] by a column-major one.
+    pub fn as_slice(&self) -> &[T] {
+        assert_eq!(self.data.layout(), Layout::RowMajor, "tensor storage must be row-major");
+        self.data.as_slice()
     }
 
     /// The backing `channels x (h*w)` matrix.
@@ -137,6 +154,14 @@ mod tests {
         let m = t.clone().into_matrix();
         let back = Tensor::from_matrix(m, 2, 2);
         assert_eq!(back.get(2, 1, 1), 4.0);
+    }
+
+    #[test]
+    fn column_major_matrix_is_stored_channel_major() {
+        let rm = cake_matrix::init::sequential::<f32>(2, 6);
+        let t = Tensor::from_matrix(rm.to_layout(Layout::ColMajor), 2, 3);
+        assert_eq!(t.as_slice(), rm.as_slice());
+        assert_eq!(t.get(1, 1, 2), rm.get(1, 5));
     }
 
     #[test]

@@ -278,6 +278,37 @@ pub fn pack_a<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
     }
 }
 
+/// Pack the full slivers of a row-major (`col_stride == 1`) `B` view,
+/// sliver by sliver: each sliver is written front to back, one `nr`-wide
+/// copy per k-row. `NR` is `nr` as a constant for the registered kernel
+/// widths, so each copy is a fixed-width move instead of a `memcpy` call;
+/// `NR = 0` takes the width from `nr`. Returns the number of full slivers
+/// packed; the tail sliver is left to the caller.
+///
+/// Writing each sliver contiguously matters for narrow dtypes: a packed
+/// k-row of an int8 sliver is only 16 bytes, and the slivers of a panel
+/// are `nr * kc` elements apart — exactly 4 KiB at `kc = 256` — so a
+/// k-row-major order across slivers sends every write to the same L1 set.
+fn pack_b_full_slivers<T: Element, const NR: usize>(
+    src: &MatrixView<'_, T>,
+    dst: &mut [T],
+    nr: usize,
+) -> usize {
+    let nr = if NR == 0 { nr } else { NR };
+    let (kc, full) = (src.rows(), src.cols() / nr);
+    for t in 0..full {
+        let base = b_sliver_offset(t, kc, nr);
+        // audit: bounds pack_b_sliver_tail
+        let sliver = &mut dst[base..base + nr * kc];
+        for (k, out) in sliver.chunks_exact_mut(nr).enumerate() {
+            if let Some(row) = src.contiguous_row(k, t * nr, nr) {
+                out.copy_from_slice(row);
+            }
+        }
+    }
+    full
+}
+
 /// Pack a `kc x nc` view of `B` into `dst`.
 ///
 /// # Panics
@@ -289,15 +320,24 @@ pub fn pack_b<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     // audit: cold buffer-size precondition, once per pack call before the sliver loop
     assert!(dst.len() >= need, "packed B buffer too small: {} < {need}", dst.len());
     let slivers = if nc == 0 { 0 } else { nc.div_ceil(nr) };
-    for t in 0..slivers {
+    // Row-major B: full slivers with the registered kernel widths as
+    // constants.
+    let full = match (src.col_stride(), nr) {
+        (1, 8) => pack_b_full_slivers::<T, 8>(src, dst, nr),
+        (1, 16) => pack_b_full_slivers::<T, 16>(src, dst, nr),
+        (1, 32) => pack_b_full_slivers::<T, 32>(src, dst, nr),
+        (1, _) => pack_b_full_slivers::<T, 0>(src, dst, nr),
+        _ => 0,
+    };
+    for t in full..slivers {
         let col0 = t * nr;
         let live = nr.min(nc - col0);
         let base = b_sliver_offset(t, kc, nr);
         // audit: bounds pack_b_sliver_tail
         let sliv = &mut dst[base..base + nr * kc];
         if src.col_stride() == 1 {
-            // Row-major B: the `nr` columns of one k are contiguous —
-            // exactly one packed-B sliver row, a straight memcpy.
+            // Row-major B tail sliver: the `live` columns of one k are
+            // contiguous — one packed-B sliver row, a straight memcpy.
             for k in 0..kc {
                 // Pull the row PF_DIST k's ahead while this one copies.
                 if let Some(ahead) = src.contiguous_row((k + PF_DIST).min(kc - 1), col0, live) {
@@ -528,16 +568,49 @@ mod tests {
         }
     }
 
+    /// `m` placed at row 1, column 3 of a larger matrix: the returned
+    /// matrix's `.view().sub(1, 3, rows, cols)` is `m` with a row stride
+    /// past its width, the way the executor hands over B panels.
+    fn embedded<T: Element>(m: &Matrix<T>) -> Matrix<T> {
+        let (rows, cols) = (m.rows(), m.cols());
+        Matrix::from_fn(rows + 2, cols + 5, |i, j| {
+            if (1..=rows).contains(&i) && (3..cols + 3).contains(&j) {
+                m.get(i - 1, j - 3)
+            } else {
+                T::ONE
+            }
+        })
+    }
+
+    /// Pack `rm` row-major (full-sliver path plus the tail sliver), as a
+    /// strided sub-view (same paths, row stride past the width) and
+    /// column-major (strided element path); all three must agree and
+    /// unpack back to `rm`.
+    fn check_pack_b_paths<T: Element>(rm: &Matrix<T>, nr: usize) {
+        let (kc, nc) = (rm.rows(), rm.cols());
+        let cm = rm.to_layout(cake_matrix::Layout::ColMajor);
+        let wide = embedded(rm);
+        let size = packed_b_size(kc, nc, nr);
+        let (mut fast, mut sub, mut slow) =
+            (vec![-T::ONE; size], vec![-T::ONE; size], vec![-T::ONE; size]);
+        pack_b(&rm.view(), &mut fast, nr);
+        pack_b(&wide.view().sub(1, 3, kc, nc), &mut sub, nr);
+        pack_b(&cm.view(), &mut slow, nr);
+        assert_eq!(fast, slow, "{kc}x{nc} nr={nr}: B fast path diverged");
+        assert_eq!(sub, slow, "{kc}x{nc} nr={nr}: B sub-view path diverged");
+        assert_eq!(unpack_b(&fast, kc, nc, nr), rm.as_slice(), "{kc}x{nc} nr={nr}");
+    }
+
     #[test]
     fn pack_b_fast_path_matches_strided_paths() {
-        let rm = init::random::<f64>(7, 21, 6);
-        let cm = rm.to_layout(cake_matrix::Layout::ColMajor);
-        for nr in [1usize, 4, 8, 16] {
-            let size = packed_b_size(7, 21, nr);
-            let (mut fast, mut slow) = (vec![-1.0; size], vec![-1.0; size]);
-            pack_b(&rm.view(), &mut fast, nr); // contiguous_row fast path
-            pack_b(&cm.view(), &mut slow, nr); // strided element path
-            assert_eq!(fast, slow, "nr={nr}: B fast path diverged");
+        // nr covers the registered widths (8/16/32, fixed-width copies)
+        // and others (1, 4); nc % nr != 0 adds a tail sliver.
+        for (kc, nc) in [(7, 21), (300, 70), (1, 32), (33, 16)] {
+            for nr in [1usize, 4, 8, 16, 32] {
+                check_pack_b_paths(&init::random::<f64>(kc, nc, 6), nr);
+                check_pack_b_paths(&init::random::<f32>(kc, nc, 7), nr);
+            }
+            check_pack_b_paths(&init::random_i8(kc, nc, 8), 16);
         }
     }
 
@@ -571,14 +644,24 @@ mod tests {
 
         #[test]
         fn pack_b_unpack_identity(
-            kc in 1usize..40,
-            nc in 1usize..40,
-            nr in prop::sample::select(vec![1usize, 4, 8, 16]),
+            kc in 1usize..300,
+            nc in 1usize..80,
+            nr in prop::sample::select(vec![1usize, 4, 8, 16, 32]),
+            sub in any::<bool>(),
         ) {
             let m = init::random::<f64>(kc, nc, 7);
+            let wide = embedded(&m);
+            let src = if sub { wide.view().sub(1, 3, kc, nc) } else { m.view() };
             let mut buf = vec![0.0; packed_b_size(kc, nc, nr)];
-            pack_b(&m.view(), &mut buf, nr);
+            pack_b(&src, &mut buf, nr);
             prop_assert_eq!(unpack_b(&buf, kc, nc, nr), m.as_slice().to_vec());
+
+            let m8 = init::random_i8(kc, nc, 7);
+            let wide8 = embedded(&m8);
+            let src8 = if sub { wide8.view().sub(1, 3, kc, nc) } else { m8.view() };
+            let mut buf8 = vec![0i8; packed_b_size(kc, nc, 16)];
+            pack_b(&src8, &mut buf8, 16);
+            prop_assert_eq!(unpack_b(&buf8, kc, nc, 16), m8.as_slice().to_vec());
         }
     }
 }
