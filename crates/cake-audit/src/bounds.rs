@@ -317,7 +317,8 @@ pub fn sites() -> Vec<Site> {
         // ---- pipelined executor (cake-core/src/executor.rs) ----
         Site {
             name: "exec_pb_sliver_write",
-            place: "cake-core/src/executor.rs: pack_b_coop pb_base.add(t*nr*kl), len nr*kl",
+            place: "cake-core/src/executor.rs: pack_b_coop pb_base.add(start*nr*kl), \
+                    len (end-start)*nr*kl for a share start..end <= ceil(nl/nr)",
             need: v("nl").ceil_div(v("nr")).times(v("nr")).times(v("kl")),
             cap: packed_size(v("nc"), "nr", v("kc")),
             ranges: vec![("nl", 1, 4), ("nc", 1, 4), ("kl", 1, 3), ("kc", 1, 3), small("nr")],

@@ -6,17 +6,19 @@
 //! fill an oversized destination with NaN, run the real `pack_a`/`pack_b`,
 //! and require that *every* index below the model's `need` was written
 //! (zero padding included) and *no* index at or above it was — on random
-//! draws of the extents, via the in-tree proptest shim. If a pack loop ever
-//! drifts from the model (an off-by-one tail, a sliver stride change), the
-//! agreement breaks here even though the symbolic proof still "passes" on
-//! the stale model.
+//! draws of the extents up to the production tile widths (`mr <= 16`,
+//! `nr <= 32`, several 16-row k-blocks) and of the source layout, via the
+//! in-tree proptest shim. If a pack loop ever drifts from the model (an
+//! off-by-one tail, a sliver stride change, a store past the last packed
+//! column), the agreement breaks here even though the symbolic proof still
+//! "passes" on the stale model.
 
 use std::collections::BTreeMap;
 
 use cake_audit::bounds::sites;
 use cake_audit::interval::Expr;
 use cake_kernels::pack::{pack_a, pack_b, packed_a_size, packed_b_size};
-use cake_matrix::init;
+use cake_matrix::{init, Layout, Matrix, MatrixView};
 use proptest::prelude::*;
 
 /// Slack elements appended past the model's `cap` so an overrun lands on a
@@ -51,6 +53,27 @@ fn check_touched(need: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
     }
 }
 
+/// Run `f` on `m` seen through source layout `layout`: 0 row-major, 1
+/// column-major, 2 a sub-view of a wider row-major matrix (row stride past
+/// the width, as the executor hands over blocks).
+fn with_layout(m: &Matrix<f32>, layout: usize, f: impl FnOnce(&MatrixView<'_, f32>)) {
+    let (rows, cols) = (m.rows(), m.cols());
+    match layout {
+        0 => f(&m.view()),
+        1 => f(&m.to_layout(Layout::ColMajor).view()),
+        _ => {
+            let wide = Matrix::from_fn(rows + 2, cols + 5, |i, j| {
+                if (1..=rows).contains(&i) && (3..cols + 3).contains(&j) {
+                    m.get(i - 1, j - 3)
+                } else {
+                    1.0
+                }
+            });
+            f(&wide.view().sub(1, 3, rows, cols));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -59,8 +82,9 @@ proptest! {
     #[test]
     fn pack_a_matches_interval_model(
         ml in 1usize..40,
-        kl in 1usize..24,
-        mr in 1usize..12,
+        kl in 1usize..64,
+        mr in 1usize..=16,
+        layout in 0usize..3,
         seed in 0u64..1024,
     ) {
         let (need_e, cap_e) = site_exprs("pack_a_sliver_tail");
@@ -69,16 +93,17 @@ proptest! {
         let cap = eval(&cap_e, &env);
         prop_assert_eq!(cap, packed_a_size(ml, kl, mr), "model cap vs real sizing");
         let a = init::random::<f32>(ml, kl, seed);
-        check_touched(need, cap, |dst| pack_a(&a.view(), dst, mr));
+        check_touched(need, cap, |dst| with_layout(&a, layout, |v| pack_a(v, dst, mr)));
     }
 
     /// `pack_b` touches exactly `[0, need)` of its destination, where
     /// `need` is the `pack_b_sliver_tail` site's model expression.
     #[test]
     fn pack_b_matches_interval_model(
-        nl in 1usize..40,
-        kl in 1usize..24,
-        nr in 1usize..12,
+        nl in 1usize..80,
+        kl in 1usize..64,
+        nr in 1usize..=32,
+        layout in 0usize..3,
         seed in 0u64..1024,
     ) {
         let (need_e, cap_e) = site_exprs("pack_b_sliver_tail");
@@ -87,7 +112,7 @@ proptest! {
         let cap = eval(&cap_e, &env);
         prop_assert_eq!(cap, packed_b_size(kl, nl, nr), "model cap vs real sizing");
         let b = init::random::<f32>(kl, nl, seed);
-        check_touched(need, cap, |dst| pack_b(&b.view(), dst, nr));
+        check_touched(need, cap, |dst| with_layout(&b, layout, |v| pack_b(v, dst, nr)));
     }
 }
 

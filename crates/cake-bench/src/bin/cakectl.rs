@@ -140,9 +140,20 @@ fn opt_usize(key: &str, default: usize) -> usize {
     arg_value(key).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// `--p`, defaulting to `default`; a zero worker count exits 2 instead of
+/// reaching the shape derivation's `p > 0` assertion.
+fn opt_workers(default: usize) -> usize {
+    let p = opt_usize("--p", default);
+    if p == 0 {
+        eprintln!("--p must be at least 1");
+        std::process::exit(2);
+    }
+    p
+}
+
 fn cmd_shape() {
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
-    let p = opt_usize("--p", cpu.cores);
+    let p = opt_workers(cpu.cores);
     let mut sp = SimParams::new(
         opt_usize("--m", 1 << 20),
         opt_usize("--k", 1 << 20),
@@ -150,6 +161,10 @@ fn cmd_shape() {
         p,
     );
     sp.alpha = arg_value("--alpha").and_then(|v| v.parse().ok());
+    if let Some(alpha) = sp.alpha.filter(|a: &f64| a.is_nan() || *a < 1.0) {
+        eprintln!("--alpha must be at least 1 (got {alpha})");
+        std::process::exit(2);
+    }
     let shape = resolve_cake_shape(&cpu, &sp);
     let model = CakeModel::with_mac_rate(
         shape,
@@ -175,7 +190,7 @@ fn cmd_shape() {
 fn cmd_sim() {
     use cake_sim::engine::{check_ordering_invariance, simulate_traced, Algo, SimOptions};
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
-    let p = opt_usize("--p", cpu.cores);
+    let p = opt_workers(cpu.cores);
     let sp = SimParams::new(req_usize("--m"), req_usize("--k"), req_usize("--n"), p);
     let algo = match arg_value("--algo").unwrap_or_else(|| "cake".into()).as_str() {
         "cake" => Algo::Cake,
@@ -222,7 +237,7 @@ fn cmd_sim() {
 
 fn cmd_search() {
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
-    let p = opt_usize("--p", cpu.cores);
+    let p = opt_workers(cpu.cores);
     let n = req_usize("--n");
     let steps = opt_usize("--steps", 5);
     if steps < 2 {
@@ -292,7 +307,7 @@ fn cmd_tune() {
         );
         std::process::exit(2);
     }
-    let p = opt_usize("--p", 1);
+    let p = opt_workers(1);
     let dtype = arg_value("--dtype").unwrap_or_else(|| "f32".into());
     let opts = TuneOptions {
         top_k: opt_usize("--top-k", 4),

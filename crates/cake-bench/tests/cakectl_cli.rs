@@ -32,3 +32,20 @@ fn traffic_prints_the_k_first_tally() {
     assert!(stdout.contains("C final writes   :             64 elements"), "{stdout}");
     assert!(stdout.contains("C partial writes :              0 elements"), "{stdout}");
 }
+
+#[test]
+fn zero_workers_and_sub_unit_alpha_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["shape", "--p", "0"], "--p must be at least 1"),
+        (&["sim", "--p", "0", "--m", "64", "--k", "64", "--n", "64"], "--p must be at least 1"),
+        (&["search", "--p", "0", "--n", "64"], "--p must be at least 1"),
+        (&["tune", "--m", "64", "--k", "64", "--n", "64", "--p", "0"], "--p must be at least 1"),
+        (&["shape", "--alpha", "0.5"], "--alpha must be at least 1"),
+    ];
+    for (args, msg) in cases {
+        let out = cakectl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+    }
+}

@@ -453,7 +453,11 @@ pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
     c: &mut Matrix<T>,
     cfg: &CakeConfig,
 ) {
-    if beta != T::ONE {
+    // BLAS reads no C when `beta = 0`: overwrite instead of scaling, so a
+    // NaN or Inf already in C does not survive as `NaN * 0`.
+    if beta == T::ZERO {
+        c.as_mut_slice().fill(T::ZERO);
+    } else if beta != T::ONE {
         for v in c.as_mut_slice() {
             *v = *v * beta;
         }
@@ -894,7 +898,7 @@ mod tests {
         cake_gemm_scaled(2.5f32, &a, &b, -0.5, &mut c, &cfg);
         assert_gemm_eq(&c, &expected, k);
 
-        // beta = 0 zeroes out prior contents even with NaN-free guarantees.
+        // beta = 0 replaces prior contents with A*B.
         let mut c = c0.clone();
         cake_gemm_scaled(1.0f32, &a, &b, 0.0, &mut c, &cfg);
         assert_gemm_eq(&c, &ab, k);
@@ -904,5 +908,31 @@ mod tests {
         cake_gemm_scaled(0.0f32, &a, &b, 2.0, &mut c, &cfg);
         let doubled = Matrix::from_fn(m, n, |i, j| 2.0 * c0.get(i, j));
         assert_gemm_eq(&c, &doubled, 1);
+    }
+
+    /// `beta = 0` must not read C: a C filled with NaN or Inf comes back as
+    /// exactly `alpha * A * B`, for both float dtypes and both the
+    /// `alpha = 1` and the general path.
+    fn beta_zero_ignores_c<T: Element + KernelSelect<Acc = T> + From<f32>>() {
+        let (m, k, n) = (9, 7, 11);
+        let a = init::random::<T>(m, k, 41);
+        let b = init::random::<T>(k, n, 42);
+        let cfg = CakeConfig::with_threads(1);
+        let ab = naive(&a, &b);
+        for alpha in [1.0f32, 2.5] {
+            let alpha = T::from(alpha);
+            let expected = Matrix::from_fn(m, n, |i, j| alpha * ab.get(i, j));
+            for fill in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut c = Matrix::from_fn(m, n, |_, _| T::from(fill));
+                cake_gemm_scaled(alpha, &a, &b, T::ZERO, &mut c, &cfg);
+                assert_gemm_eq(&c, &expected, k);
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_scaled_beta_zero_ignores_nan_and_inf_in_c() {
+        beta_zero_ignores_c::<f32>();
+        beta_zero_ignores_c::<f64>();
     }
 }

@@ -19,10 +19,11 @@
 //!   (the requested p that shaped the block) may be larger; the executor
 //!   partitions any block across any pool and reports both in
 //!   [`ExecStats`].
-//! * The `kc x nc` B panel is packed cooperatively (each worker packs a
-//!   balanced *contiguous* run of `nr`-column slivers, split by actual
-//!   sliver count) into one shared buffer — the LLC-resident surface that
-//!   is "broadcast" to all cores.
+//! * The `kc x nc` B panel is packed cooperatively into one shared buffer
+//!   — the LLC-resident surface that is "broadcast" to all cores. Each
+//!   worker packs a balanced *contiguous* run of `nr`-column slivers,
+//!   split by actual sliver count, with one `pack_b` call, which walks the
+//!   run's slivers a block of k-rows at a time.
 //! * Partial C results are accumulated **in place** in the output matrix
 //!   across the whole K run — never written early and re-read, which is
 //!   precisely the IO the paper eliminates relative to GOTO.
@@ -392,34 +393,40 @@ pub fn execute_with_stats_in<T: Dtype>(
         };
 
         // Cooperatively pack this worker's contiguous share of block `g`'s
-        // B slivers into the panel at `pb_base`. The share is balanced by
-        // *actual* sliver count ([`split_range`]): a tail block with few
-        // slivers still spreads across all workers instead of landing on
-        // whichever indices happen to be below the count, and contiguous
-        // slivers mean each worker streams one dense region of the panel.
-        // Workers carve disjoint raw sub-slices out of the shared buffer:
-        // no two `&mut` regions ever overlap. Pack ownership stays 1D over
-        // all `p` workers regardless of the 2D compute grid, so the audit
-        // pack protocol and the pack counters are partition-invariant.
+        // B slivers into the panel at `pb_base`, with one `pack_b` call over
+        // the share's columns. The share is balanced by *actual* sliver
+        // count ([`split_range`]): a tail block with few slivers still
+        // spreads across all workers instead of landing on whichever
+        // indices happen to be below the count. A share starts on a sliver
+        // boundary, so packing its columns as a panel of their own yields
+        // exactly the panel's slivers `start..end`, which sit at element
+        // `start * nr * kl`; one call lets `pack_b` walk all of them a
+        // block of k-rows at a time. Workers carve disjoint raw sub-slices out of the shared
+        // buffer: no two `&mut` regions ever overlap. Pack ownership stays
+        // 1D over all `p` workers regardless of the 2D compute grid, so the
+        // audit pack protocol and the pack counters are partition-invariant.
         let pack_b_coop = |g: &Blk, pb_base: *mut T| {
-            let nslivers = g.nl.div_ceil(nr);
-            let mut loaded = 0usize;
-            for t in split_range(nslivers, p, wid) {
-                let col0 = g.n0 + t * nr;
-                let live = nr.min(g.n0 + g.nl - col0);
-                // Mirrors the `exec_pb_sliver_write` interval proof in
-                // cake-audit: the sliver end never passes the panel end.
-                debug_assert!((t + 1) * nr * g.kl <= pb_len);
-                // SAFETY: sliver t occupies [t*nr*kl, (t+1)*nr*kl), within
-                // capacity since t < nslivers <= bn/nr and kl <= bk; sliver
-                // ranges of distinct t are disjoint and each t has one owner.
-                let sliver: &mut [T] = unsafe {
-                    std::slice::from_raw_parts_mut(pb_base.add(t * nr * g.kl), nr * g.kl)
-                };
-                pack_b(&b.sub(g.k0, col0, g.kl, live), sliver, nr);
-                loaded += g.kl * live;
+            let share = split_range(g.nl.div_ceil(nr), p, wid);
+            if share.is_empty() {
+                return;
             }
-            tally.add_b(loaded);
+            let col0 = share.start * nr;
+            let cols = (share.end * nr).min(g.nl) - col0;
+            // Mirrors the `exec_pb_sliver_write` interval proof in
+            // cake-audit: the share's end never passes the panel end.
+            debug_assert!(share.end * nr * g.kl <= pb_len);
+            // SAFETY: the share's slivers occupy
+            // [start*nr*kl, end*nr*kl), within capacity since
+            // end <= ceil(nl/nr) <= bn/nr and kl <= bk; the shares of
+            // distinct workers are disjoint ranges of sliver indices.
+            let dst: &mut [T] = unsafe {
+                std::slice::from_raw_parts_mut(
+                    pb_base.add(col0 * g.kl),
+                    share.len() * nr * g.kl,
+                )
+            };
+            pack_b(&b.sub(g.k0, g.n0 + col0, g.kl, cols), dst, nr);
+            tally.add_b(g.kl * cols);
         };
 
         // This worker's cell of block `g` under the 2D worker grid

@@ -115,6 +115,86 @@ mod bytetile {
     }
 }
 
+/// AVX-512 16x16 transpose of 4-byte elements for the row-major A path.
+/// The scalar transpose-scatter stores one element per op, so f32 A packed
+/// at about half the host's copy rate; this tile retires 256 elements
+/// with 16 loads, 64 shuffles and 16 stores. Selected at run time from
+/// `avx512f` ([`dword_tile_available`]); compiled out under Miri, which
+/// does not model these intrinsics.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod dwordtile {
+    use core::arch::x86_64::*;
+
+    /// Transpose one 16x16 tile of 4-byte elements into `mr`-wide packed
+    /// columns: `rows[i]` holds elements `k0..k0+16` of logical row `i`;
+    /// afterwards `dst[k * mr + i]` holds `rows[i][k]` for `k < 16` and
+    /// `i < live`, and 0 for `live <= i < mr`. Each column is one store
+    /// masked to its `mr` lanes, so nothing outside `dst[..16 * mr]` is
+    /// written.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F. `live <= mr <= 16`; each `rows[i]`
+    /// with `i < live` must be readable for 16 elements of 4 bytes (the
+    /// rest are not read); `dst` must be writable for `16 * mr` elements
+    /// of 4 bytes and not overlap any row.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn transpose_16x16(rows: &[*const i32; 16], live: usize, dst: *mut i32, mr: usize) {
+        // SAFETY: the caller guarantees AVX-512F, 16 readable elements per
+        // live row and 16 * mr writable elements at dst; loadu/storeu are
+        // alignment-free and the masked store touches only its mr lanes.
+        unsafe {
+            let mut r = [_mm512_setzero_si512(); 16];
+            for (i, v) in r.iter_mut().enumerate().take(live) {
+                *v = _mm512_loadu_si512(rows[i].cast());
+            }
+            // Within each 128-bit lane: pairs of rows interleave to 2x2
+            // blocks, then pairs of those to 4x4 blocks, so u[4g + j]
+            // holds, in lane L, column 4L + j of rows 4g..4g+4.
+            let mut u = [_mm512_setzero_si512(); 16];
+            for g in 0..4 {
+                let (a, b, c, d) = (r[4 * g], r[4 * g + 1], r[4 * g + 2], r[4 * g + 3]);
+                let (ab_lo, ab_hi) = (_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b));
+                let (cd_lo, cd_hi) = (_mm512_unpacklo_epi32(c, d), _mm512_unpackhi_epi32(c, d));
+                u[4 * g] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+                u[4 * g + 1] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+                u[4 * g + 2] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+                u[4 * g + 3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+            }
+            // Two 128-bit lane shuffles gather column j's four row
+            // quarters: 0x88 takes lanes 0 and 2 of each source, 0xdd
+            // lanes 1 and 3.
+            let mask: __mmask16 = ((1u32 << mr) - 1) as __mmask16;
+            for j in 0..4 {
+                let lo_top = _mm512_shuffle_i32x4::<0x88>(u[j], u[4 + j]);
+                let hi_top = _mm512_shuffle_i32x4::<0xdd>(u[j], u[4 + j]);
+                let lo_bot = _mm512_shuffle_i32x4::<0x88>(u[8 + j], u[12 + j]);
+                let hi_bot = _mm512_shuffle_i32x4::<0xdd>(u[8 + j], u[12 + j]);
+                let cols = [
+                    (j, _mm512_shuffle_i32x4::<0x88>(lo_top, lo_bot)),
+                    (j + 4, _mm512_shuffle_i32x4::<0x88>(hi_top, hi_bot)),
+                    (j + 8, _mm512_shuffle_i32x4::<0xdd>(lo_top, lo_bot)),
+                    (j + 12, _mm512_shuffle_i32x4::<0xdd>(hi_top, hi_bot)),
+                ];
+                for (k, col) in cols {
+                    _mm512_mask_storeu_epi32(dst.add(k * mr), mask, col);
+                }
+            }
+        }
+    }
+}
+
+/// Whether the row-major A path may use the AVX-512 dword tile: 4-byte
+/// elements, slivers of at most 16 rows, and an `avx512f` host.
+#[inline]
+fn dword_tile_available<T: Element>(mr: usize) -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::mem::size_of::<T>() == 4 && mr <= 16 {
+        return is_x86_feature_detected!("avx512f");
+    }
+    let _ = mr;
+    false
+}
+
 /// Elements needed to pack an `mc x kc` block of `A` with sliver height `mr`.
 pub fn packed_a_size(mc: usize, kc: usize, mr: usize) -> usize {
     if mc == 0 || kc == 0 {
@@ -179,6 +259,7 @@ pub fn pack_a<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
     // audit: cold buffer-size precondition, once per pack call before the sliver loop
     assert!(dst.len() >= need, "packed A buffer too small: {} < {need}", dst.len());
     let slivers = if mc == 0 { 0 } else { mc.div_ceil(mr) };
+    let dword_tile = dword_tile_available::<T>(mr);
     for s in 0..slivers {
         let row0 = s * mr;
         let live = mr.min(mc - row0);
@@ -205,63 +286,10 @@ pub fn pack_a<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
             }
         } else if src.col_stride() == 1 {
             // Row-major A: each source row is contiguous along k, so the
-            // sliver is an `live x kc` transpose.
-            #[cfg(target_arch = "x86_64")]
-            if std::mem::size_of::<T>() == 1 && mr == 16 && live == 16 {
-                // Full sliver of a 1-byte dtype: 16x16 SIMD byte-tile
-                // transpose, scalar loop only for the kc % 16 tail.
-                let rows: [*const u8; 16] = std::array::from_fn(|i| {
-                    src.contiguous_row(row0 + i, 0, kc)
-                        // audit: checked guarded by the col_stride == 1 branch above
-                        .expect("unit col stride")
-                        .as_ptr()
-                        .cast()
-                });
-                let dst8 = sliv.as_mut_ptr().cast::<u8>();
-                let ktiles = kc / 16;
-                for kt in 0..ktiles {
-                    // SAFETY: every row has kc >= kt*16 + 16 readable
-                    // bytes; the destination tile dst8[kt*256..][..256] is
-                    // inside the mr*kc sliver (kt*16 + 16 <= kc columns of
-                    // 16 bytes); `sliv` and `src` never alias (distinct
-                    // allocations).
-                    unsafe {
-                        // audit: checked from_fn gives i < 16 = rows.len()
-                        let tile: [*const u8; 16] = std::array::from_fn(|i| rows[i].add(kt * 16));
-                        bytetile::transpose_16x16(&tile, dst8.add(kt * 256));
-                    }
-                }
-                for k in ktiles * 16..kc {
-                    for (i, &row) in rows.iter().enumerate() {
-                        // SAFETY: k < kc bounds the row read; the write
-                        // lands at element k*16 + i < kc*16 of the sliver.
-                        unsafe { *dst8.add(k * 16 + i) = *row.add(k) };
-                    }
-                }
-                continue;
-            }
-            // Stream each row once with an `mr`-strided scatter instead
-            // of per-element 2-D indexing.
-            for i in 0..live {
-                // Pull the head of the next source row while this one streams.
-                if i + 1 < live {
-                    if let Some(ahead) = src.contiguous_row(row0 + i + 1, 0, kc) {
-                        prefetch_read(ahead, 0);
-                    }
-                }
-                // audit: checked guarded by the col_stride == 1 branch above
-                let row = src.contiguous_row(row0 + i, 0, kc).expect("unit col stride");
-                for (k, &v) in row.iter().enumerate() {
-                    // audit: checked k < kc and i < live <= mr stay inside the mr*kc sliver
-                    sliv[k * mr + i] = v;
-                }
-            }
-            if live < mr {
-                for k in 0..kc {
-                    // audit: checked live < mr branch keeps k*mr+live..(k+1)*mr inside the sliver
-                    sliv[k * mr + live..(k + 1) * mr].fill(T::ZERO);
-                }
-            }
+            // sliver is an `live x kc` transpose: SIMD tiles for the whole
+            // 16-column steps, the scalar scatter for the rest.
+            let tiled = transpose_tiles(src, sliv, row0, live, mr, dword_tile);
+            scatter_rows(src, sliv, row0, live, mr, tiled);
         } else {
             // General strided view: element-wise gather.
             for k in 0..kc {
@@ -278,17 +306,136 @@ pub fn pack_a<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
     }
 }
 
-/// Pack the full slivers of a row-major (`col_stride == 1`) `B` view,
-/// sliver by sliver: each sliver is written front to back, one `nr`-wide
-/// copy per k-row. `NR` is `nr` as a constant for the registered kernel
-/// widths, so each copy is a fixed-width move instead of a `memcpy` call;
-/// `NR = 0` takes the width from `nr`. Returns the number of full slivers
-/// packed; the tail sliver is left to the caller.
+/// Transpose the leading whole 16-column steps of a row-major A sliver
+/// (rows `row0..row0 + live` of `src`) into `sliv` with a SIMD tile, and
+/// return how many k columns were packed: `kc` rounded down to 16, or 0
+/// when no tile applies. Two tiles exist on x86_64: the SSE2 byte tile
+/// for full 16-row slivers of 1-byte dtypes, and, when `dword_tile` is
+/// set ([`dword_tile_available`]), the AVX-512 tile for 4-byte dtypes,
+/// which also writes the zero rows of an edge sliver.
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
+fn transpose_tiles<T: Element>(
+    src: &MatrixView<'_, T>,
+    sliv: &mut [T],
+    row0: usize,
+    live: usize,
+    mr: usize,
+    dword_tile: bool,
+) -> usize {
+    let kc = src.cols();
+    let ktiles = kc / 16;
+    // One slice per sliver row; rows past `live` stay empty and are never
+    // read. The tiles' pointer arithmetic rests on the checks below, so a
+    // source without unit column stride, a short sliver or a sliver
+    // taller than a tile falls back to the scalar scatter.
+    let rows: [&[T]; 16] = std::array::from_fn(|i| {
+        if i < live {
+            src.contiguous_row(row0 + i, 0, kc).unwrap_or(&[])
+        } else {
+            &[]
+        }
+    });
+    if ktiles == 0
+        || live > mr
+        || mr > 16
+        || sliv.len() < mr * kc
+        || rows.iter().take(live).any(|r| r.len() != kc)
+    {
+        return 0;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::mem::size_of::<T>() == 1 && mr == 16 && live == 16 {
+        let (dst8, rows) = (sliv.as_mut_ptr().cast::<u8>(), rows.map(|r| r.as_ptr().cast::<u8>()));
+        for kt in 0..ktiles {
+            let tile = rows.map(|r| r.wrapping_add(kt * 16));
+            // SAFETY: all 16 rows are live and hold kc >= kt*16 + 16
+            // bytes; the destination tile dst8[kt*256..][..256] is inside
+            // the sliver (mr = 16, kt*16 + 16 <= kc columns of 16 bytes,
+            // sliv.len() >= mr*kc); `sliv` and `src` never alias (distinct
+            // allocations).
+            unsafe { bytetile::transpose_16x16(&tile, dst8.add(kt * 256)) };
+        }
+        return ktiles * 16;
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if dword_tile {
+        let (dst32, rows) = (sliv.as_mut_ptr().cast::<i32>(), rows.map(|r| r.as_ptr().cast::<i32>()));
+        for kt in 0..ktiles {
+            let tile = rows.map(|r| r.wrapping_add(kt * 16));
+            // SAFETY: `dword_tile` implies avx512f and 4-byte `T`, and
+            // live <= mr <= 16; each live row holds kc >= kt*16 + 16
+            // elements (empty rows are never read); the 16 packed columns
+            // dst32[kt*16*mr..][..16*mr] lie in the sliver (sliv.len() >=
+            // mr*kc), which never aliases `src` (distinct allocations).
+            unsafe { dwordtile::transpose_16x16(&tile, live, dst32.add(kt * 16 * mr), mr) };
+        }
+        return ktiles * 16;
+    }
+    0
+}
+
+/// The scalar transpose-scatter of a row-major A sliver from column `k0`
+/// on: stream each of the `live` source rows once with an `mr`-strided
+/// scatter, then zero the padding rows of an edge sliver. Packs the
+/// `kc % 16` tail after a SIMD tile, and whole slivers where no tile
+/// applies.
+fn scatter_rows<T: Element>(
+    src: &MatrixView<'_, T>,
+    sliv: &mut [T],
+    row0: usize,
+    live: usize,
+    mr: usize,
+    k0: usize,
+) {
+    let kc = src.cols();
+    if k0 == kc {
+        return;
+    }
+    for i in 0..live {
+        // Pull the head of the next source row while this one streams.
+        if i + 1 < live {
+            if let Some(ahead) = src.contiguous_row(row0 + i + 1, k0, kc - k0) {
+                prefetch_read(ahead, 0);
+            }
+        }
+        // audit: checked callers take this path only for col_stride == 1
+        let row = src.contiguous_row(row0 + i, k0, kc - k0).expect("unit col stride");
+        for (k, &v) in (k0..kc).zip(row) {
+            // audit: checked k < kc and i < live <= mr stay inside the mr*kc sliver
+            sliv[k * mr + i] = v;
+        }
+    }
+    if live < mr {
+        for k in k0..kc {
+            // audit: checked live < mr branch keeps k*mr+live..(k+1)*mr inside the sliver
+            sliv[k * mr + live..(k + 1) * mr].fill(T::ZERO);
+        }
+    }
+}
+
+/// k-rows per block of the row-major B pack order. A block reads
+/// `B_KROWS` source rows across every full sliver while their lines stay
+/// in L1, and writes `B_KROWS * nr` contiguous elements per sliver. Blocks
+/// of eight rows measured slower on int8 patch matrices, whose rows are
+/// 4096 B apart and so share one L1 set.
+const B_KROWS: usize = 16;
+
+/// Pack the full slivers of a row-major (`col_stride == 1`) `B` view in
+/// blocks of [`B_KROWS`] k-rows: for each block, visit every full sliver
+/// and copy its `nr`-wide piece of each of the block's rows. `NR` is `nr`
+/// as a constant for the registered kernel widths, so each copy is a
+/// fixed-width move instead of a `memcpy` call; `NR = 0` takes the width
+/// from `nr`. Returns the number of full slivers packed; the tail sliver
+/// is left to the caller.
 ///
-/// Writing each sliver contiguously matters for narrow dtypes: a packed
-/// k-row of an int8 sliver is only 16 bytes, and the slivers of a panel
-/// are `nr * kc` elements apart — exactly 4 KiB at `kc = 256` — so a
-/// k-row-major order across slivers sends every write to the same L1 set.
+/// The order keeps both sides streaming. Front to back per sliver, a
+/// sliver reads `nr` elements from each of `kc` source rows, so it
+/// touches `kc` pages, and the next sliver fetches the same source lines
+/// again. One k-row across all slivers sends every write of a narrow
+/// dtype to one L1 set: the slivers are `nr * kc` elements apart, exactly
+/// 4 KiB for int8 at `kc = 256`. A block of rows reads each source line
+/// once while it is in L1 and writes `B_KROWS * nr` contiguous elements
+/// per sliver.
 fn pack_b_full_slivers<T: Element, const NR: usize>(
     src: &MatrixView<'_, T>,
     dst: &mut [T],
@@ -296,13 +443,27 @@ fn pack_b_full_slivers<T: Element, const NR: usize>(
 ) -> usize {
     let nr = if NR == 0 { nr } else { NR };
     let (kc, full) = (src.rows(), src.cols() / nr);
-    for t in 0..full {
-        let base = b_sliver_offset(t, kc, nr);
-        // audit: bounds pack_b_sliver_tail
-        let sliver = &mut dst[base..base + nr * kc];
-        for (k, out) in sliver.chunks_exact_mut(nr).enumerate() {
-            if let Some(row) = src.contiguous_row(k, t * nr, nr) {
-                out.copy_from_slice(row);
+    if full == 0 {
+        return 0;
+    }
+    let width = full * nr;
+    for k0 in (0..kc).step_by(B_KROWS) {
+        let kn = B_KROWS.min(kc - k0);
+        let rows: [&[T]; B_KROWS] = std::array::from_fn(|k| {
+            if k < kn {
+                src.contiguous_row(k0 + k, 0, width).unwrap_or(&[])
+            } else {
+                &[]
+            }
+        });
+        for t in 0..full {
+            let base = b_sliver_offset(t, kc, nr) + k0 * nr;
+            // audit: bounds pack_b_sliver_tail
+            let block = &mut dst[base..base + kn * nr];
+            for (out, row) in block.chunks_exact_mut(nr).zip(&rows) {
+                if let Some(piece) = row.get(t * nr..(t + 1) * nr) {
+                    out.copy_from_slice(piece);
+                }
             }
         }
     }
@@ -532,20 +693,53 @@ mod tests {
     #[test]
     fn pack_a_fast_path_matches_strided_paths() {
         // Same logical matrix through three source layouts: row-major
-        // (row-transpose path), column-major (contiguous_col memcpy path),
-        // and a transposed row-major view (also unit row stride).
-        let rm = init::random::<f32>(13, 9, 5);
-        let cm = rm.to_layout(cake_matrix::Layout::ColMajor);
-        let tr = rm.transposed(); // 9x13 row-major; .t() view is 13x9
-        for mr in [1usize, 2, 4, 6, 8] {
-            let size = packed_a_size(13, 9, mr);
-            let (mut slow, mut fast, mut trans) =
-                (vec![-1.0; size], vec![-1.0; size], vec![-1.0; size]);
-            pack_a(&rm.view(), &mut slow, mr);
-            pack_a(&cm.view(), &mut fast, mr);
-            pack_a(&tr.view().t(), &mut trans, mr);
-            assert_eq!(slow, fast, "mr={mr}: col-major fast path diverged");
-            assert_eq!(slow, trans, "mr={mr}: transposed-view path diverged");
+        // (row-transpose path: the AVX-512 tile where available for
+        // kc >= 16, else the scalar scatter), column-major (contiguous_col
+        // memcpy path), and a transposed row-major view (also unit row
+        // stride). mr reaches the production heights 14 and 16.
+        for (mc, kc) in [(13, 9), (30, 40), (14, 64), (33, 17)] {
+            let rm = init::random::<f32>(mc, kc, 5);
+            let cm = rm.to_layout(cake_matrix::Layout::ColMajor);
+            let tr = rm.transposed(); // kc x mc row-major; .t() view is mc x kc
+            for mr in 1usize..=16 {
+                let size = packed_a_size(mc, kc, mr);
+                let (mut slow, mut fast, mut trans) =
+                    (vec![-1.0; size], vec![-1.0; size], vec![-1.0; size]);
+                pack_a(&rm.view(), &mut slow, mr);
+                pack_a(&cm.view(), &mut fast, mr);
+                pack_a(&tr.view().t(), &mut trans, mr);
+                assert_eq!(slow, fast, "{mc}x{kc} mr={mr}: col-major fast path diverged");
+                assert_eq!(slow, trans, "{mc}x{kc} mr={mr}: transposed-view path diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn dword_tile_matches_scalar_scatter() {
+        // The AVX-512 tile against the scalar scatter it replaces, on one
+        // sliver: every height mr <= 16, every live row count (edge
+        // slivers get their zero rows from the tile), k extents with and
+        // without a tail. The sliver is exactly mr*kc long with NaN
+        // sentinels behind it, so a store past its last packed column (an
+        // unmasked 16-lane store at mr < 16) shows up. On a host without
+        // AVX-512 the tile reports 0 columns and both sides are scalar.
+        const PAD: usize = 32;
+        let tiles = dword_tile_available::<f32>(16);
+        for mr in 1usize..=16 {
+            for live in 1..=mr {
+                for kc in [16usize, 17, 31, 32, 48, 57] {
+                    let a = init::random::<f32>(live, kc, (mr * 1000 + live * 100 + kc) as u64);
+                    let v = a.view();
+                    let len = mr * kc;
+                    let (mut tile, mut scalar) = (vec![f32::NAN; len + PAD], vec![f32::NAN; len + PAD]);
+                    let tiled = transpose_tiles(&v, &mut tile[..len], 0, live, mr, tiles);
+                    assert_eq!(tiled, if tiles { kc / 16 * 16 } else { 0 }, "mr={mr} kc={kc}");
+                    scatter_rows(&v, &mut tile[..len], 0, live, mr, tiled);
+                    scatter_rows(&v, &mut scalar[..len], 0, live, mr, 0);
+                    let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&tile), bits(&scalar), "mr={mr} live={live} kc={kc}");
+                }
+            }
         }
     }
 
@@ -568,12 +762,12 @@ mod tests {
         }
     }
 
-    /// `m` placed at row 1, column 3 of a larger matrix: the returned
-    /// matrix's `.view().sub(1, 3, rows, cols)` is `m` with a row stride
-    /// past its width, the way the executor hands over B panels.
-    fn embedded<T: Element>(m: &Matrix<T>) -> Matrix<T> {
+    /// `m` placed at row 1, column 3 of a larger matrix `ld >= cols + 3`
+    /// wide: the returned matrix's `.view().sub(1, 3, rows, cols)` is `m`
+    /// with row stride `ld`, the way the executor hands over B panels.
+    fn embedded<T: Element>(m: &Matrix<T>, ld: usize) -> Matrix<T> {
         let (rows, cols) = (m.rows(), m.cols());
-        Matrix::from_fn(rows + 2, cols + 5, |i, j| {
+        Matrix::from_fn(rows + 2, ld, |i, j| {
             if (1..=rows).contains(&i) && (3..cols + 3).contains(&j) {
                 m.get(i - 1, j - 3)
             } else {
@@ -589,7 +783,7 @@ mod tests {
     fn check_pack_b_paths<T: Element>(rm: &Matrix<T>, nr: usize) {
         let (kc, nc) = (rm.rows(), rm.cols());
         let cm = rm.to_layout(cake_matrix::Layout::ColMajor);
-        let wide = embedded(rm);
+        let wide = embedded(rm, nc + 5);
         let size = packed_b_size(kc, nc, nr);
         let (mut fast, mut sub, mut slow) =
             (vec![-T::ONE; size], vec![-T::ONE; size], vec![-T::ONE; size]);
@@ -614,6 +808,45 @@ mod tests {
         }
     }
 
+    /// Pack an `nl`-column panel whole, then again as `p` contiguous sliver
+    /// shares ([`split_range`]), each into its offset sub-slice with the
+    /// executor's arithmetic: columns `start*nr .. min(end*nr, nl)` at
+    /// element `start*nr*kl`. Both must agree for p = 1..=4.
+    fn check_pack_b_shares<T: Element>(m: &Matrix<T>, nr: usize, ld: usize) {
+        let (kl, nl) = (m.rows(), m.cols());
+        let wide = embedded(m, ld);
+        let src = wide.view().sub(1, 3, kl, nl);
+        let size = packed_b_size(kl, nl, nr);
+        let mut whole = vec![-T::ONE; size];
+        pack_b(&src, &mut whole, nr);
+        assert_eq!(unpack_b(&whole, kl, nl, nr), m.as_slice(), "{kl}x{nl} nr={nr}");
+        for p in 1..=4 {
+            let mut shares = vec![-T::ONE; size];
+            for wid in 0..p {
+                let share = split_range(nl.div_ceil(nr), p, wid);
+                if share.is_empty() {
+                    continue;
+                }
+                let col0 = share.start * nr;
+                let cols = (share.end * nr).min(nl) - col0;
+                let dst = &mut shares[col0 * kl..share.end * nr * kl];
+                pack_b(&src.sub(0, col0, kl, cols), dst, nr);
+            }
+            assert_eq!(shares, whole, "{kl}x{nl} nr={nr} p={p}: shares diverged");
+        }
+    }
+
+    #[test]
+    fn pack_b_shares_equal_the_whole_panel() {
+        // The executor packs each worker's sliver share with one call.
+        // Row strides of 4096 bytes, k extents past several 16-row blocks
+        // with a partial last block, and a tail sliver in every panel.
+        for kl in [1usize, 16, 40, 70] {
+            check_pack_b_shares(&init::random::<f32>(kl, 5 * 32 + 7, 11), 32, 1024);
+            check_pack_b_shares(&init::random_i8(kl, 5 * 16 + 9, 12), 16, 4096);
+        }
+    }
+
     #[test]
     fn pack_a_fast_path_on_subview() {
         // The executor packs strips via sub-views; offsets must be honoured
@@ -633,12 +866,20 @@ mod tests {
         #[test]
         fn pack_unpack_identity(
             mc in 1usize..40,
-            kc in 1usize..40,
-            mr in prop::sample::select(vec![1usize, 2, 4, 6, 8]),
+            kc in 1usize..70,
+            mr in 1usize..=16,
+            layout in 0usize..3,
         ) {
+            // Row-major, column-major and a strided sub-view source.
             let m = init::random::<f32>(mc, kc, 99);
+            let (cm, wide) = (m.to_layout(cake_matrix::Layout::ColMajor), embedded(&m, kc + 5));
+            let src = match layout {
+                0 => m.view(),
+                1 => cm.view(),
+                _ => wide.view().sub(1, 3, mc, kc),
+            };
             let mut buf = vec![0.0; packed_a_size(mc, kc, mr)];
-            pack_a(&m.view(), &mut buf, mr);
+            pack_a(&src, &mut buf, mr);
             prop_assert_eq!(unpack_a(&buf, mc, kc, mr), m.as_slice().to_vec());
         }
 
@@ -650,14 +891,14 @@ mod tests {
             sub in any::<bool>(),
         ) {
             let m = init::random::<f64>(kc, nc, 7);
-            let wide = embedded(&m);
+            let wide = embedded(&m, nc + 5);
             let src = if sub { wide.view().sub(1, 3, kc, nc) } else { m.view() };
             let mut buf = vec![0.0; packed_b_size(kc, nc, nr)];
             pack_b(&src, &mut buf, nr);
             prop_assert_eq!(unpack_b(&buf, kc, nc, nr), m.as_slice().to_vec());
 
             let m8 = init::random_i8(kc, nc, 7);
-            let wide8 = embedded(&m8);
+            let wide8 = embedded(&m8, nc + 5);
             let src8 = if sub { wide8.view().sub(1, 3, kc, nc) } else { m8.view() };
             let mut buf8 = vec![0i8; packed_b_size(kc, nc, 16)];
             pack_b(&src8, &mut buf8, 16);
