@@ -289,11 +289,17 @@ mod tests {
         assert!(!r.roots.is_empty(), "warm roots must exist in the real tree");
         assert!(r.reachable >= 10, "warm closure too small: {}", r.reachable);
         // The anchored entry points of every crate with a warm path: the
-        // CAKE executor, the GOTO comparison loop, and the dnn forward /
-        // quantized-forward paths.
-        for want in
-            ["execute_with_stats_in", "loops5.rs", "Conv2d::forward", "quant_gemm_requant"]
-        {
+        // CAKE executor, the GOTO comparison loop, the dnn forward /
+        // quantized-forward paths, and the lowered conv B packer, which the
+        // executor reaches only through the `PackB` trait (the call graph
+        // never follows cake-core into cake-dnn).
+        for want in [
+            "execute_with_stats_in",
+            "loops5.rs",
+            "Conv2d::forward",
+            "quant_gemm_requant",
+            "LoweredConv::pack_block",
+        ] {
             assert!(
                 r.roots.iter().any(|root| root.contains(want)),
                 "expected a warm root matching {want}; roots: {:?}",

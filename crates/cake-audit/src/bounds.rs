@@ -314,6 +314,23 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![],
             finite_domain: false,
         },
+        Site {
+            name: "pack_b_krow_block",
+            place: "cake-kernels/src/pack.rs pack_b_full_slivers and cake-dnn/src/im2col.rs \
+                    LoweredConv::pack_slivers: a block of kn <= kl - kb k-rows of sliver \
+                    t < ceil(nl/nr), dst[t*nr*kl + kb*nr .. t*nr*kl + (kb+kn)*nr]",
+            need: v("nl")
+                .ceil_div(v("nr"))
+                .minus(c(1))
+                .times(v("nr"))
+                .times(v("kl"))
+                .plus(v("kb").plus(v("kn")).times(v("nr"))),
+            cap: packed_size(v("nl"), "nr", v("kl")),
+            ranges: vec![("nl", 1, 7), ("nr", 1, 4), ("kl", 1, 5), ("kb", 0, 4), ("kn", 1, 5)],
+            constraint: Some(|e| e["kb"] + e["kn"] <= e["kl"]),
+            corner_subst: vec![("kn", v("kl").minus(v("kb")))],
+            finite_domain: false,
+        },
         // ---- pipelined executor (cake-core/src/executor.rs) ----
         Site {
             name: "exec_pb_sliver_write",

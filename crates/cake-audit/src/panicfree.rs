@@ -339,6 +339,15 @@ mod tests {
         assert!(r.ok(), "{}", r.violations.join("\n"));
         assert!(!r.roots.is_empty(), "hot roots must exist in the real tree");
         assert!(r.reachable >= 10, "hot closure too small: {}", r.reachable);
+        // The executor, and the lowered conv B packer it reaches only
+        // through the `PackB` trait, outside the call graph's crate edges.
+        for want in ["execute_with_stats_in", "LoweredConv::pack_block"] {
+            assert!(
+                r.roots.iter().any(|root| root.contains(want)),
+                "expected a hot root matching {want}; roots: {:?}",
+                r.roots
+            );
+        }
     }
 
     #[test]

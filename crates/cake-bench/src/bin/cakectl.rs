@@ -754,7 +754,7 @@ fn cmd_gemm() {
         return;
     }
 
-    let p = opt_usize("--p", 1);
+    let p = opt_workers(1);
     // Per-p tuned shape (paper Section 3 + the Section 4.3 LRU fit): the
     // block's M-extent grows with p, mc bounded by the cache budget.
     let llc_bytes = arg_value("--llc-mib")

@@ -13,6 +13,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use cake_kernels::pack::PackB;
 use cake_kernels::select::KernelSelect;
 use cake_matrix::{Bf16, Element, Matrix, MatrixView, MatrixViewMut};
 
@@ -370,8 +371,10 @@ impl CakeGemm {
     }
 
     /// `C += A * B` reusing this context's pool and workspace (`C` over
-    /// the accumulator type, as in [`cake_gemm`]).
-    pub fn gemm<T: KernelSelect>(&self, a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T::Acc>) {
+    /// the accumulator type, as in [`cake_gemm`]). `B` is a [`Matrix`] or
+    /// any other [`PackB`] operand, such as a convolution's patch matrix
+    /// lowered as it is packed.
+    pub fn gemm<T: KernelSelect>(&self, a: &Matrix<T>, b: &impl PackB<T>, c: &mut Matrix<T::Acc>) {
         let _ = self.gemm_with_stats(a, b, c);
     }
 
@@ -379,7 +382,7 @@ impl CakeGemm {
     pub fn gemm_with_stats<T: KernelSelect>(
         &self,
         a: &Matrix<T>,
-        b: &Matrix<T>,
+        b: &impl PackB<T>,
         c: &mut Matrix<T::Acc>,
     ) -> ExecStats {
         let ukr = self.cfg.selected_kernel::<T>();
@@ -396,7 +399,7 @@ impl CakeGemm {
             T::BYTES,
             (ukr.mr() * ukr.nr()) as f64,
         );
-        let (av, bv) = (a.view(), b.view());
+        let av = a.view();
         let mut cv = c.view_mut();
         let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
         let ws = map
@@ -405,7 +408,7 @@ impl CakeGemm {
             .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
             .downcast_mut::<GemmWorkspace<T>>()
             .expect("workspace map is keyed by element TypeId");
-        let stats = execute_with_stats_in(&av, &bv, &mut cv, &shape, &ukr, &self.pool, ws);
+        let stats = execute_with_stats_in(&av, b, &mut cv, &shape, &ukr, &self.pool, ws);
         drop(map);
         *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()) = stats;
         stats

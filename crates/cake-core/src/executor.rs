@@ -22,8 +22,11 @@
 //! * The `kc x nc` B panel is packed cooperatively into one shared buffer
 //!   — the LLC-resident surface that is "broadcast" to all cores. Each
 //!   worker packs a balanced *contiguous* run of `nr`-column slivers,
-//!   split by actual sliver count, with one `pack_b` call, which walks the
-//!   run's slivers a block of k-rows at a time.
+//!   split by actual sliver count, with one [`PackB::pack_block`] call,
+//!   which walks the run's slivers a block of k-rows at a time. B is any
+//!   [`PackB`] operand: a matrix view packs through `pack_b`, and a
+//!   convolution's patch matrix is lowered from its feature map straight
+//!   into the panel, never materialized.
 //! * Partial C results are accumulated **in place** in the output matrix
 //!   across the whole K run — never written early and re-read, which is
 //!   precisely the IO the paper eliminates relative to GOTO.
@@ -84,7 +87,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cake_kernels::edge::run_tile;
-use cake_kernels::pack::{pack_a, pack_b, split_range};
+use cake_kernels::pack::{pack_a, split_range, PackB};
 use cake_kernels::Ukr;
 use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
 
@@ -174,7 +177,9 @@ pub struct ExecStats {
     /// built with the `traffic-counters` feature; 0 otherwise.
     pub a_elems_loaded: u64,
     /// B elements actually packed from the source view (measured external
-    /// B traffic). Requires the `traffic-counters` feature; 0 otherwise.
+    /// B traffic). For a B lowered as it is packed (a convolution's patch
+    /// matrix) this counts the patch elements packed, not the feature-map
+    /// elements read. Requires the `traffic-counters` feature; 0 otherwise.
     pub b_elems_loaded: u64,
     /// C elements updated in place (one per microkernel-accumulated output
     /// element per block visit: `kb * M * N` over a full GEMM) — the
@@ -298,7 +303,8 @@ pub fn execute_in<T: Dtype>(
 }
 
 /// The pipelined CB-block executor: packs into and computes from `ws`,
-/// returning measured [`ExecStats`].
+/// returning measured [`ExecStats`]. `b` is any `K x N` [`PackB`]
+/// operand (a view, a matrix, or a B that is lowered as it is packed).
 ///
 /// This is the warm-path root: after the one `ws.prepare(..)` staging
 /// call (cold — it only allocates on first use or shape growth) the
@@ -310,7 +316,7 @@ pub fn execute_in<T: Dtype>(
 #[allow(clippy::too_many_arguments)]
 pub fn execute_with_stats_in<T: Dtype>(
     a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
+    b: &impl PackB<T>,
     c: &mut MatrixViewMut<'_, T::Acc>,
     shape: &CbBlockShape,
     ukr: &Ukr<T>,
@@ -393,16 +399,17 @@ pub fn execute_with_stats_in<T: Dtype>(
         };
 
         // Cooperatively pack this worker's contiguous share of block `g`'s
-        // B slivers into the panel at `pb_base`, with one `pack_b` call over
-        // the share's columns. The share is balanced by *actual* sliver
-        // count ([`split_range`]): a tail block with few slivers still
-        // spreads across all workers instead of landing on whichever
-        // indices happen to be below the count. A share starts on a sliver
-        // boundary, so packing its columns as a panel of their own yields
-        // exactly the panel's slivers `start..end`, which sit at element
-        // `start * nr * kl`; one call lets `pack_b` walk all of them a
-        // block of k-rows at a time. Workers carve disjoint raw sub-slices out of the shared
-        // buffer: no two `&mut` regions ever overlap. Pack ownership stays
+        // B slivers into the panel at `pb_base`, with one
+        // [`PackB::pack_block`] call over the share's columns. The share is
+        // balanced by *actual* sliver count ([`split_range`]): a tail block
+        // with few slivers still spreads across all workers instead of
+        // landing on whichever indices happen to be below the count. A
+        // share starts on a sliver boundary, so packing its columns as a
+        // panel of their own yields exactly the panel's slivers
+        // `start..end`, which sit at element `start * nr * kl`; one call
+        // lets the packer walk all of them a block of k-rows at a time.
+        // Workers carve disjoint raw sub-slices out of the shared buffer:
+        // no two `&mut` regions ever overlap. Pack ownership stays
         // 1D over all `p` workers regardless of the 2D compute grid, so the
         // audit pack protocol and the pack counters are partition-invariant.
         let pack_b_coop = |g: &Blk, pb_base: *mut T| {
@@ -425,7 +432,7 @@ pub fn execute_with_stats_in<T: Dtype>(
                     share.len() * nr * g.kl,
                 )
             };
-            pack_b(&b.sub(g.k0, g.n0 + col0, g.kl, cols), dst, nr);
+            b.pack_block(g.k0, g.n0 + col0, g.kl, cols, dst, nr);
             tally.add_b(g.kl * cols);
         };
 

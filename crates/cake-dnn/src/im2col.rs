@@ -7,11 +7,15 @@
 //! W (C_out x C_in*KH*KW)  x  patches (C_in*KH*KW x OH*OW)  =  Y (C_out x OH*OW)
 //! ```
 //!
-//! which is the per-layer MM the paper's intro refers to. [`im2col`]
-//! builds the patch matrix ([`im2col_padded`] with a chosen padding
-//! value); [`direct_conv`] is the quadruple-loop reference the tests
-//! verify the GEMM path against.
+//! which is the per-layer MM the paper's intro refers to. The conv layers
+//! never build the patch matrix: [`LoweredConv`] is the patch matrix as a
+//! [`PackB`] operand, and the executor packs each worker's share of a B
+//! panel straight from the `C x H x W` tensor. [`im2col`] materializes the
+//! same patch matrix by running that packer over the whole matrix as one
+//! sliver `OH*OW` wide, so the two lowerings cannot drift; [`direct_conv`]
+//! is the quadruple-loop reference the tests verify the GEMM path against.
 
+use cake_kernels::pack::{b_sliver_offset, packed_b_size, PackB, B_KROWS};
 use cake_matrix::{Element, Matrix};
 
 use crate::tensor::Tensor;
@@ -60,53 +64,282 @@ pub fn im2col<T: Element>(input: &Tensor<T>, geom: &ConvGeom) -> Matrix<T> {
     im2col_padded(input, geom, T::ZERO)
 }
 
-/// Build the patch matrix of [`im2col`] with `pad` in the padding taps.
+/// The patch matrix of [`im2col`] with `pad` in the padding taps: the
+/// lowered packer run over the whole matrix with one sliver `OH*OW` wide,
+/// whose packed layout is the row-major matrix.
+fn im2col_padded<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
+    let lowered = LoweredConv::new(input, geom, pad);
+    let (k, n) = (lowered.rows(), lowered.cols());
+    let mut out = Matrix::zeros(k, n);
+    lowered.pack_block(0, 0, k, n, out.as_mut_slice(), n);
+    out
+}
+
+/// Where patch row `(c, dy, dx)` reads the input, worked out once per
+/// block of k-rows and hoisted out of the sliver loop.
+#[derive(Clone, Copy, Default)]
+struct RowGeom {
+    /// Output pixel `(oy, ox)` reads input element `base + s*(oy*w + ox)`,
+    /// with `base = c*h*w + (dy - pad)*w + dx - pad` in wrapping
+    /// arithmetic: `base` itself may be negative, an in-bounds tap's
+    /// offset never is.
+    base: usize,
+    /// Output rows whose input row lies in the map: `y0..y1`.
+    y0: usize,
+    y1: usize,
+    /// Output columns whose input column lies in the map: `x0..x1`.
+    x0: usize,
+    x1: usize,
+}
+
+/// The output positions `lo..hi` (of `out`) whose input position
+/// `o*s + d - p` lies in `[0, len)`: from `ceil((p - d) / s)` up to
+/// `ceil((len + p - d) / s)`, clamped to `out` and to `lo <= hi`. Stride 1
+/// skips the divisions, which would otherwise dominate a layer with few
+/// slivers per patch row.
+fn in_map(len: usize, d: usize, p: usize, s: usize, out: usize) -> (usize, usize) {
+    let ceil = |v: usize| if s == 1 { v } else { v.div_ceil(s) };
+    let hi = ceil((len + p).saturating_sub(d)).min(out);
+    (ceil(p.saturating_sub(d)).min(hi), hi)
+}
+
+/// `out.fill(pad)`, with the one- and two-tap edges of 3x3 and 5x5
+/// kernels written directly: a fill of bytes, or of zeros, compiles to a
+/// `memset` call, which would cost more than the copy of the window.
+#[inline(always)]
+fn fill_pad<T: Copy>(out: &mut [T], pad: T) {
+    match out {
+        [] => {}
+        [a] => *a = pad,
+        [a, b] => (*a, *b) = (pad, pad),
+        _ => out.fill(pad),
+    }
+}
+
+/// `src[start..start + len]`, or `None` when that leaves `src`.
+#[inline(always)]
+fn window<T>(src: &[T], start: usize, len: usize) -> Option<&[T]> {
+    let (_, rest) = src.split_at_checked(start)?;
+    Some(rest.split_at_checked(len)?.0)
+}
+
+/// A convolution's `(C_in*KH*KW) x (OH*OW)` patch matrix as a [`PackB`]
+/// operand that is never materialized: each [`PackB::pack_block`] call
+/// writes its packed slivers straight from the channel-major `C x H x W`
+/// tensor, with `pad` in the padding taps (zero for [`im2col`], the
+/// activation zero-point on the quantized path).
 ///
-/// Row `(c, dy, dx)` of the patch matrix is, for each output row `oy`,
-/// one run of `OW` taps along input row `oy*stride + dy - pad` of channel
-/// `c`. Each run is copied in one go from the channel-major input: its
-/// in-bounds middle is a contiguous copy at stride 1 and a strided
-/// gather otherwise, and the taps left and right of it, or the whole run
-/// when the input row falls in the padding, are filled with `pad`. The
-/// quantized path passes the activation zero-point, which is what a zero
-/// quantizes to.
-pub fn im2col_padded<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
-    let (h, w) = (input.height(), input.width());
-    let (oh, ow) = geom.out_dims(h, w);
-    let (kh, kw, s, p) = (geom.kh, geom.kw, geom.stride, geom.pad);
-    let src = input.as_slice();
-    let mut out = Matrix::zeros(input.channels() * kh * kw, oh * ow);
-    for (r, tap) in out.as_mut_slice().chunks_exact_mut(oh * ow).enumerate() {
-        let (c, dy, dx) = (r / (kh * kw), (r / kw) % kh, r % kw);
-        let plane = &src[c * h * w..(c + 1) * h * w];
-        // Output columns whose input column `ox*s + dx - p` lies in
-        // `[0, w)`: from ceil((p - dx) / s) up to ceil((w + p - dx) / s).
-        let x1 = (w + p).saturating_sub(dx).div_ceil(s).min(ow);
-        let x0 = p.saturating_sub(dx).div_ceil(s).min(x1);
-        for (oy, run) in tap.chunks_exact_mut(ow).enumerate() {
-            let Some(iy) = (oy * s + dy).checked_sub(p).filter(|&iy| iy < h) else {
-                run.fill(pad);
-                continue;
-            };
-            let (left, rest) = run.split_at_mut(x0);
-            let (mid, right) = rest.split_at_mut(x1 - x0);
-            left.fill(pad);
-            right.fill(pad);
-            if mid.is_empty() {
-                continue;
+/// Patch row `(c, dy, dx)` at column `oy*OW + ox` is input pixel
+/// `(c, oy*s + dy - p, ox*s + dx - p)`. At stride 1, a sliver's piece of
+/// one patch row is one input window when the sliver lies in one output
+/// row, or spans rows of an output as wide as the map: it is copied at a
+/// fixed width and `pad` written over its taps outside the map. Any other
+/// piece is walked as one run per output row it spans: `pad`, the in-map
+/// taps (contiguous at stride 1, strided beyond), `pad`.
+pub struct LoweredConv<'a, T> {
+    src: &'a [T],
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    geom: ConvGeom,
+    rows: usize,
+    pad: T,
+}
+
+impl<'a, T: Element> LoweredConv<'a, T> {
+    /// The patch matrix of `input` under `geom`, with `pad` in the
+    /// padding taps.
+    ///
+    /// # Panics
+    /// Panics if the kernel does not fit the padded input.
+    pub fn new(input: &'a Tensor<T>, geom: &ConvGeom, pad: T) -> Self {
+        let (h, w) = (input.height(), input.width());
+        let (oh, ow) = geom.out_dims(h, w);
+        Self {
+            src: input.as_slice(),
+            h,
+            w,
+            oh,
+            ow,
+            geom: *geom,
+            rows: input.channels() * geom.kh * geom.kw,
+            pad,
+        }
+    }
+
+    /// The input geometry of patch rows `r0..r0 + n`, `n <= B_KROWS`, in
+    /// the first `n` entries: row `(c, dy, dx)` steps from `r0`'s like an
+    /// odometer, and channel `c`'s plane starts at `c*h*w`.
+    fn block_geom(&self, r0: usize, n: usize) -> [RowGeom; B_KROWS] {
+        let ConvGeom { kh, kw, stride: s, pad: p } = self.geom;
+        let (mut c, mut dy, mut dx) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
+        // `from_fn` fills the entries in index order.
+        std::array::from_fn(|i| {
+            if i >= n {
+                return RowGeom::default();
             }
-            // x0 is unclamped here, so x0*s + dx >= p.
-            let row = &plane[iy * w + x0 * s + dx - p..(iy + 1) * w];
+            let (y0, y1) = in_map(self.h, dy, p, s, self.oh);
+            let (x0, x1) = in_map(self.w, dx, p, s, self.ow);
+            let base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
+            dx += 1;
+            if dx == kw {
+                (dx, dy) = (0, dy + 1);
+                if dy == kh {
+                    (dy, c) = (0, c + 1);
+                }
+            }
+            RowGeom { base, y0, y1, x0, x1 }
+        })
+    }
+
+    /// [`PackB::pack_block`] with the sliver width `NR` a constant for
+    /// the registered kernel widths (`NR = 0` takes it from `nr`), so an
+    /// interior piece is a fixed-width copy.
+    fn pack_slivers<const NR: usize>(
+        &self,
+        k0: usize,
+        n0: usize,
+        kl: usize,
+        nl: usize,
+        dst: &mut [T],
+        nr: usize,
+    ) {
+        let nr = if NR == 0 { nr } else { NR };
+        let slivers = nl.div_ceil(nr);
+        for kb in (0..kl).step_by(B_KROWS) {
+            let kn = B_KROWS.min(kl - kb);
+            let rows = self.block_geom(k0 + kb, kn);
+            for t in 0..slivers {
+                let col0 = n0 + t * nr;
+                let live = nr.min(nl - t * nr);
+                let (oy, ox) = (col0 / self.ow, col0 % self.ow);
+                let base = b_sliver_offset(t, kl, nr) + kb * nr;
+                // audit: bounds pack_b_krow_block
+                let block = &mut dst[base..base + kn * nr];
+                let pieces = block.chunks_exact_mut(nr).zip(&rows);
+                // At stride 1 a full sliver inside one output row reads one
+                // input window per patch row, and so does one spanning
+                // rows when the output is as wide as the map ("same"
+                // padding): output row `oy` then starts `oy * w` in.
+                if live == nr && self.geom.stride == 1 && (ox + nr <= self.ow || self.ow == self.w) {
+                    let last = oy + (ox + nr - 1) / self.ow;
+                    let off = oy * self.w + ox;
+                    for (out, g) in pieces {
+                        self.window_piece(out, g, (oy, ox, last), off);
+                    }
+                } else {
+                    for (out, g) in pieces {
+                        let (taps, tail) = out.split_at_mut(live);
+                        self.each_run(taps, oy, ox, |run, y, x| self.run(run, g, y, x));
+                        tail.fill(T::ZERO);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A full sliver's piece of patch row `g` from output pixel `(oy, ox)`
+    /// through output row `last`, whose taps are the input window at
+    /// `g.base + off`: one fixed-width copy, then `pad` over the taps whose
+    /// input lies outside the map (none in an interior piece). A window
+    /// that leaves the tensor is walked run by run instead.
+    #[inline(always)]
+    fn window_piece(&self, out: &mut [T], g: &RowGeom, (oy, ox, last): (usize, usize, usize), off: usize) {
+        let Some(win) = window(self.src, g.base.wrapping_add(off), out.len()) else {
+            self.each_run(out, oy, ox, |run, y, x| self.run(run, g, y, x));
+            return;
+        };
+        out.copy_from_slice(win);
+        // A piece spanning rows holds column 0 and column `ow - 1`.
+        let cols_outside =
+            if last == oy { g.x0 > ox || ox + out.len() > g.x1 } else { g.x0 > 0 || g.x1 < self.ow };
+        if oy < g.y0 || last >= g.y1 || cols_outside {
+            self.each_run(out, oy, ox, |run, y, x| {
+                self.pad_run(run, g, y, x);
+            });
+        }
+    }
+
+    /// Split the taps of the output pixels from `(oy, ox)` on, in
+    /// row-major order, into one run per output row, and call
+    /// `f(run, row, first column)` on each.
+    fn each_run(&self, mut out: &mut [T], mut oy: usize, mut ox: usize, mut f: impl FnMut(&mut [T], usize, usize)) {
+        while !out.is_empty() {
+            let len = (self.ow - ox).min(out.len());
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(len);
+            f(run, oy, ox);
+            (out, oy, ox) = (rest, oy + 1, 0);
+        }
+    }
+
+    /// Write `pad` over the taps of patch row `g` at output pixels
+    /// `(oy, ox..ox + run.len())` whose input lies outside the map. Returns
+    /// the taps inside it and the input offset of the first, or `None`
+    /// when the input row is outside the map.
+    fn pad_run<'o>(&self, run: &'o mut [T], g: &RowGeom, oy: usize, ox: usize) -> Option<(&'o mut [T], usize)> {
+        if oy < g.y0 || oy >= g.y1 {
+            run.fill(self.pad);
+            return None;
+        }
+        let a = g.x0.saturating_sub(ox).min(run.len());
+        let b = g.x1.saturating_sub(ox).clamp(a, run.len());
+        let (taps, right) = run.split_at_mut(b);
+        let (left, mid) = taps.split_at_mut(a);
+        fill_pad(left, self.pad);
+        fill_pad(right, self.pad);
+        Some((mid, g.base.wrapping_add(self.geom.stride * (oy * self.w + ox + a))))
+    }
+
+    /// Patch row `g`'s taps at output pixels `(oy, ox..ox + run.len())`,
+    /// which lie in one output row: `pad`, the in-map taps (a copy at
+    /// stride 1, a gather beyond), `pad`.
+    fn run(&self, run: &mut [T], g: &RowGeom, oy: usize, ox: usize) {
+        let Some((mid, start)) = self.pad_run(run, g, oy, ox) else {
+            return;
+        };
+        let s = self.geom.stride;
+        // The last in-map tap is `(mid.len() - 1) * s` past the first.
+        let span = (mid.len() * s).saturating_sub(s - 1);
+        if let Some(win) = window(self.src, start, span) {
             if s == 1 {
-                mid.copy_from_slice(&row[..mid.len()]);
+                mid.copy_from_slice(win);
             } else {
-                for (d, &v) in mid.iter_mut().zip(row.iter().step_by(s)) {
+                for (d, &v) in mid.iter_mut().zip(win.iter().step_by(s)) {
                     *d = v;
                 }
             }
         }
     }
-    out
+}
+
+impl<T: Element> PackB<T> for LoweredConv<'_, T> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Pack the block in blocks of [`B_KROWS`] k-rows, as `pack_b` walks
+    /// a row-major B: the rows' input geometry once per block, then each
+    /// sliver's piece of every row, `B_KROWS * nr` contiguous elements.
+    // audit: warm
+    // audit: hot
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
+        let need = packed_b_size(kl, nl, nr);
+        // audit: cold buffer-size precondition, once per pack call before the sliver loop
+        assert!(dst.len() >= need, "packed B buffer too small: {} < {need}", dst.len());
+        // audit: cold block-extent precondition, once per pack call before the sliver loop
+        assert!(k0 + kl <= self.rows && n0 + nl <= self.cols(), "block outside the patch matrix");
+        match nr {
+            8 => self.pack_slivers::<8>(k0, n0, kl, nl, dst, nr),
+            16 => self.pack_slivers::<16>(k0, n0, kl, nl, dst, nr),
+            32 => self.pack_slivers::<32>(k0, n0, kl, nl, dst, nr),
+            _ => self.pack_slivers::<0>(k0, n0, kl, nl, dst, nr),
+        }
+    }
 }
 
 /// Direct (quadruple-loop) convolution reference:
@@ -170,8 +403,8 @@ mod tests {
         Tensor::from_matrix(y, oh, ow)
     }
 
-    /// The per-element lowering `im2col_padded` replaces: every patch
-    /// entry computed from its own `(row, col)` index.
+    /// The patch matrix per element: every entry computed from its own
+    /// `(row, col)` index.
     fn im2col_reference<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
         let (cin, h, w) = (input.channels(), input.height(), input.width());
         let (oh, ow) = geom.out_dims(h, w);
@@ -284,6 +517,75 @@ mod tests {
                 let input8 = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
                 let fast8 = im2col_padded(&input8, &geom, 3);
                 prop_assert_eq!(fast8.as_slice(), im2col_reference(&input8, &geom, 3).as_slice());
+            }
+        }
+    }
+
+    /// The lowered view's `pack_block` and `pack_b` over the same block of
+    /// the per-element patch matrix, each into a buffer of `sentinel` one
+    /// sliver longer than the packed block, as f64 bit patterns: every
+    /// packed element must be written, and nothing past it.
+    fn lowered_and_materialized<T: Element>(
+        input: &Tensor<T>,
+        geom: &ConvGeom,
+        pad: T,
+        sentinel: T,
+        (k0, kl, n0, nl): (usize, usize, usize, usize),
+        nr: usize,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let len = packed_b_size(kl, nl, nr) + nr;
+        let patches = im2col_reference(input, geom, pad);
+        let mut want = vec![sentinel; len];
+        cake_kernels::pack::pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want, nr);
+        let mut got = vec![sentinel; len];
+        LoweredConv::new(input, geom, pad).pack_block(k0, n0, kl, nl, &mut got, nr);
+        let bits = |v: Vec<T>| v.into_iter().map(|x| x.to_f64().to_bits()).collect();
+        (bits(got), bits(want))
+    }
+
+    proptest! {
+        #[test]
+        fn lowered_pack_block_equals_pack_b_of_the_patch_matrix(
+            cin in 1usize..4,
+            h in 1usize..12,
+            w in 1usize..12,
+            kh in 1usize..=5,
+            kw in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=6,
+            same in any::<bool>(),
+            nr in prop::sample::select(vec![8usize, 16, 32, 5]),
+            pick in 0u64..1 << 40,
+            seed in 0u64..500,
+        ) {
+            // Half the odd-width kernels get "same" padding at stride 1,
+            // whose slivers spanning output rows take the window path.
+            let (stride, pad) = if same && kw % 2 == 1 { (1, kw / 2) } else { (stride, pad) };
+            // Kernels wider than the padded input are rejected by
+            // out_dims, so only lower geometries that fit.
+            let geom = ConvGeom { kh, kw, stride, pad };
+            if h + 2 * pad >= kh && w + 2 * pad >= kw {
+                let (oh, ow) = geom.out_dims(h, w);
+                let (k, n) = (cin * kh * kw, oh * ow);
+                // Any k-row range; columns from a sliver boundary (where the
+                // executor's shares start, mid-output-row whenever `ow` is
+                // not a multiple of `nr`) or, every other case, anywhere.
+                let pick = pick as usize;
+                let k0 = pick % k;
+                let kl = 1 + (pick >> 8) % (k - k0);
+                let n0 = if pick & (1 << 20) == 0 {
+                    (pick >> 21) % n.div_ceil(nr) * nr
+                } else {
+                    (pick >> 21) % n
+                };
+                let nl = 1 + (pick >> 30) % (n - n0);
+                let block = (k0, kl, n0, nl);
+                let x = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed), h, w);
+                let (got, want) = lowered_and_materialized(&x, &geom, -7.5, f32::NAN, block, nr);
+                prop_assert_eq!(got, want, "f32 {:?} block {:?} nr {}", geom, block, nr);
+                let x8 = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
+                let (got, want) = lowered_and_materialized(&x8, &geom, 3i8, 99i8, block, nr);
+                prop_assert_eq!(got, want, "i8 {:?} block {:?} nr {}", geom, block, nr);
             }
         }
     }

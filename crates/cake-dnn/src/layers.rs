@@ -12,7 +12,7 @@
 use cake_core::api::CakeGemm;
 use cake_matrix::Matrix;
 
-use crate::im2col::{im2col, ConvGeom};
+use crate::im2col::{ConvGeom, LoweredConv};
 use crate::tensor::Tensor;
 
 /// A forward-pass layer over f32 feature maps.
@@ -30,7 +30,8 @@ pub trait Layer {
     fn flops(&self, c: usize, h: usize, w: usize) -> u64;
 }
 
-/// 2D convolution via im2col + CAKE GEMM.
+/// 2D convolution as one CAKE GEMM whose B, the input's patch matrix, is
+/// lowered from the feature map as it is packed ([`LoweredConv`]).
 pub struct Conv2d {
     name: String,
     weights: Matrix<f32>,
@@ -100,8 +101,7 @@ impl Layer for Conv2d {
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
         assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
-        // audit: cold im2col patch buffer, allocated per layer by contract
-        let patches = im2col(input, &self.geom);
+        let patches = LoweredConv::new(input, &self.geom, 0.0);
         let (oh, ow) = self.geom.out_dims(input.height(), input.width());
         // audit: cold output accumulator, allocated per layer by contract
         let mut y = Matrix::<f32>::zeros(self.out_ch, oh * ow);
@@ -136,7 +136,7 @@ impl Layer for ReLU {
 
     fn forward(&self, _ctx: &CakeGemm, input: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(input.channels(), input.height(), input.width());
-        let dst = out.as_matrix_mut().as_mut_slice();
+        let dst = out.as_mut_slice();
         for (d, &v) in dst.iter_mut().zip(input.as_slice()) {
             // NaN and -0.0 pass through unchanged.
             *d = if v < 0.0 { 0.0 } else { v };
@@ -169,7 +169,7 @@ impl Layer for MaxPool2d {
             return out;
         }
         let planes = input.as_slice().chunks_exact(h * w);
-        let out_planes = out.as_matrix_mut().as_mut_slice().chunks_exact_mut(oh * ow);
+        let out_planes = out.as_mut_slice().chunks_exact_mut(oh * ow);
         for (plane, out_plane) in planes.zip(out_planes) {
             for (y, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
                 // Row pair 2y, 2y+1, cut to the 2*ow columns a window reads.

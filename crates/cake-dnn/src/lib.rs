@@ -8,10 +8,12 @@
 //!
 //! * [`tensor`] — a minimal `C x H x W` feature-map tensor over the
 //!   workspace's matrix type.
-//! * [`im2col`] — patch-matrix lowering (with stride and padding) that
-//!   turns a convolution into the `(out_ch) x (in_ch*kh*kw) x (oh*ow)`
-//!   GEMM the paper's analysis applies to, plus a direct-convolution
-//!   reference used to verify it.
+//! * [`im2col`] — the lowering (with stride and padding) that turns a
+//!   convolution into the `(out_ch) x (in_ch*kh*kw) x (oh*ow)` GEMM the
+//!   paper's analysis applies to. [`im2col::LoweredConv`] is the patch
+//!   matrix as a B operand the executor packs straight from the feature
+//!   map, so no layer builds it; `im2col` materializes it, and a
+//!   direct-convolution reference verifies both.
 //! * [`layers`] — `Conv2d`, `Linear`, `ReLU`, `MaxPool2d`,
 //!   `GlobalAvgPool`, all running their GEMMs through one shared
 //!   [`cake_core::api::CakeGemm`] context (the drop-in-library usage the

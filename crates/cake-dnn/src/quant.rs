@@ -7,21 +7,21 @@
 //! same [`CakeGemm`] context — and therefore the same persistent
 //! [`GemmWorkspace`](cake_core::workspace::GemmWorkspace) pools — as the
 //! f32 layers, so a warm quantized GEMM is allocation-free. The layer
-//! buffers around it (int8 input, patch matrix, i32 accumulator, f32
-//! output) are allocated per layer on every pass, as in the f32 layers.
+//! buffers around it (int8 input, i32 accumulator, f32 output) are
+//! allocated per layer on every pass, as in the f32 layers.
 //!
-//! [`QuantConv2d`] runs four steps, each one pass over its data:
+//! [`QuantConv2d`] runs three steps, each one pass over its data:
 //!
 //! 1. quantize the `C_in x H x W` input tensor once
 //!    ([`quantize_activations`]; the range is taken over the whole
 //!    tensor, which equals the range over the patch matrix whenever every
 //!    input pixel is read by some patch);
-//! 2. lower the int8 tensor to its patch matrix with the zero-point in the
-//!    padding taps ([`im2col_padded`]) — a zero quantizes to exactly the
+//! 2. the int8 GEMM into an i32 accumulator, with B the int8 tensor's
+//!    patch matrix lowered as it is packed ([`LoweredConv`]) and the
+//!    zero-point in the padding taps — a zero quantizes to exactly the
 //!    zero-point, so this equals quantizing the f32 patch matrix, at 1/4
 //!    of the bytes and 1/(KH*KW) of the quantizer work;
-//! 3. the int8 GEMM into an i32 accumulator;
-//! 4. requantize and add the bias in one row-wise pass, with the row's
+//! 3. requantize and add the bias in one row-wise pass, with the row's
 //!    scale and zero-point correction hoisted:
 //!
 //! ```text
@@ -34,9 +34,10 @@
 //! the input/weight rounding itself.
 
 use cake_core::api::CakeGemm;
+use cake_kernels::pack::PackB;
 use cake_matrix::Matrix;
 
-use crate::im2col::{im2col_padded, ConvGeom};
+use crate::im2col::{ConvGeom, LoweredConv};
 use crate::layers::Layer;
 use crate::tensor::Tensor;
 
@@ -166,12 +167,13 @@ pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
 }
 
 /// Run `wq * xq` in int8 through the shared context and requantize to f32
-/// with the exact zero-point correction; `bias` may be empty.
+/// with the exact zero-point correction; `xq` is a matrix or a lowered
+/// conv input, and `bias` may be empty.
 // audit: warm
 fn quant_gemm_requant(
     ctx: &CakeGemm,
     wq: &QuantizedWeights,
-    xq: &Matrix<i8>,
+    xq: &impl PackB<i8>,
     aq: ActQuant,
     bias: &[f32],
 ) -> Matrix<f32> {
@@ -193,8 +195,9 @@ fn quant_gemm_requant(
     y
 }
 
-/// Int8-quantized 2D convolution: quantize the input, lower it with the
-/// zero-point as padding, int8 CAKE GEMM, fused requantize.
+/// Int8-quantized 2D convolution: quantize the input, int8 CAKE GEMM on
+/// its patch matrix lowered as it is packed (the zero-point as padding),
+/// fused requantize.
 pub struct QuantConv2d {
     name: String,
     weights: QuantizedWeights,
@@ -250,8 +253,7 @@ impl Layer for QuantConv2d {
         // audit: cold quantized input tensor wrap, allocated per layer by contract
         let xq = Tensor::from_matrix(xq, h, w);
         // zero_point is clamped to [-128, 127], so the cast is exact.
-        // audit: cold im2col patch buffer, allocated per layer by contract
-        let patches = im2col_padded(&xq, &self.geom, aq.zero_point as i8);
+        let patches = LoweredConv::new(&xq, &self.geom, aq.zero_point as i8);
         let (oh, ow) = self.geom.out_dims(h, w);
         let y = quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias);
         // audit: cold output tensor wrap, allocated per layer by contract

@@ -1,7 +1,8 @@
 //! A minimal `C x H x W` feature-map tensor.
 //!
 //! Backed by a `channels x (h*w)` row-major matrix — exactly the layout
-//! im2col and the GEMM layers consume, so no reshapes ever copy data.
+//! the conv lowering and the GEMM layers consume, so no reshapes ever copy
+//! data.
 
 use cake_matrix::{Element, Layout, Matrix};
 
@@ -81,24 +82,23 @@ impl<T: Element> Tensor<T> {
     }
 
     /// The elements in channel-major order: channel `c` is the
-    /// contiguous row-major `h x w` plane `[c*h*w, (c+1)*h*w)`.
-    ///
-    /// # Panics
-    /// Panics if the backing matrix was replaced through
-    /// [`Self::as_matrix_mut`] by a column-major one.
+    /// contiguous row-major `h x w` plane `[c*h*w, (c+1)*h*w)`. Every
+    /// constructor stores a row-major `c x (h*w)` matrix, and no method
+    /// hands the matrix out mutably, so this holds by construction.
     pub fn as_slice(&self) -> &[T] {
-        assert_eq!(self.data.layout(), Layout::RowMajor, "tensor storage must be row-major");
+        debug_assert_eq!(self.data.layout(), Layout::RowMajor);
         self.data.as_slice()
+    }
+
+    /// [`Self::as_slice`], mutably: the elements in channel-major order.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        debug_assert_eq!(self.data.layout(), Layout::RowMajor);
+        self.data.as_mut_slice()
     }
 
     /// The backing `channels x (h*w)` matrix.
     pub fn as_matrix(&self) -> &Matrix<T> {
         &self.data
-    }
-
-    /// Mutable backing matrix.
-    pub fn as_matrix_mut(&mut self) -> &mut Matrix<T> {
-        &mut self.data
     }
 
     /// Consume into the backing matrix.
@@ -162,6 +162,19 @@ mod tests {
         let t = Tensor::from_matrix(rm.to_layout(Layout::ColMajor), 2, 3);
         assert_eq!(t.as_slice(), rm.as_slice());
         assert_eq!(t.get(1, 1, 2), rm.get(1, 5));
+    }
+
+    #[test]
+    fn mutable_slice_is_channel_major_and_keeps_the_shape() {
+        let mut t = Tensor::<f32>::zeros(2, 3, 3);
+        let s = t.as_mut_slice();
+        assert_eq!(s.len(), 18);
+        for (i, v) in s.iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        assert_eq!((t.len(), t.as_matrix().rows(), t.as_matrix().cols()), (18, 2, 9));
+        assert_eq!(t.get(1, 2, 0), 15.0);
+        assert_eq!(t.flatten().get(17, 0), 17.0);
     }
 
     #[test]

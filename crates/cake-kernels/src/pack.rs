@@ -18,7 +18,7 @@
 //! Zero padding lets the hot loop always run full `mr x nr` kernels for the
 //! interior; only the `C`-side write needs edge masking.
 
-use cake_matrix::{Element, MatrixView};
+use cake_matrix::{Element, Matrix, MatrixView};
 
 /// How many source columns/rows ahead the packing loops prefetch. Packing
 /// streams are short (one sliver column is `mr <= 14` elements), so a small
@@ -413,12 +413,13 @@ fn scatter_rows<T: Element>(
     }
 }
 
-/// k-rows per block of the row-major B pack order. A block reads
-/// `B_KROWS` source rows across every full sliver while their lines stay
-/// in L1, and writes `B_KROWS * nr` contiguous elements per sliver. Blocks
-/// of eight rows measured slower on int8 patch matrices, whose rows are
-/// 4096 B apart and so share one L1 set.
-const B_KROWS: usize = 16;
+/// k-rows per block of the row-major B pack order, and of any [`PackB`]
+/// packer that writes the panel the same way. A block reads `B_KROWS`
+/// source rows across every full sliver while their lines stay in L1, and
+/// writes `B_KROWS * nr` contiguous elements per sliver. Blocks of eight
+/// rows measured slower on int8 patch matrices, whose rows are 4096 B
+/// apart and so share one L1 set.
+pub const B_KROWS: usize = 16;
 
 /// Pack the full slivers of a row-major (`col_stride == 1`) `B` view in
 /// blocks of [`B_KROWS`] k-rows: for each block, visit every full sliver
@@ -458,7 +459,7 @@ fn pack_b_full_slivers<T: Element, const NR: usize>(
         });
         for t in 0..full {
             let base = b_sliver_offset(t, kc, nr) + k0 * nr;
-            // audit: bounds pack_b_sliver_tail
+            // audit: bounds pack_b_krow_block
             let block = &mut dst[base..base + kn * nr];
             for (out, row) in block.chunks_exact_mut(nr).zip(&rows) {
                 if let Some(piece) = row.get(t * nr..(t + 1) * nr) {
@@ -550,6 +551,61 @@ pub fn pack_b<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
                 out[live..].fill(T::ZERO);
             }
         }
+    }
+}
+
+/// A `K x N` B operand as the executor consumes it: one block at a time,
+/// packed straight into the packed-B layout of [`pack_b`].
+///
+/// A matrix or view packs through [`pack_b`] over the block's sub-view.
+/// Other operands need never exist as a matrix: a convolution's patch
+/// matrix is lowered from its feature map as each block is packed
+/// (`cake_dnn::im2col::LoweredConv`). Packing only moves bytes, so an
+/// implementation must write exactly what [`pack_b`] writes for the same
+/// block of the materialized operand, padding tail included.
+pub trait PackB<T: Element>: Sync {
+    /// Rows (`K`).
+    fn rows(&self) -> usize;
+
+    /// Columns (`N`).
+    fn cols(&self) -> usize;
+
+    /// Pack the `kl x nl` block at row `k0`, column `n0` into `dst` with
+    /// sliver width `nr`, as [`pack_b`] packs it.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than [`packed_b_size`] or the block
+    /// leaves the operand.
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize);
+}
+
+impl<T: Element> PackB<T> for MatrixView<'_, T> {
+    fn rows(&self) -> usize {
+        MatrixView::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        MatrixView::cols(self)
+    }
+
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
+        pack_b(&self.sub(k0, n0, kl, nl), dst, nr);
+    }
+}
+
+impl<T: Element> PackB<T> for Matrix<T> {
+    fn rows(&self) -> usize {
+        Matrix::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        Matrix::cols(self)
+    }
+
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
+        // audit: cold whole-matrix view, its extent check runs once per pack call before the sliver loop
+        let view = self.view();
+        view.pack_block(k0, n0, kl, nl, dst, nr);
     }
 }
 

@@ -169,46 +169,50 @@ fn im2col_per_element<T: Element>(input: &Tensor<T>, g: &ConvGeom) -> Matrix<T> 
 
 #[test]
 fn conv_relu_pool_equal_per_element_formulas() {
-    let ctx = CakeGemm::new(CakeConfig::with_threads(1));
-    for (gi, g) in GEOMS.iter().enumerate() {
-        let x = tie_input(gi as u64);
-        let w = init::random::<f32>(5, 3 * g.kh * g.kw, 40 + gi as u64);
-        let bias: Vec<f32> = (0..5).map(|o| o as f32 * 0.25 - 0.5).collect();
-        let conv = Conv2d::new("c", 3, 5, *g, w.clone(), bias.clone());
-        let y = conv.forward(&ctx, &x);
-        let r = ReLU.forward(&ctx, &y);
-        let p = MaxPool2d.forward(&ctx, &r);
+    // At p > 1 each worker packs a share of every B panel, starting
+    // mid-panel and, on these 9x12 maps, mid-output-row.
+    for p in 1..=3 {
+        let ctx = CakeGemm::new(CakeConfig::with_threads(p));
+        for (gi, g) in GEOMS.iter().enumerate() {
+            let x = tie_input(gi as u64);
+            let w = init::random::<f32>(5, 3 * g.kh * g.kw, 40 + gi as u64);
+            let bias: Vec<f32> = (0..5).map(|o| o as f32 * 0.25 - 0.5).collect();
+            let conv = Conv2d::new("c", 3, 5, *g, w.clone(), bias.clone());
+            let y = conv.forward(&ctx, &x);
+            let r = ReLU.forward(&ctx, &y);
+            let pool = MaxPool2d.forward(&ctx, &r);
 
-        // The same chain, element by element, on the same GEMM.
-        let patches = im2col_per_element(&x, g);
-        assert!(same_bits(&im2col(&x, g), &patches), "geom {gi}: im2col");
-        let (oh, ow) = g.out_dims(9, 12);
-        let mut y_ref = Matrix::<f32>::zeros(5, oh * ow);
-        ctx.gemm(&w, &patches, &mut y_ref);
-        for (o, b) in bias.iter().enumerate() {
-            for i in 0..oh * ow {
-                y_ref.set(o, i, y_ref.get(o, i) + b);
-            }
-        }
-        let mut r_ref = y_ref.clone();
-        for v in r_ref.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        let r_t = Tensor::from_matrix(r_ref.clone(), oh, ow);
-        let p_ref = Tensor::from_fn(5, oh / 2, ow / 2, |c, i, j| {
-            let mut m = f32::NEG_INFINITY;
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    m = m.max(r_t.get(c, 2 * i + dy, 2 * j + dx));
+            // The same chain, element by element, on the same GEMM.
+            let patches = im2col_per_element(&x, g);
+            assert!(same_bits(&im2col(&x, g), &patches), "p {p}, geom {gi}: im2col");
+            let (oh, ow) = g.out_dims(9, 12);
+            let mut y_ref = Matrix::<f32>::zeros(5, oh * ow);
+            ctx.gemm(&w, &patches, &mut y_ref);
+            for (o, b) in bias.iter().enumerate() {
+                for i in 0..oh * ow {
+                    y_ref.set(o, i, y_ref.get(o, i) + b);
                 }
             }
-            m
-        });
-        assert!(same_bits(y.as_matrix(), &y_ref), "geom {gi}: conv");
-        assert!(same_bits(r.as_matrix(), &r_ref), "geom {gi}: relu");
-        assert!(same_bits(p.as_matrix(), p_ref.as_matrix()), "geom {gi}: maxpool");
+            let mut r_ref = y_ref.clone();
+            for v in r_ref.as_mut_slice() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+            let r_t = Tensor::from_matrix(r_ref.clone(), oh, ow);
+            let p_ref = Tensor::from_fn(5, oh / 2, ow / 2, |c, i, j| {
+                let mut m = f32::NEG_INFINITY;
+                for dy in 0..2 {
+                    for dx in 0..2 {
+                        m = m.max(r_t.get(c, 2 * i + dy, 2 * j + dx));
+                    }
+                }
+                m
+            });
+            assert!(same_bits(y.as_matrix(), &y_ref), "p {p}, geom {gi}: conv");
+            assert!(same_bits(r.as_matrix(), &r_ref), "p {p}, geom {gi}: relu");
+            assert!(same_bits(pool.as_matrix(), p_ref.as_matrix()), "p {p}, geom {gi}: maxpool");
+        }
     }
 }
 
@@ -241,16 +245,18 @@ fn quant_conv_reference(
 
 #[test]
 fn quant_conv_equals_quantized_patches_through_naive_gemm() {
-    let ctx = CakeGemm::new(CakeConfig::with_threads(1));
-    for (gi, g) in GEOMS.iter().enumerate() {
-        let x = tie_input(10 + gi as u64);
-        let w = init::random::<f32>(5, 3 * g.kh * g.kw, 60 + gi as u64);
-        for bias in [vec![], vec![0.5, -0.25, 0.0, 1.0, -1.0]] {
-            let layer = QuantConv2d::from_f32("q", 3, 5, *g, &w, bias.clone());
-            let y = layer.forward(&ctx, &x);
-            let qw = QuantizedWeights::from_f32(&w);
-            let expect = quant_conv_reference(&qw, &im2col(&x, g), &bias);
-            assert!(same_bits(y.as_matrix(), &expect), "geom {gi}, bias {bias:?}");
+    for p in 1..=3 {
+        let ctx = CakeGemm::new(CakeConfig::with_threads(p));
+        for (gi, g) in GEOMS.iter().enumerate() {
+            let x = tie_input(10 + gi as u64);
+            let w = init::random::<f32>(5, 3 * g.kh * g.kw, 60 + gi as u64);
+            for bias in [vec![], vec![0.5, -0.25, 0.0, 1.0, -1.0]] {
+                let layer = QuantConv2d::from_f32("q", 3, 5, *g, &w, bias.clone());
+                let y = layer.forward(&ctx, &x);
+                let qw = QuantizedWeights::from_f32(&w);
+                let expect = quant_conv_reference(&qw, &im2col(&x, g), &bias);
+                assert!(same_bits(y.as_matrix(), &expect), "p {p}, geom {gi}, bias {bias:?}");
+            }
         }
     }
 }
