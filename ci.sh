@@ -7,8 +7,10 @@
 #                          snapshot)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
-#   ./ci.sh --kernel-smoke one GEMM per available kernel tier (portable/avx2/
-#                          avx512) asserting pack counters are tier-invariant
+#   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
+#                          avx2/avx512) and one int8 GEMM per int8 tier (also
+#                          amx), asserting pack counters are tier-invariant
+#                          and int8 results bit-identical
 #   ./ci.sh --dtype-smoke  one GEMM per supported dtype (f32/f64/bf16/int8)
 #                          asserting element counters are dtype-invariant and
 #                          every dtype's warm path runs allocation-free
@@ -59,7 +61,8 @@
 # which depend on the block grid and never on the microkernel tile shape
 # — so every tier must report identical a/b/c counters or cakectl exits
 # 1. This catches a tier whose edge handling silently reads or packs a
-# different footprint.
+# different footprint. A second table runs every int8 tier (AMX included),
+# whose exact i32 results must also agree bit for bit.
 #
 # The tsan stage (./ci.sh --tsan) covers cake-core's sync module and the
 # pipelined executor — the sense-reversing SpinBarrier's tests drive

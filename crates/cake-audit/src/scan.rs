@@ -67,6 +67,10 @@ pub struct FileScan {
     /// 1-based lines of `static mut` items (forbidden workspace-wide
     /// unless the path is explicitly allowlisted in the ratchet).
     pub static_muts: Vec<usize>,
+    /// 1-based lines of `asm!` invocations with no `// SAFETY:` comment on
+    /// or just above them: every inline-assembly block must state its own
+    /// contract, even inside an annotated `unsafe` block.
+    pub unannotated_asm: Vec<usize>,
 }
 
 /// One source line split into its code and comment channels by the lexer.
@@ -318,6 +322,7 @@ pub fn scan_source(path: &str, src: &str) -> FileScan {
     let mut sites = Vec::new();
     let mut transmutes = Vec::new();
     let mut static_muts = Vec::new();
+    let mut unannotated_asm = Vec::new();
     for (li, info) in lines.iter().enumerate() {
         let code: Vec<char> = info.code.chars().collect();
         let mut col = 0usize;
@@ -342,6 +347,12 @@ pub fn scan_source(path: &str, src: &str) -> FileScan {
         for _ in 0..count_word(&info.code, "transmute") {
             transmutes.push(li + 1);
         }
+        let asm = info.code.match_indices("asm!").any(|(at, _)| {
+            at == 0 || !info.code[..at].chars().next_back().is_some_and(is_word_char)
+        });
+        if asm && !annotated(&lines, li, SiteKind::Block) {
+            unannotated_asm.push(li + 1);
+        }
         // `static mut FOO` — a whole-word `static` (not the `'static`
         // lifetime) whose next token is `mut`. `&'static mut T` must not
         // count; a `static mut` item must.
@@ -362,7 +373,7 @@ pub fn scan_source(path: &str, src: &str) -> FileScan {
             }
         }
     }
-    FileScan { path: path.to_string(), sites, transmutes, static_muts }
+    FileScan { path: path.to_string(), sites, transmutes, static_muts, unannotated_asm }
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -570,6 +581,9 @@ pub fn audit_scans(scans: &[FileScan], ratchet_text: Option<&str>) -> ScanReport
                     scan.path, line
                 ));
             }
+        }
+        for &line in &scan.unannotated_asm {
+            report.violations.push(format!("{}:{line}: asm! without a SAFETY comment", scan.path));
         }
         if scan.sites.is_empty() {
             continue;
@@ -784,6 +798,20 @@ const D: char = '\'';
             "{:?}",
             report.violations
         );
+    }
+
+    #[test]
+    fn every_asm_block_needs_its_own_safety_comment() {
+        let bare = "// SAFETY: the block's contract.\nunsafe {\n    let x = 1;\n    let y = 2;\n    let z = 3;\n    let w = 4;\n    let v = 5;\n    asm!(\"nop\");\n}\n";
+        let scan = scan_source("a.rs", bare);
+        assert_eq!(scan.unannotated_asm, vec![8]);
+        let report = audit_scans(std::slice::from_ref(&scan), None);
+        assert!(report.violations.iter().any(|v| v.contains("asm! without a SAFETY")), "{:?}", report.violations);
+        let ok = scan_source("b.rs", "unsafe {\n    // SAFETY: nop touches nothing.\n    asm!(\"nop\");\n}\n");
+        assert!(ok.unannotated_asm.is_empty());
+        // `core::arch::asm!` counts too; a word merely ending in `asm!` does not.
+        assert_eq!(scan_source("c.rs", "fn f() { core::arch::asm!(\"nop\") }\n").unannotated_asm, vec![1]);
+        assert!(scan_source("d.rs", "fn f() { wasm!(x) }\n").unannotated_asm.is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! and require that *every* index below the model's `need` was written
 //! (zero padding included) and *no* index at or above it was — on random
 //! draws of the extents up to the production tile widths (`mr <= 16`,
-//! `nr <= 32`, several 16-row k-blocks) and of the source layout, via the
+//! `nr <= 32`, several 16-row k-blocks; the AMX tile layout's 16-row
+//! multiples and 64-deep padded steps) and of the source layout, via the
 //! in-tree proptest shim. If a pack loop ever drifts from the model (an
 //! off-by-one tail, a sliver stride change, a store past the last packed
 //! column), the agreement breaks here even though the symbolic proof still
@@ -17,7 +18,7 @@ use std::collections::BTreeMap;
 
 use cake_audit::bounds::sites;
 use cake_audit::interval::Expr;
-use cake_kernels::pack::{pack_a, pack_b, packed_a_size, packed_b_size};
+use cake_kernels::pack::{pack_a, pack_b, packed_a_size, packed_b_size, PackLayout};
 use cake_matrix::{init, Layout, Matrix, MatrixView};
 use proptest::prelude::*;
 
@@ -113,6 +114,47 @@ proptest! {
         prop_assert_eq!(cap, packed_b_size(kl, nl, nr), "model cap vs real sizing");
         let b = init::random::<f32>(kl, nl, seed);
         check_touched(need, cap, |dst| with_layout(&b, layout, |v| pack_b(v, dst, nr)));
+    }
+
+    /// The tile layout's A pack touches exactly `[0, need)`, where `need`
+    /// is the `pack_a_tile_rows` site's model over `q` 64-deep k-steps —
+    /// K padding and edge rows included.
+    #[test]
+    fn tile_pack_a_matches_interval_model(
+        ml in 1usize..70,
+        kl in 1usize..200,
+        mr in prop::sample::select(vec![16usize, 32, 48]),
+        layout in 0usize..3,
+        seed in 0u64..1024,
+    ) {
+        let (need_e, cap_e) = site_exprs("pack_a_tile_rows");
+        let tiles = PackLayout::tiles(mr, 32);
+        let env = [("ml", ml as i128), ("mr", mr as i128), ("q", kl.div_ceil(64) as i128)];
+        let need = eval(&need_e, &env);
+        let cap = eval(&cap_e, &env);
+        prop_assert_eq!(cap, tiles.a_size(ml, kl), "model cap vs real sizing");
+        let a = init::random::<f32>(ml, kl, seed);
+        check_touched(need, cap, |dst| with_layout(&a, layout, |v| tiles.pack_a(v, dst)));
+    }
+
+    /// The tile layout's B pack touches exactly `[0, need)`, where `need`
+    /// is the `pack_b_tile_sliver` site's model.
+    #[test]
+    fn tile_pack_b_matches_interval_model(
+        nl in 1usize..80,
+        kl in 1usize..200,
+        nr in prop::sample::select(vec![16usize, 32]),
+        layout in 0usize..3,
+        seed in 0u64..1024,
+    ) {
+        let (need_e, cap_e) = site_exprs("pack_b_tile_sliver");
+        let tiles = PackLayout::tiles(32, nr);
+        let env = [("nl", nl as i128), ("nr", nr as i128), ("q", kl.div_ceil(64) as i128)];
+        let need = eval(&need_e, &env);
+        let cap = eval(&cap_e, &env);
+        prop_assert_eq!(cap, tiles.b_size(kl, nl), "model cap vs real sizing");
+        let b = init::random::<f32>(kl, nl, seed);
+        check_touched(need, cap, |dst| with_layout(&b, layout, |v| tiles.pack_b(v, dst)));
     }
 }
 

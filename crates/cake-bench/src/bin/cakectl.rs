@@ -11,7 +11,7 @@
 //! cakectl traffic  --m M --k K --n N --bm BM --bk BK --bn BN [--policy hold|stream]
 //!                  [--dtype f32|f64|bf16|int8]
 //! cakectl gemm     --m M --k K --n N [--p P] [--iters I] [--stats] [--pin]
-//!                  [--explain] [--llc-mib MIB] [--kernel portable|avx2|avx512]
+//!                  [--explain] [--llc-mib MIB] [--kernel portable|avx2|avx512|amx]
 //!                  [--dtype f32|f64|bf16|int8]
 //!                  [--threads P | --threads P1,P2,...] [--check-counters]
 //!                  [--kernel-smoke] [--dtype-smoke]
@@ -32,10 +32,11 @@
 //! topology clamp from requested to effective `p`, and the barrier mode —
 //! each with the reason it was chosen.
 //!
-//! `--kernel TIER` caps the dispatch tier (`portable`, `avx2`, `avx512`)
-//! by setting `CAKE_KERNEL` before any selection happens — the A/B lever
-//! for comparing tiers on one host. A tier the host lacks falls down the
-//! ladder (avx512 → avx2 → portable) rather than failing.
+//! `--kernel TIER` caps the dispatch tier (`portable`, `avx2`, `avx512`,
+//! `amx`) by setting `CAKE_KERNEL` before any selection happens — the A/B
+//! lever for comparing tiers on one host (`--kernel avx512` runs int8 on
+//! VNNI instead of AMX). A tier the host lacks falls down the ladder
+//! (amx → avx512 → avx2 → portable) rather than failing.
 //!
 //! `--dtype` selects the GEMM element type: `f32` (default), `f64`, or the
 //! narrow tier — `int8` (i8 operands, i32 accumulate) and `bf16` (bf16
@@ -54,11 +55,13 @@
 //! the CB-block bandwidth and scaling claims as a CI gate
 //! (`ci.sh --scale-smoke`).
 //!
-//! `--kernel-smoke` runs one single-threaded GEMM per kernel tier the host
-//! supports on one fixed block grid and exits 1 unless the traffic
-//! counters are identical across tiers — live element movement is a
-//! property of the block schedule, never of the register tile
-//! (`ci.sh --kernel-smoke`).
+//! `--kernel-smoke` runs one single-threaded f32 GEMM per kernel tier the
+//! host supports with an f32 kernel, then one int8 GEMM per int8 tier
+//! (AMX included), on one fixed block grid, and exits 1 unless the
+//! traffic counters are identical across the tiers of each dtype — live
+//! element movement is a property of the block schedule, never of the
+//! register tile or packed layout — or the int8 tiers' C differ in any
+//! bit (`ci.sh --kernel-smoke`).
 //!
 //! `--dtype-smoke` is the dtype counterpart: one single-threaded GEMM per
 //! supported dtype (f32, f64, bf16, int8) on one fixed block grid, each
@@ -105,7 +108,7 @@
 use cake_bench::output::{arg_value, has_flag, render_table};
 use cake_bench::scaling::{
     counters_invariant, dtype_counters_invariant, kernel_counters_invariant, scaling_sane,
-    sweep_dtypes, sweep_kernels, sweep_shape,
+    sweep_dtypes, sweep_kernels, sweep_kernels_i8, sweep_shape,
 };
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::executor::ExecStats;
@@ -469,6 +472,16 @@ fn print_exec_stats(s: &ExecStats) {
         s.pack_ns_max as f64 / 1e6
     );
     println!(
+        "    pack A         : {:>9.3} ms  ({:>5.1}% of busy)",
+        s.pack_a_ns as f64 / 1e6,
+        s.pack_a_ns as f64 / busy * 100.0
+    );
+    println!(
+        "    pack B         : {:>9.3} ms  ({:>5.1}% of busy)",
+        s.pack_b_ns as f64 / 1e6,
+        s.pack_b_ns as f64 / busy * 100.0
+    );
+    println!(
         "  compute time     : {:>9.3} ms  ({:>5.1}% of busy, worker max {:.3} / min {:.3} ms)",
         s.compute_ns as f64 / 1e6,
         s.compute_ns as f64 / busy * 100.0,
@@ -608,41 +621,46 @@ fn cmd_gemm() {
     // best_kernel call below (and in the sweeps) honors it.
     if let Some(tier) = arg_value("--kernel") {
         if cake_kernels::KernelTier::parse(&tier).is_none() {
-            eprintln!("unknown --kernel '{tier}' (expected portable|avx2|avx512)");
+            eprintln!("unknown --kernel '{tier}' (expected portable|avx2|avx512|amx)");
             std::process::exit(2);
         }
         std::env::set_var("CAKE_KERNEL", &tier);
     }
 
     if has_flag("--kernel-smoke") {
-        let points = sweep_kernels(m, k, n, iters);
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|pt| {
-                vec![
-                    pt.tier.name().into(),
-                    pt.kernel.into(),
-                    format!("{}x{}", pt.mr, pt.nr),
-                    format!("{:.2}", pt.gflops),
-                    pt.a_elems.to_string(),
-                    pt.b_elems.to_string(),
-                    pt.c_elems.to_string(),
-                ]
-            })
-            .collect();
-        println!("GEMM {m}x{k}x{n} kernel-tier smoke (fixed block grid, p = 1, best of {iters}):\n");
-        println!(
-            "{}",
-            render_table(
-                &["tier", "kernel", "mr x nr", "GFLOP/s", "A elems", "B elems", "C elems"],
-                &rows
-            )
-        );
-        match kernel_counters_invariant(&points) {
-            Ok(()) => println!("pack counters invariant across kernel tiers: OK"),
-            Err(msg) => {
-                eprintln!("kernel-tier counter invariance FAILED: {msg}");
-                std::process::exit(1);
+        for (dtype, points) in [("f32", sweep_kernels(m, k, n, iters)), ("int8", sweep_kernels_i8(m, k, n, iters))] {
+            let rows: Vec<Vec<String>> = points
+                .iter()
+                .map(|pt| {
+                    vec![
+                        pt.tier.name().into(),
+                        pt.kernel.into(),
+                        format!("{}x{}", pt.mr, pt.nr),
+                        format!("{:.2}", pt.gflops),
+                        pt.a_elems.to_string(),
+                        pt.b_elems.to_string(),
+                        pt.c_elems.to_string(),
+                        pt.c_hash.map_or("-".into(), |h| format!("{h:016x}")),
+                    ]
+                })
+                .collect();
+            println!("GEMM {m}x{k}x{n} {dtype} kernel-tier smoke (fixed block grid, p = 1, best of {iters}):\n");
+            println!(
+                "{}",
+                render_table(
+                    &["tier", "kernel", "mr x nr", "GOP/s", "A elems", "B elems", "C elems", "C hash"],
+                    &rows
+                )
+            );
+            match kernel_counters_invariant(&points) {
+                Ok(()) if dtype == "int8" => {
+                    println!("{dtype}: pack counters invariant and C bit-identical across kernel tiers: OK\n")
+                }
+                Ok(()) => println!("{dtype}: pack counters invariant across kernel tiers: OK\n"),
+                Err(msg) => {
+                    eprintln!("{dtype} kernel-tier invariance FAILED: {msg}");
+                    std::process::exit(1);
+                }
             }
         }
         return;

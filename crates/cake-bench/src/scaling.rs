@@ -26,7 +26,7 @@ use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
 use cake_core::topology;
 use cake_core::workspace::GemmWorkspace;
-use cake_matrix::{init, Matrix};
+use cake_matrix::{init, Element, Matrix};
 
 /// One `p` of a strong-scaling sweep.
 #[derive(Debug, Clone, Copy)]
@@ -212,29 +212,55 @@ pub struct KernelPoint {
     pub b_elems: u64,
     /// C elements updated.
     pub c_elems: u64,
+    /// FNV-1a hash of C's bytes after the call, for dtypes every tier
+    /// computes exactly (int8); `None` for float dtypes, whose tiers sum
+    /// in different orders.
+    pub c_hash: Option<u64>,
 }
 
-/// Run one single-threaded f32 GEMM per kernel tier the host supports, on
-/// one fixed block grid. The traffic counters tally live elements packed
-/// from the source views — a property of the block schedule, not of the
-/// kernel's register tile — so they must be identical across tiers
-/// ([`kernel_counters_invariant`], the `ci.sh --kernel-smoke` gate).
+/// Run one single-threaded f32 GEMM per kernel tier the host supports
+/// that has an f32 kernel, on one fixed block grid. The traffic counters
+/// tally live elements packed from the source views — a property of the
+/// block schedule, not of the kernel's register tile or packed layout — so
+/// they must be identical across tiers ([`kernel_counters_invariant`], the
+/// `ci.sh --kernel-smoke` gate).
 pub fn sweep_kernels(m: usize, k: usize, n: usize, iters: usize) -> Vec<KernelPoint> {
+    sweep_tiers(m, k, n, iters, init::random::<f32>)
+}
+
+/// [`sweep_kernels`] for int8, over every int8 tier the host has (AMX,
+/// VNNI, AVX2, portable): besides the counters, C must come out
+/// bit-identical on every tier, since i32 accumulation is exact.
+pub fn sweep_kernels_i8(m: usize, k: usize, n: usize, iters: usize) -> Vec<KernelPoint> {
+    sweep_tiers(m, k, n, iters, init::random_i8)
+}
+
+fn sweep_tiers<T: cake_kernels::select::KernelSelect>(
+    m: usize,
+    k: usize,
+    n: usize,
+    iters: usize,
+    gen: impl Fn(usize, usize, u64) -> Matrix<T>,
+) -> Vec<KernelPoint> {
+    // i32 accumulation is exact: every int8 tier must agree bit for bit.
+    let exact = T::NAME == "int8";
     let (bm, bk, bn) = fixed_grid_dims(m, k, n, 1);
     let shape = CbBlockShape::fixed(1, bm, bk, bn);
     let iters = iters.max(1);
-    let a = init::random::<f32>(m, k, 1);
-    let b = init::random::<f32>(k, n, 2);
+    let a = gen(m, k, 1);
+    let b = gen(k, n, 2);
 
-    let tiers = cake_kernels::available_tiers();
-    let mut points = Vec::with_capacity(tiers.len());
-    for tier in tiers {
-        let ukr = cake_kernels::tier_kernel::<f32>(tier).expect("available tier has a kernel");
+    let mut points = Vec::new();
+    for tier in cake_kernels::available_tiers() {
+        let Some(ukr) = cake_kernels::tier_kernel::<T>(tier) else {
+            continue;
+        };
         let pool = ThreadPool::with_affinity(1, false);
-        let mut ws = GemmWorkspace::<f32>::new();
-        let mut c = Matrix::<f32>::zeros(m, n);
+        let mut ws = GemmWorkspace::<T>::new();
+        let mut c = Matrix::<T::Acc>::zeros(m, n);
         let mut stats =
             execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
+        let c_hash = exact.then(|| fnv1a(c.as_slice().iter().flat_map(|x| x.to_f64().to_bits().to_le_bytes())));
         let mut best = f64::INFINITY;
         for _ in 0..iters {
             let t0 = Instant::now();
@@ -258,14 +284,24 @@ pub fn sweep_kernels(m: usize, k: usize, n: usize, iters: usize) -> Vec<KernelPo
             a_elems: stats.a_elems_loaded,
             b_elems: stats.b_elems_loaded,
             c_elems: stats.c_elems_updated,
+            c_hash,
         });
     }
     points
 }
 
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// The tier-invariance gate: on a fixed block grid every kernel tier must
 /// have packed/updated exactly the same element counts — wider register
-/// tiles change how a block is carved, never how many live elements move.
+/// tiles and other packed layouts change how a block is carved, never how
+/// many live elements move — and, where the dtype is exact, produced the
+/// same C bit for bit.
 pub fn kernel_counters_invariant(points: &[KernelPoint]) -> Result<(), String> {
     let Some(first) = points.first() else {
         return Ok(());
@@ -283,6 +319,12 @@ pub fn kernel_counters_invariant(points: &[KernelPoint]) -> Result<(), String> {
                 pt.a_elems,
                 pt.b_elems,
                 pt.c_elems
+            ));
+        }
+        if pt.c_hash != first.c_hash {
+            return Err(format!(
+                "tier results diverge: {} and {} computed different C",
+                first.kernel, pt.kernel
             ));
         }
     }
@@ -498,7 +540,9 @@ mod tests {
     #[test]
     fn kernel_sweep_covers_available_tiers_with_invariant_counters() {
         let points = sweep_kernels(48, 40, 56, 1);
-        let tiers = cake_kernels::available_tiers();
+        // Every available rung but amx (int8 only) has an f32 kernel.
+        let tiers: Vec<_> =
+            cake_kernels::available_tiers().into_iter().filter(|&t| t < cake_kernels::KernelTier::Amx).collect();
         assert_eq!(points.len(), tiers.len());
         for (pt, tier) in points.iter().zip(tiers) {
             assert_eq!(pt.tier, tier);
@@ -511,6 +555,34 @@ mod tests {
         let mut seen: Vec<&str> = points.iter().map(|p| p.kernel).collect();
         seen.dedup();
         assert_eq!(seen.len(), points.len(), "each tier reports a distinct kernel");
+    }
+
+    #[test]
+    fn int8_sweep_covers_every_int8_tier_with_identical_c() {
+        // K = 70 crosses the tile layout's 64-deep step; N = 56 leaves
+        // an edge sliver for every kernel width.
+        let points = sweep_kernels_i8(48, 70, 56, 1);
+        let tiers: Vec<_> = cake_kernels::available_tiers()
+            .into_iter()
+            .filter(|&t| cake_kernels::tier_kernel::<i8>(t).is_some())
+            .collect();
+        assert_eq!(points.iter().map(|p| p.tier).collect::<Vec<_>>(), tiers);
+        assert!(points.iter().all(|p| p.c_hash.is_some()), "int8 points carry a C hash");
+        kernel_counters_invariant(&points).expect("int8 tiers must agree bit for bit");
+        if let Some(amx) = cake_kernels::tier_kernel::<i8>(cake_kernels::KernelTier::Amx) {
+            assert!(points.iter().any(|p| p.kernel == amx.name()), "the AMX tier must run");
+        }
+    }
+
+    #[test]
+    fn divergent_int8_results_are_reported() {
+        let mut points = sweep_kernels_i8(24, 24, 24, 1);
+        if points.len() < 2 {
+            return;
+        }
+        points[1].c_hash = points[1].c_hash.map(|h| h ^ 1);
+        let err = kernel_counters_invariant(&points).unwrap_err();
+        assert!(err.contains("different C"), "{err}");
     }
 
     #[test]

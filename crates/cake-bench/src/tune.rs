@@ -106,7 +106,7 @@ pub fn autotune_shape<T: KernelSelect>(
         l2_bytes: opts.l2_bytes,
         ..CakeConfig::tuned_for(p, opts.llc_bytes)
     };
-    let default_ukr = base_cfg.selected_kernel::<T>();
+    let default_ukr = base_cfg.selected_kernel::<T>(k);
     let default_shape = base_cfg.explain_shape_for::<T>(m, k, n).shape;
     let default_tier = tier_of(default_ukr.name());
 

@@ -214,11 +214,13 @@ impl CakeConfig {
         }
     }
 
-    /// The microkernel a GEMM through this config dispatches to for element
-    /// type `T`: the portable tier when `force_portable_kernel` is set,
-    /// else a pinned [`kernel_tier`](Self::kernel_tier) the host can run,
-    /// otherwise the tier ladder's pick (honoring the `CAKE_KERNEL` cap).
-    pub fn selected_kernel<T: KernelSelect>(&self) -> cake_kernels::Ukr<T> {
+    /// The microkernel a GEMM of depth `k` through this config dispatches
+    /// to for element type `T`: the portable tier when
+    /// `force_portable_kernel` is set, else a pinned
+    /// [`kernel_tier`](Self::kernel_tier) the host can run, otherwise the
+    /// tier ladder's pick for that depth (honoring the `CAKE_KERNEL` cap;
+    /// see [`cake_kernels::best_kernel_for_depth`]).
+    pub fn selected_kernel<T: KernelSelect>(&self, k: usize) -> cake_kernels::Ukr<T> {
         if self.force_portable_kernel {
             return cake_kernels::portable_kernel::<T>();
         }
@@ -227,7 +229,7 @@ impl CakeConfig {
                 return ukr;
             }
         }
-        cake_kernels::best_kernel::<T>()
+        cake_kernels::best_kernel_for_depth::<T>(k)
     }
 
     /// [`explain_shape`](Self::explain_shape) driven by the kernel this
@@ -240,7 +242,7 @@ impl CakeConfig {
         k: usize,
         n: usize,
     ) -> TuneDecision {
-        let ukr = self.selected_kernel::<T>();
+        let ukr = self.selected_kernel::<T>(k);
         let mut d = self.explain_shape(
             m,
             k,
@@ -282,8 +284,8 @@ pub fn cake_gemm_views<T: KernelSelect>(
     c: &mut MatrixViewMut<'_, T::Acc>,
     cfg: &CakeConfig,
 ) {
-    let ukr = cfg.selected_kernel::<T>();
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let ukr = cfg.selected_kernel::<T>(k);
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -385,8 +387,8 @@ impl CakeGemm {
         b: &impl PackB<T>,
         c: &mut Matrix<T::Acc>,
     ) -> ExecStats {
-        let ukr = self.cfg.selected_kernel::<T>();
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let ukr = self.cfg.selected_kernel::<T>(k);
         if m == 0 || k == 0 || n == 0 {
             return ExecStats::default();
         }
@@ -756,7 +758,7 @@ mod tests {
     #[test]
     fn explain_shape_for_records_selected_kernel() {
         let cfg = CakeConfig::tuned_for(1, 16 * 1024 * 1024);
-        let ukr = cfg.selected_kernel::<f32>();
+        let ukr = cfg.selected_kernel::<f32>(256);
         let d = cfg.explain_shape_for::<f32>(256, 256, 256);
         assert_eq!(d.kernel, ukr.name());
         assert_eq!(
@@ -823,7 +825,7 @@ mod tests {
         std::env::remove_var("CAKE_TUNE_CACHE");
         assert_eq!(hit.fixed_shape, Some(CbBlockShape::fixed(2, 24, 96, 96)));
         assert_eq!(hit.kernel_tier, Some(cake_kernels::KernelTier::Portable));
-        assert!(hit.selected_kernel::<f32>().name().starts_with("portable"));
+        assert!(hit.selected_kernel::<f32>(96).name().starts_with("portable"));
         // Cache miss degrades to plain `tuned_for`.
         assert_eq!(miss.fixed_shape, None);
         assert_eq!(miss.kernel_tier, None);

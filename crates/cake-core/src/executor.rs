@@ -83,11 +83,12 @@
 //! ([`crate::pool::ThreadPool::pinned`]) so each worker's L2-resident A
 //! strip survives between blocks.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cake_kernels::edge::run_tile;
-use cake_kernels::pack::{pack_a, split_range, PackB};
+use cake_kernels::pack::{split_range, PackB};
 use cake_kernels::Ukr;
 use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
 
@@ -142,8 +143,16 @@ pub struct ExecStats {
     /// well-fitted host, parking when workers outnumber cores.
     pub barrier_mode: BarrierMode,
     /// Nanoseconds spent packing A strips and B panels, summed over all
-    /// workers.
+    /// workers: always [`pack_a_ns`] + [`pack_b_ns`].
+    ///
+    /// [`pack_a_ns`]: Self::pack_a_ns
+    /// [`pack_b_ns`]: Self::pack_b_ns
     pub pack_ns: u64,
+    /// Nanoseconds spent packing A strips, summed over all workers.
+    pub pack_a_ns: u64,
+    /// Nanoseconds spent packing B panels (including any lowering a
+    /// [`PackB`] operand does as it packs), summed over all workers.
+    pub pack_b_ns: u64,
     /// Largest single-worker pack time — together with [`pack_ns`] this
     /// separates "packing is cheap" from "packing is cheap on average but
     /// one worker does it all".
@@ -306,6 +315,13 @@ pub fn execute_in<T: Dtype>(
 /// returning measured [`ExecStats`]. `b` is any `K x N` [`PackB`]
 /// operand (a view, a matrix, or a B that is lowered as it is packed).
 ///
+/// # Panics
+/// Panics on dimension mismatch, and re-panics (through the pool) when a
+/// worker panics, for instance inside `b`'s [`PackB::pack_block`]. The
+/// call still returns at any `p`: the panicking worker keeps meeting its
+/// peers at the rotation barrier until the block loop ends. C's contents
+/// are unspecified after such a panic.
+///
 /// This is the warm-path root: after the one `ws.prepare(..)` staging
 /// call (cold — it only allocates on first use or shape growth) the
 /// whole call tree below here must neither allocate nor panic, which
@@ -340,7 +356,8 @@ pub fn execute_with_stats_in<T: Dtype>(
     // requested p) keeps shaping the block; a topology-clamped pool simply
     // runs the same blocks with fewer workers.
     let p = pool.size();
-    let (mr, nr) = (ukr.mr(), ukr.nr());
+    let layout = ukr.pack_layout();
+    let (mr, nr) = (layout.mr(), layout.nr());
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
 
     // The K-first snake, tiled by the shape's outer extents (if any).
@@ -352,7 +369,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     // the k-block count makes every snake reversal a cache hit (B packed
     // once per distinct surface), capped so the LLC footprint stays small.
     let n_panels = ring_depth(grid.kb);
-    let allocations = ws.prepare(shape, p, mr, nr, n_panels);
+    let allocations = ws.prepare(shape, p, &layout, n_panels);
     let pa_stride = ws.pa_stride;
     let packed_a = &ws.packed_a;
     // audit: checked prepare() above just grew packed_b to >= n_panels
@@ -369,7 +386,8 @@ pub fn execute_with_stats_in<T: Dtype>(
 
     // Cross-worker stat sinks (each worker accumulates locally and folds in
     // once at the end, so the hot loop touches no shared cache lines).
-    let pack_total = AtomicU64::new(0);
+    let pack_a_total = AtomicU64::new(0);
+    let pack_b_total = AtomicU64::new(0);
     let pack_max = AtomicU64::new(0);
     let compute_total = AtomicU64::new(0);
     let compute_max = AtomicU64::new(0);
@@ -406,8 +424,10 @@ pub fn execute_with_stats_in<T: Dtype>(
         // landing on whichever indices happen to be below the count. A
         // share starts on a sliver boundary, so packing its columns as a
         // panel of their own yields exactly the panel's slivers
-        // `start..end`, which sit at element `start * nr * kl`; one call
-        // lets the packer walk all of them a block of k-rows at a time.
+        // `start..end`, which sit at the layout's sliver offset
+        // `start * nr * kp` (`kp` the block depth padded as the kernel's
+        // layout pads it); one call lets the packer walk all of them a
+        // block of k-rows at a time.
         // Workers carve disjoint raw sub-slices out of the shared buffer:
         // no two `&mut` regions ever overlap. Pack ownership stays
         // 1D over all `p` workers regardless of the 2D compute grid, so the
@@ -421,18 +441,19 @@ pub fn execute_with_stats_in<T: Dtype>(
             let cols = (share.end * nr).min(g.nl) - col0;
             // Mirrors the `exec_pb_sliver_write` interval proof in
             // cake-audit: the share's end never passes the panel end.
-            debug_assert!(share.end * nr * g.kl <= pb_len);
+            debug_assert!(layout.b_offset(share.end, g.kl) <= pb_len);
             // SAFETY: the share's slivers occupy
-            // [start*nr*kl, end*nr*kl), within capacity since
-            // end <= ceil(nl/nr) <= bn/nr and kl <= bk; the shares of
-            // distinct workers are disjoint ranges of sliver indices.
+            // [start*nr*kp, end*nr*kp), within capacity since
+            // end <= ceil(nl/nr) <= bn/nr and kp <= the padded bk; the
+            // shares of distinct workers are disjoint ranges of sliver
+            // indices.
             let dst: &mut [T] = unsafe {
                 std::slice::from_raw_parts_mut(
-                    pb_base.add(col0 * g.kl),
-                    share.len() * nr * g.kl,
+                    pb_base.add(layout.b_offset(share.start, g.kl)),
+                    layout.b_offset(share.len(), g.kl),
                 )
             };
-            b.pack_block(g.k0, g.n0 + col0, g.kl, cols, dst, nr);
+            b.pack_block(g.k0, g.n0 + col0, g.kl, cols, dst, &layout);
             tally.add_b(g.kl * cols);
         };
 
@@ -449,8 +470,8 @@ pub fn execute_with_stats_in<T: Dtype>(
             (worker_rows(g.ml, mr, pm, wm), wn, pn)
         };
 
-        // Pack this worker's private A strip for block `g` (k-major `mr`
-        // slivers — the packed-A format over the strip sub-view). Workers
+        // Pack this worker's private A strip for block `g` (`mr`-row
+        // slivers in the kernel's layout, over the strip sub-view). Workers
         // in the same row group (`wn > 0` peers) pack identical *private*
         // copies: a shared strip would race, because strips are repacked
         // for block `i+1` right after the owner's own compute while a peer
@@ -463,7 +484,7 @@ pub fn execute_with_stats_in<T: Dtype>(
             // Mirrors `exec_pa_strip` / `exec_pa_pack` in cake-audit: the
             // strip fits the shared buffer and the packed strip fits it.
             debug_assert!((wid + 1) * pa_stride <= packed_a.len());
-            debug_assert!(cake_kernels::pack::packed_a_size(rows, g.kl, mr) <= pa_stride);
+            debug_assert!(layout.a_size(rows, g.kl) <= pa_stride);
             // SAFETY: each worker owns the disjoint range
             // [wid*pa_stride, (wid+1)*pa_stride) of the shared buffer.
             let pa: &mut [T] = unsafe {
@@ -472,7 +493,7 @@ pub fn execute_with_stats_in<T: Dtype>(
                     pa_stride,
                 )
             };
-            pack_a(&a.sub(g.m0 + row0, g.k0, rows, g.kl), pa, mr);
+            layout.pack_a(&a.sub(g.m0 + row0, g.k0, rows, g.kl), pa);
             // Count the surface load once per row group, not once per
             // duplicated private copy, so `a_elems` is partition-invariant.
             if wn == 0 {
@@ -503,12 +524,12 @@ pub fn execute_with_stats_in<T: Dtype>(
                 let col = g.n0 + t * nr;
                 owned_cols += ncols;
                 // Mirrors `exec_pb_sliver_read` in cake-audit.
-                debug_assert!((t + 1) * nr * g.kl <= pb_len);
+                debug_assert!(layout.b_offset(t + 1, g.kl) <= pb_len);
                 for s in 0..a_slivers {
                     let mrows = mr.min(rows - s * mr);
                     let row = g.m0 + row0 + s * mr;
                     // Mirrors `exec_pa_read` and `exec_c_tile` in cake-audit.
-                    debug_assert!((s + 1) * mr * g.kl <= pa_stride);
+                    debug_assert!(layout.a_offset(s + 1, g.kl) <= pa_stride);
                     debug_assert!(row + mrows <= m && col + ncols <= n);
                     // SAFETY: packed slivers are zero-padded full tiles;
                     // C indices (row, col) + (mrows, ncols) are in bounds;
@@ -519,8 +540,8 @@ pub fn execute_with_stats_in<T: Dtype>(
                         run_tile(
                             ukr,
                             g.kl,
-                            pa_ptr.add(s * mr * g.kl),
-                            pb_base.add(t * nr * g.kl),
+                            pa_ptr.add(layout.a_offset(s, g.kl)),
+                            pb_base.add(layout.b_offset(t, g.kl)),
                             cptr,
                             rsc,
                             csc,
@@ -533,76 +554,104 @@ pub fn execute_with_stats_in<T: Dtype>(
             tally.add_c(rows * owned_cols);
         };
 
-        let (mut pack_ns, mut compute_ns, mut wait_ns) = (0u64, 0u64, 0u64);
+        let (mut pack_a_ns, mut pack_b_ns) = (0u64, 0u64);
+        let (mut compute_ns, mut wait_ns) = (0u64, 0u64);
         let mut waits = 0usize;
         let mut bsense = barrier.waiter();
-        // The ring state evolves as a pure function of the schedule, so
-        // every worker tracks an identical copy and all agree on which
-        // panel is live and which gets packed.
-        let mut cache = PanelCache::new(panels.len());
+        let nanos = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
 
-        for bi in 0..nblocks {
-            let g = blk(bi);
+        // The block loop runs under `catch_unwind`: a panic (say, in a
+        // `PackB` implementation) must not leave the peers spinning at a
+        // rotation barrier this worker never reaches. Every worker waits
+        // exactly `nblocks` times (the prologue barrier plus one per block
+        // transition), so a worker that panicked performs the waits it has
+        // left, in step with its peers, and then resumes the panic, which
+        // the pool reports to the caller. The barrier protocol is
+        // unchanged; what the other workers compute from a panel the
+        // panicking worker did not finish is unspecified, and so is C.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            // The ring state evolves as a pure function of the schedule, so
+            // every worker tracks an identical copy and all agree on which
+            // panel is live and which gets packed.
+            let mut cache = PanelCache::new(panels.len());
 
-            if bi == 0 {
-                // Prologue: fill panel 0 and our A strip for block 0. The
-                // single barrier separates these writes from all reads.
-                let c0 = sched.coord_at(0);
-                cache.seed((c0.k, c0.n));
+            for bi in 0..nblocks {
+                let g = blk(bi);
+
+                if bi == 0 {
+                    // Prologue: fill panel 0 and our A strip for block 0.
+                    // The single barrier separates these writes from all
+                    // reads.
+                    let c0 = sched.coord_at(0);
+                    cache.seed((c0.k, c0.n));
+                    let t0 = Instant::now();
+                    // audit: step prologue pack_b slot=first
+                    // audit: checked panel 0 exists: ring depth is always >= 2
+                    pack_b_coop(&g, panels[0].base_ptr());
+                    let t1 = Instant::now();
+                    // audit: step prologue pack_a
+                    pack_a_own(&g);
+                    let t2 = Instant::now();
+                    pack_b_ns += nanos(t0, t1);
+                    pack_a_ns += nanos(t1, t2);
+                    // audit: step prologue barrier
+                    barrier.wait(&mut bsense);
+                    wait_ns += nanos(t2, Instant::now());
+                    waits += 1;
+                }
+
                 let t0 = Instant::now();
-                // audit: step prologue pack_b slot=first
-                // audit: checked panel 0 exists: ring depth is always >= 2
-                pack_b_coop(&g, panels[0].base_ptr());
-                // audit: step prologue pack_a
-                pack_a_own(&g);
-                pack_ns += t0.elapsed().as_nanos() as u64;
+                // audit: step block compute slot=cur
+                // audit: checked cache.cur() < depth == panels.len() (ring invariant)
+                compute(&g, panels[cache.cur()].base_ptr() as *const T);
                 let t1 = Instant::now();
-                // audit: step prologue barrier
+                compute_ns += nanos(t0, t1);
+
+                if bi + 1 < nblocks {
+                    // Pipeline: pack block bi+1's surfaces while other
+                    // workers may still be computing block bi. A miss fills
+                    // an idle ring panel (the LRU victim is never the one
+                    // still being read); the private A strip is safe to
+                    // overwrite after our own compute.
+                    let cn = sched.coord_at(bi + 1);
+                    let cp = sched.coord_at(bi);
+                    let share_a = cp.m == cn.m && cp.k == cn.k;
+
+                    let gn = blk(bi + 1);
+                    if let PanelAction::Pack(next) = cache.advance((cn.k, cn.n)) {
+                        // audit: step block pack_b slot=next cond=ring-miss
+                        // audit: checked Pack(next) victims are drawn from 0..depth
+                        pack_b_coop(&gn, panels[next].base_ptr());
+                    }
+                    let t2 = Instant::now();
+                    if !share_a {
+                        // audit: step block pack_a cond=!share_a
+                        pack_a_own(&gn);
+                    }
+                    let t3 = Instant::now();
+                    pack_b_ns += nanos(t1, t2);
+                    pack_a_ns += nanos(t2, t3);
+
+                    // Rotation barrier: block bi's reads are done
+                    // everywhere, block bi+1's panel is complete everywhere.
+                    // audit: step block barrier cond=has-next
+                    barrier.wait(&mut bsense);
+                    wait_ns += nanos(t3, Instant::now());
+                    waits += 1;
+                }
+            }
+        }));
+        if let Err(panic) = run {
+            while waits < nblocks {
                 barrier.wait(&mut bsense);
-                wait_ns += t1.elapsed().as_nanos() as u64;
                 waits += 1;
             }
-
-            let t0 = Instant::now();
-            // audit: step block compute slot=cur
-            // audit: checked cache.cur() < depth == panels.len() (ring invariant)
-            compute(&g, panels[cache.cur()].base_ptr() as *const T);
-            compute_ns += t0.elapsed().as_nanos() as u64;
-
-            if bi + 1 < nblocks {
-                // Pipeline: pack block bi+1's surfaces while other workers
-                // may still be computing block bi. A miss fills an idle
-                // ring panel (the LRU victim is never the one still being
-                // read); the private A strip is safe to overwrite after our
-                // own compute.
-                let cn = sched.coord_at(bi + 1);
-                let cp = sched.coord_at(bi);
-                let share_a = cp.m == cn.m && cp.k == cn.k;
-
-                let gn = blk(bi + 1);
-                let t1 = Instant::now();
-                if let PanelAction::Pack(next) = cache.advance((cn.k, cn.n)) {
-                    // audit: step block pack_b slot=next cond=ring-miss
-                    // audit: checked Pack(next) victims are drawn from 0..depth
-                    pack_b_coop(&gn, panels[next].base_ptr());
-                }
-                if !share_a {
-                    // audit: step block pack_a cond=!share_a
-                    pack_a_own(&gn);
-                }
-                pack_ns += t1.elapsed().as_nanos() as u64;
-
-                // Rotation barrier: block bi's reads are done everywhere,
-                // block bi+1's panel is complete everywhere.
-                let t2 = Instant::now();
-                // audit: step block barrier cond=has-next
-                barrier.wait(&mut bsense);
-                wait_ns += t2.elapsed().as_nanos() as u64;
-                waits += 1;
-            }
+            resume_unwind(panic);
         }
 
-        pack_total.fetch_add(pack_ns, Ordering::Relaxed);
+        let pack_ns = pack_a_ns + pack_b_ns;
+        pack_a_total.fetch_add(pack_a_ns, Ordering::Relaxed);
+        pack_b_total.fetch_add(pack_b_ns, Ordering::Relaxed);
         pack_max.fetch_max(pack_ns, Ordering::Relaxed);
         compute_total.fetch_add(compute_ns, Ordering::Relaxed);
         compute_max.fetch_max(compute_ns, Ordering::Relaxed);
@@ -623,7 +672,9 @@ pub fn execute_with_stats_in<T: Dtype>(
         requested_workers: shape.p,
         host_cores,
         barrier_mode,
-        pack_ns: pack_total.load(Ordering::Relaxed),
+        pack_ns: pack_a_total.load(Ordering::Relaxed) + pack_b_total.load(Ordering::Relaxed),
+        pack_a_ns: pack_a_total.load(Ordering::Relaxed),
+        pack_b_ns: pack_b_total.load(Ordering::Relaxed),
         pack_ns_max: pack_max.load(Ordering::Relaxed),
         compute_ns: compute_total.load(Ordering::Relaxed),
         compute_ns_max: compute_max.load(Ordering::Relaxed),
@@ -910,6 +961,34 @@ mod tests {
                     s += a.get(i, kk) as i32 * b.get(kk, j) as i32;
                 }
                 assert_eq!(c.get(i, j), s, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn i8_is_exact_on_every_tier_at_every_depth_and_p() {
+        // Depths around the tile layout's 64-deep step and across several
+        // k-blocks (kc = 100), p = 1, 2, 3, through every int8 kernel the
+        // host has — the AMX tile layout included. C is pre-filled.
+        let (m, n) = (45, 70);
+        let tiers: Vec<_> = cake_kernels::available_tiers()
+            .into_iter()
+            .filter_map(cake_kernels::tier_kernel::<i8>)
+            .collect();
+        for k in [1, 27, 63, 64, 65, 288, 577] {
+            let a = init::random_i8(m, k, k as u64);
+            let b = init::random_i8(k, n, k as u64 + 1);
+            let want = Matrix::from_fn(m, n, |i, j| {
+                (0..k).map(|kk| a.get(i, kk) as i32 * b.get(kk, j) as i32).sum::<i32>() - 5
+            });
+            for p in [1, 2, 3] {
+                let pool = ThreadPool::new(p);
+                let shape = CbBlockShape::fixed(p, 16, 100, 64);
+                for ukr in &tiers {
+                    let mut c = Matrix::from_fn(m, n, |_, _| -5i32);
+                    execute(&a.view(), &b.view(), &mut c.view_mut(), &shape, ukr, &pool);
+                    assert_eq!(c.as_slice(), want.as_slice(), "{} k={k} p={p}", ukr.name());
+                }
             }
         }
     }

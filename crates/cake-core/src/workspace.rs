@@ -17,7 +17,7 @@
 //! it through repeated calls: after warmup, a steady-shape GEMM stream
 //! performs **zero** heap allocations.
 
-use cake_kernels::pack::{packed_a_size, packed_b_size};
+use cake_kernels::pack::PackLayout;
 use cake_matrix::Element;
 
 use crate::shape::CbBlockShape;
@@ -80,10 +80,11 @@ impl<T: Element> GemmWorkspace<T> {
         }
     }
 
-    /// Size the buffers for one CB-block shape and kernel (`mr x nr`) run
-    /// by `workers` pool threads, with an `n_panels`-entry B ring, growing
-    /// only when the current capacity is insufficient. Returns the number
-    /// of fresh allocations this call performed (0 after warmup).
+    /// Size the buffers for one CB-block shape and kernel layout (its
+    /// `mr x nr` tile and any K padding) run by `workers` pool threads,
+    /// with an `n_panels`-entry B ring, growing only when the current
+    /// capacity is insufficient. Returns the number of fresh allocations
+    /// this call performed (0 after warmup).
     ///
     /// `workers` is the *effective* pool size, which may differ from
     /// `shape.p` (the shape keeps the requested p for the analytic model;
@@ -95,18 +96,18 @@ impl<T: Element> GemmWorkspace<T> {
         &mut self,
         shape: &CbBlockShape,
         workers: usize,
-        mr: usize,
-        nr: usize,
+        layout: &PackLayout,
         n_panels: usize,
     ) -> usize {
+        let mr = layout.mr();
         let n_panels = n_panels.clamp(2, MAX_B_PANELS);
         // 2D-partition bound (see `worker_tile_bound`): the block's
         // ceil(bm / mr) tiles are split by the worker grid, and no worker
         // ever owns more than the closed-form bound — never more than the
         // old fixed-strip ceil(mc / mr) when the grid is pure M-strips.
         let max_tiles = worker_tile_bound(shape.m_block().div_ceil(mr), workers);
-        let pa_stride = packed_a_size(max_tiles * mr, shape.k_block(), mr);
-        let pb_len = packed_b_size(shape.k_block(), shape.n_block(), nr);
+        let pa_stride = layout.a_size(max_tiles * mr, shape.k_block());
+        let pb_len = layout.b_size(shape.k_block(), shape.n_block());
         let mut fresh = 0;
         fresh += usize::from(self.packed_a.reserve(pa_stride * workers));
         while self.packed_b.len() < n_panels {
@@ -141,18 +142,19 @@ impl<T: Element> Default for GemmWorkspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cake_kernels::pack::{packed_a_size, packed_b_size};
 
     #[test]
     fn prepare_allocates_once_per_shape_class() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(2, 16, 16, 32);
-        let first = ws.prepare(&shape, 2, 6, 16, 2);
+        let first = ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2);
         assert_eq!(first, 3, "A strips + two B panels");
         // Same shape again: fully warm.
-        assert_eq!(ws.prepare(&shape, 2, 6, 16, 2), 0);
+        assert_eq!(ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2), 0);
         // Smaller shape fits in existing capacity.
         let small = CbBlockShape::fixed(2, 8, 8, 16);
-        assert_eq!(ws.prepare(&small, 2, 6, 16, 2), 0);
+        assert_eq!(ws.prepare(&small, 2, &PackLayout::k_major(6, 16), 2), 0);
         assert_eq!(ws.allocations(), 3);
         assert!(ws.bytes() > 0);
     }
@@ -162,38 +164,43 @@ mod tests {
         let mut ws = GemmWorkspace::<f64>::new();
         let small = CbBlockShape::fixed(1, 8, 8, 8);
         let big = CbBlockShape::fixed(1, 64, 64, 128);
-        assert!(ws.prepare(&small, 1, 4, 8, 2) > 0);
+        assert!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2) > 0);
         let before = ws.bytes();
-        assert!(ws.prepare(&big, 1, 4, 8, 2) > 0);
+        assert!(ws.prepare(&big, 1, &PackLayout::k_major(4, 8), 2) > 0);
         assert!(ws.bytes() > before);
         // And shrinking back performs no work.
-        assert_eq!(ws.prepare(&small, 1, 4, 8, 2), 0);
+        assert_eq!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2), 0);
     }
 
     #[test]
     fn panel_ring_grows_on_demand_and_is_capped() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(1, 8, 8, 16);
-        assert_eq!(ws.prepare(&shape, 1, 6, 16, 2), 3, "A + 2 panels");
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 2), 3, "A + 2 panels");
         // A deeper ring for the same shape only allocates the new panels.
-        assert_eq!(ws.prepare(&shape, 1, 6, 16, 4), 2, "2 more panels");
-        assert_eq!(ws.prepare(&shape, 1, 6, 16, 4), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4), 2, "2 more panels");
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4), 0);
         // Requests beyond MAX_B_PANELS (and below 2) are clamped.
-        assert_eq!(ws.prepare(&shape, 1, 6, 16, 99), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 99), 0);
         assert_eq!(ws.packed_b.len(), MAX_B_PANELS);
-        assert_eq!(ws.prepare(&shape, 1, 6, 16, 0), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 0), 0);
     }
 
     #[test]
     fn pa_stride_tracks_last_prepared_shape() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(3, 12, 16, 32);
-        ws.prepare(&shape, 3, 6, 16, 2);
+        ws.prepare(&shape, 3, &PackLayout::k_major(6, 16), 2);
         // bm = 36, mr = 6: T = 6 tiles; bound = min(6, ceil(6/3) + 2) = 4
         // tiles = 24 rows (the + p - 1 slack covers small partial blocks
         // whose worker grid folds into N).
         assert_eq!(ws.pa_stride, packed_a_size(worker_tile_bound(6, 3) * 6, 16, 6));
         assert_eq!(ws.pa_stride, packed_a_size(24, 16, 6));
+        // A layout that pads K sizes for the padded depth: 16 -> 64.
+        let mut ws = GemmWorkspace::<i8>::new();
+        ws.prepare(&shape, 3, &PackLayout::tiles(32, 32), 2);
+        assert_eq!(ws.pa_stride, packed_a_size(worker_tile_bound(2, 3) * 32, 64, 32));
+        assert_eq!(ws.bytes(), 3 * ws.pa_stride + 2 * packed_b_size(64, 32, 32));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! sliver `OH*OW` wide, so the two lowerings cannot drift; [`direct_conv`]
 //! is the quadruple-loop reference the tests verify the GEMM path against.
 
-use cake_kernels::pack::{b_sliver_offset, packed_b_size, PackB, B_KROWS};
+use cake_kernels::pack::{put_b_tile_rows, LayoutKind, PackB, PackLayout, B_KROWS, TILE_MAX_NR};
 use cake_matrix::{Element, Matrix};
 
 use crate::tensor::Tensor;
@@ -71,7 +71,7 @@ fn im2col_padded<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matr
     let lowered = LoweredConv::new(input, geom, pad);
     let (k, n) = (lowered.rows(), lowered.cols());
     let mut out = Matrix::zeros(k, n);
-    lowered.pack_block(0, 0, k, n, out.as_mut_slice(), n);
+    lowered.pack_block(0, 0, k, n, out.as_mut_slice(), &PackLayout::k_major(1, n));
     out
 }
 
@@ -194,29 +194,45 @@ impl<'a, T: Element> LoweredConv<'a, T> {
     }
 
     /// [`PackB::pack_block`] with the sliver width `NR` a constant for
-    /// the registered kernel widths (`NR = 0` takes it from `nr`), so an
-    /// interior piece is a fixed-width copy.
-    fn pack_slivers<const NR: usize>(
+    /// the registered kernel widths (`NR = 0` takes it from the layout), so
+    /// an interior piece is a fixed-width copy, and `TILES` whether the
+    /// layout is [`LayoutKind::Tiles`].
+    ///
+    /// A k-major layout receives each sliver's pieces of a block of k-rows
+    /// in place. The tile layout receives them in an L1 buffer, k-major,
+    /// and [`put_b_tile_rows`] interleaves the buffer into the sliver; the
+    /// walk then runs on through the padded depth, whose rows are zeros.
+    fn pack_slivers<const NR: usize, const TILES: bool>(
         &self,
         k0: usize,
         n0: usize,
         kl: usize,
         nl: usize,
         dst: &mut [T],
-        nr: usize,
+        layout: &PackLayout,
     ) {
-        let nr = if NR == 0 { nr } else { NR };
+        let nr = if NR == 0 { layout.nr() } else { NR };
         let slivers = nl.div_ceil(nr);
-        for kb in (0..kl).step_by(B_KROWS) {
-            let kn = B_KROWS.min(kl - kb);
+        let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
+        for kb in (0..layout.k_padded(kl)).step_by(B_KROWS) {
+            let kn = B_KROWS.min(kl.saturating_sub(kb));
             let rows = self.block_geom(k0 + kb, kn);
             for t in 0..slivers {
                 let col0 = n0 + t * nr;
                 let live = nr.min(nl - t * nr);
                 let (oy, ox) = (col0 / self.ow, col0 % self.ow);
-                let base = b_sliver_offset(t, kl, nr) + kb * nr;
-                // audit: bounds pack_b_krow_block
-                let block = &mut dst[base..base + kn * nr];
+                let block = if TILES {
+                    // Rows past the block's last k-row stay zero.
+                    let (rows_in, zeros) = staged.split_at_mut(kn * nr);
+                    if kn < B_KROWS {
+                        zeros.fill(T::ZERO);
+                    }
+                    rows_in
+                } else {
+                    let base = layout.b_offset(t, kl) + kb * nr;
+                    // audit: bounds pack_b_krow_block
+                    &mut dst[base..base + kn * nr]
+                };
                 let pieces = block.chunks_exact_mut(nr).zip(&rows);
                 // At stride 1 a full sliver inside one output row reads one
                 // input window per patch row, and so does one spanning
@@ -234,6 +250,11 @@ impl<'a, T: Element> LoweredConv<'a, T> {
                         self.each_run(taps, oy, ox, |run, y, x| self.run(run, g, y, x));
                         tail.fill(T::ZERO);
                     }
+                }
+                if TILES {
+                    let at = layout.b_offset(t, kl);
+                    // audit: bounds pack_b_tile_sliver
+                    put_b_tile_rows(&staged, nr, &mut dst[at..at + layout.b_offset(1, kl)], kb);
                 }
             }
         }
@@ -324,20 +345,25 @@ impl<T: Element> PackB<T> for LoweredConv<'_, T> {
 
     /// Pack the block in blocks of [`B_KROWS`] k-rows, as `pack_b` walks
     /// a row-major B: the rows' input geometry once per block, then each
-    /// sliver's piece of every row, `B_KROWS * nr` contiguous elements.
+    /// sliver's piece of every row, `B_KROWS * nr` contiguous elements
+    /// (k-major), or interleaved into the sliver's tiles (the AMX layout).
     // audit: warm
     // audit: hot
-    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
-        let need = packed_b_size(kl, nl, nr);
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
+        let need = layout.b_size(kl, nl);
         // audit: cold buffer-size precondition, once per pack call before the sliver loop
         assert!(dst.len() >= need, "packed B buffer too small: {} < {need}", dst.len());
         // audit: cold block-extent precondition, once per pack call before the sliver loop
         assert!(k0 + kl <= self.rows && n0 + nl <= self.cols(), "block outside the patch matrix");
-        match nr {
-            8 => self.pack_slivers::<8>(k0, n0, kl, nl, dst, nr),
-            16 => self.pack_slivers::<16>(k0, n0, kl, nl, dst, nr),
-            32 => self.pack_slivers::<32>(k0, n0, kl, nl, dst, nr),
-            _ => self.pack_slivers::<0>(k0, n0, kl, nl, dst, nr),
+        // audit: cold layout precondition, once per pack call before the sliver loop
+        assert!(layout.kind() == LayoutKind::KMajor || layout.nr() <= TILE_MAX_NR, "tile slivers are at most two tiles wide");
+        match (layout.kind(), layout.nr()) {
+            (LayoutKind::KMajor, 8) => self.pack_slivers::<8, false>(k0, n0, kl, nl, dst, layout),
+            (LayoutKind::KMajor, 16) => self.pack_slivers::<16, false>(k0, n0, kl, nl, dst, layout),
+            (LayoutKind::KMajor, 32) => self.pack_slivers::<32, false>(k0, n0, kl, nl, dst, layout),
+            (LayoutKind::KMajor, _) => self.pack_slivers::<0, false>(k0, n0, kl, nl, dst, layout),
+            (LayoutKind::Tiles, 32) => self.pack_slivers::<32, true>(k0, n0, kl, nl, dst, layout),
+            (LayoutKind::Tiles, _) => self.pack_slivers::<0, true>(k0, n0, kl, nl, dst, layout),
         }
     }
 }
@@ -521,24 +547,25 @@ mod tests {
         }
     }
 
-    /// The lowered view's `pack_block` and `pack_b` over the same block of
-    /// the per-element patch matrix, each into a buffer of `sentinel` one
-    /// sliver longer than the packed block, as f64 bit patterns: every
-    /// packed element must be written, and nothing past it.
+    /// The lowered view's `pack_block` and the layout's `pack_b` over the
+    /// same block of the per-element patch matrix, each into a buffer of
+    /// `sentinel` one sliver longer than the packed block, as f64 bit
+    /// patterns: every packed element (the tile layout's zero K padding
+    /// included) must be written, and nothing past it.
     fn lowered_and_materialized<T: Element>(
         input: &Tensor<T>,
         geom: &ConvGeom,
         pad: T,
         sentinel: T,
         (k0, kl, n0, nl): (usize, usize, usize, usize),
-        nr: usize,
+        layout: &PackLayout,
     ) -> (Vec<u64>, Vec<u64>) {
-        let len = packed_b_size(kl, nl, nr) + nr;
+        let len = layout.b_size(kl, nl) + layout.nr();
         let patches = im2col_reference(input, geom, pad);
         let mut want = vec![sentinel; len];
-        cake_kernels::pack::pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want, nr);
+        layout.pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want);
         let mut got = vec![sentinel; len];
-        LoweredConv::new(input, geom, pad).pack_block(k0, n0, kl, nl, &mut got, nr);
+        LoweredConv::new(input, geom, pad).pack_block(k0, n0, kl, nl, &mut got, layout);
         let bits = |v: Vec<T>| v.into_iter().map(|x| x.to_f64().to_bits()).collect();
         (bits(got), bits(want))
     }
@@ -555,6 +582,7 @@ mod tests {
             pad in 0usize..=6,
             same in any::<bool>(),
             nr in prop::sample::select(vec![8usize, 16, 32, 5]),
+            tiled in any::<bool>(),
             pick in 0u64..1 << 40,
             seed in 0u64..500,
         ) {
@@ -580,12 +608,19 @@ mod tests {
                 };
                 let nl = 1 + (pick >> 30) % (n - n0);
                 let block = (k0, kl, n0, nl);
+                // The layout is one more input: k-major at any width, or
+                // the AMX tiles at one or two 16-column tiles.
+                let layout = if tiled {
+                    PackLayout::tiles(32, if nr == 32 { 32 } else { 16 })
+                } else {
+                    PackLayout::k_major(1, nr)
+                };
                 let x = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed), h, w);
-                let (got, want) = lowered_and_materialized(&x, &geom, -7.5, f32::NAN, block, nr);
-                prop_assert_eq!(got, want, "f32 {:?} block {:?} nr {}", geom, block, nr);
+                let (got, want) = lowered_and_materialized(&x, &geom, -7.5, f32::NAN, block, &layout);
+                prop_assert_eq!(got, want, "f32 {:?} block {:?} {:?}", geom, block, layout);
                 let x8 = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
-                let (got, want) = lowered_and_materialized(&x8, &geom, 3i8, 99i8, block, nr);
-                prop_assert_eq!(got, want, "i8 {:?} block {:?} nr {}", geom, block, nr);
+                let (got, want) = lowered_and_materialized(&x8, &geom, 3i8, 99i8, block, &layout);
+                prop_assert_eq!(got, want, "i8 {:?} block {:?} {:?}", geom, block, layout);
             }
         }
     }

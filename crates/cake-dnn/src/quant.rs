@@ -35,6 +35,7 @@
 
 use cake_core::api::CakeGemm;
 use cake_kernels::pack::PackB;
+use cake_kernels::quant::{quantize_into, zero_inclusive_range};
 use cake_matrix::Matrix;
 
 use crate::im2col::{ConvGeom, LoweredConv};
@@ -87,69 +88,13 @@ pub struct ActQuant {
     pub zero_point: i32,
 }
 
-/// Lanes of the range reduction: independent min/max chains the compiler
-/// keeps in vector registers, instead of one serial dependency chain.
-const LANES: usize = 16;
-
-/// `(min(x, 0), max(x, 0))` with NaN ignored, as a fold of `f32::min` /
-/// `f32::max` from zero gives.
-fn zero_inclusive_range(x: &[f32]) -> (f32, f32) {
-    let (mut lo, mut hi) = ([0.0f32; LANES], [0.0f32; LANES]);
-    let mut chunks = x.chunks_exact(LANES);
-    // A NaN compares false and leaves its lane unchanged.
-    for chunk in &mut chunks {
-        for i in 0..LANES {
-            let v = chunk[i];
-            lo[i] = if v < lo[i] { v } else { lo[i] };
-            hi[i] = if v > hi[i] { v } else { hi[i] };
-        }
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        lo[i] = if v < lo[i] { v } else { lo[i] };
-        hi[i] = if v > hi[i] { v } else { hi[i] };
-    }
-    let lo = lo.into_iter().fold(0.0, |a, v| if v < a { v } else { a });
-    let hi = hi.into_iter().fold(0.0, |a, v| if v > a { v } else { a });
-    (lo, hi)
-}
-
-/// `1.5 * 2^23`: adding it to an `f32` of magnitude at most `2^22` rounds
-/// that value to the nearest integer (ties to even), and the integer is
-/// the difference of the sum's bits from this constant's bits.
-const ROUND_MAGIC: f32 = 12_582_912.0;
-
-/// `clamp(round(v / scale) + zero_point, -128, 127)`, with `f32::round`'s
-/// ties away from zero and NaN mapped to 0, as the `as i8` cast of the
-/// f32 formula gives. Written with float adds, compares and bit casts
-/// only — no branch, libm call or saturating conversion — so a loop over
-/// it vectorizes.
-#[inline(always)]
-fn quantize(v: f32, scale: f32, zero_point: i32) -> i8 {
-    let t = v / scale;
-    let nan = t.is_nan();
-    // Beyond ±256 the result saturates for every zero-point in
-    // [-128, 127]; inside, the rounding below is exact.
-    let c = if nan { 0.0 } else { t.clamp(-256.0, 256.0) };
-    let biased = c + ROUND_MAGIC;
-    let even = biased - ROUND_MAGIC;
-    // `c - even` is exact; ±0.5 marks a tie that went to the even
-    // neighbour toward zero, which rounding away from zero moves by one.
-    let tie = c - even;
-    let away = i32::from(tie == 0.5 && c > 0.0) - i32::from(tie == -0.5 && c < 0.0);
-    let rounded = (biased.to_bits() as i32 - ROUND_MAGIC.to_bits() as i32) + away;
-    let q = (rounded + zero_point).clamp(-128, 127) as i8;
-    if nan {
-        0
-    } else {
-        q
-    }
-}
-
 /// Quantize an f32 activation matrix to int8 with a per-tensor affine
 /// mapping of `[min(x, 0), max(x, 0)]` onto `[-128, 127]` (NaN entries are
 /// left out of the range and quantize to 0). Including zero in the range
 /// guarantees zero is exactly representable — padding and post-ReLU zeros
 /// survive quantization bit-exactly. The result has the layout of `x`.
+/// The range and quantize loops run at AVX-512 width when the host has it
+/// ([`cake_kernels::quant`]), with bit-identical results either way.
 // audit: cold activation quantization staging, allocates the int8 activation buffer
 pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
     let (lo, hi) = zero_inclusive_range(x.as_slice());
@@ -160,9 +105,7 @@ pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
     }
     let scale = range / 255.0;
     let zero_point = (-128.0 - lo / scale).round().clamp(-128.0, 127.0) as i32;
-    for (d, &v) in q.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        *d = quantize(v, scale, zero_point);
-    }
+    quantize_into(x.as_slice(), q.as_mut_slice(), scale, zero_point);
     (q, ActQuant { scale, zero_point })
 }
 
@@ -369,59 +312,6 @@ mod tests {
             for j in 0..5 {
                 let back = aq.scale * (q.get(i, j) as i32 - aq.zero_point) as f32;
                 assert!((back - x.get(i, j)).abs() <= aq.scale * 0.5 + 1e-5);
-            }
-        }
-    }
-
-    /// The per-element quantizer formula `quantize` replaces.
-    fn quantize_reference(v: f32, scale: f32, zero_point: i32) -> i8 {
-        let v = (v / scale).round() + zero_point as f32;
-        v.clamp(-128.0, 127.0) as i8
-    }
-
-    #[test]
-    fn quantizer_matches_round_formula_bit_for_bit() {
-        // Every 9973rd bit pattern (all classes: NaN, ±inf, ±0,
-        // subnormals, huge), then exact ties k + 0.5 and their neighbours
-        // one ulp either side.
-        let mut values: Vec<f32> =
-            (0..=u32::MAX / 9973).map(|i| f32::from_bits(i * 9973)).collect();
-        for k in -300..300 {
-            let tie = (k as f32 + 0.5) * 0.25;
-            let (up, down) = (tie.to_bits() + 1, tie.to_bits() - 1);
-            values.extend([tie, f32::from_bits(up), f32::from_bits(down)]);
-        }
-        values.extend([0.0, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
-        for scale in [0.25f32, 7.3e-3, 1.0, 1e-30, 3e30] {
-            for zp in [-128, -3, 0, 1, 127] {
-                for &v in &values {
-                    assert_eq!(
-                        quantize(v, scale, zp),
-                        quantize_reference(v, scale, zp),
-                        "v = {v:e} ({:#x}), scale = {scale:e}, zp = {zp}",
-                        v.to_bits()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_range_matches_serial_min_max_fold() {
-        // Lengths around the lane count, NaN anywhere, ±0 and one-signed
-        // data (the range always includes 0).
-        for len in [0usize, 1, 15, 16, 17, 33, 100] {
-            for shift in [-3.0f32, 0.5, 2.0] {
-                let x: Vec<f32> = (0..len)
-                    .map(|i| match i % 11 {
-                        3 => f32::NAN,
-                        5 => -0.0,
-                        _ => ((i * 37) % 23) as f32 * 0.5 + shift,
-                    })
-                    .collect();
-                let lo = x.iter().fold(0.0f32, |a, &v| a.min(v));
-                let hi = x.iter().fold(0.0f32, |a, &v| a.max(v));
-                assert_eq!(zero_inclusive_range(&x), (lo, hi), "len {len}, shift {shift}");
             }
         }
     }

@@ -25,7 +25,6 @@ use std::sync::Barrier;
 use cake_core::pool::ThreadPool;
 use cake_core::shared::{OutPtr, SharedBuf};
 use cake_kernels::edge::run_tile;
-use cake_kernels::pack::{packed_a_size, packed_b_size};
 use cake_kernels::Ukr;
 use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
 
@@ -64,7 +63,8 @@ pub fn execute<T: Dtype>(
     }
 
     let p = params.p;
-    let (mr, nr) = (ukr.mr(), ukr.nr());
+    let layout = ukr.pack_layout();
+    let (mr, nr) = (layout.mr(), layout.nr());
     let (mc, kc, nc) = (params.mc, params.kc, params.nc);
 
     // Buffers sized for the smaller of the blocking and the problem, so a
@@ -73,8 +73,8 @@ pub fn execute<T: Dtype>(
     let nc_eff = nc.min(n.div_ceil(nr) * nr);
     let mc_eff = mc.min(m.div_ceil(mr) * mr);
     // audit: cold pre-loop packing buffer, sized once per call
-    let packed_b = SharedBuf::<T>::zeroed(packed_b_size(kc_eff, nc_eff, nr));
-    let pa_stride = packed_a_size(mc_eff, kc_eff, mr);
+    let packed_b = SharedBuf::<T>::zeroed(layout.b_size(kc_eff, nc_eff));
+    let pa_stride = layout.a_size(mc_eff, kc_eff);
     // audit: cold pre-loop packing buffer, sized once per call
     let packed_a = SharedBuf::<T>::zeroed(pa_stride * p);
 
@@ -104,29 +104,14 @@ pub fn execute<T: Dtype>(
                     let col0 = jc + t * nr;
                     let live = nr.min(jc + nl - col0);
                     // Mirrors `goto_pb_sliver` in cake-audit.
-                    debug_assert!((t + 1) * nr * kl <= packed_b.len());
-                    // SAFETY: sliver ranges [t*nr*kl, (t+1)*nr*kl) are
-                    // disjoint per t; each t has exactly one owner.
+                    debug_assert!(layout.b_offset(t + 1, kl) <= packed_b.len());
+                    // SAFETY: sliver ranges [t*nr*kp, (t+1)*nr*kp) (kp the
+                    // depth as the layout pads it) are disjoint per t;
+                    // each t has exactly one owner.
                     let sliver: &mut [T] = unsafe {
-                        std::slice::from_raw_parts_mut(pb_base.add(t * nr * kl), nr * kl)
+                        std::slice::from_raw_parts_mut(pb_base.add(layout.b_offset(t, kl)), layout.b_offset(1, kl))
                     };
-                    for kk in 0..kl {
-                        let dst = &mut sliver[kk * nr..(kk + 1) * nr];
-                        // Fast path: row-major B rows copy as slices.
-                        if let Some(src) = b.contiguous_row(pc + kk, col0, live) {
-                            dst[..live].copy_from_slice(src);
-                            dst[live..].fill(T::ZERO);
-                        } else {
-                            for (j, d) in dst.iter_mut().enumerate() {
-                                *d = if j < live {
-                                    // SAFETY: pc+kk < k, col0+j < n.
-                                    unsafe { b.get_unchecked(pc + kk, col0 + j) }
-                                } else {
-                                    T::ZERO
-                                };
-                            }
-                        }
-                    }
+                    layout.pack_b(&b.sub(pc, col0, kl, live), sliver);
                     t += p;
                 }
 
@@ -141,7 +126,7 @@ pub fn execute<T: Dtype>(
                     // Pack A(ml x kl) into this worker's private panel.
                     // Mirrors `goto_pa_strip` / `goto_pa_pack` in cake-audit.
                     debug_assert!((wid + 1) * pa_stride <= packed_a.len());
-                    debug_assert!(packed_a_size(ml, kl, mr) <= pa_stride);
+                    debug_assert!(layout.a_size(ml, kl) <= pa_stride);
                     // SAFETY: range [wid*pa_stride, (wid+1)*pa_stride) is
                     // owned exclusively by this worker.
                     let pa: &mut [T] = unsafe {
@@ -151,22 +136,7 @@ pub fn execute<T: Dtype>(
                         )
                     };
                     let a_slivers = ml.div_ceil(mr);
-                    for s in 0..a_slivers {
-                        let row0 = ic + s * mr;
-                        let live = mr.min(ic + ml - row0);
-                        let base = s * mr * kl;
-                        for kk in 0..kl {
-                            let dst = &mut pa[base + kk * mr..base + (kk + 1) * mr];
-                            for (i, d) in dst.iter_mut().enumerate() {
-                                *d = if i < live {
-                                    // SAFETY: row0+i < m, pc+kk < k.
-                                    unsafe { a.get_unchecked(row0 + i, pc + kk) }
-                                } else {
-                                    T::ZERO
-                                };
-                            }
-                        }
-                    }
+                    layout.pack_a(&a.sub(ic, pc, ml, kl), pa);
                     let pa_ptr = pa.as_ptr();
 
                     // Loops 2 & 1: register tiles. GOTO iterates jr outer /
@@ -187,8 +157,8 @@ pub fn execute<T: Dtype>(
                                 run_tile(
                                     ukr,
                                     kl,
-                                    pa_ptr.add(s * mr * kl),
-                                    (pb_base as *const T).add(t2 * nr * kl),
+                                    pa_ptr.add(layout.a_offset(s, kl)),
+                                    (pb_base as *const T).add(layout.b_offset(t2, kl)),
                                     cptr,
                                     rsc,
                                     csc,

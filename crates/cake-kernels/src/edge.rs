@@ -6,17 +6,19 @@
 //! computes the full padded tile into a stack scratch buffer and then
 //! accumulates only the live `mrows x ncols` region into `C`.
 
+use std::mem::MaybeUninit;
+
 use cake_matrix::{Dtype, Element};
 
 use crate::ukernel::Ukr;
 
-/// Upper bound on `mr * nr` across all kernels in this crate
-/// (largest are the AVX-512 f32/bf16 `14x32` = 448; the int8 VNNI tile is
-/// `16x16` = 256; AVX2 f32 `6x16` = 96; portable `8x8` = 64). Sized
-/// exactly to the largest registered tile so the stack scratch stays small
-/// (f64: 448 * 8 B = 3.5 KiB; the scratch is accumulator-typed, so int8
-/// tiles cost 256 * 4 B).
-pub const MAX_TILE: usize = 448;
+/// Upper bound on `mr * nr` across all kernels in this crate: the AMX
+/// int8 tile `32x32` = 1024 (then the AVX-512 f32/bf16 `14x32` = 448, the
+/// int8 VNNI `16x16` = 256, AVX2 f32 `6x16` = 96, portable `8x8` = 64).
+/// Sized exactly to the largest registered tile. The scratch is
+/// accumulator-typed and only its `mr * nr` prefix is ever initialized, so
+/// a smaller kernel's edge tile does no more work than its own tile needs.
+pub const MAX_TILE: usize = 1024;
 
 /// Run one microkernel invocation with edge masking.
 ///
@@ -55,17 +57,26 @@ pub unsafe fn run_tile<T: Dtype>(
     }
     // audit: checked every registered kernel satisfies mr*nr <= MAX_TILE (registry tests pin this)
     assert!(mr * nr <= MAX_TILE, "kernel tile exceeds scratch capacity");
-    let mut scratch = [<T::Acc>::ZERO; MAX_TILE];
-    // SAFETY: scratch is mr*nr contiguous (row stride nr), kernel writes
-    // exactly that region; a/b contracts forwarded from caller.
-    unsafe { ukr.call(kc, a, b, scratch.as_mut_ptr(), nr, 1) };
+    // Zero only the kernel's own mr x nr prefix: the rest of the scratch
+    // stays uninitialized and is never read.
+    let mut scratch = [MaybeUninit::<T::Acc>::uninit(); MAX_TILE];
+    // audit: bounds edge_scratch_tile
+    let tile = &mut scratch[..mr * nr];
+    for x in tile.iter_mut() {
+        x.write(<T::Acc>::ZERO);
+    }
+    // SAFETY: tile is mr*nr contiguous initialized elements (row stride
+    // nr), and the kernel writes exactly that region; a/b contracts
+    // forwarded from caller.
+    unsafe { ukr.call(kc, a, b, tile.as_mut_ptr().cast::<T::Acc>(), nr, 1) };
     for i in 0..mrows {
         for j in 0..ncols {
-            // SAFETY: caller guarantees c indexing validity for i<mrows, j<ncols.
+            // SAFETY: caller guarantees c indexing validity for i<mrows,
+            // j<ncols; every tile element was initialized above.
             unsafe {
                 let p = c.add(i * rsc + j * csc);
                 // audit: bounds edge_scratch_tile
-                *p += scratch[i * nr + j];
+                *p += tile[i * nr + j].assume_init();
             }
         }
     }
@@ -154,10 +165,11 @@ mod tests {
                 for n in 1..=nr {
                     let a = init::random::<T>(m, k, (m * 31 + n) as u64);
                     let b = init::random::<T>(k, n, (m * 37 + n + 1) as u64);
-                    let mut pa = vec![T::ZERO; packed_a_size(m, k, mr)];
-                    let mut pb = vec![T::ZERO; packed_b_size(k, n, nr)];
-                    pack_a(&a.view(), &mut pa, mr);
-                    pack_b(&b.view(), &mut pb, nr);
+                    let layout = ukr.pack_layout();
+                    let mut pa = vec![T::ZERO; layout.a_size(m, k)];
+                    let mut pb = vec![T::ZERO; layout.b_size(k, n)];
+                    layout.pack_a(&a.view(), &mut pa);
+                    layout.pack_b(&b.view(), &mut pb);
 
                     let mut c = Matrix::<T::Acc>::zeros(m, n);
                     let ld = c.cols();
@@ -197,15 +209,18 @@ mod tests {
     /// bit-exact i32 comparison against a widening scalar reference.
     fn sweep_tails_i8(ukr: &crate::Ukr<i8>) {
         let (mr, nr) = (ukr.mr(), ukr.nr());
-        for k in [1usize, 3, 9] {
+        for k in [1usize, 3, 9, 70] {
             for m in 1..=mr {
                 for n in 1..=nr {
                     let a = init::random_i8(m, k, (m * 41 + n) as u64);
                     let b = init::random_i8(k, n, (m * 43 + n + 1) as u64);
-                    let mut pa = vec![0i8; packed_a_size(m, k, mr)];
-                    let mut pb = vec![0i8; packed_b_size(k, n, nr)];
-                    pack_a(&a.view(), &mut pa, mr);
-                    pack_b(&b.view(), &mut pb, nr);
+                    // Packed in the layout the kernel declares (tiles for
+                    // AMX, k-major for the rest).
+                    let layout = ukr.pack_layout();
+                    let mut pa = vec![0i8; layout.a_size(m, k)];
+                    let mut pb = vec![0i8; layout.b_size(k, n)];
+                    layout.pack_a(&a.view(), &mut pa);
+                    layout.pack_b(&b.view(), &mut pb);
 
                     let mut c = Matrix::<i32>::zeros(m, n);
                     let ld = c.cols();

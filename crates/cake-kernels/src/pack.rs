@@ -17,6 +17,14 @@
 //!
 //! Zero padding lets the hot loop always run full `mr x nr` kernels for the
 //! interior; only the `C`-side write needs edge masking.
+//!
+//! Those are the k-major formats, and [`pack_a`] / [`pack_b`] always write
+//! them. Each kernel declares the layout it reads as a [`PackLayout`]:
+//! every kernel but the AMX one reads k-major slivers, and the AMX int8
+//! kernel reads [`LayoutKind::Tiles`] slivers, whose K is zero-padded to a
+//! multiple of [`TILE_K`]. The executor packs through
+//! [`PackLayout::pack_a`] / [`PackLayout::pack_b`] and [`PackB`], which
+//! follow the layout.
 
 use cake_matrix::{Element, Matrix, MatrixView};
 
@@ -113,6 +121,71 @@ mod bytetile {
             }
         }
     }
+}
+
+/// AVX-512 VBMI interleave of a 16-row, 32-byte-wide k-major block into the
+/// B-tile rows of its two 16-column tiles: one two-source byte shuffle
+/// (`vpermt2b`) per 64-byte tile row. Every host with AMX has VBMI, so the
+/// AMX kernel's B packs take this path; the scalar loop of
+/// [`interleave_k4`] serves other widths and hosts. Selected at run time
+/// ([`vbmi_tile_available`]); compiled out under Miri.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod vbmitile {
+    use core::arch::x86_64::*;
+
+    /// Byte `4c + t` of a tile row of column tile `ct` takes row `t` of the
+    /// group's four rows at column `16ct + c`: rows 0-1 are the first
+    /// source register (64 bytes), rows 2-3 the second (index bit 6).
+    const fn index(ct: usize) -> [u8; 64] {
+        let mut idx = [0u8; 64];
+        let mut c = 0;
+        while c < 16 {
+            let mut t = 0;
+            while t < 4 {
+                idx[4 * c + t] = ((t / 2) * 64 + (t % 2) * 32 + ct * 16 + c) as u8;
+                t += 1;
+            }
+            c += 1;
+        }
+        idx
+    }
+
+    static INDEX: [[u8; 64]; 2] = [index(0), index(1)];
+
+    /// `dst[ct][(r / 4) * 64 + c * 4 + r % 4] = src[r * 32 + 16 * ct + c]`
+    /// for `r, c < 16` and `ct < 2`.
+    ///
+    /// # Safety
+    /// The host must support AVX-512 F, BW and VBMI; `src` must be
+    /// readable for 512 bytes, and `dst[0]` and `dst[1]` writable for 256
+    /// bytes each; no range may overlap another.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub unsafe fn interleave_k4_x2(src: *const u8, dst: [*mut u8; 2]) {
+        // SAFETY: the caller guarantees the features, 512 readable bytes at
+        // src and 256 writable bytes at each dst; loadu/storeu are
+        // alignment-free, and each load or store stays in its range.
+        unsafe {
+            let idx = [0, 1].map(|ct| _mm512_loadu_si512(INDEX[ct].as_ptr().cast()));
+            for g in 0..4 {
+                let lo = _mm512_loadu_si512(src.add(g * 128).cast());
+                let hi = _mm512_loadu_si512(src.add(g * 128 + 64).cast());
+                for (out, i) in dst.iter().zip(&idx) {
+                    _mm512_storeu_si512(out.add(g * 64).cast(), _mm512_permutex2var_epi8(lo, *i, hi));
+                }
+            }
+        }
+    }
+}
+
+/// Whether the tile-layout B pack may use the VBMI interleave: 1-byte
+/// elements, slivers of two tiles, and an AVX-512 VBMI host.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline]
+fn vbmi_tile_available<T: Element>(nr: usize) -> bool {
+    std::mem::size_of::<T>() == 1
+        && nr == 2 * TILE_ROWS
+        && is_x86_feature_detected!("avx512vbmi")
+        && is_x86_feature_detected!("avx512bw")
 }
 
 /// AVX-512 16x16 transpose of 4-byte elements for the row-major A path.
@@ -246,6 +319,191 @@ pub fn a_sliver_offset(s: usize, kc: usize, mr: usize) -> usize {
 #[inline]
 pub fn b_sliver_offset(t: usize, kc: usize, nr: usize) -> usize {
     t * nr * kc
+}
+
+/// K extent of one AMX tile step: one 64-byte row of an A tile.
+pub const TILE_K: usize = 64;
+/// Rows of one AMX tile: 16 A rows, 16 B k-groups, 16 C rows.
+pub const TILE_ROWS: usize = 16;
+/// k values interleaved per column in one row of a B tile.
+pub const TILE_KGROUP: usize = 4;
+/// Widest B sliver the tile layout packs: two 16-column tiles.
+pub const TILE_MAX_NR: usize = 32;
+
+/// Element order inside a packed sliver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayoutKind {
+    /// BLIS k-major slivers, as [`pack_a`] and [`pack_b`] write them: for
+    /// each k, the sliver's `mr` (A) or `nr` (B) elements are contiguous.
+    KMajor,
+    /// AMX int8 tiles. K is zero-padded to `kp`, a multiple of [`TILE_K`],
+    /// and a sliver holds `kp / 64` k-steps back to back. One k-step of an
+    /// A sliver is `mr` rows of 64 k values, so rows `16t .. 16t + 16` form
+    /// a row-major 16 x 64-byte tile. One k-step of a B sliver is `nr / 16`
+    /// tiles of 16 columns, each 16 rows of 64 elements: row `g` holds
+    /// k-group `g` (4 k values) of every column, a column's 4 values
+    /// adjacent. `mr` and `nr` are multiples of 16.
+    Tiles,
+}
+
+/// The packed layout a microkernel reads: the A sliver height `mr`, the B
+/// sliver width `nr`, and the element order within a sliver. Slivers sit
+/// back to back, `mr * k_padded(kc)` (A) or `nr * k_padded(kc)` (B)
+/// elements apart, and edge slivers are zero-padded as in the k-major
+/// formats.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PackLayout {
+    mr: usize,
+    nr: usize,
+    kind: LayoutKind,
+}
+
+impl PackLayout {
+    /// k-major slivers of `mr` rows and `nr` columns.
+    pub const fn k_major(mr: usize, nr: usize) -> Self {
+        Self { mr, nr, kind: LayoutKind::KMajor }
+    }
+
+    /// AMX tile slivers of `mr` rows and `nr` columns.
+    ///
+    /// # Panics
+    /// Panics unless `mr` and `nr` are multiples of 16 and `nr` is at most
+    /// [`TILE_MAX_NR`].
+    pub const fn tiles(mr: usize, nr: usize) -> Self {
+        assert!(mr > 0 && mr.is_multiple_of(TILE_ROWS), "tile slivers are whole 16-row tiles");
+        assert!(nr > 0 && nr.is_multiple_of(TILE_ROWS) && nr <= TILE_MAX_NR, "tile slivers are one or two 16-column tiles");
+        Self { mr, nr, kind: LayoutKind::Tiles }
+    }
+
+    /// A sliver height (the kernel's register-tile rows).
+    #[inline]
+    pub fn mr(&self) -> usize {
+        self.mr
+    }
+
+    /// B sliver width (the kernel's register-tile columns).
+    #[inline]
+    pub fn nr(&self) -> usize {
+        self.nr
+    }
+
+    /// Element order within a sliver.
+    #[inline]
+    pub fn kind(&self) -> LayoutKind {
+        self.kind
+    }
+
+    /// The K granularity of the layout: 1 (k-major), or [`TILE_K`] (tiles,
+    /// which pad K to whole steps).
+    #[inline]
+    pub fn k_step(&self) -> usize {
+        match self.kind {
+            LayoutKind::KMajor => 1,
+            LayoutKind::Tiles => TILE_K,
+        }
+    }
+
+    /// The packed depth of a `kc`-deep block: `kc`, or `kc` rounded up to
+    /// a whole tile step.
+    #[inline]
+    pub fn k_padded(&self, kc: usize) -> usize {
+        match self.kind {
+            LayoutKind::KMajor => kc,
+            LayoutKind::Tiles => kc.next_multiple_of(TILE_K),
+        }
+    }
+
+    /// Elements needed to pack an `mc x kc` block of A.
+    #[inline]
+    pub fn a_size(&self, mc: usize, kc: usize) -> usize {
+        packed_a_size(mc, self.k_padded(kc), self.mr)
+    }
+
+    /// Elements needed to pack a `kc x nc` block of B.
+    #[inline]
+    pub fn b_size(&self, kc: usize, nc: usize) -> usize {
+        packed_b_size(self.k_padded(kc), nc, self.nr)
+    }
+
+    /// Offset of A sliver `s` of a `kc`-deep packed block.
+    #[inline]
+    pub fn a_offset(&self, s: usize, kc: usize) -> usize {
+        a_sliver_offset(s, self.k_padded(kc), self.mr)
+    }
+
+    /// Offset of B sliver `t` of a `kc`-deep packed block.
+    #[inline]
+    pub fn b_offset(&self, t: usize, kc: usize) -> usize {
+        b_sliver_offset(t, self.k_padded(kc), self.nr)
+    }
+
+    /// Where `A[i][k]` of a `kc`-deep block lands in the packed buffer.
+    pub fn a_index(&self, i: usize, k: usize, kc: usize) -> usize {
+        let (s, r) = (i / self.mr, i % self.mr);
+        self.a_offset(s, kc)
+            + match self.kind {
+                LayoutKind::KMajor => k * self.mr + r,
+                LayoutKind::Tiles => k / TILE_K * self.mr * TILE_K + r * TILE_K + k % TILE_K,
+            }
+    }
+
+    /// Where `B[k][j]` of a `kc`-deep block lands in the packed buffer.
+    pub fn b_index(&self, k: usize, j: usize, kc: usize) -> usize {
+        let (t, c) = (j / self.nr, j % self.nr);
+        self.b_offset(t, kc)
+            + match self.kind {
+                LayoutKind::KMajor => k * self.nr + c,
+                LayoutKind::Tiles => {
+                    k / TILE_K * self.nr * TILE_K
+                        + c / TILE_ROWS * TILE_ROWS * TILE_K
+                        + k % TILE_K / TILE_KGROUP * TILE_K
+                        + c % TILE_ROWS * TILE_KGROUP
+                        + k % TILE_KGROUP
+                }
+            }
+    }
+
+    /// Pack an `mc x kc` view of A into `dst` in this layout.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than [`a_size`](Self::a_size).
+    pub fn pack_a<T: Element>(&self, src: &MatrixView<'_, T>, dst: &mut [T]) {
+        match self.kind {
+            LayoutKind::KMajor => pack_a(src, dst, self.mr),
+            LayoutKind::Tiles => pack_a_tiles(src, dst, self.mr),
+        }
+    }
+
+    /// Pack a `kc x nc` view of B into `dst` in this layout.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than [`b_size`](Self::b_size).
+    pub fn pack_b<T: Element>(&self, src: &MatrixView<'_, T>, dst: &mut [T]) {
+        match self.kind {
+            LayoutKind::KMajor => pack_b(src, dst, self.nr),
+            LayoutKind::Tiles => pack_b_tiles(src, dst, self.nr),
+        }
+    }
+
+    /// Unpack a packed `mc x kc` A block back into row-major order (test
+    /// helper).
+    pub fn unpack_a<T: Element>(&self, packed: &[T], mc: usize, kc: usize) -> Vec<T> {
+        let mut out = Vec::with_capacity(mc * kc);
+        for i in 0..mc {
+            out.extend((0..kc).map(|k| packed[self.a_index(i, k, kc)]));
+        }
+        out
+    }
+
+    /// Unpack a packed `kc x nc` B block back into row-major order (test
+    /// helper).
+    pub fn unpack_b<T: Element>(&self, packed: &[T], kc: usize, nc: usize) -> Vec<T> {
+        let mut out = Vec::with_capacity(kc * nc);
+        for k in 0..kc {
+            out.extend((0..nc).map(|j| packed[self.b_index(k, j, kc)]));
+        }
+        out
+    }
 }
 
 /// Pack an `mc x kc` view of `A` into `dst`.
@@ -554,15 +812,129 @@ pub fn pack_b<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     }
 }
 
+/// Pack an `mc x kc` view of A into `dst` as [`LayoutKind::Tiles`] slivers
+/// of height `mr`: per sliver and k-step, `mr` rows of 64 k values, zeros
+/// past `kc` and below the last live row.
+fn pack_a_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
+    let (mc, kc) = (src.rows(), src.cols());
+    let kp = kc.next_multiple_of(TILE_K);
+    let need = packed_a_size(mc, kp, mr);
+    // audit: cold buffer-size precondition, once per pack call before the sliver loop
+    assert!(dst.len() >= need, "packed A buffer too small: {} < {need}", dst.len());
+    let slivers = if need == 0 { 0 } else { mc.div_ceil(mr) };
+    for s in 0..slivers {
+        let (row0, live) = (s * mr, mr.min(mc - s * mr));
+        let base = a_sliver_offset(s, kp, mr);
+        // audit: bounds pack_a_tile_rows
+        let sliv = &mut dst[base..base + mr * kp];
+        for (step, slab) in sliv.chunks_exact_mut(mr * TILE_K).enumerate() {
+            let k0 = step * TILE_K;
+            let kn = TILE_K.min(kc - k0);
+            for (i, row) in slab.chunks_exact_mut(TILE_K).enumerate() {
+                let (taps, pad) = row.split_at_mut(kn);
+                if i >= live {
+                    taps.fill(T::ZERO);
+                } else if let Some(run) = src.contiguous_row(row0 + i, k0, kn) {
+                    taps.copy_from_slice(run);
+                } else {
+                    for (kk, t) in taps.iter_mut().enumerate() {
+                        *t = src.get(row0 + i, k0 + kk);
+                    }
+                }
+                pad.fill(T::ZERO);
+            }
+        }
+    }
+}
+
+/// Pack a `kc x nc` view of B into `dst` as [`LayoutKind::Tiles`] slivers
+/// of width `nr`. Like [`pack_b`] on a row-major B, it walks blocks of
+/// [`B_KROWS`] k-rows across every sliver: [`pack_b`] writes each sliver's
+/// piece of the block k-major into an L1 buffer, zeros below the last
+/// k-row, and [`put_b_tile_rows`] interleaves it into the sliver.
+fn pack_b_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
+    let (kc, nc) = (src.rows(), src.cols());
+    let kp = kc.next_multiple_of(TILE_K);
+    let need = packed_b_size(kp, nc, nr);
+    // audit: cold buffer-size precondition, once per pack call before the sliver loop
+    assert!(dst.len() >= need, "packed B buffer too small: {} < {need}", dst.len());
+    // audit: cold layout precondition, once per pack call before the sliver loop
+    assert!(nr.is_multiple_of(TILE_ROWS) && nr <= TILE_MAX_NR, "tile slivers are one or two 16-column tiles, not {nr}");
+    let slivers = if kc == 0 { 0 } else { nc.div_ceil(nr) };
+    let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
+    for kb in (0..kp).step_by(B_KROWS) {
+        let kn = B_KROWS.min(kc.saturating_sub(kb));
+        for t in 0..slivers {
+            let (col0, live) = (t * nr, nr.min(nc - t * nr));
+            // Rows past the block's last k-row stay zero.
+            let (rows, zeros) = staged.split_at_mut(kn * nr);
+            if kn > 0 {
+                pack_b(&src.sub(kb, col0, kn, live), rows, nr);
+            }
+            if kn < B_KROWS {
+                zeros.fill(T::ZERO);
+            }
+            let base = b_sliver_offset(t, kp, nr);
+            // audit: bounds pack_b_tile_sliver
+            put_b_tile_rows(&staged, nr, &mut dst[base..base + nr * kp], kb);
+        }
+    }
+}
+
+/// Write rows `kb .. kb + 16` of a [`LayoutKind::Tiles`] B sliver `nr`
+/// wide: `block` holds them k-major (16 rows at row stride `nr`, zeros
+/// wherever the sliver has no data), and each 16-column tile receives
+/// them as its 4 tile rows from `kb % 64 / 4` on. `kb` is a multiple of
+/// [`B_KROWS`] below the sliver's padded depth, and `nr` a multiple of 16
+/// of at most [`TILE_MAX_NR`]: `sliv` holds `nr * kp` elements.
+pub fn put_b_tile_rows<T: Element>(block: &[T], nr: usize, sliv: &mut [T], kb: usize) {
+    let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / TILE_KGROUP * TILE_K;
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if vbmi_tile_available::<T>(nr) && block.len() >= B_KROWS * nr {
+        const TILE: usize = TILE_ROWS * TILE_K;
+        // audit: bounds pack_b_tile_rows
+        let out = &mut sliv[rows_at..rows_at + TILE + B_KROWS * TILE_ROWS];
+        let (first, second) = out.split_at_mut(TILE);
+        let dst = [first.as_mut_ptr().cast::<u8>(), second.as_mut_ptr().cast::<u8>()];
+        // SAFETY: 1-byte elements, nr = 32 and VBMI by the check above;
+        // block holds 16*32 = 512 bytes; `first` holds the 1024 bytes of
+        // column tile 0 from this block's rows on and `second` the 256 of
+        // column tile 1, disjoint halves of `sliv`, which does not overlap
+        // `block` (distinct borrows).
+        unsafe { vbmitile::interleave_k4_x2(block.as_ptr().cast::<u8>(), dst) };
+        return;
+    }
+    for ct in 0..nr / TILE_ROWS {
+        let off = rows_at + ct * TILE_ROWS * TILE_K;
+        // audit: bounds pack_b_tile_rows
+        let out = &mut sliv[off..off + B_KROWS * TILE_ROWS];
+        interleave_k4(block.get(ct * TILE_ROWS..).unwrap_or(&[]), nr, out);
+    }
+}
+
+/// `out[(r / 4) * 64 + c * 4 + r % 4] = src[r * stride + c]` for `r, c <
+/// 16`: 16 k-major rows of 16 columns as the 4 rows of a B tile that hold
+/// them (writing what fits when `src` or `out` is short).
+fn interleave_k4<T: Element>(src: &[T], stride: usize, out: &mut [T]) {
+    const N: usize = TILE_ROWS;
+    for (r, row) in src.chunks(stride.max(1)).take(N).enumerate() {
+        for (c, &v) in row.iter().take(N).enumerate() {
+            if let Some(o) = out.get_mut(r / TILE_KGROUP * TILE_K + c * TILE_KGROUP + r % TILE_KGROUP) {
+                *o = v;
+            }
+        }
+    }
+}
+
 /// A `K x N` B operand as the executor consumes it: one block at a time,
-/// packed straight into the packed-B layout of [`pack_b`].
+/// packed straight into the kernel's packed-B layout.
 ///
-/// A matrix or view packs through [`pack_b`] over the block's sub-view.
-/// Other operands need never exist as a matrix: a convolution's patch
-/// matrix is lowered from its feature map as each block is packed
+/// A matrix or view packs through [`PackLayout::pack_b`] over the block's
+/// sub-view. Other operands need never exist as a matrix: a convolution's
+/// patch matrix is lowered from its feature map as each block is packed
 /// (`cake_dnn::im2col::LoweredConv`). Packing only moves bytes, so an
-/// implementation must write exactly what [`pack_b`] writes for the same
-/// block of the materialized operand, padding tail included.
+/// implementation must write exactly what [`PackLayout::pack_b`] writes
+/// for the same block of the materialized operand, padding included.
 pub trait PackB<T: Element>: Sync {
     /// Rows (`K`).
     fn rows(&self) -> usize;
@@ -570,13 +942,13 @@ pub trait PackB<T: Element>: Sync {
     /// Columns (`N`).
     fn cols(&self) -> usize;
 
-    /// Pack the `kl x nl` block at row `k0`, column `n0` into `dst` with
-    /// sliver width `nr`, as [`pack_b`] packs it.
+    /// Pack the `kl x nl` block at row `k0`, column `n0` into `dst` in
+    /// `layout`, as [`PackLayout::pack_b`] packs it.
     ///
     /// # Panics
-    /// Panics if `dst` is shorter than [`packed_b_size`] or the block
+    /// Panics if `dst` is shorter than [`PackLayout::b_size`] or the block
     /// leaves the operand.
-    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize);
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout);
 }
 
 impl<T: Element> PackB<T> for MatrixView<'_, T> {
@@ -588,8 +960,8 @@ impl<T: Element> PackB<T> for MatrixView<'_, T> {
         MatrixView::cols(self)
     }
 
-    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
-        pack_b(&self.sub(k0, n0, kl, nl), dst, nr);
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
+        layout.pack_b(&self.sub(k0, n0, kl, nl), dst);
     }
 }
 
@@ -602,37 +974,23 @@ impl<T: Element> PackB<T> for Matrix<T> {
         Matrix::cols(self)
     }
 
-    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], nr: usize) {
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
         // audit: cold whole-matrix view, its extent check runs once per pack call before the sliver loop
         let view = self.view();
-        view.pack_block(k0, n0, kl, nl, dst, nr);
+        view.pack_block(k0, n0, kl, nl, dst, layout);
     }
 }
 
-/// Unpack a packed-A buffer back into row-major order (test helper).
+/// Unpack a k-major packed-A buffer back into row-major order (test
+/// helper).
 pub fn unpack_a<T: Element>(packed: &[T], mc: usize, kc: usize, mr: usize) -> Vec<T> {
-    let mut out = vec![T::ZERO; mc * kc];
-    for i in 0..mc {
-        let s = i / mr;
-        let r = i % mr;
-        for k in 0..kc {
-            out[i * kc + k] = packed[a_sliver_offset(s, kc, mr) + k * mr + r];
-        }
-    }
-    out
+    PackLayout::k_major(mr, 1).unpack_a(packed, mc, kc)
 }
 
-/// Unpack a packed-B buffer back into row-major order (test helper).
+/// Unpack a k-major packed-B buffer back into row-major order (test
+/// helper).
 pub fn unpack_b<T: Element>(packed: &[T], kc: usize, nc: usize, nr: usize) -> Vec<T> {
-    let mut out = vec![T::ZERO; kc * nc];
-    for k in 0..kc {
-        for j in 0..nc {
-            let t = j / nr;
-            let c = j % nr;
-            out[k * nc + j] = packed[b_sliver_offset(t, kc, nr) + k * nr + c];
-        }
-    }
-    out
+    PackLayout::k_major(1, nr).unpack_b(packed, kc, nc)
 }
 
 #[cfg(test)]
@@ -918,7 +1276,122 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    #[test]
+    fn k_major_layout_packs_exactly_what_pack_a_and_pack_b_pack() {
+        // Every kernel but AMX reads k-major slivers; packing through the
+        // layout must not change one byte of them.
+        for (mc, kc, nc, r) in [(13, 9, 21, 4), (30, 40, 70, 16), (14, 64, 32, 14)] {
+            let layout = PackLayout::k_major(r, r);
+            let a = init::random::<f32>(mc, kc, 1);
+            let b = init::random::<f32>(kc, nc, 2);
+            let (mut x, mut y) = (vec![-1.0; packed_a_size(mc, kc, r)], vec![-1.0; layout.a_size(mc, kc)]);
+            pack_a(&a.view(), &mut x, r);
+            layout.pack_a(&a.view(), &mut y);
+            assert_eq!(x, y);
+            let (mut x, mut y) = (vec![-1.0; packed_b_size(kc, nc, r)], vec![-1.0; layout.b_size(kc, nc)]);
+            pack_b(&b.view(), &mut x, r);
+            layout.pack_b(&b.view(), &mut y);
+            assert_eq!(x, y);
+            assert_eq!(layout.unpack_b(&y, kc, nc), unpack_b(&x, kc, nc, r));
+        }
+    }
+
+    #[test]
+    fn tile_layout_element_positions_pinned() {
+        // A: per 64-deep step, mr rows of 64 k values.
+        let l = PackLayout::tiles(32, 32);
+        assert_eq!(l.k_padded(1), 64);
+        assert_eq!(l.k_padded(64), 64);
+        assert_eq!(l.k_padded(65), 128);
+        assert_eq!(l.a_index(0, 0, 100), 0);
+        assert_eq!(l.a_index(1, 0, 100), 64);
+        assert_eq!(l.a_index(17, 3, 100), 17 * 64 + 3);
+        assert_eq!(l.a_index(0, 64, 100), 32 * 64);
+        assert_eq!(l.a_index(32, 0, 100), 32 * 128, "second sliver");
+        // B: per step, two 16-column tiles of 16 k-group rows; a column's
+        // four k values adjacent.
+        assert_eq!(l.b_index(1, 0, 100), 1);
+        assert_eq!(l.b_index(0, 1, 100), 4);
+        assert_eq!(l.b_index(4, 0, 100), 64);
+        assert_eq!(l.b_index(0, 16, 100), 1024);
+        assert_eq!(l.b_index(64, 0, 100), 32 * 64);
+        assert_eq!(l.b_index(0, 32, 100), 32 * 128, "second sliver");
+    }
+
+    /// Pack `a` (`ml x kl`) and `b` (`kl x nl`) in `layout` into buffers of
+    /// `SENT` with `PAD` sentinels past the packed size, from row-major,
+    /// column-major or strided sub-view sources; they must unpack to the
+    /// sources, hold zeros everywhere else inside the packed size (edge
+    /// rows and columns, and the K padding), and leave the sentinels.
+    fn check_tile_round_trip(layout: &PackLayout, a: &Matrix<i8>, b: &Matrix<i8>, source: usize) {
+        const SENT: i8 = 0x5a;
+        const PAD: usize = 100;
+        let (ml, kl, nl) = (a.rows(), a.cols(), b.cols());
+        let (a_cm, b_cm) = (a.to_layout(cake_matrix::Layout::ColMajor), b.to_layout(cake_matrix::Layout::ColMajor));
+        let (a_wide, b_wide) = (embedded(a, kl + 5), embedded(b, nl + 5));
+        let (av, bv) = match source {
+            0 => (a.view(), b.view()),
+            1 => (a_cm.view(), b_cm.view()),
+            _ => (a_wide.view().sub(1, 3, ml, kl), b_wide.view().sub(1, 3, kl, nl)),
+        };
+        let need = layout.a_size(ml, kl);
+        let mut pa = vec![SENT; need + PAD];
+        layout.pack_a(&av, &mut pa);
+        assert_eq!(layout.unpack_a(&pa, ml, kl), a.as_slice(), "{layout:?} A {ml}x{kl}");
+        let mut live = vec![false; need];
+        for i in 0..ml {
+            for k in 0..kl {
+                live[layout.a_index(i, k, kl)] = true;
+            }
+        }
+        assert!(pa[..need].iter().zip(&live).all(|(&x, &l)| l || x == 0), "A padding not zero");
+        assert!(pa[need..].iter().all(|&x| x == SENT), "A written past its packed size");
+
+        let need = layout.b_size(kl, nl);
+        let mut pb = vec![SENT; need + PAD];
+        layout.pack_b(&bv, &mut pb);
+        assert_eq!(layout.unpack_b(&pb, kl, nl), b.as_slice(), "{layout:?} B {kl}x{nl}");
+        let mut live = vec![false; need];
+        for k in 0..kl {
+            for j in 0..nl {
+                live[layout.b_index(k, j, kl)] = true;
+            }
+        }
+        assert!(pb[..need].iter().zip(&live).all(|(&x, &l)| l || x == 0), "B padding not zero");
+        assert!(pb[need..].iter().all(|&x| x == SENT), "B written past its packed size");
+    }
+
+    #[test]
+    fn tile_round_trip_pinned_depths() {
+        for kl in [1usize, 15, 16, 17, 63, 64, 65, 127, 128, 129, 288] {
+            for (mr, nr) in [(32, 32), (16, 16), (48, 16)] {
+                let layout = PackLayout::tiles(mr, nr);
+                let a = init::random_i8(mr + 3, kl, kl as u64);
+                let b = init::random_i8(kl, 2 * nr + 5, kl as u64 + 1);
+                for source in 0..3 {
+                    check_tile_round_trip(&layout, &a, &b, source);
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn tile_pack_unpack_identity(
+            ml in 1usize..70,
+            kl in 1usize..200,
+            nl in 1usize..70,
+            mr in prop::sample::select(vec![16usize, 32, 48]),
+            nr in prop::sample::select(vec![16usize, 32]),
+            source in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let layout = PackLayout::tiles(mr, nr);
+            let a = init::random_i8(ml, kl, seed);
+            let b = init::random_i8(kl, nl, seed + 1);
+            check_tile_round_trip(&layout, &a, &b, source);
+        }
+
         #[test]
         fn pack_unpack_identity(
             mc in 1usize..40,

@@ -1,7 +1,8 @@
 //! The microkernel contract and portable implementations.
 //!
-//! A microkernel computes, for packed slivers `a` (`mr x kc`, k-major) and
-//! `b` (`kc x nr`, k-major), the update
+//! A microkernel computes, for packed slivers `a` (`mr x kc`) and `b`
+//! (`kc x nr`) in the layout it declares ([`Ukr::pack_layout`]; k-major for all
+//! but the AMX kernel), the update
 //!
 //! ```text
 //! C[0..mr, 0..nr] += sum_k a[k*mr + i] * b[k*nr + j]
@@ -14,6 +15,8 @@
 
 use cake_matrix::{Bf16, Dtype, Element};
 
+use crate::pack::PackLayout;
+
 /// Signature of a raw microkernel.
 ///
 /// Operands are `T`; the C tile is `T::Acc` — identical types for the
@@ -22,8 +25,11 @@ use cake_matrix::{Bf16, Dtype, Element};
 /// precision.
 ///
 /// # Safety contract
-/// * `a` points to at least `kc * mr` elements (one packed A sliver).
-/// * `b` points to at least `kc * nr` elements (one packed B sliver).
+/// * `a` points to one packed A sliver of the kernel's layout: at least
+///   `mr * layout.k_padded(kc)` elements ([`PackLayout::a_size`] of an
+///   `mr x kc` block).
+/// * `b` points to one packed B sliver: at least `nr * layout.k_padded(kc)`
+///   elements.
 /// * `c` points to a tile where `c[i*rsc + j*csc]` is valid for all
 ///   `i < mr`, `j < nr`, and does not alias `a` or `b`.
 pub type UkrFn<T> = unsafe fn(
@@ -35,32 +41,47 @@ pub type UkrFn<T> = unsafe fn(
     csc: usize,
 );
 
-/// A microkernel: its register-tile shape plus the raw function.
+/// A microkernel: its packed layout (which carries the register-tile
+/// shape) plus the raw function.
 #[derive(Clone, Copy)]
 pub struct Ukr<T: Dtype> {
-    mr: usize,
-    nr: usize,
+    layout: PackLayout,
     name: &'static str,
     func: UkrFn<T>,
 }
 
 impl<T: Dtype> Ukr<T> {
-    /// Construct a kernel descriptor (crate-internal; users obtain kernels
-    /// from [`crate::select`]).
+    /// Construct a kernel descriptor that reads k-major slivers
+    /// (crate-internal; users obtain kernels from [`crate::select`]).
     pub(crate) fn new(mr: usize, nr: usize, name: &'static str, func: UkrFn<T>) -> Self {
-        Self { mr, nr, name, func }
+        Self::with_layout(PackLayout::k_major(mr, nr), name, func)
+    }
+
+    /// Construct a kernel descriptor that reads `layout`.
+    pub(crate) fn with_layout(layout: PackLayout, name: &'static str, func: UkrFn<T>) -> Self {
+        Self { layout, name, func }
     }
 
     /// Register-tile rows.
     #[inline]
     pub fn mr(&self) -> usize {
-        self.mr
+        self.layout.mr()
     }
 
     /// Register-tile columns.
     #[inline]
     pub fn nr(&self) -> usize {
-        self.nr
+        self.layout.nr()
+    }
+
+    /// The packed layout this kernel reads. Packing for it goes through
+    /// [`PackLayout::pack_a`] / [`PackLayout::pack_b`] (or
+    /// [`crate::pack::PackB`]), never the k-major
+    /// [`pack_a`](crate::pack::pack_a) / [`pack_b`](crate::pack::pack_b)
+    /// directly.
+    #[inline]
+    pub fn pack_layout(&self) -> PackLayout {
+        self.layout
     }
 
     /// Human-readable kernel name (e.g. `"avx2_f32_6x16"`).
@@ -72,7 +93,7 @@ impl<T: Dtype> Ukr<T> {
     /// FLOPs performed by one invocation with reduction depth `kc`.
     #[inline]
     pub fn flops(&self, kc: usize) -> usize {
-        2 * self.mr * self.nr * kc
+        2 * self.mr() * self.nr() * kc
     }
 
     /// Invoke the kernel on a full `mr x nr` tile.
@@ -97,7 +118,7 @@ impl<T: Dtype> Ukr<T> {
 
 impl<T: Dtype> std::fmt::Debug for Ukr<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Ukr({} {}x{})", self.name, self.mr, self.nr)
+        write!(f, "Ukr({} {}x{})", self.name, self.mr(), self.nr())
     }
 }
 

@@ -89,7 +89,7 @@ where
 
     let cfg = CakeConfig::tuned_for(p, CakeConfig::default().llc_bytes);
     let default_shape = cfg.explain_shape_for::<T>(m, k, n).shape;
-    let default_ukr = cfg.selected_kernel::<T>();
+    let default_ukr = cfg.selected_kernel::<T>(k);
     let pool = ThreadPool::new(p);
     let mut ws = GemmWorkspace::new();
 
