@@ -2,9 +2,9 @@
 # CI gate for the cake-rs workspace.
 #
 #   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
-#                          bench snapshot
-#   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit + verify + bench
-#                          snapshot)
+#                          the smoke gates, and the figure diff against results/
+#   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
+#                          smoke gates and the figure diff)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
 #   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
@@ -37,9 +37,10 @@
 #                          rust-src component; skips gracefully on stable-only
 #                          hosts)
 #
-# The bench snapshot rewrites BENCH_gemm.json in the repo root so the
-# pipelined executor's throughput, allocation-freedom, and pack-overlap
-# numbers are tracked over time.
+# The figure diff regenerates every paper table and figure with
+# `cakectl fig all` into a temp dir and diffs it against the committed
+# results/, so committed figure data cannot go stale. The simulator has
+# no wall clock, so the output is identical on every host.
 #
 # The verify stage runs the cake-verify harness: 256-case differential
 # fuzzing (CAKE vs GOTO vs naive; seed via CAKE_TEST_SEED), the
@@ -85,8 +86,7 @@ run_scale_smoke() {
     # The counter half of the gate is meaningful at any core count, but a
     # single-core host cannot exercise real parallelism (the topology
     # clamp runs every p at effective_p=1), so say why we skip instead of
-    # reporting a vacuous pass. bench_snapshot records the same skip in
-    # BENCH_gemm.json's host.scale_gate field.
+    # reporting a vacuous pass.
     local cores
     cores=$(nproc 2>/dev/null || echo 1)
     if [[ "$cores" -lt 2 ]]; then
@@ -146,6 +146,17 @@ run_tune_smoke() {
         tune --m 128 --k 128 --n 128 --dtype f32 --top-k 2 --reps 2 \
         --cache "$cache" --check
     rm -f "$cache"
+}
+
+run_fig_diff() {
+    # fig7 included: the cakectl_cli golden test skips it for time.
+    echo "==> figures (cakectl fig all, diffed against results/)"
+    local out status=0
+    out=$(mktemp -d /tmp/cake-fig.XXXXXX)
+    CAKE_RESULTS_DIR="$out" cargo run --release -p cake-bench --bin cakectl -- fig all >/dev/null
+    diff -r "$out" results || status=$?
+    rm -rf "$out"
+    return "$status"
 }
 
 run_audit() {
@@ -276,9 +287,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_dtype_smoke
     run_sim_smoke
     run_tune_smoke
-
-    echo "==> bench snapshot (writes BENCH_gemm.json)"
-    cargo run --release -p cake-bench --bin bench_snapshot -- --iters 10
+    run_fig_diff
 fi
 
 echo "==> ci.sh: all gates passed"

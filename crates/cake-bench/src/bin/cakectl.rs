@@ -18,7 +18,12 @@
 //! cakectl verify   [--cases C] [--seed S]
 //! cakectl audit    [--bless] [--root DIR] [--only-scan] [--only-bounds]
 //!                  [--only-phase] [--only-alloc] [--only-panic] [--only-atomics]
+//! cakectl fig      <table2|fig7|fig8|fig9|fig10|fig11|fig12|sim|all>
+//!                  [--part a|b|ab] [--n N] [--full] [--step S]
 //! ```
+//!
+//! A flag that is given a value which does not parse (`--p two`) exits 2
+//! with `invalid --p 'two'`; it never falls back to the default.
 //!
 //! Everything the paper derives analytically, queryable from the shell —
 //! plus `gemm`, which runs the *real* pipelined executor and (with
@@ -104,7 +109,19 @@
 //! `--only-panic`, `--only-atomics` restrict the run to the named passes
 //! (repeatable; default is all six). `--bless` regenerates the ratchet
 //! from the current tree before checking.
+//!
+//! `fig` regenerates one paper table or figure from the discrete-event
+//! simulator (see [`cake_bench::figures`]), prints it, and writes
+//! `results/<name>.csv` (or under `$CAKE_RESULTS_DIR`); `all` runs every
+//! id at its defaults. `--part` picks the panels of `fig7` / `fig9`,
+//! `--n` the problem side of `fig10`–`fig12`, `--full` runs `fig7` at the
+//! paper's sizes and `--step` sets `fig8`'s grid step. An unknown id,
+//! part letter, or an option the figure does not take exits 2. The
+//! output is deterministic: `results/` holds the committed copy, and CI
+//! diffs a fresh `fig all` against it.
 
+use cake_bench::best_of;
+use cake_bench::figures::{check_figure_args, print_figure, FigOptions, FIGURE_IDS};
 use cake_bench::output::{arg_value, has_flag, render_table};
 use cake_bench::scaling::{
     counters_invariant, dtype_counters_invariant, kernel_counters_invariant, scaling_sane,
@@ -139,8 +156,24 @@ fn req_usize(key: &str) -> usize {
     }
 }
 
+/// `--key` parsed as `T`, or `None` when the flag is absent. A flag that
+/// is present with a missing or unparsable value exits 2.
+fn opt_arg<T: std::str::FromStr>(key: &str) -> Option<T> {
+    if !has_flag(key) {
+        return None;
+    }
+    let value = arg_value(key).unwrap_or_default();
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("invalid {key} '{value}'");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn opt_usize(key: &str, default: usize) -> usize {
-    arg_value(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    opt_arg(key).unwrap_or(default)
 }
 
 /// `--p`, defaulting to `default`; a zero worker count exits 2 instead of
@@ -163,7 +196,7 @@ fn cmd_shape() {
         opt_usize("--n", 1 << 20),
         p,
     );
-    sp.alpha = arg_value("--alpha").and_then(|v| v.parse().ok());
+    sp.alpha = opt_arg("--alpha");
     if let Some(alpha) = sp.alpha.filter(|a: &f64| a.is_nan() || *a < 1.0) {
         eprintln!("--alpha must be at least 1 (got {alpha})");
         std::process::exit(2);
@@ -221,8 +254,7 @@ fn cmd_sim() {
         }
     }
 
-    if let Some(n) = arg_value("--fuzz-orderings") {
-        let seeds: u64 = n.parse().unwrap_or(64);
+    if let Some(seeds) = opt_arg::<u64>("--fuzz-orderings") {
         match check_ordering_invariance(&cpu, &sp, algo, seeds) {
             Ok(checked) => {
                 println!(
@@ -420,7 +452,11 @@ fn cmd_traffic() {
     }
     let policy = match arg_value("--policy").as_deref() {
         Some("stream") => CResidency::StreamToDram,
-        _ => CResidency::HoldInLlc,
+        Some("hold") | None => CResidency::HoldInLlc,
+        Some(other) => {
+            eprintln!("unknown --policy '{other}' (expected hold|stream)");
+            std::process::exit(2);
+        }
     };
     let grid = tp.grid();
     let t = dram_traffic(Schedule::k_first(grid, tp.m, tp.n), tp, policy, 1);
@@ -518,7 +554,7 @@ fn print_exec_stats(s: &ExecStats) {
 
 fn cmd_verify() {
     let cases = opt_usize("--cases", 256) as u32;
-    let seed = arg_value("--seed").and_then(|v| v.parse::<u64>().ok());
+    let seed = opt_arg::<u64>("--seed");
     println!("cake-verify: {cases} fuzz cases, conformance oracle, interleaving checker");
     match cake_verify::verify_all(cases, seed) {
         Ok(outcomes) => {
@@ -775,10 +811,8 @@ fn cmd_gemm() {
     let p = opt_workers(1);
     // Per-p tuned shape (paper Section 3 + the Section 4.3 LRU fit): the
     // block's M-extent grows with p, mc bounded by the cache budget.
-    let llc_bytes = arg_value("--llc-mib")
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|mib| mib << 20)
-        .unwrap_or(CakeConfig::default().llc_bytes);
+    let llc_bytes =
+        opt_arg::<usize>("--llc-mib").map_or(CakeConfig::default().llc_bytes, |mib| mib << 20);
     let cfg = CakeConfig {
         pin_cores: pin,
         ..CakeConfig::tuned_for(p, llc_bytes)
@@ -828,12 +862,7 @@ fn run_typed_gemm<T>(
     let mut c = cake_matrix::Matrix::<T::Acc>::zeros(m, n);
 
     ctx.gemm(&a, &b, &mut c); // warmup: sizes pool + workspace
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        ctx.gemm(&a, &b, &mut c);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let best = best_of(iters, || ctx.gemm(&a, &b, &mut c));
     // GOP/s: multiply-accumulate ops regardless of dtype (FLOPs for the
     // float dtypes, integer MACs for int8).
     let gops = 2.0 * (m as f64) * (k as f64) * (n as f64) / best / 1e9;
@@ -854,6 +883,27 @@ fn run_typed_gemm<T>(
     }
 }
 
+fn cmd_fig() {
+    let id = std::env::args().nth(2).unwrap_or_default();
+    let opts = FigOptions {
+        part: opt_arg("--part"),
+        n: opt_arg("--n"),
+        full: has_flag("--full"),
+        step: opt_arg("--step"),
+    };
+    if let Err(msg) = check_figure_args(&id, &opts) {
+        eprintln!(
+            "{msg}\nusage: cakectl fig <{}|all> [--part a|b|ab] [--n N] [--full] [--step S]",
+            FIGURE_IDS.join("|")
+        );
+        std::process::exit(2);
+    }
+    if let Err(e) = print_figure(&id, &opts) {
+        eprintln!("cakectl fig {id}: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_default();
     match cmd.as_str() {
@@ -865,9 +915,10 @@ fn main() {
         "gemm" => cmd_gemm(),
         "verify" => cmd_verify(),
         "audit" => cmd_audit(),
+        "fig" => cmd_fig(),
         _ => {
             eprintln!(
-                "usage: cakectl <shape|sim|search|tune|traffic|gemm|verify|audit> [options]\n\
+                "usage: cakectl <shape|sim|search|tune|traffic|gemm|verify|audit|fig> [options]\n\
                  see module docs (crates/cake-bench/src/bin/cakectl.rs) for flags"
             );
             std::process::exit(2);

@@ -1,28 +1,42 @@
-//! Experiment harness for the CAKE paper's evaluation.
+//! The library behind `cakectl`, the workspace's one command-line tool.
 //!
-//! One binary per table/figure (see `src/bin/`); this library holds the
-//! figure runners so they are unit-testable and reusable:
+//! `cakectl fig <id>` regenerates the paper's evaluation from the
+//! discrete-event simulator and writes `results/<name>.csv`:
 //!
-//! | Target    | Paper artifact | Content |
-//! |-----------|----------------|---------|
-//! | `table2`  | Table 2        | CPU configurations |
-//! | `fig7`    | Figure 7a/7b   | stalls / cache + DRAM accesses, CAKE vs vendor |
-//! | `fig8`    | Figure 8a–d    | relative-throughput contours over (M, K) |
-//! | `fig9`    | Figure 9a/9b   | speedup vs cores, square matrices |
-//! | `fig10`   | Figure 10a–c   | Intel: DRAM BW / throughput / internal BW |
-//! | `fig11`   | Figure 11a–c   | ARM: same three panels |
-//! | `fig12`   | Figure 12a–c   | AMD: same three panels |
-//! | `sweep`   | (native)       | real-machine CAKE vs GOTO vs naive timing |
+//! | Id       | Paper artifact | Content |
+//! |----------|----------------|---------|
+//! | `table2` | Table 2        | CPU configurations |
+//! | `fig7`   | Figure 7a/7b   | stalls / cache + DRAM accesses, CAKE vs vendor |
+//! | `fig8`   | Figure 8a–d    | relative-throughput contours over (M, K) |
+//! | `fig9`   | Figure 9a/9b   | speedup vs cores, square matrices |
+//! | `fig10`  | Figure 10a–c   | Intel: DRAM BW / throughput / internal BW |
+//! | `fig11`  | Figure 11a–c   | ARM: same three panels |
+//! | `fig12`  | Figure 12a–c   | AMD: same three panels |
+//! | `sim`    | Figures 9–12   | CAKE vs GOTO p-sweeps on the three Table-2 CPUs |
 //!
-//! Each runner returns typed rows; binaries print an aligned table and
-//! write `results/<name>.csv`. [`scaling`] holds the multicore p-sweep
-//! (Figure 13's strong-scaling measurement plus the counter-invariance
-//! gate) shared by `bench_snapshot` and `cakectl gemm --threads`.
+//! [`figures`] holds the runners and printers, [`output`] the table, chart
+//! and CSV helpers. [`scaling`] holds the measured kernel-tier, dtype and
+//! multicore sweeps behind `cakectl gemm`'s smoke gates, [`tune`] the
+//! measured round of `cakectl tune`, and [`best_of`] is the one wall-clock
+//! timing loop they share.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod figures;
-pub mod harness;
 pub mod output;
 pub mod scaling;
 pub mod tune;
+
+use std::time::Instant;
+
+/// Best wall time of `iters` calls to `f`, in seconds (infinite when
+/// `iters` is 0). Callers warm up before timing.
+pub fn best_of(iters: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}

@@ -1,109 +1,6 @@
-//! CSV and aligned-table output helpers for the figure binaries — and the
-//! documented schema of the checked-in `BENCH_gemm.json` snapshot that
-//! `bench_snapshot` emits.
-//!
-//! # `BENCH_gemm.json` schema
-//!
-//! Top-level fields:
-//!
-//! - `benchmark`, `threads`, `iters` — provenance: the binary name, the
-//!   `--p` the single-threaded shape rows ran at, and best-of iteration
-//!   count.
-//! - `host` — where the numbers came from, so a snapshot regenerated on a
-//!   different machine is self-describing:
-//!   - `cores`: cores available to the process when the run started
-//!     (`cake_core::topology::available_cores`).
-//!   - `scale_gate`: outcome of the same-host scaling sanity check
-//!     (`cake_bench::scaling::scaling_sane`). `"ok: checked on N core(s)"`
-//!     when the host had real headroom, or an explicit
-//!     `"skipped: host has N core(s), ..."` — a 1-core host cannot
-//!     demonstrate a multicore win and the snapshot says so rather than
-//!     passing vacuously.
-//! - `gemm` — per-shape rows: CAKE vs GOTO vs naive GFLOP/s, post-warmup
-//!   allocations, pack fraction, overlap efficiency, block/barrier counts.
-//!   Each row also records `kernel`: the microkernel name the dispatcher
-//!   selected for that run (e.g. `"avx512_f32_14x32"`), so a snapshot is
-//!   attributable to a tier even when regenerated on a different host.
-//! - `kernel_tiers` — per-shape A/B sweep over every tier *available on
-//!   this host* (`cake_kernels::available_tiers()`), single-threaded on a
-//!   fixed block grid. Each point carries `tier` (`"portable"`, `"avx2"`,
-//!   `"avx512"`), `kernel` (the concrete microkernel name), its `mr`/`nr`
-//!   tile shape, `cake_gflops`, and the `a_elems`/`b_elems`/`c_elems`
-//!   pack counters — which must be identical across tiers (the run aborts
-//!   otherwise): packing traffic depends on the block grid, never on the
-//!   microkernel tile. This section is how the snapshot documents the
-//!   prefetch/vector-width gain (or explicit parity) between tiers.
-//! - `dtypes` — per-shape narrow-dtype sweep: one single-threaded GEMM per
-//!   supported dtype (`"f32"`, `"f64"`, `"bf16"`, `"int8"`) on a fixed
-//!   block grid, each through its own best-tier kernel. Each point carries:
-//!   - `dtype`: operand dtype name as reported by `Dtype::NAME`,
-//!   - `kernel`: the per-dtype microkernel the ladder dispatched (e.g.
-//!     `"avx512_vnni_i8_16x16"`),
-//!   - `elem_bytes` / `acc_bytes`: operand and accumulator widths — the
-//!     narrow tier's whole point is `elem_bytes` shrinking while the
-//!     accumulator stays wide (i8→i32, bf16→f32),
-//!   - `gops`: best-of-iters throughput in GOP/s, counting `2mkn` ops for
-//!     every dtype so the column directly shows the narrow-dtype speedup
-//!     over the f32 row,
-//!   - `allocs_after_warmup`: workspace allocations summed over the timed
-//!     iterations — must be 0 for every dtype (the zero-alloc warm-path
-//!     guarantee is dtype-independent; the run aborts otherwise),
-//!   - `a_elems` / `b_elems` / `c_elems`: pack-element counters, identical
-//!     across dtypes by construction (element movement is a property of
-//!     the block schedule, never of the element width; the run aborts on
-//!     divergence — only the *byte* traffic, `elems * elem_bytes`,
-//!     shrinks with the dtype).
-//! - `scaling` — per-shape strong-scaling sweeps over a fixed block grid.
-//!   Each point carries:
-//!   - `p`: requested worker count (drives block shape and the model),
-//!   - `effective_p`: workers actually spawned after the topology clamp
-//!     (`min(p, cores)`) — a speedup of ~1.0 with `effective_p = 1` is a
-//!     clamped run, not a scaling regression,
-//!   - `barrier_mode`: `"spin"` or `"park"` as selected by
-//!     `BarrierMode::auto(p, cores)`,
-//!   - `kernel`: the microkernel name used at this `p` (same dispatcher
-//!     as the gemm rows; recorded per point because a regenerated
-//!     snapshot may mix hosts),
-//!   - `cake_gflops`, `speedup`, `efficiency` (speedup over the first
-//!     point and `speedup / p`),
-//!   - `a_elems` / `b_elems` / `c_elems`: measured pack-element counters,
-//!     identical across `p` by construction (the run aborts otherwise),
-//!   - `barrier_wait_ns_max` / `barrier_wait_ns_sum`, `imbalance`.
-//! - `sim` — simulated p-sweeps from the discrete-event engine
-//!   (`cake_sim::engine`), one entry per Table-2 CPU. Unlike every other
-//!   section these numbers involve no wall clock: they are bit-identical
-//!   on any host, so a diff in this section always means the simulator or
-//!   the shaping changed, never the machine. Each entry carries `cpu`
-//!   (the Table-2 name), `n` (the square problem side), and `points`:
-//!   - `p`: simulated core count,
-//!   - `cake_gflops` / `goto_gflops`: simulated throughput of each
-//!     schedule (Figures 9b/10b/11b/12b),
-//!   - `cake_dram_gbs` / `goto_dram_gbs`: average DRAM bandwidth — CAKE's
-//!     column stays flat in `p` (Eq. 4) while GOTO's grows until the
-//!     machine's usable bandwidth caps it (Figures 10a/11a/12a),
-//!   - `cake_dram_bytes` / `goto_dram_bytes`: exact traffic counters
-//!     (u64; equal to the `cake_core::traffic` closed-form tally),
-//!   - `events`: discrete events processed for the two runs combined.
-//! - `autotune` — the closed tuning loop per fixed shape × dtype: each row
-//!   records what `cake_bench::tune::autotune_shape` found when it ranked
-//!   the deterministic candidate grid (`cake_core::tune::candidate_points`)
-//!   on a host-shaped simulator config (`CpuConfig::detected_host`) and
-//!   re-measured the top-K leaders plus the closed-form default with short
-//!   on-host GEMM runs. Fields per row:
-//!   - `m` / `k` / `n` / `dtype`: the tune point,
-//!   - `default_gflops`: the measured closed-form (`tuned_for`) baseline,
-//!   - `tuned_gflops`: the measured winner — **never below
-//!     `default_gflops`** because the default competes in the measured
-//!     round and wins ties (the run aborts if the invariant is violated),
-//!   - `speedup`: `tuned_gflops / default_gflops` (>= 1.0; equal to 1.0
-//!     means the closed form already won on this host),
-//!   - `mc` / `kc` / `nc` / `tier`: the winning block shape and kernel
-//!     tier, i.e. the `TunedEntry` a `CakeConfig::autotuned_for` cache hit
-//!     would pin,
-//!   - `sim_evaluations`: simulator runs spent ranking the candidate grid
-//!     (the cheap stage that kept the measured stage down to K+1 runs).
-//! - `dnn_forward` — tiny CNN forward pass: cold vs warm seconds, warm
-//!   GFLOP/s, warm allocations.
+//! Table, chart and CSV helpers for `cakectl`'s output. Figure CSVs go to
+//! `results/` (or `$CAKE_RESULTS_DIR`); the committed copies there are
+//! what `cakectl fig all` reproduces byte for byte.
 
 use std::fs;
 use std::io::Write as _;

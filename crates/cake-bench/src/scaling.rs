@@ -15,11 +15,8 @@
 //! blocks and only the intra-block partition changes. `bm` is chosen
 //! divisible by every swept `p` (8 covers the default `{1, 2, 4, 8}`).
 //!
-//! Used by `bench_snapshot` (the `scaling` section of `BENCH_gemm.json`)
-//! and by `cakectl gemm --threads`, whose `--check-counters` mode turns
+//! Used by `cakectl gemm --threads`, whose `--check-counters` mode turns
 //! [`counters_invariant`] into a CI gate (`ci.sh --scale-smoke`).
-
-use std::time::Instant;
 
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
@@ -27,6 +24,8 @@ use cake_core::shape::CbBlockShape;
 use cake_core::topology;
 use cake_core::workspace::GemmWorkspace;
 use cake_matrix::{init, Element, Matrix};
+
+use crate::best_of;
 
 /// One `p` of a strong-scaling sweep.
 #[derive(Debug, Clone, Copy)]
@@ -53,13 +52,10 @@ pub struct ScalePoint {
     pub c_elems: u64,
     /// Slowest single worker's total barrier wait.
     pub barrier_wait_ns_max: u64,
-    /// Barrier wait summed over workers.
-    pub barrier_wait_ns_sum: u64,
     /// Per-worker compute imbalance (`max * p / sum`; 1.0 = perfectly even).
     pub imbalance: f64,
     /// Microkernel that produced this point (from [`ExecStats::kernel`];
-    /// all points of one sweep share it — recorded so `BENCH_gemm.json`
-    /// attributes every number to its dispatch tier).
+    /// all points of one sweep share it).
     ///
     /// [`ExecStats::kernel`]: cake_core::executor::ExecStats::kernel
     pub kernel: &'static str,
@@ -112,9 +108,7 @@ pub fn sweep_shape(
         // Warmup sizes the workspace; timed iters then run allocation-free.
         let mut stats =
             execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Instant::now();
+        let best = best_of(iters, || {
             stats = execute_with_stats_in(
                 &a.view(),
                 &b.view(),
@@ -124,8 +118,7 @@ pub fn sweep_shape(
                 &pool,
                 &mut ws,
             );
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
+        });
         let gflops = 2.0 * m as f64 * k as f64 * n as f64 / best / 1e9;
         let base = *base_gflops.get_or_insert(gflops);
         let speedup = gflops / base;
@@ -140,7 +133,6 @@ pub fn sweep_shape(
             b_elems: stats.b_elems_loaded,
             c_elems: stats.c_elems_updated,
             barrier_wait_ns_max: stats.barrier_wait_ns_max,
-            barrier_wait_ns_sum: stats.barrier_wait_ns,
             imbalance: stats.compute_imbalance(),
             kernel: stats.kernel,
         });
@@ -261,9 +253,7 @@ fn sweep_tiers<T: cake_kernels::select::KernelSelect>(
         let mut stats =
             execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
         let c_hash = exact.then(|| fnv1a(c.as_slice().iter().flat_map(|x| x.to_f64().to_bits().to_le_bytes())));
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Instant::now();
+        let best = best_of(iters, || {
             stats = execute_with_stats_in(
                 &a.view(),
                 &b.view(),
@@ -273,8 +263,7 @@ fn sweep_tiers<T: cake_kernels::select::KernelSelect>(
                 &pool,
                 &mut ws,
             );
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
+        });
         points.push(KernelPoint {
             tier,
             kernel: stats.kernel,
@@ -331,8 +320,7 @@ pub fn kernel_counters_invariant(points: &[KernelPoint]) -> Result<(), String> {
     Ok(())
 }
 
-/// One dtype of a narrow-dtype sweep (`cakectl gemm --dtype-smoke`, the
-/// `dtypes` section of `BENCH_gemm.json`).
+/// One dtype of a narrow-dtype sweep (`cakectl gemm --dtype-smoke`).
 #[derive(Debug, Clone, Copy)]
 pub struct DtypePoint {
     /// Operand dtype name (`"f32"`, `"f64"`, `"bf16"`, `"int8"`).
@@ -373,10 +361,8 @@ fn dtype_point<T: cake_kernels::select::KernelSelect>(
     let mut c = Matrix::<T::Acc>::zeros(m, n);
     let mut stats =
         execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), shape, &ukr, &pool, &mut ws);
-    let mut best = f64::INFINITY;
     let mut warm_allocs = 0u64;
-    for _ in 0..iters {
-        let t0 = Instant::now();
+    let best = best_of(iters, || {
         stats = execute_with_stats_in(
             &a.view(),
             &b.view(),
@@ -386,9 +372,8 @@ fn dtype_point<T: cake_kernels::select::KernelSelect>(
             &pool,
             &mut ws,
         );
-        best = best.min(t0.elapsed().as_secs_f64());
         warm_allocs += stats.allocations as u64;
-    }
+    });
     DtypePoint {
         dtype: T::NAME,
         kernel: stats.kernel,
@@ -491,7 +476,6 @@ mod tests {
         for pt in &points {
             assert!(pt.gflops > 0.0);
             assert!(pt.imbalance >= 1.0, "imbalance {} below floor", pt.imbalance);
-            assert!(pt.barrier_wait_ns_max <= pt.barrier_wait_ns_sum);
         }
         // The bandwidth claim: identical element movement at every p. The
         // counters are live here (cake-verify enables traffic-counters).
@@ -531,7 +515,6 @@ mod tests {
             b_elems: 0,
             c_elems: 0,
             barrier_wait_ns_max: 0,
-            barrier_wait_ns_sum: 0,
             imbalance: 1.0,
             kernel: "",
         }

@@ -230,12 +230,7 @@ fn measure<T: KernelSelect>(
     let ctx = CakeGemm::new(cfg.clone());
     let mut c = Matrix::<T::Acc>::zeros(m, n);
     ctx.gemm(a, b, &mut c); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        ctx.gemm(a, b, &mut c);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let best = crate::best_of(reps, || ctx.gemm(a, b, &mut c));
     2.0 * (m as f64) * (k as f64) * (n as f64) / best.max(1e-12) / 1e9
 }
 

@@ -1,5 +1,6 @@
 //! Exit codes and output of the `cakectl` binary, run as a subprocess.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn cakectl(args: &[&str]) -> Output {
@@ -49,4 +50,71 @@ fn zero_workers_and_sub_unit_alpha_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(msg), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn invalid_option_values_exit_2() {
+    let cases: [(&[&str], &str); 10] = [
+        (&["shape", "--p", "two"], "invalid --p 'two'"),
+        (
+            &["gemm", "--m", "64", "--k", "64", "--n", "64", "--iters", "x", "--p", "zz"],
+            "invalid --iters 'x'",
+        ),
+        (&["gemm", "--m", "64", "--k", "64", "--n", "64", "--p", "zz"], "invalid --p 'zz'"),
+        (
+            &["sim", "--m", "64", "--k", "64", "--n", "64", "--fuzz-orderings", "many"],
+            "invalid --fuzz-orderings 'many'",
+        ),
+        (&["shape", "--alpha", "wide"], "invalid --alpha 'wide'"),
+        (
+            &["fig", "fig13"],
+            "unknown figure 'fig13' (expected table2|fig7|fig8|fig9|fig10|fig11|fig12|sim|all)",
+        ),
+        (&["fig", "fig9", "--part", "c"], "unknown --part 'c' for fig9 (expected a, b or ab)"),
+        (&["fig", "fig7", "--part", "z"], "unknown --part 'z' for fig7"),
+        (&["fig", "fig10", "--n", "big"], "invalid --n 'big'"),
+        (&["fig", "fig10", "--part", "a"], "--part applies to fig7, fig9 only"),
+    ];
+    for (args, msg) in cases {
+        let out = cakectl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+    }
+    let mut args = traffic_args("4", "4", "4");
+    args.extend(["--policy", "spill"]);
+    let out = cakectl(&args);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn fig_reproduces_the_committed_results_byte_for_byte() {
+    // Every id but fig7 (about 12 s in release; CI diffs it through
+    // `cakectl fig all`). The simulator involves no wall clock, so any
+    // difference means the model or a figure changed: regenerate
+    // `results/` with `cakectl fig all` and say why in the change.
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let fresh = std::env::temp_dir().join(format!("cakectl-fig-{}", std::process::id()));
+    std::fs::remove_dir_all(&fresh).ok();
+    for id in ["table2", "fig8", "fig9", "fig10", "fig11", "fig12", "sim"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cakectl"))
+            .args(["fig", id])
+            .env("CAKE_RESULTS_DIR", &fresh)
+            .output()
+            .expect("cakectl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "fig {id}: {stderr}");
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&fresh)
+        .expect("fig wrote its CSVs")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 11, "{names:?}");
+    for name in &names {
+        let got = std::fs::read(fresh.join(name)).expect("fresh CSV");
+        let want = std::fs::read(committed.join(name)).unwrap_or_default();
+        assert!(got == want, "results/{name} differs from `cakectl fig` output");
+    }
+    std::fs::remove_dir_all(&fresh).ok();
 }

@@ -5,8 +5,8 @@
 //! workers than the host exposes cores is pure oversubscription: every
 //! rotation barrier then waits on threads the scheduler has parked, and
 //! the measured "scaling" curve is an artifact of timeslice donation, not
-//! of the algorithm (see the committed single-core `BENCH_gemm.json`
-//! history, where p = 8 ran at 0.05× of p = 1).
+//! of the algorithm (on a single-core host, an unclamped p = 8 once ran at
+//! 0.05× of p = 1).
 //!
 //! This module separates the two roles of `p`:
 //!

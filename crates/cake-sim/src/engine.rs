@@ -11,10 +11,8 @@
 //!    bytes (CAKE's from `cake_core::traffic::walk`: adjacency-shared A/B,
 //!    one final C write per completed panel with the write-allocate
 //!    factor, outer-tile spills), and internal LLC<->core bytes. This
-//!    pass is pure traffic accounting — both the
-//!    event engine and the feature-gated closed-form oracle
-//!    (`crate::closed_form`) consume the same loads, so their DRAM byte
-//!    totals agree u64-exactly by construction.
+//!    pass is pure traffic accounting: the report's DRAM and internal
+//!    byte totals are the sums over the loads, u64-exactly.
 //! 2. **Event execution** ([`crate::machine`]): play the loads through a
 //!    component machine — shared DRAM channel and LLC port on their own
 //!    clock dividers ([`CpuConfig::dram_clock_ghz`] /
@@ -290,7 +288,6 @@ fn report_from_stats(
         macs: stats.macs,
         int_bytes: stats.int_bytes,
         events,
-        engine: "event".into(),
     }
 }
 
@@ -409,8 +406,8 @@ pub struct SharedLlcReport {
 /// Each tenant gets its own core set (`sp.p`) and an even share of the LLC
 /// for shape resolution (unless it already overrides `llc_bytes`), but the
 /// DRAM channel and LLC port are *one component each* — tenants' IO jobs
-/// queue against each other, which is exactly the contention the
-/// fixed-pipeline engine could not express.
+/// queue against each other, which is exactly the contention a per-step
+/// `max(compute, IO)` cost cannot express.
 pub fn simulate_shared_llc(cpu: &CpuConfig, tenants: &[SimParams], opts: SimOptions) -> SharedLlcReport {
     assert!(!tenants.is_empty(), "shared-LLC scenario needs at least one tenant");
     let share = (cpu.llc_bytes / tenants.len()).max(1);

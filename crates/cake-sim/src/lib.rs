@@ -14,10 +14,6 @@
 //!   L1/L2/LLC hierarchy with per-level hit and DRAM-traffic counters.
 //! * [`trace`] — tile-granular memory access traces for the CAKE and GOTO
 //!   schedules, fed through the cache hierarchy (Figure 7).
-//! * [`packet`] — the packet-level *functional* simulator of the abstract
-//!   CB machine (standardized packets between external memory, local
-//!   memory, and the core grid) used to validate schedule correctness and
-//!   the constant-bandwidth property with real dataflow.
 //! * [`event`] — the discrete-event core: a min-heap of
 //!   `(tick, seq, component)` wake-ups, per-component clock dividers,
 //!   FIFO/fuzzed same-tick tie-break, and the bounded event trace.
@@ -26,9 +22,8 @@
 //!   multi-stream (shared-LLC contention) execution.
 //! * [`engine`] — schedule lowering plus the event-machine front end,
 //!   producing throughput, DRAM bandwidth, and stall breakdowns
-//!   (Figures 9–12), with fuzzed-ordering race checks.
-//! * [`closed_form`] — the previous fixed-pipeline engine (feature
-//!   `closed-form`, default on), kept as a differential timing oracle.
+//!   (Figures 9–12), with fuzzed-ordering race checks. It is the crate's
+//!   only timing engine.
 //! * [`report`] — result records shared by the bench harness.
 //! * [`search`] — the exhaustive design-space search CAKE's closed-form
 //!   shaping replaces, used to validate the "no design search" claim.
@@ -36,13 +31,10 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
-#[cfg(feature = "closed-form")]
-pub mod closed_form;
 pub mod config;
 pub mod engine;
 pub mod event;
 pub mod machine;
-pub mod packet;
 pub mod report;
 pub mod search;
 pub mod trace;

@@ -1,5 +1,5 @@
-//! Result records produced by the timing engine and consumed by the bench
-//! harness (CSV rows, figure series).
+//! Result records produced by the timing engine and consumed by the
+//! figure runners.
 
 /// Outcome of simulating one GEMM on one CPU configuration.
 ///
@@ -38,10 +38,8 @@ pub struct SimReport {
     pub macs: u64,
     /// Bytes moved over the internal (LLC<->core) port.
     pub int_bytes: u64,
-    /// Discrete events processed (0 for the closed-form oracle).
+    /// Discrete events processed.
     pub events: u64,
-    /// Engine that produced the report: "event" or "closed-form".
-    pub engine: String,
 }
 
 impl SimReport {
@@ -57,35 +55,6 @@ impl SimReport {
         } else {
             0.0
         }
-    }
-
-    /// CSV header matching [`Self::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "cpu,algo,p,m,k,n,seconds,gflops,dram_bytes,avg_dram_bw_gbs,dram_stall_s,internal_stall_s,steps,macs,int_bytes,events,engine"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{:.6e},{:.3},{},{:.4},{:.6e},{:.6e},{},{},{},{},{}",
-            self.cpu,
-            self.algo,
-            self.p,
-            self.m,
-            self.k,
-            self.n,
-            self.seconds,
-            self.gflops,
-            self.dram_bytes,
-            self.avg_dram_bw_gbs,
-            self.dram_stall_seconds,
-            self.internal_stall_seconds,
-            self.steps,
-            self.macs,
-            self.int_bytes,
-            self.events,
-            self.engine
-        )
     }
 }
 
@@ -129,7 +98,6 @@ mod tests {
             macs: 1_000_000,
             int_bytes: 2_000_000,
             events: 42,
-            engine: "event".into(),
         }
     }
 
@@ -138,13 +106,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.flops(), 2e6);
         assert!((r.dram_stall_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let r = sample();
-        let cols = SimReport::csv_header().split(',').count();
-        assert_eq!(r.csv_row().split(',').count(), cols);
     }
 
     #[test]

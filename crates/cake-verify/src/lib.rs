@@ -14,7 +14,7 @@
 //!   with `traffic-counters` enabled and reconciles the measured element
 //!   traffic with `cake_core::traffic` *exactly*, with the closed forms of
 //!   `cake_core::model` (Eq. 4: external bandwidth independent of `p`)
-//!   within stated tolerance, and with the `cake-sim` packet simulator —
+//!   within stated tolerance, and with the `cake-sim` event simulator —
 //!   across `p ∈ {1, 2, 4, 8}`, demonstrating CAKE's DRAM traffic is
 //!   `p`-invariant while GOTO's bandwidth demand grows linearly.
 //! * [`interleave`] — a loom-style **deterministic interleaving harness**

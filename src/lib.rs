@@ -11,7 +11,7 @@
 //!   snake schedule, the analytical resource model, and the threaded
 //!   drop-in GEMM ([`core::api::cake_sgemm`] / [`core::api::cake_dgemm`]).
 //! * [`goto`] — the GOTO-algorithm baseline the paper compares against.
-//! * [`sim`] — the packet-based architecture simulator used to reproduce
+//! * [`sim`] — the discrete-event architecture simulator used to reproduce
 //!   the paper's multi-core evaluation figures.
 //! * [`dnn`] — the paper's motivating workload: CNN forward passes as one
 //!   CAKE GEMM per layer (im2col convolution, linear layers).

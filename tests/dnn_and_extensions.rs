@@ -1,6 +1,5 @@
 //! Integration tests for the DNN substrate and the beyond-the-paper
-//! extensions (design search, packet machine, executor stats) at the
-//! facade-crate level.
+//! extensions (design search, executor stats) at the facade-crate level.
 
 use cake::core::api::{CakeConfig, CakeGemm};
 use cake::dnn::im2col::{direct_conv, im2col, ConvGeom};
@@ -44,24 +43,6 @@ fn conv_as_gemm_equals_direct_convolution_through_facade() {
 
     let direct = direct_conv(&input, &weights, &geom);
     cake::matrix::compare::assert_gemm_eq(&y, direct.as_matrix(), 36);
-}
-
-#[test]
-fn packet_machine_agrees_with_real_gemm() {
-    // The Section 6.2 validation path: the packet machine's product must
-    // equal the threaded library's product.
-    use cake::sim::packet::{simulate_packets, PacketSimConfig};
-    let (m, k, n) = (20, 16, 28);
-    let a = init::random::<f64>(m, k, 21);
-    let b = init::random::<f64>(k, n, 22);
-
-    let cfg = PacketSimConfig::balanced(2, 2, 2, 4.0);
-    let (c_packets, res) = simulate_packets(&a, &b, &cfg).unwrap();
-    assert_eq!(res.macs, (m * k * n) as u64);
-
-    let mut c_lib = Matrix::<f64>::zeros(m, n);
-    cake::core::api::cake_dgemm(&a, &b, &mut c_lib, &CakeConfig::with_threads(2));
-    cake::matrix::compare::assert_gemm_eq(&c_packets, &c_lib, k);
 }
 
 #[test]

@@ -6,8 +6,11 @@ use cake::goto::model::GotoModel;
 use cake::goto::params::GotoParams;
 use cake::sim::config::CpuConfig;
 use cake::sim::engine::{
-    resolve_cake_shape, simulate_cake, simulate_cake_with_shape, simulate_goto, SimParams,
+    lower_cake, lower_goto, resolve_cake_shape, resolve_goto_params, simulate_cake,
+    simulate_cake_with_shape, simulate_goto, SimParams,
 };
+use cake::sim::machine::StepLoad;
+use cake::sim::SimReport;
 
 #[test]
 fn cake_dram_bw_tracks_eq4_within_20_percent() {
@@ -127,8 +130,8 @@ fn llc_override_scales_block_and_cuts_traffic() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential checks: discrete-event engine vs the feature-gated
-// closed-form oracle and the packet-level functional simulator.
+// Differential checks: discrete-event engine vs a closed-form oracle over
+// the per-step loads the event machine plays out.
 // ---------------------------------------------------------------------------
 
 /// Every `SimParams` case exercised above, as (cpu, params) pairs.
@@ -156,91 +159,96 @@ fn all_cases() -> Vec<(CpuConfig, SimParams)> {
     cases
 }
 
+/// The closed-form oracle over one lowered step stream: each step costs
+/// the slowest of its compute, DRAM and internal times (double buffering
+/// applied as arithmetic instead of event causality), and every counter
+/// is the sum over the steps. `roofline` is the busiest resource's total,
+/// a physical lower bound no schedule of these loads can beat.
+struct ClosedForm {
+    seconds: f64,
+    roofline: f64,
+    dram_bytes: u64,
+    int_bytes: u64,
+    macs: u64,
+    steps: usize,
+}
+
+fn closed_form(cpu: &CpuConfig, sp: &SimParams, loads: &[StepLoad]) -> ClosedForm {
+    let mac_rate = cpu.macs_per_cycle_f32 * cpu.freq_ghz * 1e9;
+    let dram_bw = cpu.usable_dram_bw_gbs() * 1e9;
+    let int_bw = sp.internal_bw_gbs_override.unwrap_or_else(|| cpu.internal_bw_gbs(sp.p)) * 1e9;
+    let (mut seconds, mut compute, mut dram, mut internal) = (0.0, 0.0, 0.0, 0.0);
+    for ld in loads {
+        let t_compute = ld.macs as f64 / (ld.active.max(1) as f64 * mac_rate);
+        let t_dram = (ld.ext_read_bytes + ld.ext_write_bytes) as f64 / dram_bw;
+        let t_internal = ld.int_bytes as f64 / int_bw;
+        seconds += t_compute.max(t_dram).max(t_internal);
+        compute += t_compute;
+        dram += t_dram;
+        internal += t_internal;
+    }
+    ClosedForm {
+        seconds,
+        roofline: f64::max(compute, dram.max(internal)),
+        dram_bytes: loads.iter().map(|l| l.ext_read_bytes + l.ext_write_bytes).sum(),
+        int_bytes: loads.iter().map(|l| l.int_bytes).sum(),
+        macs: loads.iter().map(|l| l.macs).sum(),
+        steps: loads.len(),
+    }
+}
+
+/// The event engine's report next to the closed-form oracle over the
+/// same lowering, for both schedules.
+fn event_and_oracle(cpu: &CpuConfig, sp: &SimParams) -> [(SimReport, ClosedForm); 2] {
+    let cake_loads = lower_cake(cpu, sp, &resolve_cake_shape(cpu, sp));
+    let goto_loads = lower_goto(cpu, sp, &resolve_goto_params(cpu, sp));
+    [
+        (simulate_cake(cpu, sp), closed_form(cpu, sp, &cake_loads)),
+        (simulate_goto(cpu, sp), closed_form(cpu, sp, &goto_loads)),
+    ]
+}
+
 #[test]
 fn event_engine_traffic_equals_closed_form_oracle_u64_exactly() {
-    // Both engines consume the same lowered `StepLoad` streams, so every
-    // traffic and work counter must agree bit-for-bit on every case this
-    // file exercises — for both schedules.
-    use cake::sim::closed_form;
+    // The event machine plays out the same lowered `StepLoad` stream the
+    // oracle sums, so every traffic and work counter must agree
+    // bit-for-bit on every case this file exercises, for both schedules.
     for (cpu, sp) in all_cases() {
-        let ev = simulate_cake(&cpu, &sp);
-        let cf = closed_form::simulate_cake(&cpu, &sp);
-        assert_eq!(ev.dram_bytes, cf.dram_bytes, "{} {sp:?} cake dram", cpu.name);
-        assert_eq!(ev.int_bytes, cf.int_bytes, "{} {sp:?} cake int", cpu.name);
-        assert_eq!(ev.macs, cf.macs, "{} {sp:?} cake macs", cpu.name);
-        assert_eq!(ev.steps, cf.steps, "{} {sp:?} cake steps", cpu.name);
-
-        let ev = simulate_goto(&cpu, &sp);
-        let cf = closed_form::simulate_goto(&cpu, &sp);
-        assert_eq!(ev.dram_bytes, cf.dram_bytes, "{} {sp:?} goto dram", cpu.name);
-        assert_eq!(ev.int_bytes, cf.int_bytes, "{} {sp:?} goto int", cpu.name);
-        assert_eq!(ev.macs, cf.macs, "{} {sp:?} goto macs", cpu.name);
-        assert_eq!(ev.steps, cf.steps, "{} {sp:?} goto steps", cpu.name);
+        for (ev, cf) in event_and_oracle(&cpu, &sp) {
+            let case = format!("{} {} {sp:?}", cpu.name, ev.algo);
+            assert_eq!(ev.dram_bytes, cf.dram_bytes, "{case}: dram bytes");
+            assert_eq!(ev.int_bytes, cf.int_bytes, "{case}: int bytes");
+            assert_eq!(ev.macs, cf.macs, "{case}: macs");
+            assert_eq!(ev.steps, cf.steps, "{case}: steps");
+        }
     }
 }
 
 #[test]
 fn event_engine_cycle_counts_near_closed_form_oracle() {
-    // Timing is where the engines legitimately differ: the closed form
-    // takes a per-step max(compute, dram, internal) while the event core
-    // plays out causality (read-ahead, posted writes, barrier edges,
+    // Timing is where the engine and the oracle legitimately differ: the
+    // oracle takes a per-step max(compute, dram, internal) while the event
+    // core plays out causality (read-ahead, posted writes, barrier edges,
     // clock-divider rounding). The documented differential tolerance is
-    // 30% (see DESIGN.md §11); a timing-model regression in either
-    // engine trips it.
-    use cake::sim::closed_form;
+    // 30% (see DESIGN.md §11). The event time also cannot beat the
+    // busiest resource's total: a machine that moves bytes faster than
+    // the configured channel trips that bound even inside the 30% band.
     for (cpu, sp) in all_cases() {
-        let ev = simulate_cake(&cpu, &sp);
-        let cf = closed_form::simulate_cake(&cpu, &sp);
-        let ratio = ev.seconds / cf.seconds;
-        assert!(
-            (0.70..=1.30).contains(&ratio),
-            "{} {sp:?} cake: event {:.4}s vs closed-form {:.4}s (x{ratio:.3})",
-            cpu.name,
-            ev.seconds,
-            cf.seconds
-        );
-        let ev = simulate_goto(&cpu, &sp);
-        let cf = closed_form::simulate_goto(&cpu, &sp);
-        let ratio = ev.seconds / cf.seconds;
-        assert!(
-            (0.70..=1.30).contains(&ratio),
-            "{} {sp:?} goto: event {:.4}s vs closed-form {:.4}s (x{ratio:.3})",
-            cpu.name,
-            ev.seconds,
-            cf.seconds
-        );
-    }
-}
-
-#[test]
-fn event_engine_traffic_equals_packet_simulator_byte_counts() {
-    // The packet machine counts tile transfers functionally (real
-    // dataflow, HoldInLlc residency); the event engine counts bytes from
-    // the lowered schedule. On a CPU without write-allocate the two must
-    // agree u64-exactly: bytes == tiles * elem_bytes.
-    use cake::matrix::init;
-    use cake::sim::packet::{simulate_packets, PacketSimConfig};
-    let mut cpu = CpuConfig::intel_i9_10900k();
-    assert!(!cpu.write_allocate);
-    // Packet tiles carry one element each; the engine books 4-byte f32.
-    let elem_bytes = 4u64;
-    for (p, k_grid, alpha, m, k, n) in
-        [(2usize, 4usize, 1usize, 32usize, 24usize, 40usize), (2, 2, 2, 20, 16, 28), (4, 3, 2, 48, 27, 72)]
-    {
-        let cfg = PacketSimConfig::balanced(p, k_grid, alpha, 4.0);
-        let (bm, bk, bn) = cfg.block_dims();
-        let a = init::random::<f64>(m, k, 11);
-        let b = init::random::<f64>(k, n, 12);
-        let (_, res) = simulate_packets(&a, &b, &cfg).unwrap();
-
-        cpu.cores = p.max(cpu.cores);
-        let shape = cake::core::shape::CbBlockShape::fixed(p, bm / p, bk, bn);
-        let sp = SimParams::new(m, k, n, p);
-        let rep = simulate_cake_with_shape(&cpu, &sp, &shape);
-        assert_eq!(
-            rep.dram_bytes,
-            res.dram_tile_transfers * elem_bytes,
-            "p={p} k_grid={k_grid} alpha={alpha} {m}x{k}x{n}"
-        );
+        for (ev, cf) in event_and_oracle(&cpu, &sp) {
+            let case = format!("{} {} {sp:?}", cpu.name, ev.algo);
+            let ratio = ev.seconds / cf.seconds;
+            assert!(
+                (0.70..=1.30).contains(&ratio),
+                "{case}: event {:.6}s vs closed-form {:.6}s (x{ratio:.3})",
+                ev.seconds,
+                cf.seconds
+            );
+            assert!(
+                cf.roofline <= ev.seconds,
+                "{case}: event {:.6}s below the roofline {:.6}s",
+                ev.seconds,
+                cf.roofline
+            );
+        }
     }
 }
