@@ -316,9 +316,8 @@ pub fn sites() -> Vec<Site> {
         },
         Site {
             name: "pack_b_krow_block",
-            place: "cake-kernels/src/pack.rs pack_b_full_slivers and cake-dnn/src/im2col.rs \
-                    LoweredConv::pack_slivers: a block of kn <= kl - kb k-rows of sliver \
-                    t < ceil(nl/nr), dst[t*nr*kl + kb*nr .. t*nr*kl + (kb+kn)*nr]",
+            place: "cake-kernels/src/pack.rs pack_b_full_slivers: a block of kn <= kl - kb \
+                    k-rows of sliver t < ceil(nl/nr), dst[t*nr*kl + kb*nr .. t*nr*kl + (kb+kn)*nr]",
             need: v("nl")
                 .ceil_div(v("nr"))
                 .minus(c(1))
@@ -353,12 +352,11 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![],
             finite_domain: false,
         },
-        // B slivers are nr*kp apart: pack_b_tiles and LoweredConv carve
-        // sliver t < ceil(nl/nr) as dst[t*nr*kp .. (t+1)*nr*kp].
+        // B slivers are nr*kp apart: pack_b_tiles carves sliver
+        // t < ceil(nl/nr) as dst[t*nr*kp .. (t+1)*nr*kp].
         Site {
             name: "pack_b_tile_sliver",
-            place: "cake-kernels/src/pack.rs pack_b_tiles and cake-dnn/src/im2col.rs \
-                    LoweredConv::pack_slivers: sliver t < ceil(nl/nr) at dst[t*nr*kp..(t+1)*nr*kp]",
+            place: "cake-kernels/src/pack.rs pack_b_tiles: sliver t < ceil(nl/nr) at dst[t*nr*kp..(t+1)*nr*kp]",
             need: v("nl")
                 .ceil_div(v("nr"))
                 .minus(c(1))
@@ -371,13 +369,13 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![],
             finite_domain: false,
         },
-        // put_b_tile_rows writes the 4 tile rows (256 elements) holding
-        // sliver rows kb..kb+16 of column tile ct < w, nr = 16w, at
+        // LaneCopy::write_tiles writes the 4 tile rows (256 elements)
+        // holding sliver rows kb..kb+16 of column tile ct < w, nr = 16w, at
         // (kb/64)*nr*64 + (kb%64/4)*64 + ct*1024 inside one nr*kp sliver:
         // step st = kb/64 < q, block g = kb%64/16 < 4.
         Site {
             name: "pack_b_tile_rows",
-            place: "cake-kernels/src/pack.rs: put_b_tile_rows sliv[st*nr*64 + g*256 + ct*1024..][..256], \
+            place: "cake-kernels/src/pack.rs: LaneCopy::write_tiles sliv[st*nr*64 + g*256 + ct*1024..][..256], \
                     nr = 16w, st < q, g < 4, ct < w, sliver nr*64q",
             need: v("st")
                 .times(c(16).times(v("w")))
@@ -390,6 +388,121 @@ pub fn sites() -> Vec<Site> {
             constraint: Some(|e| e["st"] < e["q"] && e["ct"] < e["w"]),
             corner_subst: vec![("st", v("q").minus(c(1))), ("g", c(3)), ("ct", v("w").minus(c(1)))],
             finite_domain: false,
+        },
+        // ---- the conv lowering's lane groups (cake-dnn/src/im2col.rs) ----
+        // A lane group of LoweredConv::pack_block covers c >= 1 slivers
+        // from sliver t, t + c <= ceil(nl/nr). In the tile layout it carves
+        // them whole: dst[t*nr*kp .. (t+c)*nr*kp].
+        Site {
+            name: "pack_b_tile_group",
+            place: "cake-dnn/src/im2col.rs LoweredConv::pack_block: tile slivers t..t+c, t + c <= ceil(nl/nr), \
+                    at dst[t*nr*kp .. (t+c)*nr*kp], kp = 64q",
+            need: v("t").plus(v("c")).times(v("nr")).times(c(64).times(v("q"))),
+            cap: packed_size(v("nl"), "nr", c(64).times(v("q"))),
+            ranges: vec![("nl", 1, 7), ("nr", 1, 4), ("q", 1, 3), ("t", 0, 6), ("c", 1, 4)],
+            constraint: Some(|e| e["t"] + e["c"] <= div_ceil_i(e["nl"], e["nr"])),
+            corner_subst: vec![("c", v("nl").ceil_div(v("nr")).minus(v("t")))],
+            finite_domain: false,
+        },
+        // In the k-major layout the group writes rows kb..kb+kn of each of
+        // its slivers, kb + kn <= kl, from lane l0 of sliver t on: the
+        // slice dst[t*nr*kl + kb*nr + l0 ..][..(c-1)*nr*kl + (kn-1)*nr + e]
+        // with e = min(nr, width), and l0 + e = e' <= nr (l0 = 0 when a
+        // group holds whole slivers; a piece of one wider sliver has c = 1
+        // and ends by its end).
+        Site {
+            name: "pack_b_lane_group",
+            place: "cake-dnn/src/im2col.rs LoweredConv::pack_block: k-major slivers t..t+c, rows kb..kb+kn, \
+                    dst[t*nr*kl + kb*nr + l0 ..][..(c-1)*nr*kl + (kn-1)*nr + e], l0 + e = e' <= nr",
+            need: v("t")
+                .plus(v("c"))
+                .minus(c(1))
+                .times(v("nr"))
+                .times(v("kl"))
+                .plus(v("kb").plus(v("kn")).minus(c(1)).times(v("nr")))
+                .plus(v("ee")),
+            cap: packed_size(v("nl"), "nr", v("kl")),
+            ranges: vec![
+                ("nl", 1, 6),
+                ("nr", 1, 3),
+                ("kl", 1, 4),
+                ("t", 0, 3),
+                ("c", 1, 3),
+                ("kb", 0, 3),
+                ("kn", 1, 4),
+                ("ee", 1, 3),
+            ],
+            constraint: Some(|e| {
+                e["t"] + e["c"] <= div_ceil_i(e["nl"], e["nr"]) && e["kb"] + e["kn"] <= e["kl"] && e["ee"] <= e["nr"]
+            }),
+            corner_subst: vec![
+                ("c", v("nl").ceil_div(v("nr")).minus(v("t"))),
+                ("kn", v("kl").minus(v("kb"))),
+                ("ee", v("nr")),
+            ],
+            finite_domain: false,
+        },
+        // ---- the lane copy (cake-kernels/src/pack.rs lanecopy) ----
+        // A row's masked loads read its set lanes: contiguous elements
+        // src[lo ..= lo + d], lo = at + first set lane, d = last - first.
+        // LaneRows::in_bounds admits the row only when lo < len and
+        // d < len - lo (a row whose whole window lies in src has both).
+        Site {
+            name: "lane_copy_load",
+            place: "cake-kernels/src/pack.rs lanecopy::rows/tiles_x2 masked loads of src[lo ..= lo + d], \
+                    in_bounds: lo < len, d < len - lo",
+            need: v("lo").plus(v("d")).plus(c(1)),
+            cap: v("len"),
+            ranges: vec![("lo", 0, 7), ("d", 0, 7), ("len", 1, 9)],
+            constraint: Some(|e| e["lo"] < e["len"] && e["d"] < e["len"] - e["lo"]),
+            corner_subst: vec![("d", v("len").minus(v("lo")).minus(c(1)))],
+            finite_domain: false,
+        },
+        // lanecopy::rows stores lane o of piece p < pp of row i < n to
+        // element p*ps + i*st + o, o < e = min(piece, width);
+        // LaneCopy::write_k_major runs it only when RowPlace::end(n) =
+        // (pp-1)*ps + (n-1)*st + e <= dst.len().
+        Site {
+            name: "lane_copy_store",
+            place: "cake-kernels/src/pack.rs lanecopy::rows masked stores to dst[p*ps + i*st + o], \
+                    p < pp, i < n, o < e, dst.len() >= RowPlace::end(n)",
+            need: v("p").times(v("ps")).plus(v("i").times(v("st"))).plus(v("o")).plus(c(1)),
+            cap: v("pp")
+                .minus(c(1))
+                .times(v("ps"))
+                .plus(v("n").minus(c(1)).times(v("st")))
+                .plus(v("e")),
+            ranges: vec![
+                ("p", 0, 2),
+                ("pp", 1, 3),
+                ("ps", 0, 4),
+                ("i", 0, 2),
+                ("n", 1, 3),
+                ("st", 0, 3),
+                ("o", 0, 2),
+                ("e", 1, 3),
+            ],
+            constraint: Some(|e| e["p"] < e["pp"] && e["i"] < e["n"] && e["o"] < e["e"]),
+            corner_subst: vec![
+                ("p", v("pp").minus(c(1))),
+                ("i", v("n").minus(c(1))),
+                ("o", v("e").minus(c(1))),
+            ],
+            finite_domain: false,
+        },
+        // lanecopy::tiles_x2 stores 64-byte tile row g < 4 of column tile
+        // ct < 2 at out[ct] + 64g; out[0] is the 1024 bytes of column tile
+        // 0 from the block's rows on, out[1] the 256 of column tile 1.
+        Site {
+            name: "lane_tile_store",
+            place: "cake-kernels/src/pack.rs lanecopy::tiles_x2 stores out[ct][64g..64g + 64], g < 4, \
+                    out[0] 1024 bytes, out[1] 256",
+            need: v("g").times(c(64)).plus(c(64)),
+            cap: c(256),
+            ranges: vec![("g", 0, 3)],
+            constraint: None,
+            corner_subst: vec![],
+            finite_domain: true,
         },
         // ---- pipelined executor (cake-core/src/executor.rs) ----
         // Sliver offsets and panel sizes use the kernel layout's padded

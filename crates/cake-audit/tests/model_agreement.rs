@@ -18,7 +18,10 @@ use std::collections::BTreeMap;
 
 use cake_audit::bounds::sites;
 use cake_audit::interval::Expr;
-use cake_kernels::pack::{pack_a, pack_b, packed_a_size, packed_b_size, PackLayout};
+use cake_kernels::pack::{
+    low_lanes, pack_a, pack_b, packed_a_size, packed_b_size, LaneCopy, LaneRows, PackLayout, RowPlace, B_KROWS,
+    LANES, TILE_K,
+};
 use cake_matrix::{init, Layout, Matrix, MatrixView};
 use proptest::prelude::*;
 
@@ -155,6 +158,138 @@ proptest! {
         prop_assert_eq!(cap, tiles.b_size(kl, nl), "model cap vs real sizing");
         let b = init::random::<f32>(kl, nl, seed);
         check_touched(need, cap, |dst| with_layout(&b, layout, |v| tiles.pack_b(v, dst)));
+    }
+}
+
+/// The lane copies: the portable one, and the vector one where the host
+/// has it.
+fn lane_copies() -> Vec<LaneCopy> {
+    let mut copies = vec![LaneCopy::PORTABLE];
+    if LaneCopy::detect() != LaneCopy::PORTABLE {
+        copies.push(LaneCopy::detect());
+    }
+    copies
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `LaneRows::in_bounds`, which admits a block to the masked loads,
+    /// holds exactly when the `lane_copy_load` site's `need` (one past the
+    /// last element a row's set lanes read) is within the source, and the
+    /// lanes the copies load are the model's `src[lo + (l - first)]`.
+    #[test]
+    fn lane_copy_load_matches_interval_model(
+        lo in 0usize..140,
+        d in 0usize..LANES,
+        first in 0usize..LANES,
+        len in 1usize..140,
+        live in 0usize..=LANES,
+    ) {
+        let first = first.min(LANES - 1 - d);
+        let (need_e, cap_e) = site_exprs("lane_copy_load");
+        let env = [("lo", lo as i128), ("d", d as i128), ("len", len as i128)];
+        let (need, cap) = (eval(&need_e, &env), eval(&cap_e, &env));
+        let src: Vec<f32> = (0..len).map(|i| i as f32).collect();
+        let mut rows = LaneRows::dense(&src, LANES, 1);
+        rows.at[0] = lo.wrapping_sub(first);
+        rows.mask[0] = low_lanes(first + d + 1) & !low_lanes(first);
+        (rows.live, rows.pad) = (live, -1.0);
+        prop_assert_eq!(rows.in_bounds(LANES), need <= cap, "lo {} d {} len {}", lo, d, len);
+        if need <= cap {
+            let place = RowPlace { width: LANES, stride: LANES, piece: LANES, piece_stride: 0 };
+            for copy in lane_copies() {
+                let mut out = vec![f32::NAN; LANES];
+                copy.write_k_major(&rows, &mut out, place);
+                for (l, &x) in out.iter().enumerate() {
+                    let want = if (first..=first + d).contains(&l) {
+                        (lo + l - first) as f32
+                    } else if l < live {
+                        -1.0
+                    } else {
+                        0.0
+                    };
+                    prop_assert_eq!(x.to_bits(), want.to_bits(), "{:?} lane {}", copy, l);
+                }
+            }
+        }
+    }
+
+    /// `LaneCopy::write_k_major` writes exactly the elements the
+    /// `lane_copy_store` site models, `p*ps + i*st + o`, and none past its
+    /// `cap` (`RowPlace::end`), whose value it must fit in.
+    #[test]
+    fn lane_copy_store_matches_interval_model(
+        width in 1usize..=LANES,
+        piece in 1usize..=LANES,
+        n in 1usize..=B_KROWS,
+        gap in 0usize..3,
+        pgap in 0usize..5,
+        seed in 0u64..1024,
+    ) {
+        let (e, pp) = (piece.min(width), width.div_ceil(piece));
+        // Rows and pieces apart by at least their extent, so no element is
+        // written twice.
+        let st = e + gap;
+        let ps = (n - 1) * st + e + pgap;
+        let (_, cap_e) = site_exprs("lane_copy_store");
+        let env = [("pp", pp as i128), ("ps", ps as i128), ("n", n as i128), ("st", st as i128), ("e", e as i128)];
+        let cap = eval(&cap_e, &env);
+        let src = init::random::<f32>(1, B_KROWS * LANES, seed);
+        let rows = LaneRows::dense(src.as_slice(), LANES, n);
+        let mut touched = vec![false; cap];
+        for p in 0..pp {
+            for i in 0..n {
+                for o in 0..piece.min(width - p * piece) {
+                    touched[p * ps + i * st + o] = true;
+                }
+            }
+        }
+        for copy in lane_copies() {
+            let place = RowPlace { width, stride: st, piece, piece_stride: ps };
+            let mut dst = vec![f32::NAN; cap + PAD];
+            copy.write_k_major(&rows, &mut dst[..cap], place);
+            for (idx, x) in dst.iter().enumerate() {
+                let written = !x.is_nan();
+                prop_assert_eq!(written, idx < cap && touched[idx], "{:?} index {} of cap {}", copy, idx, cap);
+            }
+        }
+    }
+
+    /// `LaneCopy::write_tiles` writes, in each 16-column tile of a sliver,
+    /// exactly the 256 elements from the block's first tile row that the
+    /// `lane_tile_store` and `pack_b_tile_rows` sites model, zeros in the
+    /// rows past the block's, and nothing else.
+    #[test]
+    fn lane_tile_store_matches_interval_model(
+        nr in prop::sample::select(vec![16usize, 32]),
+        q in 1usize..4,
+        kb in 0usize..12,
+        rows in 0usize..=B_KROWS,
+        seed in 0u64..1024,
+    ) {
+        let (kp, kb) = (q * TILE_K, kb % (q * TILE_K / B_KROWS) * B_KROWS);
+        let (need_e, _) = site_exprs("lane_tile_store");
+        let span = eval(&need_e, &[("g", 3)]);
+        let src = init::random_i8(1, B_KROWS * LANES, seed);
+        let block = LaneRows::dense(src.as_slice(), nr, rows);
+        let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / 4 * TILE_K;
+        for copy in lane_copies() {
+            let mut sliv = vec![i8::MIN; nr * kp + 64];
+            copy.write_tiles(&block, nr, &mut sliv[..nr * kp], nr * kp, kb);
+            for (idx, &x) in sliv.iter().enumerate() {
+                let tile = (0..nr / 16).find(|ct| (rows_at + ct * 1024..rows_at + ct * 1024 + span).contains(&idx));
+                match tile {
+                    None => prop_assert_eq!(x, i8::MIN, "{:?} index {} written", copy, idx),
+                    Some(ct) => {
+                        let o = idx - rows_at - ct * 1024;
+                        let (r, c) = (o / 64 * 4 + o % 4, ct * 16 + o % 64 / 4);
+                        let want = if r < rows { src.as_slice()[r * nr + c] } else { 0 };
+                        prop_assert_eq!(x, want, "{:?} index {}", copy, idx);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -14,8 +14,26 @@
 //! same patch matrix by running that packer over the whole matrix as one
 //! sliver `OH*OW` wide, so the two lowerings cannot drift; [`direct_conv`]
 //! is the quadruple-loop reference the tests verify the GEMM path against.
+//!
+//! The lowering is one algorithm at vector width. Its unit is a lane
+//! group: up to [`LANES`] consecutive patch columns (whole slivers, or a
+//! piece of `im2col`'s one sliver) over a block of [`B_KROWS`] patch rows.
+//! A patch row `(c, dy, dx)` reads the input inside the map on the lanes
+//! whose output row is valid for `dy` and whose output column is valid for
+//! `dx`, so each row's lane mask is the AND of two small tables the group
+//! builds by shifts: one mask per `dy` and one per `dx` of the block. The
+//! other lanes take the pad value, or zero past the last column. Where a
+//! row's lanes are contiguous in the input (stride 1, "same" padding or a
+//! group inside one output row) the row is one masked read at one offset,
+//! which [`LaneCopy`] performs with AVX-512 masked loads (or a portable
+//! copy) straight into the kernel's packed layout, AMX tiles included;
+//! other groups gather their lanes through the same masks. The crate has
+//! no `unsafe`: the lane copy checks every row it loads against the
+//! tensor.
 
-use cake_kernels::pack::{put_b_tile_rows, LayoutKind, PackB, PackLayout, B_KROWS, TILE_MAX_NR};
+use cake_kernels::pack::{
+    low_lanes, LaneCopy, LaneRows, LayoutKind, PackB, PackLayout, RowPlace, B_KROWS, LANES, TILE_K, TILE_MAX_NR,
+};
 use cake_matrix::{Element, Matrix};
 
 use crate::tensor::Tensor;
@@ -75,23 +93,6 @@ fn im2col_padded<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matr
     out
 }
 
-/// Where patch row `(c, dy, dx)` reads the input, worked out once per
-/// block of k-rows and hoisted out of the sliver loop.
-#[derive(Clone, Copy, Default)]
-struct RowGeom {
-    /// Output pixel `(oy, ox)` reads input element `base + s*(oy*w + ox)`,
-    /// with `base = c*h*w + (dy - pad)*w + dx - pad` in wrapping
-    /// arithmetic: `base` itself may be negative, an in-bounds tap's
-    /// offset never is.
-    base: usize,
-    /// Output rows whose input row lies in the map: `y0..y1`.
-    y0: usize,
-    y1: usize,
-    /// Output columns whose input column lies in the map: `x0..x1`.
-    x0: usize,
-    x1: usize,
-}
-
 /// The output positions `lo..hi` (of `out`) whose input position
 /// `o*s + d - p` lies in `[0, len)`: from `ceil((p - d) / s)` up to
 /// `ceil((len + p - d) / s)`, clamped to `out` and to `lo <= hi`. Stride 1
@@ -103,24 +104,57 @@ fn in_map(len: usize, d: usize, p: usize, s: usize, out: usize) -> (usize, usize
     (ceil(p.saturating_sub(d)).min(hi), hi)
 }
 
-/// `out.fill(pad)`, with the one- and two-tap edges of 3x3 and 5x5
-/// kernels written directly: a fill of bytes, or of zeros, compiles to a
-/// `memset` call, which would cost more than the copy of the window.
-#[inline(always)]
-fn fill_pad<T: Copy>(out: &mut [T], pad: T) {
-    match out {
-        [] => {}
-        [a] => *a = pad,
-        [a, b] => (*a, *b) = (pad, pad),
-        _ => out.fill(pad),
-    }
+/// Lanes `lo..hi` of a group, clamped to [`LANES`].
+fn span(lo: usize, hi: usize) -> u64 {
+    low_lanes(hi) & !low_lanes(lo)
 }
 
-/// `src[start..start + len]`, or `None` when that leaves `src`.
-#[inline(always)]
-fn window<T>(src: &[T], start: usize, len: usize) -> Option<&[T]> {
-    let (_, rest) = src.split_at_checked(start)?;
-    Some(rest.split_at_checked(len)?.0)
+/// The lanes `l` of a group whose output column `(ox0 + l) % ow` lies in
+/// `x0..x1`, for `ox0 < ow`. An output at least a group wide puts at most
+/// two output rows in the group; a narrower one repeats its row pattern
+/// every `ow` lanes, built by doubling in 128 bits.
+fn col_lanes(ow: usize, ox0: usize, (x0, x1): (usize, usize)) -> u64 {
+    if x0 >= x1 {
+        return 0;
+    }
+    if ow >= LANES {
+        let next = ow - ox0;
+        return span(x0.saturating_sub(ox0), x1.saturating_sub(ox0)) | span(next + x0, next + x1);
+    }
+    let mut pattern = u128::from(span(x0, x1));
+    let mut period = ow;
+    while period < 128 {
+        pattern |= pattern << period;
+        period *= 2;
+    }
+    (pattern >> ox0) as u64
+}
+
+/// Where one block of up to [`B_KROWS`] patch rows reads the input,
+/// worked out once per block and shared by every lane group.
+///
+/// Patch rows step like an odometer, `dx` fastest: row `i` of a block
+/// starting at `(c, dy0, dx0)` has `dx = (dx0 + i) % kw` and `dy = (dy0 +
+/// (dx0 + i) / kw) % kh`. So `i % kw` and `(dx0 + i) / kw % kh` number the
+/// block's distinct `dx` and `dy` values from 0: a group's lane masks are
+/// two fixed tables of at most [`B_KROWS`] entries each, whatever the
+/// kernel size.
+struct Block {
+    /// Rows in the block, and `dy` and `dx` slots in use.
+    n: usize,
+    ny: usize,
+    nx: usize,
+    /// Row `i`'s input offset at output pixel `(0, 0)`: `c*h*w + (dy -
+    /// p)*w + dx - p` in wrapping arithmetic (negative in the padding;
+    /// an in-map tap's offset never is).
+    base: [usize; B_KROWS],
+    /// Row `i`'s `dy` and `dx` slots.
+    slot: [(usize, usize); B_KROWS],
+    /// Per `dy` slot, the output rows `y0..y1` whose input row is in the map.
+    ys: [(usize, usize); B_KROWS],
+    /// Per `dx` slot, the output columns `x0..x1` whose input column is in
+    /// the map.
+    xs: [(usize, usize); B_KROWS],
 }
 
 /// A convolution's `(C_in*KH*KW) x (OH*OW)` patch matrix as a [`PackB`]
@@ -130,12 +164,16 @@ fn window<T>(src: &[T], start: usize, len: usize) -> Option<&[T]> {
 /// activation zero-point on the quantized path).
 ///
 /// Patch row `(c, dy, dx)` at column `oy*OW + ox` is input pixel
-/// `(c, oy*s + dy - p, ox*s + dx - p)`. At stride 1, a sliver's piece of
-/// one patch row is one input window when the sliver lies in one output
-/// row, or spans rows of an output as wide as the map: it is copied at a
-/// fixed width and `pad` written over its taps outside the map. Any other
-/// piece is walked as one run per output row it spans: `pad`, the in-map
-/// taps (contiguous at stride 1, strided beyond), `pad`.
+/// `(c, oy*s + dy - p, ox*s + dx - p)`. The packer walks blocks of
+/// [`B_KROWS`] patch rows and, in each, lane groups of at most [`LANES`]
+/// columns: whole slivers, or a piece of `im2col`'s one wide sliver. A
+/// group's row is in the map on the lanes of its row mask (by `dy`) and
+/// its column mask (by `dx`); the other live lanes get `pad`, the lanes
+/// past the last column zero. At stride 1 a group inside one output row,
+/// or spanning rows of an output as wide as its map ("same" padding),
+/// reads each row's lanes at one input offset, and [`LaneCopy`] moves
+/// them with masked loads. Any other group gathers its lanes through the
+/// same masks into a dense block first.
 pub struct LoweredConv<'a, T> {
     src: &'a [T],
     h: usize,
@@ -145,6 +183,7 @@ pub struct LoweredConv<'a, T> {
     geom: ConvGeom,
     rows: usize,
     pad: T,
+    copy: LaneCopy,
 }
 
 impl<'a, T: Element> LoweredConv<'a, T> {
@@ -165,172 +204,105 @@ impl<'a, T: Element> LoweredConv<'a, T> {
             geom: *geom,
             rows: input.channels() * geom.kh * geom.kw,
             pad,
+            copy: LaneCopy::detect(),
         }
     }
 
-    /// The input geometry of patch rows `r0..r0 + n`, `n <= B_KROWS`, in
-    /// the first `n` entries: row `(c, dy, dx)` steps from `r0`'s like an
-    /// odometer, and channel `c`'s plane starts at `c*h*w`.
-    fn block_geom(&self, r0: usize, n: usize) -> [RowGeom; B_KROWS] {
+    /// The same operand packing through `copy`.
+    #[cfg(test)]
+    fn with_copy(self, copy: LaneCopy) -> Self {
+        Self { copy, ..self }
+    }
+
+    /// The input geometry of patch rows `r0..r0 + n`, `n <= B_KROWS`.
+    fn block(&self, r0: usize, n: usize) -> Block {
         let ConvGeom { kh, kw, stride: s, pad: p } = self.geom;
-        let (mut c, mut dy, mut dx) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
-        // `from_fn` fills the entries in index order.
-        std::array::from_fn(|i| {
-            if i >= n {
-                return RowGeom::default();
-            }
-            let (y0, y1) = in_map(self.h, dy, p, s, self.oh);
-            let (x0, x1) = in_map(self.w, dx, p, s, self.ow);
-            let base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
+        let (c0, dy0, dx0) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
+        let mut blk = Block {
+            n,
+            ny: if n == 0 { 0 } else { kh.min((dx0 + n - 1) / kw + 1) },
+            nx: kw.min(n),
+            base: [0; B_KROWS],
+            slot: [(0, 0); B_KROWS],
+            ys: [(0, 0); B_KROWS],
+            xs: [(0, 0); B_KROWS],
+        };
+        for (q, y) in blk.ys.iter_mut().enumerate().take(blk.ny) {
+            *y = in_map(self.h, (dy0 + q) % kh, p, s, self.oh);
+        }
+        for (q, x) in blk.xs.iter_mut().enumerate().take(blk.nx) {
+            *x = in_map(self.w, (dx0 + q) % kw, p, s, self.ow);
+        }
+        let (mut c, mut dy, mut dx, mut sy) = (c0, dy0, dx0, 0);
+        for (i, (base, slot)) in blk.base.iter_mut().zip(&mut blk.slot).enumerate().take(n) {
+            *base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
+            *slot = (sy, i % kw);
             dx += 1;
             if dx == kw {
-                (dx, dy) = (0, dy + 1);
+                (dx, dy, sy) = (0, dy + 1, if sy + 1 == kh { 0 } else { sy + 1 });
                 if dy == kh {
                     (dy, c) = (0, c + 1);
                 }
             }
-            RowGeom { base, y0, y1, x0, x1 }
-        })
+        }
+        blk
     }
 
-    /// [`PackB::pack_block`] with the sliver width `NR` a constant for
-    /// the registered kernel widths (`NR = 0` takes it from the layout), so
-    /// an interior piece is a fixed-width copy, and `TILES` whether the
-    /// layout is [`LayoutKind::Tiles`].
-    ///
-    /// A k-major layout receives each sliver's pieces of a block of k-rows
-    /// in place. The tile layout receives them in an L1 buffer, k-major,
-    /// and [`put_b_tile_rows`] interleaves the buffer into the sliver; the
-    /// walk then runs on through the padded depth, whose rows are zeros.
-    fn pack_slivers<const NR: usize, const TILES: bool>(
+    /// The lane masks of block `blk`'s rows over the lane group from
+    /// output pixel `(oy, ox)` on, whose first `live` lanes are columns of
+    /// the block: lane `l` of row `i` is set when its input row (by `dy`)
+    /// and column (by `dx`) lie in the map.
+    fn masks(&self, blk: &Block, (oy, ox): (usize, usize), live: usize, mask: &mut [u64; B_KROWS]) {
+        let ow = self.ow;
+        let j0 = oy * ow + ox;
+        let (mut rows_in, mut cols_in) = ([0u64; B_KROWS], [0u64; B_KROWS]);
+        for (m, &(y0, y1)) in rows_in.iter_mut().zip(&blk.ys).take(blk.ny) {
+            *m = span((y0 * ow).saturating_sub(j0), (y1 * ow).saturating_sub(j0).min(live));
+        }
+        for (m, &x) in cols_in.iter_mut().zip(&blk.xs).take(blk.nx) {
+            *m = col_lanes(ow, ox, x);
+        }
+        for (m, &(sy, sx)) in mask.iter_mut().zip(&blk.slot).take(blk.n) {
+            // audit: checked slots are masked to the table size
+            *m = rows_in[sy % B_KROWS] & cols_in[sx % B_KROWS];
+        }
+    }
+
+    /// Gather the rows of the lane group from output pixel `(oy, ox)` on
+    /// through their `mask`s into `staged`, `width` lanes per row of which
+    /// the first `live` are columns: the group's lanes are not contiguous
+    /// in the input. Lane `l` at output pixel `(y, x)` reads `base + s*(y*w
+    /// + x)`.
+    fn gather<'s>(
         &self,
-        k0: usize,
-        n0: usize,
-        kl: usize,
-        nl: usize,
-        dst: &mut [T],
-        layout: &PackLayout,
-    ) {
-        let nr = if NR == 0 { layout.nr() } else { NR };
-        let slivers = nl.div_ceil(nr);
-        let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
-        for kb in (0..layout.k_padded(kl)).step_by(B_KROWS) {
-            let kn = B_KROWS.min(kl.saturating_sub(kb));
-            let rows = self.block_geom(k0 + kb, kn);
-            for t in 0..slivers {
-                let col0 = n0 + t * nr;
-                let live = nr.min(nl - t * nr);
-                let (oy, ox) = (col0 / self.ow, col0 % self.ow);
-                let block = if TILES {
-                    // Rows past the block's last k-row stay zero.
-                    let (rows_in, zeros) = staged.split_at_mut(kn * nr);
-                    if kn < B_KROWS {
-                        zeros.fill(T::ZERO);
-                    }
-                    rows_in
-                } else {
-                    let base = layout.b_offset(t, kl) + kb * nr;
-                    // audit: bounds pack_b_krow_block
-                    &mut dst[base..base + kn * nr]
-                };
-                let pieces = block.chunks_exact_mut(nr).zip(&rows);
-                // At stride 1 a full sliver inside one output row reads one
-                // input window per patch row, and so does one spanning
-                // rows when the output is as wide as the map ("same"
-                // padding): output row `oy` then starts `oy * w` in.
-                if live == nr && self.geom.stride == 1 && (ox + nr <= self.ow || self.ow == self.w) {
-                    let last = oy + (ox + nr - 1) / self.ow;
-                    let off = oy * self.w + ox;
-                    for (out, g) in pieces {
-                        self.window_piece(out, g, (oy, ox, last), off);
-                    }
-                } else {
-                    for (out, g) in pieces {
-                        let (taps, tail) = out.split_at_mut(live);
-                        self.each_run(taps, oy, ox, |run, y, x| self.run(run, g, y, x));
-                        tail.fill(T::ZERO);
-                    }
-                }
-                if TILES {
-                    let at = layout.b_offset(t, kl);
-                    // audit: bounds pack_b_tile_sliver
-                    put_b_tile_rows(&staged, nr, &mut dst[at..at + layout.b_offset(1, kl)], kb);
-                }
-            }
-        }
-    }
-
-    /// A full sliver's piece of patch row `g` from output pixel `(oy, ox)`
-    /// through output row `last`, whose taps are the input window at
-    /// `g.base + off`: one fixed-width copy, then `pad` over the taps whose
-    /// input lies outside the map (none in an interior piece). A window
-    /// that leaves the tensor is walked run by run instead.
-    #[inline(always)]
-    fn window_piece(&self, out: &mut [T], g: &RowGeom, (oy, ox, last): (usize, usize, usize), off: usize) {
-        let Some(win) = window(self.src, g.base.wrapping_add(off), out.len()) else {
-            self.each_run(out, oy, ox, |run, y, x| self.run(run, g, y, x));
-            return;
-        };
-        out.copy_from_slice(win);
-        // A piece spanning rows holds column 0 and column `ow - 1`.
-        let cols_outside =
-            if last == oy { g.x0 > ox || ox + out.len() > g.x1 } else { g.x0 > 0 || g.x1 < self.ow };
-        if oy < g.y0 || last >= g.y1 || cols_outside {
-            self.each_run(out, oy, ox, |run, y, x| {
-                self.pad_run(run, g, y, x);
-            });
-        }
-    }
-
-    /// Split the taps of the output pixels from `(oy, ox)` on, in
-    /// row-major order, into one run per output row, and call
-    /// `f(run, row, first column)` on each.
-    fn each_run(&self, mut out: &mut [T], mut oy: usize, mut ox: usize, mut f: impl FnMut(&mut [T], usize, usize)) {
-        while !out.is_empty() {
-            let len = (self.ow - ox).min(out.len());
-            let (run, rest) = std::mem::take(&mut out).split_at_mut(len);
-            f(run, oy, ox);
-            (out, oy, ox) = (rest, oy + 1, 0);
-        }
-    }
-
-    /// Write `pad` over the taps of patch row `g` at output pixels
-    /// `(oy, ox..ox + run.len())` whose input lies outside the map. Returns
-    /// the taps inside it and the input offset of the first, or `None`
-    /// when the input row is outside the map.
-    fn pad_run<'o>(&self, run: &'o mut [T], g: &RowGeom, oy: usize, ox: usize) -> Option<(&'o mut [T], usize)> {
-        if oy < g.y0 || oy >= g.y1 {
-            run.fill(self.pad);
-            return None;
-        }
-        let a = g.x0.saturating_sub(ox).min(run.len());
-        let b = g.x1.saturating_sub(ox).clamp(a, run.len());
-        let (taps, right) = run.split_at_mut(b);
-        let (left, mid) = taps.split_at_mut(a);
-        fill_pad(left, self.pad);
-        fill_pad(right, self.pad);
-        Some((mid, g.base.wrapping_add(self.geom.stride * (oy * self.w + ox + a))))
-    }
-
-    /// Patch row `g`'s taps at output pixels `(oy, ox..ox + run.len())`,
-    /// which lie in one output row: `pad`, the in-map taps (a copy at
-    /// stride 1, a gather beyond), `pad`.
-    fn run(&self, run: &mut [T], g: &RowGeom, oy: usize, ox: usize) {
-        let Some((mid, start)) = self.pad_run(run, g, oy, ox) else {
-            return;
-        };
+        blk: &Block,
+        (oy, ox): (usize, usize),
+        (width, live): (usize, usize),
+        mask: &[u64; B_KROWS],
+        staged: &'s mut [T; B_KROWS * LANES],
+    ) -> LaneRows<'s, T> {
         let s = self.geom.stride;
-        // The last in-map tap is `(mid.len() - 1) * s` past the first.
-        let span = (mid.len() * s).saturating_sub(s - 1);
-        if let Some(win) = window(self.src, start, span) {
-            if s == 1 {
-                mid.copy_from_slice(win);
-            } else {
-                for (d, &v) in mid.iter_mut().zip(win.iter().step_by(s)) {
-                    *d = v;
-                }
+        let mut pix = [0usize; LANES];
+        let (mut y, mut x) = (oy, ox);
+        for p in pix.iter_mut().take(live) {
+            *p = s * (y * self.w + x);
+            x += 1;
+            if x == self.ow {
+                (y, x) = (y + 1, 0);
             }
         }
+        for ((row, &base), &m) in staged.chunks_exact_mut(width.max(1)).zip(&blk.base).zip(mask).take(blk.n) {
+            for (l, (d, &p)) in row.iter_mut().zip(&pix).enumerate() {
+                *d = if m >> l & 1 == 1 {
+                    self.src.get(base.wrapping_add(p)).copied().unwrap_or(self.pad)
+                } else if l < live {
+                    self.pad
+                } else {
+                    T::ZERO
+                };
+            }
+        }
+        LaneRows::dense(staged.as_slice(), width, blk.n)
     }
 }
 
@@ -345,8 +317,8 @@ impl<T: Element> PackB<T> for LoweredConv<'_, T> {
 
     /// Pack the block in blocks of [`B_KROWS`] k-rows, as `pack_b` walks
     /// a row-major B: the rows' input geometry once per block, then each
-    /// sliver's piece of every row, `B_KROWS * nr` contiguous elements
-    /// (k-major), or interleaved into the sliver's tiles (the AMX layout).
+    /// lane group's masks and rows, written k-major or interleaved into
+    /// the sliver's tiles (the AMX layout) by [`LaneCopy::detect`]'s copy.
     // audit: warm
     // audit: hot
     fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
@@ -357,13 +329,65 @@ impl<T: Element> PackB<T> for LoweredConv<'_, T> {
         assert!(k0 + kl <= self.rows && n0 + nl <= self.cols(), "block outside the patch matrix");
         // audit: cold layout precondition, once per pack call before the sliver loop
         assert!(layout.kind() == LayoutKind::KMajor || layout.nr() <= TILE_MAX_NR, "tile slivers are at most two tiles wide");
-        match (layout.kind(), layout.nr()) {
-            (LayoutKind::KMajor, 8) => self.pack_slivers::<8, false>(k0, n0, kl, nl, dst, layout),
-            (LayoutKind::KMajor, 16) => self.pack_slivers::<16, false>(k0, n0, kl, nl, dst, layout),
-            (LayoutKind::KMajor, 32) => self.pack_slivers::<32, false>(k0, n0, kl, nl, dst, layout),
-            (LayoutKind::KMajor, _) => self.pack_slivers::<0, false>(k0, n0, kl, nl, dst, layout),
-            (LayoutKind::Tiles, 32) => self.pack_slivers::<32, true>(k0, n0, kl, nl, dst, layout),
-            (LayoutKind::Tiles, _) => self.pack_slivers::<0, true>(k0, n0, kl, nl, dst, layout),
+        let (nr, tiles) = (layout.nr(), layout.kind() == LayoutKind::Tiles);
+        let (slivers, sliver_len) = (nl.div_ceil(nr), layout.b_offset(1, kl));
+        // A lane group is `per` whole slivers, or a piece of one sliver
+        // wider than a group (`im2col`'s).
+        let per = (LANES / nr).max(1);
+        let mut staged = [T::ZERO; B_KROWS * LANES];
+        let mut direct = LaneRows { src: self.src, at: [0; B_KROWS], mask: [0; B_KROWS], rows: 0, live: 0, pad: self.pad };
+        // When a lane group holds whole slivers, the blocks of B_KROWS
+        // k-rows are taken TILE_K rows at a time and each group writes its
+        // rows of all of them before the next group: each sliver then
+        // receives TILE_K contiguous rows. Pieces of a wider sliver take
+        // one block at a time, so consecutive groups write each k-major
+        // row front to back.
+        let (kp, pass) = (layout.k_padded(kl), if nr <= LANES { TILE_K } else { B_KROWS });
+        for kb0 in (0..kp).step_by(pass) {
+            let nblocks = (kp - kb0).min(pass).div_ceil(B_KROWS);
+            let blocks: [Block; TILE_K / B_KROWS] = std::array::from_fn(|j| {
+                let kb = kb0 + j * B_KROWS;
+                self.block(k0 + kb, if j < nblocks { B_KROWS.min(kl.saturating_sub(kb)) } else { 0 })
+            });
+            // The output pixel of the group's first lane, stepped group by
+            // group without a division.
+            let (mut oy, mut ox) = (n0 / self.ow, n0 % self.ow);
+            for t in (0..slivers).step_by(per) {
+                let count = per.min(slivers - t);
+                for lane0 in (0..nr).step_by(LANES) {
+                    let width = LANES.min(count * nr - lane0);
+                    let live = width.min(nl.saturating_sub(t * nr + lane0));
+                    // At stride 1, lane `l` reads `base + (oy*w + ox) + l`
+                    // when the group lies in one output row, and also across
+                    // rows when output row `oy` starts `oy * w` into the
+                    // input.
+                    let contiguous = self.geom.stride == 1 && (ox + live <= self.ow || self.ow == self.w);
+                    let (off, at) = (oy * self.w + ox, layout.b_offset(t, kl));
+                    for (kb, blk) in (kb0..).step_by(B_KROWS).zip(&blocks).take(nblocks) {
+                        self.masks(blk, (oy, ox), live, &mut direct.mask);
+                        let rows = if contiguous {
+                            direct.at = blk.base.map(|base| base.wrapping_add(off));
+                            (direct.rows, direct.live) = (blk.n, live);
+                            &direct
+                        } else {
+                            &self.gather(blk, (oy, ox), (width, live), &direct.mask, &mut staged)
+                        };
+                        if tiles {
+                            // audit: bounds pack_b_tile_group
+                            self.copy.write_tiles(rows, nr, &mut dst[at..at + count * sliver_len], sliver_len, kb);
+                        } else if blk.n > 0 {
+                            let at = at + kb * nr + lane0;
+                            let place = RowPlace { width, stride: nr, piece: nr.min(width), piece_stride: sliver_len };
+                            // audit: bounds pack_b_lane_group
+                            self.copy.write_k_major(rows, &mut dst[at..at + (count - 1) * sliver_len + (blk.n - 1) * nr + nr.min(width)], place);
+                        }
+                    }
+                    ox += width;
+                    while ox >= self.ow {
+                        (oy, ox) = (oy + 1, ox - self.ow);
+                    }
+                }
+            }
         }
     }
 }
@@ -413,7 +437,7 @@ pub fn direct_conv<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cake_matrix::init;
+    use cake_matrix::{init, Bf16};
     use proptest::prelude::*;
 
     fn gemm_conv(input: &Tensor<f32>, weights: &Matrix<f32>, geom: &ConvGeom) -> Tensor<f32> {
@@ -522,7 +546,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn row_runs_match_per_element_lowering(
+        fn im2col_matches_per_element_lowering(
             cin in 1usize..4,
             h in 1usize..12,
             w in 1usize..12,
@@ -547,27 +571,56 @@ mod tests {
         }
     }
 
-    /// The lowered view's `pack_block` and the layout's `pack_b` over the
-    /// same block of the per-element patch matrix, each into a buffer of
-    /// `sentinel` one sliver longer than the packed block, as f64 bit
-    /// patterns: every packed element (the tile layout's zero K padding
-    /// included) must be written, and nothing past it.
-    fn lowered_and_materialized<T: Element>(
+    /// Both lane copies: the portable one, and the one this host
+    /// dispatches when it differs.
+    fn copies() -> Vec<LaneCopy> {
+        let mut copies = vec![LaneCopy::PORTABLE];
+        if LaneCopy::detect() != LaneCopy::PORTABLE {
+            copies.push(LaneCopy::detect());
+        }
+        copies
+    }
+
+    /// Every packed-B layout a registered `dtype` kernel reads: k-major
+    /// slivers at each tier's `(mr, nr)`, AMX tiles at the amx tier. The
+    /// tile layout also packs one-tile slivers, which int8 covers too.
+    fn registered_layouts(dtype: &str) -> Vec<PackLayout> {
+        use cake_kernels::select::{registered_tiles_for, KernelTier};
+        let mut layouts: Vec<PackLayout> = registered_tiles_for(dtype)
+            .into_iter()
+            .map(|(tier, mr, nr)| if tier == KernelTier::Amx { PackLayout::tiles(mr, nr) } else { PackLayout::k_major(mr, nr) })
+            .collect();
+        if dtype == "int8" {
+            layouts.push(PackLayout::tiles(32, 16));
+        }
+        layouts
+    }
+
+    /// The lowered view's `pack_block`, through each lane copy, against the
+    /// layout's `pack_b` over the same block of the per-element patch
+    /// matrix, each into a buffer of `sentinel` one sliver longer than the
+    /// packed block, as f64 bit patterns: every packed element (the tile
+    /// layout's zero K padding included) must be written, and nothing past
+    /// it. `layout` indexes the registered layouts of `T`'s dtype.
+    fn check_lowering<T: cake_matrix::Dtype>(
         input: &Tensor<T>,
         geom: &ConvGeom,
-        pad: T,
-        sentinel: T,
+        (pad, sentinel): (T, T),
         (k0, kl, n0, nl): (usize, usize, usize, usize),
-        layout: &PackLayout,
-    ) -> (Vec<u64>, Vec<u64>) {
+        layout: usize,
+    ) {
+        let layouts = registered_layouts(T::NAME);
+        let layout = &layouts[layout % layouts.len()];
         let len = layout.b_size(kl, nl) + layout.nr();
         let patches = im2col_reference(input, geom, pad);
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         let mut want = vec![sentinel; len];
         layout.pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want);
-        let mut got = vec![sentinel; len];
-        LoweredConv::new(input, geom, pad).pack_block(k0, n0, kl, nl, &mut got, layout);
-        let bits = |v: Vec<T>| v.into_iter().map(|x| x.to_f64().to_bits()).collect();
-        (bits(got), bits(want))
+        for copy in copies() {
+            let mut got = vec![sentinel; len];
+            LoweredConv::new(input, geom, pad).with_copy(copy).pack_block(k0, n0, kl, nl, &mut got, layout);
+            prop_assert_eq!(bits(&got), bits(&want), "{} {:?} block {:?} {:?} {:?}", T::NAME, geom, (k0, kl, n0, nl), layout, copy);
+        }
     }
 
     proptest! {
@@ -576,51 +629,53 @@ mod tests {
             cin in 1usize..4,
             h in 1usize..12,
             w in 1usize..12,
+            wide in prop::sample::select(vec![0usize, 0, 0, 53, 58, 118]),
             kh in 1usize..=5,
             kw in 1usize..=5,
             stride in 1usize..=3,
             pad in 0usize..=6,
             same in any::<bool>(),
-            nr in prop::sample::select(vec![8usize, 16, 32, 5]),
-            tiled in any::<bool>(),
+            layout in 0usize..8,
+            whole in 0usize..4,
             pick in 0u64..1 << 40,
             seed in 0u64..500,
         ) {
             // Half the odd-width kernels get "same" padding at stride 1,
-            // whose slivers spanning output rows take the window path.
+            // whose lane groups spanning output rows read one window. One
+            // map in three is about a lane group wide or wider.
             let (stride, pad) = if same && kw % 2 == 1 { (1, kw / 2) } else { (stride, pad) };
+            let w = w + wide;
             // Kernels wider than the padded input are rejected by
             // out_dims, so only lower geometries that fit.
             let geom = ConvGeom { kh, kw, stride, pad };
             if h + 2 * pad >= kh && w + 2 * pad >= kw {
                 let (oh, ow) = geom.out_dims(h, w);
                 let (k, n) = (cin * kh * kw, oh * ow);
-                // Any k-row range; columns from a sliver boundary (where the
-                // executor's shares start, mid-output-row whenever `ow` is
-                // not a multiple of `nr`) or, every other case, anywhere.
+                // Any k-row range; columns from a multiple of 16 (where the
+                // executor's shares start for every registered width
+                // from 16 on, mid-output-row whenever `ow` is not a
+                // multiple of it) or, every other case, anywhere. One case
+                // in four is the whole matrix, whose in-map taps include the
+                // tensor's first and last elements.
                 let pick = pick as usize;
-                let k0 = pick % k;
-                let kl = 1 + (pick >> 8) % (k - k0);
-                let n0 = if pick & (1 << 20) == 0 {
-                    (pick >> 21) % n.div_ceil(nr) * nr
+                let block = if whole == 0 {
+                    (0, k, 0, n)
                 } else {
-                    (pick >> 21) % n
-                };
-                let nl = 1 + (pick >> 30) % (n - n0);
-                let block = (k0, kl, n0, nl);
-                // The layout is one more input: k-major at any width, or
-                // the AMX tiles at one or two 16-column tiles.
-                let layout = if tiled {
-                    PackLayout::tiles(32, if nr == 32 { 32 } else { 16 })
-                } else {
-                    PackLayout::k_major(1, nr)
+                    let k0 = pick % k;
+                    let kl = 1 + (pick >> 8) % (k - k0);
+                    let n0 = if pick & (1 << 20) == 0 { (pick >> 21) % n.div_ceil(16) * 16 } else { (pick >> 21) % n };
+                    let n0 = n0.min(n - 1);
+                    (k0, kl, n0, 1 + (pick >> 30) % (n - n0))
                 };
                 let x = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed), h, w);
-                let (got, want) = lowered_and_materialized(&x, &geom, -7.5, f32::NAN, block, &layout);
-                prop_assert_eq!(got, want, "f32 {:?} block {:?} {:?}", geom, block, layout);
-                let x8 = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
-                let (got, want) = lowered_and_materialized(&x8, &geom, 3i8, 99i8, block, &layout);
-                prop_assert_eq!(got, want, "i8 {:?} block {:?} {:?}", geom, block, layout);
+                check_lowering(&x, &geom, (-7.5, f32::NAN), block, layout);
+                let x = Tensor::from_matrix(init::random::<f64>(cin, h * w, seed), h, w);
+                check_lowering(&x, &geom, (-7.5, f64::NAN), block, layout);
+                let x = Tensor::from_matrix(init::random::<Bf16>(cin, h * w, seed), h, w);
+                let (pad_bf16, nan_bf16) = (Bf16::from_f64(-7.5), Bf16::from_f64(f64::NAN));
+                check_lowering(&x, &geom, (pad_bf16, nan_bf16), block, layout);
+                let x = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
+                check_lowering(&x, &geom, (3i8, 99i8), block, layout);
             }
         }
     }

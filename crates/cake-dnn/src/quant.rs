@@ -377,6 +377,73 @@ mod tests {
         assert!(err < 0.05, "relative error {err} too large for int8");
     }
 
+    /// FNV-1a over the bits of every element, in order.
+    fn fnv1a(x: &[f32]) -> u64 {
+        x.iter().flat_map(|v| v.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A seeded 5-conv int8 net on a 3x32x32 image, shaped like the
+    /// benchmark's: conv/ReLU/pool down to 4x4, global average pool and a
+    /// 10-way classifier. Conv1 (K = 27) runs below one AMX tile step;
+    /// from conv3 on, output rows are narrower than a 32-column sliver.
+    fn int8_net() -> Vec<Box<dyn Layer>> {
+        use crate::layers::{GlobalAvgPool, MaxPool2d, ReLU};
+        let conv = |name: &str, cin: usize, cout: usize, seed: u64| -> Box<dyn Layer> {
+            let scale = (2.0 / (cin * 9) as f32).sqrt();
+            let w = init::random::<f32>(cout, cin * 9, seed);
+            let w = Matrix::from_fn(cout, cin * 9, |r, c| w.get(r, c) * scale);
+            let b = init::random::<f32>(1, cout, seed + 100).as_slice().iter().map(|v| v * 0.1).collect();
+            Box::new(QuantConv2d::from_f32(name, cin, cout, ConvGeom::same(3), &w, b))
+        };
+        vec![
+            conv("conv1", 3, 8, 1),
+            Box::new(ReLU),
+            conv("conv2", 8, 16, 2),
+            Box::new(ReLU),
+            Box::new(MaxPool2d),
+            conv("conv3", 16, 32, 3),
+            Box::new(ReLU),
+            Box::new(MaxPool2d),
+            conv("conv4", 32, 32, 4),
+            Box::new(ReLU),
+            Box::new(MaxPool2d),
+            conv("conv5", 32, 64, 5),
+            Box::new(ReLU),
+            Box::new(GlobalAvgPool),
+            Box::new(QuantLinear::from_f32("fc", &init::random::<f32>(10, 64, 6), vec![0.05; 10])),
+        ]
+    }
+
+    #[test]
+    fn int8_net_layer_outputs_are_pinned_at_p1_and_p2() {
+        // Every layer's output bits, hashed, as the commit before the
+        // mask-driven lowering produced them. int8 GEMMs are exact on every
+        // kernel tier and the quantizer's copies are bit-identical, so the
+        // hashes hold on any host and at any p.
+        const WANT: [u64; 15] = [
+            0x035bbc0958db38d3, 0x1684287007d63897, 0x7d1b3ca7ad61817e,
+            0x3f45e92eeb19b29d, 0xfd68e953a3007cea, 0x3a67775140cdacb7,
+            0xb0636cbae64b754b, 0x141d114a7e115fba, 0xc352729dc76331d0,
+            0x35ed895fe2c9d3b5, 0x3bb2f0ab17e77467, 0x27976639efb0219b,
+            0x9d8256938cf7d649, 0x7c27e55410f8d1ab, 0x4d27043eaf80f555,
+        ];
+        let input = Tensor::from_matrix(init::random::<f32>(3, 32 * 32, 7), 32, 32);
+        for p in [1, 2] {
+            let ctx = CakeGemm::new(CakeConfig::with_threads(p));
+            let mut x = input.clone();
+            let got: Vec<u64> = int8_net()
+                .iter()
+                .map(|layer| {
+                    x = layer.forward(&ctx, &x);
+                    fnv1a(x.as_matrix().as_slice())
+                })
+                .collect();
+            assert_eq!(got, WANT, "p = {p}");
+        }
+    }
+
     #[test]
     fn quantized_network_is_warm_alloc_free() {
         // Mixed f32 + int8 layers share one context: after the first pass

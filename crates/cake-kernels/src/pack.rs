@@ -123,15 +123,19 @@ mod bytetile {
     }
 }
 
-/// AVX-512 VBMI interleave of a 16-row, 32-byte-wide k-major block into the
-/// B-tile rows of its two 16-column tiles: one two-source byte shuffle
-/// (`vpermt2b`) per 64-byte tile row. Every host with AMX has VBMI, so the
-/// AMX kernel's B packs take this path; the scalar loop of
-/// [`interleave_k4`] serves other widths and hosts. Selected at run time
-/// ([`vbmi_tile_available`]); compiled out under Miri.
+/// AVX-512 masked-load lane copies behind [`LaneCopy`]: each 64-byte piece
+/// of a row is one masked load, so the lanes a row does not read (padding
+/// taps, columns past the block) take their fill value without a branch
+/// and without touching memory. A tile-layout row block of 1-byte elements
+/// 32 lanes wide goes from the loads straight into the two-source byte
+/// shuffle (`vpermt2b`, AVX-512 VBMI, which every AMX host has) that
+/// interleaves it into the B tiles. Selected at run time
+/// ([`LaneCopy::detect`]); compiled out under Miri.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-mod vbmitile {
+mod lanecopy {
     use core::arch::x86_64::*;
+
+    use super::{low_lanes, B_KROWS};
 
     /// Byte `4c + t` of a tile row of column tile `ct` takes row `t` of the
     /// group's four rows at column `16ct + c`: rows 0-1 are the first
@@ -152,40 +156,177 @@ mod vbmitile {
 
     static INDEX: [[u8; 64]; 2] = [index(0), index(1)];
 
-    /// `dst[ct][(r / 4) * 64 + c * 4 + r % 4] = src[r * 32 + 16 * ct + c]`
-    /// for `r, c < 16` and `ct < 2`.
+    /// A register of `S`-byte lanes: lane `l` loaded from `p + l*S` where
+    /// bit `l` of `k` is set, taken from `fill` where it is clear.
     ///
     /// # Safety
-    /// The host must support AVX-512 F, BW and VBMI; `src` must be
-    /// readable for 512 bytes, and `dst[0]` and `dst[1]` writable for 256
-    /// bytes each; no range may overlap another.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    pub unsafe fn interleave_k4_x2(src: *const u8, dst: [*mut u8; 2]) {
-        // SAFETY: the caller guarantees the features, 512 readable bytes at
-        // src and 256 writable bytes at each dst; loadu/storeu are
-        // alignment-free, and each load or store stays in its range.
+    /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8; `p +
+    /// l*S` must be readable for `S` bytes at every set bit `l` of `k`
+    /// below `64 / S` (clear lanes are not accessed).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn load<const S: usize>(fill: __m512i, k: u64, p: *const u8) -> __m512i {
+        // SAFETY: the caller guarantees the features and that every lane
+        // the mask loads is readable; a masked load suppresses faults on
+        // the clear lanes and reads nothing there.
         unsafe {
-            let idx = [0, 1].map(|ct| _mm512_loadu_si512(INDEX[ct].as_ptr().cast()));
-            for g in 0..4 {
-                let lo = _mm512_loadu_si512(src.add(g * 128).cast());
-                let hi = _mm512_loadu_si512(src.add(g * 128 + 64).cast());
-                for (out, i) in dst.iter().zip(&idx) {
-                    _mm512_storeu_si512(out.add(g * 64).cast(), _mm512_permutex2var_epi8(lo, *i, hi));
+            match S {
+                1 => _mm512_mask_loadu_epi8(fill, k, p.cast()),
+                2 => _mm512_mask_loadu_epi16(fill, k as __mmask32, p.cast()),
+                4 => _mm512_mask_loadu_epi32(fill, k as __mmask16, p.cast()),
+                _ => _mm512_mask_loadu_epi64(fill, k as __mmask8, p.cast()),
+            }
+        }
+    }
+
+    /// Store lane `l` of `v` to `p + l*S` where bit `l` of `k` is set.
+    ///
+    /// # Safety
+    /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8; `p +
+    /// l*S` must be writable for `S` bytes at every set bit `l` of `k`
+    /// below `64 / S` (clear lanes are not written).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn store<const S: usize>(p: *mut u8, k: u64, v: __m512i) {
+        // SAFETY: the caller guarantees the features and that every lane
+        // the mask stores is writable; clear lanes are not written.
+        unsafe {
+            match S {
+                1 => _mm512_mask_storeu_epi8(p.cast(), k, v),
+                2 => _mm512_mask_storeu_epi16(p.cast(), k as __mmask32, v),
+                4 => _mm512_mask_storeu_epi32(p.cast(), k as __mmask16, v),
+                _ => _mm512_mask_storeu_epi64(p.cast(), k as __mmask8, v),
+            }
+        }
+    }
+
+    /// `v` with the lanes of `S` bytes whose bit of `k` is clear zeroed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn keep_lanes<const S: usize>(k: u64, v: __m512i) -> __m512i {
+        match S {
+            1 => _mm512_maskz_mov_epi8(k, v),
+            2 => _mm512_maskz_mov_epi16(k as __mmask32, v),
+            4 => _mm512_maskz_mov_epi32(k as __mmask16, v),
+            _ => _mm512_maskz_mov_epi64(k as __mmask8, v),
+        }
+    }
+
+    /// Rows `i < n` of a lane group, `S`-byte lanes: lane `l < width` of
+    /// row `i` is `src[at[i] + l]` where bit `l` of `mask[i]` is set, else
+    /// `*pad` below `live` and zero from it on, stored to element `(l /
+    /// piece)*piece_stride + i*stride + l % piece` of `dst`. Mask bits from
+    /// `width` on are ignored.
+    ///
+    /// # Safety
+    /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8, `n <=
+    /// B_KROWS`, `width <= 64` and `piece >= 1`; `pad` must be readable for
+    /// `S` bytes; for every row `i < n` and set bit `l < width` of
+    /// `mask[i]`, `src + (at[i] + l)*S` must be readable for `S` bytes;
+    /// every element a lane `l < width` of a row `i < n` goes to must be
+    /// writable in `dst`, which overlaps neither.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn rows<const S: usize>(
+        src: *const u8,
+        at: &[usize; B_KROWS],
+        mask: &[u64; B_KROWS],
+        n: usize,
+        (pad, live): (*const u8, usize),
+        dst: *mut u8,
+        place: super::RowPlace,
+    ) {
+        let super::RowPlace { width, stride, piece, piece_stride } = place;
+        let lanes = 64 / S;
+        // SAFETY: `pad` is read for `S` bytes. Chunk `j` of piece `p` of
+        // row `i` is lanes `l0 + j .. l0 + j + len`, `l0 = p*piece`, all
+        // below `width`: its masked load reads only the row's set lanes
+        // among them, readable by the contract (`at[i]` wraps, so only
+        // those lanes' addresses must be in bounds), and its store writes
+        // them to elements `p*piece_stride + i*stride + j ..` of `dst`.
+        unsafe {
+            let pad = match S {
+                1 => _mm512_set1_epi8(pad.cast::<i8>().read()),
+                2 => _mm512_set1_epi16(pad.cast::<i16>().read_unaligned()),
+                4 => _mm512_set1_epi32(pad.cast::<i32>().read_unaligned()),
+                _ => _mm512_set1_epi64(pad.cast::<i64>().read_unaligned()),
+            };
+            for (p, l0) in (0..width).step_by(piece).enumerate() {
+                let len = piece.min(width - l0);
+                let mut fill = [_mm512_setzero_si512(); 8];
+                for (j, f) in fill.iter_mut().enumerate().take(len.div_ceil(lanes)) {
+                    let k = low_lanes((len - j * lanes).min(lanes));
+                    *f = keep_lanes::<S>(low_lanes(live.saturating_sub(l0 + j * lanes)) & k, pad);
+                }
+                let piece_out = dst.wrapping_add(p * piece_stride * S);
+                for (i, (&at, &m)) in at.iter().zip(mask).enumerate().take(n) {
+                    let m = (m & low_lanes(width)) >> l0;
+                    let row = src.wrapping_add(at.wrapping_add(l0).wrapping_mul(S));
+                    let out = piece_out.wrapping_add(i * stride * S);
+                    for (j, &f) in fill.iter().enumerate().take(len.div_ceil(lanes)) {
+                        let first = j * lanes;
+                        let k = low_lanes((len - first).min(lanes));
+                        let x = load::<S>(f, m >> first & k, row.wrapping_add(first * S));
+                        store::<S>(out.wrapping_add(first * S), k, x);
+                    }
                 }
             }
         }
     }
-}
 
-/// Whether the tile-layout B pack may use the VBMI interleave: 1-byte
-/// elements, slivers of two tiles, and an AVX-512 VBMI host.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[inline]
-fn vbmi_tile_available<T: Element>(nr: usize) -> bool {
-    std::mem::size_of::<T>() == 1
-        && nr == 2 * TILE_ROWS
-        && is_x86_feature_detected!("avx512vbmi")
-        && is_x86_feature_detected!("avx512bw")
+    /// Rows `kb .. kb + 16` of a tile-layout B sliver of 1-byte lanes, 32
+    /// wide (two 16-column tiles), from lanes `lane0 .. lane0 + 32` of a
+    /// lane group: row `i < n`, lane `l < 32`, is `src[at[i] + lane0 + l]`
+    /// where bit `lane0 + l` of `mask[i]` is set, else `pad` below `live`
+    /// and zero from it on; rows from `n` on are zero. Rows `4g .. 4g + 2`
+    /// share one register and rows `4g + 2 .. 4g + 4` the next, so one
+    /// `vpermt2b` per column tile makes each 64-byte tile row:
+    /// `out[ct][(r / 4) * 64 + c * 4 + r % 4] = row r, lane 16ct + c`.
+    ///
+    /// # Safety
+    /// The host must support AVX-512 F, BW and VBMI; `lane0 <= 32`; for
+    /// every row `i < n` and set bit `l` of `mask[i]` in `lane0 .. lane0 +
+    /// 32`, `src + at[i] + l` must be readable (other bits and rows are
+    /// ignored); `out[0]` and `out[1]` must each be writable for 256 bytes,
+    /// and no range may overlap another.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub unsafe fn tiles_x2(
+        src: *const u8,
+        at: &[usize; B_KROWS],
+        mask: &[u64; B_KROWS],
+        n: usize,
+        (pad, live, lane0): (i8, usize, usize),
+        out: [*mut u8; 2],
+    ) {
+        const HALF: u64 = 0xffff_ffff;
+        let live = low_lanes(live.saturating_sub(lane0)) & HALF;
+        let pad = _mm512_maskz_mov_epi8(live | live << 32, _mm512_set1_epi8(pad));
+        let src = src.wrapping_add(lane0);
+        let mut rows = at.iter().zip(mask).enumerate();
+        let mut regs = [_mm512_setzero_si512(); 8];
+        // SAFETY: each index row is 64 readable bytes. Each masked load
+        // reads only its row's set lanes in `lane0 .. lane0 + 32`, readable
+        // by the contract: a register's second row loads from 32 bytes
+        // below its start into lanes 32..64, so lane `32 + l` reads `src +
+        // at[i] + lane0 + l`. Each store writes 64 of `out[ct]`'s 256 bytes.
+        unsafe {
+            let idx = INDEX.map(|ix| _mm512_loadu_si512(ix.as_ptr().cast()));
+            for r in regs.iter_mut() {
+                let (Some((i, (&a0, &m0))), Some((_, (&a1, &m1)))) = (rows.next(), rows.next()) else {
+                    break;
+                };
+                // A row past `n` is zero, fill included.
+                let (k0, k1) = (if i < n { HALF } else { 0 }, if i + 1 < n { HALF } else { 0 });
+                let fill = _mm512_maskz_mov_epi8(k0 | k1 << 32, pad);
+                let lo = _mm512_mask_loadu_epi8(fill, m0 >> lane0 & k0, src.wrapping_add(a0).cast());
+                *r = _mm512_mask_loadu_epi8(lo, (m1 >> lane0 & k1) << 32, src.wrapping_add(a1).wrapping_sub(32).cast());
+            }
+            for (g, (lo, hi)) in regs.iter().step_by(2).zip(regs.iter().skip(1).step_by(2)).enumerate() {
+                for (o, ix) in out.iter().zip(&idx) {
+                    _mm512_storeu_si512(o.add(g * 64).cast(), _mm512_permutex2var_epi8(*lo, *ix, *hi));
+                }
+            }
+        }
+    }
 }
 
 /// AVX-512 16x16 transpose of 4-byte elements for the row-major A path.
@@ -850,8 +991,8 @@ fn pack_a_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
 /// Pack a `kc x nc` view of B into `dst` as [`LayoutKind::Tiles`] slivers
 /// of width `nr`. Like [`pack_b`] on a row-major B, it walks blocks of
 /// [`B_KROWS`] k-rows across every sliver: [`pack_b`] writes each sliver's
-/// piece of the block k-major into an L1 buffer, zeros below the last
-/// k-row, and [`put_b_tile_rows`] interleaves it into the sliver.
+/// piece of the block k-major into an L1 buffer, and [`LaneCopy::write_tiles`]
+/// interleaves its rows into the sliver, zeros below the last k-row.
 fn pack_b_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     let (kc, nc) = (src.rows(), src.cols());
     let kp = kc.next_multiple_of(TILE_K);
@@ -861,54 +1002,257 @@ fn pack_b_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     // audit: cold layout precondition, once per pack call before the sliver loop
     assert!(nr.is_multiple_of(TILE_ROWS) && nr <= TILE_MAX_NR, "tile slivers are one or two 16-column tiles, not {nr}");
     let slivers = if kc == 0 { 0 } else { nc.div_ceil(nr) };
+    let copy = LaneCopy::detect();
     let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
     for kb in (0..kp).step_by(B_KROWS) {
         let kn = B_KROWS.min(kc.saturating_sub(kb));
         for t in 0..slivers {
             let (col0, live) = (t * nr, nr.min(nc - t * nr));
-            // Rows past the block's last k-row stay zero.
-            let (rows, zeros) = staged.split_at_mut(kn * nr);
             if kn > 0 {
-                pack_b(&src.sub(kb, col0, kn, live), rows, nr);
-            }
-            if kn < B_KROWS {
-                zeros.fill(T::ZERO);
+                pack_b(&src.sub(kb, col0, kn, live), staged.split_at_mut(kn * nr).0, nr);
             }
             let base = b_sliver_offset(t, kp, nr);
             // audit: bounds pack_b_tile_sliver
-            put_b_tile_rows(&staged, nr, &mut dst[base..base + nr * kp], kb);
+            copy.write_tiles(&LaneRows::dense(&staged, nr, kn), nr, &mut dst[base..base + nr * kp], nr * kp, kb);
         }
     }
 }
 
-/// Write rows `kb .. kb + 16` of a [`LayoutKind::Tiles`] B sliver `nr`
-/// wide: `block` holds them k-major (16 rows at row stride `nr`, zeros
-/// wherever the sliver has no data), and each 16-column tile receives
-/// them as its 4 tile rows from `kb % 64 / 4` on. `kb` is a multiple of
-/// [`B_KROWS`] below the sliver's padded depth, and `nr` a multiple of 16
-/// of at most [`TILE_MAX_NR`]: `sliv` holds `nr * kp` elements.
-pub fn put_b_tile_rows<T: Element>(block: &[T], nr: usize, sliv: &mut [T], kb: usize) {
-    let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / TILE_KGROUP * TILE_K;
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if vbmi_tile_available::<T>(nr) && block.len() >= B_KROWS * nr {
-        const TILE: usize = TILE_ROWS * TILE_K;
-        // audit: bounds pack_b_tile_rows
-        let out = &mut sliv[rows_at..rows_at + TILE + B_KROWS * TILE_ROWS];
-        let (first, second) = out.split_at_mut(TILE);
-        let dst = [first.as_mut_ptr().cast::<u8>(), second.as_mut_ptr().cast::<u8>()];
-        // SAFETY: 1-byte elements, nr = 32 and VBMI by the check above;
-        // block holds 16*32 = 512 bytes; `first` holds the 1024 bytes of
-        // column tile 0 from this block's rows on and `second` the 256 of
-        // column tile 1, disjoint halves of `sliv`, which does not overlap
-        // `block` (distinct borrows).
-        unsafe { vbmitile::interleave_k4_x2(block.as_ptr().cast::<u8>(), dst) };
-        return;
+/// Lanes of one lane group: the widest piece of a row one [`LaneCopy`]
+/// call writes, one bit each of a `u64` mask. A sliver wider than this
+/// (`im2col`'s, `OH*OW` lanes) is copied one group at a time.
+pub const LANES: usize = 64;
+
+/// A `u64` with the low `n` lanes set: all 64 from `n = LANES` on.
+#[inline]
+pub fn low_lanes(n: usize) -> u64 {
+    if n >= LANES {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
-    for ct in 0..nr / TILE_ROWS {
-        let off = rows_at + ct * TILE_ROWS * TILE_K;
-        // audit: bounds pack_b_tile_rows
-        let out = &mut sliv[off..off + B_KROWS * TILE_ROWS];
-        interleave_k4(block.get(ct * TILE_ROWS..).unwrap_or(&[]), nr, out);
+}
+
+/// Up to [`B_KROWS`] rows of one lane group, as a lowering reads them from
+/// one source slice. Lane `l` of row `i < rows` is `src[at[i] + l]` where
+/// bit `l` of `mask[i]` is set; where it is clear, the lane is `pad` below
+/// `live` and zero from `live` on. The lanes a row reads are contiguous in
+/// `src`, and `at[i] + l` wraps: `at[i]` itself may lie before the slice,
+/// as long as every set lane lies inside it.
+#[derive(Clone, Copy, Debug)]
+pub struct LaneRows<'a, T> {
+    /// The slice every row reads.
+    pub src: &'a [T],
+    /// Row `i`'s lane `l` reads `src[at[i] + l]`.
+    pub at: [usize; B_KROWS],
+    /// The lanes row `i` reads.
+    pub mask: [u64; B_KROWS],
+    /// Rows in the block, at most [`B_KROWS`].
+    pub rows: usize,
+    /// Lanes that hold data: the rest are zero.
+    pub live: usize,
+    /// The value of a live lane its row does not read.
+    pub pad: T,
+}
+
+impl<'a, T: Element> LaneRows<'a, T> {
+    /// `rows` rows of `width <= LANES` lanes stored back to back in `src`,
+    /// every lane read.
+    pub fn dense(src: &'a [T], width: usize, rows: usize) -> Self {
+        Self {
+            src,
+            at: std::array::from_fn(|i| i * width),
+            mask: [low_lanes(width); B_KROWS],
+            rows: rows.min(B_KROWS),
+            live: width,
+            pad: T::ZERO,
+        }
+    }
+
+    /// Whether every lane below `width` that a row reads lies inside
+    /// `src`: the check that admits a block to the vector copy. A row
+    /// whose whole window `at[i] .. at[i] + width` lies inside passes at
+    /// once. Otherwise its lanes are contiguous, so its first and last set
+    /// lanes lying inside `src` puts every set lane there.
+    pub fn in_bounds(&self, width: usize) -> bool {
+        let len = self.src.len();
+        let last_window = len.checked_sub(width);
+        self.at.iter().zip(&self.mask).take(self.rows).all(|(&at, &mask)| {
+            let m = mask & low_lanes(width);
+            if last_window.is_some_and(|last| at <= last) || m == 0 {
+                return true;
+            }
+            let (first, last) = (m.trailing_zeros() as usize, LANES - 1 - m.leading_zeros() as usize);
+            let lo = at.wrapping_add(first);
+            lo < len && last - first < len - lo
+        })
+    }
+
+    /// The portable copy of lanes `l0 .. l0 + out.len()` (at most
+    /// [`LANES`]) of one row into `out`: each run of set lanes is one copy
+    /// from `src`, each run of clear lanes one fill.
+    fn copy_row(&self, at: usize, mask: u64, l0: usize, out: &mut [T]) {
+        let (mut rest, mut l) = (out, l0);
+        while !rest.is_empty() {
+            let set = mask >> l & 1 == 1;
+            let same = if set { mask >> l } else { !(mask >> l) };
+            let n = (same.trailing_ones() as usize).min(rest.len());
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            if set {
+                match self.src.get(at.wrapping_add(l)..).and_then(|s| s.get(..n)) {
+                    Some(lanes) => run.copy_from_slice(lanes),
+                    None => run.fill(self.pad),
+                }
+            } else {
+                let (pad, zero) = run.split_at_mut(self.live.saturating_sub(l).min(n));
+                pad.fill(self.pad);
+                zero.fill(T::ZERO);
+            }
+            (rest, l) = (tail, l + n);
+        }
+    }
+}
+
+/// Where [`LaneCopy::write_k_major`] writes a block: lane `l < width` of row `i`
+/// goes to `dst[(l / piece) * piece_stride + i * stride + l % piece]`. A
+/// lane group of k-major slivers `nr` wide and `kl` deep has `piece =
+/// stride = nr` and `piece_stride = nr * kl`: each piece is one sliver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowPlace {
+    /// Lanes written per row, at most [`LANES`].
+    pub width: usize,
+    /// Elements from one row to the next within a piece.
+    pub stride: usize,
+    /// Lanes per piece.
+    pub piece: usize,
+    /// Elements from one piece to the next.
+    pub piece_stride: usize,
+}
+
+impl RowPlace {
+    /// One past the last element rows `..n` can reach, or `None` on
+    /// overflow.
+    fn end(&self, n: usize) -> Option<usize> {
+        let pieces = self.width.div_ceil(self.piece);
+        (pieces.checked_sub(1)?.checked_mul(self.piece_stride))?
+            .checked_add(n.checked_sub(1)?.checked_mul(self.stride)?)?
+            .checked_add(self.piece.min(self.width))
+    }
+}
+
+/// The copy that writes a [`LaneRows`] block into a packed B layout: the
+/// AVX-512 masked-load copy where the host has AVX-512 F and BW, and the
+/// portable one (a copy or a fill per run of lanes) elsewhere. Both write
+/// the same elements. The vector copy is safe to call with any block: it
+/// checks that every lane it loads lies inside the source slice, and that
+/// its stores end inside the destination, and leaves a block that fails
+/// either check to the portable copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneCopy {
+    vector: bool,
+    vbmi: bool,
+}
+
+impl LaneCopy {
+    /// The portable copy, on every host.
+    pub const PORTABLE: LaneCopy = LaneCopy { vector: false, vbmi: false };
+
+    /// The fastest copy this host runs.
+    pub fn detect() -> Self {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
+            return Self { vector: true, vbmi: is_x86_feature_detected!("avx512vbmi") };
+        }
+        Self::PORTABLE
+    }
+
+    /// Write rows `i < rows.rows` of the block to `dst` as `place` says.
+    /// Lanes that would land past `dst` are not written, and a row is cut
+    /// to `stride` lanes of each piece.
+    pub fn write_k_major<T: Element>(self, rows: &LaneRows<'_, T>, dst: &mut [T], place: RowPlace) {
+        let place = RowPlace { width: place.width.min(LANES), piece: place.piece.max(1), ..place };
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if self.vector && rows.rows > 0 && place.stride >= place.piece.min(place.width) {
+            let n = rows.rows.min(B_KROWS);
+            if place.end(n).is_some_and(|e| e <= dst.len()) && rows.in_bounds(place.width) {
+                let pad = [rows.pad];
+                let (src, out) = (rows.src.as_ptr().cast::<u8>(), dst.as_mut_ptr().cast::<u8>());
+                let pad = (pad.as_ptr().cast::<u8>(), rows.live);
+                // audit: bounds lane_copy_load lane_copy_store
+                // SAFETY: AVX-512 F and BW (`self.vector`); every `Element`
+                // is 1, 2, 4 or 8 bytes. `in_bounds` put every set lane
+                // below `width` of rows `i < n` inside `src`; the copy
+                // loads no other lane. Every lane lands below `end(n)`.
+                unsafe {
+                    match std::mem::size_of::<T>() {
+                        1 => lanecopy::rows::<1>(src, &rows.at, &rows.mask, n, pad, out, place),
+                        2 => lanecopy::rows::<2>(src, &rows.at, &rows.mask, n, pad, out, place),
+                        4 => lanecopy::rows::<4>(src, &rows.at, &rows.mask, n, pad, out, place),
+                        _ => lanecopy::rows::<8>(src, &rows.at, &rows.mask, n, pad, out, place),
+                    }
+                }
+                return;
+            }
+        }
+        let RowPlace { width, stride, piece, piece_stride } = place;
+        for l0 in (0..width).step_by(piece) {
+            let len = piece.min(width - l0);
+            let base = l0 / piece * piece_stride;
+            let pieces = dst.get_mut(base..).unwrap_or_default().chunks_mut(stride.max(1));
+            for ((out, &at), &mask) in pieces.zip(&rows.at).zip(&rows.mask).take(rows.rows) {
+                let len = len.min(out.len());
+                rows.copy_row(at, mask & low_lanes(width), l0, out.split_at_mut(len).0);
+            }
+        }
+    }
+
+    /// Write rows `kb .. kb + 16` of the [`LayoutKind::Tiles`] B slivers
+    /// `nr` wide in `slivers` (back to back, `sliver_len` elements each)
+    /// from the block: sliver `p` takes lanes `p * nr .. (p + 1) * nr` of
+    /// its `rows.rows` rows, then zeros. Each 16-column tile receives its
+    /// rows as its 4 tile rows from `kb % 64 / 4` on. `kb` is a multiple of
+    /// [`B_KROWS`] below the slivers' padded depth, and `nr` a multiple of
+    /// 16 of at most [`TILE_MAX_NR`].
+    pub fn write_tiles<T: Element>(self, rows: &LaneRows<'_, T>, nr: usize, slivers: &mut [T], sliver_len: usize, kb: usize) {
+        let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / TILE_KGROUP * TILE_K;
+        let count = (slivers.len() / sliver_len.max(1)).min(LANES / nr.max(1));
+        let slivers = slivers.chunks_exact_mut(sliver_len.max(1)).take(count);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if self.vbmi && std::mem::size_of::<T>() == 1 && nr == 2 * TILE_ROWS && rows.in_bounds(count * nr) {
+            const TILE: usize = TILE_ROWS * TILE_K;
+            for (p, sliv) in slivers.enumerate() {
+                // audit: bounds pack_b_tile_rows
+                let out = &mut sliv[rows_at..rows_at + TILE + B_KROWS * TILE_ROWS];
+                let (first, second) = out.split_at_mut(TILE);
+                // A 1-byte `Element` is `i8`, which `to_f64` returns exactly.
+                let pad = (rows.pad.to_f64() as i8, rows.live, p * nr);
+                let dst = [first.as_mut_ptr().cast::<u8>(), second.as_mut_ptr().cast::<u8>()];
+                // audit: bounds lane_copy_load lane_tile_store
+                // SAFETY: 1-byte lanes, AVX-512 F/BW/VBMI (`self.vbmi`
+                // implies `self.vector`), lane offset p*32 <= 32. `in_bounds`
+                // put every set lane of rows `i < rows.rows` inside `src`;
+                // the copy loads no other lane. `first` (1024 bytes) and
+                // `second` (256) are disjoint parts of `sliv`.
+                unsafe { lanecopy::tiles_x2(rows.src.as_ptr().cast(), &rows.at, &rows.mask, rows.rows, pad, dst) };
+            }
+            return;
+        }
+        let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
+        for (p, sliv) in slivers.enumerate() {
+            let lanes = LaneRows {
+                at: rows.at.map(|a| a.wrapping_add(p * nr)),
+                mask: rows.mask.map(|m| m.checked_shr((p * nr) as u32).unwrap_or(0)),
+                live: rows.live.saturating_sub(p * nr),
+                ..*rows
+            };
+            self.write_k_major(&lanes, &mut staged, RowPlace { width: nr, stride: nr, piece: nr, piece_stride: 0 });
+            for ct in 0..nr / TILE_ROWS {
+                let off = rows_at + ct * TILE_ROWS * TILE_K;
+                // audit: bounds pack_b_tile_rows
+                let out = &mut sliv[off..off + B_KROWS * TILE_ROWS];
+                interleave_k4(staged.get(ct * TILE_ROWS..).unwrap_or(&[]), nr, out);
+            }
+        }
     }
 }
 
