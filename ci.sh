@@ -2,9 +2,10 @@
 # CI gate for the cake-rs workspace.
 #
 #   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
-#                          the smoke gates, and the figure diff against results/
+#                          the smoke gates, the figure diff against results/,
+#                          and 3 passes of the per-layer DNN sizing example
 #   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
-#                          smoke gates and the figure diff)
+#                          smoke gates, the figure diff and the DNN example)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
 #   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
@@ -159,6 +160,13 @@ run_fig_diff() {
     return "$status"
 }
 
+run_dnn_inference() {
+    # The per-layer sizing tool for DNN changes: three warm passes of the
+    # benchmark's net, f32 and int8, so the example keeps running.
+    echo "==> dnn_inference (3 warm passes per net)"
+    cargo run --release --example dnn_inference -- 3
+}
+
 run_audit() {
     echo "==> static analysis (cakectl audit)"
     cargo run --release -p cake-bench --bin cakectl -- audit
@@ -288,6 +296,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_sim_smoke
     run_tune_smoke
     run_fig_diff
+    run_dnn_inference
 fi
 
 echo "==> ci.sh: all gates passed"

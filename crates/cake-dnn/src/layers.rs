@@ -7,6 +7,11 @@
 //! pipelined executor with **zero** heap allocations — see
 //! `LayerReport::gemm` for the per-layer evidence.
 //!
+//! A ReLU after a layer folds into that layer's write-out
+//! ([`Layer::forward_relu`], which `Sequential::forward` calls): [`Conv2d`]
+//! and [`Linear`] clamp inside the bias pass they already make, so the
+//! ReLU allocates nothing and reads no activation of its own.
+//!
 //! [`GemmWorkspace`]: cake_core::workspace::GemmWorkspace
 
 use cake_core::api::CakeGemm;
@@ -26,8 +31,53 @@ pub trait Layer {
     /// Forward pass; `ctx` provides the GEMM engine.
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor;
 
+    /// [`Self::forward`] with a ReLU folded into it: bit for bit
+    /// `ReLU.forward(ctx, &self.forward(ctx, input))`, NaN and -0.0
+    /// included, without the ReLU's allocation. The default clamps the
+    /// fresh output in place; a layer that already makes a pass over its
+    /// output (a bias add, a requantize) overrides it to clamp inside that
+    /// pass, after the same per-element operations in the same order.
+    fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+        let mut y = self.forward(ctx, input);
+        for v in y.as_mut_slice() {
+            *v = relu(*v);
+        }
+        y
+    }
+
     /// FLOPs for an input shape (0 for elementwise layers by convention).
     fn flops(&self, c: usize, h: usize, w: usize) -> u64;
+}
+
+/// The ReLU of one element: negatives to 0.0; NaN and -0.0 pass through
+/// unchanged.
+#[inline]
+pub(crate) fn relu(v: f32) -> f32 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// The write-out pass of an f32 GEMM layer over its `rows x n` output `y`
+/// (`n >= 1`): add `bias[o]` to every element of row `o`, then, with
+/// `clamp`, take its [`relu`]. With an empty bias only the clamp runs, or
+/// without `clamp` nothing.
+fn bias_relu(y: &mut [f32], n: usize, bias: &[f32], clamp: bool) {
+    if bias.is_empty() {
+        if clamp {
+            for v in y {
+                *v = relu(*v);
+            }
+        }
+        return;
+    }
+    for (row, &b) in y.chunks_exact_mut(n).zip(bias) {
+        for v in row {
+            *v = if clamp { relu(*v + b) } else { *v + b };
+        }
+    }
 }
 
 /// 2D convolution as one CAKE GEMM whose B, the input's patch matrix, is
@@ -85,6 +135,21 @@ impl Conv2d {
         let w = Matrix::from_fn(w.rows(), w.cols(), |i, j| w.get(i, j) * scale as f32);
         Self::new(name, in_ch, out_ch, geom, w, vec![0.0; out_ch])
     }
+
+    /// The conv GEMM, then the bias (and with `clamp` the ReLU) in one
+    /// pass over the output.
+    fn conv_write_out(&self, ctx: &CakeGemm, input: &Tensor, clamp: bool) -> Tensor {
+        assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
+        let patches = LoweredConv::new(input, &self.geom, 0.0);
+        let (oh, ow) = self.geom.out_dims(input.height(), input.width());
+        // audit: cold output accumulator, allocated per layer by contract
+        let mut y = Matrix::<f32>::zeros(self.out_ch, oh * ow);
+        ctx.gemm(&self.weights, &patches, &mut y);
+        // out_dims guarantees oh, ow >= 1, so the rows are non-empty.
+        bias_relu(y.as_mut_slice(), oh * ow, &self.bias, clamp);
+        // audit: cold output tensor wrap, allocated per layer by contract
+        Tensor::from_matrix(y, oh, ow)
+    }
 }
 
 impl Layer for Conv2d {
@@ -100,20 +165,12 @@ impl Layer for Conv2d {
 
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
-        let patches = LoweredConv::new(input, &self.geom, 0.0);
-        let (oh, ow) = self.geom.out_dims(input.height(), input.width());
-        // audit: cold output accumulator, allocated per layer by contract
-        let mut y = Matrix::<f32>::zeros(self.out_ch, oh * ow);
-        ctx.gemm(&self.weights, &patches, &mut y);
-        // out_dims guarantees oh, ow >= 1, so the chunks are non-empty.
-        for (row, &b) in y.as_mut_slice().chunks_exact_mut(oh * ow).zip(&self.bias) {
-            for v in row {
-                *v += b;
-            }
-        }
-        // audit: cold output tensor wrap, allocated per layer by contract
-        Tensor::from_matrix(y, oh, ow)
+        self.conv_write_out(ctx, input, false)
+    }
+
+    // audit: warm
+    fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+        self.conv_write_out(ctx, input, true)
     }
 
     fn flops(&self, _c: usize, h: usize, w: usize) -> u64 {
@@ -138,8 +195,7 @@ impl Layer for ReLU {
         let mut out = Tensor::zeros(input.channels(), input.height(), input.width());
         let dst = out.as_mut_slice();
         for (d, &v) in dst.iter_mut().zip(input.as_slice()) {
-            // NaN and -0.0 pass through unchanged.
-            *d = if v < 0.0 { 0.0 } else { v };
+            *d = relu(v);
         }
         out
     }
@@ -242,6 +298,19 @@ impl Linear {
         let w = cake_matrix::init::random::<f32>(out_features, in_features, seed);
         Self::new(name, w, vec![0.0; out_features])
     }
+
+    /// The GEMM, then the bias (and with `clamp` the ReLU) in one pass.
+    fn linear_write_out(&self, ctx: &CakeGemm, input: &Tensor, clamp: bool) -> Tensor {
+        // audit: cold flattened feature staging, allocated per layer by contract
+        let x = input.flatten();
+        assert_eq!(x.rows(), self.weights.cols(), "{}: feature count mismatch", self.name);
+        // audit: cold output accumulator, allocated per layer by contract
+        let mut y = Matrix::<f32>::zeros(self.weights.rows(), 1);
+        ctx.gemm(&self.weights, &x, &mut y);
+        bias_relu(y.as_mut_slice(), 1, &self.bias, clamp);
+        // audit: cold output tensor wrap, allocated per layer by contract
+        Tensor::from_matrix(y, 1, 1)
+    }
 }
 
 impl Layer for Linear {
@@ -256,17 +325,12 @@ impl Layer for Linear {
 
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        // audit: cold flattened feature staging, allocated per layer by contract
-        let x = input.flatten();
-        assert_eq!(x.rows(), self.weights.cols(), "{}: feature count mismatch", self.name);
-        // audit: cold output accumulator, allocated per layer by contract
-        let mut y = Matrix::<f32>::zeros(self.weights.rows(), 1);
-        ctx.gemm(&self.weights, &x, &mut y);
-        for (i, b) in self.bias.iter().enumerate() {
-            y.set(i, 0, y.get(i, 0) + b);
-        }
-        // audit: cold output tensor wrap, allocated per layer by contract
-        Tensor::from_matrix(y, 1, 1)
+        self.linear_write_out(ctx, input, false)
+    }
+
+    // audit: warm
+    fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+        self.linear_write_out(ctx, input, true)
     }
 
     fn flops(&self, _c: usize, _h: usize, _w: usize) -> u64 {

@@ -19,7 +19,8 @@
 //!   [`cake_core::api::CakeGemm`] context (the drop-in-library usage the
 //!   paper describes).
 //! * [`network`] — a `Sequential` container with per-layer FLOP and
-//!   timing accounting.
+//!   timing accounting, which folds each ReLU into the write-out of the
+//!   layer before it ([`Layer::forward_relu`]).
 //! * [`quant`] — int8-quantized `Conv2d`/`Linear` variants (per-channel
 //!   weight scales, per-tensor activation zero-point, i32 accumulate, f32
 //!   requantize) running on the narrow-dtype kernel tier through the same

@@ -6,9 +6,10 @@
 //! itself runs entirely in int8 operands with i32 accumulation through the
 //! same [`CakeGemm`] context — and therefore the same persistent
 //! [`GemmWorkspace`](cake_core::workspace::GemmWorkspace) pools — as the
-//! f32 layers, so a warm quantized GEMM is allocation-free. The layer
-//! buffers around it (int8 input, i32 accumulator, f32 output) are
-//! allocated per layer on every pass, as in the f32 layers.
+//! f32 layers, so a warm quantized GEMM is allocation-free. Each layer
+//! still allocates two buffers around it on every pass, as the f32 layers
+//! allocate their output: the int8 input and the i32 accumulator, which
+//! becomes the f32 output (step 3).
 //!
 //! [`QuantConv2d`] runs three steps, each one pass over its data:
 //!
@@ -21,8 +22,8 @@
 //!    zero-point in the padding taps — a zero quantizes to exactly the
 //!    zero-point, so this equals quantizing the f32 patch matrix, at 1/4
 //!    of the bytes and 1/(KH*KW) of the quantizer work;
-//! 3. requantize and add the bias in one row-wise pass, with the row's
-//!    scale and zero-point correction hoisted:
+//! 3. requantize and add the bias in one row-wise pass over the
+//!    accumulator, with the row's scale and zero-point correction hoisted:
 //!
 //! ```text
 //! y[o][j] = s_w[o] * s_x * (acc[o][j] - z_x * rowsum(wq[o])) + bias[o]
@@ -31,7 +32,10 @@
 //! where `acc` is the raw i32 GEMM output and `rowsum(wq[o])` is
 //! precomputed at quantization time. The correction is algebraically exact
 //! (i32 arithmetic admits no rounding), so the only error versus f32 is
-//! the input/weight rounding itself.
+//! the input/weight rounding itself. Each `y[o][j]` is written over its
+//! own `acc[o][j]` ([`Matrix::into_f32_bits`] hands the accumulator's
+//! allocation on as the f32 output), and when a ReLU follows the layer
+//! ([`Layer::forward_relu`]) the same pass clamps it.
 
 use cake_core::api::CakeGemm;
 use cake_kernels::pack::PackB;
@@ -39,7 +43,7 @@ use cake_kernels::quant::{quantize_into, zero_inclusive_range};
 use cake_matrix::Matrix;
 
 use crate::im2col::{ConvGeom, LoweredConv};
-use crate::layers::Layer;
+use crate::layers::{relu, Layer};
 use crate::tensor::Tensor;
 
 /// Per-output-channel symmetrically quantized weights.
@@ -110,8 +114,10 @@ pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
 }
 
 /// Run `wq * xq` in int8 through the shared context and requantize to f32
-/// with the exact zero-point correction; `xq` is a matrix or a lowered
-/// conv input, and `bias` may be empty.
+/// with the exact zero-point correction, then, with `clamp`, take the
+/// [`relu`]; `xq` is a matrix or a lowered conv input, and `bias` may be
+/// empty. Each f32 is written over its own i32 accumulator element, so the
+/// accumulator's allocation is the output.
 // audit: warm
 fn quant_gemm_requant(
     ctx: &CakeGemm,
@@ -119,20 +125,21 @@ fn quant_gemm_requant(
     xq: &impl PackB<i8>,
     aq: ActQuant,
     bias: &[f32],
+    clamp: bool,
 ) -> Matrix<f32> {
     let (m, n) = (wq.q.rows(), xq.cols());
     // audit: cold int32 accumulator, allocated per layer by contract
     let mut acc = Matrix::<i32>::zeros(m, n);
     ctx.gemm(&wq.q, xq, &mut acc);
-    // audit: cold requantized output matrix, allocated per layer by contract
-    let mut y = Matrix::<f32>::zeros(m, n);
-    let rows = y.as_mut_slice().chunks_exact_mut(n).zip(acc.as_slice().chunks_exact(n));
-    for (o, (y_row, acc_row)) in rows.enumerate() {
+    let mut y = acc.into_f32_bits();
+    for (o, row) in y.as_mut_slice().chunks_exact_mut(n).enumerate() {
         let scale = wq.scales[o] * aq.scale;
         let correction = aq.zero_point * wq.row_sums[o];
         let b = bias.get(o).copied().unwrap_or(0.0);
-        for (y, &a) in y_row.iter_mut().zip(acc_row) {
-            *y = scale * (a - correction) as f32 + b;
+        for y in row {
+            // Until it is overwritten, the element holds its i32 sum.
+            let v = scale * (y.to_bits() as i32 - correction) as f32 + b;
+            *y = if clamp { relu(v) } else { v };
         }
     }
     y
@@ -175,6 +182,22 @@ impl QuantConv2d {
             out_ch,
         }
     }
+
+    /// Quantize the input, run the int8 GEMM and requantize over its
+    /// accumulator, with `clamp` taking the ReLU in the same pass.
+    fn quant_conv(&self, ctx: &CakeGemm, input: &Tensor, clamp: bool) -> Tensor {
+        assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
+        let (h, w) = (input.height(), input.width());
+        let (xq, aq) = quantize_activations(input.as_matrix());
+        // audit: cold quantized input tensor wrap, allocated per layer by contract
+        let xq = Tensor::from_matrix(xq, h, w);
+        // zero_point is clamped to [-128, 127], so the cast is exact.
+        let patches = LoweredConv::new(&xq, &self.geom, aq.zero_point as i8);
+        let (oh, ow) = self.geom.out_dims(h, w);
+        let y = quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias, clamp);
+        // audit: cold output tensor wrap, allocated per layer by contract
+        Tensor::from_matrix(y, oh, ow)
+    }
 }
 
 impl Layer for QuantConv2d {
@@ -190,17 +213,12 @@ impl Layer for QuantConv2d {
 
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
-        let (h, w) = (input.height(), input.width());
-        let (xq, aq) = quantize_activations(input.as_matrix());
-        // audit: cold quantized input tensor wrap, allocated per layer by contract
-        let xq = Tensor::from_matrix(xq, h, w);
-        // zero_point is clamped to [-128, 127], so the cast is exact.
-        let patches = LoweredConv::new(&xq, &self.geom, aq.zero_point as i8);
-        let (oh, ow) = self.geom.out_dims(h, w);
-        let y = quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias);
-        // audit: cold output tensor wrap, allocated per layer by contract
-        Tensor::from_matrix(y, oh, ow)
+        self.quant_conv(ctx, input, false)
+    }
+
+    // audit: warm
+    fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+        self.quant_conv(ctx, input, true)
     }
 
     fn flops(&self, _c: usize, h: usize, w: usize) -> u64 {
@@ -229,6 +247,18 @@ impl QuantLinear {
             bias,
         }
     }
+
+    /// Quantize the flattened input, run the int8 GEMM and requantize over
+    /// its accumulator, with `clamp` taking the ReLU in the same pass.
+    fn quant_linear(&self, ctx: &CakeGemm, input: &Tensor, clamp: bool) -> Tensor {
+        // audit: cold flattened feature staging, allocated per layer by contract
+        let x = input.flatten();
+        assert_eq!(x.rows(), self.in_features, "{}: feature count mismatch", self.name);
+        let (xq, aq) = quantize_activations(&x);
+        let y = quant_gemm_requant(ctx, &self.weights, &xq, aq, &self.bias, clamp);
+        // audit: cold output tensor wrap, allocated per layer by contract
+        Tensor::from_matrix(y, 1, 1)
+    }
 }
 
 impl Layer for QuantLinear {
@@ -243,13 +273,12 @@ impl Layer for QuantLinear {
 
     // audit: warm
     fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        // audit: cold flattened feature staging, allocated per layer by contract
-        let x = input.flatten();
-        assert_eq!(x.rows(), self.in_features, "{}: feature count mismatch", self.name);
-        let (xq, aq) = quantize_activations(&x);
-        let y = quant_gemm_requant(ctx, &self.weights, &xq, aq, &self.bias);
-        // audit: cold output tensor wrap, allocated per layer by contract
-        Tensor::from_matrix(y, 1, 1)
+        self.quant_linear(ctx, input, false)
+    }
+
+    // audit: warm
+    fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+        self.quant_linear(ctx, input, true)
     }
 
     fn flops(&self, _c: usize, _h: usize, _w: usize) -> u64 {
@@ -333,7 +362,7 @@ mod tests {
         let x = Matrix::from_fn(31, 13, |i, j| ((i * 13 + j) % 17) as f32 * 0.25 - 1.0);
         let qw = QuantizedWeights::from_f32(&w);
         let (xq, aq) = quantize_activations(&x);
-        let y = quant_gemm_requant(&ctx(), &qw, &xq, aq, &[]);
+        let y = quant_gemm_requant(&ctx(), &qw, &xq, aq, &[], false);
         for o in 0..9 {
             for j in 0..13 {
                 let mut acc = 0i32;

@@ -6,6 +6,7 @@
 //! executor hands to worker threads.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout as AllocLayout};
+use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
@@ -79,6 +80,31 @@ impl<T: Copy + Default> AlignedBuf<T> {
     #[inline]
     pub fn as_mut_ptr(&mut self) -> *mut T {
         self.ptr.as_ptr()
+    }
+}
+
+impl AlignedBuf<i32> {
+    /// The same allocation as a buffer of `f32`, each element's bits
+    /// unchanged. No element is copied.
+    ///
+    /// Keeps the invariant every `AlignedBuf<T>` relies on: `ptr` holds
+    /// `len` initialized `T`s in an allocation made with
+    /// `Self::layout(len)`, the layout `Drop` recomputes from `T` and
+    /// `len`. `i32` and `f32` have the same size and alignment (checked at
+    /// compile time below), so the `f32` buffer frees exactly the layout
+    /// that was allocated; every `i32` bit pattern is a valid `f32`, so
+    /// its elements are initialized. `ManuallyDrop` keeps `self` from
+    /// freeing the allocation it hands on.
+    pub(crate) fn into_f32_bits(self) -> AlignedBuf<f32> {
+        const _: () = assert!(
+            std::mem::size_of::<i32>() == std::mem::size_of::<f32>()
+                && std::mem::align_of::<i32>() == std::mem::align_of::<f32>()
+        );
+        let this = ManuallyDrop::new(self);
+        AlignedBuf {
+            ptr: this.ptr.cast(),
+            len: this.len,
+        }
     }
 }
 

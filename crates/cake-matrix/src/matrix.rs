@@ -163,6 +163,21 @@ impl<T: Element> Matrix<T> {
     }
 }
 
+impl Matrix<i32> {
+    /// This matrix's allocation handed on as a `Matrix<f32>` of the same
+    /// shape and layout, each element's bits unchanged (read one back as
+    /// `v.to_bits() as i32`). A caller converting i32 results to f32 writes
+    /// each one over its own element instead of allocating a second matrix.
+    pub fn into_f32_bits(self) -> Matrix<f32> {
+        Matrix {
+            buf: self.buf.into_f32_bits(),
+            rows: self.rows,
+            cols: self.cols,
+            layout: self.layout,
+        }
+    }
+}
+
 impl<T: Element> Clone for Matrix<T> {
     fn clone(&self) -> Self {
         Self {
@@ -276,6 +291,18 @@ mod tests {
         assert_eq!(m.as_slice().len(), 0);
         let n = Matrix::<f32>::zeros(5, 0);
         assert_eq!(n.sum_f64(), 0.0);
+    }
+
+    #[test]
+    fn i32_matrix_hands_its_storage_to_f32_bits() {
+        let m = Matrix::<i32>::from_fn(3, 4, |i, j| (i * 4 + j) as i32 - 5).to_layout(Layout::ColMajor);
+        let ptr = m.as_slice().as_ptr() as usize;
+        let f = m.into_f32_bits();
+        assert_eq!((f.rows(), f.cols(), f.layout()), (3, 4, Layout::ColMajor));
+        assert_eq!(f.as_slice().as_ptr() as usize, ptr);
+        assert_eq!(f.get(2, 1).to_bits() as i32, 4);
+        assert_eq!(f.get(0, 0).to_bits() as i32, -5);
+        assert!(Matrix::<i32>::zeros(0, 3).into_f32_bits().as_slice().is_empty());
     }
 
     #[test]

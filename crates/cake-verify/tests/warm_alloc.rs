@@ -4,25 +4,18 @@
 //! `// audit: warm` roots, that no reachable line allocates. Its known
 //! holes are name-based: `std` internals that allocate without a
 //! deny-listed token, and function-pointer dispatch (`Ukr::call`). This
-//! test closes them at runtime: a counting `#[global_allocator]` wraps the
-//! system allocator, and after two warmup iterations (workspace growth is
-//! declared cold) a steady-state `execute_with_stats_in` call must perform
-//! **zero** fresh allocations — for all four dtypes, on a shape with edge
-//! tails in every dimension.
+//! test closes them at runtime: a counting `#[global_allocator]`
+//! (`counting_alloc`) wraps the system allocator, and after two warmup
+//! iterations (workspace growth is declared cold) a steady-state
+//! `execute_with_stats_in` call must perform **zero** fresh allocations —
+//! for all four dtypes, on a shape with edge tails in every dimension.
 //!
 //! The claim is made for the `p = 1` inline pool: a size-1 [`ThreadPool`]
 //! runs the job on the caller thread with no cross-thread channel traffic
 //! (multi-worker pools heap-allocate one channel node per broadcast, which
 //! is pool bookkeeping, not GEMM warm-path work).
-//!
-//! The counter is per thread: the test harness runs these tests on
-//! parallel threads, and a process-global count would charge one test
-//! with another's allocations. Because the inline pool runs the whole
-//! GEMM on the calling thread, the per-thread count sees every allocation
-//! the call makes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
@@ -31,56 +24,7 @@ use cake_core::workspace::GemmWorkspace;
 use cake_kernels::select::{portable_kernel, KernelSelect};
 use cake_matrix::{init, Bf16, Matrix};
 
-/// Counts every allocation path (`alloc`, `alloc_zeroed`, `realloc`)
-/// through the global allocator; frees are not counted — the property
-/// under test is "no fresh allocation", not "no traffic".
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by this thread. Const-initialised with no
-    /// destructor, so touching it never allocates itself.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_alloc() {
-    // `try_with` keeps a late allocation during thread teardown from
-    // panicking inside the allocator.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: delegates every operation verbatim to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        // SAFETY: forwarded unchanged to the system allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        // SAFETY: forwarded unchanged to the system allocator.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        // SAFETY: forwarded unchanged to the system allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged to the system allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use counting_alloc::allocs;
 
 /// Allocations performed by one steady-state executor call for dtype `T`.
 fn steady_state_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {

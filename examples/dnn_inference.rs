@@ -12,9 +12,11 @@
 //! at p = 1, and prints per layer the fastest time over the passes split
 //! into its GEMM's pack-A, pack-B and compute time (from
 //! `LayerReport::gemm`) and the time outside the GEMM (quantize,
-//! requantize, allocation, ReLU, pooling). Each column is its own minimum
-//! over the passes, so a parent-vs-change run sizes a change to one phase
-//! without a scratch probe.
+//! requantize, allocation, pooling, and the ReLU the layer writes its
+//! output through). Each column is its own minimum over the passes, so a
+//! parent-vs-change run sizes a change to one phase without a separate
+//! probe. A ReLU folded into the layer before it has no time of its own;
+//! its row reads "folded".
 
 use cake::core::api::CakeConfig;
 use cake::dnn::im2col::ConvGeom;
@@ -23,7 +25,7 @@ use cake::dnn::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, QuantConv2d, QuantLine
 use cake::matrix::{init, Matrix};
 
 /// `(name, c_in, c_out)` of each conv layer; a 2x2 max-pool follows
-/// every conv layer from the second on.
+/// conv2, conv3 and conv4, as in the benchmark's net.
 const CONVS: [(&str, usize, usize); 5] =
     [("conv1", 3, 32), ("conv2", 32, 32), ("conv3", 32, 64), ("conv4", 64, 128), ("conv5", 128, 256)];
 const IMAGE: (usize, usize, usize) = (3, 64, 64);
@@ -42,7 +44,7 @@ fn net(int8: bool) -> Sequential {
             net.push(Conv2d::new(name, cin, cout, ConvGeom::same(3), w, bias))
         }
         .push(ReLU);
-        if i > 0 {
+        if (1..4).contains(&i) {
             net = net.push(MaxPool2d);
         }
     }
@@ -99,6 +101,10 @@ fn main() {
         );
         for (r, b) in cold.iter().zip(&best) {
             let ((oc, oh, ow), us) = (r.out_shape, b.map(|ns| ns as f64 / 1e3));
+            if r.folded {
+                println!("{:<9} {:>12} {:>9}", r.name, format!("{oc}x{oh}x{ow}"), "folded");
+                continue;
+            }
             println!(
                 "{:<9} {:>12} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}  {}",
                 r.name,
