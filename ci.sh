@@ -3,9 +3,12 @@
 #
 #   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
 #                          the smoke gates, the figure diff against results/,
-#                          and 3 passes of the per-layer DNN sizing example
+#                          3 passes of the per-layer DNN sizing example, the
+#                          quickstart example, and cake-verify's warm_alloc
+#                          tests again under CAKE_KERNEL=avx2 (the capped
+#                          kernel selection must stay allocation-free)
 #   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
-#                          smoke gates, the figure diff and the DNN example)
+#                          smoke gates, the figure diff and the examples)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
 #   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
@@ -167,6 +170,21 @@ run_dnn_inference() {
     cargo run --release --example dnn_inference -- 3
 }
 
+run_quickstart() {
+    # The README's first stop: one self-verifying GEMM, then the CB block
+    # it ran and the model's promises for that block.
+    echo "==> quickstart example"
+    cargo run --release --example quickstart
+}
+
+run_warm_alloc_capped() {
+    # `cargo test --workspace` already ran warm_alloc with the full kernel
+    # ladder; a CAKE_KERNEL cap takes another selection path, which must
+    # not allocate on a warm call either.
+    echo "==> warm_alloc under CAKE_KERNEL=avx2"
+    CAKE_KERNEL=avx2 cargo test -p cake-verify --test warm_alloc -q
+}
+
 run_audit() {
     echo "==> static analysis (cakectl audit)"
     cargo run --release -p cake-bench --bin cakectl -- audit
@@ -297,6 +315,8 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_tune_smoke
     run_fig_diff
     run_dnn_inference
+    run_quickstart
+    run_warm_alloc_capped
 fi
 
 echo "==> ci.sh: all gates passed"

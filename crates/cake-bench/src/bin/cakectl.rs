@@ -866,10 +866,11 @@ fn run_typed_gemm<T>(
     // GOP/s: multiply-accumulate ops regardless of dtype (FLOPs for the
     // float dtypes, integer MACs for int8).
     let gops = 2.0 * (m as f64) * (k as f64) * (n as f64) / best / 1e9;
+    let stats = ctx.take_stats();
     println!(
         "GEMM {m}x{k}x{n}, p = {p}, dtype {}, kernel {}: {:.3} ms best of {iters} ({gops:.2} GOP/s)",
         T::NAME,
-        ctx.last_stats().kernel,
+        stats.kernel,
         best * 1e3
     );
     if has_flag("--stats") {
@@ -879,7 +880,7 @@ fn run_typed_gemm<T>(
             std::mem::size_of::<T>(),
             std::mem::size_of::<T::Acc>()
         );
-        print_exec_stats(&ctx.last_stats());
+        print_exec_stats(&stats);
     }
 }
 

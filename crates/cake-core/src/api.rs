@@ -1,13 +1,17 @@
-//! Drop-in GEMM entry points.
+//! The drop-in GEMM context.
 //!
 //! The paper positions the CAKE library as "a drop-in replacement for MM
 //! calls used by existing frameworks that does not require manual tuning".
-//! [`cake_sgemm`] / [`cake_dgemm`] mirror that: pass matrices and a
-//! [`CakeConfig`] (all fields defaulted) and the CB block shape, schedule,
-//! kernel, and thread count are chosen automatically.
+//! [`CakeGemm`] mirrors that: build it from a [`CakeConfig`] (all fields
+//! defaulted) and call [`CakeGemm::gemm`]; the CB block shape, schedule,
+//! kernel, and thread count are chosen automatically. The context keeps its
+//! worker pool and packed-operand workspaces across calls; a one-shot call
+//! is `CakeGemm::new(cfg).gemm(&a, &b, &mut c)`. Strided or transposed
+//! views, and a caller-chosen block, go straight to the executor entry
+//! [`execute_with_stats_in`].
 //!
 //! Semantics are `C += A * B` (BLAS `alpha = 1`, `beta = 1`). Zero `C`
-//! first for the `beta = 0` convention.
+//! first for the `beta = 0` convention, or use [`cake_gemm_scaled`].
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -15,9 +19,9 @@ use std::sync::Mutex;
 
 use cake_kernels::pack::PackB;
 use cake_kernels::select::KernelSelect;
-use cake_matrix::{Bf16, Element, Matrix, MatrixView, MatrixViewMut};
+use cake_matrix::{Element, Matrix};
 
-use crate::executor::{execute, execute_with_stats_in, ExecStats};
+use crate::executor::{assert_dims, execute_with_stats_in, ExecStats};
 use crate::pool::ThreadPool;
 use crate::shape::CbBlockShape;
 use crate::sync::BarrierMode;
@@ -43,16 +47,15 @@ pub struct CakeConfig {
     pub llc_bytes: usize,
     /// Core clock in GHz (only used for `alpha` auto-selection).
     pub freq_ghz: f64,
-    /// Force the portable kernel (skip SIMD dispatch) — for debugging and
-    /// baseline measurements.
-    pub force_portable_kernel: bool,
     /// Pin worker `i` to core `i % cores` (Linux `sched_setaffinity`;
     /// no-op elsewhere). Off by default: pinning helps dedicated-machine
     /// benchmarks but hurts co-tenant workloads.
     pub pin_cores: bool,
     /// Pin the kernel tier (set by [`autotuned_for`](Self::autotuned_for)
-    /// from a cached [`tune::TunedEntry`]). Falls back down the dispatch
-    /// ladder when this host cannot run the pinned tier for a dtype.
+    /// from a cached [`tune::TunedEntry`]; `Some(KernelTier::Portable)`
+    /// skips SIMD dispatch for debugging and baselines). Falls back down
+    /// the dispatch ladder when this host cannot run the pinned tier for a
+    /// dtype.
     pub kernel_tier: Option<cake_kernels::KernelTier>,
     /// Use this block shape instead of the analytic derivation (still
     /// clamped to each problem's extents). Set by
@@ -71,7 +74,6 @@ impl Default for CakeConfig {
             l2_bytes: 256 * 1024,
             llc_bytes: 16 * 1024 * 1024,
             freq_ghz: 3.0,
-            force_portable_kernel: false,
             pin_cores: false,
             kernel_tier: None,
             fixed_shape: None,
@@ -131,28 +133,12 @@ impl CakeConfig {
         })
     }
 
-    /// Resolve the CB block shape for a problem of the given extents and a
-    /// kernel of shape `mr x nr` over elements of `elem_bytes`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_shape(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        mr: usize,
-        nr: usize,
-        elem_bytes: usize,
-        macs_per_cycle: f64,
-    ) -> CbBlockShape {
-        self.explain_shape(m, k, n, mr, nr, elem_bytes, macs_per_cycle)
-            .shape
-    }
-
-    /// [`resolve_shape`](Self::resolve_shape) with its full paper trail:
-    /// every bound the tuner consulted, the chosen `alpha` and why, the
-    /// topology clamp, and the barrier mode the run will use — rendered by
-    /// `cakectl gemm --explain`.
-    #[allow(clippy::too_many_arguments)]
+    /// The CB block shape for a problem of the given extents and a kernel
+    /// of shape `mr x nr` over elements of `elem_bytes`, with its full
+    /// paper trail: every bound the tuner consulted, the chosen `alpha`
+    /// and why, the topology clamp, and the barrier mode the run will use
+    /// — rendered by `cakectl gemm --explain`. The bandwidth model rates
+    /// the kernel at `mr * nr` MACs per cycle.
     pub fn explain_shape(
         &self,
         m: usize,
@@ -161,7 +147,6 @@ impl CakeConfig {
         mr: usize,
         nr: usize,
         elem_bytes: usize,
-        macs_per_cycle: f64,
     ) -> TuneDecision {
         let p = self.resolved_threads();
         // Provisional shape at alpha = 1 to learn the cache-constrained mc.
@@ -178,7 +163,7 @@ impl CakeConfig {
                 Some(a) => (a, AlphaSource::Explicit),
                 None => match self.dram_bw_gbs {
                     Some(bw) => (
-                        tune::select_alpha(bw, probe.mc, macs_per_cycle, elem_bytes, self.freq_ghz),
+                        tune::select_alpha(bw, probe.mc, (mr * nr) as f64, elem_bytes, self.freq_ghz),
                         AlphaSource::BandwidthModel,
                     ),
                     // No bandwidth hint: widen the block to use the spare
@@ -215,15 +200,11 @@ impl CakeConfig {
     }
 
     /// The microkernel a GEMM of depth `k` through this config dispatches
-    /// to for element type `T`: the portable tier when
-    /// `force_portable_kernel` is set, else a pinned
-    /// [`kernel_tier`](Self::kernel_tier) the host can run, otherwise the
-    /// tier ladder's pick for that depth (honoring the `CAKE_KERNEL` cap;
-    /// see [`cake_kernels::best_kernel_for_depth`]).
+    /// to for element type `T`: a pinned [`kernel_tier`](Self::kernel_tier)
+    /// the host can run, otherwise the tier ladder's pick for that depth
+    /// (honoring the `CAKE_KERNEL` cap; see
+    /// [`cake_kernels::best_kernel_for_depth`]).
     pub fn selected_kernel<T: KernelSelect>(&self, k: usize) -> cake_kernels::Ukr<T> {
-        if self.force_portable_kernel {
-            return cake_kernels::portable_kernel::<T>();
-        }
         if let Some(tier) = self.kernel_tier {
             if let Some(ukr) = cake_kernels::tier_kernel::<T>(tier) {
                 return ukr;
@@ -243,93 +224,17 @@ impl CakeConfig {
         n: usize,
     ) -> TuneDecision {
         let ukr = self.selected_kernel::<T>(k);
-        let mut d = self.explain_shape(
-            m,
-            k,
-            n,
-            ukr.mr(),
-            ukr.nr(),
-            T::BYTES,
-            (ukr.mr() * ukr.nr()) as f64,
-        );
+        let mut d = self.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES);
         d.kernel = ukr.name();
         d
     }
 }
 
-/// Generic `C += A * B` with automatic CB-block configuration.
-///
-/// `C` is over the accumulator type `T::Acc` — identical to `T` for
-/// f32/f64, widened for the narrow-dtype tier (`i8 -> i32`,
-/// `Bf16 -> f32`), so int8 reductions are exact and bf16 reductions keep
-/// f32 precision regardless of `K`.
-///
-/// # Panics
-/// Panics on dimension mismatch (`A: MxK`, `B: KxN`, `C: MxN`).
-pub fn cake_gemm<T: KernelSelect>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T::Acc>,
-    cfg: &CakeConfig,
-) {
-    let (av, bv) = (a.view(), b.view());
-    let mut cv = c.view_mut();
-    cake_gemm_views(&av, &bv, &mut cv, cfg);
-}
-
-/// View-level entry point (strided / transposed operands welcome).
-pub fn cake_gemm_views<T: KernelSelect>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T::Acc>,
-    cfg: &CakeConfig,
-) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let ukr = cfg.selected_kernel::<T>(k);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let shape = cfg.resolve_shape(
-        m,
-        k,
-        n,
-        ukr.mr(),
-        ukr.nr(),
-        T::BYTES,
-        (ukr.mr() * ukr.nr()) as f64,
-    );
-    // Requested p shaped the block; the spawned pool is clamped to the
-    // cores this process can actually run on (topology::effective_p).
-    let pool = ThreadPool::with_affinity(topology::effective_p(shape.p), cfg.pin_cores);
-    execute(a, b, c, &shape, &ukr, &pool);
-}
-
-/// Single-precision drop-in GEMM: `C += A * B`.
-pub fn cake_sgemm(a: &Matrix<f32>, b: &Matrix<f32>, c: &mut Matrix<f32>, cfg: &CakeConfig) {
-    cake_gemm(a, b, c, cfg);
-}
-
-/// Double-precision drop-in GEMM: `C += A * B`.
-pub fn cake_dgemm(a: &Matrix<f64>, b: &Matrix<f64>, c: &mut Matrix<f64>, cfg: &CakeConfig) {
-    cake_gemm(a, b, c, cfg);
-}
-
-/// int8 GEMM with exact i32 accumulation: `C += A * B`. Dispatches to the
-/// VNNI tier when the host has it, the AVX2 sign-extend kernel or the
-/// portable kernel otherwise — bit-identical results on every tier.
-pub fn cake_gemm_i8(a: &Matrix<i8>, b: &Matrix<i8>, c: &mut Matrix<i32>, cfg: &CakeConfig) {
-    cake_gemm(a, b, c, cfg);
-}
-
-/// bf16 GEMM with f32 accumulation: `C += A * B`.
-pub fn cake_gemm_bf16(a: &Matrix<Bf16>, b: &Matrix<Bf16>, c: &mut Matrix<f32>, cfg: &CakeConfig) {
-    cake_gemm(a, b, c, cfg);
-}
-
 /// A reusable GEMM context: keeps the worker pool **and** one packed-operand
 /// [`GemmWorkspace`] per element type alive across calls (e.g. one call per
 /// DNN layer), so a steady stream of GEMMs performs zero heap allocations
-/// after the first call per shape class.
+/// after the first call per shape class. It is the one place a
+/// [`CakeConfig`] becomes a kernel and a CB block.
 pub struct CakeGemm {
     cfg: CakeConfig,
     pool: ThreadPool,
@@ -353,34 +258,34 @@ impl CakeGemm {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CakeConfig {
-        &self.cfg
-    }
-
-    /// Stats of the most recent [`gemm`](Self::gemm) call through this
-    /// context (all-zero before the first call or after a zero-dim call).
-    pub fn last_stats(&self) -> ExecStats {
-        *self.last_stats.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// [`last_stats`](Self::last_stats), resetting the record to all-zero —
-    /// lets a caller attribute GEMM work to a code region (e.g. one DNN
-    /// layer): take a reading after the region and any zero result means no
-    /// GEMM ran there.
+    /// Stats of the most recent GEMM through this context, resetting the
+    /// record to all-zero (it is all-zero before the first call and after
+    /// a call with a zero extent). Lets a caller attribute GEMM work to a
+    /// code region (e.g. one DNN layer): take a reading after the region
+    /// and any zero result means no GEMM ran there.
     pub fn take_stats(&self) -> ExecStats {
         std::mem::take(&mut *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// `C += A * B` reusing this context's pool and workspace (`C` over
-    /// the accumulator type, as in [`cake_gemm`]). `B` is a [`Matrix`] or
-    /// any other [`PackB`] operand, such as a convolution's patch matrix
-    /// lowered as it is packed.
+    /// `C += A * B` reusing this context's pool and workspace. `B` is a
+    /// [`Matrix`] or any other [`PackB`] operand, such as a convolution's
+    /// patch matrix lowered as it is packed.
+    ///
+    /// `C` is over the accumulator type `T::Acc` — identical to `T` for
+    /// f32/f64, widened for the narrow-dtype tier (`i8 -> i32`,
+    /// `Bf16 -> f32`), so int8 reductions are exact and bf16 reductions
+    /// keep f32 precision regardless of `K`.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch (`A: MxK`, `B: KxN`, `C: MxN`), zero
+    /// extents included.
     pub fn gemm<T: KernelSelect>(&self, a: &Matrix<T>, b: &impl PackB<T>, c: &mut Matrix<T::Acc>) {
         let _ = self.gemm_with_stats(a, b, c);
     }
 
-    /// [`gemm`](Self::gemm), returning the call's measured [`ExecStats`].
+    /// [`gemm`](Self::gemm), returning the call's measured [`ExecStats`]
+    /// (all-zero when an extent is zero), which
+    /// [`take_stats`](Self::take_stats) also returns until the next call.
     pub fn gemm_with_stats<T: KernelSelect>(
         &self,
         a: &Matrix<T>,
@@ -388,59 +293,24 @@ impl CakeGemm {
         c: &mut Matrix<T::Acc>,
     ) -> ExecStats {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let ukr = self.cfg.selected_kernel::<T>(k);
-        if m == 0 || k == 0 || n == 0 {
-            return ExecStats::default();
-        }
-        let shape = self.cfg.resolve_shape(
-            m,
-            k,
-            n,
-            ukr.mr(),
-            ukr.nr(),
-            T::BYTES,
-            (ukr.mr() * ukr.nr()) as f64,
-        );
-        let av = a.view();
-        let mut cv = c.view_mut();
-        let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
-        let ws = map
-            .entry(TypeId::of::<T>())
-            // audit: cold first-use workspace creation, memoized per dtype
-            .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
-            .downcast_mut::<GemmWorkspace<T>>()
-            .expect("workspace map is keyed by element TypeId");
-        let stats = execute_with_stats_in(&av, b, &mut cv, &shape, &ukr, &self.pool, ws);
-        drop(map);
+        assert_dims((m, k), (b.rows(), n), (c.rows(), c.cols()));
+        let stats = if m == 0 || k == 0 || n == 0 {
+            ExecStats::default()
+        } else {
+            let ukr = self.cfg.selected_kernel::<T>(k);
+            let shape = self.cfg.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES).shape;
+            let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
+            let ws = map
+                .entry(TypeId::of::<T>())
+                // audit: cold first-use workspace creation, memoized per dtype
+                .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
+                .downcast_mut::<GemmWorkspace<T>>()
+                .expect("workspace map is keyed by element TypeId");
+            execute_with_stats_in(&a.view(), b, &mut c.view_mut(), &shape, &ukr, &self.pool, ws)
+        };
         *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()) = stats;
         stats
     }
-}
-
-/// Operand orientation for [`cake_gemm_op`] (BLAS `trans` flags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Use the operand as stored.
-    NoTrans,
-    /// Use the operand transposed (free: only view strides change).
-    Trans,
-}
-
-/// `C += op_a(A) * op_b(B)` — BLAS-style transpose flags, zero-copy.
-pub fn cake_gemm_op<T: KernelSelect>(
-    op_a: Op,
-    a: &Matrix<T>,
-    op_b: Op,
-    b: &Matrix<T>,
-    c: &mut Matrix<T::Acc>,
-    cfg: &CakeConfig,
-) {
-    let av = a.view();
-    let bv = b.view();
-    let av = if op_a == Op::Trans { av.t() } else { av };
-    let bv = if op_b == Op::Trans { bv.t() } else { bv };
-    let mut cv = c.view_mut();
-    cake_gemm_views(&av, &bv, &mut cv, cfg);
 }
 
 /// Full BLAS-semantics GEMM: `C = alpha * A * B + beta * C`.
@@ -449,7 +319,12 @@ pub fn cake_gemm_op<T: KernelSelect>(
 /// aspect factor (`CakeConfig::alpha`). Fast paths: `beta = 1` skips the
 /// C pre-scale, `alpha = 1` avoids the temporary product buffer. Limited
 /// to dtypes that accumulate in their own type (`Acc = T`): the BLAS
-/// scalar convention has no widened-C analogue.
+/// scalar convention has no widened-C analogue. The product runs through
+/// one [`CakeGemm`] built from `cfg`.
+///
+/// # Panics
+/// Panics on dimension mismatch before touching `C`, even when
+/// `alpha = 0` skips the product.
 pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
     alpha: T,
     a: &Matrix<T>,
@@ -458,6 +333,7 @@ pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
     c: &mut Matrix<T>,
     cfg: &CakeConfig,
 ) {
+    assert_dims((a.rows(), a.cols()), (b.rows(), b.cols()), (c.rows(), c.cols()));
     // BLAS reads no C when `beta = 0`: overwrite instead of scaling, so a
     // NaN or Inf already in C does not survive as `NaN * 0`.
     if beta == T::ZERO {
@@ -470,13 +346,14 @@ pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
     if alpha == T::ZERO {
         return;
     }
+    let ctx = CakeGemm::new(cfg.clone());
     if alpha == T::ONE {
-        cake_gemm(a, b, c, cfg);
+        ctx.gemm(a, b, c);
         return;
     }
     // General case: accumulate into a zero temporary, then fold in scaled.
     let mut t = Matrix::<T>::zeros(c.rows(), c.cols());
-    cake_gemm(a, b, &mut t, cfg);
+    ctx.gemm(a, b, &mut t);
     for (dst, &src) in c.as_mut_slice().iter_mut().zip(t.as_slice()) {
         *dst += alpha * src;
     }
@@ -485,8 +362,9 @@ pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cake_kernels::KernelTier;
     use cake_matrix::compare::assert_gemm_eq;
-    use cake_matrix::init;
+    use cake_matrix::{init, Bf16, MatrixView, MatrixViewMut};
 
     fn naive<T: Element>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
         let mut c = Matrix::<T>::zeros(a.rows(), b.cols());
@@ -502,13 +380,28 @@ mod tests {
         c
     }
 
+    /// An f32 GEMM over strided or transposed views at `p` workers: the
+    /// block the context would pick, through the executor entry.
+    fn gemm_views(
+        a: &MatrixView<'_, f32>,
+        b: &MatrixView<'_, f32>,
+        c: &mut MatrixViewMut<'_, f32>,
+        p: usize,
+    ) {
+        let cfg = CakeConfig::with_threads(p);
+        let ukr = cfg.selected_kernel::<f32>(a.cols());
+        let shape = cfg.explain_shape(a.rows(), a.cols(), b.cols(), ukr.mr(), ukr.nr(), 4).shape;
+        let pool = ThreadPool::new(topology::effective_p(p));
+        execute_with_stats_in(a, b, c, &shape, &ukr, &pool, &mut GemmWorkspace::new());
+    }
+
     #[test]
     fn sgemm_matches_reference_default_config() {
         let (m, k, n) = (70, 55, 90);
         let a = init::random::<f32>(m, k, 1);
         let b = init::random::<f32>(k, n, 2);
         let mut c = Matrix::<f32>::zeros(m, n);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::default());
+        CakeGemm::new(CakeConfig::default()).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &naive(&a, &b), k);
     }
 
@@ -518,7 +411,7 @@ mod tests {
         let a = init::random::<f64>(m, k, 3);
         let b = init::random::<f64>(k, n, 4);
         let mut c = Matrix::<f64>::zeros(m, n);
-        cake_dgemm(&a, &b, &mut c, &CakeConfig::with_threads(2));
+        CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &naive(&a, &b), k);
     }
 
@@ -529,11 +422,12 @@ mod tests {
         let b = init::random::<f32>(k, n, 6);
         let mut c = Matrix::<f32>::zeros(m, n);
         let cfg = CakeConfig {
-            force_portable_kernel: true,
+            kernel_tier: Some(KernelTier::Portable),
             threads: Some(2),
             ..CakeConfig::default()
         };
-        cake_sgemm(&a, &b, &mut c, &cfg);
+        let stats = CakeGemm::new(cfg).gemm_with_stats(&a, &b, &mut c);
+        assert!(stats.kernel.starts_with("portable"), "{}", stats.kernel);
         assert_gemm_eq(&c, &naive(&a, &b), k);
     }
 
@@ -557,7 +451,7 @@ mod tests {
             },
         ] {
             let mut c = Matrix::<f32>::zeros(m, n);
-            cake_sgemm(&a, &b, &mut c, &cfg);
+            CakeGemm::new(cfg).gemm(&a, &b, &mut c);
             assert_gemm_eq(&c, &expected, k);
         }
     }
@@ -589,7 +483,7 @@ mod tests {
             } else {
                 assert_eq!(stats.allocations, 0, "warm call {call} allocated");
             }
-            assert_eq!(ctx.last_stats(), stats);
+            assert_eq!(ctx.take_stats(), stats);
             assert_gemm_eq(&c, &expected, 32);
         }
         // A second element type gets its own workspace without disturbing
@@ -617,9 +511,9 @@ mod tests {
                 expected.set(i, j, s);
             }
         }
-        // One-shot wrapper.
+        // One-shot context.
         let mut c = Matrix::<i32>::zeros(m, n);
-        cake_gemm_i8(&a, &b, &mut c, &CakeConfig::with_threads(2));
+        CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
         assert_eq!(c.as_slice(), expected.as_slice());
         // Context path: the int8 workspace pools like any other dtype —
         // zero heap allocations once warm.
@@ -654,7 +548,7 @@ mod tests {
             }
         }
         let mut c = Matrix::<f32>::zeros(m, n);
-        cake_gemm_bf16(&a, &b, &mut c, &CakeConfig::with_threads(2));
+        CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &expected, k);
         let ctx = CakeGemm::new(CakeConfig::with_threads(2));
         for call in 0..4 {
@@ -673,7 +567,7 @@ mod tests {
     fn shape_clamp_keeps_all_workers_busy() {
         let cfg = CakeConfig::with_threads(4);
         // Small M: strip must shrink so all 4 workers see rows.
-        let s = cfg.resolve_shape(40, 512, 512, 6, 16, 4, 96.0);
+        let s = cfg.explain_shape(40, 512, 512, 6, 16, 4).shape;
         assert!(s.mc * 4 >= 40, "strips must cover M");
         assert!(s.mc <= 12, "mc should shrink to ~M/p rounded to mr, got {}", s.mc);
     }
@@ -688,9 +582,9 @@ mod tests {
         let a = init::random::<f32>(32, 24, 51);
         let b = init::random::<f32>(24, 40, 52);
         let expected = naive(&a, &b);
-        // One-shot path.
+        // One-shot context.
         let mut c = Matrix::<f32>::zeros(32, 40);
-        cake_sgemm(&a, &b, &mut c, &cfg);
+        CakeGemm::new(cfg.clone()).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &expected, 24);
         // Context path: stats must report the clamped worker count and
         // remember what was requested.
@@ -711,12 +605,12 @@ mod tests {
             l2_bytes: 64 * 1024 * 1024,
             ..CakeConfig::tuned_for(1, 20 * 1024 * 1024)
         };
-        let s1 = big.resolve_shape(4096, 4096, 4096, 6, 16, 4, 96.0);
+        let s1 = big.explain_shape(4096, 4096, 4096, 6, 16, 4).shape;
         let big4 = CakeConfig {
             l2_bytes: 64 * 1024 * 1024,
             ..CakeConfig::tuned_for(4, 20 * 1024 * 1024)
         };
-        let s4 = big4.resolve_shape(4096, 4096, 4096, 6, 16, 4, 96.0);
+        let s4 = big4.explain_shape(4096, 4096, 4096, 6, 16, 4).shape;
         assert_eq!(s1.p, 1);
         assert_eq!(s4.p, 4);
         assert_eq!(s4.m_block(), 4 * s4.mc, "m = p * k growth");
@@ -729,11 +623,11 @@ mod tests {
     #[test]
     fn explain_shape_records_the_decision() {
         let cfg = CakeConfig::tuned_for(2, 16 * 1024 * 1024);
-        let d = cfg.explain_shape(256, 256, 256, 6, 16, 4, 96.0);
+        let d = cfg.explain_shape(256, 256, 256, 6, 16, 4);
         assert_eq!(d.requested_p, 2);
         assert_eq!(d.effective_p, crate::topology::effective_p(2));
         assert_eq!(d.host_cores, crate::topology::available_cores());
-        assert_eq!(d.shape, cfg.resolve_shape(256, 256, 256, 6, 16, 4, 96.0));
+        assert_eq!(d.shape, d.analytic.clamp_to_problem(256, 256, 256, 6, 16));
         assert_eq!(d.alpha_source, crate::tune::AlphaSource::LlcFill);
         assert!(d.alpha >= 1.0);
         assert!(d.mc_l2 > 0 && d.mc_llc > 0);
@@ -744,14 +638,14 @@ mod tests {
             alpha: Some(2.0),
             ..cfg
         };
-        let d2 = cfg2.explain_shape(256, 256, 256, 6, 16, 4, 96.0);
+        let d2 = cfg2.explain_shape(256, 256, 256, 6, 16, 4);
         assert_eq!(d2.alpha_source, crate::tune::AlphaSource::Explicit);
         assert_eq!(d2.alpha, 2.0);
         let cfg3 = CakeConfig {
             dram_bw_gbs: Some(8.0),
             ..CakeConfig::tuned_for(2, 16 * 1024 * 1024)
         };
-        let d3 = cfg3.explain_shape(256, 256, 256, 6, 16, 4, 96.0);
+        let d3 = cfg3.explain_shape(256, 256, 256, 6, 16, 4);
         assert_eq!(d3.alpha_source, crate::tune::AlphaSource::BandwidthModel);
     }
 
@@ -761,22 +655,11 @@ mod tests {
         let ukr = cfg.selected_kernel::<f32>(256);
         let d = cfg.explain_shape_for::<f32>(256, 256, 256);
         assert_eq!(d.kernel, ukr.name());
-        assert_eq!(
-            d.shape,
-            cfg.resolve_shape(
-                256,
-                256,
-                256,
-                ukr.mr(),
-                ukr.nr(),
-                4,
-                (ukr.mr() * ukr.nr()) as f64
-            )
-        );
+        assert_eq!(d.shape, cfg.explain_shape(256, 256, 256, ukr.mr(), ukr.nr(), 4).shape);
         assert!(d.render().contains(d.kernel));
-        // Forcing the portable tier is reflected in the decision.
+        // Pinning the portable tier is reflected in the decision.
         let portable = CakeConfig {
-            force_portable_kernel: true,
+            kernel_tier: Some(KernelTier::Portable),
             ..cfg
         };
         assert!(portable
@@ -793,18 +676,18 @@ mod tests {
             ..CakeConfig::with_threads(2)
         };
         // Roomy problem: the pinned shape comes through verbatim.
-        let d = cfg.explain_shape(512, 512, 512, 6, 16, 4, 96.0);
+        let d = cfg.explain_shape(512, 512, 512, 6, 16, 4);
         assert_eq!(d.alpha_source, AlphaSource::Autotuned);
         assert_eq!(d.shape, tuned);
         // Tiny problem: extents still clamp the pinned shape.
-        let small = cfg.explain_shape(24, 32, 32, 6, 16, 4, 96.0);
+        let small = cfg.explain_shape(24, 32, 32, 6, 16, 4);
         assert!(small.shape.kc <= 32);
         assert!(small.shape.mc < 48);
         // And the GEMM it drives stays correct.
         let a = init::random::<f32>(60, 70, 91);
         let b = init::random::<f32>(70, 50, 92);
         let mut c = Matrix::<f32>::zeros(60, 50);
-        cake_sgemm(&a, &b, &mut c, &cfg);
+        CakeGemm::new(cfg).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &naive(&a, &b), 70);
     }
 
@@ -824,7 +707,7 @@ mod tests {
         let miss = CakeConfig::autotuned_for(97, 96, 96, "f32", 2);
         std::env::remove_var("CAKE_TUNE_CACHE");
         assert_eq!(hit.fixed_shape, Some(CbBlockShape::fixed(2, 24, 96, 96)));
-        assert_eq!(hit.kernel_tier, Some(cake_kernels::KernelTier::Portable));
+        assert_eq!(hit.kernel_tier, Some(KernelTier::Portable));
         assert!(hit.selected_kernel::<f32>(96).name().starts_with("portable"));
         // Cache miss degrades to plain `tuned_for`.
         assert_eq!(miss.fixed_shape, None);
@@ -838,7 +721,7 @@ mod tests {
         let a = Matrix::<f32>::zeros(0, 8);
         let b = Matrix::<f32>::zeros(8, 8);
         let mut c = Matrix::<f32>::zeros(0, 8);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::default()); // must not panic
+        CakeGemm::new(CakeConfig::default()).gemm(&a, &b, &mut c); // must not panic
     }
 
     #[test]
@@ -852,7 +735,7 @@ mod tests {
         // We want C(20x10) += X(20x30) * B(30x10) where X = at viewed as is.
         let bv = b.view();
         let mut cv = c.view_mut();
-        cake_gemm_views(&av, &bv, &mut cv, &CakeConfig::with_threads(1));
+        gemm_views(&av, &bv, &mut cv, 1);
 
         let expected = naive(&at, &b);
         assert_gemm_eq(&c, &expected, 30);
@@ -863,26 +746,25 @@ mod tests {
         let av_t = at.view().t(); // 30x20, strided
         let b2v = b2.view();
         let mut c2v = c2.view_mut();
-        cake_gemm_views(&av_t, &b2v, &mut c2v, &CakeConfig::with_threads(1));
+        gemm_views(&av_t, &b2v, &mut c2v, 1);
         let expected2 = naive(&at.transposed(), &b2);
         assert_gemm_eq(&c2, &expected2, 20);
     }
 
     #[test]
-    fn gemm_op_transpose_flags() {
-        use super::Op;
+    fn transposed_operand_views() {
         let a = init::random::<f32>(20, 30, 21); // stored 20x30
         let b = init::random::<f32>(10, 30, 22); // stored 10x30
         // C (20x10) += A * B^T.
         let mut c = Matrix::<f32>::zeros(20, 10);
-        cake_gemm_op(Op::NoTrans, &a, Op::Trans, &b, &mut c, &CakeConfig::with_threads(2));
+        gemm_views(&a.view(), &b.view().t(), &mut c.view_mut(), 2);
         let expected = naive(&a, &b.transposed());
         assert_gemm_eq(&c, &expected, 30);
 
         // C2 (30x30) += A^T * ... pick A^T (30x20) * B2 (20x30).
         let b2 = init::random::<f32>(20, 30, 23);
         let mut c2 = Matrix::<f32>::zeros(30, 30);
-        cake_gemm_op(Op::Trans, &a, Op::NoTrans, &b2, &mut c2, &CakeConfig::with_threads(2));
+        gemm_views(&a.view().t(), &b2.view(), &mut c2.view_mut(), 2);
         let expected2 = naive(&a.transposed(), &b2);
         assert_gemm_eq(&c2, &expected2, 20);
     }
@@ -933,6 +815,14 @@ mod tests {
                 assert_gemm_eq(&c, &expected, k);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "A is 4x5 but B has 6 rows")]
+    fn gemm_scaled_checks_shapes_even_when_alpha_is_zero() {
+        let mut c = Matrix::<f32>::zeros(3, 3);
+        let (a, b) = (Matrix::<f32>::zeros(4, 5), Matrix::<f32>::zeros(6, 4));
+        cake_gemm_scaled(0.0f32, &a, &b, 2.0, &mut c, &CakeConfig::with_threads(1));
     }
 
     #[test]

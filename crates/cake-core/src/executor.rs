@@ -77,9 +77,10 @@
 //! per rotation.
 //!
 //! Packed buffers live in a caller-provided [`GemmWorkspace`] so repeated
-//! GEMMs reuse them without touching the allocator; [`execute_with_stats`]
-//! creates a throwaway workspace for one-shot calls. For multicore runs,
-//! pair the executor with a core-pinned pool
+//! GEMMs reuse them without touching the allocator; a one-shot caller
+//! passes a fresh one. [`execute_with_stats_in`] is the only entry, and
+//! [`crate::api::CakeGemm`] is the config-driven path onto it. For
+//! multicore runs, pair the executor with a core-pinned pool
 //! ([`crate::pool::ThreadPool::pinned`]) so each worker's L2-resident A
 //! strip survives between blocks.
 
@@ -259,61 +260,34 @@ struct Blk {
     nl: usize,
 }
 
-/// Execute `C += A * B` with the CAKE CB-block schedule.
+/// The operand-shape contract of a GEMM: `A` is `m x k`, `B` is `k x n`
+/// and `C` is `m x n`, each operand given as `(rows, cols)`. The executor
+/// and [`crate::api::CakeGemm`] both check it first, so a mismatch panics
+/// with the same message on either path, zero extents included.
+pub(crate) fn assert_dims(a: (usize, usize), b: (usize, usize), c: (usize, usize)) {
+    let ((m, k), (b_rows, n), (c_rows, c_cols)) = (a, b, c);
+    // audit: cold entry shape validation, once per call before any loop
+    assert_eq!(b_rows, k, "A is {m}x{k} but B has {b_rows} rows");
+    // audit: cold entry shape validation, once per call before any loop
+    assert_eq!(c_rows, m, "C must have {m} rows, has {c_rows}");
+    // audit: cold entry shape validation, once per call before any loop
+    assert_eq!(c_cols, n, "C must have {n} cols, has {c_cols}");
+}
+
+/// Execute `C += A * B` with the CAKE CB-block schedule — the one
+/// executor entry. Packs into and computes from `ws`, returning measured
+/// [`ExecStats`].
 ///
-/// * `a` — `M x K` view, `b` — `K x N` view, `c` — `M x N` mutable view
-///   over the **accumulator** type (`T::Acc` — the same `T` for f32/f64,
-///   `i32` for int8, `f32` for bf16).
-/// * `shape` — the CB block (`p`, `mc`, `kc`, `nc`); `shape.p` must equal
-///   `pool.size()`.
+/// * `a` — `M x K` view; `b` — any `K x N` [`PackB`] operand (a view, a
+///   matrix, or a B that is lowered as it is packed); `c` — `M x N`
+///   mutable view over the **accumulator** type (`T::Acc` — the same `T`
+///   for f32/f64, `i32` for int8, `f32` for bf16).
+/// * `shape` — the CB block (`p`, `mc`, `kc`, `nc`); the partition follows
+///   `pool.size()`, which may differ from `shape.p`.
 /// * `ukr` — microkernel; `shape.mc` need not be a multiple of `mr` but
 ///   performance is best when it is.
-///
-/// # Panics
-/// Panics on dimension mismatch between the operand views, or when
-/// `pool.size() != shape.p`.
-pub fn execute<T: Dtype>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T::Acc>,
-    shape: &CbBlockShape,
-    ukr: &Ukr<T>,
-    pool: &ThreadPool,
-) {
-    let _ = execute_with_stats(a, b, c, shape, ukr, pool);
-}
-
-/// [`execute`], additionally returning per-call [`ExecStats`]. Allocates a
-/// throwaway workspace; use [`execute_with_stats_in`] to reuse one.
-pub fn execute_with_stats<T: Dtype>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T::Acc>,
-    shape: &CbBlockShape,
-    ukr: &Ukr<T>,
-    pool: &ThreadPool,
-) -> ExecStats {
-    let mut ws = GemmWorkspace::new();
-    execute_with_stats_in(a, b, c, shape, ukr, pool, &mut ws)
-}
-
-/// [`execute`] against a caller-owned reusable workspace.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_in<T: Dtype>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T::Acc>,
-    shape: &CbBlockShape,
-    ukr: &Ukr<T>,
-    pool: &ThreadPool,
-    ws: &mut GemmWorkspace<T>,
-) {
-    let _ = execute_with_stats_in(a, b, c, shape, ukr, pool, ws);
-}
-
-/// The pipelined CB-block executor: packs into and computes from `ws`,
-/// returning measured [`ExecStats`]. `b` is any `K x N` [`PackB`]
-/// operand (a view, a matrix, or a B that is lowered as it is packed).
+/// * `ws` — the packed-operand buffers, reused across calls; a one-shot
+///   caller passes `&mut GemmWorkspace::new()`.
 ///
 /// # Panics
 /// Panics on dimension mismatch, and re-panics (through the pool) when a
@@ -342,12 +316,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
-    // audit: cold entry shape validation, once per call before any loop
-    assert_eq!(b.rows(), k, "A is {m}x{k} but B has {} rows", b.rows());
-    // audit: cold entry shape validation, once per call before any loop
-    assert_eq!(c.rows(), m, "C must have {m} rows, has {}", c.rows());
-    // audit: cold entry shape validation, once per call before any loop
-    assert_eq!(c.cols(), n, "C must have {n} cols, has {}", c.cols());
+    assert_dims((m, k), (b.rows(), n), (c.rows(), c.cols()));
     if m == 0 || n == 0 || k == 0 {
         return ExecStats::default();
     }
@@ -747,7 +716,8 @@ mod tests {
         let shape = CbBlockShape::fixed(p, mc, kc, nc);
         let ukr = best_kernel::<f32>();
         let pool = ThreadPool::new(p);
-        execute(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool);
+        let mut ws = GemmWorkspace::new();
+        execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
 
         reference(&a, &b, &mut expected);
         assert_gemm_eq(&c, &expected, k);
@@ -799,13 +769,14 @@ mod tests {
         let mut c = init::ones::<f32>(8, 8);
         let shape = CbBlockShape::fixed(1, 8, 8, 8);
         let pool = ThreadPool::new(1);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         // C = 1 + I*B = 1 + B.
         for i in 0..8 {
@@ -822,26 +793,28 @@ mod tests {
         let mut c = Matrix::<f32>::zeros(0, 4);
         let shape = CbBlockShape::fixed(2, 8, 8, 8);
         let pool = ThreadPool::new(2);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
 
         // K = 0: C unchanged.
         let a = init::random::<f32>(4, 0, 1);
         let b = init::random::<f32>(0, 4, 2);
         let mut c = init::ones::<f32>(4, 4);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         assert_eq!(c.sum_f64(), 16.0);
     }
@@ -859,13 +832,14 @@ mod tests {
             let mut expected = c.clone();
             let shape = CbBlockShape::fixed(2, 8, 8, 16); // requested p = 2
             let pool = ThreadPool::new(pool_size);
-            let stats = execute_with_stats(
+            let stats = execute_with_stats_in(
                 &a.view(),
                 &b.view(),
                 &mut c.view_mut(),
                 &shape,
                 &best_kernel::<f32>(),
                 &pool,
+                &mut GemmWorkspace::new(),
             );
             assert_eq!(stats.workers, pool_size, "stats report the pool, not the shape");
             assert_eq!(stats.requested_workers, 2);
@@ -896,13 +870,14 @@ mod tests {
         let mut c = Matrix::<f32>::zeros(4, 4);
         let shape = CbBlockShape::fixed(1, 8, 8, 8);
         let pool = ThreadPool::new(1);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
     }
 
@@ -914,13 +889,14 @@ mod tests {
         let mut c = Matrix::<f64>::zeros(m, n);
         let shape = CbBlockShape::fixed(2, 12, 12, 24);
         let pool = ThreadPool::new(2);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f64>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         let mut expected = Matrix::<f64>::zeros(m, n);
         for i in 0..m {
@@ -946,13 +922,14 @@ mod tests {
         let mut c = Matrix::<i32>::zeros(m, n);
         let shape = CbBlockShape::fixed(2, 16, 16, 32);
         let pool = ThreadPool::new(2);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<i8>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         for i in 0..m {
             for j in 0..n {
@@ -986,7 +963,16 @@ mod tests {
                 let shape = CbBlockShape::fixed(p, 16, 100, 64);
                 for ukr in &tiers {
                     let mut c = Matrix::from_fn(m, n, |_, _| -5i32);
-                    execute(&a.view(), &b.view(), &mut c.view_mut(), &shape, ukr, &pool);
+                    let mut ws = GemmWorkspace::new();
+                    execute_with_stats_in(
+                        &a.view(),
+                        &b.view(),
+                        &mut c.view_mut(),
+                        &shape,
+                        ukr,
+                        &pool,
+                        &mut ws,
+                    );
                     assert_eq!(c.as_slice(), want.as_slice(), "{} k={k} p={p}", ukr.name());
                 }
             }
@@ -1006,13 +992,14 @@ mod tests {
         let mut c = Matrix::<f32>::zeros(m, n);
         let shape = CbBlockShape::fixed(2, 16, 16, 32);
         let pool = ThreadPool::new(2);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<Bf16>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         let mut expected = Matrix::<f32>::zeros(m, n);
         for i in 0..m {
@@ -1036,13 +1023,14 @@ mod tests {
         let mut c = Matrix::<f32>::zeros_with_layout(m, n, Layout::ColMajor);
         let shape = CbBlockShape::fixed(2, 8, 8, 16);
         let pool = ThreadPool::new(2);
-        execute(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         let mut expected = Matrix::<f32>::zeros(m, n);
         reference(&a, &b, &mut expected);
@@ -1092,13 +1080,14 @@ mod stats_tests {
         let mut c = Matrix::<f32>::zeros(m, n);
         let shape = CbBlockShape::fixed(p, mc, kc, nc);
         let pool = ThreadPool::new(p);
-        execute_with_stats(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         )
     }
 
@@ -1170,13 +1159,14 @@ mod stats_tests {
         let mut c = Matrix::<f32>::zeros(0, 4);
         let shape = CbBlockShape::fixed(1, 8, 8, 8);
         let pool = ThreadPool::new(1);
-        let s = execute_with_stats(
+        let s = execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c.view_mut(),
             &shape,
             &best_kernel::<f32>(),
             &pool,
+            &mut GemmWorkspace::new(),
         );
         assert_eq!(s, ExecStats::default());
     }

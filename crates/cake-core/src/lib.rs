@@ -33,7 +33,10 @@
 //!   so verifiers can replay exactly what the executor runs.
 //! * [`workspace`] — reusable packed-operand buffers so repeated GEMMs are
 //!   allocation-free after warmup.
-//! * [`api`] — drop-in entry points [`api::cake_sgemm`] / [`api::cake_dgemm`].
+//! * [`api`] — the drop-in GEMM context [`api::CakeGemm`]: a
+//!   [`api::CakeConfig`] in, the kernel, CB block and thread count chosen
+//!   for each call. It runs every GEMM through the one executor entry,
+//!   [`executor::execute_with_stats_in`].
 //! * [`tune`] — `alpha` selection from available DRAM bandwidth (Section 3.2).
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -53,7 +56,7 @@ pub mod traffic;
 pub mod tune;
 pub mod workspace;
 
-pub use api::{cake_dgemm, cake_gemm, cake_sgemm, CakeConfig};
+pub use api::{CakeConfig, CakeGemm};
 pub use executor::ExecStats;
 pub use model::CakeModel;
 pub use panel::{ring_depth, PanelAction, PanelCache};

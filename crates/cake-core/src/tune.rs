@@ -114,8 +114,8 @@ impl AlphaSource {
 /// consulted and every intermediate bound, so a regression in shaping is
 /// diagnosable from `cakectl gemm --explain` without a debugger.
 ///
-/// Produced by `CakeConfig::explain_shape`; `resolve_shape` is the same
-/// computation keeping only [`shape`](Self::shape).
+/// Produced by `CakeConfig::explain_shape`; its [`shape`](Self::shape) is
+/// the block a [`crate::api::CakeGemm`] call runs.
 #[derive(Debug, Clone)]
 pub struct TuneDecision {
     /// The p the caller asked for — drives the block geometry and the

@@ -444,12 +444,8 @@ mod tests {
         let patches = im2col(input, geom);
         let (oh, ow) = geom.out_dims(input.height(), input.width());
         let mut y = Matrix::<f32>::zeros(weights.rows(), oh * ow);
-        cake_core::api::cake_sgemm(
-            weights,
-            &patches,
-            &mut y,
-            &cake_core::api::CakeConfig::with_threads(1),
-        );
+        cake_core::api::CakeGemm::new(cake_core::api::CakeConfig::with_threads(1))
+            .gemm(weights, &patches, &mut y);
         Tensor::from_matrix(y, oh, ow)
     }
 

@@ -119,12 +119,8 @@ mod tests {
         let mut c_goto = Matrix::<f32>::zeros(m, n);
         let mut c_cake = Matrix::<f32>::zeros(m, n);
         goto_gemm(&a, &b, &mut c_goto, &GotoConfig::with_threads(2));
-        cake_core::api::cake_sgemm(
-            &a,
-            &b,
-            &mut c_cake,
-            &cake_core::api::CakeConfig::with_threads(2),
-        );
+        cake_core::api::CakeGemm::new(cake_core::api::CakeConfig::with_threads(2))
+            .gemm(&a, &b, &mut c_cake);
         assert_gemm_eq(&c_goto, &c_cake, k);
     }
 

@@ -8,8 +8,10 @@
 //! --kernel`) *caps* the ladder for A/B experiments: `CAKE_KERNEL=avx512`
 //! runs int8 on VNNI instead of AMX, and a cap naming a tier the host lacks
 //! falls through to the next rung rather than failing, so the same command
-//! line works on any machine. Selection happens once per GEMM call, far
-//! off the hot path.
+//! line works on any machine. The variable is read once per process.
+//! Selection happens once per GEMM call, far off the hot path.
+
+use std::sync::OnceLock;
 
 use cake_matrix::{Bf16, Dtype};
 
@@ -117,11 +119,17 @@ impl CpuTiers {
 
 /// The tier cap requested via `CAKE_KERNEL` (unset or unparseable means
 /// "no cap": the full ladder up to [`KernelTier::TOP`] is available).
+/// Read once per process and cached, like the core count in
+/// `cake_core::topology::available_cores`: every kernel selection, and so
+/// every GEMM call, consults the cap, and reading the variable allocates.
+/// Set the variable before the first selection (as `cakectl gemm
+/// --kernel` does); a later change is not seen.
 pub fn env_tier_cap() -> KernelTier {
-    match std::env::var("CAKE_KERNEL") {
+    static CAP: OnceLock<KernelTier> = OnceLock::new();
+    *CAP.get_or_init(|| match std::env::var("CAKE_KERNEL") {
         Ok(v) => KernelTier::parse(&v).unwrap_or(KernelTier::TOP),
         Err(_) => KernelTier::TOP,
-    }
+    })
 }
 
 /// The tier [`best_kernel`] will dispatch to right now: host features

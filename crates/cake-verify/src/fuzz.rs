@@ -24,7 +24,7 @@
 //! the mismatch persists — so the report carries a minimal reproducer
 //! plus the seed (`CAKE_TEST_SEED`) that regenerates it.
 
-use cake_core::executor::execute_in;
+use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
 use cake_core::workspace::GemmWorkspace;
@@ -434,7 +434,7 @@ where
     let pool = ThreadPool::new(case.p);
     let mut ws = GemmWorkspace::new();
     let mut c_cake = Matrix::<T::Acc>::zeros_with_layout(m, n, layout);
-    execute_in(&av, &bv, &mut c_cake.view_mut(), &shape, &ukr, &pool, &mut ws);
+    execute_with_stats_in(&av, &bv, &mut c_cake.view_mut(), &shape, &ukr, &pool, &mut ws);
     let c_cake = c_cake.to_layout(Layout::RowMajor);
     if let Some(mm) = compare("CAKE", &c_cake, &c_ref, k, exact, max_ulps) {
         return Some(mm);
@@ -465,7 +465,7 @@ where
         };
         let pool = ThreadPool::new(1);
         let mut c_tier = Matrix::<T::Acc>::zeros_with_layout(m, n, layout);
-        execute_in(&av, &bv, &mut c_tier.view_mut(), &shape, &tukr, &pool, &mut ws);
+        execute_with_stats_in(&av, &bv, &mut c_tier.view_mut(), &shape, &tukr, &pool, &mut ws);
         let c_tier = c_tier.to_layout(Layout::RowMajor);
         if let Some(mm) = compare(tukr.name(), &c_tier, &c_ref, k, exact, max_ulps) {
             return Some(mm);

@@ -18,7 +18,7 @@
 //! whatever shape happened to win.
 
 use cake_core::api::CakeConfig;
-use cake_core::executor::execute_in;
+use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
 use cake_core::tune::candidate_points;
@@ -94,7 +94,8 @@ where
     let mut ws = GemmWorkspace::new();
 
     let mut c_default = Matrix::<T::Acc>::zeros(m, n);
-    execute_in(&av, &bv, &mut c_default.view_mut(), &default_shape, &default_ukr, &pool, &mut ws);
+    let mut c_view = c_default.view_mut();
+    execute_with_stats_in(&av, &bv, &mut c_view, &default_shape, &default_ukr, &pool, &mut ws);
     if let Some(mm) = compare("default", &c_default, &c_ref, k, exact, &mut report.max_ulps_seen) {
         return Err(render(T::NAME, m, k, n, p, &default_shape, &mm, "naive reference"));
     }
@@ -109,7 +110,7 @@ where
         };
         let shape = CbBlockShape::fixed(p, cand.shape.mc, cand.shape.kc, cand.shape.nc);
         let mut c_tuned = Matrix::<T::Acc>::zeros(m, n);
-        execute_in(&av, &bv, &mut c_tuned.view_mut(), &shape, &ukr, &pool, &mut ws);
+        execute_with_stats_in(&av, &bv, &mut c_tuned.view_mut(), &shape, &ukr, &pool, &mut ws);
         report.tuned_runs += 1;
         report.tier_pinned_runs += u32::from(pinned);
         if let Some(mm) = compare("tuned", &c_tuned, &c_ref, k, exact, &mut report.max_ulps_seen) {

@@ -8,7 +8,11 @@
 //! (`counting_alloc`) wraps the system allocator, and after two warmup
 //! iterations (workspace growth is declared cold) a steady-state
 //! `execute_with_stats_in` call must perform **zero** fresh allocations —
-//! for all four dtypes, on a shape with edge tails in every dimension.
+//! for all four dtypes, on a shape with edge tails in every dimension. A
+//! warm `CakeGemm::gemm` must too: the context path adds kernel selection,
+//! block resolution and the workspace map, and runs on the kernel the
+//! dispatcher picks. `ci.sh` runs this file a second time with
+//! `CAKE_KERNEL=avx2`, so the capped selection stays allocation-free.
 //!
 //! The claim is made for the `p = 1` inline pool: a size-1 [`ThreadPool`]
 //! runs the job on the caller thread with no cross-thread channel traffic
@@ -17,6 +21,7 @@
 
 mod counting_alloc;
 
+use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
@@ -90,8 +95,34 @@ fn warm_path_performs_zero_allocations_bf16() {
     assert_eq!(delta, 0, "bf16 steady-state GEMM allocated {delta} time(s)");
 }
 
+/// Allocations performed by one warm [`CakeGemm::gemm`] call for dtype `T`
+/// at p = 1, after two warmup calls through the same context.
+fn warm_context_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
+    let ctx = CakeGemm::new(CakeConfig::with_threads(1));
+    let mut c = Matrix::<T::Acc>::zeros(a.rows(), b.cols());
+    for _ in 0..2 {
+        ctx.gemm(&a, &b, &mut c);
+    }
+    let before = allocs();
+    ctx.gemm(&a, &b, &mut c);
+    allocs() - before
+}
+
+#[test]
+fn warm_context_gemm_performs_zero_allocations() {
+    let deltas = [
+        ("f32", warm_context_allocs::<f32>(init::random(M, K, 31), init::random(K, N, 32))),
+        ("f64", warm_context_allocs::<f64>(init::random(M, K, 33), init::random(K, N, 34))),
+        ("i8", warm_context_allocs::<i8>(init::random_i8(M, K, 35), init::random_i8(K, N, 36))),
+        ("bf16", warm_context_allocs::<Bf16>(init::random(M, K, 37), init::random(K, N, 38))),
+    ];
+    for (dtype, delta) in deltas {
+        assert_eq!(delta, 0, "{dtype} warm CakeGemm::gemm allocated {delta} time(s)");
+    }
+}
+
 /// The counter itself must observe ordinary allocations — otherwise the
-/// four zero-assertions above would pass vacuously.
+/// zero-assertions above would pass vacuously.
 #[test]
 fn counting_allocator_observes_allocations() {
     let before = allocs();

@@ -18,11 +18,15 @@ fn main() {
     // kernel are chosen from the machine.
     let cfg = CakeConfig::default();
     let t0 = std::time::Instant::now();
-    cake_sgemm(&a, &b, &mut c, &cfg);
+    let stats = CakeGemm::new(cfg.clone()).gemm_with_stats(&a, &b, &mut c);
     let dt = t0.elapsed().as_secs_f64();
 
     let gflops = 2.0 * (m * k * n) as f64 / dt / 1e9;
-    println!("CAKE sgemm {m}x{k}x{n}: {:.2} ms  ({gflops:.2} GFLOP/s)", dt * 1e3);
+    println!(
+        "CAKE sgemm {m}x{k}x{n} on {}: {:.2} ms  ({gflops:.2} GFLOP/s)",
+        stats.kernel,
+        dt * 1e3
+    );
 
     // Verify against the naive reference.
     let mut reference = Matrix::<f32>::zeros(m, n);
@@ -33,11 +37,14 @@ fn main() {
     );
     println!("verified against naive reference ✓");
 
-    // The analytical side: what does the CB block look like here, and
-    // what does the model promise? (Paper Section 3.)
-    let shape = cfg.resolve_shape(m, k, n, 6, 16, 4, 96.0);
-    let model = CakeModel::new(shape, 6, 16, 4, cfg.freq_ghz);
-    println!("\nCB block: {shape}");
+    // The analytical side: the CB block this GEMM ran, shaped for the
+    // kernel it dispatched, and what the model promises for it (paper
+    // Section 3).
+    let decision = cfg.explain_shape_for::<f32>(m, k, n);
+    assert_eq!(decision.kernel, stats.kernel, "the block is shaped for the kernel that ran");
+    let ukr = cfg.selected_kernel::<f32>(k);
+    let model = CakeModel::new(decision.shape, ukr.mr(), ukr.nr(), 4, cfg.freq_ghz);
+    println!("\nCB block: {} on {}", decision.shape, decision.kernel);
     println!("  required DRAM bandwidth (Eq. 4): {:.2} GB/s (constant in p)", model.ext_bw_gbs());
     println!("  local memory footprint  (Eq. 5): {:.2} MiB", model.local_mem_bytes() / 1048576.0);
     println!("  internal bandwidth      (Eq. 6): {:.2} GB/s", model.int_bw_gbs());

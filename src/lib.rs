@@ -9,7 +9,7 @@
 //! * [`kernels`] — register-blocked SIMD microkernels.
 //! * [`core`] — the paper's contribution: CB-block shaping, the K-first
 //!   snake schedule, the analytical resource model, and the threaded
-//!   drop-in GEMM ([`core::api::cake_sgemm`] / [`core::api::cake_dgemm`]).
+//!   drop-in GEMM context ([`core::api::CakeGemm`]).
 //! * [`goto`] — the GOTO-algorithm baseline the paper compares against.
 //! * [`sim`] — the discrete-event architecture simulator used to reproduce
 //!   the paper's multi-core evaluation figures.
@@ -29,7 +29,7 @@
 //! let mut c = Matrix::<f32>::zeros(m, n);
 //!
 //! // Drop-in GEMM: C += A * B using constant-bandwidth blocks.
-//! cake_sgemm(&a, &b, &mut c, &CakeConfig::default());
+//! CakeGemm::new(CakeConfig::default()).gemm(&a, &b, &mut c);
 //!
 //! let mut reference = Matrix::<f32>::zeros(m, n);
 //! cake::goto::naive::naive_gemm(&a, &b, &mut reference);
@@ -47,7 +47,7 @@ pub use cake_sim as sim;
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
-    pub use cake_core::api::{cake_dgemm, cake_gemm, cake_sgemm, CakeConfig};
+    pub use cake_core::api::{CakeConfig, CakeGemm};
     pub use cake_core::model::CakeModel;
     pub use cake_core::shape::CbBlockShape;
     pub use cake_goto::api::{goto_gemm, GotoConfig};

@@ -39,7 +39,7 @@ fn conv_as_gemm_equals_direct_convolution_through_facade() {
     let patches = im2col(&input, &geom);
     let (oh, ow) = geom.out_dims(10, 12);
     let mut y = Matrix::<f32>::zeros(6, oh * ow);
-    cake::core::api::cake_sgemm(&weights, &patches, &mut y, &CakeConfig::with_threads(2));
+    CakeGemm::new(CakeConfig::with_threads(2)).gemm(&weights, &patches, &mut y);
 
     let direct = direct_conv(&input, &weights, &geom);
     cake::matrix::compare::assert_gemm_eq(&y, direct.as_matrix(), 36);
@@ -58,9 +58,10 @@ fn design_search_confirms_analytic_shape() {
 
 #[test]
 fn executor_stats_reflect_snake_reuse() {
-    use cake::core::executor::execute_with_stats;
+    use cake::core::executor::execute_with_stats_in;
     use cake::core::pool::ThreadPool;
     use cake::core::shape::CbBlockShape;
+    use cake::core::workspace::GemmWorkspace;
 
     let a = init::random::<f32>(64, 96, 1);
     let b = init::random::<f32>(96, 64, 2);
@@ -68,7 +69,8 @@ fn executor_stats_reflect_snake_reuse() {
     let shape = CbBlockShape::fixed(2, 16, 32, 32);
     let pool = ThreadPool::new(2);
     let ukr = cake::kernels::best_kernel::<f32>();
-    let stats = execute_with_stats(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool);
+    let mut ws = GemmWorkspace::new();
+    let stats = execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
 
     // Grid: mb = 2, kb = 3, nb = 2 -> 12 blocks, 11 transitions.
     assert_eq!(stats.blocks, 12);

@@ -19,14 +19,14 @@ fn dimension_mismatches_panic() {
         let a = Matrix::<f32>::zeros(4, 5);
         let b = Matrix::<f32>::zeros(4, 4);
         let mut c = Matrix::<f32>::zeros(4, 4);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(1));
+        CakeGemm::new(CakeConfig::with_threads(1)).gemm(&a, &b, &mut c);
     }));
     // C has wrong shape.
     assert!(panics(|| {
         let a = Matrix::<f32>::zeros(4, 5);
         let b = Matrix::<f32>::zeros(5, 4);
         let mut c = Matrix::<f32>::zeros(3, 4);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(1));
+        CakeGemm::new(CakeConfig::with_threads(1)).gemm(&a, &b, &mut c);
     }));
     // Same for GOTO.
     assert!(panics(|| {
@@ -55,7 +55,7 @@ fn worker_panic_does_not_poison_future_calls() {
     let a = init::random::<f32>(16, 16, 1);
     let b = init::random::<f32>(16, 16, 2);
     let mut c = Matrix::<f32>::zeros(16, 16);
-    cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(3));
+    CakeGemm::new(CakeConfig::with_threads(3)).gemm(&a, &b, &mut c);
     assert!(c.as_slice().iter().all(|x| x.is_finite()));
 }
 
@@ -160,9 +160,40 @@ fn zero_dimensions_are_quiet_noops() {
         let b = Matrix::<f32>::zeros(k, n);
         let mut c = init::ones::<f32>(m, n);
         let before = c.sum_f64();
-        cake_sgemm(&a, &b, &mut c, &cfg);
+        CakeGemm::new(cfg.clone()).gemm(&a, &b, &mut c);
         assert_eq!(c.sum_f64(), before, "({m},{k},{n})");
     }
+}
+
+/// A call with a zero extent still checks all three shape equalities, with
+/// the executor's messages, and records all-zero stats rather than keeping
+/// the previous call's.
+#[test]
+fn zero_extent_calls_check_shapes_and_reset_stats() {
+    use cake::core::ExecStats;
+    let ctx = CakeGemm::new(CakeConfig::with_threads(1));
+    let message = |(ar, ac): (usize, usize), (br, bc): (usize, usize), (cr, cc): (usize, usize)| {
+        let (a, b) = (Matrix::<f32>::zeros(ar, ac), Matrix::<f32>::zeros(br, bc));
+        let mut c = Matrix::<f32>::zeros(cr, cc);
+        let err = catch_unwind(AssertUnwindSafe(|| ctx.gemm(&a, &b, &mut c)))
+            .expect_err("a shape mismatch must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    let msg = message((0, 8), (5, 3), (0, 3));
+    assert!(msg.contains("A is 0x8 but B has 5 rows"), "{msg}");
+    let msg = message((4, 8), (8, 0), (7, 5));
+    assert!(msg.contains("C must have 4 rows, has 7"), "{msg}");
+    let msg = message((4, 0), (0, 5), (4, 6));
+    assert!(msg.contains("C must have 5 cols, has 6"), "{msg}");
+
+    let a = init::random::<f32>(32, 16, 1);
+    let b = init::random::<f32>(16, 24, 2);
+    let mut c = Matrix::<f32>::zeros(32, 24);
+    assert_ne!(ctx.gemm_with_stats(&a, &b, &mut c), ExecStats::default());
+    let mut c0 = Matrix::<f32>::zeros(32, 0);
+    let stats = ctx.gemm_with_stats(&a, &Matrix::<f32>::zeros(16, 0), &mut c0);
+    assert_eq!(stats, ExecStats::default());
+    assert_eq!(ctx.take_stats(), ExecStats::default(), "a zero-extent call left stale stats");
 }
 
 #[test]
@@ -193,7 +224,7 @@ fn degenerate_configs_still_compute_correctly() {
     };
     for cfg in [tiny, wide, starved] {
         let mut c = Matrix::<f32>::zeros(33, 31);
-        cake_sgemm(&a, &b, &mut c, &cfg);
+        CakeGemm::new(cfg).gemm(&a, &b, &mut c);
         cake::matrix::compare::assert_gemm_eq(&c, &reference, 29);
     }
 }
@@ -203,7 +234,7 @@ fn more_threads_than_rows() {
     let a = init::random::<f32>(3, 20, 1);
     let b = init::random::<f32>(20, 5, 2);
     let mut c = Matrix::<f32>::zeros(3, 5);
-    cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(8));
+    CakeGemm::new(CakeConfig::with_threads(8)).gemm(&a, &b, &mut c);
     let mut reference = Matrix::<f32>::zeros(3, 5);
     cake::goto::naive::naive_gemm(&a, &b, &mut reference);
     cake::matrix::compare::assert_gemm_eq(&c, &reference, 20);
@@ -215,7 +246,7 @@ fn nan_inputs_propagate_not_hang() {
     a.set(3, 3, f32::NAN);
     let b = init::random::<f32>(8, 8, 2);
     let mut c = Matrix::<f32>::zeros(8, 8);
-    cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(2));
+    CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
     // Row 3 is poisoned, other rows are finite.
     assert!((0..8).any(|j| c.get(3, j).is_nan()));
     assert!((0..8).all(|j| c.get(0, j).is_finite()));

@@ -29,7 +29,7 @@ fn cake_matches_naive_across_shape_grid() {
         let a = init::random::<f32>(m, k, 1);
         let b = init::random::<f32>(k, n, 2);
         let mut c = Matrix::<f32>::zeros(m, n);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(2));
+        CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &naive(&a, &b), k);
     }
 }
@@ -53,7 +53,7 @@ fn thread_counts_agree() {
     let reference = naive(&a, &b);
     for p in [1usize, 2, 3, 4, 7] {
         let mut c = Matrix::<f32>::zeros(m, n);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(p));
+        CakeGemm::new(CakeConfig::with_threads(p)).gemm(&a, &b, &mut c);
         assert_gemm_eq(&c, &reference, k);
     }
 }
@@ -68,7 +68,7 @@ fn integer_matrices_are_exact() {
     let reference = naive(&a, &b);
     let mut c1 = Matrix::<f32>::zeros(m, n);
     let mut c2 = Matrix::<f32>::zeros(m, n);
-    cake_sgemm(&a, &b, &mut c1, &CakeConfig::with_threads(3));
+    CakeGemm::new(CakeConfig::with_threads(3)).gemm(&a, &b, &mut c1);
     goto_gemm(&a, &b, &mut c2, &GotoConfig::with_threads(3));
     assert_eq!(c1.as_slice(), reference.as_slice());
     assert_eq!(c2.as_slice(), reference.as_slice());
@@ -81,7 +81,7 @@ fn f64_agrees_between_algorithms() {
     let b = init::random::<f64>(k, n, 10);
     let mut c1 = Matrix::<f64>::zeros(m, n);
     let mut c2 = Matrix::<f64>::zeros(m, n);
-    cake::core::api::cake_dgemm(&a, &b, &mut c1, &CakeConfig::with_threads(2));
+    CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c1);
     goto_gemm(&a, &b, &mut c2, &GotoConfig::with_threads(2));
     assert_gemm_eq(&c1, &c2, k);
 }
@@ -92,7 +92,7 @@ fn column_major_operands() {
     let a = init::random::<f32>(m, k, 11).to_layout(Layout::ColMajor);
     let b = init::random::<f32>(k, n, 12).to_layout(Layout::ColMajor);
     let mut c = Matrix::<f32>::zeros_with_layout(m, n, Layout::ColMajor);
-    cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(2));
+    CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
     let expected = naive(&a, &b);
     assert_gemm_eq(&c.to_layout(Layout::RowMajor), &expected, k);
 }
@@ -107,11 +107,11 @@ fn repeated_accumulation_is_linear() {
 
     let cfg = CakeConfig::with_threads(2);
     let mut c_twice = Matrix::<f32>::zeros(m, n);
-    cake_sgemm(&a, &b, &mut c_twice, &cfg);
-    cake_sgemm(&a, &b, &mut c_twice, &cfg);
+    CakeGemm::new(cfg.clone()).gemm(&a, &b, &mut c_twice);
+    CakeGemm::new(cfg.clone()).gemm(&a, &b, &mut c_twice);
 
     let mut c_double = Matrix::<f32>::zeros(m, n);
-    cake_sgemm(&a2, &b, &mut c_double, &cfg);
+    CakeGemm::new(cfg).gemm(&a2, &b, &mut c_double);
     assert_gemm_eq(&c_twice, &c_double, 2 * k);
 }
 
@@ -129,7 +129,7 @@ proptest! {
         let a = init::random::<f32>(m, k, seed);
         let b = init::random::<f32>(k, n, seed + 1);
         let mut c = Matrix::<f32>::zeros(m, n);
-        cake_sgemm(&a, &b, &mut c, &CakeConfig::with_threads(p));
+        CakeGemm::new(CakeConfig::with_threads(p)).gemm(&a, &b, &mut c);
         let expected = naive(&a, &b);
         let tol = cake::matrix::compare::gemm_tolerance::<f32>(k);
         prop_assert!(cake::matrix::approx_eq(&c, &expected, tol));
@@ -146,7 +146,7 @@ proptest! {
         let b = init::random::<f32>(k, n, seed + 1);
         let mut c1 = Matrix::<f32>::zeros(m, n);
         let mut c2 = Matrix::<f32>::zeros(m, n);
-        cake_sgemm(&a, &b, &mut c1, &CakeConfig::with_threads(2));
+        CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c1);
         goto_gemm(&a, &b, &mut c2, &GotoConfig::with_threads(2));
         let tol = cake::matrix::compare::gemm_tolerance::<f32>(k);
         prop_assert!(cake::matrix::approx_eq(&c1, &c2, tol));
@@ -170,9 +170,10 @@ proptest! {
         nc in 8usize..40,
         seed in 0u64..1000,
     ) {
-        use cake::core::executor::execute;
+        use cake::core::executor::execute_with_stats_in;
         use cake::core::pool::ThreadPool;
         use cake::core::shape::CbBlockShape;
+        use cake::core::workspace::GemmWorkspace;
 
         let a = init::random::<f32>(m, k, seed);
         let b = init::random::<f32>(k, n, seed + 1);
@@ -180,7 +181,8 @@ proptest! {
         let shape = CbBlockShape::fixed(p, mc, kc, nc);
         let pool = ThreadPool::new(p);
         let ukr = cake::kernels::best_kernel::<f32>();
-        execute(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool);
+        let mut ws = GemmWorkspace::new();
+        execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
 
         let expected = naive(&a, &b);
         let tol = cake::matrix::compare::gemm_tolerance::<f32>(k);

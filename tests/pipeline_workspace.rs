@@ -4,7 +4,7 @@
 //! shrinking and growing shapes — with the double-buffered packing path
 //! checked against the naive reference every time.
 
-use cake::core::executor::{execute_in, execute_with_stats_in};
+use cake::core::executor::execute_with_stats_in;
 use cake::core::pool::ThreadPool;
 use cake::core::shape::CbBlockShape;
 use cake::core::workspace::GemmWorkspace;
@@ -55,7 +55,7 @@ proptest! {
         let mut c = Matrix::<f32>::zeros(m, n);
         let av = at.view().t();
         let bv = b_parent.view().sub(2, 4, k, n);
-        execute_in(&av, &bv, &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
+        execute_with_stats_in(&av, &bv, &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
         let tol = cake::matrix::compare::gemm_tolerance::<f32>(k);
         prop_assert!(cake::matrix::approx_eq(&c, &expected, tol));
 
@@ -167,7 +167,7 @@ fn shrinking_shapes_are_alloc_free_and_byte_identical() {
 
         let mut fresh = GemmWorkspace::new();
         let mut c_fresh = Matrix::<f32>::zeros(m, n);
-        execute_in(
+        execute_with_stats_in(
             &a.view(),
             &b.view(),
             &mut c_fresh.view_mut(),
