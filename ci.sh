@@ -4,9 +4,11 @@
 #   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
 #                          the smoke gates, the figure diff against results/,
 #                          3 passes of the per-layer DNN sizing example, the
-#                          quickstart example, and cake-verify's warm_alloc
-#                          tests again under CAKE_KERNEL=avx2 (the capped
-#                          kernel selection must stay allocation-free)
+#                          quickstart example, a short ukr_bench run (the
+#                          microkernel rates and the edge-tile probe), and
+#                          cake-verify's warm_alloc tests again under
+#                          CAKE_KERNEL=avx2 (the capped kernel selection
+#                          must stay allocation-free)
 #   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
 #                          smoke gates, the figure diff and the examples)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
@@ -177,6 +179,14 @@ run_quickstart() {
     cargo run --release --example quickstart
 }
 
+run_ukr_bench() {
+    # Kernel-only rates, then the best f32 kernel's partial tiles through
+    # edge::run_tile next to the full tile: kc = 64, two rounds, so the
+    # probe keeps running.
+    echo "==> ukr_bench (kc = 64, 2 rounds)"
+    cargo run --release -p cake-kernels --example ukr_bench -- 64 2
+}
+
 run_warm_alloc_capped() {
     # `cargo test --workspace` already ran warm_alloc with the full kernel
     # ladder; a CAKE_KERNEL cap takes another selection path, which must
@@ -316,6 +326,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_fig_diff
     run_dnn_inference
     run_quickstart
+    run_ukr_bench
     run_warm_alloc_capped
 fi
 

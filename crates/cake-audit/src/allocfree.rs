@@ -24,7 +24,7 @@
 //! zero-alloc claim is made for), and function-pointer dispatch
 //! (`Ukr::call`) whose targets are raw-pointer microkernels.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::callgraph::{self, CallGraph, SourceFile};
 
@@ -87,7 +87,8 @@ pub struct AllocReport {
     pub reachable: usize,
     /// Cold fn-level cutoffs taken during traversal.
     pub cold_fn_skips: usize,
-    /// Line-level cold escapes honored.
+    /// Lines whose `// audit: cold` escape was honored, each `(file, line)`
+    /// counted once however many tokens or calls it covers.
     pub cold_line_escapes: usize,
     /// Violations (non-empty fails the audit).
     pub violations: Vec<String>,
@@ -137,6 +138,7 @@ pub fn check_graph(g: &CallGraph) -> AllocReport {
         return report;
     }
 
+    let mut escaped_lines: BTreeSet<(&str, usize)> = BTreeSet::new();
     while let Some(idx) = queue.pop_front() {
         report.reachable += 1;
         let fun = &g.fns[idx];
@@ -145,7 +147,7 @@ pub fn check_graph(g: &CallGraph) -> AllocReport {
             for li in s..=e.min(lexed.len().saturating_sub(1)) {
                 if let Some(pat) = deny_hit(&lexed[li].code) {
                     if callgraph::line_escape(lexed, li, "cold") {
-                        report.cold_line_escapes += 1;
+                        escaped_lines.insert((&fun.file, li));
                     } else {
                         report.violations.push(format!(
                             "{}:{}: allocation-capable `{}` on the warm path (in `{}`, reached via {})",
@@ -162,7 +164,7 @@ pub fn check_graph(g: &CallGraph) -> AllocReport {
         for call in &fun.calls {
             let li = call.line - 1;
             if li < lexed.len() && callgraph::line_escape(lexed, li, "cold") {
-                report.cold_line_escapes += 1;
+                escaped_lines.insert((&fun.file, li));
                 continue;
             }
             for t in g.resolve(fun, call) {
@@ -179,6 +181,7 @@ pub fn check_graph(g: &CallGraph) -> AllocReport {
             }
         }
     }
+    report.cold_line_escapes = escaped_lines.len();
     report
 }
 
@@ -246,6 +249,24 @@ mod tests {
         );
         assert!(r.ok(), "{:?}", r.violations);
         assert!(r.cold_line_escapes >= 1);
+    }
+
+    #[test]
+    fn an_escaped_line_counts_once() {
+        // One deny-listed token and two calls on one escaped line: one
+        // escape, not three.
+        let r = run(
+            "// audit: warm\n\
+             fn forward() {\n\
+                 // audit: cold output tensor, allocated per layer by contract\n\
+                 let y = pad(make_output(vec![0u8; 4]));\n\
+                 drop(y);\n\
+             }\n\
+             fn make_output(v: Vec<u8>) -> usize { v.len() }\n\
+             fn pad(n: usize) -> usize { n }\n",
+        );
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!(r.cold_line_escapes, 1);
     }
 
     #[test]

@@ -609,7 +609,7 @@ pub fn sites() -> Vec<Site> {
         },
         Site {
             name: "edge_scratch_tile",
-            place: "cake-kernels/src/edge.rs: run_tile tile = scratch[..mr*nr], tile[i*nr + j], scratch len MAX_TILE",
+            place: "cake-kernels/src/edge.rs: scratch_tile tile = scratch[..mr*nr], tile[i*nr + j], scratch len MAX_TILE",
             need: v("mr").times(v("nr")),
             cap: c(cake_kernels::edge::MAX_TILE as i128),
             // The entire declared kernel-shape domain: every selectable
@@ -622,30 +622,69 @@ pub fn sites() -> Vec<Site> {
             finite_domain: true,
         },
         // ---- AVX-512 microkernels (cake-kernels/src/avx512.rs) ----
-        // The tile shapes are compile-time constants (f32: 14x32,
-        // f64: 8x16), so `need` closes over kc alone and the inequalities
-        // discharge by structural equality: the innermost read is
-        // a[(kc-1)*MR + (MR-1)] and b[(kc-1)*NR + (NR-1)], one past which
-        // is exactly the kc*MR / kc*NR sliver length the UkrFn contract
-        // guarantees.
+        // The f32 body is one const-generic function, f32_tile::<ROWS,
+        // VECS>: an instance reads the first ROWS <= 14 rows of a packed
+        // 14-row A sliver and the first VECS <= 2 16-column vectors of a
+        // packed 32-column B sliver, at the full tile's strides. Its
+        // innermost reads are a[(kc-1)*14 + ROWS-1] and the last lane of
+        // b[(kc-1)*32 + 16*(VECS-1) ..][..16]; `need` grows with ROWS and
+        // VECS, and at the largest instance (14, 2) it is exactly the
+        // kc*14 / kc*32 sliver length the UkrFn contract guarantees. The
+        // f64 tile shape (8x16) is a compile-time constant.
         Site {
             name: "avx512_f32_a_read",
-            place: "cake-kernels/src/avx512.rs: f32 kernel a.add(k*14 + i), i < 14",
-            need: v("kc").minus(c(1)).times(c(14)).plus(c(13)).plus(c(1)),
+            place: "cake-kernels/src/avx512.rs: f32_tile::<ROWS, VECS> a.add(k*14 + i), i < ROWS <= 14",
+            need: v("kc").minus(c(1)).times(c(14)).plus(v("rows")),
             cap: v("kc").times(c(14)),
-            ranges: vec![("kc", 1, 8)],
+            ranges: vec![("kc", 1, 8), ("rows", 1, 14)],
             constraint: None,
-            corner_subst: vec![],
+            corner_subst: vec![("rows", c(14))],
             finite_domain: false,
         },
         Site {
             name: "avx512_f32_b_read",
-            place: "cake-kernels/src/avx512.rs: f32 kernel _mm512_loadu_ps(b.add(k*32 + 16))",
-            need: v("kc").minus(c(1)).times(c(32)).plus(c(31)).plus(c(1)),
+            place: "cake-kernels/src/avx512.rs: f32_tile::<ROWS, VECS> _mm512_loadu_ps(b.add(k*32 + 16v)), \
+                    v < VECS <= 2",
+            need: v("kc").minus(c(1)).times(c(32)).plus(c(16).times(v("vecs"))),
             cap: v("kc").times(c(32)),
-            ranges: vec![("kc", 1, 8)],
+            ranges: vec![("kc", 1, 8), ("vecs", 1, 2)],
             constraint: None,
-            corner_subst: vec![],
+            corner_subst: vec![("vecs", c(2))],
+            finite_domain: false,
+        },
+        // The f32 body's unit-stride C store: in row i < mrows, vector v
+        // loads and stores the ln lanes its mask sets, columns 16v ..
+        // 16v + ln with 16v + ln <= ncols (vector v is issued only when
+        // column 16v is live, so its base address is a live element). One
+        // past the last element touched is i*rsc + 16v + ln; the region the
+        // caller guarantees, c[i*rsc + j] for i < mrows, j < ncols, ends at
+        // (mrows-1)*rsc + ncols.
+        Site {
+            name: "avx512_f32_c_masked",
+            place: "cake-kernels/src/avx512.rs: f32_tile masked loadu/storeu c.add(i*rsc + 16v), \
+                    lanes 16v + l < ncols, i < mrows",
+            need: v("i").times(v("rsc")).plus(c(16).times(v("v"))).plus(v("ln")),
+            cap: v("mrows").minus(c(1)).times(v("rsc")).plus(v("ncols")),
+            ranges: vec![("i", 0, 4), ("mrows", 1, 5), ("rsc", 1, 3), ("v", 0, 1), ("ln", 1, 16), ("ncols", 1, 32)],
+            constraint: Some(|e| e["i"] < e["mrows"] && 16 * e["v"] + e["ln"] <= e["ncols"]),
+            corner_subst: vec![("i", v("mrows").minus(c(1))), ("ln", v("ncols").minus(c(16).times(v("v"))))],
+            finite_domain: false,
+        },
+        // Any other C stride: the accumulator rows spill to a lane array
+        // and only the live columns go to C, c[i*rsc + j*csc] for
+        // i < mrows, j < ncols.
+        Site {
+            name: "avx512_f32_c_strided",
+            place: "cake-kernels/src/avx512.rs: f32_tile strided C c.add(i*rsc + j*csc), i < mrows, j < ncols",
+            need: v("i").times(v("rsc")).plus(v("j").times(v("csc"))).plus(c(1)),
+            cap: v("mrows")
+                .minus(c(1))
+                .times(v("rsc"))
+                .plus(v("ncols").minus(c(1)).times(v("csc")))
+                .plus(c(1)),
+            ranges: vec![("i", 0, 4), ("mrows", 1, 5), ("j", 0, 6), ("ncols", 1, 7), small("rsc"), small("csc")],
+            constraint: Some(|e| e["i"] < e["mrows"] && e["j"] < e["ncols"]),
+            corner_subst: vec![("i", v("mrows").minus(c(1))), ("j", v("ncols").minus(c(1)))],
             finite_domain: false,
         },
         Site {
@@ -688,7 +727,7 @@ pub fn sites() -> Vec<Site> {
         },
         Site {
             name: "avx512_prefetch_b_second_vec",
-            place: "cake-kernels/src/avx512.rs: _mm_prefetch(b.add(kpf*32 + 16)), kpf <= kc-1",
+            place: "cake-kernels/src/avx512.rs: _mm_prefetch(b.add(kpf*32 + 16v)), v < VECS <= 2, kpf <= kc-1",
             need: v("kpf").times(c(32)).plus(c(16)).plus(c(1)),
             cap: v("kc").times(c(32)),
             ranges: vec![("kpf", 0, 7), ("kc", 1, 8)],
@@ -698,14 +737,15 @@ pub fn sites() -> Vec<Site> {
         },
         Site {
             name: "avx512_spill_lanes",
-            place: "cake-kernels/src/avx512.rs: strided-C spill, two storeu into lanes[NR]",
-            // Both kernels spill a full accumulator row into a stack array
-            // before scalar C writes: f32 writes 16+16 floats into
-            // [f32; 32], f64 writes 8+8 into [f64; 16]. Constant domain:
-            // the second store's one-past-end equals the array length.
-            need: c(16).plus(c(16)),
+            place: "cake-kernels/src/avx512.rs: strided-C spill, VECS <= 2 storeu at lanes[16v..] of lanes[NR]",
+            // Both kernels spill an accumulator row into a stack array
+            // before scalar C writes: an f32 instance writes VECS 16-float
+            // vectors into [f32; 32], f64 writes 8+8 into [f64; 16]. Finite
+            // domain: the last store's one-past-end is at most the array
+            // length.
+            need: c(16).times(v("vecs")),
             cap: c(32),
-            ranges: vec![],
+            ranges: vec![("vecs", 1, 2)],
             constraint: None,
             corner_subst: vec![],
             finite_domain: true,
@@ -983,6 +1023,19 @@ pub fn mutant_sites() -> Vec<Site> {
             cap: v("kc").times(c(32)),
             ranges: vec![("kc", 1, 8)],
             constraint: None,
+            corner_subst: vec![],
+            finite_domain: false,
+        },
+        Site {
+            name: "mutant_avx512_c_mask_one_lane_wide",
+            place: "seeded: AVX-512 f32 C mask built for ncols + 1 lanes",
+            // The mask of the last live vector sets one lane past column
+            // ncols - 1, so the masked store writes one element past the
+            // live region. Refuted at i = mrows - 1.
+            need: v("i").times(v("rsc")).plus(c(16).times(v("v"))).plus(v("ln")),
+            cap: v("mrows").minus(c(1)).times(v("rsc")).plus(v("ncols")),
+            ranges: vec![("i", 0, 4), ("mrows", 1, 5), ("rsc", 1, 3), ("v", 0, 1), ("ln", 1, 16), ("ncols", 1, 32)],
+            constraint: Some(|e| e["i"] < e["mrows"] && 16 * e["v"] + e["ln"] <= e["ncols"] + 1),
             corner_subst: vec![],
             finite_domain: false,
         },

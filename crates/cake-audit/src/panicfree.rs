@@ -38,7 +38,8 @@ pub struct PanicReport {
     pub roots: Vec<String>,
     /// Number of fns in the hot closure.
     pub reachable: usize,
-    /// Escapes honored (cold + checked + bounds).
+    /// Lines whose escape (cold, checked or bounds) was honored, each
+    /// `(file, line)` counted once however many panic sites it covers.
     pub escapes: usize,
     /// Violations (non-empty fails the audit).
     pub violations: Vec<String>,
@@ -132,6 +133,7 @@ pub fn check_graph(g: &CallGraph, proven_sites: &BTreeSet<String>) -> PanicRepor
         return report;
     }
 
+    let mut escaped_lines: BTreeSet<(&str, usize)> = BTreeSet::new();
     while let Some(idx) = queue.pop_front() {
         report.reachable += 1;
         let fun = &g.fns[idx];
@@ -149,7 +151,7 @@ pub fn check_graph(g: &CallGraph, proven_sites: &BTreeSet<String>) -> PanicRepor
                         && count_word(code, tok.trim_end_matches('!')) == 0;
                     if !only_debug {
                         if escaped {
-                            report.escapes += 1;
+                            escaped_lines.insert((&fun.file, li));
                         } else {
                             report.violations.push(format!(
                                 "{}:{}: `{}` in hot fn `{}` — move it out of the K loop \
@@ -180,10 +182,10 @@ pub fn check_graph(g: &CallGraph, proven_sites: &BTreeSet<String>) -> PanicRepor
                             }
                         }
                         if all_proven {
-                            report.escapes += 1;
+                            escaped_lines.insert((&fun.file, li));
                         }
                     } else if escaped {
-                        report.escapes += 1;
+                        escaped_lines.insert((&fun.file, li));
                     } else {
                         report.violations.push(format!(
                             "{}:{}: unproven slice indexing in hot fn `{}` — name the covering \
@@ -210,6 +212,7 @@ pub fn check_graph(g: &CallGraph, proven_sites: &BTreeSet<String>) -> PanicRepor
             }
         }
     }
+    report.escapes = escaped_lines.len();
     report
 }
 
@@ -296,6 +299,23 @@ mod tests {
         );
         assert_eq!(stale.violations.len(), 1, "{:?}", stale.violations);
         assert!(stale.violations[0].contains("stale annotation"), "{:?}", stale.violations);
+    }
+
+    #[test]
+    fn an_escaped_line_counts_once() {
+        // A panic token and an index on one escaped line: one escape, not
+        // two.
+        let r = run(
+            "// audit: hot\n\
+             fn kernel(v: &[u8], i: usize) -> u8 {\n\
+                 // audit: checked i < v.len() is the caller's precondition\n\
+                 let x = v[i].checked_add(1).unwrap();\n\
+                 x\n\
+             }\n",
+            &[],
+        );
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!(r.escapes, 1);
     }
 
     #[test]

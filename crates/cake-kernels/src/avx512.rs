@@ -6,12 +6,16 @@
 //!
 //! * f32 `14 x 32`: 28 accumulator ZMM registers (14 rows x 2 vectors of
 //!   16 lanes), 2 registers for the `B` row, 1 for the `A` broadcast —
-//!   31 of the 32 architectural ZMM registers.
+//!   31 of the 32 architectural ZMM registers. One const-generic body
+//!   (`f32_tile`) serves the full tile and every partial one: an
+//!   instance runs `ROWS` rows against `VECS` 16-column vectors and writes
+//!   only the live columns, so an edge tile costs its live region.
 //! * f64 `8 x 16`: 16 accumulators (8 rows x 2 vectors of 8 lanes) + 3.
 //!
 //! Both kernels share the AVX2 tier's structure: a fast store path for
-//! unit column stride (`csc == 1`, row-major `C`) and a scalar fallback
-//! for arbitrary strides. The K-loop additionally issues software
+//! unit column stride (`csc == 1`, row-major `C`; masked to the live
+//! columns in the f32 body) and a scalar fallback for arbitrary strides.
+//! The K-loop additionally issues software
 //! prefetches [`PF_DIST_K`] iterations ahead into the current packed
 //! slivers, and the `C` tile rows are prefetched once at kernel entry so
 //! the read-modify-write at store time hits cache (the BLIS prefetch
@@ -22,7 +26,7 @@ use core::arch::x86_64::*;
 
 use cake_matrix::Bf16;
 
-use crate::ukernel::Ukr;
+use crate::ukernel::{EdgeFn, Ukr};
 
 /// K-loop software-prefetch distance, in k iterations. One iteration of
 /// the f32 kernel consumes 56 B of A and 128 B of B; four iterations
@@ -30,10 +34,12 @@ use crate::ukernel::Ukr;
 /// near enough not to thrash L1. Shared with the AVX2 tier.
 pub const PF_DIST_K: usize = 4;
 
-/// The f32 `14x32` AVX-512F kernel, if the CPU supports it.
+/// The f32 `14x32` AVX-512F kernel, if the CPU supports it. Its partial
+/// tiles run the instance of its kernel body for their live shape, which
+/// writes only the live region (see [`crate::edge`]).
 pub fn avx512_f32_14x32() -> Option<Ukr<f32>> {
     if is_x86_feature_detected!("avx512f") {
-        Some(Ukr::new(14, 32, "avx512_f32_14x32", ukr_f32_14x32))
+        Some(Ukr::new(14, 32, "avx512_f32_14x32", ukr_f32_14x32).with_edge(f32_edge))
     } else {
         None
     }
@@ -87,17 +93,33 @@ pub fn avx512_bf16_14x32() -> Option<Ukr<Bf16>> {
     }
 }
 
-/// Thin wrapper: dispatch requires a plain fn pointer, but the
-/// target-feature function below must only be called after detection,
-/// which `avx512_f32_14x32` guarantees.
+/// The full f32 tile: the `<14, 2>` instance of [`f32_tile`] with all 32
+/// columns live.
 ///
 /// # Safety
 /// [`crate::ukernel::UkrFn`]'s contract, plus AVX-512F must be available.
+#[target_feature(enable = "avx512f")]
 unsafe fn ukr_f32_14x32(kc: usize, a: *const f32, b: *const f32, c: *mut f32, rsc: usize, csc: usize) {
-    // SAFETY: this fn pointer is only installed by `avx512_f32_14x32`
-    // after runtime AVX-512F detection, and the caller upholds UkrFn's
-    // contract, which is exactly the impl's pointer-validity requirement.
-    unsafe { ukr_f32_14x32_impl(kc, a, b, c, rsc, csc) }
+    // SAFETY: installed only by `avx512_f32_14x32` after runtime AVX-512F
+    // detection; UkrFn's contract makes all 14 x 32 C elements valid, which
+    // is f32_tile's contract at ROWS = 14, VECS = 2, ncols = 32.
+    unsafe { f32_tile::<14, 2>(kc, a, b, c, rsc, csc, 32) }
+}
+
+/// The f32 kernel's partial-tile instances: row `r - 1` holds the `r`-row
+/// instances, one per number of live 16-column vectors.
+static F32_TILES: [[EdgeFn<f32>; 2]; 14] = {
+    macro_rules! rows {
+        ($($r:literal)*) => { [$([f32_tile::<$r, 1> as EdgeFn<f32>, f32_tile::<$r, 2>]),*] };
+    }
+    rows!(1 2 3 4 5 6 7 8 9 10 11 12 13 14)
+};
+
+/// The f32 instance for a live `mrows x ncols` region: `mrows` rows and
+/// `ceil(ncols / 16)` column vectors. `None` outside `1..=14 x 1..=32`.
+fn f32_edge(mrows: usize, ncols: usize) -> Option<EdgeFn<f32>> {
+    let row = F32_TILES.get(mrows.wrapping_sub(1))?;
+    row.get(ncols.div_ceil(16).wrapping_sub(1)).copied()
 }
 
 /// # Safety
@@ -108,71 +130,93 @@ unsafe fn ukr_f64_8x16(kc: usize, a: *const f64, b: *const f64, c: *mut f64, rsc
     unsafe { ukr_f64_8x16_impl(kc, a, b, c, rsc, csc) }
 }
 
+/// The f32 kernel body. An instance multiplies the first `ROWS` rows
+/// (1..=14) of a packed 14-row A sliver by the first `VECS` 16-column
+/// vectors (1 or 2) of a packed 32-column B sliver, reading both at the
+/// full tile's strides (`a[k*14 + i]`, `b[k*32 + j]`), and adds the result
+/// into the first `ncols` columns of C. Each C element gets the same FMAs
+/// in the same k order as in the full tile, so a partial tile written here
+/// equals the full tile's corner bit for bit.
+///
 /// # Safety
-/// [`crate::ukernel::UkrFn`]'s contract; AVX-512F enforced by `target_feature`.
+/// [`EdgeFn`]'s contract at `rows = ROWS`: `a` holds `kc*14` elements, `b`
+/// holds `kc*32`, `c[i*rsc + j*csc]` is valid for `i < ROWS`, `j < ncols`,
+/// and `16*(VECS-1) < ncols <= 16*VECS`. AVX-512F is enforced by
+/// `target_feature`.
 #[target_feature(enable = "avx512f")]
-unsafe fn ukr_f32_14x32_impl(
+unsafe fn f32_tile<const ROWS: usize, const VECS: usize>(
     kc: usize,
     a: *const f32,
     b: *const f32,
     c: *mut f32,
     rsc: usize,
     csc: usize,
+    ncols: usize,
 ) {
     const MR: usize = 14;
     const NR: usize = 32;
+    // Lane l of vector v is live when 16v + l < ncols.
+    let live: u32 = if ncols >= NR { u32::MAX } else { (1u32 << ncols) - 1 };
+    let masks: [__mmask16; 2] = [live as u16, (live >> 16) as u16];
 
-    // SAFETY: UkrFn's contract gives `a` kc*14 elements, `b` kc*32, and
-    // valid non-aliasing C addresses c[i*rsc + j*csc] for i < 14, j < 32.
-    // Every offset below stays within those ranges — prefetch offsets are
-    // clamped ((k + PF_DIST_K).min(kc - 1) keeps the prefetched k in
-    // [0, kc)) — and the unaligned intrinsics have no alignment needs.
+    // Vector v's unit-stride C row base, row + 16v, is itself a live
+    // column (16v < ncols), and the unaligned intrinsics need no alignment.
+    // SAFETY: the contract gives `a` kc*14 elements, `b` kc*32 and C cells
+    // c[i*rsc + j*csc] for i < ROWS, j < ncols. A reads a[k*14 + i], i < ROWS;
+    // B reads b[k*32 + 16v..][..16], v < VECS; prefetched k is clamped to
+    // [0, kc). Unit-stride C moves only the lanes set in `masks` (a masked-
+    // off lane is never accessed), the strided path only columns j < ncols.
     unsafe {
         // Warm the C tile while the K-loop runs: these are exactly the
         // row base addresses the store loop will read-modify-write.
         if csc == 1 {
-            for i in 0..MR {
+            for i in 0..ROWS {
                 _mm_prefetch(c.add(i * rsc).cast::<i8>(), _MM_HINT_T0);
             }
         }
 
-        let mut acc0 = [_mm512_setzero_ps(); MR];
-        let mut acc1 = [_mm512_setzero_ps(); MR];
+        let mut acc = [[_mm512_setzero_ps(); VECS]; ROWS];
 
         for k in 0..kc {
             let kpf = (k + PF_DIST_K).min(kc - 1);
             _mm_prefetch(a.add(kpf * MR).cast::<i8>(), _MM_HINT_T0);
-            // One B row is 128 B = two cache lines.
-            _mm_prefetch(b.add(kpf * NR).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(b.add(kpf * NR + 16).cast::<i8>(), _MM_HINT_T0);
+            // One B row is 128 B = two cache lines, one per vector.
+            for v in 0..VECS {
+                _mm_prefetch(b.add(kpf * NR + 16 * v).cast::<i8>(), _MM_HINT_T0);
+            }
 
             let bk = b.add(k * NR);
-            let b0 = _mm512_loadu_ps(bk);
-            let b1 = _mm512_loadu_ps(bk.add(16));
+            let mut bv = [_mm512_setzero_ps(); VECS];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = _mm512_loadu_ps(bk.add(16 * v));
+            }
             let ak = a.add(k * MR);
-            for i in 0..MR {
+            for (i, row) in acc.iter_mut().enumerate() {
                 let ai = _mm512_set1_ps(*ak.add(i));
-                acc0[i] = _mm512_fmadd_ps(ai, b0, acc0[i]);
-                acc1[i] = _mm512_fmadd_ps(ai, b1, acc1[i]);
+                for (x, &bx) in row.iter_mut().zip(&bv) {
+                    *x = _mm512_fmadd_ps(ai, bx, *x);
+                }
             }
         }
 
         if csc == 1 {
-            for i in 0..MR {
-                let row = c.add(i * rsc);
-                let c0 = _mm512_loadu_ps(row);
-                let c1 = _mm512_loadu_ps(row.add(16));
-                _mm512_storeu_ps(row, _mm512_add_ps(c0, acc0[i]));
-                _mm512_storeu_ps(row.add(16), _mm512_add_ps(c1, acc1[i]));
+            for (i, row) in acc.iter().enumerate() {
+                let crow = c.add(i * rsc);
+                for (v, (&x, &m)) in row.iter().zip(&masks).enumerate() {
+                    let p = crow.add(16 * v);
+                    let cv = _mm512_maskz_loadu_ps(m, p);
+                    _mm512_mask_storeu_ps(p, m, _mm512_add_ps(cv, x));
+                }
             }
         } else {
             let mut lanes = [0.0f32; NR];
-            for i in 0..MR {
-                _mm512_storeu_ps(lanes.as_mut_ptr(), acc0[i]);
-                _mm512_storeu_ps(lanes.as_mut_ptr().add(16), acc1[i]);
-                for (j, &v) in lanes.iter().enumerate() {
+            for (i, row) in acc.iter().enumerate() {
+                for (v, &x) in row.iter().enumerate() {
+                    _mm512_storeu_ps(lanes.as_mut_ptr().add(16 * v), x);
+                }
+                for (j, &x) in lanes.iter().take(ncols).enumerate() {
                     let p = c.add(i * rsc + j * csc);
-                    *p += v;
+                    *p += x;
                 }
             }
         }
@@ -625,6 +669,18 @@ mod tests {
     #[test]
     fn f32_column_major_c() {
         check_f32(17, 1, 14, 32 * 14);
+    }
+
+    #[test]
+    fn f32_edge_covers_the_tile_and_nothing_past_it() {
+        // run_tile relies on the lookup for every live region of the tile;
+        // shapes past it must miss rather than pick a wrong instance.
+        for mrows in 0..=16 {
+            for ncols in 0..=34 {
+                let inside = (1..=14).contains(&mrows) && (1..=32).contains(&ncols);
+                assert_eq!(f32_edge(mrows, ncols).is_some(), inside, "{mrows}x{ncols}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,24 @@
 //! Packed slivers are always zero-padded to full `mr`/`nr`, so the kernel
 //! can run at full width; but the `C` tile at a block edge is smaller than
 //! `mr x nr` and must not be written outside its bounds. [`run_tile`]
-//! computes the full padded tile into a stack scratch buffer and then
-//! accumulates only the live `mrows x ncols` region into `C`.
+//! writes a partial tile one of two ways:
+//!
+//! * **Directly**, for a kernel with partial-tile instances: today only
+//!   the AVX-512 f32 `14x32` kernel, whose const-generic body has one
+//!   instance per live row count (1..=14) and number of live 16-column
+//!   vectors (1 or 2). The instance adds into the live `mrows x ncols`
+//!   region of `C` (masked loads and stores at unit column stride, a lane
+//!   spill of the live columns otherwise), so the tile costs the rows and
+//!   column vectors that are live.
+//! * **Through a scratch tile**, for every other kernel (AMX, VNNI, bf16,
+//!   f64, AVX2 and portable): the full padded tile is computed into a
+//!   zeroed stack buffer and only the live region is added into `C`,
+//!   element by element. The tile costs a full one.
+//!
+//! The two ways agree bit for bit except in the sign of one zero: the
+//! direct way adds `C + acc`, the scratch `C + (0.0 + acc)`, so a `-0.0`
+//! sum added to a `-0.0` in `C` stays `-0.0` directly and becomes `+0.0`
+//! through the scratch.
 
 use std::mem::MaybeUninit;
 
@@ -22,9 +38,9 @@ pub const MAX_TILE: usize = 1024;
 
 /// Run one microkernel invocation with edge masking.
 ///
-/// For a full tile this is a direct kernel call (no overhead). For a partial
-/// tile the kernel writes into a zeroed stack scratch and the live region is
-/// accumulated into `C` scalar-wise.
+/// For a full tile this is a direct kernel call (no overhead). A partial
+/// tile runs the kernel's instance for its live shape when the kernel has
+/// one, and otherwise goes through the scratch tile (see the module docs).
 ///
 /// # Safety
 /// * `a`/`b` must point to full zero-padded packed slivers of length
@@ -44,17 +60,47 @@ pub unsafe fn run_tile<T: Dtype>(
     mrows: usize,
     ncols: usize,
 ) {
-    let mr = ukr.mr();
-    let nr = ukr.nr();
-    debug_assert!(mrows <= mr && ncols <= nr, "tile region exceeds kernel shape");
+    debug_assert!(mrows <= ukr.mr() && ncols <= ukr.nr(), "tile region exceeds kernel shape");
     if mrows == 0 || ncols == 0 {
         return;
     }
-    if mrows == mr && ncols == nr {
+    if mrows == ukr.mr() && ncols == ukr.nr() {
         // SAFETY: forwarded from caller.
         unsafe { ukr.call(kc, a, b, c, rsc, csc) };
         return;
     }
+    if let Some(tile) = ukr.edge(mrows, ncols) {
+        // SAFETY: the kernel looked this instance up for exactly mrows rows
+        // and ncols columns, so it touches only c[i*rsc + j*csc] for
+        // i < mrows, j < ncols, which the caller guarantees valid; the a/b
+        // sliver contracts are forwarded from the caller.
+        unsafe { tile(kc, a, b, c, rsc, csc, ncols) };
+        return;
+    }
+    // SAFETY: forwarded from caller.
+    unsafe { scratch_tile(ukr, kc, a, b, c, rsc, csc, mrows, ncols) }
+}
+
+/// A partial tile through the scratch: the kernel computes its full
+/// padded tile into a zeroed stack buffer, then the live `mrows x ncols`
+/// region is added into `C` element by element.
+///
+/// # Safety
+/// [`run_tile`]'s contract.
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS ukernel signature
+pub(crate) unsafe fn scratch_tile<T: Dtype>(
+    ukr: &Ukr<T>,
+    kc: usize,
+    a: *const T,
+    b: *const T,
+    c: *mut T::Acc,
+    rsc: usize,
+    csc: usize,
+    mrows: usize,
+    ncols: usize,
+) {
+    let mr = ukr.mr();
+    let nr = ukr.nr();
     // audit: checked every registered kernel satisfies mr*nr <= MAX_TILE (registry tests pin this)
     assert!(mr * nr <= MAX_TILE, "kernel tile exceeds scratch capacity");
     // Zero only the kernel's own mr x nr prefix: the rest of the scratch
@@ -324,28 +370,101 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn edge_path_does_not_touch_outside_region() {
-        let ukr = portable_f32_8x8();
-        let k = 4;
-        let a = init::ones::<f32>(2, k);
-        let b = init::ones::<f32>(k, 2);
-        let mut pa = vec![0.0f32; packed_a_size(2, k, 8)];
-        let mut pb = vec![0.0f32; packed_b_size(k, 2, 8)];
-        pack_a(&a.view(), &mut pa, 8);
-        pack_b(&b.view(), &mut pb, 8);
+        // The portable kernel goes through the scratch; the best f32 kernel
+        // (AVX-512 on a host that has it) writes the region directly. The
+        // slivers are all ones, padding rows and columns included, so a
+        // write to any cell outside the region changes its value.
+        for ukr in [portable_f32_8x8(), crate::select::best_kernel::<f32>()] {
+            let k = 4;
+            let (mr, nr) = (ukr.mr(), ukr.nr());
+            let a = init::ones::<f32>(mr, k);
+            let b = init::ones::<f32>(k, nr);
+            let layout = ukr.pack_layout();
+            let mut pa = vec![0.0f32; layout.a_size(mr, k)];
+            let mut pb = vec![0.0f32; layout.b_size(k, nr)];
+            layout.pack_a(&a.view(), &mut pa);
+            layout.pack_b(&b.view(), &mut pb);
 
-        // Canary buffer: a 4x4 C where only the top-left 2x2 may change.
-        let mut c = [[-9.0f32; 4]; 4];
-        // SAFETY: pa/pb are ceil-padded packed slivers; the 2x2 edge region
-        // with rsc=4, csc=1 stays inside the 4x4 canary buffer.
-        unsafe {
-            run_tile(&ukr, k, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr().cast(), 4, 1, 2, 2);
+            // Canary buffer: a 4x4 C where only the top-left 2x2 may change.
+            let mut c = [[-9.0f32; 4]; 4];
+            // SAFETY: pa/pb are ceil-padded packed slivers; the 2x2 edge
+            // region with rsc=4, csc=1 stays inside the 4x4 canary buffer.
+            unsafe {
+                run_tile(&ukr, k, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr().cast(), 4, 1, 2, 2);
+            }
+            for i in 0..4 {
+                for j in 0..4 {
+                    if i < 2 && j < 2 {
+                        assert_eq!(c[i][j], -9.0 + k as f32, "{}", ukr.name());
+                    } else {
+                        assert_eq!(c[i][j], -9.0, "{}: canary clobbered at ({i},{j})", ukr.name());
+                    }
+                }
+            }
         }
-        for i in 0..4 {
-            for j in 0..4 {
-                if i < 2 && j < 2 {
-                    assert_eq!(c[i][j], -9.0 + k as f32);
-                } else {
-                    assert_eq!(c[i][j], -9.0, "canary clobbered at ({i},{j})");
+    }
+
+    /// A C cell's seed: small integers, `+0.0` among them, never `-0.0`.
+    fn seed(idx: usize) -> f32 {
+        ((idx * 7) % 13) as f32 - 6.0
+    }
+
+    /// Every tile shape of the best f32 kernel, `run_tile` (the direct
+    /// instance, on a kernel that has one) against the scratch path, bit
+    /// for bit, at kc 1, 9 and 288, on row-major C with `rsc > ncols` and on
+    /// column-major C, each inside a frame of canary cells that must not
+    /// change. C is seeded without `-0.0`: the scratch path adds
+    /// `0.0 + acc` into C, which turns a `-0.0` sum into `+0.0`, so on a
+    /// `-0.0` C element the direct `C + acc` keeps a sign that the scratch
+    /// path loses.
+    #[test]
+    fn best_f32_direct_path_equals_scratch_path_bit_for_bit() {
+        let ukr = crate::select::best_kernel::<f32>();
+        if ukr.name() == "avx512_f32_14x32" {
+            assert!(ukr.edge(4, 32).is_some(), "the AVX-512 f32 kernel writes partial tiles directly");
+        }
+        let (mr, nr) = (ukr.mr(), ukr.nr());
+        let layout = ukr.pack_layout();
+        for kc in [1usize, 9, 288] {
+            let a = init::random::<f32>(mr, kc, kc as u64);
+            let b = init::random::<f32>(kc, nr, kc as u64 + 1);
+            let mut pa = vec![0.0f32; layout.a_size(mr, kc)];
+            let mut pb = vec![0.0f32; layout.b_size(kc, nr)];
+            layout.pack_a(&a.view(), &mut pa);
+            layout.pack_b(&b.view(), &mut pb);
+            for mrows in 1..=mr {
+                for ncols in 1..=nr {
+                    for col_major in [false, true] {
+                        // The live region sits at frame cell (1, 1), with one
+                        // canary row and column before it and at least one
+                        // after it; the leading dimension leaves two after.
+                        let (rows, cols) = if col_major { (mrows + 3, ncols + 2) } else { (mrows + 2, ncols + 3) };
+                        let (rsc, csc) = if col_major { (1, rows) } else { (cols, 1) };
+                        let at = |i: usize, j: usize| i * rsc + j * csc;
+                        let mut direct: Vec<f32> = (0..rows * cols).map(seed).collect();
+                        let mut scratch = direct.clone();
+                        // SAFETY: pa/pb are full packed slivers, and cells
+                        // (1 + i, 1 + j) for i < mrows, j < ncols lie inside
+                        // the rows x cols frame under either stride order.
+                        unsafe {
+                            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
+                            run_tile(&ukr, kc, pa, pb, direct.as_mut_ptr().add(at(1, 1)), rsc, csc, mrows, ncols);
+                            scratch_tile(&ukr, kc, pa, pb, scratch.as_mut_ptr().add(at(1, 1)), rsc, csc, mrows, ncols);
+                        }
+                        for i in 0..rows {
+                            for j in 0..cols {
+                                let (d, s) = (direct[at(i, j)], scratch[at(i, j)]);
+                                let live = (1..=mrows).contains(&i) && (1..=ncols).contains(&j);
+                                let want = if live { s } else { seed(at(i, j)) };
+                                assert!(
+                                    d.to_bits() == s.to_bits() && d.to_bits() == want.to_bits(),
+                                    "{mrows}x{ncols} kc={kc} col_major={col_major} cell ({i},{j}), live {live}: \
+                                     direct {d}, scratch {s}, seed {}",
+                                    seed(at(i, j))
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -22,7 +22,9 @@
 //!   tiles), with zero-padding of edge slivers.
 //! * [`quant`] — the int8 activation quantizer's range and quantize loops,
 //!   built once portable and once for AVX-512 and chosen at run time.
-//! * [`edge`] — safe execution of partial tiles via a scratch buffer.
+//! * [`edge`] — safe execution of partial tiles: written directly by the
+//!   AVX-512 f32 kernel's partial-tile instances, through a scratch
+//!   buffer for every other kernel.
 //! * [`select`] — runtime kernel dispatch per element type: a tier ladder
 //!   (amx → avx512 → avx2 → portable) with a `CAKE_KERNEL` env override
 //!   that caps the tier for A/B experiments.

@@ -672,12 +672,18 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Drive the full kernel stack (pack -> edge-masked microkernel) on a
-    /// single random tile and compare against a scalar computation.
+    /// single random tile and compare against a scalar computation. C is
+    /// row-major with `ld = ncols + ld_extra`, or column-major with
+    /// `ld = mrows + ld_extra`; the padding past the live region must not
+    /// change. The slivers hold a full random `mr x nr` tile, so a write
+    /// past the live region would add a nonzero value there.
+    #[allow(clippy::too_many_arguments)]
     fn tile_case<T: KernelSelect>(
         kc: usize,
         mrows: usize,
         ncols: usize,
         ld_extra: usize,
+        col_major: bool,
         seed: u64,
         tol: f64,
     ) {
@@ -686,38 +692,38 @@ mod proptests {
         let mrows = mrows.min(mr).max(1);
         let ncols = ncols.min(nr).max(1);
 
-        let a = init::random::<T>(mrows, kc, seed);
-        let b = init::random::<T>(kc, ncols, seed + 1);
-        let mut pa = vec![T::ZERO; packed_a_size(mrows, kc, mr)];
-        let mut pb = vec![T::ZERO; packed_b_size(kc, ncols, nr)];
+        let a = init::random::<T>(mr, kc, seed);
+        let b = init::random::<T>(kc, nr, seed + 1);
+        let mut pa = vec![T::ZERO; packed_a_size(mr, kc, mr)];
+        let mut pb = vec![T::ZERO; packed_b_size(kc, nr, nr)];
         pack_a(&a.view(), &mut pa, mr);
         pack_b(&b.view(), &mut pb, nr);
 
         let fill = <T::Acc>::from_f64(0.25);
-        let ld = ncols + ld_extra;
-        let mut c = vec![fill; mrows * ld];
+        let (rows, cols) = if col_major { (mrows + ld_extra, ncols) } else { (mrows, ncols + ld_extra) };
+        let (rsc, csc) = if col_major { (1, rows) } else { (cols, 1) };
+        let mut c = vec![fill; rows * cols];
         // SAFETY: pa/pb are ceil-padded packed slivers, and the mrows x
-        // ncols region with rsc=ld >= ncols, csc=1 fits in mrows*ld.
+        // ncols region with (rsc, csc) = (cols, 1) or (1, rows) fits in the
+        // rows x cols buffer.
         unsafe {
-            run_tile(&ukr, kc, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr(), ld, 1, mrows, ncols);
+            run_tile(&ukr, kc, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr(), rsc, csc, mrows, ncols);
         }
-        for i in 0..mrows {
-            for j in 0..ncols {
+        for i in 0..rows {
+            for j in 0..cols {
+                let got = c[i * rsc + j * csc];
+                if i >= mrows || j >= ncols {
+                    assert!(got == fill, "padding clobbered at ({i},{j})");
+                    continue;
+                }
                 let mut s = 0.25f64;
                 for kk in 0..kc {
                     s += a.get(i, kk).to_f64() * b.get(kk, j).to_f64();
                 }
-                let got = c[i * ld + j].to_f64();
+                let got = got.to_f64();
                 assert!(
                     (got - s).abs() <= tol * (1.0 + s.abs()),
                     "({i},{j}): {got} vs {s}"
-                );
-            }
-            // Padding columns untouched.
-            for j in ncols..ld {
-                assert!(
-                    c[i * ld + j] == fill,
-                    "padding clobbered at ({i},{j})"
                 );
             }
         }
@@ -731,9 +737,10 @@ mod proptests {
             mrows in 1usize..15,
             ncols in 1usize..33,
             ld_extra in 0usize..5,
+            col_major in any::<bool>(),
             seed in 0u64..10_000,
         ) {
-            tile_case::<f32>(kc, mrows, ncols, ld_extra, seed, 1e-4);
+            tile_case::<f32>(kc, mrows, ncols, ld_extra, col_major, seed, 1e-4);
         }
 
         #[test]
@@ -744,7 +751,7 @@ mod proptests {
             ld_extra in 0usize..5,
             seed in 0u64..10_000,
         ) {
-            tile_case::<f64>(kc, mrows, ncols, ld_extra, seed, 1e-10);
+            tile_case::<f64>(kc, mrows, ncols, ld_extra, false, seed, 1e-10);
         }
     }
 }

@@ -41,13 +41,38 @@ pub type UkrFn<T> = unsafe fn(
     csc: usize,
 );
 
+/// One partial-tile instance of a kernel: [`UkrFn`]'s update restricted to
+/// the live `rows x ncols` corner of the tile, where the instance fixes
+/// `rows` and `ncols` is its last argument. No element of `C` outside that
+/// corner is read or written.
+///
+/// # Safety contract
+/// [`UkrFn`]'s, except that `c[i*rsc + j*csc]` need be valid only for
+/// `i < rows`, `j < ncols`, and `ncols` must lie in the column range the
+/// instance was looked up for (see [`EdgeLookup`]).
+pub(crate) type EdgeFn<T> = unsafe fn(
+    kc: usize,
+    a: *const T,
+    b: *const T,
+    c: *mut <T as Dtype>::Acc,
+    rsc: usize,
+    csc: usize,
+    ncols: usize,
+);
+
+/// Finds a kernel's [`EdgeFn`] instance for a live `mrows x ncols` region,
+/// or `None` when it has none for that shape.
+pub(crate) type EdgeLookup<T> = fn(mrows: usize, ncols: usize) -> Option<EdgeFn<T>>;
+
 /// A microkernel: its packed layout (which carries the register-tile
-/// shape) plus the raw function.
+/// shape) plus the raw function, and for some kernels the partial-tile
+/// instances that [`crate::edge::run_tile`] runs on a tile's live region.
 #[derive(Clone, Copy)]
 pub struct Ukr<T: Dtype> {
     layout: PackLayout,
     name: &'static str,
     func: UkrFn<T>,
+    edge: Option<EdgeLookup<T>>,
 }
 
 impl<T: Dtype> Ukr<T> {
@@ -59,7 +84,23 @@ impl<T: Dtype> Ukr<T> {
 
     /// Construct a kernel descriptor that reads `layout`.
     pub(crate) fn with_layout(layout: PackLayout, name: &'static str, func: UkrFn<T>) -> Self {
-        Self { layout, name, func }
+        Self { layout, name, func, edge: None }
+    }
+
+    /// The same kernel with partial-tile instances: `lookup` maps a live
+    /// `(mrows, ncols)` region to the instance that writes it directly.
+    pub(crate) fn with_edge(self, lookup: EdgeLookup<T>) -> Self {
+        Self { edge: Some(lookup), ..self }
+    }
+
+    /// The instance that writes a live `mrows x ncols` region straight
+    /// into `C`, if this kernel has one for that shape.
+    #[inline]
+    pub(crate) fn edge(&self, mrows: usize, ncols: usize) -> Option<EdgeFn<T>> {
+        match self.edge {
+            Some(lookup) => lookup(mrows, ncols),
+            None => None,
+        }
     }
 
     /// Register-tile rows.
