@@ -16,7 +16,10 @@
 #   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
 #                          avx2/avx512) and one int8 GEMM per int8 tier (also
 #                          amx), asserting pack counters are tier-invariant
-#                          and int8 results bit-identical
+#                          and int8 results bit-identical; each tier runs
+#                          again from A pre-packed, which must match its
+#                          row-major run (counters and C); at 192^3 and at
+#                          K = 448 (several k-blocks, a partial last one)
 #   ./ci.sh --dtype-smoke  one GEMM per supported dtype (f32/f64/bf16/int8)
 #                          asserting element counters are dtype-invariant and
 #                          every dtype's warm path runs allocation-free
@@ -69,7 +72,12 @@
 # — so every tier must report identical a/b/c counters or cakectl exits
 # 1. This catches a tier whose edge handling silently reads or packs a
 # different footprint. A second table runs every int8 tier (AMX included),
-# whose exact i32 results must also agree bit for bit.
+# whose exact i32 results must also agree bit for bit. Every tier also
+# runs the GEMM a second time from A pre-packed for it (the weights path
+# of the DNN layers: A packed once, one k-block at a time, read in place),
+# which must report the same a/b/c counters and the same C bits. The smoke
+# runs at 192^3 and again at K = 448, whose several k-blocks end in a
+# partial one, so the tile layout's K padding is exercised per k-block.
 #
 # The tsan stage (./ci.sh --tsan) covers cake-core's sync module and the
 # pipelined executor — the sense-reversing SpinBarrier's tests drive
@@ -109,6 +117,8 @@ run_kernel_smoke() {
     echo "==> kernel smoke: one GEMM per available tier, pack counters must be tier-invariant"
     cargo run --release -p cake-bench --bin cakectl -- \
         gemm --m 192 --k 192 --n 192 --kernel-smoke
+    cargo run --release -p cake-bench --bin cakectl -- \
+        gemm --m 192 --k 448 --n 192 --kernel-smoke
 }
 
 run_dtype_smoke() {

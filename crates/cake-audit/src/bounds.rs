@@ -568,6 +568,36 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![("tiles", exec_tile_bound()), ("kl", v("kc"))],
             finite_domain: false,
         },
+        // A pre-packed A (cake-core/src/operand.rs PackedA) is read in
+        // place: block j of nb = j + r + 1 k-blocks starts at
+        // a_kblock_base = j * T*mr*kc (T = ceil(m/mr) slivers, every block
+        // before it full), and a worker's strip of it ends at sliver
+        // te <= T (its first row, a multiple of mr, plus its rows stays
+        // within m — lemma prepacked_strips_on_sliver_boundaries). The
+        // block's depth is kc before the last block and kl (1..=kc) in
+        // it, which is min(kc, kl + r*kc), the executor's
+        // min(bk, k - k0). As above, kc and kl stand for the padded
+        // depths; padding preserves the min, since k_padded is
+        // nondecreasing. The buffer is a_blocked_size = (nb-1)*T*mr*kc +
+        // T*mr*kl.
+        Site {
+            name: "exec_pa_prepacked",
+            place: "cake-core/src/executor.rs: compute packed.as_ptr().add(a_kblock_base(m, k0, kc) \
+                    + a_offset(s0, kl)) kernel reads up to a_offset(s0 + tiles, kl), within a_blocked_size",
+            need: v("j").times(v("t")).times(v("mr")).times(v("kc")).plus(
+                v("te").times(v("mr")).times(v("kc").min_e(v("kl").plus(v("r").times(v("kc"))))),
+            ),
+            cap: v("j")
+                .plus(v("r"))
+                .times(v("t"))
+                .times(v("mr"))
+                .times(v("kc"))
+                .plus(v("t").times(v("mr")).times(v("kl"))),
+            ranges: vec![("j", 0, 3), ("r", 0, 3), ("t", 1, 4), ("te", 0, 4), small("mr"), ("kc", 1, 4), ("kl", 1, 4)],
+            constraint: Some(|e| e["te"] <= e["t"] && e["kl"] <= e["kc"]),
+            corner_subst: vec![("te", v("t"))],
+            finite_domain: false,
+        },
         Site {
             name: "exec_c_tile",
             place: "cake-core/src/executor.rs: out.get().add(row*rsc + col*csc) tile accumulate",
@@ -1078,6 +1108,26 @@ pub fn mutant_sites() -> Vec<Site> {
             finite_domain: false,
         },
         Site {
+            name: "mutant_prepacked_kblock_one_off",
+            place: "seeded: pre-packed A strip read at the base of the next k-block",
+            // a_kblock_base computed for (k0 / kc) + 1: the last block's
+            // strip then starts one full block past its own. Refuted at
+            // j = r = 0.
+            need: v("j").plus(c(1)).times(v("t")).times(v("mr")).times(v("kc")).plus(
+                v("te").times(v("mr")).times(v("kc").min_e(v("kl").plus(v("r").times(v("kc"))))),
+            ),
+            cap: v("j")
+                .plus(v("r"))
+                .times(v("t"))
+                .times(v("mr"))
+                .times(v("kc"))
+                .plus(v("t").times(v("mr")).times(v("kl"))),
+            ranges: vec![("j", 0, 3), ("r", 0, 3), ("t", 1, 4), ("te", 0, 4), ("mr", 1, 3), ("kc", 1, 4), ("kl", 1, 4)],
+            constraint: Some(|e| e["te"] <= e["t"] && e["kl"] <= e["kc"]),
+            corner_subst: vec![],
+            finite_domain: false,
+        },
+        Site {
             name: "mutant_sliver_unpadded_buffer",
             place: "seeded: panel sized for nl columns without ceil-to-nr zero padding",
             // The pack tail always writes the zero-padded ceil(nl/nr)*nr*kl
@@ -1407,6 +1457,80 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
         check("registered_shapes_fit_edge_scratch", ok, detail);
     }
 
+    // L7: pre-packed A strips, replayed against the real code. For k-major
+    // and tile layouts, over real schedules, worker grids and worker_rows
+    // strips with mc a multiple of mr (the executor checks p*mc): every
+    // strip's first row is a multiple of mr, its slivers end inside its
+    // own k-block (PackLayout::a_kblock_base + a_size of the block) and so
+    // inside PackLayout::a_blocked_size — the premises and the claim of
+    // exec_pa_prepacked. The k-block base advances by one full block per
+    // kc.
+    {
+        let mut ok = true;
+        let mut detail = String::new();
+        let mut strips = 0usize;
+        let layouts = [
+            PackLayout::k_major(1, 2),
+            PackLayout::k_major(2, 3),
+            PackLayout::k_major(3, 1),
+            PackLayout::tiles(16, 16),
+            PackLayout::tiles(32, 32),
+        ];
+        'l7: for layout in layouts {
+            let mr = layout.mr();
+            for &m in &[1usize, 2, 5, 17, 40, 70] {
+                for &k in &[1usize, 2, 5, 63, 65, 130] {
+                    for &kc in &[1usize, 2, 3, 64, 100] {
+                        if layout.a_kblock_base(m, kc, kc)
+                            != layout.a_kblock_base(m, 0, kc) + layout.a_size(m, kc)
+                        {
+                            ok = false;
+                            detail = format!("{layout:?} m={m} kc={kc}: k-block base step");
+                            break 'l7;
+                        }
+                        let total = layout.a_blocked_size(m, k, kc);
+                        for mc_tiles in 1usize..=2 {
+                            for p in 1usize..=3 {
+                                let bm = p * mc_tiles * mr;
+                                let (n, nc) = (5, 3);
+                                let grid = BlockGrid::for_problem(m, k, n, bm, kc, nc);
+                                for cd in Schedule::k_first(grid, m, n) {
+                                    let (m0, k0) = (cd.m * bm, cd.k * kc);
+                                    let ml = bm.min(m - m0);
+                                    let kl = kc.min(k - k0);
+                                    let base = layout.a_kblock_base(m, k0, kc);
+                                    let (pm, pn) = worker_grid(p, ml.div_ceil(mr));
+                                    for wid in 0..p {
+                                        let Some((row0, rows)) = worker_rows(ml, mr, pm, wid / pn) else {
+                                            continue;
+                                        };
+                                        strips += 1;
+                                        let first = m0 + row0;
+                                        let at = base + layout.a_offset(first / mr, kl);
+                                        let end = at + layout.a_offset(rows.div_ceil(mr), kl);
+                                        if !first.is_multiple_of(mr)
+                                            || end > base + layout.a_size(m, kl)
+                                            || end > total
+                                        {
+                                            ok = false;
+                                            detail = format!(
+                                                "{layout:?} m={m} k={k} kc={kc} mc={} p={p} block={cd:?} \
+                                                 wid={wid}: rows {first}+{rows}, strip {at}..{end} of {total}",
+                                                mc_tiles * mr
+                                            );
+                                            break 'l7;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        check("prepacked_strips_on_sliver_boundaries", ok, format!("{detail} ({strips} strips)"));
+    }
+
     (held, failed)
 }
 
@@ -1481,7 +1605,7 @@ mod tests {
     fn lemmas_hold_against_real_code() {
         let (held, failed) = lemmas();
         assert!(failed.is_empty(), "{failed:?}");
-        assert_eq!(held.len(), 6);
+        assert_eq!(held.len(), 7);
     }
 
     #[test]

@@ -279,6 +279,19 @@ fn annotated(lines: &[LexedLine], line: usize, kind: SiteKind) -> bool {
             return true;
         }
     }
+    // A comment block of any length that ends directly above the site and
+    // has a line starting with `SAFETY:`.
+    let mut cur = line;
+    while let Some(prev) = cur.checked_sub(1) {
+        let info = &lines[prev];
+        if !info.code.trim().is_empty() || info.comment.trim().is_empty() {
+            break;
+        }
+        if info.comment.trim_start().starts_with("SAFETY:") {
+            return true;
+        }
+        cur = prev;
+    }
     // For declarations, a `/// # Safety` section anywhere in the contiguous
     // doc/attribute block above also counts.
     if matches!(kind, SiteKind::Fn | SiteKind::Trait) {
@@ -680,6 +693,34 @@ unsafe impl Send for S {}
         assert!(scan.sites.iter().all(|s| s.annotated), "{:?}", scan.sites);
         let kinds: Vec<SiteKind> = scan.sites.iter().map(|s| s.kind).collect();
         assert_eq!(kinds, [SiteKind::Block, SiteKind::Fn, SiteKind::Block, SiteKind::Impl]);
+    }
+
+    #[test]
+    fn a_long_safety_block_directly_above_its_site_counts() {
+        // Nine comment lines, the first one `SAFETY:`, ending right above
+        // the block: the six-line window alone would miss it.
+        let long = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for one read:\n    // line 2\n    // line 3\n    // line 4\n    // line 5\n    // line 6\n    // line 7\n    // line 8\n    // line 9\n    unsafe { *p }\n}\n";
+        let scan = scan_source("a.rs", long);
+        assert_eq!(scan.sites.len(), 1);
+        assert!(scan.sites[0].annotated, "{:?}", scan.sites);
+        // The same block with a blank line before the site does not end
+        // directly above it.
+        let gap = long.replace("    // line 9\n", "    // line 9\n\n");
+        assert!(!scan_source("b.rs", &gap).sites[0].annotated);
+        // A comment block without a `SAFETY:` line does not count.
+        let other = long.replace("SAFETY: p", "Note: p");
+        assert!(!scan_source("c.rs", &other).sites[0].annotated);
+    }
+
+    #[test]
+    fn a_safety_comment_beyond_the_window_of_code_lines_stays_flagged() {
+        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid.\n    let a = 1;\n    let b = 2;\n    let c = 3;\n    let d = 4;\n    let e = 5;\n    let g = 6;\n    unsafe { *p }\n}\n";
+        let scan = scan_source("d.rs", src);
+        assert_eq!(scan.sites.len(), 1);
+        assert!(!scan.sites[0].annotated, "{:?}", scan.sites);
+        // Within six lines it still counts, as before.
+        let near = src.replace("    let g = 6;\n", "");
+        assert!(scan_source("e.rs", &near).sites[0].annotated);
     }
 
     #[test]

@@ -66,7 +66,8 @@
 //! traffic counters are identical across the tiers of each dtype — live
 //! element movement is a property of the block schedule, never of the
 //! register tile or packed layout — or the int8 tiers' C differ in any
-//! bit (`ci.sh --kernel-smoke`).
+//! bit, or a tier's second run, from A pre-packed for it, differs from
+//! its row-major run in a counter or a bit of C (`ci.sh --kernel-smoke`).
 //!
 //! `--dtype-smoke` is the dtype counterpart: one single-threaded GEMM per
 //! supported dtype (f32, f64, bf16, int8) on one fixed block grid, each
@@ -677,6 +678,7 @@ fn cmd_gemm() {
                         pt.b_elems.to_string(),
                         pt.c_elems.to_string(),
                         pt.c_hash.map_or("-".into(), |h| format!("{h:016x}")),
+                        if pt.prepacked_same { "same" } else { "DIFFERS" }.into(),
                     ]
                 })
                 .collect();
@@ -684,15 +686,22 @@ fn cmd_gemm() {
             println!(
                 "{}",
                 render_table(
-                    &["tier", "kernel", "mr x nr", "GOP/s", "A elems", "B elems", "C elems", "C hash"],
+                    &[
+                        "tier", "kernel", "mr x nr", "GOP/s", "A elems", "B elems", "C elems", "C hash",
+                        "pre-packed A"
+                    ],
                     &rows
                 )
             );
             match kernel_counters_invariant(&points) {
-                Ok(()) if dtype == "int8" => {
-                    println!("{dtype}: pack counters invariant and C bit-identical across kernel tiers: OK\n")
-                }
-                Ok(()) => println!("{dtype}: pack counters invariant across kernel tiers: OK\n"),
+                Ok(()) if dtype == "int8" => println!(
+                    "{dtype}: pack counters invariant and C bit-identical across kernel tiers, \
+                     pre-packed A identical to row-major on every tier: OK\n"
+                ),
+                Ok(()) => println!(
+                    "{dtype}: pack counters invariant across kernel tiers, pre-packed A identical \
+                     to row-major on every tier: OK\n"
+                ),
                 Err(msg) => {
                     eprintln!("{dtype} kernel-tier invariance FAILED: {msg}");
                     std::process::exit(1);

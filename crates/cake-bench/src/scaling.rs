@@ -18,7 +18,8 @@
 //! Used by `cakectl gemm --threads`, whose `--check-counters` mode turns
 //! [`counters_invariant`] into a CI gate (`ci.sh --scale-smoke`).
 
-use cake_core::executor::execute_with_stats_in;
+use cake_core::executor::{execute_with_stats_in, ExecStats};
+use cake_core::operand::PackedA;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
 use cake_core::topology;
@@ -208,6 +209,10 @@ pub struct KernelPoint {
     /// computes exactly (int8); `None` for float dtypes, whose tiers sum
     /// in different orders.
     pub c_hash: Option<u64>,
+    /// The same GEMM run again with A pre-packed for this tier at the
+    /// grid's block depth ([`PackedA`]) moved the same elements and gave
+    /// the same C, bit for bit.
+    pub prepacked_same: bool,
 }
 
 /// Run one single-threaded f32 GEMM per kernel tier the host supports
@@ -215,7 +220,10 @@ pub struct KernelPoint {
 /// tally live elements packed from the source views — a property of the
 /// block schedule, not of the kernel's register tile or packed layout — so
 /// they must be identical across tiers ([`kernel_counters_invariant`], the
-/// `ci.sh --kernel-smoke` gate).
+/// `ci.sh --kernel-smoke` gate). Each tier then runs the GEMM a second
+/// time from A pre-packed for it ([`PackedA`], read in place), which must
+/// move the same elements and give the same C bit for bit. The grid's row
+/// extent is a multiple of every tier's `mr`, as a pre-packed A needs.
 pub fn sweep_kernels(m: usize, k: usize, n: usize, iters: usize) -> Vec<KernelPoint> {
     sweep_tiers(m, k, n, iters, init::random::<f32>)
 }
@@ -236,23 +244,33 @@ fn sweep_tiers<T: cake_kernels::select::KernelSelect>(
 ) -> Vec<KernelPoint> {
     // i32 accumulation is exact: every int8 tier must agree bit for bit.
     let exact = T::NAME == "int8";
+    let tiers: Vec<_> = cake_kernels::available_tiers()
+        .into_iter()
+        .filter_map(|tier| Some((tier, cake_kernels::tier_kernel::<T>(tier)?)))
+        .collect();
+    let mr_lcm = tiers.iter().fold(1, |l, (_, ukr)| lcm(l, ukr.mr()));
     let (bm, bk, bn) = fixed_grid_dims(m, k, n, 1);
-    let shape = CbBlockShape::fixed(1, bm, bk, bn);
+    let shape = CbBlockShape::fixed(1, bm.next_multiple_of(mr_lcm), bk, bn);
     let iters = iters.max(1);
     let a = gen(m, k, 1);
     let b = gen(k, n, 2);
+    let hash = |c: &Matrix<T::Acc>| fnv1a(c.as_slice().iter().flat_map(|x| x.to_f64().to_bits().to_le_bytes()));
+    let counts = |s: &ExecStats| (s.a_elems_loaded, s.b_elems_loaded, s.c_elems_updated);
 
     let mut points = Vec::new();
-    for tier in cake_kernels::available_tiers() {
-        let Some(ukr) = cake_kernels::tier_kernel::<T>(tier) else {
-            continue;
-        };
+    for (tier, ukr) in tiers {
         let pool = ThreadPool::with_affinity(1, false);
         let mut ws = GemmWorkspace::<T>::new();
         let mut c = Matrix::<T::Acc>::zeros(m, n);
         let mut stats =
             execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
-        let c_hash = exact.then(|| fnv1a(c.as_slice().iter().flat_map(|x| x.to_f64().to_bits().to_le_bytes())));
+        let own_hash = hash(&c);
+        let c_hash = exact.then_some(own_hash);
+        let packed = PackedA::new(&a.view(), ukr, shape.kc);
+        let mut c_packed = Matrix::<T::Acc>::zeros(m, n);
+        let packed_stats =
+            execute_with_stats_in(&packed, &b.view(), &mut c_packed.view_mut(), &shape, &ukr, &pool, &mut ws);
+        let prepacked_same = counts(&packed_stats) == counts(&stats) && hash(&c_packed) == own_hash;
         let best = best_of(iters, || {
             stats = execute_with_stats_in(
                 &a.view(),
@@ -274,6 +292,7 @@ fn sweep_tiers<T: cake_kernels::select::KernelSelect>(
             b_elems: stats.b_elems_loaded,
             c_elems: stats.c_elems_updated,
             c_hash,
+            prepacked_same,
         });
     }
     points
@@ -290,11 +309,19 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// have packed/updated exactly the same element counts — wider register
 /// tiles and other packed layouts change how a block is carved, never how
 /// many live elements move — and, where the dtype is exact, produced the
-/// same C bit for bit.
+/// same C bit for bit. Each tier's pre-packed run must also match its
+/// row-major run, counters and C.
 pub fn kernel_counters_invariant(points: &[KernelPoint]) -> Result<(), String> {
     let Some(first) = points.first() else {
         return Ok(());
     };
+    if let Some(pt) = points.iter().find(|pt| !pt.prepacked_same) {
+        return Err(format!(
+            "{} from a pre-packed A moved other elements or computed another C than from the \
+             row-major A",
+            pt.kernel
+        ));
+    }
     for pt in &points[1..] {
         if (pt.a_elems, pt.b_elems, pt.c_elems) != (first.a_elems, first.b_elems, first.c_elems) {
             return Err(format!(

@@ -10,6 +10,10 @@
 //! views, and a caller-chosen block, go straight to the executor entry
 //! [`execute_with_stats_in`].
 //!
+//! An A that many calls share — a DNN layer's weights — can be packed
+//! once with [`CakeGemm::prepack`] and passed instead of the matrix: the
+//! executor then reads each worker's strip in place on every call.
+//!
 //! Semantics are `C += A * B` (BLAS `alpha = 1`, `beta = 1`). Zero `C`
 //! first for the `beta = 0` convention, or use [`cake_gemm_scaled`].
 
@@ -22,6 +26,7 @@ use cake_kernels::select::KernelSelect;
 use cake_matrix::{Element, Matrix};
 
 use crate::executor::{assert_dims, execute_with_stats_in, ExecStats};
+use crate::operand::{AsOperandA, OperandA, PackedA};
 use crate::pool::ThreadPool;
 use crate::shape::CbBlockShape;
 use crate::sync::BarrierMode;
@@ -267,7 +272,9 @@ impl CakeGemm {
         std::mem::take(&mut *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// `C += A * B` reusing this context's pool and workspace. `B` is a
+    /// `C += A * B` reusing this context's pool and workspace. `A` is a
+    /// [`Matrix`], or a [`PackedA`] from [`prepack`](Self::prepack), which
+    /// runs with the kernel and block depth it was packed for. `B` is a
     /// [`Matrix`] or any other [`PackB`] operand, such as a convolution's
     /// patch matrix lowered as it is packed.
     ///
@@ -279,7 +286,7 @@ impl CakeGemm {
     /// # Panics
     /// Panics on dimension mismatch (`A: MxK`, `B: KxN`, `C: MxN`), zero
     /// extents included.
-    pub fn gemm<T: KernelSelect>(&self, a: &Matrix<T>, b: &impl PackB<T>, c: &mut Matrix<T::Acc>) {
+    pub fn gemm<T: KernelSelect>(&self, a: &impl AsOperandA<T>, b: &impl PackB<T>, c: &mut Matrix<T::Acc>) {
         let _ = self.gemm_with_stats(a, b, c);
     }
 
@@ -288,17 +295,29 @@ impl CakeGemm {
     /// [`take_stats`](Self::take_stats) also returns until the next call.
     pub fn gemm_with_stats<T: KernelSelect>(
         &self,
-        a: &Matrix<T>,
+        a: &impl AsOperandA<T>,
         b: &impl PackB<T>,
         c: &mut Matrix<T::Acc>,
     ) -> ExecStats {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let a = a.as_operand_a();
+        let ((m, k), n) = (a.dims(), b.cols());
         assert_dims((m, k), (b.rows(), n), (c.rows(), c.cols()));
         let stats = if m == 0 || k == 0 || n == 0 {
             ExecStats::default()
         } else {
-            let ukr = self.cfg.selected_kernel::<T>(k);
-            let shape = self.cfg.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES).shape;
+            // A pre-packed A runs with the kernel and the block depth it
+            // records, so packing under one context and running under
+            // another stays correct. The shape's `mc` is a multiple of
+            // that kernel's `mr` (`clamp_to_problem`), so every strip
+            // starts on a sliver of the packed A.
+            let (ukr, packed_kc) = match a {
+                OperandA::Packed(pa) => (*pa.kernel(), Some(pa.kc())),
+                OperandA::Matrix(_) => (self.cfg.selected_kernel::<T>(k), None),
+            };
+            let mut shape = self.cfg.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES).shape;
+            if let Some(kc) = packed_kc {
+                shape.kc = kc;
+            }
             let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
             let ws = map
                 .entry(TypeId::of::<T>())
@@ -306,10 +325,24 @@ impl CakeGemm {
                 .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
                 .downcast_mut::<GemmWorkspace<T>>()
                 .expect("workspace map is keyed by element TypeId");
-            execute_with_stats_in(&a.view(), b, &mut c.view_mut(), &shape, &ukr, &self.pool, ws)
+            execute_with_stats_in(&a, b, &mut c.view_mut(), &shape, &ukr, &self.pool, ws)
         };
         *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()) = stats;
         stats
+    }
+
+    /// Pack `a` once for the GEMMs this context runs it in: in the layout
+    /// of the kernel [`gemm`](Self::gemm) would pick for `a`'s depth, one
+    /// block at the depth `kc` its blocks would have. That depth is
+    /// `min(analytic kc, K)`, which does not depend on `M` or `N`, so the
+    /// packed A serves every call. Passing the result as `A` skips the
+    /// per-call pack of every strip.
+    // audit: cold one-time weight pack, before any GEMM reads it
+    pub fn prepack<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
+        let (m, k) = (a.rows(), a.cols());
+        let ukr = self.cfg.selected_kernel::<T>(k);
+        let kc = self.cfg.explain_shape(m, k, 1, ukr.mr(), ukr.nr(), T::BYTES).shape.kc;
+        PackedA::new(&a.view(), ukr, kc)
     }
 }
 
@@ -564,6 +597,66 @@ mod tests {
     }
 
     #[test]
+    fn prepacked_a_runs_through_the_context() {
+        // K = 500 spans several k-blocks of the default depth, the last
+        // one partial; M = 61 is off every kernel's sliver height.
+        let ctx = CakeGemm::new(CakeConfig::with_threads(2));
+        let a = init::random::<f32>(61, 500, 1);
+        let b = init::random::<f32>(500, 37, 2);
+        let packed = ctx.prepack(&a);
+        assert!(packed.kc() < 500, "several k-blocks");
+        let mut c_rows = Matrix::<f32>::zeros(61, 37);
+        let s_rows = ctx.gemm_with_stats(&a, &b, &mut c_rows);
+        let mut c_packed = Matrix::<f32>::zeros(61, 37);
+        let s_packed = ctx.gemm_with_stats(&packed, &b, &mut c_packed);
+        let bits = |c: &Matrix<f32>| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c_rows), bits(&c_packed));
+        assert_eq!((s_packed.kernel, s_packed.blocks), (s_rows.kernel, s_rows.blocks));
+        assert_eq!(s_packed.pack_a_ns, 0);
+        assert_eq!(ctx.take_stats(), s_packed);
+
+        // Packed under another context (a smaller L2, so a shallower kc):
+        // the context runs it at the depth it was packed for.
+        let small = CakeGemm::new(CakeConfig { l2_bytes: 16 * 1024, ..CakeConfig::with_threads(1) });
+        let packed_small = small.prepack(&a);
+        assert!(packed_small.kc() < packed.kc());
+        let mut c = Matrix::<f32>::zeros(61, 37);
+        ctx.gemm(&packed_small, &b, &mut c);
+        assert_gemm_eq(&c, &naive(&a, &b), 500);
+
+        // int8 is exact either way, on the kernel the context picks.
+        let ai = init::random_i8(45, 700, 3);
+        let bi = init::random_i8(700, 29, 4);
+        let mut want = Matrix::<i32>::zeros(45, 29);
+        ctx.gemm(&ai, &bi, &mut want);
+        for packer in [&ctx, &small] {
+            let mut c = Matrix::<i32>::zeros(45, 29);
+            ctx.gemm(&packer.prepack(&ai), &bi, &mut c);
+            assert_eq!(c.as_slice(), want.as_slice());
+        }
+
+        // A fixed (autotuned) mc of 48 is off the 14- and 32-row slivers;
+        // the clamp cuts it to whole slivers for either A, so the
+        // pre-packed A runs the row-major A's blocks, bit for bit.
+        let fixed = CakeGemm::new(CakeConfig {
+            fixed_shape: Some(CbBlockShape::fixed(2, 48, 192, 320)),
+            ..CakeConfig::with_threads(2)
+        });
+        for m in [256, 512] {
+            let a = init::random::<f32>(m, 500, 5);
+            let (mut want, mut got) = (Matrix::<f32>::zeros(m, 37), Matrix::<f32>::zeros(m, 37));
+            fixed.gemm(&a, &b, &mut want);
+            fixed.gemm(&fixed.prepack(&a), &b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "f32, M = {m}");
+            let ai = init::random_i8(m, 700, 7);
+            let (mut want, mut got) = (Matrix::<i32>::zeros(m, 29), Matrix::<i32>::zeros(m, 29));
+            fixed.gemm(&ai, &bi, &mut want);
+            fixed.gemm(&fixed.prepack(&ai), &bi, &mut got);
+            assert_eq!(got.as_slice(), want.as_slice(), "int8, M = {m}");
+        }
+    }
+
+    #[test]
     fn shape_clamp_keeps_all_workers_busy() {
         let cfg = CakeConfig::with_threads(4);
         // Small M: strip must shrink so all 4 workers see rows.
@@ -683,6 +776,10 @@ mod tests {
         let small = cfg.explain_shape(24, 32, 32, 6, 16, 4);
         assert!(small.shape.kc <= 32);
         assert!(small.shape.mc < 48);
+        // An mc off the kernel's sliver height is cut to whole slivers.
+        for (mr, mc) in [(14, 42), (32, 32), (64, 64)] {
+            assert_eq!(cfg.explain_shape(512, 512, 512, mr, 16, 4).shape.mc, mc, "mr = {mr}");
+        }
         // And the GEMM it drives stays correct.
         let a = init::random::<f32>(60, 70, 91);
         let b = init::random::<f32>(70, 50, 92);

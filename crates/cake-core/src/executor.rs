@@ -10,10 +10,24 @@
 //!   ([`worker_rows`]) — `p` contiguous runs differing by at most one tile
 //!   — and when it has fewer (small-m edge blocks that used to idle
 //!   workers), the surplus parallelism folds into N: workers in the same
-//!   row group split the block's B slivers and each packs a private copy
-//!   of the shared row strip (strips are repacked after the owner's *own*
-//!   compute, so sharing one strip across a row group would race with a
-//!   peer still computing the previous block).
+//!   row group split the block's B slivers. A packed per call, each
+//!   packs a private copy of the shared row strip (strips are repacked
+//!   after the owner's *own* compute, so sharing one packed strip across
+//!   a row group would race with a peer still computing the previous
+//!   block); a pre-packed A is never written, so the row group shares
+//!   its strip read-only.
+//! * A is an [`OperandA`]: a matrix view, whose strips each worker packs
+//!   into the workspace block by block on every call, or a [`PackedA`] —
+//!   weights packed once, one `kc`-deep k-block at a time in the kernel's
+//!   layout — whose strips are read in place. A strip of a pre-packed A
+//!   starts at [`PackLayout::a_kblock_base`] of its block plus
+//!   [`PackLayout::a_offset`] of its first sliver, which is one contiguous
+//!   run because every block's row extent and every worker's first row
+//!   are multiples of `mr`. A pre-packed A is read only with the layout
+//!   and block depth it was packed for; the entry checks both, with the
+//!   shapes, before any loop. It is never packed, so `pack_a_ns` reads 0,
+//!   while `a_elems_loaded` still tallies every strip a block visit
+//!   reads: pre-packing removes pack work, not modelled traffic.
 //! * `p` here is the **effective** worker count — the pool's size, clamped
 //!   by [`crate::topology::effective_p`] at pool construction. `shape.p`
 //!   (the requested p that shaped the block) may be larger; the executor
@@ -89,11 +103,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cake_kernels::edge::run_tile;
-use cake_kernels::pack::{split_range, PackB};
+use cake_kernels::pack::{split_range, PackB, PackLayout};
 use cake_kernels::Ukr;
-use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
+use cake_matrix::{Dtype, MatrixViewMut};
 
 use crate::counters::Tally;
+use crate::operand::{AsOperandA, OperandA, PackedA};
 use crate::panel::{ring_depth, PanelAction, PanelCache};
 use crate::pool::ThreadPool;
 use crate::schedule::{worker_grid, Schedule};
@@ -149,7 +164,8 @@ pub struct ExecStats {
     /// [`pack_a_ns`]: Self::pack_a_ns
     /// [`pack_b_ns`]: Self::pack_b_ns
     pub pack_ns: u64,
-    /// Nanoseconds spent packing A strips, summed over all workers.
+    /// Nanoseconds spent packing A strips, summed over all workers; 0 for
+    /// a pre-packed A ([`PackedA`]), which is read in place.
     pub pack_a_ns: u64,
     /// Nanoseconds spent packing B panels (including any lowering a
     /// [`PackB`] operand does as it packs), summed over all workers.
@@ -183,8 +199,10 @@ pub struct ExecStats {
     /// warm).
     pub allocations: usize,
     /// A elements actually packed from the source view — the executor's
-    /// measured external A traffic. Populated only when `cake-core` is
-    /// built with the `traffic-counters` feature; 0 otherwise.
+    /// measured external A traffic. A pre-packed A counts the same strips,
+    /// read in place, so the count does not depend on the operand kind.
+    /// Populated only when `cake-core` is built with the
+    /// `traffic-counters` feature; 0 otherwise.
     pub a_elems_loaded: u64,
     /// B elements actually packed from the source view (measured external
     /// B traffic). For a B lowered as it is packed (a convolution's patch
@@ -274,23 +292,45 @@ pub(crate) fn assert_dims(a: (usize, usize), b: (usize, usize), c: (usize, usize
     assert_eq!(c_cols, n, "C must have {n} cols, has {c_cols}");
 }
 
+/// The pre-packed-operand contract: a [`PackedA`] is read only with the
+/// kernel layout and the block depth it was packed for, and only under
+/// blocks whose row extent `shape.m_block()` is a multiple of `mr`, so
+/// every worker's strip starts on a sliver boundary of the packed buffer.
+/// The executor checks it next to [`assert_dims`], before any loop, so a
+/// mismatch panics with C untouched.
+// audit: cold entry operand validation, once per call before any loop
+fn assert_packed_for<T: Dtype>(a: &PackedA<T>, layout: &PackLayout, shape: &CbBlockShape) {
+    let packed = a.kernel().pack_layout();
+    assert!(
+        packed == *layout && a.kc() == shape.k_block() && shape.m_block().is_multiple_of(layout.mr()),
+        "A packed for {packed:?} at kc = {} cannot run with {layout:?} under {shape}",
+        a.kc()
+    );
+}
+
 /// Execute `C += A * B` with the CAKE CB-block schedule — the one
 /// executor entry. Packs into and computes from `ws`, returning measured
 /// [`ExecStats`].
 ///
-/// * `a` — `M x K` view; `b` — any `K x N` [`PackB`] operand (a view, a
+/// * `a` — the `M x K` A: a view or a matrix, packed strip by strip into
+///   `ws` on every call, or a [`PackedA`], read in place (see
+///   [`AsOperandA`]); `b` — any `K x N` [`PackB`] operand (a view, a
 ///   matrix, or a B that is lowered as it is packed); `c` — `M x N`
 ///   mutable view over the **accumulator** type (`T::Acc` — the same `T`
 ///   for f32/f64, `i32` for int8, `f32` for bf16).
 /// * `shape` — the CB block (`p`, `mc`, `kc`, `nc`); the partition follows
 ///   `pool.size()`, which may differ from `shape.p`.
 /// * `ukr` — microkernel; `shape.mc` need not be a multiple of `mr` but
-///   performance is best when it is.
+///   performance is best when it is (and a pre-packed A needs
+///   `shape.m_block()` to be one).
 /// * `ws` — the packed-operand buffers, reused across calls; a one-shot
 ///   caller passes `&mut GemmWorkspace::new()`.
 ///
 /// # Panics
-/// Panics on dimension mismatch, and re-panics (through the pool) when a
+/// Panics on dimension mismatch, on a pre-packed A whose layout or block
+/// depth differs from `ukr`'s layout and `shape.kc`, or whose block row
+/// extent is not a multiple of `mr` — all before any loop, with C
+/// untouched — and re-panics (through the pool) when a
 /// worker panics, for instance inside `b`'s [`PackB::pack_block`]. The
 /// call still returns at any `p`: the panicking worker keeps meeting its
 /// peers at the rotation barrier until the block loop ends. C's contents
@@ -305,7 +345,7 @@ pub(crate) fn assert_dims(a: (usize, usize), b: (usize, usize), c: (usize, usize
 // audit: hot
 #[allow(clippy::too_many_arguments)]
 pub fn execute_with_stats_in<T: Dtype>(
-    a: &MatrixView<'_, T>,
+    a: &impl AsOperandA<T>,
     b: &impl PackB<T>,
     c: &mut MatrixViewMut<'_, T::Acc>,
     shape: &CbBlockShape,
@@ -313,10 +353,15 @@ pub fn execute_with_stats_in<T: Dtype>(
     pool: &ThreadPool,
     ws: &mut GemmWorkspace<T>,
 ) -> ExecStats {
-    let m = a.rows();
-    let k = a.cols();
+    let a = a.as_operand_a();
+    let (m, k) = a.dims();
     let n = b.cols();
     assert_dims((m, k), (b.rows(), n), (c.rows(), c.cols()));
+    let layout = ukr.pack_layout();
+    if let OperandA::Packed(pa) = a {
+        assert_packed_for(pa, &layout, shape);
+    }
+    let packs_a = matches!(a, OperandA::Matrix(_));
     if m == 0 || n == 0 || k == 0 {
         return ExecStats::default();
     }
@@ -325,7 +370,6 @@ pub fn execute_with_stats_in<T: Dtype>(
     // requested p) keeps shaping the block; a topology-clamped pool simply
     // runs the same blocks with fewer workers.
     let p = pool.size();
-    let layout = ukr.pack_layout();
     let (mr, nr) = (layout.mr(), layout.nr());
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
 
@@ -338,7 +382,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     // the k-block count makes every snake reversal a cache hit (B packed
     // once per distinct surface), capped so the LLC footprint stays small.
     let n_panels = ring_depth(grid.kb);
-    let allocations = ws.prepare(shape, p, &layout, n_panels);
+    let allocations = ws.prepare(shape, p, &layout, n_panels, packs_a);
     let pa_stride = ws.pa_stride;
     let packed_a = &ws.packed_a;
     // audit: checked prepare() above just grew packed_b to >= n_panels
@@ -444,10 +488,17 @@ pub fn execute_with_stats_in<T: Dtype>(
         // in the same row group (`wn > 0` peers) pack identical *private*
         // copies: a shared strip would race, because strips are repacked
         // for block `i+1` right after the owner's own compute while a peer
-        // may still be computing block `i` from it.
+        // may still be computing block `i` from it. A pre-packed A has
+        // nothing to pack; its strip only counts as loaded.
         let pack_a_own = |g: &Blk| {
             let (cell_rows, wn, _pn) = my_cell(g);
             let Some((row0, rows)) = cell_rows else {
+                return;
+            };
+            let OperandA::Matrix(a) = a else {
+                if wn == 0 {
+                    tally.add_a(rows * g.kl);
+                }
                 return;
             };
             // Mirrors `exec_pa_strip` / `exec_pa_pack` in cake-audit: the
@@ -481,11 +532,39 @@ pub fn execute_with_stats_in<T: Dtype>(
             let Some((row0, rows)) = cell_rows else {
                 return; // empty block
             };
-            // Read-only phase: raw pointers, no outstanding `&mut`.
-            // SAFETY: wid*pa_stride is within the buffer (exec_pa_strip
-            // proof) and no `&mut` to it is live during the compute phase.
-            let pa_ptr = unsafe { packed_a.base_ptr().add(wid * pa_stride) as *const T };
             let a_slivers = rows.div_ceil(mr);
+            // Read-only phase: raw pointers, no outstanding `&mut`. The
+            // strip is this worker's packed copy, or its run of slivers in
+            // the pre-packed A, `strip_len` elements long either way.
+            let (pa_ptr, strip_len) = match a {
+                OperandA::Matrix(_) => {
+                    // SAFETY: wid*pa_stride is within the buffer
+                    // (exec_pa_strip proof) and no `&mut` to it is live
+                    // during the compute phase.
+                    let ptr = unsafe { packed_a.base_ptr().add(wid * pa_stride) as *const T };
+                    (ptr, pa_stride)
+                }
+                OperandA::Packed(pa) => {
+                    let packed = pa.as_slice();
+                    // The block's k-block, then the strip's first sliver:
+                    // g.m0 + row0 is a multiple of mr (checked m_block,
+                    // worker_rows), and g.k0 of bk (the packed kc).
+                    let kblock = layout.a_kblock_base(m, g.k0, bk);
+                    let block_end = kblock + layout.a_size(m, g.kl);
+                    let at = kblock + layout.a_offset((g.m0 + row0) / mr, g.kl);
+                    // Mirrors `exec_pa_prepacked` in cake-audit: the
+                    // strip's slivers end inside their own k-block, and
+                    // that block inside the packed buffer.
+                    debug_assert!(at + layout.a_offset(a_slivers, g.kl) <= block_end);
+                    debug_assert!(block_end <= packed.len());
+                    // SAFETY: `at` is at most the end of its k-block, which
+                    // is at most the buffer length (exec_pa_prepacked
+                    // proof), and a pre-packed A is never written while a
+                    // GEMM reads it.
+                    let ptr = unsafe { packed.as_ptr().add(at) };
+                    (ptr, block_end - at)
+                }
+            };
             let b_slivers = g.nl.div_ceil(nr);
             let mut owned_cols = 0usize;
             for t in split_range(b_slivers, pn, wn) {
@@ -497,8 +576,9 @@ pub fn execute_with_stats_in<T: Dtype>(
                 for s in 0..a_slivers {
                     let mrows = mr.min(rows - s * mr);
                     let row = g.m0 + row0 + s * mr;
-                    // Mirrors `exec_pa_read` and `exec_c_tile` in cake-audit.
-                    debug_assert!(layout.a_offset(s + 1, g.kl) <= pa_stride);
+                    // Mirrors `exec_pa_read` (or `exec_pa_prepacked`) and
+                    // `exec_c_tile` in cake-audit.
+                    debug_assert!(layout.a_offset(s + 1, g.kl) <= strip_len);
                     debug_assert!(row + mrows <= m && col + ncols <= n);
                     // SAFETY: packed slivers are zero-padded full tiles;
                     // C indices (row, col) + (mrows, ncols) are in bounds;
@@ -562,7 +642,9 @@ pub fn execute_with_stats_in<T: Dtype>(
                     pack_a_own(&g);
                     let t2 = Instant::now();
                     pack_b_ns += nanos(t0, t1);
-                    pack_a_ns += nanos(t1, t2);
+                    if packs_a {
+                        pack_a_ns += nanos(t1, t2);
+                    }
                     // audit: step prologue barrier
                     barrier.wait(&mut bsense);
                     wait_ns += nanos(t2, Instant::now());
@@ -599,7 +681,9 @@ pub fn execute_with_stats_in<T: Dtype>(
                     }
                     let t3 = Instant::now();
                     pack_b_ns += nanos(t1, t2);
-                    pack_a_ns += nanos(t2, t3);
+                    if packs_a {
+                        pack_a_ns += nanos(t2, t3);
+                    }
 
                     // Rotation barrier: block bi's reads are done
                     // everywhere, block bi+1's panel is complete everywhere.
@@ -1035,6 +1119,46 @@ mod tests {
         let mut expected = Matrix::<f32>::zeros(m, n);
         reference(&a, &b, &mut expected);
         assert_gemm_eq(&c.to_layout(Layout::RowMajor), &expected, k);
+    }
+
+    #[test]
+    fn mismatched_prepacked_a_is_rejected_before_any_loop() {
+        let tiers: Vec<_> = cake_kernels::available_tiers()
+            .into_iter()
+            .filter_map(cake_kernels::tier_kernel::<f32>)
+            .collect();
+        let ukr = best_kernel::<f32>();
+        let (m, k, n) = (2 * ukr.mr() + 3, 40, 20);
+        let a = init::random::<f32>(m, k, 3);
+        let b = init::random::<f32>(k, n, 4);
+        let packed = PackedA::new(&a.view(), ukr, 16);
+        let pool = ThreadPool::new(1);
+        // C keeps its contents: the rejection comes before any loop.
+        let rejected = |shape: CbBlockShape, run_ukr: &Ukr<f32>| {
+            let mut c = Matrix::from_fn(m, n, |i, j| (i * n + j) as f32);
+            let before = c.clone();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                execute_with_stats_in(&packed, &b, &mut c.view_mut(), &shape, run_ukr, &pool, &mut GemmWorkspace::new())
+            }));
+            assert!(r.is_err(), "{shape} on {} ran", run_ukr.name());
+            assert_eq!(c.as_slice(), before.as_slice(), "{shape} on {} touched C", run_ukr.name());
+        };
+        // Another block depth.
+        rejected(CbBlockShape::fixed(1, ukr.mr(), 8, 16), &ukr);
+        // A block row extent off the sliver height.
+        rejected(CbBlockShape::fixed(1, ukr.mr() + 1, 16, 16), &ukr);
+        // Another kernel layout, where the host has one.
+        for other in tiers.iter().filter(|t| t.pack_layout() != ukr.pack_layout()) {
+            let shape = CbBlockShape::fixed(1, other.mr() * ukr.mr(), 16, 16);
+            rejected(shape, other);
+        }
+        // The matching shape runs.
+        let mut c = Matrix::<f32>::zeros(m, n);
+        let shape = CbBlockShape::fixed(1, ukr.mr(), 16, 16);
+        execute_with_stats_in(&packed, &b, &mut c.view_mut(), &shape, &ukr, &pool, &mut GemmWorkspace::new());
+        let mut want = Matrix::<f32>::zeros(m, n);
+        reference(&a, &b, &mut want);
+        assert_gemm_eq(&c, &want, k);
     }
 
     #[test]

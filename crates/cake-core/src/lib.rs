@@ -33,6 +33,9 @@
 //!   so verifiers can replay exactly what the executor runs.
 //! * [`workspace`] — reusable packed-operand buffers so repeated GEMMs are
 //!   allocation-free after warmup.
+//! * [`operand`] — the A operand: a matrix the executor packs strip by
+//!   strip on every call, or a [`operand::PackedA`] packed once (a DNN
+//!   layer's weights) and read in place.
 //! * [`api`] — the drop-in GEMM context [`api::CakeGemm`]: a
 //!   [`api::CakeConfig`] in, the kernel, CB block and thread count chosen
 //!   for each call. It runs every GEMM through the one executor entry,
@@ -45,6 +48,7 @@ pub mod api;
 mod counters;
 pub mod executor;
 pub mod model;
+pub mod operand;
 pub mod panel;
 pub mod pool;
 pub mod schedule;
@@ -59,6 +63,7 @@ pub mod workspace;
 pub use api::{CakeConfig, CakeGemm};
 pub use executor::ExecStats;
 pub use model::CakeModel;
+pub use operand::{AsOperandA, OperandA, PackedA};
 pub use panel::{ring_depth, PanelAction, PanelCache};
 pub use schedule::{BlockCoord, BlockGrid, Dim, Schedule};
 pub use shape::CbBlockShape;

@@ -167,12 +167,15 @@ impl CbBlockShape {
     /// `ceil(m / p)` (rounded up to `mr` so edge strips stay
     /// kernel-friendly) and balanced so the final M-block is not ragged;
     /// `kc` and `nc` at most the problem's K and N (`nc` rounded to `nr`).
+    /// The strip height is always a multiple of `mr`: a fixed shape's
+    /// `mc` is first cut to whole `mr`-row slivers (at least one), so a
+    /// pre-packed A's strips start on its slivers under any shape.
     /// Outer tile extents pass through: they count blocks, and the
     /// schedule clamps them itself.
     pub fn clamp_to_problem(self, m: usize, k: usize, n: usize, mr: usize, nr: usize) -> Self {
         let p = self.p;
         let strip = m.div_ceil(p).div_ceil(mr).max(1) * mr;
-        let mc = Self::balance_mc(m, p, self.mc.min(strip).max(mr), mr);
+        let mc = Self::balance_mc(m, p, (self.mc / mr * mr).min(strip).max(mr), mr);
         let kc = self.kc.min(k.max(1));
         let nc = self.nc.min(n.div_ceil(nr).max(1) * nr).max(nr);
         Self::fixed(p, mc, kc, nc).with_outer_tiles(self.ko_blocks, self.no_blocks)

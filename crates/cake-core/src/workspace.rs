@@ -1,5 +1,9 @@
 //! Reusable GEMM workspace: packed-A strips plus the pipeline's B panels.
 //!
+//! The A strips are reserved only for calls that pack A: a pre-packed A
+//! ([`PackedA`](crate::operand::PackedA)) is read in place, so its calls
+//! need the B panels alone.
+//!
 //! The pipelined executor double-buffers the shared B panel (pack block
 //! `i+1` while computing on block `i`), and generalizes the pair into a
 //! small *panel ring*: up to [`MAX_B_PANELS`] panels sized for the largest
@@ -83,8 +87,10 @@ impl<T: Element> GemmWorkspace<T> {
     /// Size the buffers for one CB-block shape and kernel layout (its
     /// `mr x nr` tile and any K padding) run by `workers` pool threads,
     /// with an `n_panels`-entry B ring, growing only when the current
-    /// capacity is insufficient. Returns the number of fresh allocations
-    /// this call performed (0 after warmup).
+    /// capacity is insufficient. `packs_a` reserves one A strip per worker;
+    /// a call that reads a pre-packed A passes `false` and gets none
+    /// (`pa_stride` 0). Returns the number of fresh allocations this call
+    /// performed (0 after warmup).
     ///
     /// `workers` is the *effective* pool size, which may differ from
     /// `shape.p` (the shape keeps the requested p for the analytic model;
@@ -98,6 +104,7 @@ impl<T: Element> GemmWorkspace<T> {
         workers: usize,
         layout: &PackLayout,
         n_panels: usize,
+        packs_a: bool,
     ) -> usize {
         let mr = layout.mr();
         let n_panels = n_panels.clamp(2, MAX_B_PANELS);
@@ -106,7 +113,7 @@ impl<T: Element> GemmWorkspace<T> {
         // ever owns more than the closed-form bound — never more than the
         // old fixed-strip ceil(mc / mr) when the grid is pure M-strips.
         let max_tiles = worker_tile_bound(shape.m_block().div_ceil(mr), workers);
-        let pa_stride = layout.a_size(max_tiles * mr, shape.k_block());
+        let pa_stride = if packs_a { layout.a_size(max_tiles * mr, shape.k_block()) } else { 0 };
         let pb_len = layout.b_size(shape.k_block(), shape.n_block());
         let mut fresh = 0;
         fresh += usize::from(self.packed_a.reserve(pa_stride * workers));
@@ -148,15 +155,28 @@ mod tests {
     fn prepare_allocates_once_per_shape_class() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(2, 16, 16, 32);
-        let first = ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2);
+        let first = ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2, true);
         assert_eq!(first, 3, "A strips + two B panels");
         // Same shape again: fully warm.
-        assert_eq!(ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2), 0);
+        assert_eq!(ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2, true), 0);
         // Smaller shape fits in existing capacity.
         let small = CbBlockShape::fixed(2, 8, 8, 16);
-        assert_eq!(ws.prepare(&small, 2, &PackLayout::k_major(6, 16), 2), 0);
+        assert_eq!(ws.prepare(&small, 2, &PackLayout::k_major(6, 16), 2, true), 0);
         assert_eq!(ws.allocations(), 3);
         assert!(ws.bytes() > 0);
+    }
+
+    #[test]
+    fn calls_that_read_a_prepacked_a_reserve_no_a_strips() {
+        let mut ws = GemmWorkspace::<f32>::new();
+        let shape = CbBlockShape::fixed(2, 16, 16, 32);
+        assert_eq!(ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2, false), 2, "two B panels only");
+        assert_eq!((ws.pa_stride, ws.packed_a.len()), (0, 0));
+        assert_eq!(ws.bytes(), 2 * packed_b_size(16, 32, 16) * 4);
+        // A later call that packs A reserves the strips then.
+        assert_eq!(ws.prepare(&shape, 2, &PackLayout::k_major(6, 16), 2, true), 1);
+        assert!(ws.pa_stride > 0);
+        assert!(ws.bytes() > 2 * packed_b_size(16, 32, 16) * 4);
     }
 
     #[test]
@@ -164,33 +184,33 @@ mod tests {
         let mut ws = GemmWorkspace::<f64>::new();
         let small = CbBlockShape::fixed(1, 8, 8, 8);
         let big = CbBlockShape::fixed(1, 64, 64, 128);
-        assert!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2) > 0);
+        assert!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2, true) > 0);
         let before = ws.bytes();
-        assert!(ws.prepare(&big, 1, &PackLayout::k_major(4, 8), 2) > 0);
+        assert!(ws.prepare(&big, 1, &PackLayout::k_major(4, 8), 2, true) > 0);
         assert!(ws.bytes() > before);
         // And shrinking back performs no work.
-        assert_eq!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2), 0);
+        assert_eq!(ws.prepare(&small, 1, &PackLayout::k_major(4, 8), 2, true), 0);
     }
 
     #[test]
     fn panel_ring_grows_on_demand_and_is_capped() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(1, 8, 8, 16);
-        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 2), 3, "A + 2 panels");
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 2, true), 3, "A + 2 panels");
         // A deeper ring for the same shape only allocates the new panels.
-        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4), 2, "2 more panels");
-        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4, true), 2, "2 more panels");
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 4, true), 0);
         // Requests beyond MAX_B_PANELS (and below 2) are clamped.
-        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 99), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 99, true), 0);
         assert_eq!(ws.packed_b.len(), MAX_B_PANELS);
-        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 0), 0);
+        assert_eq!(ws.prepare(&shape, 1, &PackLayout::k_major(6, 16), 0, true), 0);
     }
 
     #[test]
     fn pa_stride_tracks_last_prepared_shape() {
         let mut ws = GemmWorkspace::<f32>::new();
         let shape = CbBlockShape::fixed(3, 12, 16, 32);
-        ws.prepare(&shape, 3, &PackLayout::k_major(6, 16), 2);
+        ws.prepare(&shape, 3, &PackLayout::k_major(6, 16), 2, true);
         // bm = 36, mr = 6: T = 6 tiles; bound = min(6, ceil(6/3) + 2) = 4
         // tiles = 24 rows (the + p - 1 slack covers small partial blocks
         // whose worker grid folds into N).
@@ -198,7 +218,7 @@ mod tests {
         assert_eq!(ws.pa_stride, packed_a_size(24, 16, 6));
         // A layout that pads K sizes for the padded depth: 16 -> 64.
         let mut ws = GemmWorkspace::<i8>::new();
-        ws.prepare(&shape, 3, &PackLayout::tiles(32, 32), 2);
+        ws.prepare(&shape, 3, &PackLayout::tiles(32, 32), 2, true);
         assert_eq!(ws.pa_stride, packed_a_size(worker_tile_bound(2, 3) * 32, 64, 32));
         assert_eq!(ws.bytes(), 3 * ws.pa_stride + 2 * packed_b_size(64, 32, 32));
     }

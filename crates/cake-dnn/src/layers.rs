@@ -12,9 +12,23 @@
 //! and [`Linear`] clamp inside the bias pass they already make, so the
 //! ReLU allocates nothing and reads no activation of its own.
 //!
+//! A GEMM layer's weights are its GEMM's A, the same on every pass, so
+//! they are packed once: when the layer joins a network,
+//! `Sequential::push` calls [`Layer::pack_weights`] with the network's
+//! context, and the layer replaces its row-major weights with the copy
+//! packed for that context's kernel and block depth
+//! ([`CakeGemm::prepack`]). Every pass then reads each worker's strip of
+//! them in place. A layer keeps one copy of its weights: row-major until
+//! it is pushed, packed after. A layer that is never pushed runs from its
+//! row-major weights, packed per call as before.
+//!
 //! [`GemmWorkspace`]: cake_core::workspace::GemmWorkspace
 
+use std::time::Instant;
+
 use cake_core::api::CakeGemm;
+use cake_core::operand::{AsOperandA, OperandA, PackedA};
+use cake_kernels::select::KernelSelect;
 use cake_matrix::Matrix;
 
 use crate::im2col::{ConvGeom, LoweredConv};
@@ -47,6 +61,75 @@ pub trait Layer {
 
     /// FLOPs for an input shape (0 for elementwise layers by convention).
     fn flops(&self, c: usize, h: usize, w: usize) -> u64;
+
+    /// Pack this layer's weights once for the GEMMs `ctx` runs, keeping
+    /// only the packed copy; `Sequential::push` calls it with the
+    /// network's context. Returns the pack a GEMM layer made. The default,
+    /// for a layer without weights, does nothing.
+    fn pack_weights(&mut self, _ctx: &CakeGemm) -> Option<WeightPack> {
+        None
+    }
+}
+
+/// The one-time weight pack a GEMM layer made when it joined a network
+/// ([`Layer::pack_weights`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightPack {
+    /// Wall time of the pack, in seconds.
+    pub seconds: f64,
+    /// Bytes of the packed weights the layer now holds, padding included.
+    pub packed_bytes: usize,
+    /// Bytes of the row-major weights they replaced.
+    pub row_major_bytes: usize,
+}
+
+/// A GEMM layer's weight matrix, its GEMM's A: row-major until the layer
+/// joins a network, then only the copy packed for that network's context.
+pub(crate) enum Weights<T: KernelSelect> {
+    Rows(Matrix<T>),
+    Packed(PackedA<T>),
+}
+
+impl<T: KernelSelect> Weights<T> {
+    /// Output channels or features (the GEMM's `M`).
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            Weights::Rows(w) => w.rows(),
+            Weights::Packed(p) => p.rows(),
+        }
+    }
+
+    /// Inputs per output (the GEMM's `K`).
+    pub(crate) fn cols(&self) -> usize {
+        match self {
+            Weights::Rows(w) => w.cols(),
+            Weights::Packed(p) => p.cols(),
+        }
+    }
+
+    /// Replace row-major weights with the copy packed for `ctx`, and
+    /// report the pack; weights already packed stay as they are.
+    pub(crate) fn pack_for(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+        let Weights::Rows(w) = self else {
+            return None;
+        };
+        let t0 = Instant::now();
+        let packed = ctx.prepack(w);
+        let seconds = t0.elapsed().as_secs_f64();
+        let row_major_bytes = std::mem::size_of_val(w.as_slice());
+        let packed_bytes = packed.bytes();
+        *self = Weights::Packed(packed);
+        Some(WeightPack { seconds, packed_bytes, row_major_bytes })
+    }
+}
+
+impl<T: KernelSelect> AsOperandA<T> for Weights<T> {
+    fn as_operand_a(&self) -> OperandA<'_, T> {
+        match self {
+            Weights::Rows(w) => w.as_operand_a(),
+            Weights::Packed(p) => p.as_operand_a(),
+        }
+    }
 }
 
 /// The ReLU of one element: negatives to 0.0; NaN and -0.0 pass through
@@ -84,7 +167,7 @@ fn bias_relu(y: &mut [f32], n: usize, bias: &[f32], clamp: bool) {
 /// lowered from the feature map as it is packed ([`LoweredConv`]).
 pub struct Conv2d {
     name: String,
-    weights: Matrix<f32>,
+    weights: Weights<f32>,
     bias: Vec<f32>,
     geom: ConvGeom,
     in_ch: usize,
@@ -113,7 +196,7 @@ impl Conv2d {
         assert!(bias.is_empty() || bias.len() == out_ch, "bias length mismatch");
         Self {
             name: name.into(),
-            weights,
+            weights: Weights::Rows(weights),
             bias,
             geom,
             in_ch,
@@ -176,6 +259,10 @@ impl Layer for Conv2d {
     fn flops(&self, _c: usize, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.geom.out_dims(h, w);
         2 * (self.out_ch * self.in_ch * self.geom.kh * self.geom.kw * oh * ow) as u64
+    }
+
+    fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+        self.weights.pack_for(ctx)
     }
 }
 
@@ -278,7 +365,7 @@ impl Layer for GlobalAvgPool {
 /// or flattens larger maps channel-major).
 pub struct Linear {
     name: String,
-    weights: Matrix<f32>,
+    weights: Weights<f32>,
     bias: Vec<f32>,
 }
 
@@ -288,7 +375,7 @@ impl Linear {
         assert!(bias.is_empty() || bias.len() == weights.rows(), "bias length mismatch");
         Self {
             name: name.into(),
-            weights,
+            weights: Weights::Rows(weights),
             bias,
         }
     }
@@ -336,6 +423,10 @@ impl Layer for Linear {
     fn flops(&self, _c: usize, _h: usize, _w: usize) -> u64 {
         2 * (self.weights.rows() * self.weights.cols()) as u64
     }
+
+    fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+        self.weights.pack_for(ctx)
+    }
 }
 
 #[cfg(test)]
@@ -353,7 +444,8 @@ mod tests {
         let layer = Conv2d::random("c", 3, 6, ConvGeom::same(3), 1);
         let input = Tensor::from_matrix(init::random::<f32>(3, 8 * 8, 2), 8, 8);
         let out = layer.forward(&ctx(), &input);
-        let direct = crate::im2col::direct_conv(&input, &layer.weights, &layer.geom);
+        let Weights::Rows(w) = &layer.weights else { panic!("a layer never pushed keeps row-major weights") };
+        let direct = crate::im2col::direct_conv(&input, w, &layer.geom);
         cake_matrix::compare::assert_gemm_eq(out.as_matrix(), direct.as_matrix(), 27);
         assert_eq!(layer.out_shape(3, 8, 8), (6, 8, 8));
     }

@@ -19,8 +19,9 @@
 //!   [`cake_core::api::CakeGemm`] context (the drop-in-library usage the
 //!   paper describes).
 //! * [`network`] — a `Sequential` container with per-layer FLOP and
-//!   timing accounting, which folds each ReLU into the write-out of the
-//!   layer before it ([`Layer::forward_relu`]).
+//!   timing accounting, which packs each GEMM layer's weights once when
+//!   it is pushed ([`Layer::pack_weights`]) and folds each ReLU into the
+//!   write-out of the layer before it ([`Layer::forward_relu`]).
 //! * [`quant`] — int8-quantized `Conv2d`/`Linear` variants (per-channel
 //!   weight scales, per-tensor activation zero-point, i32 accumulate, f32
 //!   requantize) running on the narrow-dtype kernel tier through the same
@@ -34,7 +35,7 @@ pub mod network;
 pub mod quant;
 pub mod tensor;
 
-pub use layers::{Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2d, ReLU};
+pub use layers::{Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2d, ReLU, WeightPack};
 pub use network::Sequential;
 pub use quant::{QuantConv2d, QuantLinear};
 pub use tensor::Tensor;

@@ -4,6 +4,11 @@
 //! ([`Layer::forward_relu`]): the layer before it writes its output
 //! already clamped, so the ReLU allocates nothing and makes no pass of its
 //! own. Its [`LayerReport`] stays, marked [`LayerReport::folded`].
+//!
+//! A layer is set up for the network once, as it is pushed: a GEMM layer
+//! packs its weights for the network's context then
+//! ([`Layer::pack_weights`]) and keeps only the packed copy, so no pass
+//! packs them again. [`Sequential::weight_packs`] reports each pack.
 
 use std::any::Any;
 use std::time::Instant;
@@ -11,7 +16,7 @@ use std::time::Instant;
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::executor::ExecStats;
 
-use crate::layers::{Layer, ReLU};
+use crate::layers::{Layer, ReLU, WeightPack};
 use crate::tensor::Tensor;
 
 /// Per-layer forward-pass record.
@@ -29,7 +34,8 @@ pub struct LayerReport {
     /// Stats of the layer's GEMM call (the last one, for layers that issue
     /// several); all-zero for GEMM-free layers like pooling and ReLU. After
     /// the first forward pass `gemm.allocations` is 0 for every layer — the
-    /// context's workspace is warm.
+    /// context's workspace is warm. A GEMM layer's weights were packed
+    /// when it was pushed, so `gemm.pack_a_ns` is 0.
     pub gemm: ExecStats,
     /// `true` for a ReLU that ran folded into the write-out of the layer
     /// before it ([`Layer::forward_relu`]); its `seconds` are 0 and its
@@ -41,6 +47,8 @@ pub struct LayerReport {
 pub struct Sequential {
     /// Each layer, and whether it is a ReLU folded into the layer before.
     layers: Vec<(Box<dyn Layer>, bool)>,
+    /// The weight pack each layer made when it was pushed.
+    packs: Vec<Option<WeightPack>>,
     ctx: CakeGemm,
 }
 
@@ -49,16 +57,26 @@ impl Sequential {
     pub fn new(cfg: CakeConfig) -> Self {
         Self {
             layers: Vec::new(),
+            packs: Vec::new(),
             ctx: CakeGemm::new(cfg),
         }
     }
 
-    /// Append a layer (builder style). A [`ReLU`] appended after another
-    /// layer is folded into it when the network runs.
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    /// Append a layer (builder style). A GEMM layer packs its weights for
+    /// the network's context here, once ([`Layer::pack_weights`]). A
+    /// [`ReLU`] appended after another layer is folded into it when the
+    /// network runs.
+    pub fn push(mut self, mut layer: impl Layer + 'static) -> Self {
         let folded = (&layer as &dyn Any).is::<ReLU>() && !self.layers.is_empty();
+        self.packs.push(layer.pack_weights(&self.ctx));
         self.layers.push((Box::new(layer), folded));
         self
+    }
+
+    /// The one-time weight pack of each layer, in layer order: `Some` for
+    /// a GEMM layer, `None` for a layer without weights.
+    pub fn weight_packs(&self) -> &[Option<WeightPack>] {
+        &self.packs
     }
 
     /// Number of layers.
@@ -146,6 +164,7 @@ impl Sequential {
 mod tests {
     use super::*;
     use crate::im2col::ConvGeom;
+    use cake_core::shape::CbBlockShape;
     use crate::layers::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU};
 
     fn tiny_net() -> Sequential {
@@ -348,6 +367,103 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// One GEMM layer of each kind with `cout` output rows, built from the
+    /// same f32 weights every call: K spans several k-blocks of its
+    /// dtype's block depth.
+    fn gemm_layer(kind: usize, cout: usize) -> Box<dyn Layer> {
+        use crate::quant::{QuantConv2d, QuantLinear};
+        let w = |cols: usize| cake_matrix::init::random::<f32>(cout, cols, 60 + kind as u64);
+        let bias = vec![0.1f32; cout];
+        match kind {
+            0 => Box::new(Conv2d::new("conv", 40, cout, ConvGeom::same(3), w(360), bias)),
+            1 => Box::new(QuantConv2d::from_f32("qconv", 80, cout, ConvGeom::same(3), &w(720), bias)),
+            2 => Box::new(Linear::new("fc", w(500), bias)),
+            _ => Box::new(QuantLinear::from_f32("qfc", &w(900), bias)),
+        }
+    }
+
+    /// `Layer` is implemented for the boxed layers the test builds.
+    struct Boxed(Box<dyn Layer>);
+
+    impl Layer for Boxed {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn out_shape(&self, c: usize, h: usize, w: usize) -> (usize, usize, usize) {
+            self.0.out_shape(c, h, w)
+        }
+        fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+            self.0.forward(ctx, input)
+        }
+        fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+            self.0.forward_relu(ctx, input)
+        }
+        fn flops(&self, c: usize, h: usize, w: usize) -> u64 {
+            self.0.flops(c, h, w)
+        }
+        fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+            self.0.pack_weights(ctx)
+        }
+    }
+
+    #[test]
+    fn pushed_layers_match_standalone_layers_bit_for_bit() {
+        let inputs = [
+            Tensor::from_matrix(cake_matrix::init::random::<f32>(40, 81, 1), 9, 9),
+            Tensor::from_matrix(cake_matrix::init::random::<f32>(80, 36, 2), 6, 6),
+            Tensor::from_matrix(cake_matrix::init::random::<f32>(500, 1, 3), 1, 1),
+            Tensor::from_matrix(cake_matrix::init::random::<f32>(900, 1, 4), 1, 1),
+        ];
+        // 45 output rows are off every kernel's sliver height. The fixed
+        // (autotuned) shape's mc = 48 is off the 14- and 32-row slivers.
+        let fixed = CakeConfig {
+            fixed_shape: Some(CbBlockShape::fixed(2, 48, 192, 320)),
+            ..CakeConfig::with_threads(2)
+        };
+        let configs = [
+            (CakeConfig::with_threads(1), 45),
+            (CakeConfig::with_threads(2), 45),
+            (fixed.clone(), 256),
+            (fixed, 512),
+        ];
+        for (cfg, cout) in configs {
+            let at = format!("p = {}, {:?}, {cout} rows", cfg.resolved_threads(), cfg.fixed_shape);
+            for (kind, input) in inputs.iter().enumerate() {
+                let standalone = gemm_layer(kind, cout);
+                let want = standalone.forward(&CakeGemm::new(cfg.clone()), input);
+                let net = Sequential::new(cfg.clone()).push(Boxed(gemm_layer(kind, cout)));
+                let pack = net.weight_packs()[0].expect("a GEMM layer packs its weights at push");
+                assert!(pack.packed_bytes >= pack.row_major_bytes && pack.seconds > 0.0);
+                for _ in 0..2 {
+                    let (got, reports) = net.forward(input);
+                    assert_eq!(bits(&got), bits(&want), "{} at {at}", standalone.name());
+                    assert_eq!(reports[0].gemm.pack_a_ns, 0, "{} at {at}", standalone.name());
+                    assert!(reports[0].gemm.blocks > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_gemm_reports_read_no_pack_a_time() {
+        for (int8, p) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+            let net = fold_net(&FOLD_NET, int8, p);
+            let packs = net.weight_packs();
+            for ((layer, _), pack) in net.layers.iter().zip(packs) {
+                assert_eq!(pack.is_some(), layer.name().contains("conv") || layer.name().contains("fc"));
+            }
+            let input = Tensor::from_matrix(cake_matrix::init::random::<f32>(3, 144, 8), 12, 12);
+            for _ in 0..2 {
+                let (_, reports) = net.forward(&input);
+                for r in reports.iter().filter(|r| r.gemm.blocks > 0) {
+                    assert_eq!(r.gemm.pack_a_ns, 0, "{} (int8 = {int8}, p = {p})", r.name);
+                    assert!(r.gemm.pack_b_ns > 0, "{}", r.name);
+                }
+                assert_eq!(reports.iter().filter(|r| r.gemm.blocks > 0).count(), 5);
             }
         }
     }

@@ -36,14 +36,21 @@
 //! own `acc[o][j]` ([`Matrix::into_f32_bits`] hands the accumulator's
 //! allocation on as the f32 output), and when a ReLU follows the layer
 //! ([`Layer::forward_relu`]) the same pass clamps it.
+//!
+//! The weights are quantized once, when the layer is built
+//! ([`QuantizedWeights::from_f32`], one pass per row through the same
+//! quantizer as the activations). When the layer joins a network
+//! ([`Layer::pack_weights`]) the int8 weights are packed once for the
+//! network's context and only the packed copy is kept; the scales and row
+//! sums stay as they are.
 
 use cake_core::api::CakeGemm;
 use cake_kernels::pack::PackB;
 use cake_kernels::quant::{quantize_into, zero_inclusive_range};
-use cake_matrix::Matrix;
+use cake_matrix::{Layout, Matrix};
 
 use crate::im2col::{ConvGeom, LoweredConv};
-use crate::layers::{relu, Layer};
+use crate::layers::{relu, Layer, WeightPack, Weights};
 use crate::tensor::Tensor;
 
 /// Per-output-channel symmetrically quantized weights.
@@ -58,28 +65,58 @@ pub struct QuantizedWeights {
 
 impl QuantizedWeights {
     /// Quantize an f32 weight matrix row-by-row: `scale[o]` maps the row's
-    /// max-magnitude weight onto ±127, and every entry rounds to nearest.
-    /// All-zero rows get scale 1.0 (and an all-zero quantized row).
+    /// max-magnitude weight onto ±127, and every entry rounds to nearest,
+    /// ties away from zero (NaN to 0, as `(v / scale).round() as i8`
+    /// gives). All-zero rows get scale 1.0 (and an all-zero quantized row).
+    /// The quantized matrix is row-major.
     pub fn from_f32(w: &Matrix<f32>) -> Self {
         let (m, k) = (w.rows(), w.cols());
+        let row_major;
+        let w = if w.layout() == Layout::RowMajor {
+            w
+        } else {
+            row_major = w.to_layout(Layout::RowMajor);
+            &row_major
+        };
+        let mut q = Matrix::<i8>::zeros(m, k);
         let mut scales = vec![1.0f32; m];
-        for (o, scale) in scales.iter_mut().enumerate() {
-            let mut amax = 0.0f32;
-            for i in 0..k {
-                amax = amax.max(w.get(o, i).abs());
-            }
+        let mut row_sums = vec![0i32; m];
+        if k == 0 {
+            return Self { q, scales, row_sums };
+        }
+        let rows = w.as_slice().chunks_exact(k).zip(q.as_mut_slice().chunks_exact_mut(k));
+        for ((row, q_row), (scale, sum)) in rows.zip(scales.iter_mut().zip(&mut row_sums)) {
+            // `f32::max` ignores NaN.
+            let amax = row.iter().fold(0.0f32, |a, v| a.max(v.abs()));
             if amax > 0.0 {
                 *scale = amax / 127.0;
             }
+            quantize_into(row, q_row, *scale, 0);
+            // The grid is symmetric, [-127, 127]. `quantize_into` clamps
+            // at -128, which |v / scale| <= 127 (up to rounding) never
+            // reaches, unless the scale of a row of subnormal weights
+            // underflows.
+            for v in q_row.iter_mut() {
+                *v = (*v).max(-127);
+                *sum += i32::from(*v);
+            }
         }
-        let q = Matrix::from_fn(m, k, |o, i| {
-            let v = (w.get(o, i) / scales[o]).round();
-            v.clamp(-127.0, 127.0) as i8
-        });
-        let row_sums = (0..m)
-            .map(|o| (0..k).map(|i| q.get(o, i) as i32).sum())
-            .collect();
         Self { q, scales, row_sums }
+    }
+}
+
+/// A quantized layer's weights as it runs them: `q` row-major until the
+/// layer joins a network, then only its packed copy
+/// ([`Layer::pack_weights`]); the scales and row sums never change.
+struct QuantLayerWeights {
+    q: Weights<i8>,
+    scales: Vec<f32>,
+    row_sums: Vec<i32>,
+}
+
+impl From<QuantizedWeights> for QuantLayerWeights {
+    fn from(w: QuantizedWeights) -> Self {
+        Self { q: Weights::Rows(w.q), scales: w.scales, row_sums: w.row_sums }
     }
 }
 
@@ -121,7 +158,7 @@ pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
 // audit: warm
 fn quant_gemm_requant(
     ctx: &CakeGemm,
-    wq: &QuantizedWeights,
+    wq: &QuantLayerWeights,
     xq: &impl PackB<i8>,
     aq: ActQuant,
     bias: &[f32],
@@ -150,7 +187,7 @@ fn quant_gemm_requant(
 /// fused requantize.
 pub struct QuantConv2d {
     name: String,
-    weights: QuantizedWeights,
+    weights: QuantLayerWeights,
     bias: Vec<f32>,
     geom: ConvGeom,
     in_ch: usize,
@@ -175,7 +212,7 @@ impl QuantConv2d {
         assert!(bias.is_empty() || bias.len() == out_ch, "bias length mismatch");
         Self {
             name: name.into(),
-            weights: QuantizedWeights::from_f32(weights),
+            weights: QuantizedWeights::from_f32(weights).into(),
             bias,
             geom,
             in_ch,
@@ -225,12 +262,16 @@ impl Layer for QuantConv2d {
         let (oh, ow) = self.geom.out_dims(h, w);
         2 * (self.out_ch * self.in_ch * self.geom.kh * self.geom.kw * oh * ow) as u64
     }
+
+    fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+        self.weights.q.pack_for(ctx)
+    }
 }
 
 /// Int8-quantized fully connected layer.
 pub struct QuantLinear {
     name: String,
-    weights: QuantizedWeights,
+    weights: QuantLayerWeights,
     bias: Vec<f32>,
     in_features: usize,
 }
@@ -243,7 +284,7 @@ impl QuantLinear {
         Self {
             name: name.into(),
             in_features: weights.cols(),
-            weights: QuantizedWeights::from_f32(weights),
+            weights: QuantizedWeights::from_f32(weights).into(),
             bias,
         }
     }
@@ -283,6 +324,10 @@ impl Layer for QuantLinear {
 
     fn flops(&self, _c: usize, _h: usize, _w: usize) -> u64 {
         2 * (self.weights.q.rows() * self.weights.q.cols()) as u64
+    }
+
+    fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+        self.weights.q.pack_for(ctx)
     }
 }
 
@@ -327,6 +372,79 @@ mod tests {
         }
     }
 
+    /// The per-element formula `from_f32` replaced: a fold of `f32::max`
+    /// over `|w|` per row, then `(w / scale).round()` clamped to
+    /// [-127, 127] and cast, then the row sums.
+    fn quantize_per_element(w: &Matrix<f32>) -> (Vec<i8>, Vec<f32>, Vec<i32>) {
+        let (m, k) = (w.rows(), w.cols());
+        let mut scales = vec![1.0f32; m];
+        for (o, scale) in scales.iter_mut().enumerate() {
+            let mut amax = 0.0f32;
+            for i in 0..k {
+                amax = amax.max(w.get(o, i).abs());
+            }
+            if amax > 0.0 {
+                *scale = amax / 127.0;
+            }
+        }
+        let q = Matrix::from_fn(m, k, |o, i| {
+            let v = (w.get(o, i) / scales[o]).round();
+            v.clamp(-127.0, 127.0) as i8
+        });
+        let row_sums = (0..m).map(|o| (0..k).map(|i| q.get(o, i) as i32).sum()).collect();
+        (q.as_slice().to_vec(), scales, row_sums)
+    }
+
+    #[test]
+    fn weight_quantizer_matches_the_per_element_formula_bit_for_bit() {
+        let k = 300;
+        let random = init::random::<f32>(6, k, 9);
+        // (j + 0.5) * s for j in -127..=126.
+        let ties = |s: f32| move |i: usize| ((i % 254) as f32 - 126.5) * s;
+        let random = &random;
+        let rows: Vec<Box<dyn Fn(usize) -> f32>> = vec![
+            // Random rows at several magnitudes.
+            Box::new(move |i| random.get(0, i)),
+            Box::new(move |i| random.get(1, i) * 1e-3),
+            Box::new(move |i| random.get(2, i) * 4e4),
+            // Exact ties (j + 0.5) * scale: a ±127 * scale entry sets the
+            // scale, the rest sit halfway between grid points.
+            Box::new(move |i| if i == 0 { 127.0 } else { ties(1.0)(i) }),
+            Box::new(move |i| if i == 0 { -31.75 } else { ties(0.25)(i) }),
+            // Signed zeros, NaN and infinities among ordinary values.
+            Box::new(|i| [0.0, -0.0, f32::NAN, 1.5, -2.25][i % 5]),
+            Box::new(|i| [f32::INFINITY, -3.0, 0.0, f32::NEG_INFINITY][i % 4]),
+            Box::new(|i| if i % 3 == 0 { f32::NAN } else { -0.0 }),
+            // All-zero and all-NaN rows.
+            Box::new(|_| 0.0),
+            Box::new(|_| f32::NAN),
+            // Subnormal weights, whose scale underflows.
+            Box::new(|i| -(i as f32 % 7.0) * f32::from_bits(1)),
+            Box::new(|i| if i == 5 { -f32::from_bits(1) } else { 0.0 }),
+        ];
+        let w = Matrix::from_fn(rows.len(), k, |o, i| rows[o](i));
+        let qw = QuantizedWeights::from_f32(&w);
+        let (q, scales, row_sums) = quantize_per_element(&w);
+        assert_eq!(qw.q.as_slice(), &q[..]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&qw.scales), bits(&scales));
+        assert_eq!(qw.row_sums, row_sums);
+        // The formula's clamp to -127 binds only on the subnormal rows:
+        // everywhere else `quantize_into` alone, clamping at -128, already
+        // gives the formula's result.
+        for (o, (row, want)) in w.as_slice().chunks_exact(k).zip(q.chunks_exact(k)).enumerate() {
+            let mut raw = vec![0i8; k];
+            quantize_into(row, &mut raw, scales[o], 0);
+            assert_eq!(raw == want, o < 10, "row {o}");
+        }
+        // A column-major matrix quantizes to the same values.
+        let cm = QuantizedWeights::from_f32(&w.to_layout(Layout::ColMajor));
+        assert_eq!(cm.q.as_slice(), &q[..]);
+        // Empty rows.
+        let empty = QuantizedWeights::from_f32(&Matrix::<f32>::zeros(3, 0));
+        assert_eq!((empty.scales, empty.row_sums), (vec![1.0; 3], vec![0; 3]));
+    }
+
     #[test]
     fn activation_quantization_represents_zero_exactly() {
         // All-positive data: without the zero-point, zero would round to
@@ -362,7 +480,8 @@ mod tests {
         let x = Matrix::from_fn(31, 13, |i, j| ((i * 13 + j) % 17) as f32 * 0.25 - 1.0);
         let qw = QuantizedWeights::from_f32(&w);
         let (xq, aq) = quantize_activations(&x);
-        let y = quant_gemm_requant(&ctx(), &qw, &xq, aq, &[], false);
+        let layer_weights = QuantizedWeights::from_f32(&w).into();
+        let y = quant_gemm_requant(&ctx(), &layer_weights, &xq, aq, &[], false);
         for o in 0..9 {
             for j in 0..13 {
                 let mut acc = 0i32;

@@ -572,6 +572,28 @@ impl PackLayout {
         a_sliver_offset(s, self.k_padded(kc), self.mr)
     }
 
+    /// The k-block order of a whole `m x K` A packed ahead of time, one
+    /// `kc`-deep block at a time: block `k0 / kc` is
+    /// [`pack_a`](Self::pack_a) of the `m x min(kc, K - k0)` block at
+    /// depth `k0`, and the blocks sit back to back. Every block before the
+    /// one at `k0` is a full `kc`-deep block, so it starts at
+    /// `k0 / kc * a_size(m, kc)`, and sliver `s` of that `kl`-deep block
+    /// starts at `a_kblock_base(m, k0, kc) + a_offset(s, kl)`. `k0` is a
+    /// multiple of `kc`; at `k0 = K` this is where a last, partial block
+    /// starts (see [`a_blocked_size`](Self::a_blocked_size)).
+    #[inline]
+    pub fn a_kblock_base(&self, m: usize, k0: usize, kc: usize) -> usize {
+        k0 / kc * self.a_size(m, kc)
+    }
+
+    /// Elements of a whole `m x k` A packed one `kc`-deep block at a time
+    /// ([`a_kblock_base`](Self::a_kblock_base)): the full blocks, then the
+    /// last, partial one at its own padded depth.
+    #[inline]
+    pub fn a_blocked_size(&self, m: usize, k: usize, kc: usize) -> usize {
+        self.a_kblock_base(m, k, kc) + self.a_size(m, k % kc)
+    }
+
     /// Offset of B sliver `t` of a `kc`-deep packed block.
     #[inline]
     pub fn b_offset(&self, t: usize, kc: usize) -> usize {

@@ -2,7 +2,7 @@
 //! layer that cross-checks what the machine *measures* against what the
 //! paper *predicts*.
 //!
-//! Four pillars, one per module:
+//! Five pillars, one per module:
 //!
 //! * [`fuzz`] — a seeded **differential fuzzer**: random GEMM cases
 //!   (degenerate 0/1 extents, strided/transposed views, row/col-major C,
@@ -32,26 +32,34 @@
 //!   compared against the naive reference and against each other — int8
 //!   exactly at 0 ULP, floats within the fuzzer's K-scaled ULP bounds —
 //!   so a shape the tuner might promote can never change the answer.
+//! * [`prepacked`] — a **pre-packed-vs-row-major differential check**:
+//!   seeded problems at all four dtypes on every kernel tier, over one to
+//!   four k-blocks and `p` = 1, 2, 3, run once from the row-major A and
+//!   once from the same A packed ahead of time
+//!   (`cake_core::operand::PackedA`), which the executor reads in place —
+//!   C bit-identical and every non-timing counter equal.
 //!
-//! All four are wired into `cakectl verify` and `./ci.sh --verify`.
+//! All five are wired into `cakectl verify` and `./ci.sh --verify`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod conformance;
 pub mod fuzz;
 pub mod interleave;
+pub mod prepacked;
 pub mod tuned;
 
 /// One verification pillar's outcome, for CLI reporting.
 #[derive(Debug)]
 pub struct PillarOutcome {
-    /// Pillar name (`fuzz`, `conformance`, `interleave`, `tuned`).
+    /// Pillar name (`fuzz`, `conformance`, `interleave`, `tuned`,
+    /// `prepacked`).
     pub name: &'static str,
     /// Human-readable summary lines.
     pub lines: Vec<String>,
 }
 
-/// Run all three pillars; `Err` carries the first failure's full report.
+/// Run all five pillars; `Err` carries the first failure's full report.
 ///
 /// `cases` is the differential-fuzzer case count (the CI gate uses 256);
 /// `seed` perturbs every generated case (defaults to `CAKE_TEST_SEED`).
@@ -89,6 +97,14 @@ pub fn verify_all(cases: u32, seed: Option<u64>) -> Result<Vec<PillarOutcome>, S
         lines: trep.summary_lines(),
     });
 
+    // Pre-packed vs row-major A: the same budget as the tuned pillar
+    // (each case runs 4 dtypes x every tier, two paths each).
+    let prep = prepacked::run(tuned_cases, seed.unwrap_or_else(proptest::test_runner::env_seed))?;
+    out.push(PillarOutcome {
+        name: "prepacked",
+        lines: prep.summary_lines(),
+    });
+
     Ok(out)
 }
 
@@ -97,7 +113,7 @@ mod tests {
     #[test]
     fn verify_all_passes_at_reduced_case_count() {
         let outcomes = super::verify_all(24, Some(7)).expect("verification suite must pass");
-        assert_eq!(outcomes.len(), 4);
+        assert_eq!(outcomes.len(), 5);
         for o in &outcomes {
             assert!(!o.lines.is_empty(), "{} produced no summary", o.name);
         }

@@ -1,0 +1,241 @@
+//! Pre-packed A against row-major A: packing the weights once must not
+//! change a single bit.
+//!
+//! A [`PackedA`] holds A packed one `kc`-deep k-block at a time, and the
+//! executor reads each worker's strip of each block in place instead of
+//! packing it. This pillar fuzzes that claim: seeded random problems —
+//! `M` not a multiple of the kernel's `mr`, `K` over one to four k-blocks
+//! with a partial last block, random `N`, `p` = 1, 2 and 3 — run at every
+//! dtype on every kernel tier the host has (AMX tiles included), once
+//! from the row-major A and once from the same A pre-packed, on the same
+//! block shape. C must agree bit for bit, and so must every non-timing
+//! [`ExecStats`] field but `workspace_bytes` (a pre-packed A needs no
+//! workspace strips): the block, skip and barrier counts and the
+//! element-traffic counters, which `cake-verify` builds with
+//! `traffic-counters` on. A pre-packed call must record no pack-A time,
+//! and its workspace holds no A strips.
+
+use cake_core::executor::{execute_with_stats_in, ExecStats};
+use cake_core::operand::PackedA;
+use cake_core::pool::ThreadPool;
+use cake_core::shape::CbBlockShape;
+use cake_core::workspace::GemmWorkspace;
+use cake_kernels::select::KernelSelect;
+use cake_kernels::{available_tiers, tier_kernel, Ukr};
+use cake_matrix::{init, Bf16, Element, Matrix};
+use proptest::test_runner::TestRng;
+
+/// Statistics from a clean run.
+#[derive(Debug, Default)]
+pub struct PrepackedReport {
+    /// Seeded problem cases checked (each at all four dtypes).
+    pub cases: u32,
+    /// Row-major / pre-packed pairs compared.
+    pub pairs: u32,
+    /// Distinct kernels the pairs ran on.
+    pub kernels: Vec<&'static str>,
+}
+
+impl PrepackedReport {
+    /// Human-readable summary for the CLI.
+    pub fn summary_lines(&self) -> Vec<String> {
+        vec![
+            format!(
+                "{} cases x 4 dtypes, {} row-major / pre-packed pairs on {} kernels ({})",
+                self.cases,
+                self.pairs,
+                self.kernels.len(),
+                self.kernels.join(", ")
+            ),
+            "C bit-identical and every non-timing counter equal; the pre-packed side \
+             recorded no pack-A time and reserved no A strips"
+                .to_string(),
+        ]
+    }
+}
+
+/// `s` with every timing field and `workspace_bytes` zeroed: what a
+/// pre-packed A must reproduce exactly.
+fn counters(s: &ExecStats) -> ExecStats {
+    ExecStats {
+        pack_ns: 0,
+        pack_a_ns: 0,
+        pack_b_ns: 0,
+        pack_ns_max: 0,
+        compute_ns: 0,
+        compute_ns_max: 0,
+        compute_ns_min: 0,
+        barrier_wait_ns: 0,
+        barrier_wait_ns_max: 0,
+        workspace_bytes: 0,
+        ..*s
+    }
+}
+
+/// One problem of the stream.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    m: usize,
+    k: usize,
+    n: usize,
+    kc: usize,
+    /// `mc` in units of the kernel's `mr` (1..=3).
+    mc_tiles: usize,
+    nc: usize,
+    p: usize,
+    seed: u64,
+}
+
+fn gen_case(rng: &mut TestRng) -> Case {
+    let below = |rng: &mut TestRng, n: u64| (rng.next_u64() % n) as usize;
+    let kc = 4 + below(rng, 77);
+    let kblocks = 1 + below(rng, 4);
+    Case {
+        m: 1 + below(rng, 90),
+        // One to four k-blocks, the last one partial unless the draw
+        // lands on kc itself.
+        k: (kblocks - 1) * kc + 1 + below(rng, kc as u64),
+        n: 1 + below(rng, 70),
+        kc,
+        mc_tiles: 1 + below(rng, 3),
+        nc: 1 + below(rng, 64),
+        p: 1 + below(rng, 3),
+        seed: rng.next_u64() | 1,
+    }
+}
+
+/// Operand generation per dtype: full-range bytes for int8, uniform reals
+/// (rounded at generation for bf16) otherwise.
+trait PrepackOperand: KernelSelect {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self>;
+}
+
+impl PrepackOperand for f32 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
+
+impl PrepackOperand for f64 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
+
+impl PrepackOperand for i8 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random_i8(rows, cols, seed)
+    }
+}
+
+impl PrepackOperand for Bf16 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
+
+/// The bits of every element of C, in order.
+fn bits<A: Element>(c: &Matrix<A>) -> Vec<u64> {
+    c.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+/// Run one GEMM twice on a fresh workspace (the second call warm) and
+/// return C and the warm call's stats.
+fn run_twice<T: KernelSelect>(
+    a: &impl cake_core::operand::AsOperandA<T>,
+    b: &Matrix<T>,
+    shape: &CbBlockShape,
+    ukr: &Ukr<T>,
+    pool: &ThreadPool,
+) -> (Matrix<T::Acc>, ExecStats) {
+    let mut ws = GemmWorkspace::new();
+    let (m, n) = (a.as_operand_a().dims().0, b.cols());
+    let mut c = Matrix::<T::Acc>::zeros(m, n);
+    execute_with_stats_in(a, b, &mut c.view_mut(), shape, ukr, pool, &mut ws);
+    let mut c = Matrix::<T::Acc>::zeros(m, n);
+    let stats = execute_with_stats_in(a, b, &mut c.view_mut(), shape, ukr, pool, &mut ws);
+    (c, stats)
+}
+
+fn check_dtype<T: PrepackOperand>(
+    case: &Case,
+    pools: &[ThreadPool],
+    report: &mut PrepackedReport,
+) -> Result<(), String> {
+    let a = T::gen(case.m, case.k, case.seed);
+    let b = T::gen(case.k, case.n, case.seed ^ 0xb);
+    let pool = &pools[case.p - 1];
+    for ukr in available_tiers().into_iter().filter_map(tier_kernel::<T>) {
+        let shape = CbBlockShape::fixed(case.p, case.mc_tiles * ukr.mr(), case.kc, case.nc);
+        let packed = PackedA::new(&a.view(), ukr, case.kc);
+        let (c_rows, s_rows) = run_twice(&a, &b, &shape, &ukr, pool);
+        let (c_packed, s_packed) = run_twice(&packed, &b, &shape, &ukr, pool);
+        let at = || format!("{} {case:?} under {shape} on {}", T::NAME, ukr.name());
+        if bits(&c_rows) != bits(&c_packed) {
+            return Err(format!("pre-packed A: C differs from the row-major run: {}", at()));
+        }
+        if counters(&s_rows) != counters(&s_packed) {
+            return Err(format!(
+                "pre-packed A: counters differ from the row-major run: {}\n  row-major {:?}\n  pre-packed {:?}",
+                at(),
+                counters(&s_rows),
+                counters(&s_packed)
+            ));
+        }
+        if s_packed.pack_a_ns != 0 {
+            return Err(format!("pre-packed A recorded {} ns of pack-A time: {}", s_packed.pack_a_ns, at()));
+        }
+        if s_packed.workspace_bytes >= s_rows.workspace_bytes {
+            return Err(format!("pre-packed A: the workspace reserved A strips: {}", at()));
+        }
+        report.pairs += 1;
+        if !report.kernels.contains(&ukr.name()) {
+            report.kernels.push(ukr.name());
+        }
+    }
+    Ok(())
+}
+
+/// Run the pillar: `cases` seeded problems, each at all four dtypes on
+/// every kernel tier the host has.
+pub fn run(cases: u32, seed: u64) -> Result<PrepackedReport, String> {
+    let mut rng = TestRng::for_test_with_seed("cake_verify::prepacked", seed);
+    let pools: Vec<ThreadPool> = (1..=3).map(ThreadPool::new).collect();
+    let mut report = PrepackedReport { cases, ..PrepackedReport::default() };
+    for _ in 0..cases {
+        let case = gen_case(&mut rng);
+        check_dtype::<f32>(&case, &pools, &mut report)?;
+        check_dtype::<f64>(&case, &pools, &mut report)?;
+        check_dtype::<i8>(&case, &pools, &mut report)?;
+        check_dtype::<Bf16>(&case, &pools, &mut report)?;
+    }
+    Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn short_prepacked_run_is_clean() {
+        let rep = run(12, 5).expect("a pre-packed A must match the row-major run");
+        assert_eq!(rep.cases, 12);
+        assert!(rep.pairs >= 12 * 4, "every dtype runs on at least one tier");
+        assert!(!rep.summary_lines().is_empty());
+    }
+
+    #[test]
+    fn cases_span_one_to_four_k_blocks_with_partial_tails() {
+        let mut rng = TestRng::for_test_with_seed("cake_verify::prepacked", 0);
+        let cases: Vec<Case> = (0..200).map(|_| gen_case(&mut rng)).collect();
+        for blocks in 1..=4 {
+            assert!(cases.iter().any(|c| c.k.div_ceil(c.kc) == blocks), "{blocks} k-blocks");
+        }
+        assert!(cases.iter().all(|c| c.k.div_ceil(c.kc) <= 4));
+        assert!(cases.iter().any(|c| c.k.div_ceil(c.kc) > 1 && c.k % c.kc != 0), "a partial last block");
+        assert!(cases.iter().any(|c| c.m % 14 != 0 && c.m % 16 != 0), "M off the sliver height");
+        for p in 1..=3 {
+            assert!(cases.iter().any(|c| c.p == p), "p = {p}");
+        }
+    }
+}

@@ -11,8 +11,10 @@
 //! for all four dtypes, on a shape with edge tails in every dimension. A
 //! warm `CakeGemm::gemm` must too: the context path adds kernel selection,
 //! block resolution and the workspace map, and runs on the kernel the
-//! dispatcher picks. `ci.sh` runs this file a second time with
-//! `CAKE_KERNEL=avx2`, so the capped selection stays allocation-free.
+//! dispatcher picks. So must a warm `CakeGemm::gemm` whose A was packed
+//! once (`CakeGemm::prepack`), the path every DNN layer's weights take.
+//! `ci.sh` runs this file a second time with `CAKE_KERNEL=avx2`, so the
+//! capped selection stays allocation-free.
 //!
 //! The claim is made for the `p = 1` inline pool: a size-1 [`ThreadPool`]
 //! runs the job on the caller thread with no cross-thread channel traffic
@@ -22,6 +24,7 @@
 mod counting_alloc;
 
 use cake_core::api::{CakeConfig, CakeGemm};
+use cake_core::operand::AsOperandA;
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
@@ -99,12 +102,23 @@ fn warm_path_performs_zero_allocations_bf16() {
 /// at p = 1, after two warmup calls through the same context.
 fn warm_context_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
     let ctx = CakeGemm::new(CakeConfig::with_threads(1));
-    let mut c = Matrix::<T::Acc>::zeros(a.rows(), b.cols());
+    warm_gemm_allocs(&ctx, &a, &b)
+}
+
+/// [`warm_context_allocs`] with A packed once through the context.
+fn warm_prepacked_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
+    let ctx = CakeGemm::new(CakeConfig::with_threads(1));
+    let packed = ctx.prepack(&a);
+    warm_gemm_allocs(&ctx, &packed, &b)
+}
+
+fn warm_gemm_allocs<T: KernelSelect>(ctx: &CakeGemm, a: &impl AsOperandA<T>, b: &Matrix<T>) -> u64 {
+    let mut c = Matrix::<T::Acc>::zeros(a.as_operand_a().dims().0, b.cols());
     for _ in 0..2 {
-        ctx.gemm(&a, &b, &mut c);
+        ctx.gemm(a, b, &mut c);
     }
     let before = allocs();
-    ctx.gemm(&a, &b, &mut c);
+    ctx.gemm(a, b, &mut c);
     allocs() - before
 }
 
@@ -118,6 +132,21 @@ fn warm_context_gemm_performs_zero_allocations() {
     ];
     for (dtype, delta) in deltas {
         assert_eq!(delta, 0, "{dtype} warm CakeGemm::gemm allocated {delta} time(s)");
+    }
+}
+
+#[test]
+fn warm_context_gemm_with_a_prepacked_a_performs_zero_allocations() {
+    // K = 400 spans several k-blocks of every dtype's block depth.
+    let k = 400;
+    let deltas = [
+        ("f32", warm_prepacked_allocs::<f32>(init::random(M, k, 41), init::random(k, N, 42))),
+        ("f64", warm_prepacked_allocs::<f64>(init::random(M, k, 43), init::random(k, N, 44))),
+        ("i8", warm_prepacked_allocs::<i8>(init::random_i8(M, k, 45), init::random_i8(k, N, 46))),
+        ("bf16", warm_prepacked_allocs::<Bf16>(init::random(M, k, 47), init::random(k, N, 48))),
+    ];
+    for (dtype, delta) in deltas {
+        assert_eq!(delta, 0, "{dtype} warm CakeGemm::gemm with a pre-packed A allocated {delta} time(s)");
     }
 }
 

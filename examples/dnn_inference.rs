@@ -17,6 +17,11 @@
 //! parent-vs-change run sizes a change to one phase without a separate
 //! probe. A ReLU folded into the layer before it has no time of its own;
 //! its row reads "folded".
+//!
+//! Each GEMM layer packs its weights once, when it is pushed into the
+//! network (`Layer::pack_weights`), so the per-pass pack-A column reads 0.
+//! A second table shows that one-time pack, which is set-up work: its time
+//! and the packed size against the row-major size it replaced.
 
 use cake::core::api::CakeConfig;
 use cake::dnn::im2col::ConvGeom;
@@ -122,6 +127,20 @@ fn main() {
             "{:<9} {:>12} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
             "sum", "", sum[0], sum[1], sum[2], sum[3], sum[4]
         );
-        println!("fastest whole pass: {:.1} µs\n", best_pass * 1e6);
+        println!("fastest whole pass: {:.1} µs", best_pass * 1e6);
+        println!("weights packed once at push (set-up, in no pass):");
+        println!("{:<9} {:>9} {:>11} {:>14}", "layer", "µs", "packed KiB", "row-major KiB");
+        for (r, pack) in cold.iter().zip(net.weight_packs()) {
+            if let Some(pk) = pack {
+                println!(
+                    "{:<9} {:>9.1} {:>11.1} {:>14.1}",
+                    r.name,
+                    pk.seconds * 1e6,
+                    pk.packed_bytes as f64 / 1024.0,
+                    pk.row_major_bytes as f64 / 1024.0
+                );
+            }
+        }
+        println!();
     }
 }
