@@ -26,12 +26,6 @@
 #   ./ci.sh --sim-smoke    one deterministic + one fuzzed-ordering event-
 #                          simulator run per Table-2 CPU; exits 1 if any
 #                          same-tick permutation moves a traffic counter
-#   ./ci.sh --tune-smoke   one small-shape autotune run (candidate grid ->
-#                          sim ranking -> micro-bench refinement) with
-#                          --check: asserts the tuned winner is >= the
-#                          closed-form default and that the persisted
-#                          cache round-trips through
-#                          CakeConfig::autotuned_for
 #   ./ci.sh --audit        static analysis only (cakectl audit: unsafe ratchet
 #                          with transmute/static-mut ratchets, symbolic bounds
 #                          proofs, executor phase checker, and the call-graph
@@ -145,23 +139,6 @@ run_sim_smoke() {
         cargo run --release -p cake-bench --bin cakectl -- \
             sim --cpu "$cpu" --m 600 --k 480 --n 552 --algo goto --fuzz-orderings 64
     done
-}
-
-run_tune_smoke() {
-    # The tuning-loop gate in one command: autotune a small shape end to
-    # end (deterministic candidate grid, host-shaped sim ranking, top-K
-    # micro-bench with the closed-form default competing), write the
-    # winner to a throwaway cache, and --check that (a) the winner never
-    # measured below the default and (b) a fresh CakeConfig::autotuned_for
-    # sees exactly the persisted entry. Uses a temp cache path so the
-    # smoke never pollutes the user's target/cake-tune.json.
-    echo "==> tune smoke (cakectl tune --check on a small shape)"
-    local cache
-    cache=$(mktemp -u /tmp/cake-tune-smoke.XXXXXX.json)
-    cargo run --release -p cake-bench --bin cakectl -- \
-        tune --m 128 --k 128 --n 128 --dtype f32 --top-k 2 --reps 2 \
-        --cache "$cache" --check
-    rm -f "$cache"
 }
 
 run_fig_diff() {
@@ -282,12 +259,6 @@ if [[ "${1:-}" == "--sim-smoke" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--tune-smoke" ]]; then
-    run_tune_smoke
-    echo "==> ci.sh: tune smoke passed"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--audit" ]]; then
     run_audit
     echo "==> ci.sh: audit passed"
@@ -332,7 +303,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_kernel_smoke
     run_dtype_smoke
     run_sim_smoke
-    run_tune_smoke
     run_fig_diff
     run_dnn_inference
     run_quickstart

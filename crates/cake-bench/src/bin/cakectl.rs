@@ -5,9 +5,6 @@
 //! cakectl sim      --cpu intel|amd|arm --p P --m M --k K --n N [--algo cake|goto]
 //!                  [--fuzz-orderings N] [--trace] (`simulate` is an alias)
 //! cakectl search   --cpu intel|amd|arm --p P --n N [--steps S]
-//! cakectl tune     --m M --k K --n N [--p P] [--dtype f32|f64|bf16|int8]
-//!                  [--top-k K] [--reps R] [--l2-kib KIB] [--llc-mib MIB]
-//!                  [--cache PATH] [--no-save] [--check]
 //! cakectl traffic  --m M --k K --n N --bm BM --bk BK --bn BN [--policy hold|stream]
 //!                  [--dtype f32|f64|bf16|int8]
 //! cakectl gemm     --m M --k K --n N [--p P] [--iters I] [--stats] [--pin]
@@ -32,10 +29,12 @@
 //! requested vs effective worker count, host cores, barrier mode,
 //! workspace footprint, allocations, and reuse skips. `--pin` pins workers
 //! to cores (Linux; best-effort elsewhere). `--explain` prints the
-//! auto-tuner's full paper trail before running: the chosen `(mc, kc, nc)`,
-//! `alpha` and its source, the L2/LLC-LRU bounds that clamped `mc`, the
-//! topology clamp from requested to effective `p`, and the barrier mode —
-//! each with the reason it was chosen.
+//! closed-form shaping's full paper trail before running: the chosen
+//! `(mc, kc, nc)`, `alpha` and its source, the L2/LLC-LRU bounds that
+//! clamped `mc`, the kernel and its k-step, the topology clamp from
+//! requested to effective `p`, and the barrier mode — each with the reason
+//! it was chosen. There is no block search and no tuning cache: every GEMM
+//! runs the closed-form block.
 //!
 //! `--kernel TIER` caps the dispatch tier (`portable`, `avx2`, `avx512`,
 //! `amx`) by setting `CAKE_KERNEL` before any selection happens — the A/B
@@ -76,19 +75,6 @@
 //! property; only bytes-per-element changes — and (b) every dtype's timed
 //! iterations ran allocation-free, the zero-alloc warm-path guarantee
 //! extended to the narrow tier (`ci.sh --dtype-smoke`).
-//!
-//! `tune` runs the full autotuning loop for one `(m, k, n, dtype, p)`
-//! point: a deterministic candidate grid per kernel tier
-//! (`cake_core::tune::candidate_points`), ranked by the event-driven
-//! simulator on a host-shaped CPU config
-//! (`cake_sim::search::autotune` over `CpuConfig::detected_host`), with
-//! the top-K leaders re-measured by short on-host GEMM runs alongside the
-//! closed-form default. The measured winner — never slower than the
-//! default, which always competes — is cached in `target/cake-tune.json`
-//! (or `--cache` / `$CAKE_TUNE_CACHE`), where
-//! `CakeConfig::autotuned_for(m, k, n, dtype, p)` picks it up. `--check`
-//! exits 1 unless the winner is at least the default AND the cache
-//! round-trips through `autotuned_for` (`ci.sh --tune-smoke`).
 //!
 //! `verify` runs the full `cake-verify` harness: the differential fuzzer
 //! (default 256 cases; `--seed` or `CAKE_TEST_SEED` perturbs the stream),
@@ -328,116 +314,6 @@ fn cmd_search() {
     );
 }
 
-fn cmd_tune() {
-    use cake_bench::tune::{autotune_into_table, TuneOptions, TuneOutcome};
-    use cake_core::tune::TuneTable;
-
-    let (m, k, n) = (req_usize("--m"), req_usize("--k"), req_usize("--n"));
-    if m == 0 || k == 0 || n == 0 {
-        eprintln!(
-            "--m/--k/--n must be >= 1 (got {m}x{k}x{n}): there is nothing to tune on an \
-             empty problem\n\
-             usage: cakectl tune --m M --k K --n N [--dtype f32|f64|bf16|int8] [--p P] \
-             [--top-k K] [--reps R] [--l2-kib KIB] [--llc-mib MIB] [--cache PATH] \
-             [--no-save] [--check]"
-        );
-        std::process::exit(2);
-    }
-    let p = opt_workers(1);
-    let dtype = arg_value("--dtype").unwrap_or_else(|| "f32".into());
-    let opts = TuneOptions {
-        top_k: opt_usize("--top-k", 4),
-        reps: opt_usize("--reps", 3).max(1),
-        l2_bytes: opt_usize("--l2-kib", CakeConfig::default().l2_bytes >> 10) << 10,
-        llc_bytes: opt_usize("--llc-mib", CakeConfig::default().llc_bytes >> 20) << 20,
-    };
-    let cache = arg_value("--cache")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(TuneTable::default_path);
-
-    let mut table = TuneTable::load(&cache).unwrap_or_default();
-    let out: TuneOutcome = match dtype.as_str() {
-        "f32" => autotune_into_table::<f32>(&mut table, m, k, n, p, opts),
-        "f64" => autotune_into_table::<f64>(&mut table, m, k, n, p, opts),
-        "int8" => autotune_into_table::<i8>(&mut table, m, k, n, p, opts),
-        "bf16" => autotune_into_table::<cake_matrix::Bf16>(&mut table, m, k, n, p, opts),
-        other => {
-            eprintln!("unknown --dtype '{other}' (expected f32|f64|bf16|int8)");
-            std::process::exit(2);
-        }
-    };
-
-    let rows: Vec<Vec<String>> = out
-        .candidates
-        .iter()
-        .map(|c| {
-            let marker = match (c.shape == out.entry.shape() && c.tier.name() == out.entry.tier,
-                                c.is_default) {
-                (true, true) => "<= winner (default held)",
-                (true, false) => "<= winner",
-                (false, true) => "closed-form default",
-                _ => "",
-            };
-            vec![
-                format!("{}", c.shape),
-                c.tier.name().into(),
-                if c.sim_gflops > 0.0 { format!("{:.2}", c.sim_gflops) } else { "-".into() },
-                format!("{:.2}", c.gflops),
-                marker.into(),
-            ]
-        })
-        .collect();
-    println!(
-        "Autotune {m}x{k}x{n} dtype {dtype} p={p}: {} simulator evaluations, \
-         {} measured (best of {} reps)\n",
-        out.sim_evaluations,
-        out.candidates.len(),
-        opts.reps
-    );
-    println!(
-        "{}",
-        render_table(&["shape", "tier", "sim GF/s", "meas GF/s", ""], &rows)
-    );
-    println!(
-        "winner: mc={} kc={} nc={} tier={} at {:.2} GFLOP/s \
-         (default {:.2}, x{:.3})",
-        out.entry.mc, out.entry.kc, out.entry.nc,
-        out.entry.tier, out.entry.gflops, out.default_gflops, out.speedup()
-    );
-
-    if !has_flag("--no-save") {
-        if let Err(e) = table.save(&cache) {
-            eprintln!("failed to save tune cache {}: {e}", cache.display());
-            std::process::exit(1);
-        }
-        println!("cached -> {}", cache.display());
-    }
-
-    if has_flag("--check") {
-        // CI gate: tuned >= default, and the cache round-trips through
-        // the public `autotuned_for` loader.
-        if out.entry.gflops + 1e-9 < out.default_gflops {
-            eprintln!(
-                "tune check FAILED: winner {:.2} GFLOP/s below default {:.2}",
-                out.entry.gflops, out.default_gflops
-            );
-            std::process::exit(1);
-        }
-        std::env::set_var("CAKE_TUNE_CACHE", &cache);
-        let cfg = CakeConfig::autotuned_for(m, k, n, &dtype, p);
-        std::env::remove_var("CAKE_TUNE_CACHE");
-        if cfg.fixed_shape != Some(out.entry.shape()) {
-            eprintln!(
-                "tune check FAILED: cache round trip resolved {:?}, expected {}",
-                cfg.fixed_shape,
-                out.entry.shape()
-            );
-            std::process::exit(1);
-        }
-        println!("tune check: winner >= default and cache round-trips through autotuned_for: OK");
-    }
-}
-
 fn cmd_traffic() {
     let tp = TrafficParams {
         m: req_usize("--m"),
@@ -537,10 +413,6 @@ fn print_exec_stats(s: &ExecStats) {
     println!(
         "  compute imbalance: {:>10.3}  (max * workers / sum; 1.0 = even)",
         s.compute_imbalance()
-    );
-    println!(
-        "  overlap efficiency: {:>10.3}  (1.0 = packing fully hidden)",
-        cake_core::tune::overlap_efficiency(s.pack_ns, s.compute_ns)
     );
     println!("  workspace        : {:>9.1} KiB", s.workspace_bytes as f64 / 1024.0);
     println!("  allocations      : {:>12}  (this call)", s.allocations);
@@ -920,7 +792,6 @@ fn main() {
         "shape" => cmd_shape(),
         "sim" | "simulate" => cmd_sim(),
         "search" => cmd_search(),
-        "tune" => cmd_tune(),
         "traffic" => cmd_traffic(),
         "gemm" => cmd_gemm(),
         "verify" => cmd_verify(),
@@ -928,7 +799,7 @@ fn main() {
         "fig" => cmd_fig(),
         _ => {
             eprintln!(
-                "usage: cakectl <shape|sim|search|tune|traffic|gemm|verify|audit|fig> [options]\n\
+                "usage: cakectl <shape|sim|search|traffic|gemm|verify|audit|fig> [options]\n\
                  see module docs (crates/cake-bench/src/bin/cakectl.rs) for flags"
             );
             std::process::exit(2);

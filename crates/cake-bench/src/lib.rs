@@ -16,16 +16,14 @@
 //!
 //! [`figures`] holds the runners and printers, [`output`] the table, chart
 //! and CSV helpers. [`scaling`] holds the measured kernel-tier, dtype and
-//! multicore sweeps behind `cakectl gemm`'s smoke gates, [`tune`] the
-//! measured round of `cakectl tune`, and [`best_of`] is the one wall-clock
-//! timing loop they share.
+//! multicore sweeps behind `cakectl gemm`'s smoke gates, and [`best_of`]
+//! is the one wall-clock timing loop they share.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod figures;
 pub mod output;
 pub mod scaling;
-pub mod tune;
 
 use std::time::Instant;
 

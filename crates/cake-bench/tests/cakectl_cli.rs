@@ -36,12 +36,11 @@ fn traffic_prints_the_k_first_tally() {
 
 #[test]
 fn zero_workers_and_sub_unit_alpha_exit_2() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["shape", "--p", "0"], "--p must be at least 1"),
         (&["gemm", "--m", "8", "--k", "8", "--n", "8", "--p", "0"], "--p must be at least 1"),
         (&["sim", "--p", "0", "--m", "64", "--k", "64", "--n", "64"], "--p must be at least 1"),
         (&["search", "--p", "0", "--n", "64"], "--p must be at least 1"),
-        (&["tune", "--m", "64", "--k", "64", "--n", "64", "--p", "0"], "--p must be at least 1"),
         (&["shape", "--alpha", "0.5"], "--alpha must be at least 1"),
     ];
     for (args, msg) in cases {

@@ -23,6 +23,7 @@ use std::sync::Mutex;
 
 use cake_kernels::pack::PackB;
 use cake_kernels::select::KernelSelect;
+use cake_kernels::Ukr;
 use cake_matrix::{Element, Matrix};
 
 use crate::executor::{assert_dims, execute_with_stats_in, ExecStats};
@@ -35,7 +36,10 @@ use crate::tune::{self, AlphaSource, TuneDecision};
 use crate::workspace::GemmWorkspace;
 
 /// Configuration for a CAKE GEMM call. `Default` gives a sensible fully
-/// automatic setup.
+/// automatic setup. Every field is an input to the closed-form CB block
+/// shaping ([`CakeConfig::explain_shape_for`]) or to the pool; nothing here
+/// pins a block or a kernel. The kernel is the tier ladder's pick, capped
+/// process-wide by `CAKE_KERNEL`.
 #[derive(Debug, Clone)]
 pub struct CakeConfig {
     /// Worker threads (`p`). `None` = all available cores.
@@ -56,16 +60,6 @@ pub struct CakeConfig {
     /// no-op elsewhere). Off by default: pinning helps dedicated-machine
     /// benchmarks but hurts co-tenant workloads.
     pub pin_cores: bool,
-    /// Pin the kernel tier (set by [`autotuned_for`](Self::autotuned_for)
-    /// from a cached [`tune::TunedEntry`]; `Some(KernelTier::Portable)`
-    /// skips SIMD dispatch for debugging and baselines). Falls back down
-    /// the dispatch ladder when this host cannot run the pinned tier for a
-    /// dtype.
-    pub kernel_tier: Option<cake_kernels::KernelTier>,
-    /// Use this block shape instead of the analytic derivation (still
-    /// clamped to each problem's extents). Set by
-    /// [`autotuned_for`](Self::autotuned_for) from the autotune cache.
-    pub fixed_shape: Option<CbBlockShape>,
 }
 
 impl Default for CakeConfig {
@@ -80,8 +74,6 @@ impl Default for CakeConfig {
             llc_bytes: 16 * 1024 * 1024,
             freq_ghz: 3.0,
             pin_cores: false,
-            kernel_tier: None,
-            fixed_shape: None,
         }
     }
 }
@@ -95,7 +87,7 @@ impl CakeConfig {
         }
     }
 
-    /// The paper's auto-tuner entry point: a config for `p` cores over an
+    /// The closed-form shaping's entry point: a config for `p` cores over an
     /// LLC of `llc_bytes`. The block's M-extent grows linearly with `p`
     /// (Section 3: `m = p*k`) because [`CbBlockShape::derive`] builds
     /// `p * mc` row blocks, while `mc` itself is bounded by the Section
@@ -111,26 +103,6 @@ impl CakeConfig {
         }
     }
 
-    /// [`tuned_for`](Self::tuned_for), upgraded by the autotune cache: when
-    /// `target/cake-tune.json` (or `$CAKE_TUNE_CACHE`) holds a winner for
-    /// exactly `(m, k, n, dtype, p)` — recorded by `cakectl tune` or the
-    /// `cake-bench` tuner — the returned config pins that winner's block
-    /// shape and kernel tier. With no cache hit this is `tuned_for`
-    /// unchanged, so the call can never do worse than the closed form it
-    /// replaces. `dtype` is an element NAME: `"f32"`/`"f64"`/`"int8"`/
-    /// `"bf16"`.
-    pub fn autotuned_for(m: usize, k: usize, n: usize, dtype: &str, p: usize) -> Self {
-        let mut cfg = Self::tuned_for(p, Self::default().llc_bytes);
-        // audit: cold one cache probe per config construction, no GEMM yet
-        if let Some(e) = tune::TuneTable::load_default()
-            .and_then(|t| t.lookup(m, k, n, dtype, p).cloned())
-        {
-            cfg.fixed_shape = Some(CbBlockShape::fixed(p.max(1), e.mc, e.kc, e.nc));
-            cfg.kernel_tier = cake_kernels::KernelTier::parse(&e.tier);
-        }
-        cfg
-    }
-
     /// Resolve the thread count.
     pub fn resolved_threads(&self) -> usize {
         self.threads.unwrap_or_else(|| {
@@ -138,13 +110,12 @@ impl CakeConfig {
         })
     }
 
-    /// The CB block shape for a problem of the given extents and a kernel
-    /// of shape `mr x nr` over elements of `elem_bytes`, with its full
-    /// paper trail: every bound the tuner consulted, the chosen `alpha`
-    /// and why, the topology clamp, and the barrier mode the run will use
-    /// — rendered by `cakectl gemm --explain`. The bandwidth model rates
-    /// the kernel at `mr * nr` MACs per cycle.
-    pub fn explain_shape(
+    /// The closed-form CB block for a problem of the given extents and a
+    /// kernel of shape `mr x nr` over elements of `elem_bytes`, before any
+    /// cut to the kernel layout's k-step
+    /// ([`explain_shape_with`](Self::explain_shape_with) makes it). The
+    /// bandwidth model rates the kernel at `mr * nr` MACs per cycle.
+    fn explain_shape(
         &self,
         m: usize,
         k: usize,
@@ -156,33 +127,22 @@ impl CakeConfig {
         let p = self.resolved_threads();
         // Provisional shape at alpha = 1 to learn the cache-constrained mc.
         let probe = CbBlockShape::derive(p, 1.0, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
-        let (alpha, alpha_source, analytic) = if let Some(fx) = self.fixed_shape {
-            // Autotune-cache shape: re-key to the resolved p (the cache
-            // stores the tuned p, which matches when the config came from
-            // `autotuned_for`) and skip the analytic derivation.
-            let fx = CbBlockShape::fixed(p, fx.mc, fx.kc, fx.nc)
-                .with_outer_tiles(fx.ko_blocks, fx.no_blocks);
-            (fx.alpha(), AlphaSource::Autotuned, fx)
-        } else {
-            let (alpha, alpha_source) = match self.alpha {
-                Some(a) => (a, AlphaSource::Explicit),
-                None => match self.dram_bw_gbs {
-                    Some(bw) => (
-                        tune::select_alpha(bw, probe.mc, (mr * nr) as f64, elem_bytes, self.freq_ghz),
-                        AlphaSource::BandwidthModel,
-                    ),
-                    // No bandwidth hint: widen the block to use the spare
-                    // LLC — a larger alpha only lowers the Eq. 2 demand.
-                    None => (
-                        tune::alpha_fill_llc(p, probe.mc.max(1), self.llc_bytes / elem_bytes),
-                        AlphaSource::LlcFill,
-                    ),
-                },
-            };
-            let analytic =
-                CbBlockShape::derive(p, alpha, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
-            (alpha, alpha_source, analytic)
+        let (alpha, alpha_source) = match self.alpha {
+            Some(a) => (a, AlphaSource::Explicit),
+            None => match self.dram_bw_gbs {
+                Some(bw) => (
+                    tune::select_alpha(bw, probe.mc, (mr * nr) as f64, elem_bytes, self.freq_ghz),
+                    AlphaSource::BandwidthModel,
+                ),
+                // No bandwidth hint: widen the block to use the spare
+                // LLC — a larger alpha only lowers the Eq. 2 demand.
+                None => (
+                    tune::alpha_fill_llc(p, probe.mc.max(1), self.llc_bytes / elem_bytes),
+                    AlphaSource::LlcFill,
+                ),
+            },
         };
+        let analytic = CbBlockShape::derive(p, alpha, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
         let shape = analytic.clamp_to_problem(m, k, n, mr, nr);
         let (mc_llc, mc_l2) =
             CbBlockShape::mc_bounds(p, alpha.max(1.0), self.l2_bytes, self.llc_bytes, elem_bytes);
@@ -201,36 +161,42 @@ impl CakeConfig {
             shape,
             lru_ok: shape.fits_llc_lru(self.llc_bytes, elem_bytes),
             kernel: "",
+            k_step: 1,
         }
     }
 
-    /// The microkernel a GEMM of depth `k` through this config dispatches
-    /// to for element type `T`: a pinned [`kernel_tier`](Self::kernel_tier)
-    /// the host can run, otherwise the tier ladder's pick for that depth
-    /// (honoring the `CAKE_KERNEL` cap; see
-    /// [`cake_kernels::best_kernel_for_depth`]).
-    pub fn selected_kernel<T: KernelSelect>(&self, k: usize) -> cake_kernels::Ukr<T> {
-        if let Some(tier) = self.kernel_tier {
-            if let Some(ukr) = cake_kernels::tier_kernel::<T>(tier) {
-                return ukr;
-            }
-        }
-        cake_kernels::best_kernel_for_depth::<T>(k)
+    /// The CB block a GEMM of these extents over `T` runs, with its full
+    /// paper trail: every bound the shaping consulted, the chosen `alpha`
+    /// and why, the kernel and its k-step, the topology clamp, and the
+    /// barrier mode the run will use — rendered by `cakectl gemm
+    /// --explain`. The kernel is the tier ladder's pick for depth `k`,
+    /// under the `CAKE_KERNEL` cap
+    /// ([`cake_kernels::best_kernel_for_depth`]); this is the block
+    /// [`CakeGemm::gemm`] runs on a row-major A.
+    pub fn explain_shape_for<T: KernelSelect>(&self, m: usize, k: usize, n: usize) -> TuneDecision {
+        self.explain_shape_with(m, k, n, &cake_kernels::best_kernel_for_depth::<T>(k))
     }
 
-    /// [`explain_shape`](Self::explain_shape) driven by the kernel this
-    /// config actually dispatches to for `T`: the block geometry derives
-    /// from the *selected* kernel's `(mr, nr)` and the decision records the
-    /// kernel's name.
-    pub fn explain_shape_for<T: KernelSelect>(
+    /// The one shaping [`CakeGemm`] runs, packs for and explains: the
+    /// block derives from `ukr`'s `(mr, nr)`, the decision records its
+    /// name, and a `kc` short of K is cut to whole steps of its packed
+    /// layout's depth (at least one), so no k-block but the last pads K.
+    /// Only the AMX tile layout has a step above 1 (64 bytes deep).
+    fn explain_shape_with<T: KernelSelect>(
         &self,
         m: usize,
         k: usize,
         n: usize,
+        ukr: &Ukr<T>,
     ) -> TuneDecision {
-        let ukr = self.selected_kernel::<T>(k);
         let mut d = self.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES);
+        let step = ukr.pack_layout().k_step();
+        if d.shape.kc < k {
+            d.shape.kc = ((d.shape.kc / step).max(1) * step).min(k);
+            d.lru_ok = d.shape.fits_llc_lru(self.llc_bytes, T::BYTES);
+        }
         d.kernel = ukr.name();
+        d.k_step = step;
         d
     }
 }
@@ -312,9 +278,9 @@ impl CakeGemm {
             // starts on a sliver of the packed A.
             let (ukr, packed_kc) = match a {
                 OperandA::Packed(pa) => (*pa.kernel(), Some(pa.kc())),
-                OperandA::Matrix(_) => (self.cfg.selected_kernel::<T>(k), None),
+                OperandA::Matrix(_) => (cake_kernels::best_kernel_for_depth::<T>(k), None),
             };
-            let mut shape = self.cfg.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES).shape;
+            let mut shape = self.cfg.explain_shape_with(m, k, n, &ukr).shape;
             if let Some(kc) = packed_kc {
                 shape.kc = kc;
             }
@@ -334,14 +300,14 @@ impl CakeGemm {
     /// Pack `a` once for the GEMMs this context runs it in: in the layout
     /// of the kernel [`gemm`](Self::gemm) would pick for `a`'s depth, one
     /// block at the depth `kc` its blocks would have. That depth is
-    /// `min(analytic kc, K)`, which does not depend on `M` or `N`, so the
-    /// packed A serves every call. Passing the result as `A` skips the
-    /// per-call pack of every strip.
+    /// `min(analytic kc, K)`, cut to whole k-steps of the layout, which
+    /// does not depend on `M` or `N`, so the packed A serves every call.
+    /// Passing the result as `A` skips the per-call pack of every strip.
     // audit: cold one-time weight pack, before any GEMM reads it
     pub fn prepack<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
         let (m, k) = (a.rows(), a.cols());
-        let ukr = self.cfg.selected_kernel::<T>(k);
-        let kc = self.cfg.explain_shape(m, k, 1, ukr.mr(), ukr.nr(), T::BYTES).shape.kc;
+        let ukr = cake_kernels::best_kernel_for_depth::<T>(k);
+        let kc = self.cfg.explain_shape_with(m, k, 1, &ukr).shape.kc;
         PackedA::new(&a.view(), ukr, kc)
     }
 }
@@ -395,7 +361,6 @@ pub fn cake_gemm_scaled<T: Element + KernelSelect<Acc = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cake_kernels::KernelTier;
     use cake_matrix::compare::assert_gemm_eq;
     use cake_matrix::{init, Bf16, MatrixView, MatrixViewMut};
 
@@ -422,7 +387,7 @@ mod tests {
         p: usize,
     ) {
         let cfg = CakeConfig::with_threads(p);
-        let ukr = cfg.selected_kernel::<f32>(a.cols());
+        let ukr = cake_kernels::best_kernel_for_depth::<f32>(a.cols());
         let shape = cfg.explain_shape(a.rows(), a.cols(), b.cols(), ukr.mr(), ukr.nr(), 4).shape;
         let pool = ThreadPool::new(topology::effective_p(p));
         execute_with_stats_in(a, b, c, &shape, &ukr, &pool, &mut GemmWorkspace::new());
@@ -445,22 +410,6 @@ mod tests {
         let b = init::random::<f64>(k, n, 4);
         let mut c = Matrix::<f64>::zeros(m, n);
         CakeGemm::new(CakeConfig::with_threads(2)).gemm(&a, &b, &mut c);
-        assert_gemm_eq(&c, &naive(&a, &b), k);
-    }
-
-    #[test]
-    fn portable_kernel_path_matches() {
-        let (m, k, n) = (25, 31, 17);
-        let a = init::random::<f32>(m, k, 5);
-        let b = init::random::<f32>(k, n, 6);
-        let mut c = Matrix::<f32>::zeros(m, n);
-        let cfg = CakeConfig {
-            kernel_tier: Some(KernelTier::Portable),
-            threads: Some(2),
-            ..CakeConfig::default()
-        };
-        let stats = CakeGemm::new(cfg).gemm_with_stats(&a, &b, &mut c);
-        assert!(stats.kernel.starts_with("portable"), "{}", stats.kernel);
         assert_gemm_eq(&c, &naive(&a, &b), k);
     }
 
@@ -634,26 +583,34 @@ mod tests {
             ctx.gemm(&packer.prepack(&ai), &bi, &mut c);
             assert_eq!(c.as_slice(), want.as_slice());
         }
+    }
 
-        // A fixed (autotuned) mc of 48 is off the 14- and 32-row slivers;
-        // the clamp cuts it to whole slivers for either A, so the
-        // pre-packed A runs the row-major A's blocks, bit for bit.
-        let fixed = CakeGemm::new(CakeConfig {
-            fixed_shape: Some(CbBlockShape::fixed(2, 48, 192, 320)),
-            ..CakeConfig::with_threads(2)
-        });
-        for m in [256, 512] {
-            let a = init::random::<f32>(m, 500, 5);
-            let (mut want, mut got) = (Matrix::<f32>::zeros(m, 37), Matrix::<f32>::zeros(m, 37));
-            fixed.gemm(&a, &b, &mut want);
-            fixed.gemm(&fixed.prepack(&a), &b, &mut got);
-            assert_eq!(bits(&got), bits(&want), "f32, M = {m}");
-            let ai = init::random_i8(m, 700, 7);
-            let (mut want, mut got) = (Matrix::<i32>::zeros(m, 29), Matrix::<i32>::zeros(m, 29));
-            fixed.gemm(&ai, &bi, &mut want);
-            fixed.gemm(&fixed.prepack(&ai), &bi, &mut got);
-            assert_eq!(got.as_slice(), want.as_slice(), "int8, M = {m}");
+    #[test]
+    fn kc_short_of_k_is_whole_k_steps_of_the_layout() {
+        // The benchmark net's int8 conv4 and conv5 weights (M x K): the
+        // closed form's int8 kc (352 at the default L2) is short of K, and
+        // on the AMX tile layout a kc off its 64-deep step would pad every
+        // k-block. Cut to whole steps, the weights pack to exactly their
+        // row-major bytes on every int8 layout (M is a multiple of every
+        // int8 kernel's mr), and the pack and the explanation agree on kc.
+        let ctx = CakeGemm::new(CakeConfig::with_threads(1));
+        for (m, k, kib) in [(128, 576, 72), (256, 1152, 288)] {
+            let packed = ctx.prepack(&init::random_i8(m, k, 9));
+            let step = packed.kernel().pack_layout().k_step();
+            let d = ctx.cfg.explain_shape_for::<i8>(m, k, 64);
+            assert!(
+                packed.kc() < k && packed.kc().is_multiple_of(step),
+                "kc {} step {step}",
+                packed.kc()
+            );
+            assert_eq!(
+                (d.shape.kc, d.k_step, d.kernel),
+                (packed.kc(), step, packed.kernel().name())
+            );
+            assert_eq!(packed.bytes(), kib * 1024, "{m}x{k} on {}", d.kernel);
         }
+        // A kc that already spans K is never cut.
+        assert_eq!(ctx.cfg.explain_shape_for::<i8>(64, 288, 64).shape.kc, 288);
     }
 
     #[test]
@@ -745,72 +702,13 @@ mod tests {
     #[test]
     fn explain_shape_for_records_selected_kernel() {
         let cfg = CakeConfig::tuned_for(1, 16 * 1024 * 1024);
-        let ukr = cfg.selected_kernel::<f32>(256);
+        let ukr = cake_kernels::best_kernel_for_depth::<f32>(256);
         let d = cfg.explain_shape_for::<f32>(256, 256, 256);
         assert_eq!(d.kernel, ukr.name());
+        // Every f32 layout is k-major: the closed form's kc stands.
+        assert_eq!(d.k_step, 1);
         assert_eq!(d.shape, cfg.explain_shape(256, 256, 256, ukr.mr(), ukr.nr(), 4).shape);
         assert!(d.render().contains(d.kernel));
-        // Pinning the portable tier is reflected in the decision.
-        let portable = CakeConfig {
-            kernel_tier: Some(KernelTier::Portable),
-            ..cfg
-        };
-        assert!(portable
-            .explain_shape_for::<f32>(64, 64, 64)
-            .kernel
-            .starts_with("portable"));
-    }
-
-    #[test]
-    fn fixed_shape_bypasses_derivation_but_still_clamps() {
-        let tuned = CbBlockShape::fixed(2, 48, 192, 320);
-        let cfg = CakeConfig {
-            fixed_shape: Some(tuned),
-            ..CakeConfig::with_threads(2)
-        };
-        // Roomy problem: the pinned shape comes through verbatim.
-        let d = cfg.explain_shape(512, 512, 512, 6, 16, 4);
-        assert_eq!(d.alpha_source, AlphaSource::Autotuned);
-        assert_eq!(d.shape, tuned);
-        // Tiny problem: extents still clamp the pinned shape.
-        let small = cfg.explain_shape(24, 32, 32, 6, 16, 4);
-        assert!(small.shape.kc <= 32);
-        assert!(small.shape.mc < 48);
-        // An mc off the kernel's sliver height is cut to whole slivers.
-        for (mr, mc) in [(14, 42), (32, 32), (64, 64)] {
-            assert_eq!(cfg.explain_shape(512, 512, 512, mr, 16, 4).shape.mc, mc, "mr = {mr}");
-        }
-        // And the GEMM it drives stays correct.
-        let a = init::random::<f32>(60, 70, 91);
-        let b = init::random::<f32>(70, 50, 92);
-        let mut c = Matrix::<f32>::zeros(60, 50);
-        CakeGemm::new(cfg).gemm(&a, &b, &mut c);
-        assert_gemm_eq(&c, &naive(&a, &b), 70);
-    }
-
-    #[test]
-    fn autotuned_for_reads_the_cache_and_falls_back() {
-        use crate::tune::{TuneTable, TunedEntry};
-        let dir = std::env::temp_dir().join("cake-autotuned-for-test");
-        let path = dir.join("cake-tune.json");
-        let mut t = TuneTable::default();
-        t.insert(TunedEntry {
-            m: 96, k: 96, n: 96, dtype: "f32".into(), p: 2,
-            mc: 24, kc: 96, nc: 96, tier: "portable".into(), gflops: 1.0,
-        });
-        t.save(&path).expect("save");
-        std::env::set_var("CAKE_TUNE_CACHE", &path);
-        let hit = CakeConfig::autotuned_for(96, 96, 96, "f32", 2);
-        let miss = CakeConfig::autotuned_for(97, 96, 96, "f32", 2);
-        std::env::remove_var("CAKE_TUNE_CACHE");
-        assert_eq!(hit.fixed_shape, Some(CbBlockShape::fixed(2, 24, 96, 96)));
-        assert_eq!(hit.kernel_tier, Some(KernelTier::Portable));
-        assert!(hit.selected_kernel::<f32>(96).name().starts_with("portable"));
-        // Cache miss degrades to plain `tuned_for`.
-        assert_eq!(miss.fixed_shape, None);
-        assert_eq!(miss.kernel_tier, None);
-        assert_eq!(miss.threads, Some(2));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

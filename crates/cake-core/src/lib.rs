@@ -68,8 +68,5 @@ pub use panel::{ring_depth, PanelAction, PanelCache};
 pub use schedule::{BlockCoord, BlockGrid, Dim, Schedule};
 pub use shape::CbBlockShape;
 pub use sync::{BarrierMode, SpinBarrier};
-pub use tune::{
-    candidate_points, candidate_shapes, AlphaSource, TuneCandidate, TuneDecision, TuneTable,
-    TunedEntry,
-};
+pub use tune::{AlphaSource, TuneDecision};
 pub use workspace::GemmWorkspace;

@@ -361,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_shape_reports_alpha() {
+    fn fixed_block_reports_alpha() {
         let s = CbBlockShape::fixed(4, 96, 96, 768);
         assert!((s.alpha() - 2.0).abs() < 0.01);
         assert_eq!(s.m_block(), 384);

@@ -578,13 +578,20 @@ mod tests {
     }
 
     /// Every packed-B layout a registered `dtype` kernel reads: k-major
-    /// slivers at each tier's `(mr, nr)`, AMX tiles at the amx tier. The
-    /// tile layout also packs one-tile slivers, which int8 covers too.
+    /// slivers at each kernel's `(mr, nr)`, AMX tiles for the amx kernel.
+    /// The tile layout also packs one-tile slivers, which int8 covers too.
     fn registered_layouts(dtype: &str) -> Vec<PackLayout> {
-        use cake_kernels::select::{registered_tiles_for, KernelTier};
-        let mut layouts: Vec<PackLayout> = registered_tiles_for(dtype)
+        let token = format!("_{}_", if dtype == "int8" { "i8" } else { dtype });
+        let mut layouts: Vec<PackLayout> = cake_kernels::select::REGISTERED_SHAPES
             .into_iter()
-            .map(|(tier, mr, nr)| if tier == KernelTier::Amx { PackLayout::tiles(mr, nr) } else { PackLayout::k_major(mr, nr) })
+            .filter(|(name, _, _)| name.contains(&token))
+            .map(|(name, mr, nr)| {
+                if name.starts_with("amx_") {
+                    PackLayout::tiles(mr, nr)
+                } else {
+                    PackLayout::k_major(mr, nr)
+                }
+            })
             .collect();
         if dtype == "int8" {
             layouts.push(PackLayout::tiles(32, 16));

@@ -45,8 +45,7 @@ pub mod avx2;
 pub mod avx512;
 
 pub use select::{
-    available_tiers, best_kernel, best_kernel_for_depth, portable_kernel, registered_tile,
-    registered_tiles_for, tier_kernel, KernelTier,
+    available_tiers, best_kernel, best_kernel_for_depth, portable_kernel, tier_kernel, KernelTier,
 };
 pub use pack::{LayoutKind, PackLayout};
 pub use ukernel::Ukr;

@@ -213,23 +213,6 @@ impl CpuConfig {
         }
     }
 
-    /// A config shaped like the *detected host*: core count from
-    /// `cake_core::topology` and cache sizes from the caller (the same
-    /// `--llc-mib` / `CakeConfig` knobs the runtime uses), with
-    /// Intel-desktop-class clocks and bandwidth curves as the prior. This
-    /// is what the autotuner scores candidates against, so the simulated
-    /// ranking reflects the machine the winner will actually run on.
-    pub fn detected_host(l2_bytes: usize, llc_bytes: usize) -> Self {
-        let cores = cake_core::topology::available_cores().max(1);
-        Self {
-            name: format!("host ({cores} cores)"),
-            cores,
-            l2_bytes: l2_bytes.max(KIB),
-            llc_bytes: llc_bytes.max(4 * KIB),
-            ..Self::intel_i9_10900k()
-        }
-    }
-
     /// All Table 2 CPUs.
     pub fn table2() -> Vec<CpuConfig> {
         vec![

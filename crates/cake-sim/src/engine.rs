@@ -727,7 +727,7 @@ mod tests {
 
     #[test]
     fn auto_alpha_keeps_cake_within_usable_bandwidth() {
-        // The tuner must pick an alpha whose demand fits the machine even
+        // The shaping must pick an alpha whose demand fits the machine even
         // on the bandwidth-starved ARM part.
         let cpu = arm();
         let sp = SimParams::square(3000, 4);

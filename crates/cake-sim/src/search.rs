@@ -157,148 +157,9 @@ pub fn performance_position(res: &SearchResult, analytic: &DesignPoint) -> f64 {
     ((analytic.seconds - best) / (worst - best)).max(0.0)
 }
 
-// ---------------------------------------------------------------------------
-// Autotune scoring: rank the deterministic candidate set from
-// `cake_core::tune` through the event-driven engine on a host-shaped CPU.
-// ---------------------------------------------------------------------------
-
-/// One simulator-scored autotune candidate.
-#[derive(Debug, Clone)]
-pub struct ScoredCandidate {
-    /// The candidate (tier, tile, shape) being scored.
-    pub cand: cake_core::TuneCandidate,
-    /// Simulated wall time, seconds.
-    pub seconds: f64,
-    /// Simulated throughput, GFLOP/s.
-    pub gflops: f64,
-}
-
-/// Score every [`cake_core::candidate_points`] candidate for
-/// `(m, k, n, dtype, p)` through the event-driven engine on `cpu`
-/// (typically [`CpuConfig::detected_host`]), fastest first.
-///
-/// Each candidate is simulated on a tier-adjusted copy of `cpu`: the
-/// engine's register tile becomes the candidate's `(mr, nr)` and its
-/// sustained MAC rate scales by the tile-area ratio against `cpu`'s
-/// reference tile, so wider-tile tiers simulate proportionally faster
-/// compute while the memory system stays the host's. Absolute GFLOP/s are
-/// model numbers; the *ranking* is what the tuner consumes (the top-K go
-/// on to on-host micro-benchmarks in `cake-bench`). Deterministic: ties
-/// break by (tier, mc, kc, nc).
-#[allow(clippy::too_many_arguments)]
-pub fn autotune(
-    cpu: &CpuConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    dtype: &str,
-    p: usize,
-    elem_bytes: usize,
-) -> Vec<ScoredCandidate> {
-    let cands = cake_core::candidate_points(
-        dtype,
-        p,
-        m,
-        k,
-        n,
-        cpu.l2_bytes,
-        cpu.llc_bytes,
-        elem_bytes,
-    );
-    let ref_tile = (cpu.mr * cpu.nr).max(1) as f64;
-    let mut scored: Vec<ScoredCandidate> = cands
-        .into_iter()
-        .map(|cand| {
-            let tier_cpu = CpuConfig {
-                mr: cand.mr,
-                nr: cand.nr,
-                macs_per_cycle_f32: cpu.macs_per_cycle_f32 * (cand.mr * cand.nr) as f64
-                    / ref_tile,
-                ..cpu.clone()
-            };
-            let mut sp = SimParams::new(m, k, n, p);
-            sp.elem_bytes = elem_bytes;
-            let rep = simulate_cake_with_shape(&tier_cpu, &sp, &cand.shape);
-            ScoredCandidate {
-                cand,
-                seconds: rep.seconds,
-                gflops: rep.gflops,
-            }
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        a.seconds
-            .total_cmp(&b.seconds)
-            .then_with(|| (a.cand.tier as usize).cmp(&(b.cand.tier as usize)))
-            .then_with(|| {
-                (a.cand.shape.mc, a.cand.shape.kc, a.cand.shape.nc).cmp(&(
-                    b.cand.shape.mc,
-                    b.cand.shape.kc,
-                    b.cand.shape.nc,
-                ))
-            })
-    });
-    scored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn autotune_scores_and_ranks_candidates() {
-        let cpu = CpuConfig::intel_i9_10900k();
-        let scored = autotune(&cpu, 256, 256, 256, "f32", 2, 4);
-        assert!(!scored.is_empty());
-        // Fastest first, with finite positive times.
-        for w in scored.windows(2) {
-            assert!(w[0].seconds <= w[1].seconds + 1e-15);
-        }
-        for s in &scored {
-            assert!(s.seconds > 0.0 && s.seconds.is_finite());
-            assert!(s.gflops > 0.0);
-            assert!(s.cand.shape.fits_llc_lru(cpu.llc_bytes, 4));
-        }
-        // All three tiers competed.
-        for tier in cake_kernels_tiers() {
-            assert!(scored.iter().any(|s| s.cand.tier.name() == tier), "{tier} absent");
-        }
-    }
-
-    fn cake_kernels_tiers() -> [&'static str; 3] {
-        ["portable", "avx2", "avx512"]
-    }
-
-    #[test]
-    fn detected_host_folds_topology_and_caches() {
-        let host = CpuConfig::detected_host(256 * 1024, 8 * 1024 * 1024);
-        assert_eq!(host.cores, cake_core::topology::available_cores().max(1));
-        assert_eq!(host.l2_bytes, 256 * 1024);
-        assert_eq!(host.llc_bytes, 8 * 1024 * 1024);
-        assert!(host.name.starts_with("host"));
-        assert!(host.dram_bw_gbs > 0.0 && host.freq_ghz > 0.0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// ISSUE satellite: for a fixed host config the tuner's ranking is
-        /// a pure function of its inputs.
-        #[test]
-        fn autotune_is_deterministic(p in 1usize..4, dt in 0usize..4) {
-            let dtype = ["f32", "f64", "int8", "bf16"][dt];
-            let elem = [4usize, 8, 1, 2][dt];
-            let cpu = CpuConfig::detected_host(256 * 1024, 4 * 1024 * 1024);
-            let a = autotune(&cpu, 128, 96, 160, dtype, p, elem);
-            let b = autotune(&cpu, 128, 96, 160, dtype, p, elem);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.cand, y.cand);
-                prop_assert_eq!(x.seconds.to_bits(), y.seconds.to_bits());
-            }
-        }
-    }
 
     #[test]
     fn grid_contains_only_kernel_aligned_shapes() {

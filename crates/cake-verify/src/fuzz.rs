@@ -12,12 +12,21 @@
 //!
 //! On top of the three engines, every case also sweeps the CAKE executor
 //! over **all kernel tiers available on the host**
-//! (`cake_kernels::available_tiers()`: portable always, AVX2 and AVX-512
-//! when detected), holding the inputs and block geometry fixed. Each
+//! (`cake_kernels::available_tiers()`: portable always, AVX2, AVX-512 and
+//! AMX when detected), holding the inputs and block geometry fixed. Each
 //! tier's output is held to the same ULP/exact bounds against the naive
 //! reference, so the vectorized tiers are cross-checked against each
 //! other on every generated case — a divergence reports the concrete
 //! microkernel name (e.g. `avx512_f32_14x32`) as the engine.
+//!
+//! Most cases draw small blocks (`mc` 2–12, `nc` 4–20), below the wide
+//! kernels' register tiles, so they run the partial-tile paths. A quarter
+//! draw a **full-tile geometry** instead: `mc` a whole multiple of a
+//! registered kernel's `mr` and at least 32 rows, `nc` a multiple of 32,
+//! and `M`, `N` of at least 32, so every registered tile (up to AMX's
+//! 32x32) runs whole; int8 ones also run `kc` past the AMX layout's
+//! 64-deep k-step, with K beyond one block. The report counts, per
+//! kernel, the cases that ran one of its full tiles.
 //!
 //! On failure the case is **shrunk**: dimensions halved/decremented,
 //! threads dropped to 1, view and layout flags cleared — greedily, while
@@ -30,7 +39,7 @@ use cake_core::shape::CbBlockShape;
 use cake_core::workspace::GemmWorkspace;
 use cake_goto::api::{goto_gemm_views, GotoConfig};
 use cake_goto::naive::naive_gemm_views_acc;
-use cake_kernels::select::KernelSelect;
+use cake_kernels::select::{KernelSelect, REGISTERED_SHAPES};
 use cake_kernels::{available_tiers, best_kernel, portable_kernel, tier_kernel};
 use cake_matrix::{init, Bf16, Element, Layout, Matrix};
 use proptest::test_runner::TestRng;
@@ -243,11 +252,19 @@ pub struct FuzzReport {
     pub int_cases: u32,
     /// Worst accepted ULP distance observed across all comparisons.
     pub max_ulps_seen: u64,
+    /// Per kernel of the host's tier sweep, the cases that ran at least
+    /// one of its full register tiles, in first-seen order.
+    pub full_tiles: Vec<(&'static str, u32)>,
 }
 
 impl FuzzReport {
     /// Human-readable summary for the CLI.
     pub fn summary_lines(&self) -> Vec<String> {
+        let full: Vec<String> = self
+            .full_tiles
+            .iter()
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect();
         vec![
             format!(
                 "{} cases, zero mismatches ({} degenerate-extent, {} f64, {} int8, {} bf16, {} exact)",
@@ -255,7 +272,15 @@ impl FuzzReport {
                 self.int_cases
             ),
             format!("worst accepted error: {} ULP", self.max_ulps_seen),
+            format!("cases running full register tiles, per kernel: {}", full.join(", ")),
         ]
+    }
+
+    fn count_full_tiles(&mut self, kernel: &'static str) {
+        match self.full_tiles.iter_mut().find(|(k, _)| *k == kernel) {
+            Some((_, n)) => *n += 1,
+            None => self.full_tiles.push((kernel, 1)),
+        }
     }
 }
 
@@ -308,7 +333,7 @@ fn gen_dim(rng: &mut TestRng) -> usize {
 }
 
 fn gen_case(rng: &mut TestRng) -> GemmCase {
-    GemmCase {
+    let mut case = GemmCase {
         m: gen_dim(rng),
         k: gen_dim(rng),
         n: gen_dim(rng),
@@ -328,6 +353,73 @@ fn gen_case(rng: &mut TestRng) -> GemmCase {
             _ => Scalar::Bf16,
         },
         data_seed: rng.next_u64() | 1,
+    };
+    if rng.next_u64().is_multiple_of(4) {
+        full_tile_geometry(rng, &mut case);
+    }
+    case
+}
+
+/// The register-tile rows of every registered kernel of `scalar`'s dtype,
+/// on any host.
+fn registered_mrs(scalar: Scalar) -> Vec<usize> {
+    let token = match scalar {
+        Scalar::F32 => "_f32_",
+        Scalar::F64 => "_f64_",
+        Scalar::Int8 => "_i8_",
+        Scalar::Bf16 => "_bf16_",
+    };
+    REGISTERED_SHAPES
+        .iter()
+        .filter(|(name, _, _)| name.contains(token))
+        .map(|&(_, mr, _)| mr)
+        .collect()
+}
+
+/// Redraw `case`'s extents and block so every registered kernel of its
+/// dtype runs whole register tiles: `mc` a multiple of one registered
+/// kernel's `mr` and at least 32 rows, `nc` a multiple of 32, `M` and `N`
+/// at least 32 (the largest registered tile is 32x32), and K beyond one
+/// block. int8 blocks run deeper than the AMX layout's 64-deep k-step.
+/// The kernel is drawn from the registry, not the host, so a seed draws
+/// the same cases on every host.
+fn full_tile_geometry(rng: &mut TestRng, case: &mut GemmCase) {
+    let mrs = registered_mrs(case.scalar);
+    let mr = mrs[(rng.next_u64() % mrs.len() as u64) as usize];
+    case.mc = mr * (32usize.div_ceil(mr) + (rng.next_u64() % 2) as usize);
+    case.nc = 32 * (1 + (rng.next_u64() % 3) as usize);
+    case.m = 32 + (rng.next_u64() % 64) as usize;
+    case.n = 32 + (rng.next_u64() % 96) as usize;
+    case.kc = if case.scalar == Scalar::Int8 {
+        65 + (rng.next_u64() % 64) as usize
+    } else {
+        2 + (rng.next_u64() % 11) as usize
+    };
+    case.k = case.kc + 1 + (rng.next_u64() % case.kc as u64) as usize;
+}
+
+/// Whether `case`'s block runs at least one whole `mr x nr` register tile:
+/// a block's rows split into `mr`-row tiles with only the last partial,
+/// and its columns into `nr`-column slivers the same way.
+fn runs_full_tile(case: &GemmCase, mr: usize, nr: usize) -> bool {
+    case.k > 0 && (case.p * case.mc).min(case.m) >= mr && case.nc.min(case.n) >= nr
+}
+
+/// The kernels of the host's tier sweep whose full tile `case` runs.
+fn full_tile_kernels(case: &GemmCase) -> Vec<&'static str> {
+    fn of<T: KernelSelect>(case: &GemmCase) -> Vec<&'static str> {
+        available_tiers()
+            .into_iter()
+            .filter_map(tier_kernel::<T>)
+            .filter(|ukr| runs_full_tile(case, ukr.mr(), ukr.nr()))
+            .map(|ukr| ukr.name())
+            .collect()
+    }
+    match case.scalar {
+        Scalar::F32 => of::<f32>(case),
+        Scalar::F64 => of::<f64>(case),
+        Scalar::Int8 => of::<i8>(case),
+        Scalar::Bf16 => of::<Bf16>(case),
     }
 }
 
@@ -575,6 +667,9 @@ pub fn run(cfg: &FuzzConfig) -> Result<FuzzReport, Box<FuzzFailure>> {
         if case.int_data || case.scalar == Scalar::Int8 {
             report.int_cases += 1;
         }
+        for kernel in full_tile_kernels(&case) {
+            report.count_full_tiles(kernel);
+        }
         if check_case_tracking(&case, &mut report.max_ulps_seen).is_some() {
             let minimal = shrink(&case);
             let mismatch = check_case(&minimal)
@@ -637,6 +732,60 @@ mod tests {
     fn short_fuzz_run_is_clean() {
         let rep = run(&FuzzConfig { cases: 32, seed: 0 }).expect("no mismatches");
         assert_eq!(rep.cases, 32);
+        assert!(
+            !rep.full_tiles.is_empty(),
+            "no case ran a full register tile"
+        );
+    }
+
+    #[test]
+    fn full_tile_draws_hold_whole_tiles_and_deep_int8_blocks() {
+        let mut rng = TestRng::for_test_with_seed("cake_verify::fuzz", 3);
+        let mut full = 0;
+        for _ in 0..512 {
+            let c = gen_case(&mut rng);
+            // The small-block draw never reaches nc = 32.
+            if c.nc < 32 {
+                continue;
+            }
+            full += 1;
+            let whole = registered_mrs(c.scalar)
+                .into_iter()
+                .any(|mr| c.mc.is_multiple_of(mr));
+            assert!(whole && c.mc >= 32 && c.nc.is_multiple_of(32), "{c:?}");
+            assert!(c.m >= 32 && c.n >= 32 && c.k > c.kc, "{c:?}");
+            assert!(c.scalar != Scalar::Int8 || c.kc > 64, "{c:?}");
+        }
+        assert!(
+            (64..=192).contains(&full),
+            "{full} of 512 cases drew full tiles"
+        );
+    }
+
+    #[test]
+    fn every_host_kernel_runs_full_tiles_within_256_cases() {
+        // `cakectl verify` runs 256 cases: whatever the seed, each kernel
+        // of the host's tier sweep must run a whole register tile against
+        // the naive reference.
+        let mut kernels: Vec<&'static str> = Vec::new();
+        for tier in available_tiers() {
+            kernels.extend(tier_kernel::<f32>(tier).map(|u| u.name()));
+            kernels.extend(tier_kernel::<f64>(tier).map(|u| u.name()));
+            kernels.extend(tier_kernel::<i8>(tier).map(|u| u.name()));
+            kernels.extend(tier_kernel::<Bf16>(tier).map(|u| u.name()));
+        }
+        for seed in [0, 7, proptest::test_runner::env_seed()] {
+            let mut rng = TestRng::for_test_with_seed("cake_verify::fuzz", seed);
+            let ran: Vec<&'static str> = (0..256)
+                .flat_map(|_| full_tile_kernels(&gen_case(&mut rng)))
+                .collect();
+            for kernel in &kernels {
+                assert!(
+                    ran.contains(kernel),
+                    "seed {seed}: no full {kernel} tile in 256 cases"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //! layer that cross-checks what the machine *measures* against what the
 //! paper *predicts*.
 //!
-//! Five pillars, one per module:
+//! Four pillars, one per module:
 //!
 //! * [`fuzz`] — a seeded **differential fuzzer**: random GEMM cases
 //!   (degenerate 0/1 extents, strided/transposed views, row/col-major C,
 //!   f32/f64, integer and real data) run through the CAKE executor, the
 //!   GOTO loop nest, and the naive reference on identical inputs, compared
 //!   per element with ULP bounds scaled by `K`, and shrunk to a minimal
-//!   reproducer on failure.
+//!   reproducer on failure. Part of the cases run blocks of whole
+//!   register tiles of every kernel tier the host has, so each kernel's
+//!   full-tile body is checked against the reference too.
 //! * [`conformance`] — the **model-conformance oracle**: runs the executor
 //!   with `traffic-counters` enabled and reconciles the measured element
 //!   traffic with `cake_core::traffic` *exactly*, with the closed forms of
@@ -25,13 +27,6 @@
 //!   that snake reversals hit the ring. Seeded mutants (barriers removed,
 //!   live-panel eviction) validate that the checker actually detects the
 //!   failure modes it claims to.
-//! * [`tuned`] — a **tuned-vs-default differential check**: seeded random
-//!   problems at all four dtypes run under the closed-form default block
-//!   shape and under a sample of the autotuner's candidate grid
-//!   (`cake_core::tune::candidate_points`, tier-pinned kernels included),
-//!   compared against the naive reference and against each other — int8
-//!   exactly at 0 ULP, floats within the fuzzer's K-scaled ULP bounds —
-//!   so a shape the tuner might promote can never change the answer.
 //! * [`prepacked`] — a **pre-packed-vs-row-major differential check**:
 //!   seeded problems at all four dtypes on every kernel tier, over one to
 //!   four k-blocks and `p` = 1, 2, 3, run once from the row-major A and
@@ -39,7 +34,7 @@
 //!   (`cake_core::operand::PackedA`), which the executor reads in place —
 //!   C bit-identical and every non-timing counter equal.
 //!
-//! All five are wired into `cakectl verify` and `./ci.sh --verify`.
+//! All four are wired into `cakectl verify` and `./ci.sh --verify`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -47,19 +42,17 @@ pub mod conformance;
 pub mod fuzz;
 pub mod interleave;
 pub mod prepacked;
-pub mod tuned;
 
 /// One verification pillar's outcome, for CLI reporting.
 #[derive(Debug)]
 pub struct PillarOutcome {
-    /// Pillar name (`fuzz`, `conformance`, `interleave`, `tuned`,
-    /// `prepacked`).
+    /// Pillar name (`fuzz`, `conformance`, `interleave`, `prepacked`).
     pub name: &'static str,
     /// Human-readable summary lines.
     pub lines: Vec<String>,
 }
 
-/// Run all five pillars; `Err` carries the first failure's full report.
+/// Run all four pillars; `Err` carries the first failure's full report.
 ///
 /// `cases` is the differential-fuzzer case count (the CI gate uses 256);
 /// `seed` perturbs every generated case (defaults to `CAKE_TEST_SEED`).
@@ -88,18 +81,10 @@ pub fn verify_all(cases: u32, seed: Option<u64>) -> Result<Vec<PillarOutcome>, S
         lines: suite.summary_lines(),
     });
 
-    // Tuned-vs-default: a fraction of the fuzz budget (each case runs
-    // 4 dtypes x ~6 executor configurations).
-    let tuned_cases = (cases / 8).max(4);
-    let trep = tuned::run(tuned_cases, seed.unwrap_or_else(proptest::test_runner::env_seed))?;
-    out.push(PillarOutcome {
-        name: "tuned",
-        lines: trep.summary_lines(),
-    });
-
-    // Pre-packed vs row-major A: the same budget as the tuned pillar
-    // (each case runs 4 dtypes x every tier, two paths each).
-    let prep = prepacked::run(tuned_cases, seed.unwrap_or_else(proptest::test_runner::env_seed))?;
+    // Pre-packed vs row-major A: a fraction of the fuzz budget (each case
+    // runs 4 dtypes x every tier, two paths each).
+    let prepacked_cases = (cases / 8).max(4);
+    let prep = prepacked::run(prepacked_cases, seed.unwrap_or_else(proptest::test_runner::env_seed))?;
     out.push(PillarOutcome {
         name: "prepacked",
         lines: prep.summary_lines(),
@@ -113,7 +98,7 @@ mod tests {
     #[test]
     fn verify_all_passes_at_reduced_case_count() {
         let outcomes = super::verify_all(24, Some(7)).expect("verification suite must pass");
-        assert_eq!(outcomes.len(), 5);
+        assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
             assert!(!o.lines.is_empty(), "{} produced no summary", o.name);
         }

@@ -57,7 +57,7 @@ fn main() {
     // Section 3).
     let decision = cfg.explain_shape_for::<f32>(m, k, n);
     assert_eq!(decision.kernel, stats.kernel, "the block is shaped for the kernel that ran");
-    let ukr = cfg.selected_kernel::<f32>(k);
+    let ukr = cake::kernels::best_kernel_for_depth::<f32>(k);
     let model = CakeModel::new(decision.shape, ukr.mr(), ukr.nr(), 4, cfg.freq_ghz);
     println!("\nCB block: {} on {}", decision.shape, decision.kernel);
     println!("  required DRAM bandwidth (Eq. 4): {:.2} GB/s (constant in p)", model.ext_bw_gbs());
