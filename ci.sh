@@ -2,7 +2,7 @@
 # CI gate for the cake-rs workspace.
 #
 #   ./ci.sh                full gate: tier-1, all tests, clippy, rustdoc, audit, verify,
-#                          the smoke gates, the figure diff against results/,
+#                          the scale and sim smokes, the figure diff against results/,
 #                          3 passes of the per-layer DNN sizing example, the
 #                          quickstart example, a short ukr_bench run (the
 #                          microkernel rates and the edge-tile probe), and
@@ -10,27 +10,18 @@
 #                          CAKE_KERNEL=avx2 (the capped kernel selection
 #                          must stay allocation-free)
 #   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
-#                          smoke gates, the figure diff and the examples)
+#                          smokes, the figure diff and the examples)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
-#   ./ci.sh --kernel-smoke one f32 GEMM per available kernel tier (portable/
-#                          avx2/avx512) and one int8 GEMM per int8 tier (also
-#                          amx), asserting pack counters are tier-invariant
-#                          and int8 results bit-identical; each tier runs
-#                          again from A pre-packed, which must match its
-#                          row-major run (counters and C); at 192^3 and at
-#                          K = 448 (several k-blocks, a partial last one)
-#   ./ci.sh --dtype-smoke  one GEMM per supported dtype (f32/f64/bf16/int8)
-#                          asserting element counters are dtype-invariant and
-#                          every dtype's warm path runs allocation-free
 #   ./ci.sh --sim-smoke    one deterministic + one fuzzed-ordering event-
 #                          simulator run per Table-2 CPU; exits 1 if any
 #                          same-tick permutation moves a traffic counter
-#   ./ci.sh --audit        static analysis only (cakectl audit: unsafe ratchet
-#                          with transmute/static-mut ratchets, symbolic bounds
-#                          proofs, executor phase checker, and the call-graph
-#                          dataflow passes — warm-path alloc-freedom, hot-path
-#                          panic-freedom, atomics-ordering protocol)
+#   ./ci.sh --audit        static analysis only (cakectl audit, five passes:
+#                          unsafe ratchet with transmute/static-mut ratchets,
+#                          symbolic bounds proofs, and the call-graph dataflow
+#                          passes — warm-path alloc-freedom, hot-path
+#                          panic-freedom, atomics ordering with the barrier
+#                          facts)
 #   ./ci.sh --miri         Miri pass over the pointer-heavy crates (needs a
 #                          nightly toolchain with the miri component; skips
 #                          gracefully when unavailable so the gate stays green
@@ -48,30 +39,18 @@
 # The verify stage runs the cake-verify harness: 256-case differential
 # fuzzing (CAKE vs GOTO vs naive; seed via CAKE_TEST_SEED), the
 # model-conformance oracle (measured executor counters == analytic traffic
-# == simulator, Eq. 4 p-invariance), and the deterministic interleaving
-# checker for the panel-ring protocol.
+# == simulator, Eq. 4 p-invariance; the counters on every kernel tier of
+# f32, f64, bf16 and int8), the deterministic interleaving checker for the
+# panel-ring protocol, and the pre-packed-A check (every dtype and tier:
+# counters and C bits equal to the row-major run).
 #
 # The scale-smoke gate is the CB-block bandwidth claim in one command:
 # the executor at p=4 must move exactly the same packed elements as p=1
-# (measured traffic-counters, fixed block grid), or cakectl exits 1. It
+# (measured element counters, fixed block grid), or cakectl exits 1. It
 # also runs the same-host scaling sanity check (cores >= 2p must yield
 # speedup > 1). On a single-core host the smoke is skipped with an
 # explicit message — the topology clamp would run every p at
 # effective_p=1, proving nothing.
-#
-# The kernel-smoke gate is the dispatch-tier counterpart: one GEMM per
-# kernel tier the host supports (always at least portable), same fixed
-# block grid for all of them. Pack counters tally live source elements,
-# which depend on the block grid and never on the microkernel tile shape
-# — so every tier must report identical a/b/c counters or cakectl exits
-# 1. This catches a tier whose edge handling silently reads or packs a
-# different footprint. A second table runs every int8 tier (AMX included),
-# whose exact i32 results must also agree bit for bit. Every tier also
-# runs the GEMM a second time from A pre-packed for it (the weights path
-# of the DNN layers: A packed once, one k-block at a time, read in place),
-# which must report the same a/b/c counters and the same C bits. The smoke
-# runs at 192^3 and again at K = 448, whose several k-blocks end in a
-# partial one, so the tile layout's K padding is exercised per k-block.
 #
 # The tsan stage (./ci.sh --tsan) covers cake-core's sync module and the
 # pipelined executor — the sense-reversing SpinBarrier's tests drive
@@ -105,24 +84,6 @@ run_scale_smoke() {
     echo "==> scale smoke: p in {1,4} sweep on $cores core(s), pack counters must be p-invariant"
     cargo run --release -p cake-bench --bin cakectl -- \
         gemm --m 192 --k 192 --n 192 --threads 1,4 --check-counters
-}
-
-run_kernel_smoke() {
-    echo "==> kernel smoke: one GEMM per available tier, pack counters must be tier-invariant"
-    cargo run --release -p cake-bench --bin cakectl -- \
-        gemm --m 192 --k 192 --n 192 --kernel-smoke
-    cargo run --release -p cake-bench --bin cakectl -- \
-        gemm --m 192 --k 448 --n 192 --kernel-smoke
-}
-
-run_dtype_smoke() {
-    # The narrow-dtype gate: every dtype (f32/f64/bf16/int8) must move
-    # exactly the same packed *elements* on one fixed block grid — element
-    # movement is a schedule property, only bytes-per-element changes —
-    # and every dtype's post-warmup iterations must run allocation-free.
-    echo "==> dtype smoke: one GEMM per dtype, element counters must be dtype-invariant"
-    cargo run --release -p cake-bench --bin cakectl -- \
-        gemm --m 192 --k 192 --n 192 --dtype-smoke
 }
 
 run_sim_smoke() {
@@ -241,18 +202,6 @@ if [[ "${1:-}" == "--scale-smoke" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--kernel-smoke" ]]; then
-    run_kernel_smoke
-    echo "==> ci.sh: kernel smoke passed"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--dtype-smoke" ]]; then
-    run_dtype_smoke
-    echo "==> ci.sh: dtype smoke passed"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--sim-smoke" ]]; then
     run_sim_smoke
     echo "==> ci.sh: sim smoke passed"
@@ -300,8 +249,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_audit
     run_verify
     run_scale_smoke
-    run_kernel_smoke
-    run_dtype_smoke
     run_sim_smoke
     run_fig_diff
     run_dnn_inference

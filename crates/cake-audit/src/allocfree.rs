@@ -1,5 +1,13 @@
 //! Static warm-path allocation-freedom pass.
 //!
+//! **The defect only this pass catches:** an allocation on the warm path
+//! that the runtime counting-allocator tests never execute. Those tests
+//! (`cake-verify/tests/warm_alloc.rs`, `forward_alloc.rs`) run at p = 1
+//! and count per thread, so an allocation made only by a worker other
+//! than the caller, or only on a shape no test runs, escapes them. The
+//! self-check seeds exactly that: an allocation guarded by `wid > 0` in
+//! the executor's per-worker closure.
+//!
 //! From every fn anchored `// audit: warm` (executor run loop, pack
 //! routines, microkernels, the cake-dnn forward/quant GEMM paths), walk
 //! the [`crate::callgraph`] closure and prove that no reachable line uses

@@ -1,5 +1,11 @@
 //! Atomics-ordering checker for the barrier/pool protocol.
 //!
+//! **The defect only this pass catches:** an atomic ordering weaker than
+//! the barrier protocol needs, or barrier code its safety argument rests
+//! on deleted (a SeqCst fence, the sense flip). On x86 a demoted ordering
+//! compiles to the same instructions, and a missing park fence shows only
+//! as a rare lost wakeup, so no runtime test can be relied on to fail.
+//!
 //! Extracts every atomic load/store/RMW/fence in the workspace's
 //! non-test sources together with its `Ordering`, then checks the
 //! inventory against the **declared happens-before protocol** of the
@@ -19,6 +25,11 @@
 //! * everything else (stats counters, traffic tallies) must be
 //!   `Relaxed`-only — a stronger ordering on a non-protocol atomic means
 //!   either an undeclared protocol or cargo-culted synchronization.
+//!
+//! The **barrier facts** ([`SYNC_FACTS`]) pin the code under each of
+//! sync.rs's seven `// audit: fact <name>` anchors: every fact must be
+//! anchored exactly once, directly above a code line that matches its
+//! pattern. Deleting a fence, the sense flip or an anchor fails the pass.
 //!
 //! The static spec is then **cross-validated against cake-verify's
 //! interleave step machine**: the happens-before edge the `sense`
@@ -138,6 +149,18 @@ pub const PROTOCOL: &[ProtocolRule] = &[
     ProtocolRule { atomic: "parked", class: OpClass::Load, ordering: "SeqCst", fact: None },
 ];
 
+/// The barrier facts sync.rs must pin: each `// audit: fact <name>`
+/// anchor and the pattern the code line under it must contain.
+pub const SYNC_FACTS: &[(&str, &str)] = &[
+    ("sense-reversal", "= !"),
+    ("arrive-acqrel", "fetch_add(1, Ordering::AcqRel)"),
+    ("publish-release", "Ordering::Release"),
+    ("spin-acquire", "load(Ordering::Acquire)"),
+    ("counter-reset-relaxed", "store(0, Ordering::Relaxed)"),
+    ("park-advertise-seqcst", "fence(Ordering::SeqCst)"),
+    ("leader-fence-seqcst", "fence(Ordering::SeqCst)"),
+];
+
 /// Result of the atomics pass.
 #[derive(Debug, Default)]
 pub struct AtomicsReport {
@@ -145,6 +168,8 @@ pub struct AtomicsReport {
     pub ops: Vec<String>,
     /// Per-protocol-atomic summaries.
     pub protocol: Vec<String>,
+    /// Barrier facts found backed by their code (`file:line name`).
+    pub facts: Vec<String>,
     /// Model cross-validation scenario lines.
     pub scenarios: Vec<String>,
     /// Violations (non-empty fails the audit).
@@ -412,6 +437,94 @@ pub fn check_ops(ops: &[AtomicOp], report: &mut AtomicsReport) {
     }
 }
 
+/// Check the `// audit: fact <name>` anchors of `files` against
+/// [`SYNC_FACTS`]: each fact must be anchored exactly once, and the first
+/// code line under its anchor (blank and comment lines skipped, at most
+/// three lines down) must contain the fact's pattern.
+fn check_sync_facts(files: &[SourceFile], report: &mut AtomicsReport) {
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    for f in files.iter().filter(|f| callgraph::in_graph(&f.path)) {
+        let lexed = lex(&f.src);
+        for (li, ll) in lexed.iter().enumerate() {
+            let Some(name) = ll.comment.trim().strip_prefix("audit: fact ") else { continue };
+            let name = name.trim();
+            let Some(&(fact, pattern)) = SYNC_FACTS.iter().find(|(n, _)| *n == name) else {
+                let at = format!("{}:{}", f.path, li + 1);
+                report.violations.push(format!("{at}: unknown barrier fact `{name}`"));
+                continue;
+            };
+            *seen.entry(fact).or_default() += 1;
+            let backed = lexed[li + 1..]
+                .iter()
+                .take(3)
+                .find(|l| !l.code.trim().is_empty())
+                .is_some_and(|l| l.code.contains(pattern));
+            if backed {
+                report.facts.push(format!("{}:{} {fact}", f.path, li + 1));
+            } else {
+                report.violations.push(format!(
+                    "{}:{}: fact `{fact}` not backed by code matching `{pattern}`",
+                    f.path,
+                    li + 1
+                ));
+            }
+        }
+    }
+    for (fact, _) in SYNC_FACTS {
+        match seen.get(fact) {
+            None => report.violations.push(format!(
+                "missing barrier fact `{fact}` — the barrier axiom is unjustified"
+            )),
+            Some(1) => {}
+            Some(k) => report.violations.push(format!("barrier fact `{fact}` anchored {k} times")),
+        }
+    }
+}
+
+/// `src` without the first code line under the `// audit: fact <fact>`
+/// anchor (and without the anchor too when `with_anchor`): the barrier
+/// code a fact mutant deletes. Unchanged when the anchor is absent.
+fn drop_code_under(src: &str, fact: &str, with_anchor: bool) -> String {
+    let anchor = format!("// audit: fact {fact}");
+    let lines: Vec<&str> = src.lines().collect();
+    let Some(at) = lines.iter().position(|l| l.trim() == anchor) else {
+        return src.to_string();
+    };
+    let code = lines[at + 1..]
+        .iter()
+        .position(|l| !l.trim().is_empty() && !l.trim().starts_with("//"))
+        .map(|i| at + 1 + i);
+    lines
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| Some(i) != code && !(with_anchor && i == at))
+        .map(|(_, l)| format!("{l}\n"))
+        .collect()
+}
+
+/// The fact mutants the audit's self-check seeds into sync.rs, each a
+/// deletion that only the fact check catches: `(what the mutant does,
+/// doctored source)`.
+pub(crate) fn fact_mutants(sync_src: &str) -> Vec<(&'static str, String)> {
+    vec![
+        ("deleting the leader's fence", drop_code_under(sync_src, "leader-fence-seqcst", false)),
+        (
+            "deleting the leader's fence and its fact",
+            drop_code_under(sync_src, "leader-fence-seqcst", true),
+        ),
+        ("deleting the advertise fence", drop_code_under(sync_src, "park-advertise-seqcst", false)),
+        ("deleting the sense flip", drop_code_under(sync_src, "sense-reversal", false)),
+        (
+            "deleting every fact anchor",
+            sync_src
+                .lines()
+                .filter(|l| !l.contains("audit: fact"))
+                .map(|l| format!("{l}\n"))
+                .collect(),
+        ),
+    ]
+}
+
 /// Cross-validate the static ordering rules against the interleave step
 /// machine: the model must confirm the guarantee *and* exhibit the failure
 /// mode each rule excludes.
@@ -492,6 +605,7 @@ pub fn check(files: &[SourceFile]) -> AtomicsReport {
     let mut report = AtomicsReport::default();
     let ops = extract_ops(files);
     check_ops(&ops, &mut report);
+    check_sync_facts(files, &mut report);
     model_cross_check(&mut report);
     report
 }
@@ -500,20 +614,34 @@ pub fn check(files: &[SourceFile]) -> AtomicsReport {
 mod tests {
     use super::*;
 
-    /// A faithful miniature of sync.rs's atomics.
+    /// A faithful miniature of sync.rs's atomics and barrier facts.
     const FAITHFUL: &str = "\
-        fn wait(&self) {\n\
+        fn wait(&self, ws: &mut WaiterSense) -> bool {\n\
+            let my_sense = ws.sense;\n\
+            // audit: fact sense-reversal\n\
+            ws.sense = !my_sense;\n\
+            // audit: fact arrive-acqrel\n\
             if self.arrived.0.fetch_add(1, Ordering::AcqRel) + 1 == self.p {\n\
                 // audit: fact counter-reset-relaxed\n\
                 self.arrived.0.store(0, Ordering::Relaxed);\n\
+                // audit: fact publish-release\n\
                 self.sense.0.store(my_sense, Ordering::Release);\n\
+                return true;\n\
             }\n\
+            // audit: fact spin-acquire\n\
             while self.sense.0.load(Ordering::Acquire) != my_sense {}\n\
+            false\n\
+        }\n\
+        fn park_until(&self) {\n\
             self.parked.fetch_add(1, Ordering::SeqCst);\n\
             // audit: fact park-advertise-seqcst\n\
             fence(Ordering::SeqCst);\n\
-            self.parked.load(Ordering::SeqCst);\n\
             self.parked.fetch_sub(1, Ordering::SeqCst);\n\
+        }\n\
+        fn wake_parked(&self) {\n\
+            // audit: fact leader-fence-seqcst\n\
+            fence(Ordering::SeqCst);\n\
+            self.parked.load(Ordering::SeqCst);\n\
             stats.fetch_add(1, Ordering::Relaxed);\n\
         }\n";
 
@@ -521,12 +649,57 @@ mod tests {
         check(&[SourceFile { path: "crates/x/src/sync.rs".into(), src: src.into() }])
     }
 
+    fn assert_caught(r: &AtomicsReport, needle: &str) {
+        assert!(r.violations.iter().any(|v| v.contains(needle)), "{needle}: {:?}", r.violations);
+    }
+
     #[test]
     fn faithful_protocol_passes() {
         let r = run_src(FAITHFUL);
         assert!(r.ok(), "{:?}", r.violations);
         assert!(r.ops.len() >= 8, "{:?}", r.ops);
+        assert_eq!(r.facts.len(), SYNC_FACTS.len(), "{:?}", r.facts);
         assert_eq!(r.scenarios.len(), 3);
+    }
+
+    #[test]
+    fn missing_sync_fact_is_caught() {
+        let r = run_src(&FAITHFUL.replace("// audit: fact publish-release\n", ""));
+        assert_caught(&r, "missing barrier fact `publish-release`");
+    }
+
+    #[test]
+    fn fact_with_wrong_adjacent_code_is_caught() {
+        let r = run_src(&FAITHFUL.replace("Ordering::Release", "Ordering::Relaxed"));
+        assert_caught(&r, "not backed by code");
+    }
+
+    #[test]
+    fn deleted_leader_fence_under_its_fact_is_caught() {
+        let doctored = drop_code_under(FAITHFUL, "leader-fence-seqcst", false);
+        assert!(doctored.contains("// audit: fact leader-fence-seqcst"));
+        assert_caught(&run_src(&doctored), "fact `leader-fence-seqcst` not backed");
+    }
+
+    #[test]
+    fn deleted_leader_fence_and_fact_are_caught() {
+        let doctored = drop_code_under(FAITHFUL, "leader-fence-seqcst", true);
+        assert!(!doctored.contains("leader-fence-seqcst"));
+        assert_caught(&run_src(&doctored), "missing barrier fact `leader-fence-seqcst`");
+    }
+
+    #[test]
+    fn deleted_advertise_fence_is_caught() {
+        let doctored = drop_code_under(FAITHFUL, "park-advertise-seqcst", false);
+        assert_eq!(doctored.matches("fence(").count(), 1);
+        assert_caught(&run_src(&doctored), "fact `park-advertise-seqcst` not backed");
+    }
+
+    #[test]
+    fn deleted_sense_flip_is_caught() {
+        let doctored = drop_code_under(FAITHFUL, "sense-reversal", false);
+        assert!(!doctored.contains("ws.sense = !my_sense"));
+        assert_caught(&run_src(&doctored), "fact `sense-reversal` not backed");
     }
 
     #[test]
@@ -649,5 +822,9 @@ mod tests {
         // The whole barrier inventory: arrive, reset, publish, 2 spins,
         // 3 parked ops, 2 fences, plus Relaxed stats.
         assert!(r.ops.len() >= 10, "{:?}", r.ops);
+        // Every barrier fact is pinned in sync.rs itself.
+        assert_eq!(r.facts.len(), SYNC_FACTS.len(), "{:?}", r.facts);
+        let in_sync = |f: &String| f.starts_with("crates/cake-core/src/sync.rs:");
+        assert!(r.facts.iter().all(in_sync), "{:?}", r.facts);
     }
 }

@@ -1,6 +1,12 @@
 //! Symbolic bounds checker for every raw-pointer offset site in the GEMM
 //! data path.
 //!
+//! **The defect only this pass catches:** an offset that overruns its
+//! buffer at some point of the tuning space that no test runs. Tests and
+//! the fuzzer sample shapes; this pass covers them all. The self-check
+//! seeds off-by-one sites ([`mutant_sites`]) that must be refuted with a
+//! witness.
+//!
 //! Each [`Site`] models one pointer-arithmetic site as an inequality
 //! `need <= cap`: `need` is one past the highest element offset the loop
 //! nest can touch, `cap` the length of the buffer it indexes. Sites over
@@ -30,7 +36,7 @@ use cake_kernels::pack::{
 };
 
 use crate::interval::{
-    c, div_ceil_i, dominates, sampled_nondecreasing, symbolically_equal, v, Expr, Iv,
+    c, div_ceil_i, dominates, sampled_nondecreasing, symbolically_equal, v, Expr,
 };
 
 /// How a site's inequality was discharged.
@@ -94,10 +100,6 @@ pub struct SiteProof {
     pub witness: Option<String>,
     /// Assignments enumerated during validation.
     pub checked: usize,
-    /// Interval of `need` over the declared ranges.
-    pub need_range: (i128, i128),
-    /// Interval of `cap` over the declared ranges.
-    pub cap_range: (i128, i128),
 }
 
 /// Full bounds-checker result.
@@ -115,39 +117,6 @@ impl BoundsReport {
     /// `true` when every site is proven and every lemma held.
     pub fn ok(&self) -> bool {
         self.lemma_failures.is_empty() && self.proofs.iter().all(|p| p.method.is_some())
-    }
-
-    /// Machine-readable JSON proof report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"sites\": [\n");
-        for (i, p) in self.proofs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"place\": \"{}\", \"method\": {}, \
-                 \"checked\": {}, \"need\": [{}, {}], \"cap\": [{}, {}]{}}}{}\n",
-                p.name,
-                p.place,
-                match p.method {
-                    Some(m) => format!("\"{}\"", m.name()),
-                    None => "null".to_string(),
-                },
-                p.checked,
-                p.need_range.0,
-                p.need_range.1,
-                p.cap_range.0,
-                p.cap_range.1,
-                match &p.witness {
-                    Some(w) => format!(", \"witness\": \"{w}\""),
-                    None => String::new(),
-                },
-                if i + 1 < self.proofs.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"lemmas\": [");
-        for (i, l) in self.lemmas.iter().enumerate() {
-            s.push_str(&format!("\"{l}\"{}", if i + 1 < self.lemmas.len() { ", " } else { "" }));
-        }
-        s.push_str(&format!("],\n  \"ok\": {}\n}}\n", self.ok()));
-        s
     }
 }
 
@@ -229,22 +198,7 @@ pub fn prove_site(site: &Site) -> SiteProof {
         method = Some(Method::Exhaustive);
     }
 
-    // Interval ranges of need/cap over the raw (unconstrained) boxes, for
-    // the report. Conservative: the true reachable set is a subset.
-    let iv_env: BTreeMap<&'static str, Iv> =
-        site.ranges.iter().map(|&(n, lo, hi)| (n, Iv::new(lo, hi))).collect();
-    let niv = site.need.eval_iv(&iv_env);
-    let civ = site.cap.eval_iv(&iv_env);
-
-    SiteProof {
-        name: site.name,
-        place: site.place,
-        method,
-        witness,
-        checked,
-        need_range: (niv.lo, niv.hi),
-        cap_range: (civ.lo, civ.hi),
-    }
+    SiteProof { name: site.name, place: site.place, method, witness, checked }
 }
 
 /// Sliver-tail `need` for a packed panel: highest offset + 1 written by the
@@ -1609,11 +1563,9 @@ mod tests {
     }
 
     #[test]
-    fn full_check_is_green_and_serializes() {
+    fn full_check_is_green() {
         let report = check();
         assert!(report.ok(), "{:?}", report.lemma_failures);
-        let json = report.to_json();
-        assert!(json.contains("\"ok\": true"));
-        assert!(json.contains("exec_pa_pack"));
+        assert!(report.proofs.iter().any(|p| p.name == "exec_pa_pack"));
     }
 }

@@ -14,8 +14,6 @@
 //!   non-negative either because every coefficient is `>= 0`, or after
 //!   replacing a `min`/`ceil` atom in a negative monomial by one of its
 //!   (pointwise larger) arguments,
-//! * interval evaluation ([`Expr::eval_iv`]) for the machine-readable
-//!   report's offset ranges, and
 //! * a deterministic xorshift sampler used to validate monotonicity claims
 //!   that justify corner substitution of constrained variables.
 //!
@@ -105,22 +103,6 @@ impl Expr {
         }
     }
 
-    /// Interval evaluation: a conservative `[lo, hi]` range of the value over
-    /// per-variable ranges (exact for the monotone operators used here).
-    pub fn eval_iv(&self, env: &BTreeMap<&'static str, Iv>) -> Iv {
-        match self {
-            Expr::Const(k) => Iv::point(*k),
-            Expr::Var(x) => *env
-                .get(x)
-                .unwrap_or_else(|| panic!("unbound variable {x} in bounds model")),
-            Expr::Add(a, b) => a.eval_iv(env).add(b.eval_iv(env)),
-            Expr::Sub(a, b) => a.eval_iv(env).sub(b.eval_iv(env)),
-            Expr::Mul(a, b) => a.eval_iv(env).mul(b.eval_iv(env)),
-            Expr::DivCeil(a, b) => a.eval_iv(env).div_ceil_iv(b.eval_iv(env)),
-            Expr::Min(a, b) => a.eval_iv(env).min_iv(b.eval_iv(env)),
-        }
-    }
-
     /// Replace every occurrence of `var` by `with`.
     pub fn subst(&self, var: &str, with: &Expr) -> Expr {
         match self {
@@ -158,51 +140,6 @@ impl Expr {
                 b.vars(out);
             }
         }
-    }
-}
-
-/// Closed integer interval `[lo, hi]` over the non-negative domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Iv {
-    /// Inclusive lower bound.
-    pub lo: i128,
-    /// Inclusive upper bound.
-    pub hi: i128,
-}
-
-impl Iv {
-    /// The interval `[x, x]`.
-    pub fn point(x: i128) -> Iv {
-        Iv { lo: x, hi: x }
-    }
-
-    /// The interval `[lo, hi]` (asserts `lo <= hi`).
-    pub fn new(lo: i128, hi: i128) -> Iv {
-        assert!(lo <= hi, "inverted interval [{lo}, {hi}]");
-        Iv { lo, hi }
-    }
-
-    fn add(self, o: Iv) -> Iv {
-        Iv { lo: self.lo + o.lo, hi: self.hi + o.hi }
-    }
-
-    fn sub(self, o: Iv) -> Iv {
-        Iv { lo: self.lo - o.hi, hi: self.hi - o.lo }
-    }
-
-    fn mul(self, o: Iv) -> Iv {
-        let cs = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi];
-        Iv { lo: *cs.iter().min().unwrap(), hi: *cs.iter().max().unwrap() }
-    }
-
-    fn div_ceil_iv(self, o: Iv) -> Iv {
-        // Sizes only: dividend >= 0, divisor >= 1 (domain convention).
-        assert!(self.lo >= 0 && o.lo >= 1, "div_ceil interval domain violation");
-        Iv { lo: div_ceil_i(self.lo, o.hi), hi: div_ceil_i(self.hi, o.lo) }
-    }
-
-    fn min_iv(self, o: Iv) -> Iv {
-        Iv { lo: self.lo.min(o.lo), hi: self.hi.min(o.hi) }
     }
 }
 
@@ -571,24 +508,6 @@ mod tests {
     fn dominance_rejects_false_claims() {
         assert!(!dominates(&v("x"), &v("x").plus(c(1))));
         assert!(!dominates(&v("x").times(c(2)), &v("x").times(c(3))));
-    }
-
-    #[test]
-    fn interval_eval_brackets_concrete_eval() {
-        let e = v("x").ceil_div(v("d")).times(v("d")).min_e(v("y").plus(c(3)));
-        let ranges = [("x", 1, 9), ("d", 1, 4), ("y", 0, 5)];
-        let iv_env: BTreeMap<&'static str, Iv> =
-            ranges.iter().map(|&(n, lo, hi)| (n, Iv::new(lo, hi))).collect();
-        let iv = e.eval_iv(&iv_env);
-        let mut rng = XorShift64(7);
-        for _ in 0..200 {
-            let mut cenv = BTreeMap::new();
-            for &(n, lo, hi) in &ranges {
-                cenv.insert(n, rng.in_range(lo, hi));
-            }
-            let got = e.eval(&cenv);
-            assert!(iv.lo <= got && got <= iv.hi, "{got} outside {iv:?}");
-        }
     }
 
     #[test]

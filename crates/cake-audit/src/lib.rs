@@ -1,7 +1,9 @@
 //! cake-audit: in-tree, dependency-free static analysis for the CAKE
 //! workspace.
 //!
-//! Six analyses, wired into `cakectl audit` and `./ci.sh --audit`:
+//! Five analyses, wired into `cakectl audit` and `./ci.sh --audit`. Each
+//! catches a class of defect that no other check in the workspace catches
+//! (its module doc names the class):
 //!
 //! 1. **Unsafe auditor** ([`scan`]): lexes every `.rs` file, inventories
 //!    `unsafe` sites, enforces `// SAFETY:` annotations, confines unsafe to
@@ -12,29 +14,26 @@
 //!    microkernel / executor / goto raw-pointer offset site as
 //!    `need <= cap` over the tuning variables and proves it for the whole
 //!    tuning space (polynomial equality or dominance certificates, plus
-//!    exhaustive small-extent model checking), emitting a machine-readable
-//!    proof report.
-//! 3. **Phase/dominance checker** ([`phase`]): derives the executor's
-//!    shared-buffer protocol from `// audit: step` annotations in
-//!    `executor.rs` and `// audit: fact` annotations in `sync.rs`, then
-//!    exhausts every interleaving through cake-verify's step machine.
-//! 4. **Alloc-freedom** ([`allocfree`]): from every `// audit: warm` root,
+//!    exhaustive small-extent model checking).
+//! 3. **Alloc-freedom** ([`allocfree`]): from every `// audit: warm` root,
 //!    walks the whole-workspace call graph ([`callgraph`]) and proves no
 //!    reachable line allocates, except through declared `// audit: cold`
 //!    escapes.
-//! 5. **Panic-freedom** ([`panicfree`]): from every `// audit: hot` root,
+//! 4. **Panic-freedom** ([`panicfree`]): from every `// audit: hot` root,
 //!    flags panics, unwraps, non-debug asserts, and slice indexing not
 //!    covered by a [`bounds`] proof or a justified escape.
-//! 6. **Atomics ordering** ([`atomics`]): inventories every atomic op with
+//! 5. **Atomics ordering** ([`atomics`]): inventories every atomic op with
 //!    its `Ordering`, checks the inventory against the declared
-//!    happens-before protocol, and cross-validates the protocol against
+//!    happens-before protocol, pins the barrier code under sync.rs's
+//!    `// audit: fact` anchors, and cross-validates the protocol against
 //!    cake-verify's interleave step machine.
 //!
-//! Every run also executes a **self-check**: seeded mutants of each class
-//! (off-by-one tail, missing barrier annotation, uncommented unsafe,
-//! warm-path allocation, hot-path unwrap, ordering demotion) must be
-//! caught, or the audit fails — a green audit from a toothless checker is
-//! worse than no audit.
+//! Every run also executes a **self-check**: for each pass, seeded mutants
+//! of the real sources that only that pass catches (uncommented unsafe,
+//! off-by-one offsets, an allocation on a worker thread other than the
+//! caller's, a hot-path unwrap that no test makes fail, an ordering
+//! demotion and deleted barrier code) must be caught, or the audit fails —
+//! a green audit from a toothless checker is worse than no audit.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -44,7 +43,6 @@ pub mod bounds;
 pub mod callgraph;
 pub mod interval;
 pub mod panicfree;
-pub mod phase;
 pub mod scan;
 
 use std::collections::BTreeSet;
@@ -54,54 +52,6 @@ use std::path::{Path, PathBuf};
 
 use callgraph::SourceFile;
 
-/// Which passes to run. `cakectl audit` exposes one flag per field; the
-/// self-check only seeds mutants for enabled passes.
-#[derive(Debug, Clone, Copy)]
-pub struct PassSelection {
-    /// Unsafe auditor + ratchet.
-    pub scan: bool,
-    /// Symbolic bounds prover.
-    pub bounds: bool,
-    /// Phase/dominance checker.
-    pub phase: bool,
-    /// Warm-path alloc-freedom.
-    pub alloc: bool,
-    /// Hot-path panic-freedom.
-    pub panic: bool,
-    /// Atomics-ordering checker.
-    pub atomics: bool,
-}
-
-impl Default for PassSelection {
-    fn default() -> Self {
-        Self::all()
-    }
-}
-
-impl PassSelection {
-    /// Every pass enabled (the default for CI).
-    pub fn all() -> Self {
-        Self { scan: true, bounds: true, phase: true, alloc: true, panic: true, atomics: true }
-    }
-
-    /// No pass enabled — the starting point for `--only-<pass>` flags.
-    pub fn none() -> Self {
-        Self {
-            scan: false,
-            bounds: false,
-            phase: false,
-            alloc: false,
-            panic: false,
-            atomics: false,
-        }
-    }
-
-    /// Is at least one pass enabled?
-    pub fn any(&self) -> bool {
-        self.scan || self.bounds || self.phase || self.alloc || self.panic || self.atomics
-    }
-}
-
 /// Audit invocation parameters.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -110,64 +60,35 @@ pub struct AuditConfig {
     /// Regenerate `unsafe-ratchet.toml` from the current tree before
     /// checking against it.
     pub bless: bool,
-    /// Which passes to run (default: all).
-    pub passes: PassSelection,
 }
 
-/// Aggregated audit result. A `None` report means the pass was not
-/// selected for this run.
+/// Aggregated audit result.
 #[derive(Debug)]
 pub struct AuditOutcome {
     /// Unsafe auditor result.
-    pub scan: Option<scan::ScanReport>,
+    pub scan: scan::ScanReport,
     /// Bounds prover result.
-    pub bounds: Option<bounds::BoundsReport>,
-    /// Phase checker result.
-    pub phase: Option<phase::PhaseReport>,
+    pub bounds: bounds::BoundsReport,
     /// Alloc-freedom result.
-    pub alloc: Option<allocfree::AllocReport>,
+    pub alloc: allocfree::AllocReport,
     /// Panic-freedom result.
-    pub panic: Option<panicfree::PanicReport>,
+    pub panic: panicfree::PanicReport,
     /// Atomics-ordering result.
-    pub atomics: Option<atomics::AtomicsReport>,
+    pub atomics: atomics::AtomicsReport,
     /// Self-check failures (seeded mutants that were *not* caught).
     pub self_check: Vec<String>,
     /// Whether a fresh ratchet was written this run.
     pub blessed: bool,
 }
 
-/// Escape `s` for embedding in a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", quoted.join(","))
-}
-
 impl AuditOutcome {
-    /// `true` when every selected analysis and the self-check passed.
+    /// `true` when every analysis and the self-check passed.
     pub fn ok(&self) -> bool {
-        self.scan.as_ref().is_none_or(|r| r.violations.is_empty())
-            && self.bounds.as_ref().is_none_or(|r| r.ok())
-            && self.phase.as_ref().is_none_or(|r| r.ok())
-            && self.alloc.as_ref().is_none_or(|r| r.ok())
-            && self.panic.as_ref().is_none_or(|r| r.ok())
-            && self.atomics.as_ref().is_none_or(|r| r.ok())
+        self.scan.violations.is_empty()
+            && self.bounds.ok()
+            && self.alloc.ok()
+            && self.panic.ok()
+            && self.atomics.ok()
             && self.self_check.is_empty()
     }
 
@@ -183,128 +104,97 @@ impl AuditOutcome {
             }
         }
         let mut out = Vec::new();
-        match &self.scan {
-            None => out.push("scan: SKIPPED".to_string()),
-            Some(r) => {
-                out.push(format!(
-                    "scan: {} — {} unsafe site(s) across {} file(s), {} violation(s){}",
-                    verdict(r.violations.is_empty()),
-                    r.total_sites,
-                    r.files.len(),
-                    r.violations.len(),
-                    if self.blessed { " [ratchet re-blessed]" } else { "" }
-                ));
-                for vi in &r.violations {
-                    out.push(format!("  VIOLATION {vi}"));
-                }
-                for note in &r.notes {
-                    out.push(format!("  note: {note}"));
-                }
+        let r = &self.scan;
+        out.push(format!(
+            "scan: {} — {} unsafe site(s) across {} file(s), {} violation(s){}",
+            verdict(r.violations.is_empty()),
+            r.total_sites,
+            r.files.len(),
+            r.violations.len(),
+            if self.blessed { " [ratchet re-blessed]" } else { "" }
+        ));
+        for vi in &r.violations {
+            out.push(format!("  VIOLATION {vi}"));
+        }
+        for note in &r.notes {
+            out.push(format!("  note: {note}"));
+        }
+
+        let r = &self.bounds;
+        let proven = r.proofs.iter().filter(|p| p.method.is_some()).count();
+        out.push(format!(
+            "bounds: {} — {proven}/{} offset sites proven, {} code lemma(s) held",
+            verdict(r.ok()),
+            r.proofs.len(),
+            r.lemmas.len()
+        ));
+        for p in &r.proofs {
+            match p.method {
+                Some(m) => out.push(format!(
+                    "  {} [{}] checked {} assignment(s): {}",
+                    p.name,
+                    m.name(),
+                    p.checked,
+                    p.place
+                )),
+                None => out.push(format!(
+                    "  VIOLATION {} unproven: {}",
+                    p.name,
+                    p.witness.as_deref().unwrap_or("no witness")
+                )),
             }
         }
-        match &self.bounds {
-            None => out.push("bounds: SKIPPED".to_string()),
-            Some(r) => {
-                let proven = r.proofs.iter().filter(|p| p.method.is_some()).count();
-                out.push(format!(
-                    "bounds: {} — {proven}/{} offset sites proven, {} code lemma(s) held",
-                    verdict(r.ok()),
-                    r.proofs.len(),
-                    r.lemmas.len()
-                ));
-                for p in &r.proofs {
-                    match p.method {
-                        Some(m) => out.push(format!(
-                            "  {} [{}] checked {} assignment(s): {}",
-                            p.name,
-                            m.name(),
-                            p.checked,
-                            p.place
-                        )),
-                        None => out.push(format!(
-                            "  VIOLATION {} unproven: {}",
-                            p.name,
-                            p.witness.as_deref().unwrap_or("no witness")
-                        )),
-                    }
-                }
-                for f in &r.lemma_failures {
-                    out.push(format!("  VIOLATION lemma: {f}"));
-                }
-            }
+        for f in &r.lemma_failures {
+            out.push(format!("  VIOLATION lemma: {f}"));
         }
-        match &self.phase {
-            None => out.push("phase: SKIPPED".to_string()),
-            Some(r) => {
-                out.push(format!(
-                    "phase: {} — {} scenario(s) explored, {} violation(s)",
-                    verdict(r.ok()),
-                    r.scenarios.len(),
-                    r.violations.len()
-                ));
-                for s in &r.scenarios {
-                    out.push(format!("  {s}"));
-                }
-                for vi in &r.violations {
-                    out.push(format!("  VIOLATION {vi}"));
-                }
-            }
+
+        let r = &self.alloc;
+        out.push(format!(
+            "alloc: {} — {} warm root(s), {} fn(s) reachable, {} cold fn cutoff(s), \
+             {} cold line escape(s), {} violation(s)",
+            verdict(r.ok()),
+            r.roots.len(),
+            r.reachable,
+            r.cold_fn_skips,
+            r.cold_line_escapes,
+            r.violations.len()
+        ));
+        for vi in &r.violations {
+            out.push(format!("  VIOLATION {vi}"));
         }
-        match &self.alloc {
-            None => out.push("alloc: SKIPPED".to_string()),
-            Some(r) => {
-                out.push(format!(
-                    "alloc: {} — {} warm root(s), {} fn(s) reachable, {} cold fn cutoff(s), \
-                     {} cold line escape(s), {} violation(s)",
-                    verdict(r.ok()),
-                    r.roots.len(),
-                    r.reachable,
-                    r.cold_fn_skips,
-                    r.cold_line_escapes,
-                    r.violations.len()
-                ));
-                for vi in &r.violations {
-                    out.push(format!("  VIOLATION {vi}"));
-                }
-            }
+
+        let r = &self.panic;
+        out.push(format!(
+            "panic: {} — {} hot root(s), {} fn(s) reachable, {} escape(s) honored, \
+             {} violation(s)",
+            verdict(r.ok()),
+            r.roots.len(),
+            r.reachable,
+            r.escapes,
+            r.violations.len()
+        ));
+        for vi in &r.violations {
+            out.push(format!("  VIOLATION {vi}"));
         }
-        match &self.panic {
-            None => out.push("panic: SKIPPED".to_string()),
-            Some(r) => {
-                out.push(format!(
-                    "panic: {} — {} hot root(s), {} fn(s) reachable, {} escape(s) honored, \
-                     {} violation(s)",
-                    verdict(r.ok()),
-                    r.roots.len(),
-                    r.reachable,
-                    r.escapes,
-                    r.violations.len()
-                ));
-                for vi in &r.violations {
-                    out.push(format!("  VIOLATION {vi}"));
-                }
-            }
+
+        let r = &self.atomics;
+        out.push(format!(
+            "atomics: {} — {} atomic op(s) inventoried, {} protocol rule(s), \
+             {} barrier fact(s) pinned, {} model scenario(s), {} violation(s)",
+            verdict(r.ok()),
+            r.ops.len(),
+            r.protocol.len(),
+            r.facts.len(),
+            r.scenarios.len(),
+            r.violations.len()
+        ));
+        for s in &r.scenarios {
+            out.push(format!("  {s}"));
         }
-        match &self.atomics {
-            None => out.push("atomics: SKIPPED".to_string()),
-            Some(r) => {
-                out.push(format!(
-                    "atomics: {} — {} atomic op(s) inventoried, {} protocol rule(s), \
-                     {} model scenario(s), {} violation(s)",
-                    verdict(r.ok()),
-                    r.ops.len(),
-                    r.protocol.len(),
-                    r.scenarios.len(),
-                    r.violations.len()
-                ));
-                for s in &r.scenarios {
-                    out.push(format!("  {s}"));
-                }
-                for vi in &r.violations {
-                    out.push(format!("  VIOLATION {vi}"));
-                }
-            }
+        for vi in &r.violations {
+            out.push(format!("  VIOLATION {vi}"));
         }
+
         if self.self_check.is_empty() {
             out.push("self-check: PASS — all seeded mutant classes caught".to_string());
         } else {
@@ -315,85 +205,6 @@ impl AuditOutcome {
         }
         out.push(format!("audit: {}", if self.ok() { "PASS" } else { "FAIL" }));
         out
-    }
-
-    /// Machine-readable report (`target/cake-audit/audit.json`). Skipped
-    /// passes render as `null`.
-    pub fn to_json(&self) -> String {
-        let scan = match &self.scan {
-            None => "null".to_string(),
-            Some(r) => format!(
-                "{{\"ok\":{},\"sites\":{},\"files\":{},\"violations\":{}}}",
-                r.violations.is_empty(),
-                r.total_sites,
-                r.files.len(),
-                json_list(&r.violations)
-            ),
-        };
-        let bounds = match &self.bounds {
-            None => "null".to_string(),
-            Some(r) => {
-                let proven = r.proofs.iter().filter(|p| p.method.is_some()).count();
-                format!(
-                    "{{\"ok\":{},\"proven\":{proven},\"total\":{},\"lemmas\":{}}}",
-                    r.ok(),
-                    r.proofs.len(),
-                    r.lemmas.len()
-                )
-            }
-        };
-        let phase = match &self.phase {
-            None => "null".to_string(),
-            Some(r) => format!(
-                "{{\"ok\":{},\"scenarios\":{},\"violations\":{}}}",
-                r.ok(),
-                r.scenarios.len(),
-                json_list(&r.violations)
-            ),
-        };
-        let alloc = match &self.alloc {
-            None => "null".to_string(),
-            Some(r) => format!(
-                "{{\"ok\":{},\"roots\":{},\"reachable\":{},\"cold_fn_skips\":{},\
-                 \"cold_line_escapes\":{},\"violations\":{}}}",
-                r.ok(),
-                json_list(&r.roots),
-                r.reachable,
-                r.cold_fn_skips,
-                r.cold_line_escapes,
-                json_list(&r.violations)
-            ),
-        };
-        let panic = match &self.panic {
-            None => "null".to_string(),
-            Some(r) => format!(
-                "{{\"ok\":{},\"roots\":{},\"reachable\":{},\"escapes\":{},\"violations\":{}}}",
-                r.ok(),
-                json_list(&r.roots),
-                r.reachable,
-                r.escapes,
-                json_list(&r.violations)
-            ),
-        };
-        let atomics = match &self.atomics {
-            None => "null".to_string(),
-            Some(r) => format!(
-                "{{\"ok\":{},\"ops\":{},\"protocol\":{},\"scenarios\":{},\"violations\":{}}}",
-                r.ok(),
-                json_list(&r.ops),
-                json_list(&r.protocol),
-                json_list(&r.scenarios),
-                json_list(&r.violations)
-            ),
-        };
-        format!(
-            "{{\n  \"ok\": {},\n  \"blessed\": {},\n  \"scan\": {scan},\n  \"bounds\": {bounds},\n  \
-             \"phase\": {phase},\n  \"alloc\": {alloc},\n  \"panic\": {panic},\n  \
-             \"atomics\": {atomics},\n  \"self_check\": {}\n}}\n",
-            self.ok(),
-            self.blessed,
-            json_list(&self.self_check)
-        )
     }
 }
 
@@ -428,190 +239,128 @@ fn with_mutated(files: &[SourceFile], path: &str, src: String) -> Vec<SourceFile
         .collect()
 }
 
-/// Seeded mutants of the *real* sources: each class must be caught by its
-/// analysis or the returned list names the toothless checker. Only classes
-/// whose pass is enabled in `passes` are seeded.
-fn self_check(
-    files: &[SourceFile],
-    executor_src: &str,
-    sync_src: &str,
-    proven_sites: &BTreeSet<String>,
-    passes: &PassSelection,
-) -> Vec<String> {
+const EXECUTOR: &str = "crates/cake-core/src/executor.rs";
+const SYNC: &str = "crates/cake-core/src/sync.rs";
+const PACK: &str = "crates/cake-kernels/src/pack.rs";
+
+/// The source of `path` in `files`.
+fn source<'a>(files: &'a [SourceFile], path: &str) -> Option<&'a str> {
+    files.iter().find(|f| f.path == path).map(|f| f.src.as_str())
+}
+
+/// `src` with `line` inserted after the first line containing `marker`,
+/// or `None` when no line contains it.
+fn insert_after(src: &str, marker: &str, line: &str) -> Option<String> {
+    let at = src.find(marker)?;
+    let eol = src[at..].find('\n').map_or(src.len(), |i| at + i);
+    Some(format!("{}\n{line}{}", &src[..eol], &src[eol..]))
+}
+
+/// Seeded mutants of the *real* sources: each pass must catch a mutant
+/// that no other check in the workspace catches, or the returned list
+/// names the toothless checker.
+fn self_check(files: &[SourceFile], proven_sites: &BTreeSet<String>) -> Vec<String> {
     let mut failures = Vec::new();
+    let (Some(executor), Some(sync), Some(pack)) =
+        (source(files, EXECUTOR), source(files, SYNC), source(files, PACK))
+    else {
+        return vec![format!("{EXECUTOR}, {SYNC} or {PACK} is not in the file set")];
+    };
 
-    // Class 1 — uncommented unsafe: strip every SAFETY token from the real
+    // scan — uncommented unsafe: strip every SAFETY token from the real
     // executor source; the scanner must flag at least one site.
-    if passes.scan {
-        let stripped = executor_src.replace("SAFETY", "NOTE").replace("Safety", "Note");
-        let mutant = scan::scan_source("executor-mutant.rs", &stripped);
-        if !mutant.sites.iter().any(|s| !s.annotated) {
-            failures
-                .push("scan: stripping all SAFETY comments from executor.rs went undetected".into());
-        }
+    let stripped = executor.replace("SAFETY", "NOTE").replace("Safety", "Note");
+    if scan::scan_source(EXECUTOR, &stripped).sites.iter().all(|s| s.annotated) {
+        failures.push("scan: executor.rs without its SAFETY comments went undetected".into());
     }
 
-    // Class 2 — off-by-one offsets: every seeded bounds mutant must be
+    // bounds — off-by-one offsets: every seeded bounds mutant must be
     // refuted with a concrete witness.
-    if passes.bounds {
-        for m in bounds::mutant_sites() {
-            let proof = bounds::prove_site(&m);
-            if proof.method.is_some() || proof.witness.is_none() {
-                failures.push(format!("bounds: mutant {} was not refuted", m.name));
+    for m in bounds::mutant_sites() {
+        let proof = bounds::prove_site(&m);
+        if proof.method.is_some() || proof.witness.is_none() {
+            failures.push(format!("bounds: mutant {} was not refuted", m.name));
+        }
+    }
+
+    // alloc — an allocation made only by workers other than worker 0, in
+    // the executor's per-worker closure. The runtime allocation tests run
+    // at p = 1 and count per thread, so none of them sees it.
+    let marker = "let mut bsense = barrier.waiter();";
+    let probe = "if wid > 0 { std::hint::black_box(vec![0u8; 64]); }";
+    match insert_after(executor, marker, probe) {
+        None => failures.push("alloc: per-worker marker missing from executor.rs".into()),
+        Some(doctored) => {
+            if allocfree::check(&with_mutated(files, EXECUTOR, doctored)).ok() {
+                failures.push("alloc: an allocation seeded on workers > 0 went undetected".into());
             }
         }
     }
 
-    // Class 3 — missing barrier annotation (and the live-slot aliasing
-    // variant): doctored real sources must produce violations.
-    if passes.phase {
-        let no_barrier = phase::drop_lines(executor_src, "audit: step block barrier");
-        if phase::check_with_sources(&no_barrier, sync_src).ok() {
-            failures.push("phase: dropping the block-barrier annotation went undetected".into());
-        }
-        let live_slot = executor_src.replace("pack_b slot=next", "pack_b slot=cur");
-        if phase::check_with_sources(&live_slot, sync_src).ok() {
-            failures.push("phase: packing into the live ring slot went undetected".into());
-        }
-        let no_fact = phase::drop_lines(sync_src, "audit: fact");
-        if phase::check_with_sources(executor_src, &no_fact).ok() {
-            failures.push("phase: dropping the sync.rs barrier facts went undetected".into());
-        }
-    }
-
-    // Class 4 — warm-path allocation: inject a `Vec::push` into the block
-    // compute step of the real executor; alloc-freedom must flag it.
-    if passes.alloc {
-        let marker = "// audit: step block compute";
-        if !executor_src.contains(marker) {
-            failures.push("alloc: block-compute step marker missing from executor.rs".into());
-        } else {
-            let line = executor_src
-                .lines()
-                .find(|l| l.contains(marker))
-                .expect("marker line exists");
-            let doctored = executor_src
-                .replacen(line, &format!("{line}\nprobe_buf.push(0);"), 1);
-            let mutated =
-                with_mutated(files, "crates/cake-core/src/executor.rs", doctored);
-            if allocfree::check(&mutated).ok() {
-                failures
-                    .push("alloc: a Vec::push seeded into the block compute step went undetected"
-                        .into());
+    // panic — an unwrap in the real pack_a fast path that no test input
+    // makes fail; panic-freedom must flag it.
+    match insert_after(pack, "if src.row_stride() == 1 {", "let _ = dst.first().unwrap();") {
+        None => failures.push("panic: pack_a fast-path marker missing from pack.rs".into()),
+        Some(doctored) => {
+            if panicfree::check(&with_mutated(files, PACK, doctored), proven_sites).ok() {
+                failures.push("panic: an unwrap in pack_a's fast path went undetected".into());
             }
         }
     }
 
-    // Class 5 — hot-path unwrap: inject an `.unwrap()` into the real
-    // pack_a fast path; panic-freedom must flag it.
-    if passes.panic {
-        let pack_src = files
-            .iter()
-            .find(|f| f.path == "crates/cake-kernels/src/pack.rs")
-            .map(|f| f.src.clone());
-        match pack_src {
-            None => failures.push("panic: crates/cake-kernels/src/pack.rs not in the file set".into()),
-            Some(src) => {
-                let marker = "if src.row_stride() == 1 {";
-                if !src.contains(marker) {
-                    failures.push("panic: pack_a fast-path marker missing from pack.rs".into());
-                } else {
-                    let doctored = src.replacen(
-                        marker,
-                        &format!("{marker}\nlet _ = dst.first().unwrap();"),
-                        1,
-                    );
-                    let mutated =
-                        with_mutated(files, "crates/cake-kernels/src/pack.rs", doctored);
-                    if panicfree::check(&mutated, proven_sites).ok() {
-                        failures.push(
-                            "panic: an unwrap seeded into the pack_a fast path went undetected"
-                                .into(),
-                        );
-                    }
-                }
-            }
-        }
+    // atomics — on sync.rs alone, which holds the whole barrier protocol
+    // and must pass by itself: demote the AcqRel arrival to Relaxed (x86
+    // runs both the same), then delete each piece of barrier code a fact
+    // pins.
+    let sync_passes = |src: &str| {
+        atomics::check(&[SourceFile { path: SYNC.into(), src: src.into() }]).ok()
+    };
+    if !sync_passes(sync) {
+        failures.push("atomics: sync.rs fails the pass on its own".into());
     }
-
-    // Class 6 — ordering demotion: demote the barrier's AcqRel arrival to
-    // Relaxed in the real sync.rs; the atomics checker must flag it.
-    if passes.atomics {
-        if !sync_src.contains("AcqRel") {
-            failures.push("atomics: no AcqRel op in sync.rs to demote".into());
-        } else {
-            let doctored = sync_src.replace("AcqRel", "Relaxed");
-            let mutated = with_mutated(files, "crates/cake-core/src/sync.rs", doctored);
-            if atomics::check(&mutated).ok() {
-                failures.push(
-                    "atomics: demoting the barrier arrival AcqRel to Relaxed went undetected"
-                        .into(),
-                );
-            }
+    let mut mutants = vec![("demoting AcqRel to Relaxed", sync.replace("AcqRel", "Relaxed"))];
+    mutants.extend(atomics::fact_mutants(sync));
+    for (what, doctored) in mutants {
+        if doctored == sync {
+            failures.push(format!("atomics: sync.rs left unchanged by {what}"));
+        } else if sync_passes(&doctored) {
+            failures.push(format!("atomics: {what} in sync.rs went undetected"));
         }
     }
 
     failures
 }
 
-/// Run the selected audit passes over the tree rooted at `cfg.root`.
+/// Run every audit pass over the tree rooted at `cfg.root`.
 pub fn run(cfg: &AuditConfig) -> io::Result<AuditOutcome> {
-    let passes = &cfg.passes;
     let files = callgraph::read_tree(&cfg.root)?;
 
-    let mut blessed = false;
-    let scan_report = if passes.scan {
-        let scans = scan::scan_tree(&cfg.root)?;
-        let ratchet_path = cfg.root.join(scan::RATCHET_FILE);
-        if cfg.bless {
-            fs::write(&ratchet_path, scan::render_ratchet(&scans))?;
-            blessed = true;
-        }
-        let ratchet_text = fs::read_to_string(&ratchet_path).ok();
-        Some(scan::audit_scans(&scans, ratchet_text.as_deref()))
-    } else {
-        None
-    };
+    let scans = scan::scan_tree(&cfg.root)?;
+    let ratchet_path = cfg.root.join(scan::RATCHET_FILE);
+    if cfg.bless {
+        fs::write(&ratchet_path, scan::render_ratchet(&scans))?;
+    }
+    let ratchet_text = fs::read_to_string(&ratchet_path).ok();
+    let scan = scan::audit_scans(&scans, ratchet_text.as_deref());
 
-    // The bounds report always runs when the panic pass needs it — its
-    // proven-site names are what `// audit: bounds <site>` escapes cite.
-    let bounds_report =
-        if passes.bounds || passes.panic { Some(bounds::check()) } else { None };
-    let proven_sites: BTreeSet<String> = bounds_report
-        .as_ref()
-        .map(|r| {
-            r.proofs
-                .iter()
-                .filter(|p| p.method.is_some())
-                .map(|p| p.name.to_string())
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let executor_src = fs::read_to_string(cfg.root.join("crates/cake-core/src/executor.rs"))?;
-    let sync_src = fs::read_to_string(cfg.root.join("crates/cake-core/src/sync.rs"))?;
-    let phase_report = if passes.phase {
-        Some(phase::check_with_sources(&executor_src, &sync_src))
-    } else {
-        None
-    };
-
-    let alloc_report = if passes.alloc { Some(allocfree::check(&files)) } else { None };
-    let panic_report =
-        if passes.panic { Some(panicfree::check(&files, &proven_sites)) } else { None };
-    let atomics_report = if passes.atomics { Some(atomics::check(&files)) } else { None };
-
-    let self_check = self_check(&files, &executor_src, &sync_src, &proven_sites, passes);
+    // The proven-site names are what `// audit: bounds <site>` escapes of
+    // the panic pass cite.
+    let bounds = bounds::check();
+    let proven_sites: BTreeSet<String> = bounds
+        .proofs
+        .iter()
+        .filter(|p| p.method.is_some())
+        .map(|p| p.name.to_string())
+        .collect();
 
     Ok(AuditOutcome {
-        scan: scan_report,
-        bounds: if passes.bounds { bounds_report } else { None },
-        phase: phase_report,
-        alloc: alloc_report,
-        panic: panic_report,
-        atomics: atomics_report,
-        self_check,
-        blessed,
+        scan,
+        bounds,
+        alloc: allocfree::check(&files),
+        panic: panicfree::check(&files, &proven_sites),
+        atomics: atomics::check(&files),
+        self_check: self_check(&files, &proven_sites),
+        blessed: cfg.bless,
     })
 }
 
@@ -625,61 +374,32 @@ mod tests {
 
     #[test]
     fn full_audit_passes_on_this_tree() {
-        let outcome =
-            run(&AuditConfig { root: repo_root(), bless: false, passes: PassSelection::all() })
-                .expect("audit runs");
+        let outcome = run(&AuditConfig { root: repo_root(), bless: false }).expect("audit runs");
         assert!(outcome.ok(), "audit failed:\n{}", outcome.summary_lines().join("\n"));
-        let scan = outcome.scan.as_ref().expect("scan selected");
-        assert!(scan.total_sites > 0, "the workspace certainly contains unsafe");
-        assert!(outcome.bounds.as_ref().expect("bounds selected").proofs.len() >= 12);
-        assert!(!outcome.alloc.as_ref().expect("alloc selected").roots.is_empty());
-        assert!(!outcome.panic.as_ref().expect("panic selected").roots.is_empty());
-        assert!(!outcome.atomics.as_ref().expect("atomics selected").ops.is_empty());
-    }
-
-    #[test]
-    fn pass_selection_skips_unselected_passes() {
-        let mut passes = PassSelection::none();
-        passes.scan = true;
-        let outcome =
-            run(&AuditConfig { root: repo_root(), bless: false, passes }).expect("audit runs");
-        assert!(outcome.scan.is_some());
-        assert!(outcome.bounds.is_none());
-        assert!(outcome.phase.is_none());
-        assert!(outcome.alloc.is_none());
-        assert!(outcome.panic.is_none());
-        assert!(outcome.atomics.is_none());
-        let lines = outcome.summary_lines();
-        assert!(lines.iter().any(|l| l == "bounds: SKIPPED"), "{lines:?}");
-        assert!(lines.iter().any(|l| l.starts_with("scan: PASS")), "{lines:?}");
+        assert!(outcome.scan.total_sites > 0, "the workspace certainly contains unsafe");
+        assert!(outcome.bounds.proofs.len() >= 12);
+        assert!(!outcome.alloc.roots.is_empty());
+        assert!(!outcome.panic.roots.is_empty());
+        assert!(!outcome.atomics.ops.is_empty());
+        assert_eq!(outcome.atomics.facts.len(), atomics::SYNC_FACTS.len());
     }
 
     #[test]
     fn self_check_catches_all_mutant_classes_on_real_sources() {
-        let root = repo_root();
-        let files = callgraph::read_tree(&root).unwrap();
-        let executor =
-            fs::read_to_string(root.join("crates/cake-core/src/executor.rs")).unwrap();
-        let sync = fs::read_to_string(root.join("crates/cake-core/src/sync.rs")).unwrap();
+        let files = callgraph::read_tree(&repo_root()).unwrap();
         let proven: BTreeSet<String> = bounds::check()
             .proofs
             .iter()
             .filter(|p| p.method.is_some())
             .map(|p| p.name.to_string())
             .collect();
-        let failures = self_check(&files, &executor, &sync, &proven, &PassSelection::all());
+        let failures = self_check(&files, &proven);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]
-    fn audit_json_is_emitted_for_all_passes() {
-        let outcome =
-            run(&AuditConfig { root: repo_root(), bless: false, passes: PassSelection::all() })
-                .expect("audit runs");
-        let json = outcome.to_json();
-        for key in ["\"ok\"", "\"scan\"", "\"bounds\"", "\"phase\"", "\"alloc\"", "\"panic\"", "\"atomics\"", "\"self_check\""] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(!json.contains(": null"), "no pass should be skipped here: {json}");
+    fn insert_after_lands_on_the_line_below_the_marker() {
+        assert_eq!(insert_after("a\nb {\nc\n", "b {", "x").as_deref(), Some("a\nb {\nx\nc\n"));
+        assert_eq!(insert_after("a\n", "zz", "x"), None);
     }
 }

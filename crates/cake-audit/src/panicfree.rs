@@ -1,5 +1,10 @@
 //! Kernel/executor panic-freedom pass.
 //!
+//! **The defect only this pass catches:** a panic site on the hot path
+//! that no test input triggers, such as an `unwrap` whose failing input
+//! no test supplies. The self-check seeds an `unwrap` into the pack_a
+//! fast path that no test input makes fail.
+//!
 //! From every fn anchored `// audit: hot` (the K-loop hot paths: pack
 //! routines, edge-tile execution, microkernel dispatch, the executor
 //! compute phase), walk the [`crate::callgraph`] closure and flag every

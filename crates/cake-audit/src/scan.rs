@@ -3,6 +3,11 @@
 //! allowlist, and ratchets per-file counts against a committed
 //! `unsafe-ratchet.toml` (counts may fall, never silently rise).
 //!
+//! **The defect only this pass catches:** an `unsafe` site without the
+//! argument for its soundness, or a new one slipped past the ratchet. No
+//! runtime test reads comments or counts sites; the self-check strips
+//! every `SAFETY` comment from executor.rs and must see it flagged.
+//!
 //! The scanner is a real little lexer, not a regex: it tracks line and
 //! nested block comments, ordinary/byte/raw string literals with escapes,
 //! and the char-literal-versus-lifetime ambiguity, so `"unsafe"` inside a

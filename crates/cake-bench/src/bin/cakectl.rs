@@ -11,10 +11,8 @@
 //!                  [--explain] [--llc-mib MIB] [--kernel portable|avx2|avx512|amx]
 //!                  [--dtype f32|f64|bf16|int8]
 //!                  [--threads P | --threads P1,P2,...] [--check-counters]
-//!                  [--kernel-smoke] [--dtype-smoke]
 //! cakectl verify   [--cases C] [--seed S]
-//! cakectl audit    [--bless] [--root DIR] [--only-scan] [--only-bounds]
-//!                  [--only-phase] [--only-alloc] [--only-panic] [--only-atomics]
+//! cakectl audit    [--bless] [--root DIR]
 //! cakectl fig      <table2|fig7|fig8|fig9|fig10|fig11|fig12|sim|all>
 //!                  [--part a|b|ab] [--n N] [--full] [--step S]
 //! ```
@@ -59,43 +57,26 @@
 //! the CB-block bandwidth and scaling claims as a CI gate
 //! (`ci.sh --scale-smoke`).
 //!
-//! `--kernel-smoke` runs one single-threaded f32 GEMM per kernel tier the
-//! host supports with an f32 kernel, then one int8 GEMM per int8 tier
-//! (AMX included), on one fixed block grid, and exits 1 unless the
-//! traffic counters are identical across the tiers of each dtype — live
-//! element movement is a property of the block schedule, never of the
-//! register tile or packed layout — or the int8 tiers' C differ in any
-//! bit, or a tier's second run, from A pre-packed for it, differs from
-//! its row-major run in a counter or a bit of C (`ci.sh --kernel-smoke`).
-//!
-//! `--dtype-smoke` is the dtype counterpart: one single-threaded GEMM per
-//! supported dtype (f32, f64, bf16, int8) on one fixed block grid, each
-//! through its own best-tier kernel. Exits 1 unless (a) the *element*
-//! counters are identical across dtypes — element movement is a schedule
-//! property; only bytes-per-element changes — and (b) every dtype's timed
-//! iterations ran allocation-free, the zero-alloc warm-path guarantee
-//! extended to the narrow tier (`ci.sh --dtype-smoke`).
+//! Per-tier and per-dtype rates come from single runs (`--kernel T` caps
+//! the tier, `--dtype D` picks the element type); `verify`'s conformance
+//! check holds every tier of every dtype to the same element traffic.
 //!
 //! `verify` runs the full `cake-verify` harness: the differential fuzzer
 //! (default 256 cases; `--seed` or `CAKE_TEST_SEED` perturbs the stream),
-//! the model-conformance oracle, and the deterministic interleaving
-//! checker. Exit status 1 on any failure.
+//! the model-conformance oracle (measured element counters on every
+//! kernel tier of every dtype against the traffic walk), the
+//! deterministic interleaving checker, and the pre-packed-A check. Exit
+//! status 1 on any failure.
 //!
-//! `audit` runs the in-tree static analyses (`cake-audit`): the unsafe
-//! inventory against the committed `unsafe-ratchet.toml` (with transmute
-//! and `static mut` ratchets), the symbolic bounds prover over every
-//! raw-pointer offset site (proof report written to
-//! `target/cake-audit/bounds.json`), the executor phase checker, and the
-//! call-graph dataflow passes — warm-path alloc-freedom, hot-path
-//! panic-freedom, and the atomics-ordering checker (aggregate report
-//! written to `target/cake-audit/audit.json`). Each pass prints its own
-//! `PASS`/`FAIL` verdict line; the exit status is computed over every
-//! selected pass (no short-circuiting), 1 on any violation.
-//!
-//! `--only-scan`, `--only-bounds`, `--only-phase`, `--only-alloc`,
-//! `--only-panic`, `--only-atomics` restrict the run to the named passes
-//! (repeatable; default is all six). `--bless` regenerates the ratchet
-//! from the current tree before checking.
+//! `audit` runs the five in-tree static analyses (`cake-audit`): the
+//! unsafe inventory against the committed `unsafe-ratchet.toml` (with
+//! transmute and `static mut` ratchets), the symbolic bounds prover over
+//! every raw-pointer offset site, and the call-graph dataflow passes —
+//! warm-path alloc-freedom, hot-path panic-freedom, and the
+//! atomics-ordering checker with the barrier facts. Each pass prints its
+//! own `PASS`/`FAIL` verdict line; the exit status is computed over every
+//! pass (no short-circuiting), 1 on any violation. `--bless` regenerates
+//! the ratchet from the current tree before checking.
 //!
 //! `fig` regenerates one paper table or figure from the discrete-event
 //! simulator (see [`cake_bench::figures`]), prints it, and writes
@@ -110,10 +91,7 @@
 use cake_bench::best_of;
 use cake_bench::figures::{check_figure_args, print_figure, FigOptions, FIGURE_IDS};
 use cake_bench::output::{arg_value, has_flag, render_table};
-use cake_bench::scaling::{
-    counters_invariant, dtype_counters_invariant, kernel_counters_invariant, scaling_sane,
-    sweep_dtypes, sweep_kernels, sweep_kernels_i8, sweep_shape,
-};
+use cake_bench::scaling::{counters_invariant, scaling_sane, sweep_shape};
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::executor::ExecStats;
 use cake_core::model::CakeModel;
@@ -416,13 +394,9 @@ fn print_exec_stats(s: &ExecStats) {
     );
     println!("  workspace        : {:>9.1} KiB", s.workspace_bytes as f64 / 1024.0);
     println!("  allocations      : {:>12}  (this call)", s.allocations);
-    // Element counters are live only with cake-core's `traffic-counters`
-    // feature (enabled here transitively through cake-verify).
-    if s.a_elems_loaded + s.b_elems_loaded + s.c_elems_updated > 0 {
-        println!("  A elems loaded   : {:>12}", s.a_elems_loaded);
-        println!("  B elems loaded   : {:>12}", s.b_elems_loaded);
-        println!("  C elems updated  : {:>12}", s.c_elems_updated);
-    }
+    println!("  A elems loaded   : {:>12}", s.a_elems_loaded);
+    println!("  B elems loaded   : {:>12}", s.b_elems_loaded);
+    println!("  C elems updated  : {:>12}", s.c_elems_updated);
 }
 
 fn cmd_verify() {
@@ -460,31 +434,7 @@ fn cmd_audit() {
             }
         }
     };
-    // `--only-<pass>` flags are additive over an empty selection; with no
-    // flag every pass runs.
-    type PassFlag = (&'static str, fn(&mut cake_audit::PassSelection));
-    let only: &[PassFlag] = &[
-        ("--only-scan", |p| p.scan = true),
-        ("--only-bounds", |p| p.bounds = true),
-        ("--only-phase", |p| p.phase = true),
-        ("--only-alloc", |p| p.alloc = true),
-        ("--only-panic", |p| p.panic = true),
-        ("--only-atomics", |p| p.atomics = true),
-    ];
-    let mut passes = cake_audit::PassSelection::none();
-    for (flag, enable) in only {
-        if has_flag(flag) {
-            enable(&mut passes);
-        }
-    }
-    if !passes.any() {
-        passes = cake_audit::PassSelection::all();
-    }
-    let cfg = cake_audit::AuditConfig {
-        root: root.clone(),
-        bless: has_flag("--bless"),
-        passes,
-    };
+    let cfg = cake_audit::AuditConfig { root, bless: has_flag("--bless") };
     let outcome = match cake_audit::run(&cfg) {
         Ok(o) => o,
         Err(e) => {
@@ -492,31 +442,12 @@ fn cmd_audit() {
             std::process::exit(2);
         }
     };
-    // Machine-readable reports for tooling; failures here are not audit
-    // violations (the summary already carries the verdict).
-    let report_dir = root.join("target/cake-audit");
-    if std::fs::create_dir_all(&report_dir).is_ok() {
-        if let Some(bounds) = &outcome.bounds {
-            let _ = std::fs::write(report_dir.join("bounds.json"), bounds.to_json());
-        }
-        let _ = std::fs::write(report_dir.join("audit.json"), outcome.to_json());
-    }
     for line in outcome.summary_lines() {
         println!("{line}");
     }
-    // Aggregate the exit status over every selected pass explicitly —
-    // each report was fully computed above, so one failing pass never
+    // Every report was fully computed above, so one failing pass never
     // masks another's output, and the verdict covers them all.
-    let pass_results = [
-        outcome.scan.as_ref().map(|r| r.violations.is_empty()),
-        outcome.bounds.as_ref().map(|r| r.ok()),
-        outcome.phase.as_ref().map(|r| r.ok()),
-        outcome.alloc.as_ref().map(|r| r.ok()),
-        outcome.panic.as_ref().map(|r| r.ok()),
-        outcome.atomics.as_ref().map(|r| r.ok()),
-    ];
-    let all_ok = pass_results.iter().all(|r| r.unwrap_or(true)) && outcome.self_check.is_empty();
-    if !all_ok {
+    if !outcome.ok() {
         std::process::exit(1);
     }
 }
@@ -534,95 +465,6 @@ fn cmd_gemm() {
             std::process::exit(2);
         }
         std::env::set_var("CAKE_KERNEL", &tier);
-    }
-
-    if has_flag("--kernel-smoke") {
-        for (dtype, points) in [("f32", sweep_kernels(m, k, n, iters)), ("int8", sweep_kernels_i8(m, k, n, iters))] {
-            let rows: Vec<Vec<String>> = points
-                .iter()
-                .map(|pt| {
-                    vec![
-                        pt.tier.name().into(),
-                        pt.kernel.into(),
-                        format!("{}x{}", pt.mr, pt.nr),
-                        format!("{:.2}", pt.gflops),
-                        pt.a_elems.to_string(),
-                        pt.b_elems.to_string(),
-                        pt.c_elems.to_string(),
-                        pt.c_hash.map_or("-".into(), |h| format!("{h:016x}")),
-                        if pt.prepacked_same { "same" } else { "DIFFERS" }.into(),
-                    ]
-                })
-                .collect();
-            println!("GEMM {m}x{k}x{n} {dtype} kernel-tier smoke (fixed block grid, p = 1, best of {iters}):\n");
-            println!(
-                "{}",
-                render_table(
-                    &[
-                        "tier", "kernel", "mr x nr", "GOP/s", "A elems", "B elems", "C elems", "C hash",
-                        "pre-packed A"
-                    ],
-                    &rows
-                )
-            );
-            match kernel_counters_invariant(&points) {
-                Ok(()) if dtype == "int8" => println!(
-                    "{dtype}: pack counters invariant and C bit-identical across kernel tiers, \
-                     pre-packed A identical to row-major on every tier: OK\n"
-                ),
-                Ok(()) => println!(
-                    "{dtype}: pack counters invariant across kernel tiers, pre-packed A identical \
-                     to row-major on every tier: OK\n"
-                ),
-                Err(msg) => {
-                    eprintln!("{dtype} kernel-tier invariance FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
-    }
-
-    if has_flag("--dtype-smoke") {
-        let points = sweep_dtypes(m, k, n, iters);
-        let f32_gops = points.iter().find(|pt| pt.dtype == "f32").map_or(0.0, |pt| pt.gops);
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|pt| {
-                vec![
-                    pt.dtype.into(),
-                    pt.kernel.into(),
-                    format!("{}B/{}B", pt.elem_bytes, pt.acc_bytes),
-                    format!("{:.2}", pt.gops),
-                    format!("{:.2}x", pt.gops / f32_gops.max(1e-12)),
-                    pt.allocs_after_warmup.to_string(),
-                    pt.a_elems.to_string(),
-                    pt.b_elems.to_string(),
-                    pt.c_elems.to_string(),
-                ]
-            })
-            .collect();
-        println!("GEMM {m}x{k}x{n} dtype smoke (fixed block grid, p = 1, best of {iters}):\n");
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "dtype", "kernel", "op/acc B", "GOP/s", "vs f32", "warm allocs", "A elems",
-                    "B elems", "C elems"
-                ],
-                &rows
-            )
-        );
-        match dtype_counters_invariant(&points) {
-            Ok(()) => {
-                println!("element counters invariant + zero-alloc warm path across dtypes: OK")
-            }
-            Err(msg) => {
-                eprintln!("dtype smoke FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
 
     if let Some(list) = arg_value("--threads") {

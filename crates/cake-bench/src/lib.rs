@@ -15,9 +15,9 @@
 //! | `sim`    | Figures 9–12   | CAKE vs GOTO p-sweeps on the three Table-2 CPUs |
 //!
 //! [`figures`] holds the runners and printers, [`output`] the table, chart
-//! and CSV helpers. [`scaling`] holds the measured kernel-tier, dtype and
-//! multicore sweeps behind `cakectl gemm`'s smoke gates, and [`best_of`]
-//! is the one wall-clock timing loop they share.
+//! and CSV helpers. [`scaling`] holds the measured multicore sweep behind
+//! `cakectl gemm --threads` and its scale-smoke gate, and [`best_of`] is
+//! the one wall-clock timing loop `cakectl gemm` and the sweep share.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

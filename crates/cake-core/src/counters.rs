@@ -1,30 +1,20 @@
-//! Measured element-traffic counters for the executor, gated by the
-//! `traffic-counters` feature.
+//! Measured element-traffic counters for the executor.
 //!
-//! With the feature enabled, the executor tallies every element it
-//! actually packs (A strips, B panel slivers) and every C element it
-//! updates, and publishes the totals through [`crate::ExecStats`]. The
-//! `cake-verify` conformance oracle compares these *measured* quantities
-//! against the analytical accounting in [`crate::traffic`] and the
-//! closed forms of [`crate::model`].
-//!
-//! With the feature disabled (the default), [`Tally`] is a zero-sized
-//! no-op: the executor code stays identical in both configurations and
-//! the compiler removes the calls entirely.
+//! The executor tallies every element it actually packs (A strips, B
+//! panel slivers) and every C element it updates, and publishes the totals
+//! through [`crate::ExecStats`]. The `cake-verify` conformance oracle
+//! compares these *measured* quantities against the analytical accounting
+//! in [`crate::traffic`] and the closed forms of [`crate::model`].
 
-#[cfg(feature = "traffic-counters")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cross-worker element-count sinks. Workers add per-pack totals (one
 /// atomic add per pack or compute call, not per element), so the cost is
-/// negligible even when enabled.
+/// negligible.
 #[derive(Default)]
 pub(crate) struct Tally {
-    #[cfg(feature = "traffic-counters")]
     a_elems: AtomicU64,
-    #[cfg(feature = "traffic-counters")]
     b_elems: AtomicU64,
-    #[cfg(feature = "traffic-counters")]
     c_elems: AtomicU64,
 }
 
@@ -36,43 +26,27 @@ impl Tally {
     /// Record `elems` A elements packed from the source view.
     #[inline]
     pub(crate) fn add_a(&self, elems: usize) {
-        #[cfg(feature = "traffic-counters")]
         self.a_elems.fetch_add(elems as u64, Ordering::Relaxed);
-        #[cfg(not(feature = "traffic-counters"))]
-        let _ = elems;
     }
 
     /// Record `elems` B elements packed from the source view.
     #[inline]
     pub(crate) fn add_b(&self, elems: usize) {
-        #[cfg(feature = "traffic-counters")]
         self.b_elems.fetch_add(elems as u64, Ordering::Relaxed);
-        #[cfg(not(feature = "traffic-counters"))]
-        let _ = elems;
     }
 
     /// Record `elems` C elements updated in place.
     #[inline]
     pub(crate) fn add_c(&self, elems: usize) {
-        #[cfg(feature = "traffic-counters")]
         self.c_elems.fetch_add(elems as u64, Ordering::Relaxed);
-        #[cfg(not(feature = "traffic-counters"))]
-        let _ = elems;
     }
 
-    /// `(a_elems, b_elems, c_elems)` totals; all zero without the feature.
+    /// `(a_elems, b_elems, c_elems)` totals.
     pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
-        #[cfg(feature = "traffic-counters")]
-        {
-            (
-                self.a_elems.load(Ordering::Relaxed),
-                self.b_elems.load(Ordering::Relaxed),
-                self.c_elems.load(Ordering::Relaxed),
-            )
-        }
-        #[cfg(not(feature = "traffic-counters"))]
-        {
-            (0, 0, 0)
-        }
+        (
+            self.a_elems.load(Ordering::Relaxed),
+            self.b_elems.load(Ordering::Relaxed),
+            self.c_elems.load(Ordering::Relaxed),
+        )
     }
 }

@@ -201,19 +201,16 @@ pub struct ExecStats {
     /// A elements actually packed from the source view — the executor's
     /// measured external A traffic. A pre-packed A counts the same strips,
     /// read in place, so the count does not depend on the operand kind.
-    /// Populated only when `cake-core` is built with the
-    /// `traffic-counters` feature; 0 otherwise.
     pub a_elems_loaded: u64,
     /// B elements actually packed from the source view (measured external
     /// B traffic). For a B lowered as it is packed (a convolution's patch
     /// matrix) this counts the patch elements packed, not the feature-map
-    /// elements read. Requires the `traffic-counters` feature; 0 otherwise.
+    /// elements read.
     pub b_elems_loaded: u64,
     /// C elements updated in place (one per microkernel-accumulated output
     /// element per block visit: `kb * M * N` over a full GEMM) — the
     /// executor's measured local-memory C traffic, of which exactly
-    /// `1 / kb` reaches DRAM as final writes. Requires the
-    /// `traffic-counters` feature; 0 otherwise.
+    /// `1 / kb` reaches DRAM as final writes.
     pub c_elems_updated: u64,
     /// Name of the microkernel that produced this call's numbers
     /// (e.g. `"avx512_f32_14x32"`) — records the dispatch tier per run so
@@ -408,7 +405,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     let wait_total = AtomicU64::new(0);
     let wait_max = AtomicU64::new(0);
     let barrier_count = AtomicUsize::new(0);
-    // Measured element traffic (no-op unless `traffic-counters` is on).
+    // Measured element traffic.
     let tally = Tally::new();
 
     pool.broadcast(|wid| {
@@ -634,25 +631,21 @@ pub fn execute_with_stats_in<T: Dtype>(
                     let c0 = sched.coord_at(0);
                     cache.seed((c0.k, c0.n));
                     let t0 = Instant::now();
-                    // audit: step prologue pack_b slot=first
                     // audit: checked panel 0 exists: ring depth is always >= 2
                     pack_b_coop(&g, panels[0].base_ptr());
                     let t1 = Instant::now();
-                    // audit: step prologue pack_a
                     pack_a_own(&g);
                     let t2 = Instant::now();
                     pack_b_ns += nanos(t0, t1);
                     if packs_a {
                         pack_a_ns += nanos(t1, t2);
                     }
-                    // audit: step prologue barrier
                     barrier.wait(&mut bsense);
                     wait_ns += nanos(t2, Instant::now());
                     waits += 1;
                 }
 
                 let t0 = Instant::now();
-                // audit: step block compute slot=cur
                 // audit: checked cache.cur() < depth == panels.len() (ring invariant)
                 compute(&g, panels[cache.cur()].base_ptr() as *const T);
                 let t1 = Instant::now();
@@ -670,13 +663,11 @@ pub fn execute_with_stats_in<T: Dtype>(
 
                     let gn = blk(bi + 1);
                     if let PanelAction::Pack(next) = cache.advance((cn.k, cn.n)) {
-                        // audit: step block pack_b slot=next cond=ring-miss
                         // audit: checked Pack(next) victims are drawn from 0..depth
                         pack_b_coop(&gn, panels[next].base_ptr());
                     }
                     let t2 = Instant::now();
                     if !share_a {
-                        // audit: step block pack_a cond=!share_a
                         pack_a_own(&gn);
                     }
                     let t3 = Instant::now();
@@ -687,7 +678,6 @@ pub fn execute_with_stats_in<T: Dtype>(
 
                     // Rotation barrier: block bi's reads are done
                     // everywhere, block bi+1's panel is complete everywhere.
-                    // audit: step block barrier cond=has-next
                     barrier.wait(&mut bsense);
                     wait_ns += nanos(t3, Instant::now());
                     waits += 1;

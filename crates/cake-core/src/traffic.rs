@@ -11,7 +11,7 @@
 //!   had the same `(k, n)`); with [`ring_depth`](crate::panel::ring_depth)
 //!   panels the walk replays the executor's LRU [`PanelCache`], so B loads
 //!   equal the executor's measured [`crate::ExecStats::b_elems_loaded`]
-//!   exactly (with the `traffic-counters` feature). The executor's A
+//!   exactly. The executor's A
 //!   strips are single-buffered per worker and C accumulates in place, so
 //!   A and C accounting does not depend on the panel count.
 //! * The **C surface** policy is configurable:

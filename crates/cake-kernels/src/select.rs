@@ -139,7 +139,8 @@ pub fn selected_tier() -> KernelTier {
 }
 
 /// Every tier the host can actually run, ladder order (portable first).
-/// Drives the differential fuzzer's tier cross-check and `--kernel-smoke`.
+/// Drives the differential fuzzer's tier cross-check and the per-tier
+/// conformance and pre-packed checks of `cake-verify`.
 pub fn available_tiers() -> Vec<KernelTier> {
     let cpu = CpuTiers::detect();
     let mut tiers = vec![KernelTier::Portable];

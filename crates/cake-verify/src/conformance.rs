@@ -3,15 +3,19 @@
 //! Three layers, each tying two independently implemented layers of the
 //! repo together across `p ∈ {1, 2, 4, 8}`:
 //!
-//! 1. **Executor vs `traffic.rs`, element-exact.** The pipelined executor
-//!    runs with the `traffic-counters` feature and its measured element
-//!    counters are reconciled with [`cake_core::traffic::dram_traffic`]
-//!    (A and final C under the adjacency rule, B through the literal
-//!    panel-ring replay) as `u64` equalities — no tolerance — on the
-//!    one-level schedule and again with 2x2 outer tiles. The block *grid*
-//!    is held fixed (`bm = p·mc` constant by shrinking `mc` as `p` grows),
-//!    so the schedule and therefore every counter must be identical across
-//!    `p`: measured CAKE DRAM traffic is `p`-invariant.
+//! 1. **Executor vs `traffic.rs`, element-exact.** The pipelined
+//!    executor's measured element counters are reconciled with
+//!    [`cake_core::traffic::dram_traffic`] (A and final C under the
+//!    adjacency rule, B through the literal panel-ring replay) as `u64`
+//!    equalities — no tolerance — on the one-level schedule and again with
+//!    2x2 outer tiles, on two grids (the second with a partial last
+//!    k-block). Every kernel tier of every dtype (f32, f64, bf16, int8)
+//!    runs: the counters tally live elements, a property of the block
+//!    schedule, never of a kernel's register tile or of the K padding its
+//!    packed layout adds (Section 3). The block *grid* is held fixed
+//!    (`bm = p·mc` constant by shrinking `mc` as `p` grows), so the
+//!    schedule and therefore every counter must be identical across `p`:
+//!    measured CAKE DRAM traffic is `p`-invariant.
 //! 2. **`model.rs` closed forms.** Under the paper's scaling (`mc`, `kc`,
 //!    `alpha` fixed; the block grows with `p`), Eq. 4 external bandwidth is
 //!    `p`-invariant while GOTO's grows ~linearly; Eq. 5 local memory is
@@ -34,13 +38,16 @@ use cake_core::shape::CbBlockShape;
 use cake_core::traffic::{dram_traffic, CResidency, TrafficParams};
 use cake_core::workspace::GemmWorkspace;
 use cake_goto::model::GotoModel;
-use cake_goto::naive::naive_gemm_views;
+use cake_goto::naive::naive_gemm_views_acc;
 use cake_goto::params::GotoParams;
-use cake_kernels::portable_kernel;
-use cake_matrix::{init, Matrix};
+use cake_kernels::{available_tiers, tier_kernel};
+use cake_matrix::compare::{approx_eq, gemm_tolerance};
+use cake_matrix::{Bf16, Matrix};
 use cake_sim::config::InternalBwCurve;
 use cake_sim::engine::{simulate_cake_with_shape, simulate_goto_with_params};
 use cake_sim::{CpuConfig, SimParams};
+
+use crate::RandomOperand;
 
 /// Core counts every layer is checked across.
 pub const CORE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -63,106 +70,135 @@ fn fail(layer: &str, msg: String) -> String {
     format!("conformance [{layer}]: {msg}")
 }
 
-/// Layer 1: measured executor counters vs the traffic walk, element-exact,
-/// identical across `p` at a fixed block grid. Runs once on the one-level
-/// schedule and once with 2x2 outer (MOMMS-style) tiles, which permute
-/// the blocks and pay partial-C spill round trips on K-tile changes: the
-/// counters differ between the two, but executor and walk must agree as
-/// `u64` equalities at every `p` in both.
-fn check_measured_traffic(report: &mut ConformanceReport) -> Result<(), String> {
-    let (m, k, n) = (48usize, 24usize, 48usize);
-    let (bm, bk, bn) = (16usize, 8usize, 16usize);
-    let params = TrafficParams { m, k, n, bm, bk, bn };
-    let kb = params.grid().kb;
-    let schedule = Schedule::k_first(params.grid(), m, n);
-    let one_level = dram_traffic(schedule, params, CResidency::HoldInLlc, 1);
+/// Layer 1's problems as `(m, k, n, bm, bk, bn)`: three whole k-blocks,
+/// then three k-blocks of which the last is partial (200 = 72 + 72 + 56),
+/// deep enough that the AMX tile layout pads every block.
+const MEASURED_GRIDS: [(usize, usize, usize, usize, usize, usize); 2] =
+    [(48, 24, 48, 16, 8, 16), (48, 200, 48, 16, 72, 16)];
 
-    let a = init::random::<f32>(m, k, 11);
-    let b = init::random::<f32>(k, n, 12);
-    let mut expected = Matrix::<f32>::zeros(m, n);
-    naive_gemm_views(&a.view(), &b.view(), &mut expected.view_mut());
-    let ukr = portable_kernel::<f32>();
-
-    for (ko, no) in [(0usize, 0usize), (2, 2)] {
-        let label = match (ko, no) {
-            (0, 0) => "one-level".to_string(),
-            _ => format!("two-level {ko}x{no}"),
-        };
-        let err = |msg: String| fail("measured", format!("{label}: {msg}"));
-        let tiled = schedule.with_outer_tiles(ko, no);
-        let adj = dram_traffic(tiled, params, CResidency::HoldInLlc, 1);
-        let ring = dram_traffic(tiled, params, CResidency::HoldInLlc, ring_depth(kb));
-        if ring.b_loads > adj.b_loads {
-            return Err(err(format!(
-                "panel ring must never fetch more B than adjacency sharing: {} > {}",
-                ring.b_loads, adj.b_loads
-            )));
-        }
-        if adj.total() < one_level.total() || adj.c_final_writes != (m * n) as u64 {
-            return Err(err(format!(
-                "outer tiling can only add traffic on this grid and C completes once: \
-                 total {} < one-level {}, or final writes {} != m*n",
-                adj.total(),
-                one_level.total(),
-                adj.c_final_writes
-            )));
-        }
-
-        let mut measured: Vec<(u64, u64, u64)> = Vec::new();
-        for &p in &CORE_COUNTS {
+/// Run `T`'s GEMM on every kernel tier the host has, at every `p` of
+/// [`CORE_COUNTS`] under the `ko x no` outer tiles, and hold each run's
+/// `(A, B, C)` element counters to `want` and its C to the naive
+/// reference. Each kernel that ran is added to `kernels`.
+fn measure_dtype<T: RandomOperand>(
+    params: TrafficParams,
+    (ko, no): (usize, usize),
+    want: (u64, u64, u64),
+    pools: &[ThreadPool],
+    kernels: &mut Vec<&'static str>,
+) -> Result<(), String> {
+    let TrafficParams { m, k, n, bm, bk, bn } = params;
+    let a = T::gen(m, k, 11);
+    let b = T::gen(k, n, 12);
+    let mut expected = Matrix::<T::Acc>::zeros(m, n);
+    naive_gemm_views_acc(&a.view(), &b.view(), &mut expected.view_mut());
+    let tol = gemm_tolerance::<T::Acc>(k);
+    for ukr in available_tiers().into_iter().filter_map(tier_kernel::<T>) {
+        for (&p, pool) in CORE_COUNTS.iter().zip(pools) {
             // Same bm = p * mc for every p: identical grid, schedule, traffic.
             let shape = CbBlockShape::fixed(p, bm / p, bk, bn).with_outer_tiles(ko, no);
-            let pool = ThreadPool::new(p);
-            let mut ws = GemmWorkspace::new();
-            let mut c = Matrix::<f32>::zeros(m, n);
+            let mut c = Matrix::<T::Acc>::zeros(m, n);
             let stats = execute_with_stats_in(
                 &a.view(),
                 &b.view(),
                 &mut c.view_mut(),
                 &shape,
                 &ukr,
-                &pool,
-                &mut ws,
+                pool,
+                &mut GemmWorkspace::new(),
             );
+            let at = format!("{} on {} at p={p}", T::NAME, ukr.name());
+            if !approx_eq(&c, &expected, tol) {
+                return Err(format!("{at}: executor result diverged from naive"));
+            }
+            let got = (stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated);
+            if got != want {
+                return Err(format!(
+                    "{at}: measured (A, B, C) elements {got:?} != traffic walk {want:?} \
+                     (A by adjacency, B by the panel-ring replay, C = kb*m*n)"
+                ));
+            }
+        }
+        if !kernels.contains(&ukr.name()) {
+            kernels.push(ukr.name());
+        }
+    }
+    Ok(())
+}
 
-            let tol = cake_matrix::compare::gemm_tolerance::<f32>(k);
-            if !cake_matrix::approx_eq(&c, &expected, tol) {
-                return Err(err(format!("p={p}: executor result diverged from naive")));
-            }
-            if stats.a_elems_loaded != adj.a_loads {
+/// Layer 1: measured executor counters vs the traffic walk, element-exact,
+/// on every kernel tier of every dtype and identical across `p` at a fixed
+/// block grid. Runs each grid of [`MEASURED_GRIDS`] once on the one-level
+/// schedule and once with 2x2 outer (MOMMS-style) tiles, which permute
+/// the blocks and pay partial-C spill round trips on K-tile changes: the
+/// counters differ between the two, but executor and walk must agree as
+/// `u64` equalities at every `p` in both.
+fn check_measured_traffic(report: &mut ConformanceReport) -> Result<(), String> {
+    let pools: Vec<ThreadPool> = CORE_COUNTS.iter().map(|&p| ThreadPool::new(p)).collect();
+    let mut kernels = Vec::new();
+    for (gi, (m, k, n, bm, bk, bn)) in MEASURED_GRIDS.into_iter().enumerate() {
+        let params = TrafficParams { m, k, n, bm, bk, bn };
+        let kb = params.grid().kb;
+        let schedule = Schedule::k_first(params.grid(), m, n);
+        let one_level = dram_traffic(schedule, params, CResidency::HoldInLlc, 1);
+
+        for (ko, no) in [(0usize, 0usize), (2, 2)] {
+            let tiling = match (ko, no) {
+                (0, 0) => "one-level".to_string(),
+                _ => format!("two-level {ko}x{no}"),
+            };
+            let label = format!("{m}x{k}x{n} in {bm}x{bk}x{bn} blocks, {tiling}");
+            let err = |msg: String| fail("measured", format!("{label}: {msg}"));
+            let tiled = schedule.with_outer_tiles(ko, no);
+            let adj = dram_traffic(tiled, params, CResidency::HoldInLlc, 1);
+            let ring = dram_traffic(tiled, params, CResidency::HoldInLlc, ring_depth(kb));
+            if ring.b_loads > adj.b_loads {
                 return Err(err(format!(
-                    "p={p}: A elements loaded {} != analytic adjacency {}",
-                    stats.a_elems_loaded, adj.a_loads
+                    "panel ring must never fetch more B than adjacency sharing: {} > {}",
+                    ring.b_loads, adj.b_loads
                 )));
             }
-            if stats.b_elems_loaded != ring.b_loads {
+            // On the first grid outer tiling can only add traffic (K-tile
+            // departures spill partial C); on the deeper one the tiled
+            // order saves more A and B loads than its spills cost. C
+            // completes once on both.
+            let adds = gi > 0 || adj.total() >= one_level.total();
+            if !adds || adj.c_final_writes != (m * n) as u64 {
                 return Err(err(format!(
-                    "p={p}: B elements loaded {} != panel-ring replay {}",
-                    stats.b_elems_loaded, ring.b_loads
+                    "outer tiling can only add traffic on this grid and C completes once: \
+                     total {} < one-level {}, or final writes {} != m*n",
+                    adj.total(),
+                    one_level.total(),
+                    adj.c_final_writes
                 )));
             }
+
             // Outer tiles permute the same grid, so C still takes exactly
             // kb accumulation passes over every element.
-            let c_expect = (kb * m * n) as u64;
-            if stats.c_elems_updated != c_expect {
-                return Err(err(format!(
-                    "p={p}: C elements updated {} != kb*m*n = {c_expect}",
-                    stats.c_elems_updated
-                )));
-            }
-            measured.push((stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated));
+            let want = (adj.a_loads, ring.b_loads, (kb * m * n) as u64);
+            let tiles = (ko, no);
+            measure_dtype::<f32>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
+            measure_dtype::<f64>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
+            measure_dtype::<Bf16>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
+            measure_dtype::<i8>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
+            report.lines.push(format!(
+                "{label}: measured == analytic, element-exact, p-invariant over \
+                 p={CORE_COUNTS:?} on every kernel: A {}, B {} (ring; adjacency bound {}), \
+                 C-updates {} (walk total {}, one-level {})",
+                want.0,
+                want.1,
+                adj.b_loads,
+                want.2,
+                adj.total(),
+                one_level.total()
+            ));
         }
-        if measured.windows(2).any(|w| w[0] != w[1]) {
-            return Err(err(format!("counters changed with p at a fixed block grid: {measured:?}")));
-        }
-        let (ea, eb, ec) = measured[0];
-        report.lines.push(format!(
-            "{label}: measured == analytic, element-exact, p-invariant over p={CORE_COUNTS:?}: \
-             A {ea}, B {eb} (ring; adjacency bound {}), C-updates {ec} (one-level total floor {})",
-            adj.b_loads,
-            one_level.total()
-        ));
     }
+    report.lines.push(format!(
+        "measured layer ran {} kernels of f32, f64, bf16 and int8: {}",
+        kernels.len(),
+        kernels.join(", ")
+    ));
     Ok(())
 }
 
@@ -332,7 +368,7 @@ mod tests {
     #[test]
     fn full_conformance_suite_passes() {
         let rep = run().expect("conformance oracle must pass");
-        assert_eq!(rep.lines.len(), 4);
+        assert_eq!(rep.lines.len(), 7);
     }
 
     #[test]
@@ -340,6 +376,18 @@ mod tests {
         let mut rep = ConformanceReport::default();
         check_measured_traffic(&mut rep).unwrap();
         assert!(rep.lines[0].contains("element-exact"));
+    }
+
+    #[test]
+    fn measured_layer_runs_every_kernel_of_every_dtype() {
+        fn count<T: RandomOperand>() -> usize {
+            available_tiers().into_iter().filter_map(tier_kernel::<T>).count()
+        }
+        let mut rep = ConformanceReport::default();
+        check_measured_traffic(&mut rep).unwrap();
+        let kernels = count::<f32>() + count::<f64>() + count::<Bf16>() + count::<i8>();
+        let last = rep.lines.last().unwrap();
+        assert!(last.contains(&format!("ran {kernels} kernels")), "{last}");
     }
 
     #[test]

@@ -128,19 +128,19 @@ pub struct InterleaveReport {
 
 /// What one block needs from the ring.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockInfo {
+struct BlockInfo {
     /// Ring slot read during compute.
-    pub panel: usize,
+    panel: usize,
     /// Surface id expected in that slot.
-    pub surface: u16,
+    surface: u16,
     /// Ring slot to pack *for this block* (None: already resident).
-    pub pack: Option<usize>,
+    pack: Option<usize>,
 }
 
 /// One atomic step of a worker program.
 ///
-/// Public so that external analyses (notably `cake-audit`'s phase checker)
-/// can feed their own annotation-derived programs through the same DFS via
+/// Public so that external analyses (notably `cake-audit`'s atomics
+/// checker) can feed their own programs through the same DFS via
 /// [`explore_programs`] instead of re-implementing the protocol semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Step {
@@ -172,9 +172,8 @@ struct MachState {
 }
 
 /// Replay the ring decision sequence for a schedule (the executor computes
-/// the identical pure function on every worker). Public so annotation-driven
-/// front ends (`cake-audit`) share the same slot-resolution replay.
-pub fn ring_decisions(
+/// the identical pure function on every worker).
+fn ring_decisions(
     coords: &[BlockCoord],
     ring: usize,
     evict_live: bool,

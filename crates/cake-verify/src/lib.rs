@@ -13,12 +13,13 @@
 //!   register tiles of every kernel tier the host has, so each kernel's
 //!   full-tile body is checked against the reference too.
 //! * [`conformance`] — the **model-conformance oracle**: runs the executor
-//!   with `traffic-counters` enabled and reconciles the measured element
-//!   traffic with `cake_core::traffic` *exactly*, with the closed forms of
-//!   `cake_core::model` (Eq. 4: external bandwidth independent of `p`)
-//!   within stated tolerance, and with the `cake-sim` event simulator —
-//!   across `p ∈ {1, 2, 4, 8}`, demonstrating CAKE's DRAM traffic is
-//!   `p`-invariant while GOTO's bandwidth demand grows linearly.
+//!   on every kernel tier of all four dtypes and reconciles its measured
+//!   element traffic with `cake_core::traffic` *exactly*, with the closed
+//!   forms of `cake_core::model` (Eq. 4: external bandwidth independent of
+//!   `p`) within stated tolerance, and with the `cake-sim` event
+//!   simulator — across `p ∈ {1, 2, 4, 8}`, demonstrating CAKE's DRAM
+//!   traffic is `p`-invariant while GOTO's bandwidth demand grows
+//!   linearly.
 //! * [`interleave`] — a loom-style **deterministic interleaving harness**
 //!   (in-tree, no external deps): a virtual-thread scheduler that drives
 //!   the executor's panel-ring protocol (cooperative B packs, rotation
@@ -42,6 +43,39 @@ pub mod conformance;
 pub mod fuzz;
 pub mod interleave;
 pub mod prepacked;
+
+use cake_kernels::select::KernelSelect;
+use cake_matrix::{init, Bf16, Matrix};
+
+/// Seeded operand generation per dtype: full-range bytes for int8,
+/// uniform reals (rounded at generation for bf16) otherwise.
+pub(crate) trait RandomOperand: KernelSelect {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self>;
+}
+
+impl RandomOperand for f32 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
+
+impl RandomOperand for f64 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
+
+impl RandomOperand for i8 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random_i8(rows, cols, seed)
+    }
+}
+
+impl RandomOperand for Bf16 {
+    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
+        init::random(rows, cols, seed)
+    }
+}
 
 /// One verification pillar's outcome, for CLI reporting.
 #[derive(Debug)]

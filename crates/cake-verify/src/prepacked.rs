@@ -11,9 +11,8 @@
 //! block shape. C must agree bit for bit, and so must every non-timing
 //! [`ExecStats`] field but `workspace_bytes` (a pre-packed A needs no
 //! workspace strips): the block, skip and barrier counts and the
-//! element-traffic counters, which `cake-verify` builds with
-//! `traffic-counters` on. A pre-packed call must record no pack-A time,
-//! and its workspace holds no A strips.
+//! element-traffic counters. A pre-packed call must record no pack-A
+//! time, and its workspace holds no A strips.
 
 use cake_core::executor::{execute_with_stats_in, ExecStats};
 use cake_core::operand::PackedA;
@@ -22,8 +21,10 @@ use cake_core::shape::CbBlockShape;
 use cake_core::workspace::GemmWorkspace;
 use cake_kernels::select::KernelSelect;
 use cake_kernels::{available_tiers, tier_kernel, Ukr};
-use cake_matrix::{init, Bf16, Element, Matrix};
+use cake_matrix::{Bf16, Element, Matrix};
 use proptest::test_runner::TestRng;
+
+use crate::RandomOperand;
 
 /// Statistics from a clean run.
 #[derive(Debug, Default)]
@@ -104,36 +105,6 @@ fn gen_case(rng: &mut TestRng) -> Case {
     }
 }
 
-/// Operand generation per dtype: full-range bytes for int8, uniform reals
-/// (rounded at generation for bf16) otherwise.
-trait PrepackOperand: KernelSelect {
-    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self>;
-}
-
-impl PrepackOperand for f32 {
-    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
-        init::random(rows, cols, seed)
-    }
-}
-
-impl PrepackOperand for f64 {
-    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
-        init::random(rows, cols, seed)
-    }
-}
-
-impl PrepackOperand for i8 {
-    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
-        init::random_i8(rows, cols, seed)
-    }
-}
-
-impl PrepackOperand for Bf16 {
-    fn gen(rows: usize, cols: usize, seed: u64) -> Matrix<Self> {
-        init::random(rows, cols, seed)
-    }
-}
-
 /// The bits of every element of C, in order.
 fn bits<A: Element>(c: &Matrix<A>) -> Vec<u64> {
     c.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
@@ -157,7 +128,7 @@ fn run_twice<T: KernelSelect>(
     (c, stats)
 }
 
-fn check_dtype<T: PrepackOperand>(
+fn check_dtype<T: RandomOperand>(
     case: &Case,
     pools: &[ThreadPool],
     report: &mut PrepackedReport,
