@@ -13,9 +13,9 @@
 //! the [`crate::callgraph`] closure and prove that no reachable line uses
 //! an allocation-capable construct. This turns the runtime
 //! `ExecStats.allocations == 0` counter — which only covers the shapes we
-//! happen to run — into a for-all-shapes static guarantee, the property
-//! ROADMAP item 1 (`cake-serve`) needs before a serving layer can sit on
-//! the warm path.
+//! happen to run — into a for-all-shapes static guarantee for every
+//! caller that keeps the library on its warm path (ROADMAP item 1 extends
+//! the runtime counter to the pool's dispatch at p = 2).
 //!
 //! Escape hatches are explicit and auditable:
 //! * fn-level `// audit: cold` — the fn is setup/error-path code by

@@ -323,34 +323,43 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![],
             finite_domain: false,
         },
-        // LaneCopy::write_tiles writes the 4 tile rows (256 elements)
-        // holding sliver rows kb..kb+16 of column tile ct < w, nr = 16w, at
-        // (kb/64)*nr*64 + (kb%64/4)*64 + ct*1024 inside one nr*kp sliver:
-        // step st = kb/64 < q, block g = kb%64/16 < 4.
+        // LaneCopy::write_tiles writes, for each of the c slivers (nr = 16w
+        // wide, nr*64q long) of a lane group, tile j < w of sliver p < c
+        // from tile row g0 on: G tile rows of 64 elements (sliver rows
+        // kb..kb + 4G, g0 = kb%64/4, g0 + G <= 16) at p*nr*64q +
+        // st*nr*64 + g0*64 + j*1024, st = kb/64 < q. Its vector path checks
+        // that the last tile's rows end inside the c slivers it was given.
         Site {
             name: "pack_b_tile_rows",
-            place: "cake-kernels/src/pack.rs: LaneCopy::write_tiles sliv[st*nr*64 + g*256 + ct*1024..][..256], \
-                    nr = 16w, st < q, g < 4, ct < w, sliver nr*64q",
-            need: v("st")
-                .times(c(16).times(v("w")))
-                .times(c(64))
-                .plus(v("g").times(c(256)))
-                .plus(v("ct").times(c(1024)))
-                .plus(c(256)),
-            cap: c(16).times(v("w")).times(c(64)).times(v("q")),
-            ranges: vec![("st", 0, 3), ("q", 1, 4), ("g", 0, 3), ("ct", 0, 2), ("w", 1, 3)],
-            constraint: Some(|e| e["st"] < e["q"] && e["ct"] < e["w"]),
-            corner_subst: vec![("st", v("q").minus(c(1))), ("g", c(3)), ("ct", v("w").minus(c(1)))],
+            place: "cake-kernels/src/pack.rs: LaneCopy::write_tiles tile j of sliver p at \
+                    slivers[p*nr*64q + st*nr*64 + g0*64 + j*1024..][..64G], nr = 16w, p < c, st < q, j < w, \
+                    g0 + G <= 16, slivers c*nr*64q",
+            need: v("p")
+                .times(c(16).times(v("w")).times(c(64)).times(v("q")))
+                .plus(v("st").times(c(16).times(v("w"))).times(c(64)))
+                .plus(v("g0").times(c(64)))
+                .plus(v("j").times(c(1024)))
+                .plus(v("G").times(c(64))),
+            cap: v("c").times(c(16).times(v("w")).times(c(64)).times(v("q"))),
+            ranges: vec![("p", 0, 3), ("c", 1, 4), ("st", 0, 2), ("q", 1, 3), ("j", 0, 1), ("w", 1, 2), ("g0", 0, 15), ("G", 1, 16)],
+            constraint: Some(|e| e["p"] < e["c"] && e["st"] < e["q"] && e["j"] < e["w"] && e["g0"] + e["G"] <= 16),
+            corner_subst: vec![
+                ("p", v("c").minus(c(1))),
+                ("st", v("q").minus(c(1))),
+                ("j", v("w").minus(c(1))),
+                ("G", c(16).minus(v("g0"))),
+            ],
             finite_domain: false,
         },
         // ---- the conv lowering's lane groups (cake-dnn/src/im2col.rs) ----
-        // A lane group of LoweredConv::pack_block covers c >= 1 slivers
-        // from sliver t, t + c <= ceil(nl/nr). In the tile layout it carves
-        // them whole: dst[t*nr*kp .. (t+c)*nr*kp].
+        // A lane group of LoweredConv::pack_block, or of pack_b_tiles on a
+        // row-major B, covers c >= 1 slivers from sliver t, t + c <=
+        // ceil(nl/nr). In the tile layout it carves them whole:
+        // dst[t*nr*kp .. (t+c)*nr*kp].
         Site {
             name: "pack_b_tile_group",
-            place: "cake-dnn/src/im2col.rs LoweredConv::pack_block: tile slivers t..t+c, t + c <= ceil(nl/nr), \
-                    at dst[t*nr*kp .. (t+c)*nr*kp], kp = 64q",
+            place: "cake-dnn/src/im2col.rs LoweredConv::pack_block, cake-kernels/src/pack.rs pack_b_tiles: \
+                    tile slivers t..t+c, t + c <= ceil(nl/nr), at dst[t*nr*kp .. (t+c)*nr*kp], kp = 64q",
             need: v("t").plus(v("c")).times(v("nr")).times(c(64).times(v("q"))),
             cap: packed_size(v("nl"), "nr", c(64).times(v("q"))),
             ranges: vec![("nl", 1, 7), ("nr", 1, 4), ("q", 1, 3), ("t", 0, 6), ("c", 1, 4)],
@@ -359,7 +368,8 @@ pub fn sites() -> Vec<Site> {
             finite_domain: false,
         },
         // In the k-major layout the group writes rows kb..kb+kn of each of
-        // its slivers, kb + kn <= kl, from lane l0 of sliver t on: the
+        // its slivers (a pass of kn <= 64 rows, or a 16-row gathered block
+        // of one), kb + kn <= kl, from lane l0 of sliver t on: the
         // slice dst[t*nr*kl + kb*nr + l0 ..][..(c-1)*nr*kl + (kn-1)*nr + e]
         // with e = min(nr, width), and l0 + e = e' <= nr (l0 = 0 when a
         // group holds whole slivers; a piece of one wider sliver has c = 1
@@ -397,14 +407,16 @@ pub fn sites() -> Vec<Site> {
             finite_domain: false,
         },
         // ---- the lane copy (cake-kernels/src/pack.rs lanecopy) ----
-        // A row's masked loads read its set lanes: contiguous elements
-        // src[lo ..= lo + d], lo = at + first set lane, d = last - first.
-        // LaneRows::in_bounds admits the row only when lo < len and
-        // d < len - lo (a row whose whole window lies in src has both).
+        // The masked loads of a block's rows at offset off read only set
+        // lanes: element off + at[i] + l, which LaneRows::set_rows bounds by the
+        // block's reach over every row, lo = off + min(at[i] + first set
+        // lane) and lo + d = off + max(at[i] + last set lane).
+        // LaneRows::in_bounds(off) admits the block only when lo >= 0,
+        // lo < len and d < len - lo.
         Site {
             name: "lane_copy_load",
-            place: "cake-kernels/src/pack.rs lanecopy::rows/tiles_x2 masked loads of src[lo ..= lo + d], \
-                    in_bounds: lo < len, d < len - lo",
+            place: "cake-kernels/src/pack.rs lanecopy::rows/tile_group masked loads of src[lo ..= lo + d], \
+                    the reach of every row's set lanes at off, in_bounds(off): lo < len, d < len - lo",
             need: v("lo").plus(v("d")).plus(c(1)),
             cap: v("len"),
             ranges: vec![("lo", 0, 7), ("d", 0, 7), ("len", 1, 9)],
@@ -444,19 +456,18 @@ pub fn sites() -> Vec<Site> {
             ],
             finite_domain: false,
         },
-        // lanecopy::tiles_x2 stores 64-byte tile row g < 4 of column tile
-        // ct < 2 at out[ct] + 64g; out[0] is the 1024 bytes of column tile
-        // 0 from the block's rows on, out[1] the 256 of column tile 1.
+        // lanecopy::tile_group stores tile row g < G of column tile ct at
+        // out[ct] + 64g, 64 bytes; out[ct] is the G*64 bytes of the tile's
+        // rows that pack_b_tile_rows carves.
         Site {
             name: "lane_tile_store",
-            place: "cake-kernels/src/pack.rs lanecopy::tiles_x2 stores out[ct][64g..64g + 64], g < 4, \
-                    out[0] 1024 bytes, out[1] 256",
+            place: "cake-kernels/src/pack.rs lanecopy::tile_group stores out[ct][64g..64g + 64], g < G, out[ct] 64G bytes",
             need: v("g").times(c(64)).plus(c(64)),
-            cap: c(256),
-            ranges: vec![("g", 0, 3)],
-            constraint: None,
-            corner_subst: vec![],
-            finite_domain: true,
+            cap: v("G").times(c(64)),
+            ranges: vec![("g", 0, 15), ("G", 1, 16)],
+            constraint: Some(|e| e["g"] < e["G"]),
+            corner_subst: vec![("g", v("G").minus(c(1)))],
+            finite_domain: false,
         },
         // ---- pipelined executor (cake-core/src/executor.rs) ----
         // Sliver offsets and panel sizes use the kernel layout's padded

@@ -174,42 +174,66 @@ fn lane_copies() -> Vec<LaneCopy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `LaneRows::in_bounds`, which admits a block to the masked loads,
-    /// holds exactly when the `lane_copy_load` site's `need` (one past the
-    /// last element a row's set lanes read) is within the source, and the
-    /// lanes the copies load are the model's `src[lo + (l - first)]`.
+    /// `LaneRows::in_bounds(off)`, which admits a block to the masked
+    /// loads, holds exactly when every set lane of every row lies inside
+    /// the source: when the lowest element any lane reads, `lo`, is not
+    /// negative and the `lane_copy_load` site's `need` (one past the
+    /// highest, `lo + d + 1`) is within it. The rows' reach is worked out
+    /// when they are set, so this pins the one comparison per write to
+    /// every lane the writers load. The copies then load exactly the
+    /// model's lanes.
     #[test]
     fn lane_copy_load_matches_interval_model(
-        lo in 0usize..140,
-        d in 0usize..LANES,
-        first in 0usize..LANES,
-        len in 1usize..140,
+        n in 1usize..=TILE_K,
+        off in 0usize..160,
+        len in 1usize..200,
         live in 0usize..=LANES,
+        seed in 0u64..1 << 30,
     ) {
-        let first = first.min(LANES - 1 - d);
         let (need_e, cap_e) = site_exprs("lane_copy_load");
-        let env = [("lo", lo as i128), ("d", d as i128), ("len", len as i128)];
-        let (need, cap) = (eval(&need_e, &env), eval(&cap_e, &env));
+        let mut state = seed | 1;
+        let mut draw = |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        // Each row reads one run of lanes, from a lowest element anywhere
+        // from 60 before the offset to past the source (a row's `at` may
+        // point before the slice), or no lane at all.
+        let rows: Vec<(usize, u64)> = (0..n)
+            .map(|_| {
+                let first = draw(LANES);
+                let last = first + draw(LANES - first);
+                let at = (draw(len + 80) as isize - 60 - first as isize) as usize;
+                let mask = if draw(8) == 0 { 0 } else { low_lanes(last + 1) & !low_lanes(first) };
+                (at, mask)
+            })
+            .collect();
+        let lanes = |&(at, mask): &(usize, u64)| (0..LANES).filter(move |l| mask >> l & 1 == 1).map(move |l| off as i128 + at as isize as i128 + l as i128);
+        let (lo, hi) = rows.iter().flat_map(lanes).fold((i128::MAX, i128::MIN), |(lo, hi), e| (lo.min(e), hi.max(e)));
+        let admitted = lo > hi || (lo >= 0 && {
+            let env = [("lo", lo), ("d", hi - lo), ("len", len as i128)];
+            eval(&need_e, &env) <= eval(&cap_e, &env)
+        });
         let src: Vec<f32> = (0..len).map(|i| i as f32).collect();
-        let mut rows = LaneRows::dense(&src, LANES, 1);
-        rows.at[0] = lo.wrapping_sub(first);
-        rows.mask[0] = low_lanes(first + d + 1) & !low_lanes(first);
-        (rows.live, rows.pad) = (live, -1.0);
-        prop_assert_eq!(rows.in_bounds(LANES), need <= cap, "lo {} d {} len {}", lo, d, len);
-        if need <= cap {
+        let mut block = LaneRows::new(&src, -1.0);
+        block.set_rows(live, rows.iter().copied());
+        prop_assert_eq!(block.in_bounds(off), admitted, "off {} len {} rows {:?}", off, len, rows);
+        if admitted {
             let place = RowPlace { width: LANES, stride: LANES, piece: LANES, piece_stride: 0 };
             for copy in lane_copies() {
-                let mut out = vec![f32::NAN; LANES];
-                copy.write_k_major(&rows, &mut out, place);
-                for (l, &x) in out.iter().enumerate() {
-                    let want = if (first..=first + d).contains(&l) {
-                        (lo + l - first) as f32
-                    } else if l < live {
-                        -1.0
-                    } else {
-                        0.0
-                    };
-                    prop_assert_eq!(x.to_bits(), want.to_bits(), "{:?} lane {}", copy, l);
+                let mut out = vec![f32::NAN; n * LANES];
+                copy.write_k_major(&block, off, &mut out, place);
+                for (i, &(at, mask)) in rows.iter().enumerate() {
+                    for l in 0..LANES {
+                        let want = if mask >> l & 1 == 1 {
+                            (off as isize + at as isize + l as isize) as f32
+                        } else if l < live {
+                            -1.0
+                        } else {
+                            0.0
+                        };
+                        prop_assert_eq!(out[i * LANES + l].to_bits(), want.to_bits(), "{:?} row {} lane {}", copy, i, l);
+                    }
                 }
             }
         }
@@ -222,7 +246,7 @@ proptest! {
     fn lane_copy_store_matches_interval_model(
         width in 1usize..=LANES,
         piece in 1usize..=LANES,
-        n in 1usize..=B_KROWS,
+        n in 1usize..=TILE_K,
         gap in 0usize..3,
         pgap in 0usize..5,
         seed in 0u64..1024,
@@ -235,7 +259,7 @@ proptest! {
         let (_, cap_e) = site_exprs("lane_copy_store");
         let env = [("pp", pp as i128), ("ps", ps as i128), ("n", n as i128), ("st", st as i128), ("e", e as i128)];
         let cap = eval(&cap_e, &env);
-        let src = init::random::<f32>(1, B_KROWS * LANES, seed);
+        let src = init::random::<f32>(1, TILE_K * LANES, seed);
         let rows = LaneRows::dense(src.as_slice(), LANES, n);
         let mut touched = vec![false; cap];
         for p in 0..pp {
@@ -248,7 +272,7 @@ proptest! {
         for copy in lane_copies() {
             let place = RowPlace { width, stride: st, piece, piece_stride: ps };
             let mut dst = vec![f32::NAN; cap + PAD];
-            copy.write_k_major(&rows, &mut dst[..cap], place);
+            copy.write_k_major(&rows, 0, &mut dst[..cap], place);
             for (idx, x) in dst.iter().enumerate() {
                 let written = !x.is_nan();
                 prop_assert_eq!(written, idx < cap && touched[idx], "{:?} index {} of cap {}", copy, idx, cap);
@@ -256,35 +280,57 @@ proptest! {
         }
     }
 
-    /// `LaneCopy::write_tiles` writes, in each 16-column tile of a sliver,
-    /// exactly the 256 elements from the block's first tile row that the
-    /// `lane_tile_store` and `pack_b_tile_rows` sites model, zeros in the
-    /// rows past the block's, and nothing else.
+    /// `LaneCopy::write_tiles` writes, in each 16-column tile of each of a
+    /// lane group's slivers, exactly the tile rows the `pack_b_tile_rows`
+    /// site models from the block's first k-row on, `64 * groups` elements
+    /// ending at its `need` (which `lane_tile_store`'s 64-element stores
+    /// fill), with zeros in the rows past the block's, and nothing else,
+    /// past the slivers included.
     #[test]
     fn lane_tile_store_matches_interval_model(
         nr in prop::sample::select(vec![16usize, 32]),
+        count in 1usize..=4,
         q in 1usize..4,
-        kb in 0usize..12,
-        rows in 0usize..=B_KROWS,
+        step in 0usize..12,
+        whole in any::<bool>(),
+        rows in 0usize..=TILE_K,
         seed in 0u64..1024,
     ) {
-        let (kp, kb) = (q * TILE_K, kb % (q * TILE_K / B_KROWS) * B_KROWS);
-        let (need_e, _) = site_exprs("lane_tile_store");
-        let span = eval(&need_e, &[("g", 3)]);
-        let src = init::random_i8(1, B_KROWS * LANES, seed);
-        let block = LaneRows::dense(src.as_slice(), nr, rows);
-        let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / 4 * TILE_K;
+        let (w, count, kp) = (nr / 16, count.min(LANES / nr), q * TILE_K);
+        // A whole k-step, or one 16-row block of one.
+        let (kb, depth) = if whole { (step % q * TILE_K, TILE_K) } else { (step % (kp / B_KROWS) * B_KROWS, B_KROWS) };
+        let rows = rows.min(depth);
+        let (st, g0, groups) = (kb / TILE_K, kb % TILE_K / 4, depth / 4);
+        let (need_e, _) = site_exprs("pack_b_tile_rows");
+        let (store_e, store_cap_e) = site_exprs("lane_tile_store");
+        let per_store = [("g", groups as i128 - 1), ("G", groups as i128)];
+        prop_assert_eq!(eval(&store_e, &per_store), eval(&store_cap_e, &per_store), "the last store fills the tile rows");
+        let src = init::random_i8(1, TILE_K * LANES, seed);
+        let block = LaneRows::dense(src.as_slice(), count * nr, rows);
+        let sliver_len = nr * kp;
+        // Element `idx` of the slivers: the column tile and tile row whose
+        // modelled range holds it.
+        let mut model = vec![None; count * sliver_len];
+        for p in 0..count {
+            for j in 0..w {
+                let env = [
+                    ("p", p as i128), ("st", st as i128), ("j", j as i128), ("g0", g0 as i128),
+                    ("G", groups as i128), ("w", w as i128), ("q", q as i128), ("c", count as i128),
+                ];
+                let end = eval(&need_e, &env);
+                for (o, m) in model[end - groups * 64..end].iter_mut().enumerate() {
+                    *m = Some((p * nr + j * 16 + o % 64 / 4, o / 64 * 4 + o % 4));
+                }
+            }
+        }
         for copy in lane_copies() {
-            let mut sliv = vec![i8::MIN; nr * kp + 64];
-            copy.write_tiles(&block, nr, &mut sliv[..nr * kp], nr * kp, kb);
-            for (idx, &x) in sliv.iter().enumerate() {
-                let tile = (0..nr / 16).find(|ct| (rows_at + ct * 1024..rows_at + ct * 1024 + span).contains(&idx));
-                match tile {
+            let mut slivers = vec![i8::MIN; count * sliver_len + 64];
+            copy.write_tiles(&block, 0, &mut slivers[..count * sliver_len], (nr, sliver_len), (kb, depth));
+            for (idx, &x) in slivers.iter().enumerate() {
+                match model.get(idx).copied().flatten() {
                     None => prop_assert_eq!(x, i8::MIN, "{:?} index {} written", copy, idx),
-                    Some(ct) => {
-                        let o = idx - rows_at - ct * 1024;
-                        let (r, c) = (o / 64 * 4 + o % 4, ct * 16 + o % 64 / 4);
-                        let want = if r < rows { src.as_slice()[r * nr + c] } else { 0 };
+                    Some((lane, r)) => {
+                        let want = if r < rows { src.as_slice()[r * count * nr + lane] } else { 0 };
                         prop_assert_eq!(x, want, "{:?} index {}", copy, idx);
                     }
                 }

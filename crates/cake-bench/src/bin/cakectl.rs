@@ -18,7 +18,10 @@
 //! ```
 //!
 //! A flag that is given a value which does not parse (`--p two`) exits 2
-//! with `invalid --p 'two'`; it never falls back to the default.
+//! with `invalid --p 'two'`; it never falls back to the default. A `--flag`
+//! the subcommand does not read (a misspelling, or a retired gate flag)
+//! exits 2 with the subcommand's usage line, which names every flag it
+//! reads.
 //!
 //! Everything the paper derives analytically, queryable from the shell —
 //! plus `gemm`, which runs the *real* pipelined executor and (with
@@ -152,7 +155,19 @@ fn opt_workers(default: usize) -> usize {
     p
 }
 
+/// Exit 2 with `usage` when an argument after the subcommand is a
+/// `--flag` that `usage` does not name: a subcommand's usage line lists
+/// every flag it reads, so it is also the list of flags it accepts.
+fn check_flags(usage: &str) {
+    let known: Vec<&str> = usage.split(|c: char| c.is_whitespace() || "[]|".contains(c)).filter(|w| w.starts_with("--")).collect();
+    if let Some(flag) = std::env::args().skip(2).find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        eprintln!("unknown flag '{flag}'\nusage: cakectl {usage}");
+        std::process::exit(2);
+    }
+}
+
 fn cmd_shape() {
+    check_flags("shape --cpu intel|amd|arm --p P [--m M --k K --n N] [--alpha A]");
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
     let p = opt_workers(cpu.cores);
     let mut sp = SimParams::new(
@@ -190,6 +205,9 @@ fn cmd_shape() {
 
 fn cmd_sim() {
     use cake_sim::engine::{check_ordering_invariance, simulate_traced, Algo, SimOptions};
+    check_flags(
+        "sim --cpu intel|amd|arm --p P --m M --k K --n N [--algo cake|goto] [--fuzz-orderings N] [--trace]",
+    );
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
     let p = opt_workers(cpu.cores);
     let sp = SimParams::new(req_usize("--m"), req_usize("--k"), req_usize("--n"), p);
@@ -236,6 +254,7 @@ fn cmd_sim() {
 }
 
 fn cmd_search() {
+    check_flags("search --cpu intel|amd|arm --p P --n N [--steps S]");
     let cpu = cpu_by_name(&arg_value("--cpu").unwrap_or_else(|| "intel".into()));
     let p = opt_workers(cpu.cores);
     let n = req_usize("--n");
@@ -293,6 +312,9 @@ fn cmd_search() {
 }
 
 fn cmd_traffic() {
+    check_flags(
+        "traffic --m M --k K --n N --bm BM --bk BK --bn BN [--policy hold|stream] [--dtype f32|f64|bf16|int8]",
+    );
     let tp = TrafficParams {
         m: req_usize("--m"),
         k: req_usize("--k"),
@@ -400,6 +422,7 @@ fn print_exec_stats(s: &ExecStats) {
 }
 
 fn cmd_verify() {
+    check_flags("verify [--cases C] [--seed S]");
     let cases = opt_usize("--cases", 256) as u32;
     let seed = opt_arg::<u64>("--seed");
     println!("cake-verify: {cases} fuzz cases, conformance oracle, interleaving checker");
@@ -421,6 +444,7 @@ fn cmd_verify() {
 }
 
 fn cmd_audit() {
+    check_flags("audit [--bless] [--root DIR]");
     let root = match arg_value("--root").map(std::path::PathBuf::from) {
         Some(dir) => dir,
         None => {
@@ -453,6 +477,10 @@ fn cmd_audit() {
 }
 
 fn cmd_gemm() {
+    check_flags(
+        "gemm --m M --k K --n N [--p P] [--iters I] [--stats] [--pin] [--explain] [--llc-mib MIB] \
+         [--kernel portable|avx2|avx512|amx] [--dtype f32|f64|bf16|int8] [--threads P1,P2,...] [--check-counters]",
+    );
     let (m, k, n) = (req_usize("--m"), req_usize("--k"), req_usize("--n"));
     let iters = opt_usize("--iters", 3).max(1);
     let pin = has_flag("--pin");
@@ -608,6 +636,7 @@ fn run_typed_gemm<T>(
 }
 
 fn cmd_fig() {
+    check_flags(&format!("fig <{}|all> [--part a|b|ab] [--n N] [--full] [--step S]", FIGURE_IDS.join("|")));
     let id = std::env::args().nth(2).unwrap_or_default();
     let opts = FigOptions {
         part: opt_arg("--part"),

@@ -12,7 +12,7 @@ use cake_sim::engine::{
 };
 use cake_sim::trace::{run_cake_trace, run_goto_trace, stall_breakdown_cycles};
 
-use crate::output::{ascii_chart, f1, f2, render_table, write_csv};
+use crate::output::{ascii_chart, f1, f2, render_table, results_dir, write_csv};
 
 /// Vendor-library stand-in name per CPU (the library the paper compared
 /// against on that machine; all are GOTO-algorithm implementations).
@@ -367,9 +367,9 @@ pub fn print_figure(id: &str, opts: &FigOptions) -> io::Result<()> {
     }
 }
 
-/// Write `results/<name>.csv` and say where it went.
+/// Write `<results dir>/<name>.csv` and say where it went.
 fn save(name: &str, header: &str, rows: &[String]) -> io::Result<()> {
-    let path = write_csv(name, header, rows)?;
+    let path = write_csv(&results_dir(), name, header, rows)?;
     println!("wrote {}\n", path.display());
     Ok(())
 }

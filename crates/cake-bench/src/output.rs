@@ -1,21 +1,28 @@
 //! Table, chart and CSV helpers for `cakectl`'s output. Figure CSVs go to
-//! `results/` (or `$CAKE_RESULTS_DIR`); the committed copies there are
-//! what `cakectl fig all` reproduces byte for byte.
+//! `results/` (or `$CAKE_RESULTS_DIR`, read by [`results_dir`] alone); the
+//! committed copies there are what `cakectl fig all` reproduces byte for
+//! byte.
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory results are written to (created on demand).
+/// Directory results are written to: `$CAKE_RESULTS_DIR`, else
+/// `results`. The one reader of the variable.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("CAKE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    PathBuf::from(dir)
+    results_dir_for(std::env::var("CAKE_RESULTS_DIR").ok())
 }
 
-/// Write `header` + `rows` to `results/<name>.csv`; returns the path.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
+/// The results directory for a `CAKE_RESULTS_DIR` value: the value itself,
+/// or `results` when it is unset.
+fn results_dir_for(var: Option<String>) -> PathBuf {
+    PathBuf::from(var.unwrap_or_else(|| "results".to_string()))
+}
+
+/// Write `header` + `rows` to `<dir>/<name>.csv`, creating `dir` on
+/// demand; returns the path.
+pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
     let mut f = fs::File::create(&path)?;
     writeln!(f, "{header}")?;
@@ -114,19 +121,17 @@ mod tests {
     #[test]
     fn csv_round_trip() {
         let dir = std::env::temp_dir().join(format!("cake_test_{}", std::process::id()));
-        std::env::set_var("CAKE_RESULTS_DIR", &dir);
-        let path = write_csv("unit", "a,b", &["1,2".to_string()]).unwrap();
+        let path = write_csv(&dir, "unit", "a,b", &["1,2".to_string()]).unwrap();
+        assert_eq!(path, dir.join("unit.csv"));
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
         std::fs::remove_dir_all(&dir).ok();
-        std::env::remove_var("CAKE_RESULTS_DIR");
     }
 
     #[test]
-    fn results_dir_honors_env() {
-        std::env::set_var("CAKE_RESULTS_DIR", "/tmp/xyz");
-        assert_eq!(results_dir(), PathBuf::from("/tmp/xyz"));
-        std::env::remove_var("CAKE_RESULTS_DIR");
+    fn results_dir_honors_the_variable() {
+        assert_eq!(results_dir_for(Some("/tmp/xyz".into())), PathBuf::from("/tmp/xyz"));
+        assert_eq!(results_dir_for(None), PathBuf::from("results"));
     }
 }
 

@@ -87,6 +87,33 @@ fn invalid_option_values_exit_2() {
 }
 
 #[test]
+fn every_subcommand_rejects_a_flag_it_does_not_read() {
+    // A misspelled or retired flag (the deleted `--kernel-smoke` gate) must
+    // fail the script that passes it, before any work is done.
+    let cases: [(&[&str], &str); 10] = [
+        (&["shape", "--bogus"], "--bogus"),
+        (&["sim", "--m", "64", "--k", "64", "--n", "64", "--nope"], "--nope"),
+        (&["simulate", "--m", "64", "--k", "64", "--n", "64", "--nope"], "--nope"),
+        (&["search", "--n", "64", "--bogus"], "--bogus"),
+        (&["traffic", "--m", "8", "--k", "8", "--n", "8", "--bm", "8", "--bk", "8", "--bn", "8", "--nope", "1"], "--nope"),
+        (&["gemm", "--m", "8", "--k", "8", "--n", "8", "--bogus"], "--bogus"),
+        (&["gemm", "--m", "8", "--k", "8", "--n", "8", "--kernel-smoke"], "--kernel-smoke"),
+        (&["verify", "--cases", "1", "--bogus"], "--bogus"),
+        (&["audit", "--bogus"], "--bogus"),
+        (&["fig", "table2", "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let out = cakectl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{args:?}: {stderr}");
+        let sub = if args[0] == "simulate" { "sim" } else { args[0] };
+        assert!(stderr.contains(&format!("usage: cakectl {sub} ")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting its flags");
+    }
+}
+
+#[test]
 fn fig_reproduces_the_committed_results_byte_for_byte() {
     // Every id but fig7 (about 12 s in release; CI diffs it through
     // `cakectl fig all`). The simulator involves no wall clock, so any

@@ -17,18 +17,23 @@
 //!
 //! The lowering is one algorithm at vector width. Its unit is a lane
 //! group: up to [`LANES`] consecutive patch columns (whole slivers, or a
-//! piece of `im2col`'s one sliver) over a block of [`B_KROWS`] patch rows.
-//! A patch row `(c, dy, dx)` reads the input inside the map on the lanes
-//! whose output row is valid for `dy` and whose output column is valid for
-//! `dx`, so each row's lane mask is the AND of two small tables the group
-//! builds by shifts: one mask per `dy` and one per `dx` of the block. The
-//! other lanes take the pad value, or zero past the last column. Where a
-//! row's lanes are contiguous in the input (stride 1, "same" padding or a
-//! group inside one output row) the row is one masked read at one offset,
-//! which [`LaneCopy`] performs with AVX-512 masked loads (or a portable
-//! copy) straight into the kernel's packed layout, AMX tiles included;
-//! other groups gather their lanes through the same masks. The crate has
-//! no `unsafe`: the lane copy checks every row it loads against the
+//! piece of `im2col`'s one sliver) over a pass of [`TILE_K`] patch rows.
+//! A pass's row table (each row's input offset and its `dy` and `dx`) is
+//! built once per `pack_block` call and shared by every group. A patch row
+//! `(c, dy, dx)` reads the input inside the map on the lanes whose output
+//! row is valid for `dy` and whose output column is valid for `dx`, so each
+//! row's lane mask is the AND of two small tables built by shifts: one mask
+//! per `dy` and one per `dx` of the pass. The masks depend on a group only
+//! through its first output column, its live lanes and its per-`dy` row
+//! ranges, so an interior group reuses the last group's masks and moves the
+//! rows by its input offset alone. The other lanes take the pad value, or
+//! zero past the last column. Where a row's lanes are contiguous in the
+//! input (stride 1, "same" padding or a group inside one output row) the
+//! row is one masked read at one offset, which [`LaneCopy`] performs with
+//! AVX-512 masked loads (or a portable copy) straight into the kernel's
+//! packed layout, AMX tiles included; other groups gather their lanes
+//! through the same masks. The crate has no `unsafe`: the lane copy checks
+//! each group's reach, the span of every lane its rows load, against the
 //! tensor.
 
 use cake_kernels::pack::{
@@ -130,31 +135,31 @@ fn col_lanes(ow: usize, ox0: usize, (x0, x1): (usize, usize)) -> u64 {
     (pattern >> ox0) as u64
 }
 
-/// Where one block of up to [`B_KROWS`] patch rows reads the input,
-/// worked out once per block and shared by every lane group.
+/// Where one pass of up to [`TILE_K`] patch rows reads the input, worked
+/// out once per pass and shared by every lane group.
 ///
-/// Patch rows step like an odometer, `dx` fastest: row `i` of a block
+/// Patch rows step like an odometer, `dx` fastest: row `i` of a pass
 /// starting at `(c, dy0, dx0)` has `dx = (dx0 + i) % kw` and `dy = (dy0 +
 /// (dx0 + i) / kw) % kh`. So `i % kw` and `(dx0 + i) / kw % kh` number the
-/// block's distinct `dx` and `dy` values from 0: a group's lane masks are
-/// two fixed tables of at most [`B_KROWS`] entries each, whatever the
+/// pass's distinct `dx` and `dy` values from 0: a group's lane masks are
+/// two fixed tables of at most [`TILE_K`] entries each, whatever the
 /// kernel size.
 struct Block {
-    /// Rows in the block, and `dy` and `dx` slots in use.
+    /// Rows in the pass, and `dy` and `dx` slots in use.
     n: usize,
     ny: usize,
     nx: usize,
     /// Row `i`'s input offset at output pixel `(0, 0)`: `c*h*w + (dy -
     /// p)*w + dx - p` in wrapping arithmetic (negative in the padding;
     /// an in-map tap's offset never is).
-    base: [usize; B_KROWS],
+    base: [usize; TILE_K],
     /// Row `i`'s `dy` and `dx` slots.
-    slot: [(usize, usize); B_KROWS],
+    slot: [(usize, usize); TILE_K],
     /// Per `dy` slot, the output rows `y0..y1` whose input row is in the map.
-    ys: [(usize, usize); B_KROWS],
+    ys: [(usize, usize); TILE_K],
     /// Per `dx` slot, the output columns `x0..x1` whose input column is in
     /// the map.
-    xs: [(usize, usize); B_KROWS],
+    xs: [(usize, usize); TILE_K],
 }
 
 /// A convolution's `(C_in*KH*KW) x (OH*OW)` patch matrix as a [`PackB`]
@@ -164,13 +169,13 @@ struct Block {
 /// activation zero-point on the quantized path).
 ///
 /// Patch row `(c, dy, dx)` at column `oy*OW + ox` is input pixel
-/// `(c, oy*s + dy - p, ox*s + dx - p)`. The packer walks blocks of
-/// [`B_KROWS`] patch rows and, in each, lane groups of at most [`LANES`]
-/// columns: whole slivers, or a piece of `im2col`'s one wide sliver. A
-/// group's row is in the map on the lanes of its row mask (by `dy`) and
-/// its column mask (by `dx`); the other live lanes get `pad`, the lanes
-/// past the last column zero. At stride 1 a group inside one output row,
-/// or spanning rows of an output as wide as its map ("same" padding),
+/// `(c, oy*s + dy - p, ox*s + dx - p)`. The packer walks passes of
+/// [`TILE_K`] patch rows (one tile step) and, in each, lane groups of at
+/// most [`LANES`] columns: whole slivers, or a piece of `im2col`'s one wide
+/// sliver. A group's row is in the map on the lanes of its row mask (by
+/// `dy`) and its column mask (by `dx`); the other live lanes get `pad`, the
+/// lanes past the last column zero. At stride 1 a group inside one output
+/// row, or spanning rows of an output as wide as its map ("same" padding),
 /// reads each row's lanes at one input offset, and [`LaneCopy`] moves
 /// them with masked loads. Any other group gathers its lanes through the
 /// same masks into a dense block first.
@@ -214,7 +219,7 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         Self { copy, ..self }
     }
 
-    /// The input geometry of patch rows `r0..r0 + n`, `n <= B_KROWS`.
+    /// The input geometry of patch rows `r0..r0 + n`, `n <= TILE_K`.
     fn block(&self, r0: usize, n: usize) -> Block {
         let ConvGeom { kh, kw, stride: s, pad: p } = self.geom;
         let (c0, dy0, dx0) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
@@ -222,10 +227,10 @@ impl<'a, T: Element> LoweredConv<'a, T> {
             n,
             ny: if n == 0 { 0 } else { kh.min((dx0 + n - 1) / kw + 1) },
             nx: kw.min(n),
-            base: [0; B_KROWS],
-            slot: [(0, 0); B_KROWS],
-            ys: [(0, 0); B_KROWS],
-            xs: [(0, 0); B_KROWS],
+            base: [0; TILE_K],
+            slot: [(0, 0); TILE_K],
+            ys: [(0, 0); TILE_K],
+            xs: [(0, 0); TILE_K],
         };
         for (q, y) in blk.ys.iter_mut().enumerate().take(blk.ny) {
             *y = in_map(self.h, (dy0 + q) % kh, p, s, self.oh);
@@ -248,37 +253,44 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         blk
     }
 
-    /// The lane masks of block `blk`'s rows over the lane group from
-    /// output pixel `(oy, ox)` on, whose first `live` lanes are columns of
-    /// the block: lane `l` of row `i` is set when its input row (by `dy`)
-    /// and column (by `dx`) lie in the map.
-    fn masks(&self, blk: &Block, (oy, ox): (usize, usize), live: usize, mask: &mut [u64; B_KROWS]) {
-        let ow = self.ow;
-        let j0 = oy * ow + ox;
-        let (mut rows_in, mut cols_in) = ([0u64; B_KROWS], [0u64; B_KROWS]);
+    /// Per `dy` slot of `blk`, the lanes of the group from output column
+    /// `j0 = oy*OW + ox` on whose output row reads inside the map, of its
+    /// first `live` lanes.
+    fn row_lanes(&self, blk: &Block, j0: usize, live: usize) -> [u64; TILE_K] {
+        let mut rows_in = [0; TILE_K];
         for (m, &(y0, y1)) in rows_in.iter_mut().zip(&blk.ys).take(blk.ny) {
-            *m = span((y0 * ow).saturating_sub(j0), (y1 * ow).saturating_sub(j0).min(live));
+            *m = span((y0 * self.ow).saturating_sub(j0), (y1 * self.ow).saturating_sub(j0).min(live));
         }
+        rows_in
+    }
+
+    /// The lane masks of `blk`'s rows over a group whose first lane is at
+    /// output column `ox` and whose rows by `dy` slot are `rows_in`: lane
+    /// `l` of row `i` is set when its input row (by `dy`) and column (by
+    /// `dx`) lie in the map.
+    fn masks(&self, blk: &Block, ox: usize, rows_in: &[u64; TILE_K]) -> [u64; TILE_K] {
+        let (mut cols_in, mut mask) = ([0u64; TILE_K], [0u64; TILE_K]);
         for (m, &x) in cols_in.iter_mut().zip(&blk.xs).take(blk.nx) {
-            *m = col_lanes(ow, ox, x);
+            *m = col_lanes(self.ow, ox, x);
         }
         for (m, &(sy, sx)) in mask.iter_mut().zip(&blk.slot).take(blk.n) {
             // audit: checked slots are masked to the table size
-            *m = rows_in[sy % B_KROWS] & cols_in[sx % B_KROWS];
+            *m = rows_in[sy % TILE_K] & cols_in[sx % TILE_K];
         }
+        mask
     }
 
-    /// Gather the rows of the lane group from output pixel `(oy, ox)` on
-    /// through their `mask`s into `staged`, `width` lanes per row of which
-    /// the first `live` are columns: the group's lanes are not contiguous
-    /// in the input. Lane `l` at output pixel `(y, x)` reads `base + s*(y*w
-    /// + x)`.
+    /// Gather rows `i0 .. i0 + B_KROWS` of `blk` over the lane group from
+    /// output pixel `(oy, ox)` on through their `mask`s into `staged`,
+    /// `width` lanes per row of which the first `live` are columns: the
+    /// group's lanes are not contiguous in the input. Lane `l` at output
+    /// pixel `(y, x)` reads `base + s*(y*w + x)`.
     fn gather<'s>(
         &self,
-        blk: &Block,
+        (blk, i0): (&Block, usize),
         (oy, ox): (usize, usize),
         (width, live): (usize, usize),
-        mask: &[u64; B_KROWS],
+        mask: &[u64; TILE_K],
         staged: &'s mut [T; B_KROWS * LANES],
     ) -> LaneRows<'s, T> {
         let s = self.geom.stride;
@@ -291,7 +303,9 @@ impl<'a, T: Element> LoweredConv<'a, T> {
                 (y, x) = (y + 1, 0);
             }
         }
-        for ((row, &base), &m) in staged.chunks_exact_mut(width.max(1)).zip(&blk.base).zip(mask).take(blk.n) {
+        let n = blk.n.saturating_sub(i0).min(B_KROWS);
+        let rows = blk.base.iter().zip(mask).skip(i0).take(n);
+        for (row, (&base, &m)) in staged.chunks_exact_mut(width.max(1)).zip(rows) {
             for (l, (d, &p)) in row.iter_mut().zip(&pix).enumerate() {
                 *d = if m >> l & 1 == 1 {
                     self.src.get(base.wrapping_add(p)).copied().unwrap_or(self.pad)
@@ -302,7 +316,7 @@ impl<'a, T: Element> LoweredConv<'a, T> {
                 };
             }
         }
-        LaneRows::dense(staged.as_slice(), width, blk.n)
+        LaneRows::dense(staged.as_slice(), width, n)
     }
 }
 
@@ -315,10 +329,11 @@ impl<T: Element> PackB<T> for LoweredConv<'_, T> {
         self.oh * self.ow
     }
 
-    /// Pack the block in blocks of [`B_KROWS`] k-rows, as `pack_b` walks
-    /// a row-major B: the rows' input geometry once per block, then each
-    /// lane group's masks and rows, written k-major or interleaved into
-    /// the sliver's tiles (the AMX layout) by [`LaneCopy::detect`]'s copy.
+    /// Pack the block one pass of patch rows at a time: the rows' input
+    /// geometry once per pass, then per lane group its row offset and,
+    /// when they differ from the last group's, its lane masks, written
+    /// k-major or into the slivers' tiles (the AMX layout) by
+    /// [`LaneCopy::detect`]'s copy.
     // audit: warm
     // audit: hot
     fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
@@ -335,51 +350,65 @@ impl<T: Element> PackB<T> for LoweredConv<'_, T> {
         // wider than a group (`im2col`'s).
         let per = (LANES / nr).max(1);
         let mut staged = [T::ZERO; B_KROWS * LANES];
-        let mut direct = LaneRows { src: self.src, at: [0; B_KROWS], mask: [0; B_KROWS], rows: 0, live: 0, pad: self.pad };
-        // When a lane group holds whole slivers, the blocks of B_KROWS
-        // k-rows are taken TILE_K rows at a time and each group writes its
-        // rows of all of them before the next group: each sliver then
-        // receives TILE_K contiguous rows. Pieces of a wider sliver take
-        // one block at a time, so consecutive groups write each k-major
-        // row front to back.
+        let mut direct = LaneRows::new(self.src, self.pad);
+        // When a lane group holds whole slivers, a pass is one tile step of
+        // TILE_K rows, and each group writes its rows of the pass before the
+        // next group: each sliver then receives TILE_K contiguous rows.
+        // Pieces of a wider sliver take B_KROWS rows a pass, so consecutive
+        // groups write each k-major row front to back.
         let (kp, pass) = (layout.k_padded(kl), if nr <= LANES { TILE_K } else { B_KROWS });
-        for kb0 in (0..kp).step_by(pass) {
-            let nblocks = (kp - kb0).min(pass).div_ceil(B_KROWS);
-            let blocks: [Block; TILE_K / B_KROWS] = std::array::from_fn(|j| {
-                let kb = kb0 + j * B_KROWS;
-                self.block(k0 + kb, if j < nblocks { B_KROWS.min(kl.saturating_sub(kb)) } else { 0 })
-            });
+        for kb in (0..kp).step_by(pass) {
+            let depth = pass.min(kp - kb);
+            let blk = self.block(k0 + kb, depth.min(kl.saturating_sub(kb)));
+            // A group's masks depend on it only through its first output
+            // column, its live lanes and its lanes per `dy` slot: an
+            // interior group reuses the last group's masks and rows.
+            let (mut mask, mut built) = ([0u64; TILE_K], None);
             // The output pixel of the group's first lane, stepped group by
             // group without a division.
             let (mut oy, mut ox) = (n0 / self.ow, n0 % self.ow);
             for t in (0..slivers).step_by(per) {
                 let count = per.min(slivers - t);
+                let at = layout.b_offset(t, kl);
                 for lane0 in (0..nr).step_by(LANES) {
                     let width = LANES.min(count * nr - lane0);
                     let live = width.min(nl.saturating_sub(t * nr + lane0));
+                    let rows_in = self.row_lanes(&blk, oy * self.ow + ox, live);
+                    if built != Some((ox, live, rows_in)) {
+                        mask = self.masks(&blk, ox, &rows_in);
+                        direct.set_rows(live, blk.base.iter().copied().zip(mask).take(blk.n));
+                        built = Some((ox, live, rows_in));
+                    }
                     // At stride 1, lane `l` reads `base + (oy*w + ox) + l`
                     // when the group lies in one output row, and also across
                     // rows when output row `oy` starts `oy * w` into the
                     // input.
                     let contiguous = self.geom.stride == 1 && (ox + live <= self.ow || self.ow == self.w);
-                    let (off, at) = (oy * self.w + ox, layout.b_offset(t, kl));
-                    for (kb, blk) in (kb0..).step_by(B_KROWS).zip(&blocks).take(nblocks) {
-                        self.masks(blk, (oy, ox), live, &mut direct.mask);
-                        let rows = if contiguous {
-                            direct.at = blk.base.map(|base| base.wrapping_add(off));
-                            (direct.rows, direct.live) = (blk.n, live);
-                            &direct
+                    let off = oy * self.w + ox;
+                    if tiles {
+                        // audit: bounds pack_b_tile_group
+                        let group = &mut dst[at..at + count * sliver_len];
+                        if contiguous {
+                            self.copy.write_tiles(&direct, off, group, (nr, sliver_len), (kb, depth));
                         } else {
-                            &self.gather(blk, (oy, ox), (width, live), &direct.mask, &mut staged)
-                        };
-                        if tiles {
-                            // audit: bounds pack_b_tile_group
-                            self.copy.write_tiles(rows, nr, &mut dst[at..at + count * sliver_len], sliver_len, kb);
-                        } else if blk.n > 0 {
-                            let at = at + kb * nr + lane0;
-                            let place = RowPlace { width, stride: nr, piece: nr.min(width), piece_stride: sliver_len };
-                            // audit: bounds pack_b_lane_group
-                            self.copy.write_k_major(rows, &mut dst[at..at + (count - 1) * sliver_len + (blk.n - 1) * nr + nr.min(width)], place);
+                            for i0 in (0..depth).step_by(B_KROWS) {
+                                let rows = self.gather((&blk, i0), (oy, ox), (width, live), &mask, &mut staged);
+                                self.copy.write_tiles(&rows, 0, group, (nr, sliver_len), (kb + i0, B_KROWS));
+                            }
+                        }
+                    } else if blk.n > 0 {
+                        let at = at + kb * nr + lane0;
+                        let place = RowPlace { width, stride: nr, piece: nr.min(width), piece_stride: sliver_len };
+                        // audit: bounds pack_b_lane_group
+                        let group = &mut dst[at..at + (count - 1) * sliver_len + (blk.n - 1) * nr + nr.min(width)];
+                        if contiguous {
+                            self.copy.write_k_major(&direct, off, group, place);
+                        } else {
+                            for i0 in (0..blk.n).step_by(B_KROWS) {
+                                let rows = self.gather((&blk, i0), (oy, ox), (width, live), &mask, &mut staged);
+                                let out = group.get_mut(i0 * nr..).unwrap_or_default();
+                                self.copy.write_k_major(&rows, 0, out, place);
+                            }
                         }
                     }
                     ox += width;
@@ -599,23 +628,19 @@ mod tests {
         layouts
     }
 
-    /// The lowered view's `pack_block`, through each lane copy, against the
-    /// layout's `pack_b` over the same block of the per-element patch
-    /// matrix, each into a buffer of `sentinel` one sliver longer than the
-    /// packed block, as f64 bit patterns: every packed element (the tile
+    /// The lowered view's `pack_block`, through each lane copy, against
+    /// `layout`'s `pack_b` over the same block of `patches`, the per-element
+    /// patch matrix, each into a buffer of `sentinel` one sliver longer than
+    /// the packed block, as f64 bit patterns: every packed element (the tile
     /// layout's zero K padding included) must be written, and nothing past
-    /// it. `layout` indexes the registered layouts of `T`'s dtype.
+    /// it.
     fn check_lowering<T: cake_matrix::Dtype>(
-        input: &Tensor<T>,
-        geom: &ConvGeom,
+        (input, geom, patches): (&Tensor<T>, &ConvGeom, &Matrix<T>),
         (pad, sentinel): (T, T),
         (k0, kl, n0, nl): (usize, usize, usize, usize),
-        layout: usize,
+        layout: &PackLayout,
     ) {
-        let layouts = registered_layouts(T::NAME);
-        let layout = &layouts[layout % layouts.len()];
         let len = layout.b_size(kl, nl) + layout.nr();
-        let patches = im2col_reference(input, geom, pad);
         let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         let mut want = vec![sentinel; len];
         layout.pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want);
@@ -623,6 +648,56 @@ mod tests {
             let mut got = vec![sentinel; len];
             LoweredConv::new(input, geom, pad).with_copy(copy).pack_block(k0, n0, kl, nl, &mut got, layout);
             prop_assert_eq!(bits(&got), bits(&want), "{} {:?} block {:?} {:?} {:?}", T::NAME, geom, (k0, kl, n0, nl), layout, copy);
+        }
+    }
+
+    /// [`check_lowering`] on the block of registered layout `layout` (an
+    /// index into the layouts of `T`'s dtype).
+    fn check_layout<T: cake_matrix::Dtype>(
+        input: &Tensor<T>,
+        geom: &ConvGeom,
+        pads: (T, T),
+        block: (usize, usize, usize, usize),
+        layout: usize,
+    ) {
+        let layouts = registered_layouts(T::NAME);
+        let patches = im2col_reference(input, geom, pads.0);
+        check_lowering((input, geom, &patches), pads, block, &layouts[layout % layouts.len()]);
+    }
+
+    /// Every registered layout of `T`'s dtype lowers `input` exactly: the
+    /// whole panel, its blocks of the depth the executor gives a tile-layout
+    /// GEMM of this K, and the executor's worker shares at p = 2 and 3
+    /// (`split_range` over slivers, so a share can start on an odd sliver
+    /// and end with a single one).
+    fn check_benchmark_layer<T: cake_matrix::Dtype>(input: &Tensor<T>, pads: (T, T)) {
+        let geom = ConvGeom::same(3);
+        let patches = im2col_reference(input, &geom, pads.0);
+        let (k, n) = (patches.rows(), patches.cols());
+        for layout in registered_layouts(T::NAME) {
+            let nr = layout.nr();
+            let mut blocks = vec![(0, k, 0, n)];
+            blocks.extend((320..k).step_by(320).map(|k0| (k0, 320.min(k - k0), 0, n)));
+            for p in [2, 3] {
+                let shares = (0..p).map(|wid| cake_kernels::pack::split_range(n.div_ceil(nr), p, wid));
+                blocks.extend(shares.filter(|s| !s.is_empty()).map(|s| (0, k, s.start * nr, (s.end * nr).min(n) - s.start * nr)));
+            }
+            for block in blocks {
+                check_lowering((input, &geom, &patches), pads, block, &layout);
+            }
+        }
+    }
+
+    #[test]
+    fn benchmark_net_layers_lower_exactly_at_every_worker_share() {
+        // The benchmark net's conv layers: 3x3 "same" on C_in x H x W of
+        // 3x64x64, 32x64x64, 32x32x32, 64x16x16 and 128x8x8, with a nonzero
+        // pad value (the int8 zero-point's role).
+        for (seed, (cin, hw)) in [(3usize, 64usize), (32, 64), (32, 32), (64, 16), (128, 8)].into_iter().enumerate() {
+            let x = Tensor::from_matrix(init::random_i8(cin, hw * hw, seed as u64), hw, hw);
+            check_benchmark_layer(&x, (3i8, 99i8));
+            let x = Tensor::from_matrix(init::random::<f32>(cin, hw * hw, seed as u64), hw, hw);
+            check_benchmark_layer(&x, (-7.5f32, f32::NAN));
         }
     }
 
@@ -671,14 +746,14 @@ mod tests {
                     (k0, kl, n0, 1 + (pick >> 30) % (n - n0))
                 };
                 let x = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed), h, w);
-                check_lowering(&x, &geom, (-7.5, f32::NAN), block, layout);
+                check_layout(&x, &geom, (-7.5, f32::NAN), block, layout);
                 let x = Tensor::from_matrix(init::random::<f64>(cin, h * w, seed), h, w);
-                check_lowering(&x, &geom, (-7.5, f64::NAN), block, layout);
+                check_layout(&x, &geom, (-7.5, f64::NAN), block, layout);
                 let x = Tensor::from_matrix(init::random::<Bf16>(cin, h * w, seed), h, w);
                 let (pad_bf16, nan_bf16) = (Bf16::from_f64(-7.5), Bf16::from_f64(f64::NAN));
-                check_lowering(&x, &geom, (pad_bf16, nan_bf16), block, layout);
+                check_layout(&x, &geom, (pad_bf16, nan_bf16), block, layout);
                 let x = Tensor::from_matrix(init::random_i8(cin, h * w, seed), h, w);
-                check_lowering(&x, &geom, (3i8, 99i8), block, layout);
+                check_layout(&x, &geom, (3i8, 99i8), block, layout);
             }
         }
     }

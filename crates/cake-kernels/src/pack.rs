@@ -25,6 +25,14 @@
 //! multiple of [`TILE_K`]. The executor packs through
 //! [`PackLayout::pack_a`] / [`PackLayout::pack_b`] and [`PackB`], which
 //! follow the layout.
+//!
+//! [`LaneCopy`] writes B slivers straight from the rows they come from: a
+//! lowered convolution's (`cake_dnn::im2col::LoweredConv`) and a row-major
+//! B's in the tile layout. A [`LaneRows`] block holds up to 64 rows of a
+//! lane group of 64 columns, each an offset and a lane mask, and is
+//! admitted to the AVX-512 masked loads by one comparison of its reach
+//! with the source. The copy writes it k-major, or, for int8 tiles, with
+//! one `vpermt2b` writer for a group's one to four 16-column tiles.
 
 use cake_matrix::{Element, Matrix, MatrixView};
 
@@ -126,27 +134,42 @@ mod bytetile {
 /// AVX-512 masked-load lane copies behind [`LaneCopy`]: each 64-byte piece
 /// of a row is one masked load, so the lanes a row does not read (padding
 /// taps, columns past the block) take their fill value without a branch
-/// and without touching memory. A tile-layout row block of 1-byte elements
-/// 32 lanes wide goes from the loads straight into the two-source byte
-/// shuffle (`vpermt2b`, AVX-512 VBMI, which every AMX host has) that
-/// interleaves it into the B tiles. Selected at run time
+/// and without touching memory. A tile-layout lane group of 1-byte
+/// elements goes from one full-width load per row straight into the
+/// two-source byte shuffle (`vpermt2b`, AVX-512 VBMI, which every AMX host
+/// has) that interleaves it into up to four B tiles. Selected at run time
 /// ([`LaneCopy::detect`]); compiled out under Miri.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod lanecopy {
     use core::arch::x86_64::*;
 
-    use super::{low_lanes, B_KROWS};
+    use super::{low_lanes, TILE_K};
 
-    /// Byte `4c + t` of a tile row of column tile `ct` takes row `t` of the
-    /// group's four rows at column `16ct + c`: rows 0-1 are the first
-    /// source register (64 bytes), rows 2-3 the second (index bit 6).
-    const fn index(ct: usize) -> [u8; 64] {
+    /// Stage 1 of [`tile_group`]: byte `2c + t` takes lane `32h + c` of
+    /// source `t` (index bit 6 picks the second), so two rows' lanes `32h ..
+    /// 32h + 32` come out interleaved byte by byte.
+    const fn pairs(h: usize) -> [u8; 64] {
+        let mut idx = [0u8; 64];
+        let mut c = 0;
+        while c < 32 {
+            idx[2 * c] = (32 * h + c) as u8;
+            idx[2 * c + 1] = (64 + 32 * h + c) as u8;
+            c += 1;
+        }
+        idx
+    }
+
+    /// Stage 2 of [`tile_group`]: from the pairs of rows 0-1 (first source)
+    /// and rows 2-3 (second) of one 32-lane half, byte `4c + t` takes row
+    /// `t` at column `16h + c` of the half, so the register is that column
+    /// tile's tile row.
+    const fn quads(h: usize) -> [u8; 64] {
         let mut idx = [0u8; 64];
         let mut c = 0;
         while c < 16 {
             let mut t = 0;
             while t < 4 {
-                idx[4 * c + t] = ((t / 2) * 64 + (t % 2) * 32 + ct * 16 + c) as u8;
+                idx[4 * c + t] = ((t / 2) * 64 + 2 * (16 * h + c) + t % 2) as u8;
                 t += 1;
             }
             c += 1;
@@ -154,7 +177,7 @@ mod lanecopy {
         idx
     }
 
-    static INDEX: [[u8; 64]; 2] = [index(0), index(1)];
+    static INDEX: [[u8; 64]; 4] = [pairs(0), pairs(1), quads(0), quads(1)];
 
     /// A register of `S`-byte lanes: lane `l` loaded from `p + l*S` where
     /// bit `l` of `k` is set, taken from `fill` where it is clear.
@@ -220,7 +243,7 @@ mod lanecopy {
     ///
     /// # Safety
     /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8, `n <=
-    /// B_KROWS`, `width <= 64` and `piece >= 1`; `pad` must be readable for
+    /// TILE_K`, `width <= 64` and `piece >= 1`; `pad` must be readable for
     /// `S` bytes; for every row `i < n` and set bit `l < width` of
     /// `mask[i]`, `src + (at[i] + l)*S` must be readable for `S` bytes;
     /// every element a lane `l < width` of a row `i < n` goes to must be
@@ -228,8 +251,8 @@ mod lanecopy {
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn rows<const S: usize>(
         src: *const u8,
-        at: &[usize; B_KROWS],
-        mask: &[u64; B_KROWS],
+        at: &[usize; TILE_K],
+        mask: &[u64; TILE_K],
         n: usize,
         (pad, live): (*const u8, usize),
         dst: *mut u8,
@@ -273,59 +296,83 @@ mod lanecopy {
         }
     }
 
-    /// Rows `kb .. kb + 16` of a tile-layout B sliver of 1-byte lanes, 32
-    /// wide (two 16-column tiles), from lanes `lane0 .. lane0 + 32` of a
-    /// lane group: row `i < n`, lane `l < 32`, is `src[at[i] + lane0 + l]`
-    /// where bit `lane0 + l` of `mask[i]` is set, else `pad` below `live`
-    /// and zero from it on; rows from `n` on are zero. Rows `4g .. 4g + 2`
-    /// share one register and rows `4g + 2 .. 4g + 4` the next, so one
-    /// `vpermt2b` per column tile makes each 64-byte tile row:
-    /// `out[ct][(r / 4) * 64 + c * 4 + r % 4] = row r, lane 16ct + c`.
+    /// Tile rows `g < groups` of the first `tiles <= 4` 16-column B tiles
+    /// of a lane group of 1-byte lanes, `per` tiles to a sliver: byte `64g +
+    /// 4c + t` of `out[ct]` is row `4g + t`, lane `16ct + c`. Row `i < n` is
+    /// lane `l` of `src[at[i] + l]` where bit `l` of `mask[i]` is set, else
+    /// `pad` below `live` and zero from it on; rows from `n` on are zero.
+    ///
+    /// It writes one sliver at a time, so the stores run through one
+    /// sliver's tiles before the next sliver's. For each four rows of a
+    /// sliver: four full-width masked loads, two `vpermt2b` that interleave
+    /// the byte pairs of rows 0-1 and of rows 2-3 over the sliver's 32-lane
+    /// half, and one `vpermt2b` per column tile that makes its tile row
+    /// from the two pair registers. A group of two 32-wide slivers takes
+    /// eight `vpermt2b` per 256 bytes.
     ///
     /// # Safety
-    /// The host must support AVX-512 F, BW and VBMI; `lane0 <= 32`; for
-    /// every row `i < n` and set bit `l` of `mask[i]` in `lane0 .. lane0 +
-    /// 32`, `src + at[i] + l` must be readable (other bits and rows are
-    /// ignored); `out[0]` and `out[1]` must each be writable for 256 bytes,
-    /// and no range may overlap another.
+    /// The host must support AVX-512 F, BW and VBMI; `tiles <= 4`, `per`
+    /// is 1 or 2 and `groups <= 16`; for every row `i < n` and set bit `l`
+    /// of `mask[i]`, `src + at[i] + l` must be readable (other rows are
+    /// ignored); `out[ct]` must be writable for `64 * groups` bytes for each
+    /// `ct < tiles`, and no output range may overlap the source.
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    pub unsafe fn tiles_x2(
+    pub unsafe fn tile_group(
         src: *const u8,
-        at: &[usize; B_KROWS],
-        mask: &[u64; B_KROWS],
-        n: usize,
-        (pad, live, lane0): (i8, usize, usize),
-        out: [*mut u8; 2],
+        (at, mask, n): (&[usize; TILE_K], &[u64; TILE_K], usize),
+        (pad, live): (i8, usize),
+        out: [*mut u8; 4],
+        (tiles, per, groups): (usize, usize, usize),
     ) {
-        const HALF: u64 = 0xffff_ffff;
-        let live = low_lanes(live.saturating_sub(lane0)) & HALF;
-        let pad = _mm512_maskz_mov_epi8(live | live << 32, _mm512_set1_epi8(pad));
-        let src = src.wrapping_add(lane0);
-        let mut rows = at.iter().zip(mask).enumerate();
-        let mut regs = [_mm512_setzero_si512(); 8];
-        // SAFETY: each index row is 64 readable bytes. Each masked load
-        // reads only its row's set lanes in `lane0 .. lane0 + 32`, readable
-        // by the contract: a register's second row loads from 32 bytes
-        // below its start into lanes 32..64, so lane `32 + l` reads `src +
-        // at[i] + lane0 + l`. Each store writes 64 of `out[ct]`'s 256 bytes.
+        let pad = _mm512_maskz_mov_epi8(low_lanes(live), _mm512_set1_epi8(pad));
+        let zero = _mm512_setzero_si512();
+        // SAFETY: each index row is 64 readable bytes. Row `i`'s masked
+        // load reads only its set lanes, readable by the contract; rows
+        // from `n` on load nothing. Tile row `g` of column tile `ct < tiles`
+        // is one store of 64 bytes at `out[ct] + 64g`, inside its writable
+        // range since `g < groups`.
         unsafe {
-            let idx = INDEX.map(|ix| _mm512_loadu_si512(ix.as_ptr().cast()));
-            for r in regs.iter_mut() {
-                let (Some((i, (&a0, &m0))), Some((_, (&a1, &m1)))) = (rows.next(), rows.next()) else {
-                    break;
-                };
-                // A row past `n` is zero, fill included.
-                let (k0, k1) = (if i < n { HALF } else { 0 }, if i + 1 < n { HALF } else { 0 });
-                let fill = _mm512_maskz_mov_epi8(k0 | k1 << 32, pad);
-                let lo = _mm512_mask_loadu_epi8(fill, m0 >> lane0 & k0, src.wrapping_add(a0).cast());
-                *r = _mm512_mask_loadu_epi8(lo, (m1 >> lane0 & k1) << 32, src.wrapping_add(a1).wrapping_sub(32).cast());
-            }
-            for (g, (lo, hi)) in regs.iter().step_by(2).zip(regs.iter().skip(1).step_by(2)).enumerate() {
-                for (o, ix) in out.iter().zip(&idx) {
-                    _mm512_storeu_si512(o.add(g * 64).cast(), _mm512_permutex2var_epi8(*lo, *ix, *hi));
+            let [p0, p1, q0, q1] = INDEX.map(|ix| _mm512_loadu_si512(ix.as_ptr().cast()));
+            let per = per.clamp(1, 2);
+            for ct0 in (0..tiles.min(4)).step_by(per) {
+                let sliver = out.iter().skip(ct0).take(per);
+                let pairs = if ct0 < 2 { p0 } else { p1 };
+                let quads = if ct0 % 2 == 0 { [q0, q1] } else { [q1, q0] };
+                let load = |m: u64, a: usize| _mm512_mask_loadu_epi8(pad, m, src.wrapping_add(a).cast());
+                let rows = at.chunks_exact(4).zip(mask.chunks_exact(4));
+                for (g, rows) in rows.take(groups).enumerate() {
+                    // Four rows below `n` in one go; a group past `n`, or
+                    // the one `n` ends in, row by row.
+                    let r = match rows {
+                        (&[a0, a1, a2, a3], &[m0, m1, m2, m3]) if 4 * g + 4 <= n => {
+                            [load(m0, a0), load(m1, a1), load(m2, a2), load(m3, a3)]
+                        }
+                        (at, mask) => {
+                            let mut r = [zero; 4];
+                            let rows = at.iter().zip(mask).take(n.saturating_sub(4 * g));
+                            for (v, (&a, &m)) in r.iter_mut().zip(rows) {
+                                *v = load(m, a);
+                            }
+                            r
+                        }
+                    };
+                    for (&o, v) in sliver.clone().zip(quad_rows(r, pairs, quads)) {
+                        _mm512_storeu_si512(o.add(64 * g).cast(), v);
+                    }
                 }
             }
         }
+    }
+
+    /// Four rows of a lane group as one tile row of each of the two column
+    /// tiles of a 32-lane half: `pairs` interleaves the half's lanes of rows
+    /// 0-1 and of rows 2-3 byte by byte, and each of `quads` takes a column
+    /// tile's four-byte groups from the two.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    fn quad_rows([r0, r1, r2, r3]: [__m512i; 4], pairs: __m512i, [qa, qb]: [__m512i; 2]) -> [__m512i; 2] {
+        let (a, b) = (_mm512_permutex2var_epi8(r0, pairs, r1), _mm512_permutex2var_epi8(r2, pairs, r3));
+        [_mm512_permutex2var_epi8(a, qa, b), _mm512_permutex2var_epi8(a, qb, b)]
     }
 }
 
@@ -1011,10 +1058,12 @@ fn pack_a_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], mr: usize) {
 }
 
 /// Pack a `kc x nc` view of B into `dst` as [`LayoutKind::Tiles`] slivers
-/// of width `nr`. Like [`pack_b`] on a row-major B, it walks blocks of
-/// [`B_KROWS`] k-rows across every sliver: [`pack_b`] writes each sliver's
-/// piece of the block k-major into an L1 buffer, and [`LaneCopy::write_tiles`]
-/// interleaves its rows into the sliver, zeros below the last k-row.
+/// of width `nr`, one [`TILE_K`]-deep k-step at a time. A row-major B is a
+/// [`LaneRows`] block over its own rows: each lane group of `LANES / nr`
+/// slivers goes to [`LaneCopy::write_tiles`] with the group's column as
+/// the offset, and the last group's lanes past `nc` are masked off. Any
+/// other B is staged: [`pack_b`] writes each sliver's piece of a k-step
+/// k-major into an L1 buffer, whose rows then go to the same writer.
 fn pack_b_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     let (kc, nc) = (src.rows(), src.cols());
     let kp = kc.next_multiple_of(TILE_K);
@@ -1024,18 +1073,35 @@ fn pack_b_tiles<T: Element>(src: &MatrixView<'_, T>, dst: &mut [T], nr: usize) {
     // audit: cold layout precondition, once per pack call before the sliver loop
     assert!(nr.is_multiple_of(TILE_ROWS) && nr <= TILE_MAX_NR, "tile slivers are one or two 16-column tiles, not {nr}");
     let slivers = if kc == 0 { 0 } else { nc.div_ceil(nr) };
-    let copy = LaneCopy::detect();
-    let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
-    for kb in (0..kp).step_by(B_KROWS) {
-        let kn = B_KROWS.min(kc.saturating_sub(kb));
+    let (copy, sliver_len, per) = (LaneCopy::detect(), nr * kp, LANES / nr);
+    if src.col_stride() == 1 {
+        let mut rows = LaneRows::new(src.as_slice(), T::ZERO);
+        for kb in (0..kp).step_by(TILE_K) {
+            let n = TILE_K.min(kc - kb);
+            for t in (0..slivers).step_by(per) {
+                let count = per.min(slivers - t);
+                let live = (count * nr).min(nc - t * nr);
+                // Every group but a narrower last one reads the same rows.
+                if t == 0 || live < LANES {
+                    rows.set_rows(live, (kb..kb + n).map(|k| (k * src.row_stride(), low_lanes(live))));
+                }
+                let at = b_sliver_offset(t, kp, nr);
+                // audit: bounds pack_b_tile_group
+                copy.write_tiles(&rows, t * nr, &mut dst[at..at + count * sliver_len], (nr, sliver_len), (kb, TILE_K));
+            }
+        }
+        return;
+    }
+    let mut staged = [T::ZERO; TILE_K * TILE_MAX_NR];
+    for kb in (0..kp).step_by(TILE_K) {
+        let kn = TILE_K.min(kc - kb);
         for t in 0..slivers {
             let (col0, live) = (t * nr, nr.min(nc - t * nr));
-            if kn > 0 {
-                pack_b(&src.sub(kb, col0, kn, live), staged.split_at_mut(kn * nr).0, nr);
-            }
+            pack_b(&src.sub(kb, col0, kn, live), staged.split_at_mut(kn * nr).0, nr);
             let base = b_sliver_offset(t, kp, nr);
             // audit: bounds pack_b_tile_sliver
-            copy.write_tiles(&LaneRows::dense(&staged, nr, kn), nr, &mut dst[base..base + nr * kp], nr * kp, kb);
+            let sliv = &mut dst[base..base + sliver_len];
+            copy.write_tiles(&LaneRows::dense(&staged, nr, kn), 0, sliv, (nr, sliver_len), (kb, TILE_K));
         }
     }
 }
@@ -1055,64 +1121,78 @@ pub fn low_lanes(n: usize) -> u64 {
     }
 }
 
-/// Up to [`B_KROWS`] rows of one lane group, as a lowering reads them from
-/// one source slice. Lane `l` of row `i < rows` is `src[at[i] + l]` where
-/// bit `l` of `mask[i]` is set; where it is clear, the lane is `pad` below
-/// `live` and zero from `live` on. The lanes a row reads are contiguous in
-/// `src`, and `at[i] + l` wraps: `at[i]` itself may lie before the slice,
-/// as long as every set lane lies inside it.
+/// Up to [`TILE_K`] rows of one lane group, as a lowering reads them from
+/// one source slice at an offset `off` the writer is given: lane `l` of row
+/// `i < rows` is `src[off + at[i] + l]` where bit `l` of `mask[i]` is set;
+/// where it is clear, the lane is `pad` below `live` and zero from `live`
+/// on. `off + at[i] + l` wraps: `at[i]` may point before the slice, as long
+/// as every set lane lies inside it.
+///
+/// The rows are set together ([`set_rows`](Self::set_rows)), which works
+/// out their reach, the lowest and highest `at[i] + l` over every set
+/// lane. So a lowering builds the rows once and moves them along its lane
+/// groups by `off` alone, and the writer admits a group to the vector copy
+/// with one comparison ([`in_bounds`](Self::in_bounds)).
 #[derive(Clone, Copy, Debug)]
 pub struct LaneRows<'a, T> {
-    /// The slice every row reads.
-    pub src: &'a [T],
-    /// Row `i`'s lane `l` reads `src[at[i] + l]`.
-    pub at: [usize; B_KROWS],
-    /// The lanes row `i` reads.
-    pub mask: [u64; B_KROWS],
-    /// Rows in the block, at most [`B_KROWS`].
-    pub rows: usize,
-    /// Lanes that hold data: the rest are zero.
-    pub live: usize,
-    /// The value of a live lane its row does not read.
-    pub pad: T,
+    src: &'a [T],
+    at: [usize; TILE_K],
+    mask: [u64; TILE_K],
+    rows: usize,
+    live: usize,
+    pad: T,
+    /// The lowest and highest `at[i] + l` over the set lanes, as signed
+    /// offsets (`at[i]` taken as two's complement); empty when `lo > hi`.
+    reach: (i128, i128),
 }
 
 impl<'a, T: Element> LaneRows<'a, T> {
+    /// No rows yet: the rows [`set_rows`](Self::set_rows) later sets read
+    /// from `src`, with `pad` in the live lanes they do not read.
+    pub fn new(src: &'a [T], pad: T) -> Self {
+        Self { src, at: [0; TILE_K], mask: [0; TILE_K], rows: 0, live: 0, pad, reach: (i128::MAX, i128::MIN) }
+    }
+
     /// `rows` rows of `width <= LANES` lanes stored back to back in `src`,
     /// every lane read.
     pub fn dense(src: &'a [T], width: usize, rows: usize) -> Self {
-        Self {
-            src,
-            at: std::array::from_fn(|i| i * width),
-            mask: [low_lanes(width); B_KROWS],
-            rows: rows.min(B_KROWS),
-            live: width,
-            pad: T::ZERO,
-        }
+        let mut dense = Self::new(src, T::ZERO);
+        dense.set_rows(width, (0..rows).map(|i| (i * width, low_lanes(width))));
+        dense
     }
 
-    /// Whether every lane below `width` that a row reads lies inside
-    /// `src`: the check that admits a block to the vector copy. A row
-    /// whose whole window `at[i] .. at[i] + width` lies inside passes at
-    /// once. Otherwise its lanes are contiguous, so its first and last set
-    /// lanes lying inside `src` puts every set lane there.
-    pub fn in_bounds(&self, width: usize) -> bool {
-        let len = self.src.len();
-        let last_window = len.checked_sub(width);
-        self.at.iter().zip(&self.mask).take(self.rows).all(|(&at, &mask)| {
-            let m = mask & low_lanes(width);
-            if last_window.is_some_and(|last| at <= last) || m == 0 {
-                return true;
+    /// Set the block to the first [`TILE_K`] rows of `rows`, each `(at[i],
+    /// mask[i])`, of which `live` lanes hold data, and work out their
+    /// reach.
+    pub fn set_rows(&mut self, live: usize, rows: impl IntoIterator<Item = (usize, u64)>) {
+        let (mut n, mut lo, mut hi) = (0, i128::MAX, i128::MIN);
+        for ((at, mask), row) in self.at.iter_mut().zip(&mut self.mask).zip(rows) {
+            (*at, *mask) = row;
+            n += 1;
+            if *mask != 0 {
+                let at = *at as isize as i128;
+                lo = lo.min(at + i128::from(mask.trailing_zeros()));
+                hi = hi.max(at + i128::from(LANES as u32 - 1 - mask.leading_zeros()));
             }
-            let (first, last) = (m.trailing_zeros() as usize, LANES - 1 - m.leading_zeros() as usize);
-            let lo = at.wrapping_add(first);
-            lo < len && last - first < len - lo
-        })
+        }
+        (self.rows, self.live, self.reach) = (n, live, (lo, hi));
+    }
+
+    /// Whether, at offset `off`, every set lane of every row lies inside
+    /// `src`: the check that admits a block to the vector copy, and the
+    /// only one, whatever the rows. The reach bounds each set lane `l` of
+    /// row `i` by `lo <= at[i] + l <= hi`, so `0 <= off + lo` and `off + hi
+    /// < len` put every lane the copy loads inside the slice.
+    pub fn in_bounds(&self, off: usize) -> bool {
+        let (lo, hi) = self.reach;
+        let (off, len) = (off as i128, self.src.len() as i128);
+        lo > hi || (off + lo >= 0 && off + hi < len)
     }
 
     /// The portable copy of lanes `l0 .. l0 + out.len()` (at most
-    /// [`LANES`]) of one row into `out`: each run of set lanes is one copy
-    /// from `src`, each run of clear lanes one fill.
+    /// [`LANES`]) of the row at `at` (`off + at[i]`) into `out`: each run
+    /// of set lanes is one copy from `src`, each run of clear lanes one
+    /// fill.
     fn copy_row(&self, at: usize, mask: u64, l0: usize, out: &mut [T]) {
         let (mut rest, mut l) = (out, l0);
         while !rest.is_empty() {
@@ -1131,6 +1211,39 @@ impl<'a, T: Element> LaneRows<'a, T> {
                 zero.fill(T::ZERO);
             }
             (rest, l) = (tail, l + n);
+        }
+    }
+
+    /// The portable [`LaneCopy::write_tiles`]: tile rows `g < groups` of
+    /// the `count` slivers `nr` wide in `slivers`, from element `rows_at`
+    /// of each, one element at a time.
+    fn tiles_portable(
+        &self,
+        off: usize,
+        slivers: &mut [T],
+        (nr, sliver_len, count): (usize, usize, usize),
+        (rows_at, groups): (usize, usize),
+    ) {
+        let mut lanes = [T::ZERO; LANES];
+        let row = lanes.split_at_mut((count * nr).min(LANES)).0;
+        for (r, (&at, &mask)) in self.at.iter().zip(&self.mask).enumerate().take(groups * TILE_KGROUP) {
+            if r < self.rows {
+                self.copy_row(off.wrapping_add(at), mask, 0, row);
+            } else {
+                row.fill(T::ZERO);
+            }
+            for (l, &v) in row.iter().enumerate() {
+                let c = l % nr;
+                let at = l / nr * sliver_len
+                    + rows_at
+                    + c / TILE_ROWS * TILE_ROWS * TILE_K
+                    + r / TILE_KGROUP * TILE_K
+                    + c % TILE_ROWS * TILE_KGROUP
+                    + r % TILE_KGROUP;
+                if let Some(o) = slivers.get_mut(at) {
+                    *o = v;
+                }
+            }
         }
     }
 }
@@ -1188,22 +1301,21 @@ impl LaneCopy {
         Self::PORTABLE
     }
 
-    /// Write rows `i < rows.rows` of the block to `dst` as `place` says.
-    /// Lanes that would land past `dst` are not written, and a row is cut
-    /// to `stride` lanes of each piece.
-    pub fn write_k_major<T: Element>(self, rows: &LaneRows<'_, T>, dst: &mut [T], place: RowPlace) {
+    /// Write the block's rows, at offset `off`, to `dst` as `place` says. Lanes that would land past `dst` are not written,
+    /// and a row is cut to `stride` lanes of each piece.
+    pub fn write_k_major<T: Element>(self, rows: &LaneRows<'_, T>, off: usize, dst: &mut [T], place: RowPlace) {
         let place = RowPlace { width: place.width.min(LANES), piece: place.piece.max(1), ..place };
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if self.vector && rows.rows > 0 && place.stride >= place.piece.min(place.width) {
-            let n = rows.rows.min(B_KROWS);
-            if place.end(n).is_some_and(|e| e <= dst.len()) && rows.in_bounds(place.width) {
+            let n = rows.rows;
+            if place.end(n).is_some_and(|e| e <= dst.len()) && rows.in_bounds(off) {
                 let pad = [rows.pad];
-                let (src, out) = (rows.src.as_ptr().cast::<u8>(), dst.as_mut_ptr().cast::<u8>());
-                let pad = (pad.as_ptr().cast::<u8>(), rows.live);
+                let src = rows.src.as_ptr().wrapping_add(off).cast::<u8>();
+                let (pad, out) = ((pad.as_ptr().cast::<u8>(), rows.live), dst.as_mut_ptr().cast::<u8>());
                 // audit: bounds lane_copy_load lane_copy_store
                 // SAFETY: AVX-512 F and BW (`self.vector`); every `Element`
-                // is 1, 2, 4 or 8 bytes. `in_bounds` put every set lane
-                // below `width` of rows `i < n` inside `src`; the copy
+                // is 1, 2, 4 or 8 bytes. `in_bounds(off)` put every set lane
+                // of rows `i < n` inside `src` at offset `off`; the copy
                 // loads no other lane. Every lane lands below `end(n)`.
                 unsafe {
                     match std::mem::size_of::<T>() {
@@ -1223,72 +1335,63 @@ impl LaneCopy {
             let pieces = dst.get_mut(base..).unwrap_or_default().chunks_mut(stride.max(1));
             for ((out, &at), &mask) in pieces.zip(&rows.at).zip(&rows.mask).take(rows.rows) {
                 let len = len.min(out.len());
-                rows.copy_row(at, mask & low_lanes(width), l0, out.split_at_mut(len).0);
+                rows.copy_row(off.wrapping_add(at), mask & low_lanes(width), l0, out.split_at_mut(len).0);
             }
         }
     }
 
-    /// Write rows `kb .. kb + 16` of the [`LayoutKind::Tiles`] B slivers
+    /// Write rows `kb .. kb + depth` of the [`LayoutKind::Tiles`] B slivers
     /// `nr` wide in `slivers` (back to back, `sliver_len` elements each)
-    /// from the block: sliver `p` takes lanes `p * nr .. (p + 1) * nr` of
-    /// its `rows.rows` rows, then zeros. Each 16-column tile receives its
-    /// rows as its 4 tile rows from `kb % 64 / 4` on. `kb` is a multiple of
-    /// [`B_KROWS`] below the slivers' padded depth, and `nr` a multiple of
-    /// 16 of at most [`TILE_MAX_NR`].
-    pub fn write_tiles<T: Element>(self, rows: &LaneRows<'_, T>, nr: usize, slivers: &mut [T], sliver_len: usize, kb: usize) {
+    /// from the block at offset `off`: sliver `p` takes lanes `p*nr ..
+    /// (p+1)*nr` of the block's rows, then zeros. Each 16-column tile
+    /// receives the rows as its tile rows from `kb % 64 / 4` on. `kb` and
+    /// `depth` are multiples of 4 with `kb % 64 + depth <= 64`, below the
+    /// slivers' padded depth, and `nr` a multiple of 16 of at most
+    /// [`TILE_MAX_NR`]: a group of 64 lanes is two 32-wide slivers or four
+    /// 16-wide ones, and a group of fewer slivers takes fewer lanes.
+    pub fn write_tiles<T: Element>(
+        self,
+        rows: &LaneRows<'_, T>,
+        off: usize,
+        slivers: &mut [T],
+        (nr, sliver_len): (usize, usize),
+        (kb, depth): (usize, usize),
+    ) {
+        let (nr, sliver_len) = (nr.max(1), sliver_len.max(1));
         let rows_at = kb / TILE_K * nr * TILE_K + kb % TILE_K / TILE_KGROUP * TILE_K;
-        let count = (slivers.len() / sliver_len.max(1)).min(LANES / nr.max(1));
-        let slivers = slivers.chunks_exact_mut(sliver_len.max(1)).take(count);
+        let groups = depth.min(TILE_K - kb % TILE_K) / TILE_KGROUP;
+        // The whole slivers in `slivers`, at most a lane group's.
+        let mut count = 0;
+        while (count + 1) * nr <= LANES && (count + 1).checked_mul(sliver_len).is_some_and(|end| end <= slivers.len()) {
+            count += 1;
+        }
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if self.vbmi && std::mem::size_of::<T>() == 1 && nr == 2 * TILE_ROWS && rows.in_bounds(count * nr) {
+        if self.vbmi && std::mem::size_of::<T>() == 1 && (nr == TILE_ROWS || nr == TILE_MAX_NR) && count > 0 && rows.in_bounds(off) {
             const TILE: usize = TILE_ROWS * TILE_K;
-            for (p, sliv) in slivers.enumerate() {
-                // audit: bounds pack_b_tile_rows
-                let out = &mut sliv[rows_at..rows_at + TILE + B_KROWS * TILE_ROWS];
-                let (first, second) = out.split_at_mut(TILE);
+            let (per, tiles) = (nr / TILE_ROWS, count * nr / TILE_ROWS);
+            // Column tile `ct` is tile `ct % per` (`per` is 1 or 2) of
+            // sliver `ct / per`. The last one takes the last of both, so
+            // its rows end past every other tile's, at `end`.
+            let tile_at = |ct: usize| (ct >> (per - 1)) * sliver_len + rows_at + (ct & (per - 1)) * TILE;
+            let end = ((count - 1) * sliver_len).checked_add(rows_at).and_then(|at| at.checked_add((per - 1) * TILE + groups * TILE_K));
+            if end.is_some_and(|end| end <= slivers.len()) {
+                let base = slivers.as_mut_ptr().cast::<u8>();
+                let out = [0, 1, 2, 3].map(|ct| base.wrapping_add(tile_at(ct.min(tiles - 1))));
+                let src = rows.src.as_ptr().wrapping_add(off).cast::<u8>();
                 // A 1-byte `Element` is `i8`, which `to_f64` returns exactly.
-                let pad = (rows.pad.to_f64() as i8, rows.live, p * nr);
-                let dst = [first.as_mut_ptr().cast::<u8>(), second.as_mut_ptr().cast::<u8>()];
-                // audit: bounds lane_copy_load lane_tile_store
+                let pad = (rows.pad.to_f64() as i8, rows.live);
+                // audit: bounds lane_copy_load lane_tile_store pack_b_tile_rows
                 // SAFETY: 1-byte lanes, AVX-512 F/BW/VBMI (`self.vbmi`
-                // implies `self.vector`), lane offset p*32 <= 32. `in_bounds`
-                // put every set lane of rows `i < rows.rows` inside `src`;
-                // the copy loads no other lane. `first` (1024 bytes) and
-                // `second` (256) are disjoint parts of `sliv`.
-                unsafe { lanecopy::tiles_x2(rows.src.as_ptr().cast(), &rows.at, &rows.mask, rows.rows, pad, dst) };
-            }
-            return;
-        }
-        let mut staged = [T::ZERO; B_KROWS * TILE_MAX_NR];
-        for (p, sliv) in slivers.enumerate() {
-            let lanes = LaneRows {
-                at: rows.at.map(|a| a.wrapping_add(p * nr)),
-                mask: rows.mask.map(|m| m.checked_shr((p * nr) as u32).unwrap_or(0)),
-                live: rows.live.saturating_sub(p * nr),
-                ..*rows
-            };
-            self.write_k_major(&lanes, &mut staged, RowPlace { width: nr, stride: nr, piece: nr, piece_stride: 0 });
-            for ct in 0..nr / TILE_ROWS {
-                let off = rows_at + ct * TILE_ROWS * TILE_K;
-                // audit: bounds pack_b_tile_rows
-                let out = &mut sliv[off..off + B_KROWS * TILE_ROWS];
-                interleave_k4(staged.get(ct * TILE_ROWS..).unwrap_or(&[]), nr, out);
+                // implies `self.vector`), `tiles <= LANES / 16 = 4`.
+                // `in_bounds(off)` put every set lane of the rows inside
+                // `src` at offset `off`; the copy loads no other lane. Tile
+                // `ct < tiles` gets `groups * 64` bytes from `tile_at(ct)`,
+                // which end by `end <= slivers.len()`.
+                unsafe { lanecopy::tile_group(src, (&rows.at, &rows.mask, rows.rows), pad, out, (tiles, per, groups)) };
+                return;
             }
         }
-    }
-}
-
-/// `out[(r / 4) * 64 + c * 4 + r % 4] = src[r * stride + c]` for `r, c <
-/// 16`: 16 k-major rows of 16 columns as the 4 rows of a B tile that hold
-/// them (writing what fits when `src` or `out` is short).
-fn interleave_k4<T: Element>(src: &[T], stride: usize, out: &mut [T]) {
-    const N: usize = TILE_ROWS;
-    for (r, row) in src.chunks(stride.max(1)).take(N).enumerate() {
-        for (c, &v) in row.iter().take(N).enumerate() {
-            if let Some(o) = out.get_mut(r / TILE_KGROUP * TILE_K + c * TILE_KGROUP + r % TILE_KGROUP) {
-                *o = v;
-            }
-        }
+        rows.tiles_portable(off, slivers, (nr, sliver_len, count), (rows_at, groups));
     }
 }
 

@@ -98,6 +98,13 @@ impl<'a, T: Element> MatrixView<'a, T> {
         self.col_stride
     }
 
+    /// The slice the view reads, from element `(0, 0)` on: element `(i,
+    /// j)` is at `i * row_stride + j * col_stride`.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [T] {
+        self.data
+    }
+
     /// Element at `(i, j)`, bounds-checked.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> T {
