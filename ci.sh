@@ -5,10 +5,14 @@
 #                          the scale and sim smokes, the figure diff against results/,
 #                          3 passes of the per-layer DNN sizing example, the
 #                          quickstart example, a short ukr_bench run (the
-#                          microkernel rates and the edge-tile probe), and
+#                          microkernel rates and the edge-tile probe),
 #                          cake-verify's warm_alloc tests again under
 #                          CAKE_KERNEL=avx2 (the capped kernel selection
-#                          must stay allocation-free)
+#                          must stay allocation-free), and cake-dnn's tests
+#                          again under CAKE_KERNEL=avx512 (on an AMX host the
+#                          int8 convs read B in place; capped, they pack B
+#                          for the VNNI kernel, which must meet the same
+#                          pinned output hashes)
 #   ./ci.sh --fast         tier-1 + clippy + rustdoc only (skip audit, verify, the
 #                          smokes, the figure diff and the examples)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
@@ -143,6 +147,14 @@ run_warm_alloc_capped() {
     CAKE_KERNEL=avx2 cargo test -p cake-verify --test warm_alloc -q
 }
 
+run_dnn_packed_int8() {
+    # `cargo test --workspace` ran cake-dnn with the full ladder, where an
+    # AMX host reads the int8 convs' B in place; under the cap the same
+    # nets pack B for the VNNI kernel and must meet the same pinned hashes.
+    echo "==> cake-dnn tests under CAKE_KERNEL=avx512 (int8 B packed)"
+    CAKE_KERNEL=avx512 cargo test -p cake-dnn -q
+}
+
 run_audit() {
     echo "==> static analysis (cakectl audit)"
     cargo run --release -p cake-bench --bin cakectl -- audit
@@ -255,6 +267,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     run_quickstart
     run_ukr_bench
     run_warm_alloc_capped
+    run_dnn_packed_int8
 fi
 
 echo "==> ci.sh: all gates passed"

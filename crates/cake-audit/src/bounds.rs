@@ -32,7 +32,7 @@ use cake_core::executor::worker_rows;
 use cake_core::schedule::{worker_grid, BlockGrid, Schedule};
 use cake_core::workspace::worker_tile_bound;
 use cake_kernels::pack::{
-    a_sliver_offset, b_sliver_offset, packed_a_size, packed_b_size, split_range, PackLayout,
+    a_sliver_offset, b_sliver_offset, packed_a_size, packed_b_size, split_range, PackLayout, TiledB,
 };
 
 use crate::interval::{
@@ -883,6 +883,23 @@ pub fn sites() -> Vec<Site> {
             corner_subst: vec![("st", v("steps").minus(c(1)))],
             finite_domain: false,
         },
+        // A B read in place (cake-kernels/src/pack.rs TiledB): tile row r
+        // < 16 of step s of column tile j is 64 bytes at b + r*rs, b =
+        // tile_at(j) + steps[s]. tile_at never falls as j grows, so b is
+        // at most tile_at(cols - 16) + max(steps), which TiledB::new
+        // admits only when it is at most len - 15*rs - 64 (lemma
+        // tiled_b_rows_within_reach runs the real new and sliver).
+        Site {
+            name: "amx_b_tile_in_place",
+            place: "cake-kernels/src/amx.rs: tile_gemm_b tileloadd tmm6/tmm7 [tiles[t] + steps[s] + r*rs], \
+                    16 rows x 64 B, base b <= len - 15*rs - 64 by TiledB::new's reach check",
+            need: v("b").plus(v("r").times(v("rs"))).plus(c(64)),
+            cap: v("len"),
+            ranges: vec![("b", 0, 12), ("r", 0, 15), ("rs", 0, 5), ("len", 64, 100)],
+            constraint: Some(|e| e["r"] < 16 && e["b"] + 15 * e["rs"] + 64 <= e["len"]),
+            corner_subst: vec![("r", c(15)), ("b", v("len").minus(c(15).times(v("rs"))).minus(c(64)))],
+            finite_domain: false,
+        },
         // C tile (h, vv), h, vv < 2, is rows 16h..16h+16 at columns
         // 16vv..16vv+16, rows rs i32 apart: tileloadd/tilestored at
         // c + 16h*rs + 16vv. Its last element is (16h + 15)*rs + 16vv + 15;
@@ -1069,6 +1086,18 @@ pub fn mutant_sites() -> Vec<Site> {
             cap: c(32 * 64).times(v("steps")),
             ranges: vec![("st", 0, 7), ("steps", 1, 8)],
             constraint: Some(|e| e["st"] < e["steps"]),
+            corner_subst: vec![],
+            finite_domain: false,
+        },
+        Site {
+            name: "mutant_amx_b_in_place_one_row_stride_off",
+            place: "seeded: in-place B tile row r loaded from b + (r+1)*rs instead of b + r*rs",
+            // The last tile row then starts one row stride past the last
+            // row TiledB::new admitted. Refuted at r = 15 with rs > 0.
+            need: v("b").plus(v("r").plus(c(1)).times(v("rs"))).plus(c(64)),
+            cap: v("len"),
+            ranges: vec![("b", 0, 12), ("r", 0, 15), ("rs", 0, 5), ("len", 64, 100)],
+            constraint: Some(|e| e["r"] < 16 && e["b"] + 15 * e["rs"] + 64 <= e["len"]),
             corner_subst: vec![],
             finite_domain: false,
         },
@@ -1496,6 +1525,58 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
         check("prepacked_strips_on_sliver_boundaries", ok, format!("{detail} ({strips} strips)"));
     }
 
+    // L8: a TiledB is admitted exactly when every tile row it can name
+    // ends inside its source, the amx_b_tile_in_place corner. For small
+    // geometries: TiledB::new over the shortest source it accepts, and
+    // over one element less (refused); then every tile row of every
+    // k-block of every sliver the executor asks for (TiledB::sliver) ends
+    // inside it, and a block holds its k-steps.
+    {
+        let (mut ok, mut detail, mut rows) = (true, String::new(), 0usize);
+        let step_sets: [&[usize]; 4] = [&[0], &[0, 8, 4], &[200, 0], &[5, 1, 9, 3]];
+        'l8: for cols in [32usize, 64, 96] {
+            for seg in [16usize, 32, 48, 64] {
+                for pitch in [4 * seg, 4 * seg + 12] {
+                    for rs in [0usize, 64, 72] {
+                        for steps in step_sets {
+                            let last = cols - 16;
+                            let need = last / seg * pitch + last % seg * 4 + steps.iter().max().unwrap_or(&0) + 15 * rs + 64;
+                            let src = vec![0i8; need];
+                            let short = TiledB::new(&src[..need - 1], cols, (seg, pitch), rs, steps);
+                            let Some(b) = TiledB::new(&src, cols, (seg, pitch), rs, steps).filter(|_| short.is_none()) else {
+                                ok = false;
+                                detail = format!("cols={cols} seg={seg} pitch={pitch} rs={rs} steps={steps:?}: admits {need} wrongly");
+                                break 'l8;
+                            };
+                            let k = 64 * steps.len();
+                            for col in (0..cols).step_by(32) {
+                                for kc in [64, 128, k] {
+                                    for k0 in (0..k).step_by(kc) {
+                                        let kl = kc.min(k - k0);
+                                        let bt = b.sliver(col, k0, kl);
+                                        let base = src.as_ptr() as usize;
+                                        for tile in bt.tiles {
+                                            for &o in bt.steps {
+                                                rows += 16;
+                                                let end = tile as usize - base + o + 15 * rs + 64;
+                                                if end > need || bt.steps.len() != kl / 64 {
+                                                    ok = false;
+                                                    detail = format!("cols={cols} seg={seg} rs={rs} steps={steps:?} col={col} k0={k0}: row ends at {end} of {need}");
+                                                    break 'l8;
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        check("tiled_b_rows_within_reach", ok, format!("{detail} ({rows} rows)"));
+    }
+
     (held, failed)
 }
 
@@ -1570,7 +1651,7 @@ mod tests {
     fn lemmas_hold_against_real_code() {
         let (held, failed) = lemmas();
         assert!(failed.is_empty(), "{failed:?}");
-        assert_eq!(held.len(), 7);
+        assert_eq!(held.len(), 8);
     }
 
     #[test]

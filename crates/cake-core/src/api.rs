@@ -12,7 +12,11 @@
 //!
 //! An A that many calls share — a DNN layer's weights — can be packed
 //! once with [`CakeGemm::prepack`] and passed instead of the matrix: the
-//! executor then reads each worker's strip in place on every call.
+//! executor then reads each worker's strip in place on every call. A B
+//! whose memory already has the AMX kernel's tile layout
+//! ([`TiledB`](cake_kernels::pack::TiledB)) is read in place too; its
+//! blocks are shaped without a B panel to fit
+//! ([`CakeGemm::prepack_for_tiled_b`] packs the A such calls run with).
 //!
 //! Semantics are `C += A * B` (BLAS `alpha = 1`, `beta = 1`). Zero `C`
 //! first for the `beta = 0` convention, or use [`cake_gemm_scaled`].
@@ -21,7 +25,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use cake_kernels::pack::PackB;
+use cake_kernels::pack::{PackB, TILE_K};
 use cake_kernels::select::KernelSelect;
 use cake_kernels::Ukr;
 use cake_matrix::{Element, Matrix};
@@ -174,7 +178,7 @@ impl CakeConfig {
     /// ([`cake_kernels::best_kernel_for_depth`]); this is the block
     /// [`CakeGemm::gemm`] runs on a row-major A.
     pub fn explain_shape_for<T: KernelSelect>(&self, m: usize, k: usize, n: usize) -> TuneDecision {
-        self.explain_shape_with(m, k, n, &cake_kernels::best_kernel_for_depth::<T>(k))
+        self.explain_shape_with(m, k, n, &cake_kernels::best_kernel_for_depth::<T>(k), false)
     }
 
     /// The one shaping [`CakeGemm`] runs, packs for and explains: the
@@ -182,19 +186,31 @@ impl CakeConfig {
     /// name, and a `kc` short of K is cut to whole steps of its packed
     /// layout's depth (at least one), so no k-block but the last pads K.
     /// Only the AMX tile layout has a step above 1 (64 bytes deep).
+    ///
+    /// With `b_tiles` (a B the kernel reads in place), there is no B panel
+    /// to fit, so `kc` is bounded by the A strip alone: the worker's `mc x
+    /// kc` strip keeps the L2 half that bounds the square block
+    /// ([`CbBlockShape::mc_bounds`]), so `kc` grows to `L2 / (2 * mc)`
+    /// elements, cut to whole tile steps and to K. A short-fat
+    /// convolution's K then fits one k-block and C is swept once.
     fn explain_shape_with<T: KernelSelect>(
         &self,
         m: usize,
         k: usize,
         n: usize,
         ukr: &Ukr<T>,
+        b_tiles: bool,
     ) -> TuneDecision {
         let mut d = self.explain_shape(m, k, n, ukr.mr(), ukr.nr(), T::BYTES);
         let step = ukr.pack_layout().k_step();
+        if b_tiles && ukr.reads_b_tiles() {
+            let strip = self.l2_bytes / 2 / T::BYTES / d.shape.mc.max(1);
+            d.shape.kc = d.shape.kc.max(strip / TILE_K * TILE_K).min(k);
+        }
         if d.shape.kc < k {
             d.shape.kc = ((d.shape.kc / step).max(1) * step).min(k);
-            d.lru_ok = d.shape.fits_llc_lru(self.llc_bytes, T::BYTES);
         }
+        d.lru_ok = d.shape.fits_llc_lru(self.llc_bytes, T::BYTES);
         d.kernel = ukr.name();
         d.k_step = step;
         d
@@ -242,7 +258,9 @@ impl CakeGemm {
     /// [`Matrix`], or a [`PackedA`] from [`prepack`](Self::prepack), which
     /// runs with the kernel and block depth it was packed for. `B` is a
     /// [`Matrix`] or any other [`PackB`] operand, such as a convolution's
-    /// patch matrix lowered as it is packed.
+    /// patch matrix lowered as it is packed, or its input already in the
+    /// AMX kernel's tile layout ([`TiledB`](cake_kernels::pack::TiledB)),
+    /// which that kernel reads in place.
     ///
     /// `C` is over the accumulator type `T::Acc` — identical to `T` for
     /// f32/f64, widened for the narrow-dtype tier (`i8 -> i32`,
@@ -280,7 +298,7 @@ impl CakeGemm {
                 OperandA::Packed(pa) => (*pa.kernel(), Some(pa.kc())),
                 OperandA::Matrix(_) => (cake_kernels::best_kernel_for_depth::<T>(k), None),
             };
-            let mut shape = self.cfg.explain_shape_with(m, k, n, &ukr).shape;
+            let mut shape = self.cfg.explain_shape_with(m, k, n, &ukr, b.tiled_b().is_some()).shape;
             if let Some(kc) = packed_kc {
                 shape.kc = kc;
             }
@@ -305,9 +323,26 @@ impl CakeGemm {
     /// Passing the result as `A` skips the per-call pack of every strip.
     // audit: cold one-time weight pack, before any GEMM reads it
     pub fn prepack<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
+        self.prepack_with(a, false)
+    }
+
+    /// [`prepack`](Self::prepack) for GEMMs whose B is a
+    /// [`TiledB`](cake_kernels::pack::TiledB): when the kernel reads B
+    /// tiles in place, at the deeper `kc` those calls run with (bounded by
+    /// the A strip alone; see [`CakeConfig::explain_shape_for`]). The
+    /// packed A also serves calls whose B is packed, at that depth.
+    // audit: cold one-time weight pack, before any GEMM reads it
+    pub fn prepack_for_tiled_b<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
+        self.prepack_with(a, true)
+    }
+
+    /// The one-time pack at the depth of the context's blocks, with or
+    /// without a B read in place.
+    // audit: cold one-time weight pack, before any GEMM reads it
+    fn prepack_with<T: KernelSelect>(&self, a: &Matrix<T>, b_tiles: bool) -> PackedA<T> {
         let (m, k) = (a.rows(), a.cols());
         let ukr = cake_kernels::best_kernel_for_depth::<T>(k);
-        let kc = self.cfg.explain_shape_with(m, k, 1, &ukr).shape.kc;
+        let kc = self.cfg.explain_shape_with(m, k, 1, &ukr, b_tiles).shape.kc;
         PackedA::new(&a.view(), ukr, kc)
     }
 }
@@ -583,6 +618,30 @@ mod tests {
             ctx.gemm(&packer.prepack(&ai), &bi, &mut c);
             assert_eq!(c.as_slice(), want.as_slice());
         }
+    }
+
+    #[test]
+    fn b_read_in_place_keeps_a_short_fat_k_in_one_block() {
+        // The group-order convs of the benchmark net: conv2 and conv3 at K
+        // 384, conv4 at 576. With a B panel to fit they split at 320; read
+        // in place, the A strip alone bounds kc and K is one block.
+        let cfg = CakeConfig::with_threads(1);
+        let Some(amx) = cake_kernels::tier_kernel::<i8>(cake_kernels::KernelTier::Amx) else {
+            return;
+        };
+        for (m, k, n) in [(32, 384, 4096), (64, 384, 1024), (128, 576, 256)] {
+            let packed = cfg.explain_shape_with(m, k, n, &amx, false);
+            let tiled = cfg.explain_shape_with(m, k, n, &amx, true);
+            assert!(packed.shape.kc < k && packed.shape.kc.is_multiple_of(64), "{m}x{k}x{n}: {}", packed.shape);
+            assert_eq!(tiled.shape.kc, k, "{m}x{k}x{n}");
+            assert_eq!((tiled.shape.mc, tiled.shape.nc), (packed.shape.mc, packed.shape.nc));
+        }
+        // A deeper K stops at the strip's bound, in whole k-steps; a kernel
+        // that does not read B tiles keeps the packed depth.
+        let deep = cfg.explain_shape_with(256, 4096, 64, &amx, true).shape;
+        assert_eq!(deep.kc, cfg.l2_bytes / 2 / deep.mc / 64 * 64);
+        let vnni = cake_kernels::tier_kernel::<i8>(cake_kernels::KernelTier::Avx512).expect("AVX-512 under AMX");
+        assert_eq!(cfg.explain_shape_with(32, 384, 4096, &vnni, true).shape, cfg.explain_shape_with(32, 384, 4096, &vnni, false).shape);
     }
 
     #[test]

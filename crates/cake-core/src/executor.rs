@@ -33,7 +33,17 @@
 //!   (the requested p that shaped the block) may be larger; the executor
 //!   partitions any block across any pool and reports both in
 //!   [`ExecStats`].
-//! * The `kc x nc` B panel is packed cooperatively into one shared buffer
+//! * B is any [`PackB`] operand, read one of two ways. A B whose memory
+//!   already has the kernel's tile layout ([`PackB::tiled_b`], a
+//!   [`TiledB`](cake_kernels::pack::TiledB)) is read in place when the
+//!   kernel [reads B tiles](Ukr::reads_b_tiles) and every k-block starts
+//!   on a whole tile step: each worker's kernel loads its slivers' tiles
+//!   of every block where they are, nothing is packed, and the workspace
+//!   reserves no B panel. The panel ring's bookkeeping still runs, so
+//!   `b_elems_loaded` tallies the share of every block a pack would have
+//!   loaded (`kl x cols`), as it does for a pre-packed A, and the traffic
+//!   reconciliation keeps its meaning; `pack_b_ns` reads 0.
+//! * Any other B's `kc x nc` panel is packed cooperatively into one shared buffer
 //!   — the LLC-resident surface that is "broadcast" to all cores. Each
 //!   worker packs a balanced *contiguous* run of `nr`-column slivers,
 //!   split by actual sliver count, with one [`PackB::pack_block`] call,
@@ -104,6 +114,7 @@ use std::time::Instant;
 
 use cake_kernels::edge::run_tile;
 use cake_kernels::pack::{split_range, PackB, PackLayout};
+use cake_kernels::ukernel::BTiles;
 use cake_kernels::Ukr;
 use cake_matrix::{Dtype, MatrixViewMut};
 
@@ -359,6 +370,11 @@ pub fn execute_with_stats_in<T: Dtype>(
         assert_packed_for(pa, &layout, shape);
     }
     let packs_a = matches!(a, OperandA::Matrix(_));
+    // A B in the tile layout is read in place by a kernel that reads B
+    // tiles, when every k-block starts on a whole step of its layout.
+    let tiled = b.tiled_b().filter(|_| {
+        ukr.reads_b_tiles() && (shape.k_block().is_multiple_of(layout.k_step()) || shape.k_block() >= k)
+    });
     if m == 0 || n == 0 || k == 0 {
         return ExecStats::default();
     }
@@ -378,7 +394,9 @@ pub fn execute_with_stats_in<T: Dtype>(
     // B panel ring: two panels are the pipelining floor; a ring as deep as
     // the k-block count makes every snake reversal a cache hit (B packed
     // once per distinct surface), capped so the LLC footprint stays small.
-    let n_panels = ring_depth(grid.kb);
+    // A B read in place keeps the ring's bookkeeping but gets no panels.
+    let ring = ring_depth(grid.kb);
+    let n_panels = if tiled.is_some() { 0 } else { ring };
     let allocations = ws.prepare(shape, p, &layout, n_panels, packs_a);
     let pa_stride = ws.pa_stride;
     let packed_a = &ws.packed_a;
@@ -427,7 +445,7 @@ pub fn execute_with_stats_in<T: Dtype>(
         };
 
         // Cooperatively pack this worker's contiguous share of block `g`'s
-        // B slivers into the panel at `pb_base`, with one
+        // B slivers into ring panel `slot`, with one
         // [`PackB::pack_block`] call over the share's columns. The share is
         // balanced by *actual* sliver count ([`split_range`]): a tail block
         // with few slivers still spreads across all workers instead of
@@ -442,28 +460,32 @@ pub fn execute_with_stats_in<T: Dtype>(
         // no two `&mut` regions ever overlap. Pack ownership stays
         // 1D over all `p` workers regardless of the 2D compute grid, so the
         // audit pack protocol and the pack counters are partition-invariant.
-        let pack_b_coop = |g: &Blk, pb_base: *mut T| {
+        // A B read in place has no panel to pack; its share only counts as
+        // loaded.
+        let pack_b_coop = |g: &Blk, slot: usize| {
             let share = split_range(g.nl.div_ceil(nr), p, wid);
             if share.is_empty() {
                 return;
             }
             let col0 = share.start * nr;
             let cols = (share.end * nr).min(g.nl) - col0;
-            // Mirrors the `exec_pb_sliver_write` interval proof in
-            // cake-audit: the share's end never passes the panel end.
-            debug_assert!(layout.b_offset(share.end, g.kl) <= pb_len);
-            // SAFETY: the share's slivers occupy
-            // [start*nr*kp, end*nr*kp), within capacity since
-            // end <= ceil(nl/nr) <= bn/nr and kp <= the padded bk; the
-            // shares of distinct workers are disjoint ranges of sliver
-            // indices.
-            let dst: &mut [T] = unsafe {
-                std::slice::from_raw_parts_mut(
-                    pb_base.add(layout.b_offset(share.start, g.kl)),
-                    layout.b_offset(share.len(), g.kl),
-                )
-            };
-            b.pack_block(g.k0, g.n0 + col0, g.kl, cols, dst, &layout);
+            if let Some(panel) = panels.get(slot) {
+                // Mirrors the `exec_pb_sliver_write` interval proof in
+                // cake-audit: the share's end never passes the panel end.
+                debug_assert!(layout.b_offset(share.end, g.kl) <= pb_len);
+                // SAFETY: the share's slivers occupy
+                // [start*nr*kp, end*nr*kp), within capacity since
+                // end <= ceil(nl/nr) <= bn/nr and kp <= the padded bk; the
+                // shares of distinct workers are disjoint ranges of sliver
+                // indices.
+                let dst: &mut [T] = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        panel.base_ptr().add(layout.b_offset(share.start, g.kl)),
+                        layout.b_offset(share.len(), g.kl),
+                    )
+                };
+                b.pack_block(g.k0, g.n0 + col0, g.kl, cols, dst, &layout);
+            }
             tally.add_b(g.kl * cols);
         };
 
@@ -523,8 +545,10 @@ pub fn execute_with_stats_in<T: Dtype>(
         // (the paper's per-core A region), so sweeping it per B sliver
         // reads every LLC-resident panel element exactly once while all A
         // traffic stays in L2. Under the degenerate (p, 1) grid the sliver
-        // range is the whole panel — identical to the 1D executor.
-        let compute = |g: &Blk, pb_base: *const T| {
+        // range is the whole panel — identical to the 1D executor. A B
+        // read in place hands the kernel each sliver's tiles instead of a
+        // panel sliver.
+        let compute = |g: &Blk, slot: usize| {
             let (cell_rows, wn, pn) = my_cell(g);
             let Some((row0, rows)) = cell_rows else {
                 return; // empty block
@@ -562,14 +586,17 @@ pub fn execute_with_stats_in<T: Dtype>(
                     (ptr, block_end - at)
                 }
             };
+            let pb_base = panels.get(slot).map_or(std::ptr::null(), |pb| pb.base_ptr() as *const T);
             let b_slivers = g.nl.div_ceil(nr);
             let mut owned_cols = 0usize;
             for t in split_range(b_slivers, pn, wn) {
                 let ncols = nr.min(g.nl - t * nr);
                 let col = g.n0 + t * nr;
                 owned_cols += ncols;
-                // Mirrors `exec_pb_sliver_read` in cake-audit.
-                debug_assert!(layout.b_offset(t + 1, g.kl) <= pb_len);
+                // Mirrors `exec_pb_sliver_read` in cake-audit; a B read in
+                // place names its tiles instead (`amx_b_tile_in_place`).
+                debug_assert!(tiled.is_some() || layout.b_offset(t + 1, g.kl) <= pb_len);
+                let b_tiles: Option<BTiles<'_, T>> = tiled.map(|tb| tb.sliver(col, g.k0, g.kl));
                 for s in 0..a_slivers {
                     let mrows = mr.min(rows - s * mr);
                     let row = g.m0 + row0 + s * mr;
@@ -577,23 +604,28 @@ pub fn execute_with_stats_in<T: Dtype>(
                     // `exec_c_tile` in cake-audit.
                     debug_assert!(layout.a_offset(s + 1, g.kl) <= strip_len);
                     debug_assert!(row + mrows <= m && col + ncols <= n);
-                    // SAFETY: packed slivers are zero-padded full tiles;
+                    // SAFETY: packed slivers are zero-padded full tiles, and
+                    // a B read in place names only rows its `TiledB` checked;
                     // C indices (row, col) + (mrows, ncols) are in bounds;
                     // each worker's (rows x sliver-columns) cell is
                     // disjoint from all others' under the 2D grid.
                     unsafe {
                         let cptr = out.get().add(row * rsc + col * csc);
-                        run_tile(
-                            ukr,
-                            g.kl,
-                            pa_ptr.add(layout.a_offset(s, g.kl)),
-                            pb_base.add(layout.b_offset(t, g.kl)),
-                            cptr,
-                            rsc,
-                            csc,
-                            mrows,
-                            ncols,
-                        );
+                        let a_sliver = pa_ptr.add(layout.a_offset(s, g.kl));
+                        match b_tiles {
+                            Some(bt) => ukr.call_b_tiles(a_sliver, bt, cptr, (rsc, csc), (mrows, ncols)),
+                            None => run_tile(
+                                ukr,
+                                g.kl,
+                                a_sliver,
+                                pb_base.add(layout.b_offset(t, g.kl)),
+                                cptr,
+                                rsc,
+                                csc,
+                                mrows,
+                                ncols,
+                            ),
+                        }
                     }
                 }
             }
@@ -619,7 +651,7 @@ pub fn execute_with_stats_in<T: Dtype>(
             // The ring state evolves as a pure function of the schedule, so
             // every worker tracks an identical copy and all agree on which
             // panel is live and which gets packed.
-            let mut cache = PanelCache::new(panels.len());
+            let mut cache = PanelCache::new(ring);
 
             for bi in 0..nblocks {
                 let g = blk(bi);
@@ -631,12 +663,13 @@ pub fn execute_with_stats_in<T: Dtype>(
                     let c0 = sched.coord_at(0);
                     cache.seed((c0.k, c0.n));
                     let t0 = Instant::now();
-                    // audit: checked panel 0 exists: ring depth is always >= 2
-                    pack_b_coop(&g, panels[0].base_ptr());
+                    pack_b_coop(&g, 0);
                     let t1 = Instant::now();
                     pack_a_own(&g);
                     let t2 = Instant::now();
-                    pack_b_ns += nanos(t0, t1);
+                    if tiled.is_none() {
+                        pack_b_ns += nanos(t0, t1);
+                    }
                     if packs_a {
                         pack_a_ns += nanos(t1, t2);
                     }
@@ -646,8 +679,7 @@ pub fn execute_with_stats_in<T: Dtype>(
                 }
 
                 let t0 = Instant::now();
-                // audit: checked cache.cur() < depth == panels.len() (ring invariant)
-                compute(&g, panels[cache.cur()].base_ptr() as *const T);
+                compute(&g, cache.cur());
                 let t1 = Instant::now();
                 compute_ns += nanos(t0, t1);
 
@@ -663,15 +695,16 @@ pub fn execute_with_stats_in<T: Dtype>(
 
                     let gn = blk(bi + 1);
                     if let PanelAction::Pack(next) = cache.advance((cn.k, cn.n)) {
-                        // audit: checked Pack(next) victims are drawn from 0..depth
-                        pack_b_coop(&gn, panels[next].base_ptr());
+                        pack_b_coop(&gn, next);
                     }
                     let t2 = Instant::now();
                     if !share_a {
                         pack_a_own(&gn);
                     }
                     let t3 = Instant::now();
-                    pack_b_ns += nanos(t1, t2);
+                    if tiled.is_none() {
+                        pack_b_ns += nanos(t1, t2);
+                    }
                     if packs_a {
                         pack_a_ns += nanos(t2, t3);
                     }
@@ -739,7 +772,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     // schedule) to attribute each avoided B pack to adjacency sharing vs a
     // panel-cache hit.
     let mut sprev: Option<crate::schedule::BlockCoord> = None;
-    let mut cache = PanelCache::new(n_panels);
+    let mut cache = PanelCache::new(ring);
     for bi in 0..nblocks {
         let coord = schedule.coord_at(bi);
         let want = (coord.k, coord.n);
@@ -1109,6 +1142,47 @@ mod tests {
         let mut expected = Matrix::<f32>::zeros(m, n);
         reference(&a, &b, &mut expected);
         assert_gemm_eq(&c.to_layout(Layout::RowMajor), &expected, k);
+    }
+
+    #[test]
+    fn b_read_in_place_packs_no_b_and_reserves_no_panel() {
+        // An int8 B k-interleaved, [K/4][N][4], as a TiledB: on a kernel
+        // that reads B tiles it runs in place at p = 1, 2 and 3 with C and
+        // every counter equal to the packed run's; on any other kernel it
+        // packs.
+        use cake_kernels::pack::TiledB;
+        let (m, k, n) = (40, 192, 96);
+        let a = init::random_i8(m, k, 1);
+        let b = init::random_i8(k, n, 2);
+        let mut src = vec![0i8; k * n];
+        for kk in 0..k {
+            for j in 0..n {
+                src[kk / 4 * 4 * n + j * 4 + kk % 4] = b.get(kk, j);
+            }
+        }
+        let steps: Vec<usize> = (0..k / 64).map(|s| s * 64 * n).collect();
+        let tiled = TiledB::new(&src, n, (n, 4 * n), 4 * n, &steps).expect("admitted");
+        for ukr in cake_kernels::available_tiers().into_iter().filter_map(cake_kernels::tier_kernel::<i8>) {
+            for p in 1..=3 {
+                let shape = CbBlockShape::fixed(p, 32, 64, 64);
+                let pool = ThreadPool::new(p);
+                let run = |b: &dyn Fn(&mut Matrix<i32>, &mut GemmWorkspace<i8>) -> ExecStats| {
+                    let mut c = Matrix::<i32>::zeros(m, n);
+                    let stats = b(&mut c, &mut GemmWorkspace::new());
+                    (c, stats)
+                };
+                let (c_packed, s_packed) = run(&|c, ws| execute_with_stats_in(&a, &b, &mut c.view_mut(), &shape, &ukr, &pool, ws));
+                let (c_tiled, s_tiled) = run(&|c, ws| execute_with_stats_in(&a, &tiled, &mut c.view_mut(), &shape, &ukr, &pool, ws));
+                let at = format!("{} at p = {p}", ukr.name());
+                assert_eq!(c_tiled.as_slice(), c_packed.as_slice(), "{at}");
+                let counts = |s: &ExecStats| (s.blocks, s.b_packs_skipped, s.b_panel_hits, s.a_elems_loaded, s.b_elems_loaded, s.c_elems_updated);
+                assert_eq!(counts(&s_tiled), counts(&s_packed), "{at}");
+                if ukr.reads_b_tiles() {
+                    assert_eq!(s_tiled.pack_b_ns, 0, "{at}");
+                    assert!(s_tiled.workspace_bytes < s_packed.workspace_bytes, "{at}: no B panel");
+                }
+            }
+        }
     }
 
     #[test]

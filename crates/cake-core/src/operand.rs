@@ -1,5 +1,7 @@
 //! The A operand of a GEMM: a matrix packed on every call, or weights
-//! packed once.
+//! packed once. (B's counterpart, a B read in place, is
+//! [`TiledB`](cake_kernels::pack::TiledB): a [`PackB`] operand whose
+//! memory already has the AMX kernel's tile layout.)
 //!
 //! The paper's CPU CB block gives each core an `mc x kc` A surface, packed
 //! and held in its L2 while the B panel streams past (Section 4.2). In a
@@ -26,6 +28,18 @@
 //! [`OperandA`] is what the executor reads: either kind of A.
 //! [`AsOperandA`] lets every GEMM entry take a [`Matrix`], a
 //! [`MatrixView`] or a [`PackedA`] alike.
+//!
+//! The B operand is any [`PackB`]. The executor packs it block by block
+//! into the workspace's panel ring, unless it is a
+//! [`TiledB`](cake_kernels::pack::TiledB) ([`PackB::tiled_b`]) and the
+//! kernel [reads B tiles](Ukr::reads_b_tiles) at the call's block depth:
+//! then each worker's kernel loads every B tile of every block in place,
+//! and no panel is packed or reserved. A packed panel pays only through
+//! reuse, and a convolution's is read by one block, so its pack bought
+//! nothing but the kernel's layout.
+//!
+//! [`PackB`]: cake_kernels::pack::PackB
+//! [`PackB::tiled_b`]: cake_kernels::pack::PackB::tiled_b
 
 use cake_kernels::Ukr;
 use cake_matrix::{AlignedBuf, Dtype, Matrix, MatrixView};

@@ -86,8 +86,9 @@ impl<T: Element> GemmWorkspace<T> {
 
     /// Size the buffers for one CB-block shape and kernel layout (its
     /// `mr x nr` tile and any K padding) run by `workers` pool threads,
-    /// with an `n_panels`-entry B ring, growing only when the current
-    /// capacity is insufficient. `packs_a` reserves one A strip per worker;
+    /// with an `n_panels`-entry B ring (at least two; none when
+    /// `n_panels` is 0, for a B read in place), growing only when the
+    /// current capacity is insufficient. `packs_a` reserves one A strip per worker;
     /// a call that reads a pre-packed A passes `false` and gets none
     /// (`pa_stride` 0). Returns the number of fresh allocations this call
     /// performed (0 after warmup).
@@ -107,7 +108,8 @@ impl<T: Element> GemmWorkspace<T> {
         packs_a: bool,
     ) -> usize {
         let mr = layout.mr();
-        let n_panels = n_panels.clamp(2, MAX_B_PANELS);
+        // A call whose B is read in place asks for no panels.
+        let n_panels = if n_panels == 0 { 0 } else { n_panels.clamp(2, MAX_B_PANELS) };
         // 2D-partition bound (see `worker_tile_bound`): the block's
         // ceil(bm / mr) tiles are split by the worker grid, and no worker
         // ever owns more than the closed-form bound — never more than the

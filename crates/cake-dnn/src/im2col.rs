@@ -35,9 +35,20 @@
 //! through the same masks. The crate has no `unsafe`: the lane copy checks
 //! each group's reach, the span of every lane its rows load, against the
 //! tensor.
+//!
+//! The patch rows come in one of two orders ([`KOrder`]). [`im2col`]'s is
+//! `(c, dy, dx)`. The other, [`KOrder::Groups`], is the order in which the
+//! AMX kernel reads an int8 convolution's B in place from its input stored
+//! as 4-channel groups (`cake_dnn::quant`): `(dx, dy·G + c/4, c % 4)`,
+//! padded per `dx` to whole 16s of `dy·G + c/4`. A layer whose weights
+//! take that order, but whose output does not tile into whole slivers,
+//! lowers through [`LoweredConv`] in the same order: its row table maps
+//! each row to its tap, or to a padding row (zero weights, the pad value),
+//! so `LoweredConv` stays the only lowering.
 
 use cake_kernels::pack::{
-    low_lanes, LaneCopy, LaneRows, LayoutKind, PackB, PackLayout, RowPlace, B_KROWS, LANES, TILE_K, TILE_MAX_NR,
+    low_lanes, LaneCopy, LaneRows, LayoutKind, PackB, PackLayout, RowPlace, TiledB, B_KROWS, LANES, MAX_B_STEPS,
+    TILE_K, TILE_KGROUP, TILE_MAX_NR, TILE_ROWS,
 };
 use cake_matrix::{Element, Matrix};
 
@@ -78,6 +89,141 @@ impl ConvGeom {
         let pw = w + 2 * self.pad;
         assert!(ph >= self.kh && pw >= self.kw, "kernel larger than padded input");
         ((ph - self.kh) / self.stride + 1, (pw - self.kw) / self.stride + 1)
+    }
+}
+
+/// The order of a convolution's patch rows, its GEMM's `K`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KOrder {
+    /// `(c, dy, dx)`, `dx` fastest: row `(c*KH + dy)*KW + dx`, so `K =
+    /// C_in*KH*KW`. The weights' row-major columns and [`im2col`]'s rows.
+    Channels,
+    /// Over 4-channel groups (`C_in` a multiple of 4), the order the AMX
+    /// kernel reads B tiles in place: row `(dx*T + t)*4 + c % 4` with `t =
+    /// dy*G + c/4`, `G = C_in/4`, and `T` = `KH*G` rounded up to a multiple
+    /// of 16, so `K = KW*T*4`. Rows with `t >= KH*G` are padding rows, with
+    /// zero weights. Each 64-row k-step is one `dx` and 16 consecutive `t`:
+    /// 16 consecutive `(dy, c/4)` pairs, one tile row each.
+    Groups,
+}
+
+impl KOrder {
+    /// `T`, the group rows per `dx` of [`KOrder::Groups`].
+    fn group_rows(cin: usize, geom: &ConvGeom) -> usize {
+        (geom.kh * (cin / TILE_KGROUP)).next_multiple_of(TILE_ROWS)
+    }
+
+    /// Patch rows (`K`) of a `cin`-channel input under `geom`.
+    pub fn rows(self, cin: usize, geom: &ConvGeom) -> usize {
+        match self {
+            KOrder::Channels => cin * geom.kh * geom.kw,
+            KOrder::Groups => geom.kw * Self::group_rows(cin, geom) * TILE_KGROUP,
+        }
+    }
+
+    /// The tap `(c, dy, dx)` patch row `r` reads, or `None` for a padding
+    /// row.
+    pub fn tap(self, r: usize, cin: usize, geom: &ConvGeom) -> Option<(usize, usize, usize)> {
+        match self {
+            KOrder::Channels => Some((r / (geom.kh * geom.kw), r / geom.kw % geom.kh, r % geom.kw)),
+            KOrder::Groups => {
+                let (groups, rows) = (cin / TILE_KGROUP, Self::group_rows(cin, geom));
+                let (dx, t) = (r / TILE_KGROUP / rows, r / TILE_KGROUP % rows);
+                (t < geom.kh * groups).then(|| (t % groups * TILE_KGROUP + r % TILE_KGROUP, t / groups, dx))
+            }
+        }
+    }
+
+    /// Weights `w`, `C_out x C_in*KH*KW` in [`KOrder::Channels`], with
+    /// their columns in this order: a padding row's column is zero.
+    pub fn reorder<T: Element>(self, w: &Matrix<T>, cin: usize, geom: &ConvGeom) -> Matrix<T> {
+        let (kh, kw) = (geom.kh, geom.kw);
+        Matrix::from_fn(w.rows(), self.rows(cin, geom), |o, r| {
+            self.tap(r, cin, geom).map_or(T::ZERO, |(c, dy, dx)| w.get(o, (c * kh + dy) * kw + dx))
+        })
+    }
+}
+
+/// A convolution input stored as 4-channel groups, halo-padded, whose
+/// [`KOrder::Groups`] patch matrix the AMX kernel reads in place: the
+/// layout `[H + 2p + e][C_in/4][W + 2p][4]`, where a dword holds one
+/// pixel's 4 channels of a group and `e` spare rows cover the padding rows
+/// of the last output row.
+///
+/// Output pixel `(oy, ox)` at group row `t = dy*G + c/4` and column `dx`
+/// reads the dword at `((oy*G + t)*(W + 2p) + ox + dx)*4`: layout row `oy*G
+/// + t` is image row `oy + t/G`, group `t % G`. So the 16 tile rows of one
+/// B tile (16 output pixels of one output row, 16 consecutive `t`) are
+/// `(W + 2p)*4` elements apart, and its k-step `(dx, t/16)` starts
+/// `(t/16)*16*(W + 2p)*4 + dx*4` after the tile's first pixel
+/// ([`TiledB`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GroupedInput {
+    rows: usize,
+    groups: usize,
+    wp: usize,
+    cols: usize,
+    ow: usize,
+    kw: usize,
+    per_dx: usize,
+}
+
+impl GroupedInput {
+    /// The layout of a `cin x h x w` input under `geom`, when its patch
+    /// matrix can be read in place: stride 1, `cin` a positive multiple of
+    /// 4, an output that tiles into whole slivers (`OW % 16 == 0`, `OH*OW %
+    /// 32 == 0`) and k-steps that fit a [`TiledB`]; `None` otherwise.
+    pub fn new(cin: usize, (h, w): (usize, usize), geom: &ConvGeom) -> Option<Self> {
+        let (oh, ow) = geom.out_dims(h, w);
+        let groups = cin / TILE_KGROUP;
+        let t = KOrder::Groups.rows(cin, geom) / TILE_KGROUP / geom.kw.max(1);
+        let per_dx = t / TILE_ROWS;
+        let fits = geom.stride == 1
+            && groups > 0
+            && cin.is_multiple_of(TILE_KGROUP)
+            && ow.is_multiple_of(TILE_ROWS)
+            && (oh * ow).is_multiple_of(TILE_MAX_NR)
+            && geom.kw * per_dx <= MAX_B_STEPS;
+        // The last output row's group row T - 1 is image row oh - 1 + (T -
+        // 1) / G, up to e rows past the bottom halo.
+        let spare = t.div_ceil(groups.max(1)).saturating_sub(geom.kh);
+        fits.then_some(Self {
+            rows: h + 2 * geom.pad + spare,
+            groups,
+            wp: w + 2 * geom.pad,
+            cols: oh * ow,
+            ow,
+            kw: geom.kw,
+            per_dx,
+        })
+    }
+
+    /// Rows of the layout, the halo and the spare rows included.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Elements of the layout.
+    pub fn len(&self) -> usize {
+        self.rows * self.groups * self.wp * TILE_KGROUP
+    }
+
+    /// Whether the layout holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The [`KOrder::Groups`] patch matrix of the input stored in `src` in
+    /// this layout, read in place; `None` when `src` is shorter than the
+    /// layout.
+    pub fn patches<'a, T: Element>(&self, src: &'a [T]) -> Option<TiledB<'a, T>> {
+        let row = self.wp * TILE_KGROUP;
+        let mut steps = [0usize; MAX_B_STEPS];
+        for (s, at) in steps.iter_mut().enumerate().take(self.kw * self.per_dx) {
+            *at = s % self.per_dx * TILE_ROWS * row + s / self.per_dx * TILE_KGROUP;
+        }
+        let steps = steps.get(..self.kw * self.per_dx)?;
+        TiledB::new(src.get(..self.len())?, self.cols, (self.ow, self.groups * row), row, steps)
     }
 }
 
@@ -149,6 +295,8 @@ struct Block {
     n: usize,
     ny: usize,
     nx: usize,
+    /// Bit `i` set when row `i` reads a tap; a padding row reads nothing.
+    taps: u64,
     /// Row `i`'s input offset at output pixel `(0, 0)`: `c*h*w + (dy -
     /// p)*w + dx - p` in wrapping arithmetic (negative in the padding;
     /// an in-map tap's offset never is).
@@ -179,13 +327,18 @@ struct Block {
 /// reads each row's lanes at one input offset, and [`LaneCopy`] moves
 /// them with masked loads. Any other group gathers its lanes through the
 /// same masks into a dense block first.
+///
+/// The rows are in [`KOrder::Channels`] order, or in another [`KOrder`]
+/// ([`with_order`](Self::with_order)).
 pub struct LoweredConv<'a, T> {
     src: &'a [T],
+    cin: usize,
     h: usize,
     w: usize,
     oh: usize,
     ow: usize,
     geom: ConvGeom,
+    order: KOrder,
     rows: usize,
     pad: T,
     copy: LaneCopy,
@@ -202,15 +355,22 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         let (oh, ow) = geom.out_dims(h, w);
         Self {
             src: input.as_slice(),
+            cin: input.channels(),
             h,
             w,
             oh,
             ow,
             geom: *geom,
+            order: KOrder::Channels,
             rows: input.channels() * geom.kh * geom.kw,
             pad,
             copy: LaneCopy::detect(),
         }
+    }
+
+    /// The same patch matrix with its rows in `order`.
+    pub fn with_order(self, order: KOrder) -> Self {
+        Self { order, rows: order.rows(self.cin, &self.geom), ..self }
     }
 
     /// The same operand packing through `copy`.
@@ -221,12 +381,16 @@ impl<'a, T: Element> LoweredConv<'a, T> {
 
     /// The input geometry of patch rows `r0..r0 + n`, `n <= TILE_K`.
     fn block(&self, r0: usize, n: usize) -> Block {
+        if self.order != KOrder::Channels {
+            return self.block_by_tap(r0, n);
+        }
         let ConvGeom { kh, kw, stride: s, pad: p } = self.geom;
         let (c0, dy0, dx0) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
         let mut blk = Block {
             n,
             ny: if n == 0 { 0 } else { kh.min((dx0 + n - 1) / kw + 1) },
             nx: kw.min(n),
+            taps: low_lanes(n),
             base: [0; TILE_K],
             slot: [(0, 0); TILE_K],
             ys: [(0, 0); TILE_K],
@@ -253,6 +417,44 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         blk
     }
 
+    /// [`block`](Self::block) for any order, row by row from its
+    /// [`KOrder::tap`]: a new `dy` (or `dx`) slot where a row's `dy` (or
+    /// `dx`) differs from the last tap's. A [`KOrder::Groups`] pass is one
+    /// `dx` and a run of rows per `dy`, so it uses few slots.
+    fn block_by_tap(&self, r0: usize, n: usize) -> Block {
+        let ConvGeom { stride: s, pad: p, .. } = self.geom;
+        let mut blk = Block {
+            n,
+            ny: 0,
+            nx: 0,
+            taps: 0,
+            base: [0; TILE_K],
+            slot: [(0, 0); TILE_K],
+            ys: [(0, 0); TILE_K],
+            xs: [(0, 0); TILE_K],
+        };
+        let mut last = None;
+        for (i, (base, slot)) in blk.base.iter_mut().zip(&mut blk.slot).enumerate().take(n) {
+            let Some((c, dy, dx)) = self.order.tap(r0 + i, self.cin, &self.geom) else {
+                continue;
+            };
+            let (new_y, new_x) = last.map_or((true, true), |(ly, lx)| (dy != ly, dx != lx));
+            if let (true, Some(x)) = (new_x, blk.xs.get_mut(blk.nx)) {
+                *x = in_map(self.w, dx, p, s, self.ow);
+                blk.nx += 1;
+            }
+            if let (true, Some(y)) = (new_y, blk.ys.get_mut(blk.ny)) {
+                *y = in_map(self.h, dy, p, s, self.oh);
+                blk.ny += 1;
+            }
+            last = Some((dy, dx));
+            *base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
+            *slot = (blk.ny.saturating_sub(1), blk.nx.saturating_sub(1));
+            blk.taps |= 1 << i;
+        }
+        blk
+    }
+
     /// Per `dy` slot of `blk`, the lanes of the group from output column
     /// `j0 = oy*OW + ox` on whose output row reads inside the map, of its
     /// first `live` lanes.
@@ -273,9 +475,10 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         for (m, &x) in cols_in.iter_mut().zip(&blk.xs).take(blk.nx) {
             *m = col_lanes(self.ow, ox, x);
         }
-        for (m, &(sy, sx)) in mask.iter_mut().zip(&blk.slot).take(blk.n) {
+        for (i, (m, &(sy, sx))) in mask.iter_mut().zip(&blk.slot).enumerate().take(blk.n) {
             // audit: checked slots are masked to the table size
-            *m = rows_in[sy % TILE_K] & cols_in[sx % TILE_K];
+            let lanes = rows_in[sy % TILE_K] & cols_in[sx % TILE_K];
+            *m = if blk.taps >> (i % TILE_K) & 1 == 1 { lanes } else { 0 };
         }
         mask
     }
@@ -481,12 +684,18 @@ mod tests {
     /// The patch matrix per element: every entry computed from its own
     /// `(row, col)` index.
     fn im2col_reference<T: Element>(input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
+        reference_in(KOrder::Channels, input, geom, pad)
+    }
+
+    /// [`im2col_reference`] with the rows in `order`: a padding row holds
+    /// `pad`.
+    fn reference_in<T: Element>(order: KOrder, input: &Tensor<T>, geom: &ConvGeom, pad: T) -> Matrix<T> {
         let (cin, h, w) = (input.channels(), input.height(), input.width());
         let (oh, ow) = geom.out_dims(h, w);
-        Matrix::from_fn(cin * geom.kh * geom.kw, oh * ow, |r, col| {
-            let c = r / (geom.kh * geom.kw);
-            let dy = (r / geom.kw) % geom.kh;
-            let dx = r % geom.kw;
+        Matrix::from_fn(order.rows(cin, geom), oh * ow, |r, col| {
+            let Some((c, dy, dx)) = order.tap(r, cin, geom) else {
+                return pad;
+            };
             let iy = ((col / ow) * geom.stride + dy) as isize - geom.pad as isize;
             let ix = ((col % ow) * geom.stride + dx) as isize - geom.pad as isize;
             if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
@@ -640,13 +849,24 @@ mod tests {
         (k0, kl, n0, nl): (usize, usize, usize, usize),
         layout: &PackLayout,
     ) {
+        check_lowering_in(KOrder::Channels, (input, geom, patches), (pad, sentinel), (k0, kl, n0, nl), layout)
+    }
+
+    /// [`check_lowering`] with the rows in `order`.
+    fn check_lowering_in<T: cake_matrix::Dtype>(
+        order: KOrder,
+        (input, geom, patches): (&Tensor<T>, &ConvGeom, &Matrix<T>),
+        (pad, sentinel): (T, T),
+        (k0, kl, n0, nl): (usize, usize, usize, usize),
+        layout: &PackLayout,
+    ) {
         let len = layout.b_size(kl, nl) + layout.nr();
         let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         let mut want = vec![sentinel; len];
         layout.pack_b(&patches.view().sub(k0, n0, kl, nl), &mut want);
         for copy in copies() {
             let mut got = vec![sentinel; len];
-            LoweredConv::new(input, geom, pad).with_copy(copy).pack_block(k0, n0, kl, nl, &mut got, layout);
+            LoweredConv::new(input, geom, pad).with_order(order).with_copy(copy).pack_block(k0, n0, kl, nl, &mut got, layout);
             prop_assert_eq!(bits(&got), bits(&want), "{} {:?} block {:?} {:?} {:?}", T::NAME, geom, (k0, kl, n0, nl), layout, copy);
         }
     }
@@ -699,6 +919,75 @@ mod tests {
             let x = Tensor::from_matrix(init::random::<f32>(cin, hw * hw, seed as u64), hw, hw);
             check_benchmark_layer(&x, (-7.5f32, f32::NAN));
         }
+    }
+
+    #[test]
+    fn group_order_lowers_exactly_at_every_worker_share() {
+        // Group order over 4-channel groups: C_in 4 (T = 16, a padding row
+        // run per dx), 8 (T = 16) and 32 (T = 32, K 384: conv2's), kernel
+        // sizes 1, 3 and 5, maps that do and do not fill a lane group, and
+        // blocks starting at every 64-row step and mid-step.
+        for (seed, (cin, h, w, k)) in [(4usize, 5usize, 9usize, 3usize), (8, 8, 8, 3), (32, 6, 20, 3), (4, 3, 16, 5), (8, 4, 70, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let geom = ConvGeom::same(k);
+            let x = Tensor::from_matrix(init::random_i8(cin, h * w, seed as u64), h, w);
+            let patches = reference_in(KOrder::Groups, &x, &geom, 3i8);
+            let (rows, n) = (patches.rows(), patches.cols());
+            assert_eq!(rows % 64, 0, "group order pads every dx to whole 16s of t");
+            for layout in registered_layouts("int8") {
+                let nr = layout.nr();
+                let mut blocks = vec![(0, rows, 0, n), (64, rows - 64, 0, n), (36, 100.min(rows - 36), 0, n)];
+                for p in [2, 3] {
+                    let shares = (0..p).map(|wid| cake_kernels::pack::split_range(n.div_ceil(nr), p, wid));
+                    blocks.extend(shares.filter(|s| !s.is_empty()).map(|s| (0, rows, s.start * nr, (s.end * nr).min(n) - s.start * nr)));
+                }
+                for block in blocks {
+                    check_lowering_in(KOrder::Groups, (&x, &geom, &patches), (3i8, 99i8), block, &layout);
+                }
+            }
+            let xf = Tensor::from_matrix(init::random::<f32>(cin, h * w, seed as u64), h, w);
+            let patches = reference_in(KOrder::Groups, &xf, &geom, -7.5f32);
+            for layout in registered_layouts("f32") {
+                check_lowering_in(KOrder::Groups, (&xf, &geom, &patches), (-7.5, f32::NAN), (0, rows, 0, n), &layout);
+            }
+        }
+    }
+
+    #[test]
+    fn group_order_reorders_weights_to_the_same_products() {
+        // Every tap's weight moves to its row; padding rows' weights are 0.
+        let (cin, geom) = (8, ConvGeom::same(3));
+        let w = init::random::<f32>(5, cin * 9, 3);
+        let g = KOrder::Groups.reorder(&w, cin, &geom);
+        assert_eq!((g.rows(), g.cols()), (5, KOrder::Groups.rows(cin, &geom)));
+        assert_eq!(KOrder::Groups.rows(cin, &geom), 3 * 16 * 4);
+        for r in 0..g.cols() {
+            for o in 0..5 {
+                let want = KOrder::Groups.tap(r, cin, &geom).map_or(0.0, |(c, dy, dx)| w.get(o, (c * 3 + dy) * 3 + dx));
+                assert_eq!(g.get(o, r), want);
+            }
+        }
+        let taps = (0..g.cols()).filter_map(|r| KOrder::Groups.tap(r, cin, &geom)).count();
+        assert_eq!(taps, cin * 9, "every tap once");
+        assert_eq!(KOrder::Channels.reorder(&w, cin, &geom).as_slice(), w.as_slice());
+    }
+
+    #[test]
+    fn grouped_input_exists_where_the_output_tiles() {
+        let geom = ConvGeom::same(3);
+        let layout = GroupedInput::new(32, (64, 64), &geom).expect("conv2's input");
+        // T = 32 group rows per dx reach one row past the bottom halo.
+        assert_eq!((layout.rows(), layout.len()), (67, 67 * 8 * 66 * 4));
+        assert!(GroupedInput::new(64, (16, 16), &geom).is_some_and(|l| l.rows() == 18));
+        assert!(GroupedInput::new(128, (8, 8), &geom).is_none(), "8-wide rows are half a tile");
+        assert!(GroupedInput::new(3, (64, 64), &geom).is_none(), "C_in off 4");
+        assert!(GroupedInput::new(32, (3, 16), &geom).is_none(), "48 columns are a sliver and a half");
+        assert!(GroupedInput::new(32, (64, 64), &ConvGeom::square(3, 2, 1)).is_none(), "stride 2");
+        let src = vec![0i8; layout.len()];
+        assert!(layout.patches(&src).is_some());
+        assert!(layout.patches(&src[1..]).is_none());
     }
 
     proptest! {

@@ -108,13 +108,15 @@ impl<T: KernelSelect> Weights<T> {
     }
 
     /// Replace row-major weights with the copy packed for `ctx`, and
-    /// report the pack; weights already packed stay as they are.
-    pub(crate) fn pack_for(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+    /// report the pack; weights already packed stay as they are. With
+    /// `b_tiles` the copy is packed for GEMMs whose B is read in place
+    /// ([`CakeGemm::prepack_for_tiled_b`]).
+    pub(crate) fn pack_for(&mut self, ctx: &CakeGemm, b_tiles: bool) -> Option<WeightPack> {
         let Weights::Rows(w) = self else {
             return None;
         };
         let t0 = Instant::now();
-        let packed = ctx.prepack(w);
+        let packed = if b_tiles { ctx.prepack_for_tiled_b(w) } else { ctx.prepack(w) };
         let seconds = t0.elapsed().as_secs_f64();
         let row_major_bytes = std::mem::size_of_val(w.as_slice());
         let packed_bytes = packed.bytes();
@@ -262,7 +264,7 @@ impl Layer for Conv2d {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.pack_for(ctx)
+        self.weights.pack_for(ctx, false)
     }
 }
 
@@ -331,8 +333,30 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Global average pooling: `c x h x w -> c x 1 x 1`.
+/// Global average pooling: `c x h x w -> c x 1 x 1`. Each channel's mean
+/// is one f64 sum over its plane in `(y, x)` order, divided by the area;
+/// eight channels' sums run in lockstep, one vector lane each.
 pub struct GlobalAvgPool;
+
+/// Channels whose planes [`GlobalAvgPool`] sums in lockstep.
+const GAP_LANES: usize = 8;
+
+/// The f64 sums of the first `L` planes of `planes` (each `plane` long),
+/// element by element in order: `L` independent chains.
+#[inline(always)]
+fn plane_sums<const L: usize>(planes: &[f32], plane: usize) -> [f64; L] {
+    let mut acc = [0.0f64; L];
+    let Some(planes) = planes.get(..L * plane) else {
+        return acc;
+    };
+    for i in 0..plane {
+        for (j, s) in acc.iter_mut().enumerate() {
+            // audit: checked i < plane and j < L keep j*plane + i below L*plane
+            *s += f64::from(planes[j * plane + i]);
+        }
+    }
+    acc
+}
 
 impl Layer for GlobalAvgPool {
     fn name(&self) -> &str {
@@ -344,16 +368,26 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&self, _ctx: &CakeGemm, input: &Tensor) -> Tensor {
-        let area = (input.height() * input.width()) as f64;
-        Tensor::from_fn(input.channels(), 1, 1, |c, _, _| {
-            let mut s = 0.0f64;
-            for y in 0..input.height() {
-                for x in 0..input.width() {
-                    s += input.get(c, y, x) as f64;
+        let plane = input.height() * input.width();
+        let area = plane as f64;
+        // An empty plane averages to 0 / 0.
+        let mut out = Tensor::from_fn(input.channels(), 1, 1, |_, _, _| (0.0 / area) as f32);
+        let (x, means) = (input.as_slice(), out.as_mut_slice());
+        if plane > 0 {
+            let groups = x.chunks(GAP_LANES * plane).zip(means.chunks_mut(GAP_LANES));
+            for (planes, means) in groups {
+                if means.len() == GAP_LANES {
+                    for (m, s) in means.iter_mut().zip(plane_sums::<GAP_LANES>(planes, plane)) {
+                        *m = (s / area) as f32;
+                    }
+                } else {
+                    for (m, one) in means.iter_mut().zip(planes.chunks(plane)) {
+                        *m = (plane_sums::<1>(one, plane)[0] / area) as f32;
+                    }
                 }
             }
-            (s / area) as f32
-        })
+        }
+        out
     }
 
     fn flops(&self, c: usize, h: usize, w: usize) -> u64 {
@@ -425,7 +459,7 @@ impl Layer for Linear {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.pack_for(ctx)
+        self.weights.pack_for(ctx, false)
     }
 }
 
@@ -476,6 +510,36 @@ mod tests {
         assert_eq!(out.height(), 2);
         assert_eq!(out.get(0, 0, 0), 5.0);
         assert_eq!(out.get(0, 1, 1), 15.0);
+    }
+
+    #[test]
+    fn gap_equals_the_per_element_formula_bit_for_bit() {
+        // The formula it replaced: one f64 chain per channel through
+        // `Tensor::get`, in (y, x) order. Channel counts around the lane
+        // group, planes down to one pixel, NaN, infinities and -0.0.
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e30, -1e-30];
+        for (c, h, w) in [(1, 1, 1), (7, 3, 5), (8, 4, 4), (9, 1, 3), (17, 6, 7), (256, 8, 8), (3, 0, 4)] {
+            let input = Tensor::from_fn(c, h, w, |ch, y, x| {
+                let i = (ch * h + y) * w + x;
+                if i % 11 == 3 {
+                    special[i / 11 % special.len()]
+                } else {
+                    ((i * 7919) % 1000) as f32 * 1.37e-3 - 0.6
+                }
+            });
+            let out = GlobalAvgPool.forward(&ctx(), &input);
+            let area = (h * w) as f64;
+            for ch in 0..c {
+                let mut s = 0.0f64;
+                for y in 0..h {
+                    for x in 0..w {
+                        s += input.get(ch, y, x) as f64;
+                    }
+                }
+                let want = (s / area) as f32;
+                assert_eq!(out.get(ch, 0, 0).to_bits(), want.to_bits(), "{c}x{h}x{w} channel {ch}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!    patch matrix lowered as it is packed ([`LoweredConv`]) and the
 //!    zero-point in the padding taps — a zero quantizes to exactly the
 //!    zero-point, so this equals quantizing the f32 patch matrix, at 1/4
-//!    of the bytes and 1/(KH*KW) of the quantizer work;
+//!    of the bytes and 1/(KH*KW) of the quantizer work — or read in place
+//!    (below);
 //! 3. requantize and add the bias in one row-wise pass over the
 //!    accumulator, with the row's scale and zero-point correction hoisted:
 //!
@@ -43,13 +44,33 @@
 //! ([`Layer::pack_weights`]) the int8 weights are packed once for the
 //! network's context and only the packed copy is kept; the scales and row
 //! sums stay as they are.
+//!
+//! **B read in place.** When the network's int8 kernel reads B tiles in
+//! place (AMX), a stride-1 convolution with `C_in` a multiple of 4 puts
+//! its weights' columns in [`KOrder::Groups`] order as it is pushed, and
+//! packs them at the depth of a B read in place. Then each pass whose
+//! output tiles into whole slivers (`OW % 16 == 0`, `OH*OW % 32 == 0`)
+//! quantizes its input into the halo-padded channel-group layout
+//! `[H + 2p + e][C_in/4][W + 2p][4]` ([`quantize_activation_groups`]):
+//! each dword holds one pixel's 4 channels of a group, the halo holds the
+//! zero-point, and `e` spare rows cover the padding rows of the last
+//! output row. In that layout the 16 tile rows of one B tile, 16 output
+//! pixels of one output row at 16 consecutive `(dy, c/4)` pairs, are
+//! `(W + 2p) * 4` bytes apart, so the GEMM's B is a
+//! [`TiledB`](cake_kernels::pack::TiledB) over the quantized input
+//! ([`GroupedInput`]) and the AMX kernel loads every
+//! tile of it in place: no B is packed. Any other pass (an output row not
+//! a whole number of tiles, the benchmark's 8-wide conv5) quantizes
+//! channel-major and lowers through [`LoweredConv`] in the same order.
+//! Either way the scale and zero-point come from the same range and the
+//! GEMM is exact, so the output bits are those of the packed path.
 
 use cake_core::api::CakeGemm;
-use cake_kernels::pack::PackB;
-use cake_kernels::quant::{quantize_into, zero_inclusive_range};
+use cake_kernels::pack::{PackB, TILE_KGROUP};
+use cake_kernels::quant::{quantize_groups_into, quantize_into, zero_inclusive_range};
 use cake_matrix::{Layout, Matrix};
 
-use crate::im2col::{ConvGeom, LoweredConv};
+use crate::im2col::{ConvGeom, GroupedInput, KOrder, LoweredConv};
 use crate::layers::{relu, Layer, WeightPack, Weights};
 use crate::tensor::Tensor;
 
@@ -138,16 +159,42 @@ pub struct ActQuant {
 /// ([`cake_kernels::quant`]), with bit-identical results either way.
 // audit: cold activation quantization staging, allocates the int8 activation buffer
 pub fn quantize_activations(x: &Matrix<f32>) -> (Matrix<i8>, ActQuant) {
-    let (lo, hi) = zero_inclusive_range(x.as_slice());
+    let aq = ActQuant::of(x.as_slice());
     let mut q = Matrix::zeros_with_layout(x.rows(), x.cols(), x.layout());
-    let range = hi - lo;
-    if range == 0.0 {
-        return (q, ActQuant { scale: 1.0, zero_point: 0 });
+    quantize_into(x.as_slice(), q.as_mut_slice(), aq.scale, aq.zero_point);
+    (q, aq)
+}
+
+/// [`quantize_activations`] of a `C x H x W` tensor (`C` a multiple of 4)
+/// into the channel-group layout `[rows][C/4][W + 2*pad][4]`, zero-point
+/// everywhere but the interior: pixel `(y, x)` of channel `c` is byte `c %
+/// 4` of the dword at row `y + pad`, group `c / 4`, column `x + pad`
+/// ([`quantize_groups_into`]). The mapping is the one
+/// [`quantize_activations`] gives the same tensor, bit for bit.
+// audit: cold activation quantization staging, allocates the int8 activation buffer
+pub fn quantize_activation_groups(x: &Tensor, pad: usize, rows: usize) -> (Vec<i8>, ActQuant) {
+    let aq = ActQuant::of(x.as_slice());
+    let (c, h, w) = (x.channels(), x.height(), x.width());
+    // zero_point is clamped to [-128, 127], so the cast is exact.
+    let mut q = vec![aq.zero_point as i8; rows * c / TILE_KGROUP * (w + 2 * pad) * TILE_KGROUP];
+    quantize_groups_into(x.as_slice(), (c, h, w), pad, &mut q, aq.scale, aq.zero_point);
+    (q, aq)
+}
+
+impl ActQuant {
+    /// The per-tensor mapping of `[min(x, 0), max(x, 0)]` onto `[-128,
+    /// 127]`: scale 1 and zero-point 0 for an all-zero (or all-NaN) `x`,
+    /// whose every element then quantizes to 0.
+    fn of(x: &[f32]) -> Self {
+        let (lo, hi) = zero_inclusive_range(x);
+        let range = hi - lo;
+        if range == 0.0 {
+            return ActQuant { scale: 1.0, zero_point: 0 };
+        }
+        let scale = range / 255.0;
+        let zero_point = (-128.0 - lo / scale).round().clamp(-128.0, 127.0) as i32;
+        ActQuant { scale, zero_point }
     }
-    let scale = range / 255.0;
-    let zero_point = (-128.0 - lo / scale).round().clamp(-128.0, 127.0) as i32;
-    quantize_into(x.as_slice(), q.as_mut_slice(), scale, zero_point);
-    (q, ActQuant { scale, zero_point })
 }
 
 /// Run `wq * xq` in int8 through the shared context and requantize to f32
@@ -183,8 +230,8 @@ fn quant_gemm_requant(
 }
 
 /// Int8-quantized 2D convolution: quantize the input, int8 CAKE GEMM on
-/// its patch matrix lowered as it is packed (the zero-point as padding),
-/// fused requantize.
+/// its patch matrix lowered as it is packed (the zero-point as padding) or
+/// read in place, fused requantize.
 pub struct QuantConv2d {
     name: String,
     weights: QuantLayerWeights,
@@ -192,6 +239,9 @@ pub struct QuantConv2d {
     geom: ConvGeom,
     in_ch: usize,
     out_ch: usize,
+    /// The order of the weights' columns, the GEMM's k: channels until the
+    /// layer joins a network whose int8 kernel reads B tiles in place.
+    order: KOrder,
 }
 
 impl QuantConv2d {
@@ -217,21 +267,38 @@ impl QuantConv2d {
             geom,
             in_ch,
             out_ch,
+            order: KOrder::Channels,
         }
     }
 
     /// Quantize the input, run the int8 GEMM and requantize over its
-    /// accumulator, with `clamp` taking the ReLU in the same pass.
+    /// accumulator, with `clamp` taking the ReLU in the same pass. B is
+    /// read in place when the weights are in group order and the input has
+    /// a [`GroupedInput`] layout, and lowered otherwise.
     fn quant_conv(&self, ctx: &CakeGemm, input: &Tensor, clamp: bool) -> Tensor {
         assert_eq!(input.channels(), self.in_ch, "{}: channel mismatch", self.name);
         let (h, w) = (input.height(), input.width());
-        let (xq, aq) = quantize_activations(input.as_matrix());
-        // audit: cold quantized input tensor wrap, allocated per layer by contract
-        let xq = Tensor::from_matrix(xq, h, w);
-        // zero_point is clamped to [-128, 127], so the cast is exact.
-        let patches = LoweredConv::new(&xq, &self.geom, aq.zero_point as i8);
         let (oh, ow) = self.geom.out_dims(h, w);
-        let y = quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias, clamp);
+        let grouped = match self.order {
+            KOrder::Groups => GroupedInput::new(self.in_ch, (h, w), &self.geom),
+            KOrder::Channels => None,
+        };
+        let y = match grouped {
+            Some(layout) => {
+                let (xq, aq) = quantize_activation_groups(input, self.geom.pad, layout.rows());
+                // audit: checked the layout's length is the quantized buffer's
+                let patches = layout.patches(&xq).expect("the quantized input fills its layout");
+                quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias, clamp)
+            }
+            None => {
+                let (xq, aq) = quantize_activations(input.as_matrix());
+                // audit: cold quantized input tensor wrap, allocated per layer by contract
+                let xq = Tensor::from_matrix(xq, h, w);
+                // zero_point is clamped to [-128, 127], so the cast is exact.
+                let patches = LoweredConv::new(&xq, &self.geom, aq.zero_point as i8).with_order(self.order);
+                quant_gemm_requant(ctx, &self.weights, &patches, aq, &self.bias, clamp)
+            }
+        };
         // audit: cold output tensor wrap, allocated per layer by contract
         Tensor::from_matrix(y, oh, ow)
     }
@@ -263,8 +330,21 @@ impl Layer for QuantConv2d {
         2 * (self.out_ch * self.in_ch * self.geom.kh * self.geom.kw * oh * ow) as u64
     }
 
+    /// Packs the weights once; first, where the network's int8 kernel reads
+    /// B tiles in place (and the convolution has stride 1 and `C_in` a
+    /// multiple of 4), puts their columns in [`KOrder::Groups`] order, the
+    /// k order of a B read in place, and packs them at its depth.
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.q.pack_for(ctx)
+        let groups_k = KOrder::Groups.rows(self.in_ch, &self.geom);
+        let tiles = self.geom.stride == 1
+            && self.in_ch > 0
+            && self.in_ch.is_multiple_of(TILE_KGROUP)
+            && cake_kernels::best_kernel_for_depth::<i8>(groups_k).reads_b_tiles();
+        if let (true, Weights::Rows(w)) = (tiles, &self.weights.q) {
+            self.weights.q = Weights::Rows(KOrder::Groups.reorder(w, self.in_ch, &self.geom));
+            self.order = KOrder::Groups;
+        }
+        self.weights.q.pack_for(ctx, tiles)
     }
 }
 
@@ -327,14 +407,14 @@ impl Layer for QuantLinear {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.q.pack_for(ctx)
+        self.weights.q.pack_for(ctx, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Linear};
+    use crate::layers::{Conv2d, Linear, WeightPack};
     use crate::network::Sequential;
     use cake_core::api::CakeConfig;
     use cake_matrix::init;
@@ -564,19 +644,23 @@ mod tests {
         ]
     }
 
+    /// Every layer's output bits of [`int8_net`], hashed, as the commit
+    /// before the mask-driven lowering produced them.
+    const INT8_NET_WANT: [u64; 15] = [
+        0x035bbc0958db38d3, 0x1684287007d63897, 0x7d1b3ca7ad61817e,
+        0x3f45e92eeb19b29d, 0xfd68e953a3007cea, 0x3a67775140cdacb7,
+        0xb0636cbae64b754b, 0x141d114a7e115fba, 0xc352729dc76331d0,
+        0x35ed895fe2c9d3b5, 0x3bb2f0ab17e77467, 0x27976639efb0219b,
+        0x9d8256938cf7d649, 0x7c27e55410f8d1ab, 0x4d27043eaf80f555,
+    ];
+
     #[test]
     fn int8_net_layer_outputs_are_pinned_at_p1_and_p2() {
         // Every layer's output bits, hashed, as the commit before the
         // mask-driven lowering produced them. int8 GEMMs are exact on every
         // kernel tier and the quantizer's copies are bit-identical, so the
         // hashes hold on any host and at any p.
-        const WANT: [u64; 15] = [
-            0x035bbc0958db38d3, 0x1684287007d63897, 0x7d1b3ca7ad61817e,
-            0x3f45e92eeb19b29d, 0xfd68e953a3007cea, 0x3a67775140cdacb7,
-            0xb0636cbae64b754b, 0x141d114a7e115fba, 0xc352729dc76331d0,
-            0x35ed895fe2c9d3b5, 0x3bb2f0ab17e77467, 0x27976639efb0219b,
-            0x9d8256938cf7d649, 0x7c27e55410f8d1ab, 0x4d27043eaf80f555,
-        ];
+        const WANT: [u64; 15] = INT8_NET_WANT;
         let input = Tensor::from_matrix(init::random::<f32>(3, 32 * 32, 7), 32, 32);
         for p in [1, 2] {
             let ctx = CakeGemm::new(CakeConfig::with_threads(p));
@@ -589,6 +673,54 @@ mod tests {
                 })
                 .collect();
             assert_eq!(got, WANT, "p = {p}");
+        }
+    }
+
+    /// A layer of [`int8_net`] as a `Sequential` takes it.
+    struct Pushed(Box<dyn Layer>);
+
+    impl Layer for Pushed {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn out_shape(&self, c: usize, h: usize, w: usize) -> (usize, usize, usize) {
+            self.0.out_shape(c, h, w)
+        }
+        fn forward(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+            self.0.forward(ctx, input)
+        }
+        fn forward_relu(&self, ctx: &CakeGemm, input: &Tensor) -> Tensor {
+            self.0.forward_relu(ctx, input)
+        }
+        fn flops(&self, c: usize, h: usize, w: usize) -> u64 {
+            self.0.flops(c, h, w)
+        }
+        fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
+            self.0.pack_weights(ctx)
+        }
+    }
+
+    #[test]
+    fn pushed_int8_net_prefixes_are_pinned_at_p1_and_p2() {
+        // The same hashes from each prefix of the net pushed into a
+        // network, whose GEMM layers pack their weights once: on an AMX
+        // host conv2 and conv3 read B in place, and conv4 and conv5 (output
+        // rows narrower than a tile) lower in the same group order.
+        let input = Tensor::from_matrix(init::random::<f32>(3, 32 * 32, 7), 32, 32);
+        for p in [1, 2] {
+            for upto in 1..=INT8_NET_WANT.len() {
+                let mut net = Sequential::new(CakeConfig::with_threads(p));
+                for layer in int8_net().into_iter().take(upto) {
+                    net = net.push(Pushed(layer));
+                }
+                let (out, reports) = net.forward(&input);
+                assert_eq!(fnv1a(out.as_matrix().as_slice()), INT8_NET_WANT[upto - 1], "p = {p}, {upto} layers");
+                // Where the kernel reads B tiles, conv2 and conv3 pack no B.
+                if upto == INT8_NET_WANT.len() && cake_kernels::best_kernel::<i8>().reads_b_tiles() {
+                    let packs_b = |i: usize| reports[i].gemm.pack_b_ns > 0;
+                    assert_eq!([0, 2, 5, 8, 11].map(packs_b), [true, false, false, true, true], "p = {p}");
+                }
+            }
         }
     }
 

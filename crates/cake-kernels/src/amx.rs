@@ -10,6 +10,15 @@
 //! multiple of 64, so the k-loop has no tail. Products are exact in i32,
 //! so the kernel is bit-identical to the widening scalar reference.
 //!
+//! The kernel also reads a B sliver in place ([`BTiles`]): a `tileloadd`
+//! takes its 16 rows at any stride, so a B whose tiles already sit in
+//! memory (a convolution's input stored channel-group-interleaved,
+//! `cake_dnn::quant`) is loaded with one instruction per tile and k-step
+//! from its own base, step offset and row stride, and is never packed.
+//! The A side and the C tiles are the packed kernel's. A C tile that is
+//! partial (fewer than 32 live rows or columns) or strided is accumulated
+//! into a dense 32 x 32 tile first, whose live corner is then added in.
+//!
 //! Three things are not available on stable Rust and are done by hand:
 //!
 //! * the instructions (`ldtilecfg`, `tileloadd`, `tdpbssd`, `tilestored`)
@@ -36,7 +45,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::pack::{PackLayout, TILE_K, TILE_ROWS};
-use crate::ukernel::Ukr;
+use crate::ukernel::{BTiles, Ukr};
 
 const MR: usize = 32;
 const NR: usize = 32;
@@ -108,9 +117,11 @@ fn request_tile_permission() -> bool {
 }
 
 /// The int8 `32x32` AMX kernel (i32 accumulate), if this process may run
-/// it ([`int8_available`]).
+/// it ([`int8_available`]), with its in-place B entry.
 pub fn amx_i8_32x32() -> Option<Ukr<i8>> {
-    int8_available().then(|| Ukr::with_layout(PackLayout::tiles(MR, NR), "amx_i8_32x32", ukr_i8_32x32))
+    int8_available().then(|| {
+        Ukr::with_layout(PackLayout::tiles(MR, NR), "amx_i8_32x32", ukr_i8_32x32).with_b_tiles(ukr_i8_b_tiles)
+    })
 }
 
 /// The 64-byte `ldtilecfg` operand: palette 1, and tiles 0-7 each 16 rows
@@ -176,12 +187,53 @@ unsafe fn ukr_i8_32x32(kc: usize, a: *const i8, b: *const i8, c: *mut i32, rsc: 
         let mut tile = [0i32; MR * NR];
         // SAFETY: a/b as above; tile is a dense 32 x 32 i32 block.
         unsafe { tile_gemm(steps, a, b, tile.as_mut_ptr(), NR) };
-        for (i, row) in tile.chunks_exact(NR).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                // SAFETY: the contract makes c[i*rsc + j*csc] valid for
-                // i, j < 32.
-                unsafe { *c.add(i * rsc + j * csc) += v };
-            }
+        // SAFETY: the contract makes c[i*rsc + j*csc] valid for i, j < 32.
+        unsafe { add_tile(&tile, c, (rsc, csc), (MR, NR)) };
+    }
+}
+
+/// The in-place B entry ([`crate::ukernel::BTilesFn`]): a whole row-major
+/// tile runs straight into C, any other through a dense tile.
+///
+/// # Safety
+/// [`crate::ukernel::BTilesFn`]'s contract for the `32x32` tile layout,
+/// plus AMX-TILE/AMX-INT8 with the tile-data permission granted, which
+/// [`amx_i8_32x32`] checks before handing out this pointer.
+unsafe fn ukr_i8_b_tiles(
+    a: *const i8,
+    b: BTiles<'_, i8>,
+    c: *mut i32,
+    (rsc, csc): (usize, usize),
+    (mrows, ncols): (usize, usize),
+) {
+    if b.steps.is_empty() || mrows == 0 || ncols == 0 {
+        return;
+    }
+    configure_tiles();
+    if (mrows, ncols, csc) == (MR, NR, 1) {
+        // SAFETY: the caller's contract: a holds the steps' packed A
+        // tiles, b names readable tile rows, and C rows i < 32 hold 32
+        // valid i32.
+        unsafe { tile_gemm_b(a, b, c, rsc) };
+        return;
+    }
+    let mut tile = [0i32; MR * NR];
+    // SAFETY: a/b as above; tile is a dense 32 x 32 i32 block.
+    unsafe { tile_gemm_b(a, b, tile.as_mut_ptr(), NR) };
+    // SAFETY: the contract makes c[i*rsc + j*csc] valid for i < mrows,
+    // j < ncols.
+    unsafe { add_tile(&tile, c, (rsc, csc), (mrows, ncols)) };
+}
+
+/// Add the `mrows x ncols` corner of a dense `32 x 32` tile into C.
+///
+/// # Safety
+/// `c[i*rsc + j*csc]` is valid for `i < mrows`, `j < ncols`.
+unsafe fn add_tile(tile: &[i32; MR * NR], c: *mut i32, (rsc, csc): (usize, usize), (mrows, ncols): (usize, usize)) {
+    for (i, row) in tile.chunks_exact(NR).enumerate().take(mrows) {
+        for (j, &v) in row.iter().enumerate().take(ncols) {
+            // SAFETY: i < mrows and j < ncols, valid by the contract.
+            unsafe { *c.add(i * rsc + j * csc) += v };
         }
     }
 }
@@ -236,6 +288,68 @@ unsafe fn tile_gemm(steps: usize, a: *const i8, b: *const i8, c: *mut i32, rs: u
             tile = const TILE_BYTES,
             astep = const A_STEP_BYTES,
             bstep = const B_STEP_BYTES,
+            options(nostack),
+        );
+    }
+}
+
+/// [`tile_gemm`] with B read in place: step `s` loads B tile `t` from
+/// `b.tiles[t] + b.steps[s]`, its 16 rows `b.row_stride` bytes apart.
+///
+/// # Safety
+/// This thread's tile configuration is loaded; `a` holds
+/// `b.steps.len() * 2048` bytes; `b.steps` is not empty and every tile row
+/// it names is readable for 64 bytes; rows `0..32` of C hold 32 i32 each
+/// at `c + i * rs`.
+#[inline]
+unsafe fn tile_gemm_b(a: *const i8, b: BTiles<'_, i8>, c: *mut i32, rs: usize) {
+    let c_low = c.wrapping_add(TILE_ROWS * rs);
+    let [b0, b1] = b.tiles;
+    // audit: bounds amx_c_tile amx_a_tile_load amx_b_tile_in_place
+    // SAFETY: the C tiles and A tiles as in `tile_gemm`. Step s < steps
+    // loads B tile t from tiles[t] + steps[s], 16 rows of 64 bytes at
+    // stride row_stride: readable by the contract. `off` walks the step
+    // offsets, one usize each.
+    unsafe {
+        asm!(
+            "tileloadd tmm0, [{c0} + {cs}*1]",
+            "tileloadd tmm1, [{c0} + {cs}*1 + 64]",
+            "tileloadd tmm2, [{c1} + {cs}*1]",
+            "tileloadd tmm3, [{c1} + {cs}*1 + 64]",
+            "2:",
+            "mov {t}, qword ptr [{off}]",
+            "lea {p}, [{b0} + {t}]",
+            "tileloadd tmm6, [{p} + {rb}*1]",
+            "tileloadd tmm4, [{a} + {s}*1]",
+            "tdpbssd tmm0, tmm4, tmm6",
+            "lea {p}, [{b1} + {t}]",
+            "tileloadd tmm7, [{p} + {rb}*1]",
+            "tdpbssd tmm1, tmm4, tmm7",
+            "tileloadd tmm5, [{a} + {s}*1 + {tile}]",
+            "tdpbssd tmm2, tmm5, tmm6",
+            "tdpbssd tmm3, tmm5, tmm7",
+            "add {a}, {astep}",
+            "add {off}, 8",
+            "dec {n}",
+            "jnz 2b",
+            "tilestored [{c0} + {cs}*1], tmm0",
+            "tilestored [{c0} + {cs}*1 + 64], tmm1",
+            "tilestored [{c1} + {cs}*1], tmm2",
+            "tilestored [{c1} + {cs}*1 + 64], tmm3",
+            a = inout(reg) a => _,
+            off = inout(reg) b.steps.as_ptr() => _,
+            n = inout(reg) b.steps.len() => _,
+            b0 = in(reg) b0,
+            b1 = in(reg) b1,
+            rb = in(reg) b.row_stride,
+            t = out(reg) _,
+            p = out(reg) _,
+            c0 = in(reg) c,
+            c1 = in(reg) c_low,
+            cs = in(reg) rs * 4,
+            s = in(reg) TILE_K,
+            tile = const TILE_BYTES,
+            astep = const A_STEP_BYTES,
             options(nostack),
         );
     }
@@ -312,6 +426,60 @@ mod tests {
                             3
                         };
                         assert_eq!(c[i * ld + j], want, "kc={kc} {rows}x{cols} at ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The in-place entry against the widening reference: A packed, B's
+    /// tiles copied out of a packed sliver to a row stride wider than a
+    /// tile row, tile 1 before tile 0 and the k-steps in reverse order,
+    /// everything else in the buffer garbage. Full, partial and strided C
+    /// tiles; nothing outside the live corner changes.
+    #[test]
+    fn b_tiles_read_in_place_match_reference() {
+        let Some(ukr) = amx_i8_32x32() else {
+            return;
+        };
+        assert!(ukr.reads_b_tiles());
+        let layout = ukr.pack_layout();
+        for steps in 1..=4usize {
+            let kc = steps * TILE_K;
+            let a = init::random_i8(MR, kc, steps as u64);
+            let b = init::random_i8(kc, NR, steps as u64 + 10);
+            let mut pa = vec![0i8; layout.a_size(MR, kc)];
+            let mut pb = vec![0i8; layout.b_size(kc, NR)];
+            layout.pack_a(&a.view(), &mut pa);
+            layout.pack_b(&b.view(), &mut pb);
+            let row = TILE_K + 24;
+            let mut src = vec![99i8; (2 * steps + 1) * TILE_ROWS * row];
+            let tiles = [TILE_ROWS * row, 0];
+            let offs: Vec<usize> = (0..steps).map(|s| (steps - 1 - s) * 2 * TILE_ROWS * row + TILE_ROWS * row).collect();
+            for (s, &off) in offs.iter().enumerate() {
+                for (t, &base) in tiles.iter().enumerate() {
+                    for r in 0..TILE_ROWS {
+                        let at = base + off + r * row;
+                        let from = s * B_STEP_BYTES + t * TILE_BYTES + r * TILE_K;
+                        src[at..at + TILE_K].copy_from_slice(&pb[from..from + TILE_K]);
+                    }
+                }
+            }
+            let bt = BTiles { tiles: tiles.map(|t| src.as_ptr().wrapping_add(t)), steps: &offs, row_stride: row };
+            for (mrows, ncols, rsc, csc) in [(32, 32, 32, 1), (32, 32, 40, 1), (5, 32, 32, 1), (32, 7, 32, 1), (17, 31, 1, 33), (1, 1, 3, 1)] {
+                let len = 31 * rsc + 31 * csc + 1;
+                let mut c: Vec<i32> = (0..len).map(|i| (i % 7) as i32 - 3).collect();
+                let before = c.clone();
+                // SAFETY: pa is a whole A sliver of `steps` k-steps, every
+                // tile row bt names lies inside src, and c holds every
+                // c[i*rsc + j*csc] for i, j < 32.
+                unsafe { ukr.call_b_tiles(pa.as_ptr(), bt, c.as_mut_ptr(), (rsc, csc), (mrows, ncols)) };
+                for i in 0..MR {
+                    for j in 0..NR {
+                        let at = i * rsc + j * csc;
+                        let dot = (0..kc).map(|k| a.get(i, k) as i32 * b.get(k, j) as i32).sum::<i32>();
+                        let want = before[at] + if i < mrows && j < ncols { dot } else { 0 };
+                        assert_eq!(c[at], want, "steps={steps} {mrows}x{ncols} rsc={rsc} csc={csc} at ({i},{j})");
                     }
                 }
             }

@@ -241,6 +241,12 @@ mod lanecopy {
     /// piece)*piece_stride + i*stride + l % piece` of `dst`. Mask bits from
     /// `width` on are ignored.
     ///
+    /// Each register of a row is loaded once, with one masked load, and
+    /// each piece's lanes of it go out with one masked store, addressed so
+    /// that the register's lane `q` lands at its place in the piece: a
+    /// VNNI lane group of four 16-wide slivers loads its 64-byte row once,
+    /// not once per sliver.
+    ///
     /// # Safety
     /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8, `n <=
     /// TILE_K`, `width <= 64` and `piece >= 1`; `pad` must be readable for
@@ -260,12 +266,16 @@ mod lanecopy {
     ) {
         let super::RowPlace { width, stride, piece, piece_stride } = place;
         let lanes = 64 / S;
-        // SAFETY: `pad` is read for `S` bytes. Chunk `j` of piece `p` of
-        // row `i` is lanes `l0 + j .. l0 + j + len`, `l0 = p*piece`, all
-        // below `width`: its masked load reads only the row's set lanes
-        // among them, readable by the contract (`at[i]` wraps, so only
-        // those lanes' addresses must be in bounds), and its store writes
-        // them to elements `p*piece_stride + i*stride + j ..` of `dst`.
+        let regs = width.min(64).div_ceil(lanes);
+        // SAFETY: `pad` is read for `S` bytes. Register `r` of row `i` is
+        // lanes `first = r*lanes ..`, below `width`: its masked load reads
+        // only the row's set lanes among them, readable by the contract
+        // (`at[i]` wraps, so only those lanes' addresses must be in
+        // bounds). Its store for piece `p` writes only the lanes `lo..hi`
+        // of the register that belong to the piece, lane `first + q` to
+        // element `p*piece_stride + i*stride + first + q - p*piece` of
+        // `dst` (the base may point before the piece; masked-off lanes are
+        // not accessed).
         unsafe {
             let pad = match S {
                 1 => _mm512_set1_epi8(pad.cast::<i8>().read()),
@@ -273,24 +283,35 @@ mod lanecopy {
                 4 => _mm512_set1_epi32(pad.cast::<i32>().read_unaligned()),
                 _ => _mm512_set1_epi64(pad.cast::<i64>().read_unaligned()),
             };
-            for (p, l0) in (0..width).step_by(piece).enumerate() {
-                let len = piece.min(width - l0);
-                let mut fill = [_mm512_setzero_si512(); 8];
-                for (j, f) in fill.iter_mut().enumerate().take(len.div_ceil(lanes)) {
-                    let k = low_lanes((len - j * lanes).min(lanes));
-                    *f = keep_lanes::<S>(low_lanes(live.saturating_sub(l0 + j * lanes)) & k, pad);
-                }
-                let piece_out = dst.wrapping_add(p * piece_stride * S);
-                for (i, (&at, &m)) in at.iter().zip(mask).enumerate().take(n) {
-                    let m = (m & low_lanes(width)) >> l0;
-                    let row = src.wrapping_add(at.wrapping_add(l0).wrapping_mul(S));
-                    let out = piece_out.wrapping_add(i * stride * S);
-                    for (j, &f) in fill.iter().enumerate().take(len.div_ceil(lanes)) {
-                        let first = j * lanes;
-                        let k = low_lanes((len - first).min(lanes));
-                        let x = load::<S>(f, m >> first & k, row.wrapping_add(first * S));
-                        store::<S>(out.wrapping_add(first * S), k, x);
+            // Per register, its fill and live lanes; per (register, piece)
+            // pair, the store's byte offset from the row's output and its
+            // lanes. At most 8 registers and 64 pieces, so 72 pairs.
+            let (mut fill, mut live_k) = ([_mm512_setzero_si512(); 8], [0u64; 8]);
+            let (mut stores, mut count) = ([(0usize, 0usize, 0u64); 72], 0);
+            for r in 0..regs.min(8) {
+                let (first, len) = (r * lanes, (width - r * lanes).min(lanes));
+                live_k[r] = low_lanes(len);
+                fill[r] = keep_lanes::<S>(low_lanes(live.saturating_sub(first)) & live_k[r], pad);
+                for p in first / piece..=(first + len - 1) / piece {
+                    let (lo, hi) = ((p * piece).max(first), (p * piece + piece).min(first + len));
+                    let keep = low_lanes(hi - first) & !low_lanes(lo - first);
+                    let at = (p * piece_stride).wrapping_add(first).wrapping_sub(p * piece).wrapping_mul(S);
+                    if let Some(slot) = stores.get_mut(count) {
+                        *slot = (r, at, keep);
+                        count += 1;
                     }
+                }
+            }
+            let mut x = [_mm512_setzero_si512(); 8];
+            for (i, (&at, &m)) in at.iter().zip(mask).enumerate().take(n) {
+                let m = m & low_lanes(width);
+                let row = src.wrapping_add(at.wrapping_mul(S));
+                for (r, v) in x.iter_mut().enumerate().take(regs) {
+                    *v = load::<S>(fill[r], m >> (r * lanes) & live_k[r], row.wrapping_add(r * lanes * S));
+                }
+                let out = dst.wrapping_add(i * stride * S);
+                for &(r, at, keep) in stores.iter().take(count) {
+                    store::<S>(out.wrapping_add(at), keep, x[r % 8]);
                 }
             }
         }
@@ -1418,6 +1439,143 @@ pub trait PackB<T: Element>: Sync {
     /// Panics if `dst` is shorter than [`PackLayout::b_size`] or the block
     /// leaves the operand.
     fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout);
+
+    /// This B's tiles in memory, when it has the AMX kernel's B tile
+    /// layout already ([`TiledB`]): a kernel that reads B tiles in place
+    /// ([`Ukr::reads_b_tiles`](crate::Ukr::reads_b_tiles)) then loads them
+    /// where they are, and the operand is never packed. `None` (the
+    /// default) for every B that must be packed.
+    fn tiled_b(&self) -> Option<&TiledB<'_, T>> {
+        None
+    }
+}
+
+/// Most k-steps of [`TILE_K`] a [`TiledB`] spans: its K is at most
+/// `64 * MAX_B_STEPS`.
+pub const MAX_B_STEPS: usize = 64;
+
+/// A `K x N` B whose memory already has the AMX kernel's B tile layout, at
+/// any row stride: the 16 columns from `j` (a multiple of 16) of k-step `s`
+/// are a B tile, 16 rows of [`TILE_K`] elements with each column's 4 k
+/// values adjacent, at
+///
+/// ```text
+/// src[tile_at(j) + steps[s] + r * row_stride ..][..64],  r < 16,
+/// tile_at(j) = j / seg * seg_pitch + j % seg * 4
+/// ```
+///
+/// So the columns come in segments of `seg` (one output row of a
+/// convolution), `seg_pitch` elements apart, and each k-step names where
+/// its rows start. `K = 64 * steps.len()`, and `N` is whole 32-column
+/// slivers. A kernel that reads B tiles loads each of them in place
+/// ([`TiledB::sliver`]); any other kernel packs it like any [`PackB`].
+///
+/// [`TiledB::new`] checks the reach of every tile row once, as
+/// [`LaneRows::in_bounds`] admits a lane group: the highest row ends inside
+/// `src`, so the pointers [`TiledB::sliver`] computes need no further check.
+#[derive(Clone, Copy, Debug)]
+pub struct TiledB<'a, T> {
+    src: &'a [T],
+    cols: usize,
+    seg: usize,
+    seg_pitch: usize,
+    row_stride: usize,
+    steps: [usize; MAX_B_STEPS],
+    nsteps: usize,
+}
+
+impl<'a, T: Element> TiledB<'a, T> {
+    /// The B over `src` with `cols` columns in segments `(seg, seg_pitch)`,
+    /// tile rows `row_stride` apart and one offset per k-step in `steps`.
+    /// `None` unless `steps` holds 1 to [`MAX_B_STEPS`] offsets, `cols` is
+    /// a positive multiple of 32, `seg` one of 16 with `seg_pitch >= 4 *
+    /// seg` (so `tile_at` never falls as `j` grows), and the highest tile
+    /// row, `tile_at(cols - 16) + max(steps) + 15 * row_stride`, ends inside
+    /// `src`.
+    pub fn new(src: &'a [T], cols: usize, (seg, seg_pitch): (usize, usize), row_stride: usize, steps: &[usize]) -> Option<Self> {
+        let shaped = (1..=MAX_B_STEPS).contains(&steps.len())
+            && cols > 0
+            && cols.is_multiple_of(TILE_MAX_NR)
+            && seg > 0
+            && seg.is_multiple_of(TILE_ROWS)
+            && seg.checked_mul(TILE_KGROUP).is_some_and(|w| seg_pitch >= w);
+        if !shaped {
+            return None;
+        }
+        let mut b = Self { src, cols, seg, seg_pitch, row_stride, steps: [0; MAX_B_STEPS], nsteps: steps.len() };
+        b.steps[..steps.len()].copy_from_slice(steps);
+        let last = cols - TILE_ROWS;
+        let highest = (last / seg)
+            .checked_mul(seg_pitch)?
+            .checked_add(last % seg * TILE_KGROUP)?
+            .checked_add(*steps.iter().max()?)?
+            .checked_add((TILE_ROWS - 1).checked_mul(row_stride)?)?
+            .checked_add(TILE_K)?;
+        (highest <= src.len()).then_some(b)
+    }
+
+    /// Where the 16-column tile from column `j` starts, before the step
+    /// offset.
+    #[inline]
+    pub fn tile_at(&self, j: usize) -> usize {
+        j / self.seg * self.seg_pitch + j % self.seg * TILE_KGROUP
+    }
+
+    /// The tiles of the 32-column sliver from column `col` (a multiple of
+    /// 32) over the k-block of `kl` rows from `k0` (multiples of 64): the
+    /// block's k-steps, or none where the block leaves B. The pointers are
+    /// only computed; [`TiledB::new`] checked that every row they name lies
+    /// in `src`, for every sliver and step.
+    #[inline]
+    pub fn sliver(&self, col: usize, k0: usize, kl: usize) -> crate::ukernel::BTiles<'_, T> {
+        let (s0, n) = (k0 / TILE_K, kl / TILE_K);
+        let steps = self.steps.get(s0..(s0 + n).min(self.nsteps)).unwrap_or_default();
+        let base = self.src.as_ptr();
+        crate::ukernel::BTiles {
+            tiles: [base.wrapping_add(self.tile_at(col)), base.wrapping_add(self.tile_at(col + TILE_ROWS))],
+            steps,
+            row_stride: self.row_stride,
+        }
+    }
+
+    /// `B[k][j]`, or zero outside B.
+    fn get(&self, k: usize, j: usize) -> T {
+        let step = self.steps.get(k / TILE_K).copied().unwrap_or_default();
+        let at = self.tile_at(j - j % TILE_ROWS) + step + k % TILE_K / TILE_KGROUP * self.row_stride;
+        self.src.get(at + j % TILE_ROWS * TILE_KGROUP + k % TILE_KGROUP).copied().unwrap_or(T::ZERO)
+    }
+}
+
+impl<T: Element> PackB<T> for TiledB<'_, T> {
+    fn rows(&self) -> usize {
+        self.nsteps * TILE_K
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// For a kernel that does not read B tiles: one element at a time into
+    /// the zeroed block.
+    fn pack_block(&self, k0: usize, n0: usize, kl: usize, nl: usize, dst: &mut [T], layout: &PackLayout) {
+        let need = layout.b_size(kl, nl);
+        // audit: cold buffer-size precondition, once per pack call before the sliver loop
+        assert!(dst.len() >= need, "packed B buffer too small: {} < {need}", dst.len());
+        // audit: cold block-extent precondition, once per pack call before the sliver loop
+        assert!(k0 + kl <= self.rows() && n0 + nl <= self.cols, "block outside the tiled B");
+        dst.iter_mut().take(need).for_each(|d| *d = T::ZERO);
+        for k in 0..kl {
+            for j in 0..nl {
+                if let Some(d) = dst.get_mut(layout.b_index(k, j, kl)) {
+                    *d = self.get(k0 + k, n0 + j);
+                }
+            }
+        }
+    }
+
+    fn tiled_b(&self) -> Option<&TiledB<'_, T>> {
+        Some(self)
+    }
 }
 
 impl<T: Element> PackB<T> for MatrixView<'_, T> {
@@ -1901,6 +2059,73 @@ mod tests {
             let mut buf8 = vec![0i8; packed_b_size(kc, nc, 16)];
             pack_b(&src8, &mut buf8, 16);
             prop_assert_eq!(unpack_b(&buf8, kc, nc, 16), m8.as_slice().to_vec());
+        }
+    }
+
+    /// `b` (`K x N`, `K` a multiple of 64) k-interleaved, `[K/4][N][4]`:
+    /// a [`TiledB`] with one segment, tile rows `4N` apart.
+    fn interleaved(b: &Matrix<i8>) -> (Vec<i8>, Vec<usize>) {
+        let (k, n) = (b.rows(), b.cols());
+        let mut src = vec![0i8; k * n];
+        for kk in 0..k {
+            for j in 0..n {
+                src[kk / 4 * 4 * n + j * 4 + kk % 4] = b.get(kk, j);
+            }
+        }
+        (src, (0..k / 64).map(|s| s * 64 * n).collect())
+    }
+
+    #[test]
+    fn tiled_b_admits_only_what_its_tiles_can_read() {
+        let (src, steps) = interleaved(&cake_matrix::init::random_i8(128, 64, 1));
+        let ok = |src: &[i8], cols, seg: (usize, usize), rs, steps: &[usize]| TiledB::new(src, cols, seg, rs, steps).is_some();
+        assert!(ok(&src, 64, (64, 256), 256, &steps));
+        assert!(!ok(&src[1..], 64, (64, 256), 256, &steps), "one byte short");
+        assert!(!ok(&src, 64, (64, 256), 256, &[]), "no k-step");
+        assert!(!ok(&src, 64, (64, 256), 256, &[0; MAX_B_STEPS + 1]), "too many k-steps");
+        assert!(!ok(&src, 48, (48, 256), 256, &steps), "a sliver and a half");
+        assert!(!ok(&src, 64, (24, 256), 256, &steps), "segments off 16 columns");
+        assert!(!ok(&src, 64, (32, 127), 256, &steps), "segments overlapping");
+        let b = TiledB::new(&src, 64, (64, 256), 256, &steps).expect("admitted");
+        assert_eq!((b.rows(), b.cols()), (128, 64));
+        let bt = b.sliver(32, 64, 64);
+        assert_eq!((bt.steps, bt.row_stride), (&steps[1..2], 256));
+        assert_eq!(bt.tiles.map(|t| t as usize - src.as_ptr() as usize), [128, 192]);
+        assert!(b.sliver(0, 128, 64).steps.is_empty(), "a block past K names no step");
+    }
+
+    #[test]
+    fn tiled_b_packs_like_the_matrix_it_holds() {
+        // A kernel that does not read B tiles packs a TiledB: every layout,
+        // blocks at and off the tile steps, two segments of 32 columns.
+        let b = cake_matrix::init::random_i8(192, 64, 2);
+        let (src, steps) = interleaved(&b);
+        let tiled = TiledB::new(&src, 64, (64, 256), 256, &steps).expect("admitted");
+        let two_segs = {
+            // The same columns as two 32-wide segments, each its 48 rows of
+            // 128 bytes, 6188 bytes apart.
+            let mut s2 = vec![7i8; 6188 + 48 * 128];
+            for r in 0..48 {
+                for seg in 0..2 {
+                    let from = r * 256 + seg * 128;
+                    let to = seg * 6188 + r * 128;
+                    s2[to..to + 128].copy_from_slice(&src[from..from + 128]);
+                }
+            }
+            s2
+        };
+        let steps2: Vec<usize> = (0..3).map(|s| s * 16 * 128).collect();
+        let segmented = TiledB::new(&two_segs, 64, (32, 6188), 128, &steps2).expect("admitted");
+        for layout in [PackLayout::k_major(16, 16), PackLayout::k_major(6, 32), PackLayout::tiles(32, 32), PackLayout::tiles(32, 16)] {
+            for (k0, kl, n0, nl) in [(0, 192, 0, 64), (64, 64, 32, 32), (5, 100, 3, 40)] {
+                let mut want = vec![9i8; layout.b_size(kl, nl)];
+                layout.pack_b(&b.view().sub(k0, n0, kl, nl), &mut want);
+                for t in [&tiled, &segmented] {
+                    let mut got = vec![9i8; want.len()];
+                    t.pack_block(k0, n0, kl, nl, &mut got, &layout);
+                    assert_eq!(got, want, "{layout:?} block {:?}", (k0, kl, n0, nl));
+                }
+            }
         }
     }
 }

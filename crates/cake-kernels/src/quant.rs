@@ -1,7 +1,9 @@
-//! The int8 activation quantizer's two loops: the zero-inclusive range
-//! reduction and the element-wise quantize.
+//! The int8 activation quantizer's loops: the zero-inclusive range
+//! reduction, the element-wise quantize, and the quantize into the
+//! channel-group layout the AMX kernel reads a convolution's B from in
+//! place ([`quantize_groups_into`]).
 //!
-//! Both are written once as plain Rust that the compiler vectorizes, and
+//! Each is written once as plain Rust that the compiler vectorizes, and
 //! built twice: a portable copy at the target's baseline width (SSE2 on
 //! x86_64), and on x86_64 a second copy under
 //! `#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]`,
@@ -32,12 +34,39 @@ pub fn zero_inclusive_range(x: &[f32]) -> (f32, f32) {
 /// `q[i] = quantize(x[i], scale, zero_point)` over the common length of
 /// `x` and `q`.
 pub fn quantize_into(x: &[f32], q: &mut [i8], scale: f32, zero_point: i32) {
+    quantize_to(x, q, (scale, zero_point), Dest::Flat)
+}
+
+/// [`quantize_into`] of a `c x h x w` channel-major map, `c` a multiple
+/// of 4, into the channel-group layout `[rows][c/4][w + 2*pad][4]`: pixel
+/// `(y, x)` of channel `ch` lands at byte `ch % 4` of the dword at padded
+/// row `y + pad`, group `ch / 4`, padded column `x + pad`. Only those
+/// interior dwords are written; the halo and any spare rows keep what `q`
+/// holds (the zero-point, for a convolution's padding). Rows of `q` past
+/// its end are not written.
+pub fn quantize_groups_into(x: &[f32], dims: (usize, usize, usize), pad: usize, q: &mut [i8], scale: f32, zero_point: i32) {
+    quantize_to(x, q, (scale, zero_point), Dest::Groups { dims, pad })
+}
+
+/// Where the quantize loop writes element `i` of `x`.
+#[derive(Clone, Copy)]
+enum Dest {
+    /// To `q[i]`.
+    Flat,
+    /// To [`quantize_groups_into`]'s channel-group layout of a `dims = (c,
+    /// h, w)` map with a `pad`-wide halo.
+    Groups { dims: (usize, usize, usize), pad: usize },
+}
+
+/// The quantize loop into `dest`, through the AVX-512 copy where the host
+/// has it.
+fn quantize_to(x: &[f32], q: &mut [i8], map: (f32, i32), dest: Dest) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx512_available() {
         // SAFETY: the host supports every feature the copy is built for.
-        return unsafe { quantize_avx512(x, q, scale, zero_point) };
+        return unsafe { quantize_avx512(x, q, map, dest) };
     }
-    quantize_body(x, q, scale, zero_point)
+    quantize_body(x, q, map, dest)
 }
 
 /// Whether the AVX-512 copies may run: F, BW, VL and DQ all present.
@@ -61,8 +90,8 @@ unsafe fn range_avx512(x: &[f32]) -> (f32, f32) {
 /// The host must support AVX-512 F, BW, VL and DQ.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-unsafe fn quantize_avx512(x: &[f32], q: &mut [i8], scale: f32, zero_point: i32) {
-    quantize_body(x, q, scale, zero_point)
+unsafe fn quantize_avx512(x: &[f32], q: &mut [i8], map: (f32, i32), dest: Dest) {
+    quantize_body(x, q, map, dest)
 }
 
 #[inline(always)]
@@ -87,9 +116,43 @@ fn range_body(x: &[f32]) -> (f32, f32) {
 }
 
 #[inline(always)]
-fn quantize_body(x: &[f32], q: &mut [i8], scale: f32, zero_point: i32) {
-    for (d, &v) in q.iter_mut().zip(x) {
-        *d = quantize(v, scale, zero_point);
+fn quantize_body(x: &[f32], q: &mut [i8], (scale, zero_point): (f32, i32), dest: Dest) {
+    match dest {
+        Dest::Flat => {
+            for (d, &v) in q.iter_mut().zip(x) {
+                *d = quantize(v, scale, zero_point);
+            }
+        }
+        Dest::Groups { dims, pad } => quantize_groups_body(x, dims, pad, q, scale, zero_point),
+    }
+}
+
+/// One output row of one channel group at a time: the group's four
+/// channel rows, zipped, each pixel's four bytes written as one dword.
+#[inline(always)]
+fn quantize_groups_body(x: &[f32], (c, h, w): (usize, usize, usize), pad: usize, q: &mut [i8], scale: f32, zero_point: i32) {
+    let (groups, wp, plane) = (c / 4, w + 2 * pad, h * w);
+    if plane == 0 {
+        return;
+    }
+    for (g, chans) in x.chunks_exact(4 * plane).take(groups).enumerate() {
+        let (c0, rest) = chans.split_at(plane);
+        let (c1, rest) = rest.split_at(plane);
+        let (c2, c3) = rest.split_at(plane);
+        let rows = c0.chunks_exact(w).zip(c1.chunks_exact(w)).zip(c2.chunks_exact(w)).zip(c3.chunks_exact(w));
+        for (y, (((r0, r1), r2), r3)) in rows.enumerate() {
+            let at = (((y + pad) * groups + g) * wp + pad) * 4;
+            let Some(out) = q.get_mut(at..at + 4 * w) else {
+                return;
+            };
+            let pixels = out.chunks_exact_mut(4).zip(r0).zip(r1).zip(r2).zip(r3);
+            for ((((d, &v0), &v1), &v2), &v3) in pixels {
+                d[0] = quantize(v0, scale, zero_point);
+                d[1] = quantize(v1, scale, zero_point);
+                d[2] = quantize(v2, scale, zero_point);
+                d[3] = quantize(v3, scale, zero_point);
+            }
+        }
     }
 }
 
@@ -127,15 +190,19 @@ mod tests {
     type Range = fn(&[f32]) -> (f32, f32);
     type Quantize = fn(&[f32], &mut [i8], f32, i32);
 
+    fn quantize_flat(x: &[f32], q: &mut [i8], scale: f32, zero_point: i32) {
+        quantize_body(x, q, (scale, zero_point), Dest::Flat)
+    }
+
     /// Both copies of each loop: the portable one, and the AVX-512 one
     /// when the host has it.
     fn copies() -> Vec<(&'static str, Range, Quantize)> {
-        let portable: (&'static str, Range, Quantize) = ("portable", range_body, quantize_body);
+        let portable: (&'static str, Range, Quantize) = ("portable", range_body, quantize_flat);
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if avx512_available() {
             // SAFETY: avx512_available() just held, for both closures.
             let avx512: (&'static str, Range, Quantize) =
-                ("avx512", |x| unsafe { range_avx512(x) }, |x, q, s, z| unsafe { quantize_avx512(x, q, s, z) });
+                ("avx512", |x| unsafe { range_avx512(x) }, |x, q, s, z| unsafe { quantize_avx512(x, q, (s, z), Dest::Flat) });
             return vec![portable, avx512];
         }
         vec![portable]
@@ -202,10 +269,34 @@ mod tests {
     }
 
     #[test]
+    fn group_layout_holds_each_pixel_where_the_formula_says() {
+        // Channels 8, a 3 x 5 map, pad 2 and one spare row; the halo and
+        // the spare row keep their fill, through the dispatched copy and
+        // the portable body.
+        let (c, h, w, pad) = (8usize, 3usize, 5usize, 2usize);
+        let x: Vec<f32> = (0..c * h * w).map(|i| ((i * 37) % 29) as f32 * 0.21 - 3.0).collect();
+        let (groups, wp, rows) = (c / 4, w + 2 * pad, h + 2 * pad + 1);
+        let mut want = vec![-9i8; rows * groups * wp * 4];
+        for ch in 0..c {
+            for y in 0..h {
+                for xx in 0..w {
+                    let at = (((y + pad) * groups + ch / 4) * wp + xx + pad) * 4 + ch % 4;
+                    want[at] = quantize(x[(ch * h + y) * w + xx], 0.05, 3);
+                }
+            }
+        }
+        for copy in [quantize_groups_into as fn(&[f32], (usize, usize, usize), usize, &mut [i8], f32, i32), quantize_groups_body] {
+            let mut got = vec![-9i8; want.len()];
+            copy(&x, (c, h, w), pad, &mut got, 0.05, 3);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
     fn dispatch_equals_both_copies_on_random_data() {
         let x: Vec<f32> = (0..4099).map(|i| ((i * 7919) % 1000) as f32 * 0.013 - 4.0).collect();
         let mut want = vec![0i8; x.len()];
-        quantize_body(&x, &mut want, 0.031, -7);
+        quantize_flat(&x, &mut want, 0.031, -7);
         for (name, range, quantize_loop) in copies() {
             let mut got = vec![0i8; x.len()];
             quantize_loop(&x, &mut got, 0.031, -7);

@@ -12,6 +12,12 @@
 //! same kernel serves row-major, column-major, and packed-intermediate `C`
 //! tiles. One kernel invocation is the paper's "tile multiplication per
 //! unit time" primitive (Section 3).
+//!
+//! A kernel may also read its B sliver in place ([`Ukr::reads_b_tiles`]):
+//! the AMX kernel takes each k-step's B tiles from wherever they already
+//! sit in memory ([`BTiles`]: a base per 16-column tile, an offset per
+//! k-step and one row stride), so a B stored in its tile layout needs no
+//! pack.
 
 use cake_matrix::{Bf16, Dtype, Element};
 
@@ -60,6 +66,39 @@ pub(crate) type EdgeFn<T> = unsafe fn(
     ncols: usize,
 );
 
+/// Where one `32`-column B sliver's tiles sit when a kernel reads them in
+/// place: k-step `s` of column tile `t` is the 16 tile rows at `tiles[t] +
+/// steps[s] + r * row_stride`, `r < 16`, each [`TILE_K`](crate::pack::TILE_K)
+/// elements long (16 columns of 4 k values, as
+/// [`LayoutKind::Tiles`](crate::pack::LayoutKind::Tiles) packs them). The
+/// sliver is `64 * steps.len()` deep.
+#[derive(Clone, Copy, Debug)]
+pub struct BTiles<'s, T> {
+    /// Row 0 of k-step 0 of each 16-column tile, before the step offset.
+    pub tiles: [*const T; 2],
+    /// Per k-step, the elements from `tiles[t]` to the step's first row.
+    pub steps: &'s [usize],
+    /// Elements from one tile row to the next.
+    pub row_stride: usize,
+}
+
+/// A kernel's in-place B entry: [`UkrFn`]'s update with B read from
+/// [`BTiles`], over the live `mrows x ncols` corner of C only.
+///
+/// # Safety contract
+/// * `a` is one packed A sliver of the kernel's layout, `64 *
+///   b.steps.len()` deep;
+/// * every tile row [`BTiles`] names is readable for 64 elements;
+/// * `c[i*rsc + j*csc]` is valid for `i < mrows <= mr`, `j < ncols <= nr`,
+///   and aliases neither operand.
+pub type BTilesFn<T> = unsafe fn(
+    a: *const T,
+    b: BTiles<'_, T>,
+    c: *mut <T as Dtype>::Acc,
+    strides: (usize, usize),
+    live: (usize, usize),
+);
+
 /// Finds a kernel's [`EdgeFn`] instance for a live `mrows x ncols` region,
 /// or `None` when it has none for that shape.
 pub(crate) type EdgeLookup<T> = fn(mrows: usize, ncols: usize) -> Option<EdgeFn<T>>;
@@ -73,6 +112,7 @@ pub struct Ukr<T: Dtype> {
     name: &'static str,
     func: UkrFn<T>,
     edge: Option<EdgeLookup<T>>,
+    b_tiles: Option<BTilesFn<T>>,
 }
 
 impl<T: Dtype> Ukr<T> {
@@ -84,13 +124,18 @@ impl<T: Dtype> Ukr<T> {
 
     /// Construct a kernel descriptor that reads `layout`.
     pub(crate) fn with_layout(layout: PackLayout, name: &'static str, func: UkrFn<T>) -> Self {
-        Self { layout, name, func, edge: None }
+        Self { layout, name, func, edge: None, b_tiles: None }
     }
 
     /// The same kernel with partial-tile instances: `lookup` maps a live
     /// `(mrows, ncols)` region to the instance that writes it directly.
     pub(crate) fn with_edge(self, lookup: EdgeLookup<T>) -> Self {
         Self { edge: Some(lookup), ..self }
+    }
+
+    /// The same kernel with an in-place B entry ([`BTilesFn`]).
+    pub(crate) fn with_b_tiles(self, entry: BTilesFn<T>) -> Self {
+        Self { b_tiles: Some(entry), ..self }
     }
 
     /// The instance that writes a live `mrows x ncols` region straight
@@ -154,6 +199,27 @@ impl<T: Dtype> Ukr<T> {
         // SAFETY: the caller upholds UkrFn's contract (sliver lengths and a
         // valid, non-aliasing C tile), which is exactly what `func` requires.
         unsafe { (self.func)(kc, a, b, c, rsc, csc) }
+    }
+
+    /// Whether this kernel reads a B sliver in place from [`BTiles`]
+    /// ([`call_b_tiles`](Self::call_b_tiles)); only the AMX kernel does.
+    #[inline]
+    pub fn reads_b_tiles(&self) -> bool {
+        self.b_tiles.is_some()
+    }
+
+    /// `C[0..mrows][0..ncols] += A * B` with B read in place from `b`; a
+    /// kernel that does not [read B tiles](Self::reads_b_tiles) writes
+    /// nothing.
+    ///
+    /// # Safety
+    /// See [`BTilesFn`]'s safety contract.
+    #[inline]
+    pub unsafe fn call_b_tiles(&self, a: *const T, b: BTiles<'_, T>, c: *mut T::Acc, strides: (usize, usize), live: (usize, usize)) {
+        if let Some(entry) = self.b_tiles {
+            // SAFETY: the caller upholds BTilesFn's contract.
+            unsafe { entry(a, b, c, strides, live) }
+        }
     }
 }
 

@@ -9,8 +9,10 @@
 //!    adjacency rule, B through the literal panel-ring replay) as `u64`
 //!    equalities — no tolerance — on the one-level schedule and again with
 //!    2x2 outer tiles, on two grids (the second with a partial last
-//!    k-block). Every kernel tier of every dtype (f32, f64, bf16, int8)
-//!    runs: the counters tally live elements, a property of the block
+//!    k-block), and on a third whose B also runs read in place (a
+//!    [`TiledB`]: the AMX kernel loads its tiles where they are, every
+//!    other kernel packs it). Every kernel tier of every dtype (f32, f64,
+//!    bf16, int8) runs: the counters tally live elements, a property of the block
 //!    schedule, never of a kernel's register tile or of the K padding its
 //!    packed layout adds (Section 3). The block *grid* is held fixed
 //!    (`bm = p·mc` constant by shrinking `mc` as `p` grows), so the
@@ -40,6 +42,7 @@ use cake_core::workspace::GemmWorkspace;
 use cake_goto::model::GotoModel;
 use cake_goto::naive::naive_gemm_views_acc;
 use cake_goto::params::GotoParams;
+use cake_kernels::pack::{PackB, TiledB};
 use cake_kernels::{available_tiers, tier_kernel};
 use cake_matrix::compare::{approx_eq, gemm_tolerance};
 use cake_matrix::{Bf16, Matrix};
@@ -72,9 +75,41 @@ fn fail(layer: &str, msg: String) -> String {
 
 /// Layer 1's problems as `(m, k, n, bm, bk, bn)`: three whole k-blocks,
 /// then three k-blocks of which the last is partial (200 = 72 + 72 + 56),
-/// deep enough that the AMX tile layout pads every block.
-const MEASURED_GRIDS: [(usize, usize, usize, usize, usize, usize); 2] =
-    [(48, 24, 48, 16, 8, 16), (48, 200, 48, 16, 72, 16)];
+/// deep enough that the AMX tile layout pads every block, then three
+/// whole 64-deep k-blocks over two 32-column n-blocks, whose B also runs
+/// as a [`TiledB`] (48 rows leave the AMX kernel's second row tile
+/// partial).
+const MEASURED_GRIDS: [(usize, usize, usize, usize, usize, usize); 3] =
+    [(48, 24, 48, 16, 8, 16), (48, 200, 48, 16, 72, 16), (48, 192, 64, 16, 64, 32)];
+
+/// `b` (`K x N`, `K` a multiple of 64) k-interleaved, `[K/4][N][4]`, as a
+/// [`TiledB`] reads it: one segment of `N` columns, tile rows `4N` apart,
+/// k-step `s` from row `16s`. `None` when `b` does not have that shape.
+fn interleaved<T: cake_matrix::Element>(b: &Matrix<T>) -> Option<(Vec<T>, Vec<usize>)> {
+    let (k, n) = (b.rows(), b.cols());
+    if k % 64 != 0 || n % 32 != 0 {
+        return None;
+    }
+    let mut src = vec![T::ZERO; k * n];
+    for kk in 0..k {
+        for j in 0..n {
+            src[kk / 4 * 4 * n + j * 4 + kk % 4] = b.get(kk, j);
+        }
+    }
+    Some((src, (0..k / 64).map(|s| s * 16 * 4 * n).collect()))
+}
+
+/// One executor call on a fresh workspace.
+fn execute<T: RandomOperand>(
+    a: &Matrix<T>,
+    b: &impl PackB<T>,
+    c: &mut Matrix<T::Acc>,
+    shape: &CbBlockShape,
+    ukr: &cake_kernels::Ukr<T>,
+    pool: &ThreadPool,
+) -> cake_core::executor::ExecStats {
+    execute_with_stats_in(a, b, &mut c.view_mut(), shape, ukr, pool, &mut GemmWorkspace::new())
+}
 
 /// Run `T`'s GEMM on every kernel tier the host has, at every `p` of
 /// [`CORE_COUNTS`] under the `ko x no` outer tiles, and hold each run's
@@ -93,30 +128,32 @@ fn measure_dtype<T: RandomOperand>(
     let mut expected = Matrix::<T::Acc>::zeros(m, n);
     naive_gemm_views_acc(&a.view(), &b.view(), &mut expected.view_mut());
     let tol = gemm_tolerance::<T::Acc>(k);
+    let tiled_src = interleaved(&b);
+    let tiled = tiled_src.as_ref().and_then(|(src, steps)| TiledB::new(src, n, (n, 4 * n), 4 * n, steps));
     for ukr in available_tiers().into_iter().filter_map(tier_kernel::<T>) {
         for (&p, pool) in CORE_COUNTS.iter().zip(pools) {
             // Same bm = p * mc for every p: identical grid, schedule, traffic.
             let shape = CbBlockShape::fixed(p, bm / p, bk, bn).with_outer_tiles(ko, no);
             let mut c = Matrix::<T::Acc>::zeros(m, n);
-            let stats = execute_with_stats_in(
-                &a.view(),
-                &b.view(),
-                &mut c.view_mut(),
-                &shape,
-                &ukr,
-                pool,
-                &mut GemmWorkspace::new(),
-            );
-            let at = format!("{} on {} at p={p}", T::NAME, ukr.name());
-            if !approx_eq(&c, &expected, tol) {
-                return Err(format!("{at}: executor result diverged from naive"));
+            let plain = execute(&a, &b, &mut c, &shape, &ukr, pool);
+            let mut runs = vec![(c, plain, "")];
+            if let Some(tiled) = &tiled {
+                let mut c = Matrix::<T::Acc>::zeros(m, n);
+                let stats = execute(&a, tiled, &mut c, &shape, &ukr, pool);
+                runs.push((c, stats, " with B read in place"));
             }
-            let got = (stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated);
-            if got != want {
-                return Err(format!(
-                    "{at}: measured (A, B, C) elements {got:?} != traffic walk {want:?} \
-                     (A by adjacency, B by the panel-ring replay, C = kb*m*n)"
-                ));
+            for (c, stats, kind) in runs {
+                let at = format!("{} on {} at p={p}{kind}", T::NAME, ukr.name());
+                if !approx_eq(&c, &expected, tol) {
+                    return Err(format!("{at}: executor result diverged from naive"));
+                }
+                let got = (stats.a_elems_loaded, stats.b_elems_loaded, stats.c_elems_updated);
+                if got != want {
+                    return Err(format!(
+                        "{at}: measured (A, B, C) elements {got:?} != traffic walk {want:?} \
+                         (A by adjacency, B by the panel-ring replay, C = kb*m*n)"
+                    ));
+                }
             }
         }
         if !kernels.contains(&ukr.name()) {
@@ -181,9 +218,10 @@ fn check_measured_traffic(report: &mut ConformanceReport) -> Result<(), String> 
             measure_dtype::<f64>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
             measure_dtype::<Bf16>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
             measure_dtype::<i8>(params, tiles, want, &pools, &mut kernels).map_err(err)?;
+            let in_place = if k % 64 == 0 && n % 32 == 0 { ", B also read in place" } else { "" };
             report.lines.push(format!(
                 "{label}: measured == analytic, element-exact, p-invariant over \
-                 p={CORE_COUNTS:?} on every kernel: A {}, B {} (ring; adjacency bound {}), \
+                 p={CORE_COUNTS:?} on every kernel{in_place}: A {}, B {} (ring; adjacency bound {}), \
                  C-updates {} (walk total {}, one-level {})",
                 want.0,
                 want.1,
@@ -368,7 +406,8 @@ mod tests {
     #[test]
     fn full_conformance_suite_passes() {
         let rep = run().expect("conformance oracle must pass");
-        assert_eq!(rep.lines.len(), 7);
+        assert_eq!(rep.lines.len(), 9);
+        assert!(rep.lines.iter().any(|l| l.contains("B also read in place")));
     }
 
     #[test]
