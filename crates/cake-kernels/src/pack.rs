@@ -241,12 +241,6 @@ mod lanecopy {
     /// piece)*piece_stride + i*stride + l % piece` of `dst`. Mask bits from
     /// `width` on are ignored.
     ///
-    /// Each register of a row is loaded once, with one masked load, and
-    /// each piece's lanes of it go out with one masked store, addressed so
-    /// that the register's lane `q` lands at its place in the piece: a
-    /// VNNI lane group of four 16-wide slivers loads its 64-byte row once,
-    /// not once per sliver.
-    ///
     /// # Safety
     /// The host must support AVX-512 F and BW; `S` is 1, 2, 4 or 8, `n <=
     /// TILE_K`, `width <= 64` and `piece >= 1`; `pad` must be readable for
@@ -266,16 +260,12 @@ mod lanecopy {
     ) {
         let super::RowPlace { width, stride, piece, piece_stride } = place;
         let lanes = 64 / S;
-        let regs = width.min(64).div_ceil(lanes);
-        // SAFETY: `pad` is read for `S` bytes. Register `r` of row `i` is
-        // lanes `first = r*lanes ..`, below `width`: its masked load reads
-        // only the row's set lanes among them, readable by the contract
-        // (`at[i]` wraps, so only those lanes' addresses must be in
-        // bounds). Its store for piece `p` writes only the lanes `lo..hi`
-        // of the register that belong to the piece, lane `first + q` to
-        // element `p*piece_stride + i*stride + first + q - p*piece` of
-        // `dst` (the base may point before the piece; masked-off lanes are
-        // not accessed).
+        // SAFETY: `pad` is read for `S` bytes. Chunk `j` of piece `p` of
+        // row `i` is lanes `l0 + j .. l0 + j + len`, `l0 = p*piece`, all
+        // below `width`: its masked load reads only the row's set lanes
+        // among them, readable by the contract (`at[i]` wraps, so only
+        // those lanes' addresses must be in bounds), and its store writes
+        // them to elements `p*piece_stride + i*stride + j ..` of `dst`.
         unsafe {
             let pad = match S {
                 1 => _mm512_set1_epi8(pad.cast::<i8>().read()),
@@ -283,35 +273,24 @@ mod lanecopy {
                 4 => _mm512_set1_epi32(pad.cast::<i32>().read_unaligned()),
                 _ => _mm512_set1_epi64(pad.cast::<i64>().read_unaligned()),
             };
-            // Per register, its fill and live lanes; per (register, piece)
-            // pair, the store's byte offset from the row's output and its
-            // lanes. At most 8 registers and 64 pieces, so 72 pairs.
-            let (mut fill, mut live_k) = ([_mm512_setzero_si512(); 8], [0u64; 8]);
-            let (mut stores, mut count) = ([(0usize, 0usize, 0u64); 72], 0);
-            for r in 0..regs.min(8) {
-                let (first, len) = (r * lanes, (width - r * lanes).min(lanes));
-                live_k[r] = low_lanes(len);
-                fill[r] = keep_lanes::<S>(low_lanes(live.saturating_sub(first)) & live_k[r], pad);
-                for p in first / piece..=(first + len - 1) / piece {
-                    let (lo, hi) = ((p * piece).max(first), (p * piece + piece).min(first + len));
-                    let keep = low_lanes(hi - first) & !low_lanes(lo - first);
-                    let at = (p * piece_stride).wrapping_add(first).wrapping_sub(p * piece).wrapping_mul(S);
-                    if let Some(slot) = stores.get_mut(count) {
-                        *slot = (r, at, keep);
-                        count += 1;
+            for (p, l0) in (0..width).step_by(piece).enumerate() {
+                let len = piece.min(width - l0);
+                let mut fill = [_mm512_setzero_si512(); 8];
+                for (j, f) in fill.iter_mut().enumerate().take(len.div_ceil(lanes)) {
+                    let k = low_lanes((len - j * lanes).min(lanes));
+                    *f = keep_lanes::<S>(low_lanes(live.saturating_sub(l0 + j * lanes)) & k, pad);
+                }
+                let piece_out = dst.wrapping_add(p * piece_stride * S);
+                for (i, (&at, &m)) in at.iter().zip(mask).enumerate().take(n) {
+                    let m = (m & low_lanes(width)) >> l0;
+                    let row = src.wrapping_add(at.wrapping_add(l0).wrapping_mul(S));
+                    let out = piece_out.wrapping_add(i * stride * S);
+                    for (j, &f) in fill.iter().enumerate().take(len.div_ceil(lanes)) {
+                        let first = j * lanes;
+                        let k = low_lanes((len - first).min(lanes));
+                        let x = load::<S>(f, m >> first & k, row.wrapping_add(first * S));
+                        store::<S>(out.wrapping_add(first * S), k, x);
                     }
-                }
-            }
-            let mut x = [_mm512_setzero_si512(); 8];
-            for (i, (&at, &m)) in at.iter().zip(mask).enumerate().take(n) {
-                let m = m & low_lanes(width);
-                let row = src.wrapping_add(at.wrapping_mul(S));
-                for (r, v) in x.iter_mut().enumerate().take(regs) {
-                    *v = load::<S>(fill[r], m >> (r * lanes) & live_k[r], row.wrapping_add(r * lanes * S));
-                }
-                let out = dst.wrapping_add(i * stride * S);
-                for &(r, at, keep) in stores.iter().take(count) {
-                    store::<S>(out.wrapping_add(at), keep, x[r % 8]);
                 }
             }
         }
