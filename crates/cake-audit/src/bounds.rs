@@ -885,10 +885,12 @@ pub fn sites() -> Vec<Site> {
         },
         // A B read in place (cake-kernels/src/pack.rs TiledB): tile row r
         // < 16 of step s of column tile j is 64 bytes at b + r*rs, b =
-        // tile_at(j) + steps[s]. tile_at never falls as j grows, so b is
-        // at most tile_at(cols - 16) + max(steps), which TiledB::new
-        // admits only when it is at most len - 15*rs - 64 (lemma
-        // tiled_b_rows_within_reach runs the real new and sliver).
+        // tile_at(j) + steps[s]. TiledB::sliver names steps only for a
+        // sliver on a whole 32 columns inside B, so j <= cols - 16;
+        // tile_at never falls as j grows, so b is at most tile_at(cols -
+        // 16) + max(steps), which TiledB::new admits only when it is at
+        // most len - 15*rs - 64 (lemma tiled_b_rows_within_reach runs the
+        // real new and sliver, at every column).
         Site {
             name: "amx_b_tile_in_place",
             place: "cake-kernels/src/amx.rs: tile_gemm_b tileloadd tmm6/tmm7 [tiles[t] + steps[s] + r*rs], \
@@ -1528,9 +1530,12 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
     // L8: a TiledB is admitted exactly when every tile row it can name
     // ends inside its source, the amx_b_tile_in_place corner. For small
     // geometries: TiledB::new over the shortest source it accepts, and
-    // over one element less (refused); then every tile row of every
-    // k-block of every sliver the executor asks for (TiledB::sliver) ends
-    // inside it, and a block holds its k-steps.
+    // over one element less (refused); then every tile row that
+    // TiledB::sliver names, for a sliver from any column (every 8th, past
+    // the last too) over any k-block (whole steps, off a step, leaving
+    // K), ends inside it, and a sliver names all of its block's k-steps
+    // exactly when it starts on a whole 32-column sliver inside B and the
+    // block is whole steps of B, and none otherwise.
     {
         let (mut ok, mut detail, mut rows) = (true, String::new(), 0usize);
         let step_sets: [&[usize]; 4] = [&[0], &[0, 8, 4], &[200, 0], &[5, 1, 9, 3]];
@@ -1549,23 +1554,31 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
                                 break 'l8;
                             };
                             let k = 64 * steps.len();
-                            for col in (0..cols).step_by(32) {
-                                for kc in [64, 128, k] {
-                                    for k0 in (0..k).step_by(kc) {
-                                        let kl = kc.min(k - k0);
-                                        let bt = b.sliver(col, k0, kl);
-                                        let base = src.as_ptr() as usize;
-                                        for tile in bt.tiles {
-                                            for &o in bt.steps {
-                                                rows += 16;
-                                                let end = tile as usize - base + o + 15 * rs + 64;
-                                                if end > need || bt.steps.len() != kl / 64 {
-                                                    ok = false;
-                                                    detail = format!("cols={cols} seg={seg} rs={rs} steps={steps:?} col={col} k0={k0}: row ends at {end} of {need}");
-                                                    break 'l8;
-                                                }
-                                            }
+                            let mut blocks: Vec<(usize, usize)> = [64, 128, k]
+                                .into_iter()
+                                .flat_map(|kc| (0..k).step_by(kc).map(move |k0| (k0, kc.min(k - k0))))
+                                .collect();
+                            blocks.extend([(32, 64), (0, 96), (64, k), (k, 64)]);
+                            for col in (0..cols + 32).step_by(8) {
+                                for &(k0, kl) in &blocks {
+                                    let bt = b.sliver(col, k0, kl);
+                                    let whole = col % 32 == 0 && col < cols && k0 % 64 == 0 && kl % 64 == 0 && k0 + kl <= k;
+                                    let want = if whole { kl / 64 } else { 0 };
+                                    let base = src.as_ptr() as usize;
+                                    let mut end = 0;
+                                    for tile in bt.tiles {
+                                        for &o in bt.steps {
+                                            rows += 16;
+                                            end = end.max((tile as usize).wrapping_sub(base).wrapping_add(o) + 15 * rs + 64);
                                         }
+                                    }
+                                    if end > need || bt.steps.len() != want {
+                                        ok = false;
+                                        detail = format!(
+                                            "cols={cols} seg={seg} rs={rs} steps={steps:?} col={col} k0={k0} kl={kl}: {} steps of {want}, a row ends at {end} of {need}",
+                                            bt.steps.len()
+                                        );
+                                        break 'l8;
                                     }
                                 }
                             }

@@ -15,8 +15,8 @@
 //! executor then reads each worker's strip in place on every call. A B
 //! whose memory already has the AMX kernel's tile layout
 //! ([`TiledB`](cake_kernels::pack::TiledB)) is read in place too; its
-//! blocks are shaped without a B panel to fit
-//! ([`CakeGemm::prepack_for_tiled_b`] packs the A such calls run with).
+//! blocks are shaped without a B panel to fit, and on a kernel that reads
+//! B tiles [`CakeGemm::prepack`] packs A at that depth.
 //!
 //! Semantics are `C += A * B` (BLAS `alpha = 1`, `beta = 1`). Zero `C`
 //! first for the `beta = 0` convention, or use [`cake_gemm_scaled`].
@@ -187,8 +187,8 @@ impl CakeConfig {
     /// layout's depth (at least one), so no k-block but the last pads K.
     /// Only the AMX tile layout has a step above 1 (64 bytes deep).
     ///
-    /// With `b_tiles` (a B the kernel reads in place), there is no B panel
-    /// to fit, so `kc` is bounded by the A strip alone: the worker's `mc x
+    /// With `b_tiles` (a B read in place, where the kernel reads B tiles),
+    /// there is no B panel to fit, so `kc` is bounded by the A strip alone: the worker's `mc x
     /// kc` strip keeps the L2 half that bounds the square block
     /// ([`CbBlockShape::mc_bounds`]), so `kc` grows to `L2 / (2 * mc)`
     /// elements, cut to whole tile steps and to K. A short-fat
@@ -319,30 +319,17 @@ impl CakeGemm {
     /// of the kernel [`gemm`](Self::gemm) would pick for `a`'s depth, one
     /// block at the depth `kc` its blocks would have. That depth is
     /// `min(analytic kc, K)`, cut to whole k-steps of the layout, which
-    /// does not depend on `M` or `N`, so the packed A serves every call.
+    /// does not depend on `N`, so the packed A serves every call. On a
+    /// kernel that reads B tiles in place (AMX) it is the depth of a call
+    /// whose B is read in place, bounded by the A strip alone, so that
+    /// call sweeps C once for a short-fat convolution's K; a call whose B
+    /// is packed runs at that depth too.
     /// Passing the result as `A` skips the per-call pack of every strip.
     // audit: cold one-time weight pack, before any GEMM reads it
     pub fn prepack<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
-        self.prepack_with(a, false)
-    }
-
-    /// [`prepack`](Self::prepack) for GEMMs whose B is a
-    /// [`TiledB`](cake_kernels::pack::TiledB): when the kernel reads B
-    /// tiles in place, at the deeper `kc` those calls run with (bounded by
-    /// the A strip alone; see [`CakeConfig::explain_shape_for`]). The
-    /// packed A also serves calls whose B is packed, at that depth.
-    // audit: cold one-time weight pack, before any GEMM reads it
-    pub fn prepack_for_tiled_b<T: KernelSelect>(&self, a: &Matrix<T>) -> PackedA<T> {
-        self.prepack_with(a, true)
-    }
-
-    /// The one-time pack at the depth of the context's blocks, with or
-    /// without a B read in place.
-    // audit: cold one-time weight pack, before any GEMM reads it
-    fn prepack_with<T: KernelSelect>(&self, a: &Matrix<T>, b_tiles: bool) -> PackedA<T> {
         let (m, k) = (a.rows(), a.cols());
         let ukr = cake_kernels::best_kernel_for_depth::<T>(k);
-        let kc = self.cfg.explain_shape_with(m, k, 1, &ukr, b_tiles).shape.kc;
+        let kc = self.cfg.explain_shape_with(m, k, 1, &ukr, true).shape.kc;
         PackedA::new(&a.view(), ukr, kc)
     }
 }
@@ -636,6 +623,11 @@ mod tests {
             assert_eq!(tiled.shape.kc, k, "{m}x{k}x{n}");
             assert_eq!((tiled.shape.mc, tiled.shape.nc), (packed.shape.mc, packed.shape.nc));
         }
+        // The weights of such a call pack at its depth.
+        let ctx = CakeGemm::new(cfg.clone());
+        for (m, k) in [(32, 384), (64, 384), (128, 576)] {
+            assert_eq!(ctx.prepack(&init::random_i8(m, k, 5)).kc(), k, "{m}x{k}");
+        }
         // A deeper K stops at the strip's bound, in whole k-steps; a kernel
         // that does not read B tiles keeps the packed depth.
         let deep = cfg.explain_shape_with(256, 4096, 64, &amx, true).shape;
@@ -651,17 +643,27 @@ mod tests {
         // on the AMX tile layout a kc off its 64-deep step would pad every
         // k-block. Cut to whole steps, the weights pack to exactly their
         // row-major bytes on every int8 layout (M is a multiple of every
-        // int8 kernel's mr), and the pack and the explanation agree on kc.
+        // int8 kernel's mr), and the pack and the explanation of the calls
+        // it serves agree on kc. On a kernel that reads B tiles those are
+        // calls whose B is read in place, at the A strip's depth: conv4's
+        // K then fits one block, and conv5's is cut to whole steps.
         let ctx = CakeGemm::new(CakeConfig::with_threads(1));
         for (m, k, kib) in [(128, 576, 72), (256, 1152, 288)] {
             let packed = ctx.prepack(&init::random_i8(m, k, 9));
             let step = packed.kernel().pack_layout().k_step();
-            let d = ctx.cfg.explain_shape_for::<i8>(m, k, 64);
-            assert!(
-                packed.kc() < k && packed.kc().is_multiple_of(step),
-                "kc {} step {step}",
-                packed.kc()
-            );
+            let d = ctx.cfg.explain_shape_with(m, k, 64, packed.kernel(), true);
+            if !packed.kernel().reads_b_tiles() {
+                assert_eq!(d.shape, ctx.cfg.explain_shape_for::<i8>(m, k, 64).shape);
+            }
+            if packed.kernel().reads_b_tiles() && k == 576 {
+                assert_eq!(packed.kc(), k);
+            } else {
+                assert!(
+                    packed.kc() < k && packed.kc().is_multiple_of(step),
+                    "kc {} step {step}",
+                    packed.kc()
+                );
+            }
             assert_eq!(
                 (d.shape.kc, d.k_step, d.kernel),
                 (packed.kc(), step, packed.kernel().name())

@@ -113,7 +113,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cake_kernels::edge::run_tile;
-use cake_kernels::pack::{split_range, PackB, PackLayout};
+use cake_kernels::pack::{split_range, PackB, PackLayout, TILE_K, TILE_MAX_NR};
 use cake_kernels::ukernel::BTiles;
 use cake_kernels::Ukr;
 use cake_matrix::{Dtype, MatrixViewMut};
@@ -371,9 +371,14 @@ pub fn execute_with_stats_in<T: Dtype>(
     }
     let packs_a = matches!(a, OperandA::Matrix(_));
     // A B in the tile layout is read in place by a kernel that reads B
-    // tiles, when every k-block starts on a whole step of its layout.
+    // tiles, when every k-block starts on a whole step of its layout and
+    // every sliver on a whole tile sliver: any other block width puts a
+    // sliver across two tiles (or two segments), and such a B packs.
     let tiled = b.tiled_b().filter(|_| {
-        ukr.reads_b_tiles() && (shape.k_block().is_multiple_of(layout.k_step()) || shape.k_block() >= k)
+        ukr.reads_b_tiles()
+            && (shape.k_block().is_multiple_of(layout.k_step()) || shape.k_block() >= k)
+            && layout.nr() == TILE_MAX_NR
+            && shape.n_block().is_multiple_of(TILE_MAX_NR)
     });
     if m == 0 || n == 0 || k == 0 {
         return ExecStats::default();
@@ -597,6 +602,9 @@ pub fn execute_with_stats_in<T: Dtype>(
                 // place names its tiles instead (`amx_b_tile_in_place`).
                 debug_assert!(tiled.is_some() || layout.b_offset(t + 1, g.kl) <= pb_len);
                 let b_tiles: Option<BTiles<'_, T>> = tiled.map(|tb| tb.sliver(col, g.k0, g.kl));
+                // The filter above keeps `col` and the block on whole tile
+                // slivers and steps, so the sliver names every k-step.
+                debug_assert!(b_tiles.is_none_or(|bt| bt.steps.len() * TILE_K == g.kl));
                 for s in 0..a_slivers {
                     let mrows = mr.min(rows - s * mr);
                     let row = g.m0 + row0 + s * mr;
@@ -605,7 +613,8 @@ pub fn execute_with_stats_in<T: Dtype>(
                     debug_assert!(layout.a_offset(s + 1, g.kl) <= strip_len);
                     debug_assert!(row + mrows <= m && col + ncols <= n);
                     // SAFETY: packed slivers are zero-padded full tiles, and
-                    // a B read in place names only rows its `TiledB` checked;
+                    // a B read in place names only rows its `TiledB` checked
+                    // (`TiledB::sliver` names no step off a whole sliver);
                     // C indices (row, col) + (mrows, ncols) are in bounds;
                     // each worker's (rows x sliver-columns) cell is
                     // disjoint from all others' under the 2D grid.
@@ -1180,6 +1189,50 @@ mod tests {
                 if ukr.reads_b_tiles() {
                     assert_eq!(s_tiled.pack_b_ns, 0, "{at}");
                     assert!(s_tiled.workspace_bytes < s_packed.workspace_bytes, "{at}: no B panel");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn b_read_in_place_only_where_blocks_are_whole_tile_slivers() {
+        // A block width off 32 columns starts slivers off a tile boundary:
+        // one 64-column segment under nc = 48 (a sliver from column 48
+        // would read its second tile past the source), and 16-column
+        // segments, a convolution's output rows, under nc = 40 (a tile
+        // would span two segments). Such a TiledB packs, at p = 1 and 2,
+        // and C equals the matrix B's; under nc = 64 it is read in place.
+        use cake_kernels::pack::TiledB;
+        let (m, k, n) = (40, 128, 64);
+        let a = init::random_i8(m, k, 3);
+        let b = init::random_i8(k, n, 4);
+        for seg in [64, 16] {
+            // Segment j / seg at j / seg * pitch, its k-groups rs apart.
+            let rs = 4 * seg + 8;
+            let pitch = k / 4 * rs;
+            let mut src = vec![0i8; n / seg * pitch];
+            for kk in 0..k {
+                for j in 0..n {
+                    src[j / seg * pitch + kk / 4 * rs + j % seg * 4 + kk % 4] = b.get(kk, j);
+                }
+            }
+            let steps: Vec<usize> = (0..k / 64).map(|s| s * 16 * rs).collect();
+            let tiled = TiledB::new(&src, n, (seg, pitch), rs, &steps).expect("admitted");
+            for ukr in cake_kernels::available_tiers().into_iter().filter_map(cake_kernels::tier_kernel::<i8>) {
+                for (p, nc) in [(1, 48), (2, 48), (1, 40), (2, 40), (1, 64)] {
+                    let shape = CbBlockShape::fixed(p, 32, 64, nc);
+                    let pool = ThreadPool::new(p);
+                    fn run(a: &Matrix<i8>, b: &impl PackB<i8>, shape: &CbBlockShape, ukr: &Ukr<i8>, pool: &ThreadPool) -> (Matrix<i32>, ExecStats) {
+                        let mut c = Matrix::<i32>::zeros(a.rows(), b.cols());
+                        let stats = execute_with_stats_in(a, b, &mut c.view_mut(), shape, ukr, pool, &mut GemmWorkspace::new());
+                        (c, stats)
+                    }
+                    let (c_packed, s_packed) = run(&a, &b, &shape, &ukr, &pool);
+                    let (c_tiled, s_tiled) = run(&a, &tiled, &shape, &ukr, &pool);
+                    let at = format!("{} seg {seg} nc {nc} at p = {p}", ukr.name());
+                    assert_eq!(c_tiled.as_slice(), c_packed.as_slice(), "{at}");
+                    let in_place = ukr.reads_b_tiles() && nc % 32 == 0;
+                    assert_eq!(s_tiled.workspace_bytes < s_packed.workspace_bytes, in_place, "{at}");
                 }
             }
         }

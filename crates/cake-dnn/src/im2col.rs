@@ -124,14 +124,24 @@ impl KOrder {
     /// The tap `(c, dy, dx)` patch row `r` reads, or `None` for a padding
     /// row.
     pub fn tap(self, r: usize, cin: usize, geom: &ConvGeom) -> Option<(usize, usize, usize)> {
+        self.taps(r, cin, geom).next().flatten()
+    }
+
+    /// The taps of patch rows `r0, r0 + 1, ..`, the first divided out of
+    /// `r0` and each next one stepped from the last.
+    fn taps(self, r0: usize, cin: usize, geom: &ConvGeom) -> Taps {
+        let (kh, kw) = (geom.kh, geom.kw);
+        let (groups, group_rows) = (cin / TILE_KGROUP, Self::group_rows(cin, geom));
+        let mut at = Taps { order: self, kh, kw, groups, group_rows, c: 0, dy: 0, dx: 0, t: 0, g: 0 };
         match self {
-            KOrder::Channels => Some((r / (geom.kh * geom.kw), r / geom.kw % geom.kh, r % geom.kw)),
+            KOrder::Channels => (at.c, at.dy, at.dx) = (r0 / (kh * kw), r0 / kw % kh, r0 % kw),
             KOrder::Groups => {
-                let (groups, rows) = (cin / TILE_KGROUP, Self::group_rows(cin, geom));
-                let (dx, t) = (r / TILE_KGROUP / rows, r / TILE_KGROUP % rows);
-                (t < geom.kh * groups).then(|| (t % groups * TILE_KGROUP + r % TILE_KGROUP, t / groups, dx))
+                let t = r0 / TILE_KGROUP % group_rows;
+                (at.c, at.t, at.dx) = (r0 % TILE_KGROUP, t, r0 / TILE_KGROUP / group_rows);
+                (at.g, at.dy) = (t % groups, t / groups);
             }
         }
+        at
     }
 
     /// Weights `w`, `C_out x C_in*KH*KW` in [`KOrder::Channels`], with
@@ -140,6 +150,62 @@ impl KOrder {
         let (kh, kw) = (geom.kh, geom.kw);
         Matrix::from_fn(w.rows(), self.rows(cin, geom), |o, r| {
             self.tap(r, cin, geom).map_or(T::ZERO, |(c, dy, dx)| w.get(o, (c * kh + dy) * kw + dx))
+        })
+    }
+}
+
+/// The taps of consecutive patch rows in one [`KOrder`], stepped like an
+/// odometer: in [`KOrder::Channels`] `dx` fastest, then `dy`, then `c`; in
+/// [`KOrder::Groups`] `c % 4` fastest, then `t` (its `c / 4` and `dy`
+/// beside it), then `dx`, a row with `dy >= KH` padding (`None`).
+#[derive(Clone, Copy, Debug)]
+struct Taps {
+    order: KOrder,
+    kh: usize,
+    kw: usize,
+    /// `G` and `T` of [`KOrder::Groups`].
+    groups: usize,
+    group_rows: usize,
+    /// The next row's `c`, `dy` and `dx`; in [`KOrder::Groups`] `c` is
+    /// `c % 4`, beside `t` and `g = c / 4`.
+    c: usize,
+    dy: usize,
+    dx: usize,
+    t: usize,
+    g: usize,
+}
+
+impl Iterator for Taps {
+    type Item = Option<(usize, usize, usize)>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(match self.order {
+            KOrder::Channels => {
+                let tap = (self.c, self.dy, self.dx);
+                self.dx += 1;
+                if self.dx == self.kw {
+                    (self.dx, self.dy) = (0, self.dy + 1);
+                    if self.dy == self.kh {
+                        (self.dy, self.c) = (0, self.c + 1);
+                    }
+                }
+                Some(tap)
+            }
+            KOrder::Groups => {
+                let tap = (self.dy < self.kh).then_some((self.g * TILE_KGROUP + self.c, self.dy, self.dx));
+                self.c += 1;
+                if self.c == TILE_KGROUP {
+                    (self.c, self.t, self.g) = (0, self.t + 1, self.g + 1);
+                    if self.g == self.groups {
+                        (self.g, self.dy) = (0, self.dy + 1);
+                    }
+                    if self.t == self.group_rows {
+                        (self.t, self.g, self.dy, self.dx) = (0, 0, 0, self.dx + 1);
+                    }
+                }
+                tap
+            }
         })
     }
 }
@@ -255,6 +321,16 @@ fn in_map(len: usize, d: usize, p: usize, s: usize, out: usize) -> (usize, usize
     (ceil(p.saturating_sub(d)).min(hi), hi)
 }
 
+/// Slot of value `v` in a pass whose first value is `v0`: `(v - v0) mod
+/// period`, for `v, v0 < period`.
+fn slot_of(v: usize, v0: usize, period: usize) -> usize {
+    if v >= v0 {
+        v - v0
+    } else {
+        v + period - v0
+    }
+}
+
 /// Lanes `lo..hi` of a group, clamped to [`LANES`].
 fn span(lo: usize, hi: usize) -> u64 {
     low_lanes(hi) & !low_lanes(lo)
@@ -284,19 +360,19 @@ fn col_lanes(ow: usize, ox0: usize, (x0, x1): (usize, usize)) -> u64 {
 /// Where one pass of up to [`TILE_K`] patch rows reads the input, worked
 /// out once per pass and shared by every lane group.
 ///
-/// Patch rows step like an odometer, `dx` fastest: row `i` of a pass
-/// starting at `(c, dy0, dx0)` has `dx = (dx0 + i) % kw` and `dy = (dy0 +
-/// (dx0 + i) / kw) % kh`. So `i % kw` and `(dx0 + i) / kw % kh` number the
-/// pass's distinct `dx` and `dy` values from 0: a group's lane masks are
-/// two fixed tables of at most [`TILE_K`] entries each, whatever the
-/// kernel size.
+/// A row reads tap `(c, dy, dx)`. In either [`KOrder`] a pass's `dy`
+/// values run cyclically from its first tap's `dy0`: up by one and from
+/// `KH - 1` back to 0 (in [`KOrder::Channels`] at each wrap of `dx`, in
+/// [`KOrder::Groups`] where `dx` moves on). So `(dy - dy0) mod KH` numbers
+/// the pass's distinct `dy` values from 0 as they first appear, and
+/// `(dx - dx0) mod KW` its `dx` values: a group's lane masks are two
+/// fixed tables of at most [`TILE_K`] entries each, whatever the kernel
+/// size.
 struct Block {
     /// Rows in the pass, and `dy` and `dx` slots in use.
     n: usize,
     ny: usize,
     nx: usize,
-    /// Bit `i` set when row `i` reads a tap; a padding row reads nothing.
-    taps: u64,
     /// Row `i`'s input offset at output pixel `(0, 0)`: `c*h*w + (dy -
     /// p)*w + dx - p` in wrapping arithmetic (negative in the padding;
     /// an in-map tap's offset never is).
@@ -379,78 +455,46 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         Self { copy, ..self }
     }
 
-    /// The input geometry of patch rows `r0..r0 + n`, `n <= TILE_K`.
+    /// The input geometry of patch rows `r0..r0 + n`, `n <= TILE_K`, row by
+    /// row from the order's taps ([`KOrder::tap`]); a padding row reads
+    /// nothing.
     fn block(&self, r0: usize, n: usize) -> Block {
-        if self.order != KOrder::Channels {
-            return self.block_by_tap(r0, n);
-        }
         let ConvGeom { kh, kw, stride: s, pad: p } = self.geom;
-        let (c0, dy0, dx0) = (r0 / (kh * kw), (r0 / kw) % kh, r0 % kw);
         let mut blk = Block {
             n,
-            ny: if n == 0 { 0 } else { kh.min((dx0 + n - 1) / kw + 1) },
-            nx: kw.min(n),
-            taps: low_lanes(n),
+            ny: 0,
+            nx: 0,
             base: [0; TILE_K],
             slot: [(0, 0); TILE_K],
             ys: [(0, 0); TILE_K],
             xs: [(0, 0); TILE_K],
         };
+        let mut taps = self.order.taps(r0, self.cin, &self.geom);
+        // The pass's first `dy` and `dx`, and the slots in use (kept out of
+        // `blk` while its rows are written).
+        let (mut first, mut ys, mut xs) = (None, 0u64, 0u64);
+        for (base, slot) in blk.base.iter_mut().zip(&mut blk.slot).take(n) {
+            let Some(Some((c, dy, dx))) = taps.next() else {
+                // A padding row takes the last `dy` slot, which a pass with
+                // a padding row never fills (it has fewer than TILE_K
+                // taps), so its lane masks stay empty.
+                *slot = (TILE_K - 1, 0);
+                continue;
+            };
+            let &mut (dy0, dx0) = first.get_or_insert((dy, dx));
+            let (sy, sx) = (slot_of(dy, dy0, kh), slot_of(dx, dx0, kw));
+            *slot = (sy, sx);
+            *base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
+            (ys, xs) = (ys | 1 << (sy % TILE_K), xs | 1 << (sx % TILE_K));
+        }
+        // Slots are numbered from 0 as values first appear.
+        let (dy0, dx0) = first.unwrap_or_default();
+        (blk.ny, blk.nx) = (ys.count_ones() as usize, xs.count_ones() as usize);
         for (q, y) in blk.ys.iter_mut().enumerate().take(blk.ny) {
             *y = in_map(self.h, (dy0 + q) % kh, p, s, self.oh);
         }
         for (q, x) in blk.xs.iter_mut().enumerate().take(blk.nx) {
             *x = in_map(self.w, (dx0 + q) % kw, p, s, self.ow);
-        }
-        let (mut c, mut dy, mut dx, mut sy) = (c0, dy0, dx0, 0);
-        for (i, (base, slot)) in blk.base.iter_mut().zip(&mut blk.slot).enumerate().take(n) {
-            *base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
-            *slot = (sy, i % kw);
-            dx += 1;
-            if dx == kw {
-                (dx, dy, sy) = (0, dy + 1, if sy + 1 == kh { 0 } else { sy + 1 });
-                if dy == kh {
-                    (dy, c) = (0, c + 1);
-                }
-            }
-        }
-        blk
-    }
-
-    /// [`block`](Self::block) for any order, row by row from its
-    /// [`KOrder::tap`]: a new `dy` (or `dx`) slot where a row's `dy` (or
-    /// `dx`) differs from the last tap's. A [`KOrder::Groups`] pass is one
-    /// `dx` and a run of rows per `dy`, so it uses few slots.
-    fn block_by_tap(&self, r0: usize, n: usize) -> Block {
-        let ConvGeom { stride: s, pad: p, .. } = self.geom;
-        let mut blk = Block {
-            n,
-            ny: 0,
-            nx: 0,
-            taps: 0,
-            base: [0; TILE_K],
-            slot: [(0, 0); TILE_K],
-            ys: [(0, 0); TILE_K],
-            xs: [(0, 0); TILE_K],
-        };
-        let mut last = None;
-        for (i, (base, slot)) in blk.base.iter_mut().zip(&mut blk.slot).enumerate().take(n) {
-            let Some((c, dy, dx)) = self.order.tap(r0 + i, self.cin, &self.geom) else {
-                continue;
-            };
-            let (new_y, new_x) = last.map_or((true, true), |(ly, lx)| (dy != ly, dx != lx));
-            if let (true, Some(x)) = (new_x, blk.xs.get_mut(blk.nx)) {
-                *x = in_map(self.w, dx, p, s, self.ow);
-                blk.nx += 1;
-            }
-            if let (true, Some(y)) = (new_y, blk.ys.get_mut(blk.ny)) {
-                *y = in_map(self.h, dy, p, s, self.oh);
-                blk.ny += 1;
-            }
-            last = Some((dy, dx));
-            *base = (c * self.h * self.w + dy * self.w + dx).wrapping_sub(p * self.w + p);
-            *slot = (blk.ny.saturating_sub(1), blk.nx.saturating_sub(1));
-            blk.taps |= 1 << i;
         }
         blk
     }
@@ -475,10 +519,9 @@ impl<'a, T: Element> LoweredConv<'a, T> {
         for (m, &x) in cols_in.iter_mut().zip(&blk.xs).take(blk.nx) {
             *m = col_lanes(self.ow, ox, x);
         }
-        for (i, (m, &(sy, sx))) in mask.iter_mut().zip(&blk.slot).enumerate().take(blk.n) {
+        for (m, &(sy, sx)) in mask.iter_mut().zip(&blk.slot).take(blk.n) {
             // audit: checked slots are masked to the table size
-            let lanes = rows_in[sy % TILE_K] & cols_in[sx % TILE_K];
-            *m = if blk.taps >> (i % TILE_K) & 1 == 1 { lanes } else { 0 };
+            *m = rows_in[sy % TILE_K] & cols_in[sx % TILE_K];
         }
         mask
     }
@@ -951,6 +994,30 @@ mod tests {
             let patches = reference_in(KOrder::Groups, &xf, &geom, -7.5f32);
             for layout in registered_layouts("f32") {
                 check_lowering_in(KOrder::Groups, (&xf, &geom, &patches), (-7.5, f32::NAN), (0, rows, 0, n), &layout);
+            }
+        }
+    }
+
+    #[test]
+    fn taps_step_as_each_order_numbers_its_rows() {
+        // The stepped taps from any start row against each order's row
+        // formula: (c, dy, dx) with dx fastest, and (dx*T + t)*4 + c % 4
+        // with t = dy*G + c/4, t >= KH*G a padding row.
+        for (cin, kh, kw) in [(4, 3, 3), (8, 1, 1), (12, 5, 2), (32, 3, 3), (4, 1, 5), (64, 2, 1)] {
+            let geom = ConvGeom { kh, kw, stride: 1, pad: 0 };
+            let (g, t_rows) = (cin / 4, (kh * cin / 4).next_multiple_of(16));
+            let channels = |r: usize| Some((r / (kh * kw), r / kw % kh, r % kw));
+            let groups = |r: usize| {
+                let (dx, t) = (r / 4 / t_rows, r / 4 % t_rows);
+                (t < kh * g).then_some((t % g * 4 + r % 4, t / g, dx))
+            };
+            for (order, want) in [(KOrder::Channels, &channels as &dyn Fn(usize) -> _), (KOrder::Groups, &groups)] {
+                let rows = order.rows(cin, &geom);
+                for r0 in (0..rows).step_by(7).chain([rows - 1]) {
+                    let got: Vec<_> = order.taps(r0, cin, &geom).take(rows - r0).collect();
+                    let want: Vec<_> = (r0..rows).map(want).collect();
+                    assert_eq!(got, want, "{order:?} cin {cin} {kh}x{kw} from row {r0}");
+                }
             }
         }
     }

@@ -108,15 +108,13 @@ impl<T: KernelSelect> Weights<T> {
     }
 
     /// Replace row-major weights with the copy packed for `ctx`, and
-    /// report the pack; weights already packed stay as they are. With
-    /// `b_tiles` the copy is packed for GEMMs whose B is read in place
-    /// ([`CakeGemm::prepack_for_tiled_b`]).
-    pub(crate) fn pack_for(&mut self, ctx: &CakeGemm, b_tiles: bool) -> Option<WeightPack> {
+    /// report the pack; weights already packed stay as they are.
+    pub(crate) fn pack_for(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
         let Weights::Rows(w) = self else {
             return None;
         };
         let t0 = Instant::now();
-        let packed = if b_tiles { ctx.prepack_for_tiled_b(w) } else { ctx.prepack(w) };
+        let packed = ctx.prepack(w);
         let seconds = t0.elapsed().as_secs_f64();
         let row_major_bytes = std::mem::size_of_val(w.as_slice());
         let packed_bytes = packed.bytes();
@@ -264,7 +262,7 @@ impl Layer for Conv2d {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.pack_for(ctx, false)
+        self.weights.pack_for(ctx)
     }
 }
 
@@ -459,7 +457,7 @@ impl Layer for Linear {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.pack_for(ctx, false)
+        self.weights.pack_for(ctx)
     }
 }
 

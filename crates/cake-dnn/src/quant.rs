@@ -47,8 +47,9 @@
 //!
 //! **B read in place.** When the network's int8 kernel reads B tiles in
 //! place (AMX), a stride-1 convolution with `C_in` a multiple of 4 puts
-//! its weights' columns in [`KOrder::Groups`] order as it is pushed, and
-//! packs them at the depth of a B read in place. Then each pass whose
+//! its weights' columns in [`KOrder::Groups`] order as it is pushed (and
+//! [`CakeGemm::prepack`] packs them at the depth of a B read in place).
+//! Then each pass whose
 //! output tiles into whole slivers (`OW % 16 == 0`, `OH*OW % 32 == 0`)
 //! quantizes its input into the halo-padded channel-group layout
 //! `[H + 2p + e][C_in/4][W + 2p][4]` ([`quantize_activation_groups`]):
@@ -333,7 +334,7 @@ impl Layer for QuantConv2d {
     /// Packs the weights once; first, where the network's int8 kernel reads
     /// B tiles in place (and the convolution has stride 1 and `C_in` a
     /// multiple of 4), puts their columns in [`KOrder::Groups`] order, the
-    /// k order of a B read in place, and packs them at its depth.
+    /// k order of a B read in place.
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
         let groups_k = KOrder::Groups.rows(self.in_ch, &self.geom);
         let tiles = self.geom.stride == 1
@@ -344,7 +345,7 @@ impl Layer for QuantConv2d {
             self.weights.q = Weights::Rows(KOrder::Groups.reorder(w, self.in_ch, &self.geom));
             self.order = KOrder::Groups;
         }
-        self.weights.q.pack_for(ctx, tiles)
+        self.weights.q.pack_for(ctx)
     }
 }
 
@@ -407,7 +408,7 @@ impl Layer for QuantLinear {
     }
 
     fn pack_weights(&mut self, ctx: &CakeGemm) -> Option<WeightPack> {
-        self.weights.q.pack_for(ctx, false)
+        self.weights.q.pack_for(ctx)
     }
 }
 

@@ -1500,15 +1500,22 @@ impl<'a, T: Element> TiledB<'a, T> {
         j / self.seg * self.seg_pitch + j % self.seg * TILE_KGROUP
     }
 
-    /// The tiles of the 32-column sliver from column `col` (a multiple of
-    /// 32) over the k-block of `kl` rows from `k0` (multiples of 64): the
-    /// block's k-steps, or none where the block leaves B. The pointers are
-    /// only computed; [`TiledB::new`] checked that every row they name lies
-    /// in `src`, for every sliver and step.
+    /// The tiles of the 32-column sliver from column `col` over the
+    /// k-block of `kl` rows from `k0`: the block's k-steps when `col` is a
+    /// multiple of 32 inside B and the block is whole k-steps of B, and no
+    /// step otherwise (a sliver off a tile boundary straddles two tiles,
+    /// or two segments). The pointers are only computed; [`TiledB::new`]
+    /// checked that every row a step names lies in `src`, for every
+    /// aligned sliver.
     #[inline]
     pub fn sliver(&self, col: usize, k0: usize, kl: usize) -> crate::ukernel::BTiles<'_, T> {
+        let whole = col.is_multiple_of(TILE_MAX_NR)
+            && col < self.cols
+            && k0.is_multiple_of(TILE_K)
+            && kl.is_multiple_of(TILE_K);
         let (s0, n) = (k0 / TILE_K, kl / TILE_K);
-        let steps = self.steps.get(s0..(s0 + n).min(self.nsteps)).unwrap_or_default();
+        let steps = self.steps.get(..self.nsteps).and_then(|all| all.get(s0..s0.saturating_add(n)));
+        let steps = steps.filter(|_| whole).unwrap_or_default();
         let base = self.src.as_ptr();
         crate::ukernel::BTiles {
             tiles: [base.wrapping_add(self.tile_at(col)), base.wrapping_add(self.tile_at(col + TILE_ROWS))],
@@ -2071,6 +2078,11 @@ mod tests {
         assert_eq!((bt.steps, bt.row_stride), (&steps[1..2], 256));
         assert_eq!(bt.tiles.map(|t| t as usize - src.as_ptr() as usize), [128, 192]);
         assert!(b.sliver(0, 128, 64).steps.is_empty(), "a block past K names no step");
+        assert!(b.sliver(0, 64, 128).steps.is_empty(), "a block leaving K names no step");
+        assert_eq!(b.sliver(0, 0, 128).steps, &steps[..]);
+        for (col, k0, kl) in [(16, 0, 64), (48, 0, 64), (8, 64, 64), (64, 0, 64), (0, 32, 64), (0, 0, 96)] {
+            assert!(b.sliver(col, k0, kl).steps.is_empty(), "sliver {col} of block {k0}+{kl} is not whole tiles");
+        }
     }
 
     #[test]

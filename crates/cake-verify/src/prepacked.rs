@@ -226,7 +226,7 @@ fn check_conv(case: &ConvCase) -> Result<bool, String> {
     let weights = cake_matrix::init::random_i8(cout, cin * k * k, seed ^ 0x77);
     let grouped = KOrder::Groups.reorder(&weights, cin, &geom);
     let ctx = CakeGemm::new(CakeConfig::with_threads(p));
-    let packed = ctx.prepack_for_tiled_b(&grouped);
+    let packed = ctx.prepack(&grouped);
     let at = || format!("{case:?} on {}", packed.kernel().name());
 
     let (xq, aq) = quantize_activations(x.as_matrix());
